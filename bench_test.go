@@ -389,17 +389,6 @@ func BenchmarkAblationAdaptiveStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallel measures the shard-parallel engine.
-func BenchmarkSearchParallel(b *testing.B) {
-	f := microSetup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SearchParallel(f.store, f.query, core.Options{K: 10, Criterion: core.Hq}, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchCompressedFilter measures the compressed filter phase.
 func BenchmarkSearchCompressedFilter(b *testing.B) {
 	f := microSetup()
@@ -455,8 +444,6 @@ func BenchmarkSegmentSkipping(b *testing.B) {
 	for i := range queries {
 		queries[i] = vs[(i*blocks/len(queries))*perBlock+3]
 	}
-	opts := core.Options{K: k, Criterion: core.Ev, SkipRangeCheck: true}
-
 	for _, cfg := range []struct {
 		name    string
 		segSize int
@@ -470,7 +457,7 @@ func BenchmarkSegmentSkipping(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				res, err := col.Search(q, opts)
+				res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: Ev, SkipRangeCheck: true, Strategy: StrategyBOND})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -494,7 +481,7 @@ func BenchmarkCollectionSearchParallelSegments(b *testing.B) {
 	q := vs[17]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := col.SearchParallel(q, Options{K: 10, Criterion: Hq}, 8); err != nil {
+		if _, err := col.Query(QuerySpec{Query: q, K: 10, Criterion: Hq, Strategy: StrategyBOND, Parallel: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,11 +27,10 @@
 // # Concurrency
 //
 // A Collection is safe for concurrent use: any number of readers
-// (Query, QueryBatch, Search, SearchParallel, SearchCompressed,
-// SearchMIL, Len, Save, …) run concurrently with each other, and writers
-// (Add, AddBatch, Delete, Compact, Recluster) are serialized against them by an
-// internal RWMutex. Every
-// search observes a consistent snapshot and returns exact results.
+// (Query, QueryBatch, QueryExplain, Len, Save, …) run concurrently with
+// each other, and writers (Add, AddBatch, Delete, Compact, Recluster) are
+// serialized against them by an internal RWMutex. Every search observes a
+// consistent snapshot and returns exact results.
 // SearchProgressive and AsFeature take a snapshot under the lock (sealed
 // segments are shared structurally; the small active segment is copied),
 // so the returned Progressive and Feature values may be driven after the
@@ -42,9 +41,9 @@
 // Every query runs through a cost-based planner (package plan): a single
 // QuerySpec is turned into a per-segment plan that assigns each segment
 // an access path — plain BOND, 8-bit compressed filter-and-refine, a
-// VA-File filter, an exact scan, or the MIL reference engine — from the
-// segment's synopsis and an adaptive per-collection cost model that the
-// executor feeds back into after every query. Plan.Explain (via
+// VA-File filter, or an exact scan — from the segment's synopsis and an
+// adaptive per-collection cost model that the executor feeds back into
+// after every query. Plan.Explain (via
 // Collection.QueryExplain) prints the chosen paths with predicted and
 // actual costs.
 //
@@ -52,9 +51,6 @@
 //
 //	col := bond.NewCollection(vectors)          // vectors: [][]float64
 //	res, err := col.Query(bond.QuerySpec{Query: q, K: 10, Criterion: bond.Hq})
-//
-// The legacy Search* entry points remain as thin wrappers over Query
-// with a forced strategy; they return identical results.
 //
 // Supported query classes (exact unless the spec sets Tolerance or
 // Deadline):
@@ -111,24 +107,17 @@ import (
 // Re-exported search types. See package core for the full documentation of
 // each criterion, ordering, and option.
 type (
-	// Options configures a Search. Zero value + K is a sensible default
-	// (criterion Hq, descending-query order, step 8).
-	Options = core.Options
 	// Criterion selects pruning rule and metric.
 	Criterion = core.Criterion
 	// Order selects the dimension processing order.
 	Order = core.Order
-	// Result is a completed search with work statistics.
+	// Result is a completed progressive search with work statistics.
 	Result = core.Result
-	// CompressedResult is a completed filter-and-refine search.
-	CompressedResult = core.CompressedResult
 	// Neighbor is one scored match.
 	Neighbor = topk.Result
 	// Stats describes the work a search performed, including how many
 	// segments were searched and how many the synopses skipped.
 	Stats = core.Stats
-	// MILOptions configures the MIL reference engine.
-	MILOptions = core.MILOptions
 	// Feature is one component of a multi-feature query.
 	Feature = multifeature.Feature
 	// Aggregate combines per-feature similarities.
@@ -146,9 +135,8 @@ type (
 	// query vector, k, metric, weights/subspace, tolerance, deadline, and
 	// strategy/parallelism hints. See Collection.Query.
 	QuerySpec = plan.Spec
-	// QueryResult is a completed planned query: the exact top-k, merged
-	// work statistics, and (for filter-and-refine paths) the compressed
-	// counters.
+	// QueryResult is a completed planned query: the exact top-k and merged
+	// work statistics.
 	QueryResult = plan.Result
 	// QueryPlan is a planned query; QueryPlan.Explain renders the chosen
 	// per-segment access paths with predicted and actual costs.
@@ -176,12 +164,10 @@ const (
 	StrategyVAFile = plan.ForceVAFile
 	// StrategyExact forces a full exact scan — the seqscan oracle.
 	StrategyExact = plan.ForceExact
-	// StrategyMIL forces the MIL relational-operator reference engine.
-	StrategyMIL = plan.ForceMIL
 )
 
 // ParseStrategy parses a strategy name (auto, bond, compressed, vafile,
-// exact, mil) as the CLIs spell it.
+// exact) as the CLIs spell it.
 func ParseStrategy(s string) (Strategy, error) { return plan.ParseStrategy(s) }
 
 // ParseCriterion parses a criterion name (hq, hh, eq, ev; case-insensitive)
@@ -612,13 +598,6 @@ func (c *Collection) CompactRatio(minRatio float64) []int {
 	return mapping
 }
 
-// planSegments exposes the current segments to the query planner: the
-// engine view of each segment plus, for sealed segments, the lazily built
-// compressed access paths (column codes for the compressed filter,
-// row-major codes for the VA-File). The list is memoized until a writer
-// changes the store, so the steady-state query path allocates nothing
-// here. Callers must hold at least the read lock for the duration of the
-// search.
 // errIfUnmapped returns ErrClosed when Close has released the memory
 // mappings some sealed segments' columns aliased — from that point the
 // column data is simply gone, so read paths refuse instead of faulting.
@@ -631,6 +610,13 @@ func (c *Collection) errIfUnmapped() error {
 	return nil
 }
 
+// planSegments exposes the current segments to the query planner: the
+// engine view of each segment plus, for sealed segments, the lazily built
+// compressed access paths (column codes for the compressed filter,
+// row-major codes for the VA-File). The list is memoized until a writer
+// changes the store, so the steady-state query path allocates nothing
+// here. Callers must hold at least the read lock for the duration of the
+// search.
 func (c *Collection) planSegments() []plan.Segment {
 	if cached := c.planCache.Load(); cached != nil {
 		return *cached
@@ -713,14 +699,12 @@ func (c *Collection) snapshotViews() []core.SegmentView {
 
 // Query plans and executes a query: the spec is turned into a Plan — an
 // ordered list of per-segment steps, each assigned an access path (plain
-// BOND, 8-bit compressed filter-and-refine, VA-File filter, exact scan,
-// or the MIL reference engine) from the segment's synopsis and the
-// collection's adaptive cost model — and the plan runs through the shared
-// engine, skipping segments whose synopses prove them hopeless. Observed
-// costs feed back into the model, so plans adapt as data and workloads
-// shift. The answer is exact unless the spec sets Tolerance or Deadline.
-//
-// All legacy Search* entry points are thin wrappers over Query.
+// BOND, 8-bit compressed filter-and-refine, VA-File filter, or exact scan)
+// from the segment's synopsis and the collection's adaptive cost model —
+// and the plan runs through the shared engine, skipping segments whose
+// synopses prove them hopeless. Observed costs feed back into the model, so
+// plans adapt as data and workloads shift. The answer is exact unless the
+// spec sets Tolerance or Deadline.
 //
 // The hot path is allocation-free in steady state: the plan, the engine
 // scratch (scores, candidate lists, heaps, bound tables), and the planner
@@ -728,23 +712,34 @@ func (c *Collection) snapshotViews() []core.SegmentView {
 // ~2 allocations — the returned result list and its step log. Weighted and
 // subspace specs may add a few small ones.
 func (c *Collection) Query(spec QuerySpec) (QueryResult, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := c.errIfUnmapped(); err != nil {
-		return QueryResult{}, err
+	res, p, err := c.runQuery(spec, plan.NewReusable)
+	if p != nil {
+		p.Release()
 	}
-	p, err := plan.NewReusable(c.planSegments(), spec, c.model)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	defer p.Release()
-	return plan.Execute(p)
+	return res, err
 }
 
 // QueryExplain is Query returning the executed plan as well, with
 // per-segment predicted and actual costs filled in for Plan.Explain.
 func (c *Collection) QueryExplain(spec QuerySpec) (QueryResult, *QueryPlan, error) {
-	return c.queryPlanned(spec)
+	return c.runQuery(spec, plan.New)
+}
+
+// runQuery plans spec with newPlan — pooled for Query, caller-owned for
+// QueryExplain — and executes it under the read lock. The plan is returned
+// whenever planning succeeded, even if execution then failed.
+func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, plan.Spec, *plan.Model) (*plan.Plan, error)) (QueryResult, *QueryPlan, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if err := c.errIfUnmapped(); err != nil {
+		return QueryResult{}, nil, err
+	}
+	p, err := newPlan(c.planSegments(), spec, c.model)
+	if err != nil {
+		return QueryResult{}, nil, err
+	}
+	res, err := plan.Execute(p)
+	return res, p, err
 }
 
 // QueryBatch plans and executes many queries against one consistent
@@ -839,59 +834,6 @@ func (c *Collection) QueryBatch(specs []QuerySpec) ([]QueryResult, error) {
 	return results, nil
 }
 
-func (c *Collection) queryPlanned(spec QuerySpec) (QueryResult, *QueryPlan, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := c.errIfUnmapped(); err != nil {
-		return QueryResult{}, nil, err
-	}
-	p, err := plan.New(c.planSegments(), spec, c.model)
-	if err != nil {
-		return QueryResult{}, nil, err
-	}
-	res, err := plan.Execute(p)
-	if err != nil {
-		return QueryResult{}, p, err
-	}
-	return res, p, nil
-}
-
-// Search runs BOND and returns the exact K best matches for q, skipping
-// whole segments whose synopses prove them hopeless (reported in
-// Stats.SegmentsSkipped).
-//
-// Deprecated: use Query with a QuerySpec; Search forces StrategyBOND and
-// cannot benefit from cost-based access-path selection.
-func (c *Collection) Search(q []float64, opts Options) (Result, error) {
-	spec := plan.SpecFromOptions(q, opts)
-	spec.Strategy = StrategyBOND
-	res, err := c.Query(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Results: res.Results, Stats: res.Stats}, nil
-}
-
-// SearchParallel runs BOND concurrently — one goroutine per segment — and
-// merges the per-segment results; the answer is identical to Search. The
-// shards argument is kept for compatibility and only selects the
-// sequential path when < 2; the parallelism degree is the segment count.
-//
-// Deprecated: use Query with QuerySpec.Parallel ≥ 2, which fans out only
-// the segments large enough to pay for a goroutine.
-func (c *Collection) SearchParallel(q []float64, opts Options, shards int) (Result, error) {
-	spec := plan.SpecFromOptions(q, opts)
-	spec.Strategy = StrategyBOND
-	if shards >= 2 {
-		spec.Parallel = shards
-	}
-	res, err := c.Query(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Results: res.Results, Stats: res.Stats}, nil
-}
-
 // Progressive is an incremental search whose steps the caller drives,
 // with the shrinking candidate set inspectable in between.
 type Progressive = core.Progressive
@@ -900,65 +842,24 @@ type Progressive = core.Progressive
 // collection; call Step until it returns false (or stop early) and Finish
 // for the exact results. The snapshot means concurrent writers do not
 // disturb (and are not seen by) the running search. The spec is validated
-// through the planner; the incremental engines then advance every segment
-// in lockstep (per-segment path choice does not apply to a search whose
-// intermediate state the caller inspects).
-//
-// Deprecated: prefer Query for one-shot searches; SearchProgressive
-// remains the entry point for caller-driven incremental retrieval.
-func (c *Collection) SearchProgressive(q []float64, opts Options) (*Progressive, error) {
+// through the planner; the incremental BOND engines then advance every
+// segment in lockstep, so the spec's Strategy, Parallel, Tolerance and
+// Deadline do not apply (there is no per-segment path choice or skipping in
+// a search whose intermediate state the caller inspects). Use Query for
+// one-shot searches.
+func (c *Collection) SearchProgressive(spec QuerySpec) (*Progressive, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if err := c.errIfUnmapped(); err != nil {
 		return nil, err
 	}
 	views := c.snapshotViews()
-	spec := plan.SpecFromOptions(q, opts)
 	spec.Strategy = StrategyBOND
-	if _, err := plan.New(plan.WrapViews(views), spec, c.model); err != nil {
+	p, err := plan.New(plan.WrapViews(views), spec, c.model)
+	if err != nil {
 		return nil, err
 	}
-	return core.NewProgressiveSegments(views, q, opts)
-}
-
-// SearchCompressed runs the filter step on 8-bit fragments and refines on
-// the exact columns. Sealed segments filter on their codes — built lazily
-// once per segment when that segment is first actually searched (skipped
-// segments are never quantized), and never invalidated by appends; the
-// active segment runs an exact scan. Criteria Hq and Eq.
-//
-// Deprecated: use Query with StrategyCompressed (or StrategyAuto, which
-// picks the compressed path only where the cost model favors it).
-func (c *Collection) SearchCompressed(q []float64, opts Options) (CompressedResult, error) {
-	spec := plan.SpecFromOptions(q, opts)
-	spec.Strategy = StrategyCompressed
-	res, err := c.Query(spec)
-	if err != nil {
-		return CompressedResult{}, err
-	}
-	return res.Compressed, nil
-}
-
-// SearchMIL runs BOND (criterion Hq) through the MIL relational-operator
-// engine — the Section 6.1 reference implementation — per segment, with
-// the per-segment answers merged exactly.
-//
-// Deprecated: use Query with StrategyMIL.
-func (c *Collection) SearchMIL(q []float64, opts MILOptions) (Result, error) {
-	spec := QuerySpec{
-		Query:        q,
-		K:            opts.K,
-		Criterion:    core.Hq,
-		Step:         opts.Step,
-		BitmapSwitch: opts.BitmapSwitch,
-		Exclude:      opts.Exclude,
-		Strategy:     StrategyMIL,
-	}
-	res, err := c.Query(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Results: res.Results, Stats: res.Stats}, nil
+	return core.NewProgressiveSegments(views, spec.Query, p.Opts)
 }
 
 // AsFeature wraps a snapshot of the collection as one component of a
@@ -984,7 +885,7 @@ func MultiSearch(features []Feature, opts MultiOptions) (MultiResult, error) {
 
 // NewExclusion returns an empty exclusion bitmap sized to the collection,
 // for combining k-NN search with prior selection predicates: set the bits
-// of the objects a predicate ruled out and pass it as Options.Exclude.
+// of the objects a predicate ruled out and pass it as QuerySpec.Exclude.
 func (c *Collection) NewExclusion() *bitmap.Bitmap {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

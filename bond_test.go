@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/seqscan"
 )
@@ -18,7 +19,7 @@ func testCollection(t *testing.T) ([][]float64, *Collection) {
 func TestFacadeSearchMatchesScan(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[10]
-	res, err := col.Search(q, Options{K: 5, Criterion: Hq})
+	res, err := col.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestFacadeSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := vs[5]
-	a, err := col.Search(q, Options{K: 3, Criterion: Ev})
+	a, err := col.Query(QuerySpec{Query: q, K: 3, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := got.Search(q, Options{K: 3, Criterion: Ev})
+	b, err := got.Query(QuerySpec{Query: q, K: 3, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +86,13 @@ func TestFacadeSaveOpenRoundTrip(t *testing.T) {
 func TestFacadeCompressedLazyBuildAndInvalidation(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[7]
-	a, err := col.SearchCompressed(q, Options{K: 5, Criterion: Hq})
+	a, err := col.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Adding a vector invalidates the codes; a repeat search must see it.
 	col.Add(q)
-	b, err := col.SearchCompressed(q, Options{K: 1, Criterion: Hq})
+	b, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +106,16 @@ func TestFacadeMILAndExclusion(t *testing.T) {
 	q := vs[0]
 	excl := col.NewExclusion()
 	excl.Set(0)
-	res, err := col.Search(q, Options{K: 1, Criterion: Hq, Exclude: excl})
+	res, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Results[0].ID == 0 {
 		t.Error("excluded id returned")
 	}
-	mil, err := col.SearchMIL(q, MILOptions{K: 1})
+	// The MIL reference engine is not a Collection strategy; it runs on the
+	// flattened store as the oracle it is.
+	mil, err := core.SearchMIL(col.store.Flatten(), q, core.MILOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestFacadeWeightedAndSubspace(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[9]
 	w := dataset.WeightsZipf(32, 2, 7)
-	res, err := col.Search(q, Options{K: 4, Criterion: Ev, Weights: w})
+	res, err := col.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Weights: w, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestFacadeWeightedAndSubspace(t *testing.T) {
 			t.Errorf("weighted rank %d: id %d, want %d", i, res.Results[i].ID, want[i].ID)
 		}
 	}
-	sub, err := col.Search(q, Options{K: 4, Criterion: Ev, Dims: []int{0, 5, 9}})
+	sub, err := col.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Dims: []int{0, 5, 9}, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}

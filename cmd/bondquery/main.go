@@ -12,7 +12,7 @@
 // query-by-example pattern of image retrieval). Every query goes through
 // the planner: -strategy=auto (the default) picks an access path per
 // segment from the collection's cost model, and the forced strategies
-// (bond, compressed, vafile, exact, mil) pin one path everywhere.
+// (bond, compressed, vafile, exact) pin one path everywhere.
 // -explain prints the plan with per-segment predicted and actual costs.
 // Stores written in either the segmented layout or the legacy flat layout
 // are accepted. For profiling, -repeat N heats the query loop and
@@ -36,7 +36,7 @@ func main() {
 	criterion := flag.String("criterion", "Hq", "pruning criterion: Hq, Hh, Eq, Ev")
 	step := flag.Int("step", 0, "pruning step m (0 = default)")
 	order := flag.String("order", "desc", "dimension order: desc, asc, random, natural")
-	strategy := flag.String("strategy", "auto", "access path: auto, bond, compressed, vafile, exact, mil")
+	strategy := flag.String("strategy", "auto", "access path: auto, bond, compressed, vafile, exact")
 	explain := flag.Bool("explain", false, "print the plan: per-segment path, predicted and actual cost")
 	showStats := flag.Bool("stats", false, "print per-step pruning statistics")
 	repeat := flag.Int("repeat", 1, "run the query this many times (profiling hot loops)")

@@ -75,15 +75,15 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 	// order, so it gets its own oracle.
 	oracleHq, _ := seqscan.SearchHistogram(stable, q, stressK)
 	oracleEv, _ := seqscan.SearchEuclidean(stable, q, stressK)
-	searchHq, err := col.Search(q, Options{K: stressK, Criterion: Hq})
+	searchHq, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	searchEv, err := col.Search(q, Options{K: stressK, Criterion: Ev})
+	searchEv, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressedHq, err := col.SearchCompressed(q, Options{K: stressK, Criterion: Hq})
+	compressedHq, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 
 	// Searchers: plain, parallel, compressed, progressive.
 	run(func(i int) {
-		res, err := col.Search(q, Options{K: stressK, Criterion: Hq})
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 		if err != nil {
 			t.Error(err)
 			return
@@ -137,7 +137,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		check(t, "Search/Hq", res.Results, searchHq.Results)
 	})
 	run(func(i int) {
-		res, err := col.Search(q, Options{K: stressK, Criterion: Ev})
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND})
 		if err != nil {
 			t.Error(err)
 			return
@@ -145,7 +145,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		check(t, "Search/Ev", res.Results, searchEv.Results)
 	})
 	run(func(i int) {
-		res, err := col.SearchParallel(q, Options{K: stressK, Criterion: Hq}, 4)
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND, Parallel: 4})
 		if err != nil {
 			t.Error(err)
 			return
@@ -153,7 +153,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		check(t, "SearchParallel/Hq", res.Results, searchHq.Results)
 	})
 	run(func(i int) {
-		res, err := col.SearchCompressed(q, Options{K: stressK, Criterion: Hq})
+		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})
 		if err != nil {
 			t.Error(err)
 			return
@@ -161,7 +161,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		check(t, "SearchCompressed/Hq", res.Results, compressedHq.Results)
 	})
 	run(func(i int) {
-		p, err := col.SearchProgressive(q, Options{K: stressK, Criterion: Ev, Step: 3})
+		p, err := col.SearchProgressive(QuerySpec{Query: q, K: stressK, Criterion: Ev, Step: 3})
 		if err != nil {
 			t.Error(err)
 			return
@@ -195,7 +195,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 
 	// After the dust settles the stable answer is unchanged, and the
 	// stable prefix was never remapped.
-	res, err := col.Search(q, Options{K: stressK, Criterion: Hq})
+	res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,10 @@ func fourHistograms() [][]float64 {
 }
 
 // The basic flow: decompose a collection, search by example.
-func ExampleCollection_Search() {
+func ExampleCollection_Query() {
 	col := bond.NewCollection(fourHistograms())
 	query := []float64{0.7, 0.15, 0.1, 0.05}
-	res, err := col.Search(query, bond.Options{K: 2, Criterion: bond.Hq})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 2, Criterion: bond.Hq, Strategy: bond.StrategyBOND})
 	if err != nil {
 		panic(err)
 	}
@@ -34,10 +34,10 @@ func ExampleCollection_Search() {
 }
 
 // Euclidean search on the same single data representation.
-func ExampleCollection_Search_euclidean() {
+func ExampleCollection_Query_euclidean() {
 	col := bond.NewCollection(fourHistograms())
 	query := []float64{0.8, 0.1, 0.05, 0.05} // h3 itself
-	res, err := col.Search(query, bond.Options{K: 1, Criterion: bond.Ev})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 1, Criterion: bond.Ev, Strategy: bond.StrategyBOND})
 	if err != nil {
 		panic(err)
 	}
@@ -48,11 +48,11 @@ func ExampleCollection_Search_euclidean() {
 
 // A weighted query emphasizes chosen dimensions (Definition 3); zero
 // weights exclude dimensions entirely (subspace search, Section 8.1).
-func ExampleCollection_Search_weighted() {
+func ExampleCollection_Query_weighted() {
 	col := bond.NewCollection(fourHistograms())
 	query := []float64{0.0, 0.2, 0.9, 0.0}
 	weights := []float64{0, 1, 4, 0} // only dims 1–2 matter, dim 2 most
-	res, err := col.Search(query, bond.Options{K: 1, Criterion: bond.Ev, Weights: weights})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 1, Criterion: bond.Ev, Weights: weights, Strategy: bond.StrategyBOND})
 	if err != nil {
 		panic(err)
 	}
@@ -75,8 +75,8 @@ func ExampleQueryUsefulness() {
 // Progressive search exposes the shrinking candidate set between steps.
 func ExampleCollection_SearchProgressive() {
 	col := bond.NewCollection(fourHistograms())
-	p, err := col.SearchProgressive([]float64{0.7, 0.15, 0.1, 0.05},
-		bond.Options{K: 1, Criterion: bond.Hq, Step: 2})
+	p, err := col.SearchProgressive(bond.QuerySpec{
+		Query: []float64{0.7, 0.15, 0.1, 0.05}, K: 1, Criterion: bond.Hq, Step: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 
 	// Exact BOND search.
 	start := time.Now()
-	res, err := col.Search(query, bond.Options{K: k, Criterion: bond.Hq})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: k, Criterion: bond.Hq, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,12 +42,16 @@ func main() {
 	// Compressed filter-and-refine: reads 8-bit codes first, exact values
 	// only for the handful of survivors.
 	start = time.Now()
-	cres, err := col.SearchCompressed(query, bond.Options{K: k, Criterion: bond.Hq})
+	cres, cplan, err := col.QueryExplain(bond.QuerySpec{Query: query, K: k, Criterion: bond.Hq, Strategy: bond.StrategyCompressed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncompressed BOND: %v, filter kept %d candidates, refine read %d exact values\n",
-		time.Since(start), cres.FilterCandidates, cres.RefineValuesScanned)
+	kept := 0
+	for _, st := range cplan.Steps {
+		kept += st.Candidates
+	}
+	fmt.Printf("\ncompressed BOND: %v, filter kept %d candidates, read %d values (codes + exact)\n",
+		time.Since(start), kept, cres.Stats.ValuesScanned)
 	printTop(cres.Results, 5)
 
 	// k-NN restricted by a predicate: "only images from batch B" becomes an
@@ -58,7 +62,7 @@ func main() {
 			excl.Set(id)
 		}
 	}
-	pres, err := col.Search(query, bond.Options{K: k, Criterion: bond.Hq, Exclude: excl})
+	pres, err := col.Query(bond.QuerySpec{Query: query, K: k, Criterion: bond.Hq, Exclude: excl, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func main() {
 	// Updates: new images arrive, an old one is removed.
 	newID := col.Add(query) // an exact duplicate of the query image
 	col.Delete(4711)
-	res2, err := col.Search(query, bond.Options{K: 1, Criterion: bond.Hq})
+	res2, err := col.Query(bond.QuerySpec{Query: query, K: 1, Criterion: bond.Hq, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}

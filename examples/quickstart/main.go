@@ -20,7 +20,7 @@ func main() {
 
 	// Query by example: find the 10 histograms most similar to vector 123.
 	query := col.Vector(123)
-	res, err := col.Search(query, bond.Options{K: 10, Criterion: bond.Hq})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: 10, Criterion: bond.Hq, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 	}
 
 	// The same collection answers Euclidean queries too.
-	resE, err := col.Search(query, bond.Options{K: 3, Criterion: bond.Ev})
+	resE, err := col.Query(bond.QuerySpec{Query: query, K: 3, Criterion: bond.Ev, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	query := col.Vector(99)
 
 	// Round 0: plain Euclidean search.
-	res, err := col.Search(query, bond.Options{K: k, Criterion: bond.Ev})
+	res, err := col.Query(bond.QuerySpec{Query: query, K: k, Criterion: bond.Ev, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 	// Round 1: the user marked a few dimensions as important; relevance
 	// feedback concentrates 90 % of the weight on 10 % of the dimensions.
 	weights := dataset.WeightsZipf(dims, 3.0, 17)
-	wres, err := col.Search(query, bond.Options{K: k, Criterion: bond.Ev, Weights: weights})
+	wres, err := col.Query(bond.QuerySpec{Query: query, K: k, Criterion: bond.Ev, Weights: weights, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func main() {
 	// Round 2: a subspace query — only 8 named dimensions matter. BOND
 	// never touches the other 120 columns.
 	sub := []int{0, 5, 17, 23, 42, 77, 101, 120}
-	sres, err := col.Search(query, bond.Options{K: k, Criterion: bond.Ev, Dims: sub})
+	sres, err := col.Query(bond.QuerySpec{Query: query, K: k, Criterion: bond.Ev, Dims: sub, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 		sres.Stats.ValuesScanned, len(sub)*n)
 }
 
-func print5(res bond.Result) {
+func print5(res bond.QueryResult) {
 	for rank, r := range res.Results {
 		fmt.Printf("  %2d. id=%-6d distance=%.6f\n", rank+1, r.ID, r.Score)
 	}

@@ -42,7 +42,6 @@ func TestQueryAllocationBudget(t *testing.T) {
 	for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyCompressed, StrategyVAFile, StrategyExact} {
 		cases = append(cases, pathCase{strat, Hq}, pathCase{strat, Eq})
 	}
-	cases = append(cases, pathCase{StrategyMIL, Hq})
 
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%v_%v", tc.crit, tc.strategy), func(t *testing.T) {

@@ -21,15 +21,12 @@ type CompressedResult struct {
 	FilterStats Stats
 	// RefineValuesScanned counts exact coefficients read during refinement.
 	RefineValuesScanned int64
-	// ExactValuesScanned counts coefficients read by exact BOND on
-	// segments without compressed fragments (the mutable active segment of
-	// a segmented collection); 0 for a flat single-store search.
-	ExactValuesScanned int64
 }
 
-// validateCompressed rejects option combinations the compressed path does
-// not support (shared by the flat and the segmented entry points).
-func validateCompressed(opts Options) error {
+// ValidateCompressed rejects option combinations the compressed and
+// VA-File access paths do not support: they answer full-space unweighted Hq
+// and Eq queries only.
+func ValidateCompressed(opts Options) error {
 	if len(opts.Weights) > 0 || len(opts.Dims) > 0 {
 		return fmt.Errorf("core: compressed search supports full-space unweighted queries only")
 	}
@@ -41,25 +38,6 @@ func validateCompressed(opts Options) error {
 	}
 }
 
-// SearchCompressed runs BOND on the quantized fragments as a filter step
-// and refines the surviving candidates on the exact columns. Supported
-// criteria are Hq (histogram intersection, as in Figure 9) and Eq
-// (Euclidean). Both maintain a per-vector score interval [sLo, sHi] from
-// the quantization cell bounds, so no true neighbor is ever filtered out.
-func SearchCompressed(s Source, qs *vstore.QuantStore, q []float64, opts Options) (CompressedResult, error) {
-	if err := opts.validate(s, q); err != nil {
-		return CompressedResult{}, err
-	}
-	if err := validateCompressed(opts); err != nil {
-		return CompressedResult{}, err
-	}
-
-	f := &compressedFilter{s: s, qs: qs, q: q, opts: opts}
-	f.init()
-	f.run()
-	return f.refine(), nil
-}
-
 // FilterCompressed runs only the filter phase of a compressed search and
 // returns the surviving candidate ids (a superset of the true top-k) with
 // the filter statistics. Table 4 times this phase against a VA-File scan.
@@ -67,7 +45,7 @@ func FilterCompressed(s Source, qs *vstore.QuantStore, q []float64, opts Options
 	if err := opts.validate(s, q); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := validateCompressed(opts); err != nil {
+	if err := ValidateCompressed(opts); err != nil {
 		return nil, Stats{}, err
 	}
 	f := &compressedFilter{s: s, qs: qs, q: q, opts: opts}
@@ -78,30 +56,24 @@ func FilterCompressed(s Source, qs *vstore.QuantStore, q []float64, opts Options
 	return ids, f.stats, nil
 }
 
-// ValidateCompressed exposes the compressed-path option check to the query
-// planner: compressed and VA-File access paths support full-space
-// unweighted Hq and Eq queries only.
-func ValidateCompressed(opts Options) error {
-	return validateCompressed(opts)
-}
-
-// SearchCompressedOne runs filter-and-refine on a single segment without
-// re-validating (callers validate once via ValidateSegments plus
-// ValidateCompressed). empty is true when no candidate was eligible.
-func SearchCompressedOne(src Source, qs *vstore.QuantStore, q []float64, opts Options) (CompressedResult, bool) {
-	return SearchCompressedOneScratch(src, qs, q, opts, nil)
-}
-
-// SearchCompressedOneScratch is SearchCompressedOne running on pooled
-// scratch buffers (nil allocates privately). The result list aliases the
-// scratch and is valid until its next search.
+// SearchCompressedOneScratch runs BOND on a single segment's quantized
+// fragments as a filter step and refines the surviving candidates on the
+// exact columns, without re-validating (callers validate once via
+// ValidateSegments plus ValidateCompressed). Both supported criteria — Hq
+// (histogram intersection, as in Figure 9) and Eq (Euclidean) — maintain a
+// per-vector score interval [sLo, sHi] from the quantization cell bounds,
+// so no true neighbor is ever filtered out. empty is true when no candidate
+// was eligible. It runs on pooled scratch buffers (nil allocates
+// privately); the result list aliases the scratch and is valid until its
+// next search.
 func SearchCompressedOneScratch(src Source, qs *vstore.QuantStore, q []float64, opts Options, sc *Scratch) (CompressedResult, bool) {
 	f := &compressedFilter{s: src, qs: qs, q: q, opts: opts, sc: sc}
 	f.init()
 	if len(f.cands) == 0 {
 		return CompressedResult{}, true
 	}
-	return f.refineRun(), false
+	f.run()
+	return f.refine(), false
 }
 
 type compressedFilter struct {

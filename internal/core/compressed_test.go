@@ -6,14 +6,31 @@ import (
 	"bond/internal/dataset"
 	"bond/internal/quant"
 	"bond/internal/seqscan"
+	"bond/internal/vstore"
 )
+
+// searchCompressed validates the way the planner does — shape, then the
+// compressed-path restrictions — and runs the single-segment primitive.
+func searchCompressed(s Source, qs *vstore.QuantStore, q []float64, opts Options) (CompressedResult, error) {
+	if err := ValidateSegments([]SegmentView{{Src: s}}, q, &opts); err != nil {
+		return CompressedResult{}, err
+	}
+	if err := ValidateCompressed(opts); err != nil {
+		return CompressedResult{}, err
+	}
+	res, empty := SearchCompressedOneScratch(s, qs, q, opts, nil)
+	if empty {
+		return CompressedResult{}, ErrNoCandidates
+	}
+	return res, nil
+}
 
 func TestCompressedMatchesExactHistogram(t *testing.T) {
 	vs, store := corel(t)
 	qs := store.Quantize(quant.NewUnit())
 	queries, _ := dataset.SampleQueries(vs, 5, 17)
 	for _, q := range queries {
-		res, err := SearchCompressed(store, qs, q, Options{K: 10, Criterion: Hq})
+		res, err := searchCompressed(store, qs, q, Options{K: 10, Criterion: Hq})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +47,7 @@ func TestCompressedMatchesExactEuclidean(t *testing.T) {
 	qs := store.Quantize(quant.NewUnit())
 	queries, _ := dataset.SampleQueries(vs, 5, 18)
 	for _, q := range queries {
-		res, err := SearchCompressed(store, qs, q, Options{K: 10, Criterion: Eq, NormalizedData: true})
+		res, err := searchCompressed(store, qs, q, Options{K: 10, Criterion: Eq, NormalizedData: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +60,7 @@ func TestCompressedFilterPrunes(t *testing.T) {
 	vs, store := corel(t)
 	qs := store.Quantize(quant.NewUnit())
 	q := vs[31]
-	res, err := SearchCompressed(store, qs, q, Options{K: 10, Criterion: Hq})
+	res, err := searchCompressed(store, qs, q, Options{K: 10, Criterion: Hq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +80,20 @@ func TestCompressedRejectsUnsupportedOptions(t *testing.T) {
 	vs, store := corel(t)
 	qs := store.Quantize(quant.NewUnit())
 	q := vs[0]
-	if _, err := SearchCompressed(store, qs, q, Options{K: 10, Criterion: Hh}); err == nil {
+	if _, err := searchCompressed(store, qs, q, Options{K: 10, Criterion: Hh}); err == nil {
 		t.Error("Hh must be rejected for compressed search")
 	}
-	if _, err := SearchCompressed(store, qs, q, Options{K: 10, Criterion: Ev}); err == nil {
+	if _, err := searchCompressed(store, qs, q, Options{K: 10, Criterion: Ev}); err == nil {
 		t.Error("Ev must be rejected for compressed search")
 	}
 	w := make([]float64, store.Dims())
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := SearchCompressed(store, qs, q, Options{K: 10, Criterion: Eq, Weights: w}); err == nil {
+	if _, err := searchCompressed(store, qs, q, Options{K: 10, Criterion: Eq, Weights: w}); err == nil {
 		t.Error("weights must be rejected for compressed search")
 	}
-	if _, err := SearchCompressed(store, qs, q, Options{K: 0, Criterion: Hq}); err == nil {
+	if _, err := searchCompressed(store, qs, q, Options{K: 0, Criterion: Hq}); err == nil {
 		t.Error("K=0 must be rejected")
 	}
 }
@@ -88,11 +105,11 @@ func TestCompressedCoarseQuantizerStillExact(t *testing.T) {
 	coarse := store.Quantize(quant.New(0, 1, 4))
 	fine := store.Quantize(quant.NewUnit())
 	q := vs[12]
-	rc, err := SearchCompressed(store, coarse, q, Options{K: 5, Criterion: Hq})
+	rc, err := searchCompressed(store, coarse, q, Options{K: 5, Criterion: Hq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := SearchCompressed(store, fine, q, Options{K: 5, Criterion: Hq})
+	rf, err := searchCompressed(store, fine, q, Options{K: 5, Criterion: Hq})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,6 @@ var ErrMILOptions = errors.New("core: invalid MIL options")
 // implementation of uselect and the later ones the positional-join
 // reduction. Results are identical to Search with criterion Hq.
 func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
-	return SearchMILScratch(s, q, opts, nil)
-}
-
-// SearchMILScratch is SearchMIL running the operator pipeline on pooled
-// buffers (nil allocates privately): the score column, candidate bitmap,
-// uselect result, and the positional-phase id/score columns are all reused
-// — operator-at-a-time execution with recycled BAT heaps, as MonetDB
-// itself keeps intermediate heaps around. The result list aliases the
-// scratch and is valid until its next search.
-func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Result, error) {
 	if opts.K < 1 {
 		return Result{}, ErrMILOptions
 	}
@@ -69,9 +59,10 @@ func SearchMILScratch(s Source, q []float64, opts MILOptions, sc *Scratch) (Resu
 	if opts.BitmapSwitch < 0 || opts.BitmapSwitch > 1 {
 		return Result{}, ErrMILOptions
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
+	// Within one search the operator pipeline recycles its intermediates —
+	// score column, candidate bitmap, uselect result, positional-phase
+	// id/score columns — as MonetDB itself keeps BAT heaps around.
+	sc := &Scratch{}
 
 	n := s.Len()
 	sc.order = buildOrderInto(grow(sc.order, s.Dims()), q, nil, nil, OrderQueryDesc, 0, false)

@@ -38,7 +38,7 @@ func NewProgressive(s Source, q []float64, opts Options) (*Progressive, error) {
 // NewProgressiveSegments prepares an incremental search over a segmented
 // collection. Segment skipping does not apply — every segment stays
 // inspectable until the caller finishes — but results are identical to
-// SearchSegments.
+// a one-shot planned search.
 func NewProgressiveSegments(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
 	m, err := aggregateViews(views)
 	if err != nil {
@@ -57,7 +57,7 @@ func newProgressive(views []SegmentView, q []float64, opts Options) (*Progressiv
 			continue
 		}
 		vopts := opts
-		vopts.Exclude = localExclude(opts.Exclude, v.Base, v.Src.Len())
+		vopts.Exclude = LocalExclude(opts.Exclude, v.Base, v.Src.Len())
 		e, err := newEngine(v.Src, q, vopts, nil)
 		if err == ErrNoCandidates {
 			continue
@@ -147,7 +147,7 @@ func (p *Progressive) Candidates() []int {
 func (p *Progressive) merge() []topk.Result {
 	lists := make([][]topk.Result, len(p.engines))
 	for i, e := range p.engines {
-		lists[i] = shift(e.finish().Results, p.bases[i])
+		lists[i] = RebaseInPlace(e.finish().Results, p.bases[i])
 	}
 	return topk.Merge(p.k, !p.distance, lists...)
 }

@@ -14,7 +14,7 @@ import (
 // steady-state query allocates nothing in the engine layer.
 //
 // A nil *Scratch is accepted by every entry point that takes one and means
-// "allocate privately" — the behavior of the legacy entry points.
+// "allocate privately".
 //
 // The pooling contract: buffers handed out of a scratch-backed call
 // (result lists, candidate ids, step logs) alias the Scratch and are valid

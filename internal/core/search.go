@@ -12,7 +12,7 @@ import (
 // the smaller vector id, exactly as in the sequential-scan baselines, so
 // BOND and a full scan always return identical answer sets.
 //
-// For a segmented collection, use SearchSegments instead: it runs this
+// A segmented collection goes through package plan instead, which runs this
 // engine per segment and additionally skips whole segments via their
 // synopses.
 func Search(s Source, q []float64, opts Options) (Result, error) {

@@ -3,13 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"bond/internal/bitmap"
 	"bond/internal/kernel"
 	"bond/internal/topk"
-	"bond/internal/vstore"
 )
 
 // SegmentView is one physical segment of a segmented collection as the
@@ -17,10 +14,10 @@ import (
 // by local ids 0…len−1), the global id of local id 0, and an optional
 // per-dimension min/max synopsis.
 //
-// When DimRange is non-nil, SearchSegments uses it to bound the best score
-// any member of the segment could reach and skips the segment wholesale
-// whenever that bound cannot beat the running k-th best (κ). A nil
-// DimRange only disables skipping; results stay exact either way.
+// When DimRange is non-nil, the plan executor uses it to bound the best
+// score any member of the segment could reach and skips the segment
+// wholesale whenever that bound cannot beat the running k-th best (κ). A
+// nil DimRange only disables skipping; results stay exact either way.
 type SegmentView struct {
 	Src      Source
 	Base     int
@@ -69,9 +66,9 @@ func excludedID(bm *bitmap.Bitmap, id int) bool {
 	return bm != nil && id < bm.Len() && bm.Get(id)
 }
 
-// localExclude projects the [base, base+n) window of a global exclusion
+// LocalExclude projects the [base, base+n) window of a global exclusion
 // bitmap onto segment-local ids. It returns nil when nothing is excluded.
-func localExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
+func LocalExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
 	if global == nil {
 		return nil
 	}
@@ -87,13 +84,13 @@ func localExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
 	return local
 }
 
-// segmentBound returns the best score any vector inside the segment could
+// SegBound returns the best score any vector inside the segment could
 // possibly reach under the query and options, derived from the synopsis:
 // an upper bound on similarity for the histogram criteria, a lower bound
 // on distance for the Euclidean ones. ok is false when the view carries no
 // usable synopsis (empty segment or nil DimRange), in which case the
 // segment must be searched.
-func segmentBound(v SegmentView, q []float64, opts Options) (bound float64, ok bool) {
+func SegBound(v SegmentView, q []float64, opts Options) (bound float64, ok bool) {
 	if v.DimRange == nil || v.Src.Len() == 0 {
 		return 0, false
 	}
@@ -150,21 +147,23 @@ func dimBound(v SegmentView, q []float64, opts Options, d int, dist bool) (b flo
 	return w * math.Min(q[d], hi), true
 }
 
-// cannotBeat reports whether a segment whose best possible score is bound
+// CannotBeat reports whether a segment whose best possible score is bound
 // has no chance against the current κ. The comparison is strict: a segment
 // that could only tie κ is still searched, so id tie-breaks stay identical
 // to a single flat search.
-func cannotBeat(bound, kappa float64, distance bool) bool {
+func CannotBeat(bound, kappa float64, distance bool) bool {
 	if distance {
 		return bound > kappa
 	}
 	return bound < kappa
 }
 
-// searchOne runs the engine over a single segment without re-validating.
-// empty is true when the segment holds no eligible candidates. With a
-// non-nil scratch the result list is scratch-backed.
-func searchOne(src Source, q []float64, opts Options, sc *Scratch) (Result, bool, error) {
+// SearchOneScratch runs the BOND engine over a single segment without
+// re-validating (callers validate once via ValidateSegments), on pooled
+// scratch buffers (nil allocates privately). empty is true when the
+// segment holds no eligible candidates. The result list and step log alias
+// the scratch and are valid until its next search.
+func SearchOneScratch(src Source, q []float64, opts Options, sc *Scratch) (Result, bool, error) {
 	e, err := newEngine(src, q, opts, sc)
 	if err == ErrNoCandidates {
 		return Result{}, true, nil
@@ -176,48 +175,16 @@ func searchOne(src Source, q []float64, opts Options, sc *Scratch) (Result, bool
 	return e.finish(), false, nil
 }
 
-// shift rebases segment-local result ids to global ids.
-func shift(rs []topk.Result, base int) []topk.Result {
+// RebaseInPlace shifts segment-local result ids to global ids by mutating
+// the list, which the caller must consume before its scratch is reused.
+func RebaseInPlace(rs []topk.Result, base int) []topk.Result {
 	if base == 0 {
 		return rs
 	}
-	out := make([]topk.Result, len(rs))
-	for i, r := range rs {
-		out[i] = topk.Result{ID: r.ID + base, Score: r.Score}
+	for i := range rs {
+		rs[i].ID += base
 	}
-	return out
-}
-
-// orderViews returns the processing order over the views: synopsis-bounded
-// views best-first (so κ tightens as fast as possible and later segments
-// can be skipped), with unbounded views first since they must be searched
-// regardless.
-func orderViews(views []SegmentView, q []float64, opts Options) (order []int, bounds []float64, hasBound []bool) {
-	dist := opts.Criterion.Distance()
-	bounds = make([]float64, len(views))
-	hasBound = make([]bool, len(views))
-	order = make([]int, 0, len(views))
-	for i, v := range views {
-		if v.Src.Len() == 0 {
-			continue
-		}
-		bounds[i], hasBound[i] = segmentBound(v, q, opts)
-		order = append(order, i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if hasBound[ia] != hasBound[ib] {
-			return !hasBound[ia] // unbounded views go first
-		}
-		if !hasBound[ia] {
-			return false
-		}
-		if dist {
-			return bounds[ia] < bounds[ib] // smallest possible distance first
-		}
-		return bounds[ia] > bounds[ib] // largest possible similarity first
-	})
-	return order, bounds, hasBound
+	return rs
 }
 
 // ValidateSegments aggregates the views and validates the options against
@@ -236,291 +203,13 @@ func ValidateSegments(views []SegmentView, q []float64, opts *Options) error {
 	return opts.validateShape(m.dims, m.n, lo, hi, q)
 }
 
-// SegBound exposes the synopsis bound to the query planner: the best score
-// any vector inside the segment could possibly reach under the query and
-// options. ok is false when the view carries no usable synopsis.
-func SegBound(v SegmentView, q []float64, opts Options) (bound float64, ok bool) {
-	return segmentBound(v, q, opts)
-}
-
-// CannotBeat reports whether a segment whose best possible score is bound
-// has no chance against the current κ (strict, so id tie-breaks stay
-// identical to a single flat search).
-func CannotBeat(bound, kappa float64, distance bool) bool {
-	return cannotBeat(bound, kappa, distance)
-}
-
-// SearchOne runs the BOND engine over a single segment without
-// re-validating (callers validate once via ValidateSegments). empty is
-// true when the segment holds no eligible candidates.
-func SearchOne(src Source, q []float64, opts Options) (Result, bool, error) {
-	return searchOne(src, q, opts, nil)
-}
-
-// SearchOneScratch is SearchOne running on pooled scratch buffers (nil
-// allocates privately). The result list and step log alias the scratch and
-// are valid until its next search.
-func SearchOneScratch(src Source, q []float64, opts Options, sc *Scratch) (Result, bool, error) {
-	return searchOne(src, q, opts, sc)
-}
-
-// ExactScan ranks a segment's live candidates by their exact scores in
-// natural dimension order (identical summation order to the compressed
-// refine step). It returns nil when no candidate is eligible, plus the
-// number of coefficients read.
-func ExactScan(src Source, q []float64, opts Options) ([]topk.Result, int64) {
-	return exactScanView(src, q, opts, nil)
-}
-
-// ExactScanScratch is ExactScan running on pooled scratch buffers (nil
-// allocates privately); the result list aliases the scratch.
-func ExactScanScratch(src Source, q []float64, opts Options, sc *Scratch) ([]topk.Result, int64) {
-	return exactScanView(src, q, opts, sc)
-}
-
-// LocalExclude projects the [base, base+n) window of a global exclusion
-// bitmap onto segment-local ids (nil when nothing is excluded).
-func LocalExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
-	return localExclude(global, base, n)
-}
-
-// MergeStats folds one segment's work statistics into an aggregate,
-// tagging its steps with the physical segment index.
-func MergeStats(dst *Stats, src Stats, segment int) {
-	mergeStats(dst, src, segment)
-}
-
-// Rebase shifts segment-local result ids to global ids.
-func Rebase(rs []topk.Result, base int) []topk.Result {
-	return shift(rs, base)
-}
-
-// RebaseInPlace shifts segment-local result ids to global ids by mutating
-// the list — the allocation-free Rebase for scratch-backed lists that are
-// consumed before their scratch is reused.
-func RebaseInPlace(rs []topk.Result, base int) []topk.Result {
-	if base == 0 {
-		return rs
-	}
-	for i := range rs {
-		rs[i].ID += base
-	}
-	return rs
-}
-
-// SearchSegments runs BOND per segment and merges the per-segment top-k
-// lists into the exact global top-k. Before searching a segment it bounds
-// the best score any of the segment's members could reach from the
-// per-dimension synopsis; once k results are in hand, segments whose bound
-// cannot beat the current κ are skipped without reading a single column —
-// the segmented store's answer to clustered data. The neighbor set is
-// identical to a flat Search over the concatenated collection.
-func SearchSegments(views []SegmentView, q []float64, opts Options) (Result, error) {
-	m, err := aggregateViews(views)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := opts.validate(m, q); err != nil {
-		return Result{}, err
-	}
-	order, bounds, hasBound := orderViews(views, q, opts)
-
-	dist := opts.Criterion.Distance()
-	var kappaHeap *topk.Heap
-	if dist {
-		kappaHeap = topk.NewSmallest(opts.K)
-	} else {
-		kappaHeap = topk.NewLargest(opts.K)
-	}
-
-	var merged Result
-	var lists [][]topk.Result
-	for _, vi := range order {
-		v := views[vi]
-		if kappa, full := kappaHeap.Threshold(); full && hasBound[vi] &&
-			cannotBeat(bounds[vi], kappa, dist) {
-			merged.Stats.SegmentsSkipped++
-			continue
-		}
-		vopts := opts
-		vopts.Exclude = localExclude(opts.Exclude, v.Base, v.Src.Len())
-		res, empty, err := searchOne(v.Src, q, vopts, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		if empty {
-			continue
-		}
-		merged.Stats.SegmentsSearched++
-		mergeStats(&merged.Stats, res.Stats, vi)
-		rs := shift(res.Results, v.Base)
-		lists = append(lists, rs)
-		for _, r := range rs {
-			kappaHeap.Push(r.ID, r.Score)
-		}
-	}
-	if len(lists) == 0 {
-		return Result{}, ErrNoCandidates
-	}
-	merged.Results = topk.Merge(opts.K, !dist, lists...)
-	return merged, nil
-}
-
-// SearchSegmentsParallel runs BOND over every segment concurrently — one
-// goroutine per segment — and merges the per-segment top-k lists. Results
-// are identical to SearchSegments; synopsis skipping is not applied since
-// all segments start before any κ exists.
-func SearchSegmentsParallel(views []SegmentView, q []float64, opts Options) (Result, error) {
-	m, err := aggregateViews(views)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := opts.validate(m, q); err != nil {
-		return Result{}, err
-	}
-	type out struct {
-		res   Result
-		empty bool
-		err   error
-	}
-	outs := make([]out, len(views))
-	var wg sync.WaitGroup
-	for i, v := range views {
-		if v.Src.Len() == 0 {
-			outs[i].empty = true
-			continue
-		}
-		wg.Add(1)
-		go func(i int, v SegmentView) {
-			defer wg.Done()
-			vopts := opts
-			vopts.Exclude = localExclude(opts.Exclude, v.Base, v.Src.Len())
-			res, empty, err := searchOne(v.Src, q, vopts, nil)
-			if err == nil && !empty {
-				res.Results = shift(res.Results, v.Base)
-			}
-			outs[i] = out{res: res, empty: empty, err: err}
-		}(i, v)
-	}
-	wg.Wait()
-
-	var merged Result
-	var lists [][]topk.Result
-	for i, o := range outs {
-		if o.err != nil {
-			return Result{}, fmt.Errorf("core: segment %d: %w", i, o.err)
-		}
-		if o.empty {
-			continue
-		}
-		merged.Stats.SegmentsSearched++
-		mergeStats(&merged.Stats, o.res.Stats, i)
-		lists = append(lists, o.res.Results)
-	}
-	if len(lists) == 0 {
-		return Result{}, ErrNoCandidates
-	}
-	merged.Results = topk.Merge(opts.K, !opts.Criterion.Distance(), lists...)
-	return merged, nil
-}
-
-// CompressedSegmentView pairs a segment view with a provider for its
-// 8-bit compressed fragments. Codes is invoked only when the segment is
-// actually searched, so synopsis-skipped segments are never quantized. A
-// nil Codes (the mutable active segment, whose columns still move under
-// appends) makes the segment run through an exact scan instead of
-// filter-and-refine; either way the merged result is exact.
-type CompressedSegmentView struct {
-	SegmentView
-	Codes func() *vstore.QuantStore
-}
-
-// SearchCompressedSegments runs the filter-and-refine search per segment —
-// compressed filter on encoded segments, exact BOND on unencoded ones —
-// with the same synopsis-based segment skipping as SearchSegments, and
-// merges the exact per-segment top-k lists.
-func SearchCompressedSegments(views []CompressedSegmentView, q []float64, opts Options) (CompressedResult, error) {
-	plain := make([]SegmentView, len(views))
-	for i, v := range views {
-		plain[i] = v.SegmentView
-	}
-	m, err := aggregateViews(plain)
-	if err != nil {
-		return CompressedResult{}, err
-	}
-	if err := opts.validate(m, q); err != nil {
-		return CompressedResult{}, err
-	}
-	if err := validateCompressed(opts); err != nil {
-		return CompressedResult{}, err
-	}
-	order, bounds, hasBound := orderViews(plain, q, opts)
-
-	dist := opts.Criterion.Distance()
-	var kappaHeap *topk.Heap
-	if dist {
-		kappaHeap = topk.NewSmallest(opts.K)
-	} else {
-		kappaHeap = topk.NewLargest(opts.K)
-	}
-
-	var merged CompressedResult
-	var lists [][]topk.Result
-	for _, vi := range order {
-		v := views[vi]
-		if kappa, full := kappaHeap.Threshold(); full && hasBound[vi] &&
-			cannotBeat(bounds[vi], kappa, dist) {
-			merged.FilterStats.SegmentsSkipped++
-			continue
-		}
-		vopts := opts
-		vopts.Exclude = localExclude(opts.Exclude, v.Base, v.Src.Len())
-		var rs []topk.Result
-		if v.Codes != nil {
-			f := &compressedFilter{s: v.Src, qs: v.Codes(), q: q, opts: vopts}
-			f.init()
-			if len(f.cands) == 0 {
-				continue
-			}
-			sub := f.refineRun()
-			merged.FilterCandidates += sub.FilterCandidates
-			mergeStats(&merged.FilterStats, sub.FilterStats, vi)
-			merged.RefineValuesScanned += sub.RefineValuesScanned
-			rs = sub.Results
-		} else {
-			exact, scanned := exactScanView(v.Src, q, vopts, nil)
-			if exact == nil {
-				continue
-			}
-			merged.ExactValuesScanned += scanned
-			rs = exact
-		}
-		merged.FilterStats.SegmentsSearched++
-		rs = shift(rs, v.Base)
-		lists = append(lists, rs)
-		for _, r := range rs {
-			kappaHeap.Push(r.ID, r.Score)
-		}
-	}
-	if len(lists) == 0 {
-		return CompressedResult{}, ErrNoCandidates
-	}
-	merged.Results = topk.Merge(opts.K, !dist, lists...)
-	return merged, nil
-}
-
-// refineRun drives an initialized compressed filter to its refined result.
-func (f *compressedFilter) refineRun() CompressedResult {
-	f.run()
-	return f.refine()
-}
-
-// exactScanView ranks a segment's live candidates by their exact scores,
+// ExactScanScratch ranks a segment's live candidates by their exact scores,
 // accumulating dimensions in natural (storage) order — the same summation
 // order the compressed refine step uses, so a segment answers identically
-// whether it is encoded or not. Returns nil when no candidate is eligible.
-// With a non-nil scratch the result list is scratch-backed.
-func exactScanView(src Source, q []float64, opts Options, sc *Scratch) ([]topk.Result, int64) {
+// whether it is encoded or not. It returns nil when no candidate is
+// eligible, plus the number of coefficients read. The result list aliases
+// the scratch (nil allocates privately).
+func ExactScanScratch(src Source, q []float64, opts Options, sc *Scratch) ([]topk.Result, int64) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -561,38 +250,6 @@ func exactScanView(src Source, q []float64, opts Options, sc *Scratch) ([]topk.R
 	}
 	sc.results = h.AppendResults(sc.results[:0])
 	return sc.results, int64(len(cands)) * int64(src.Dims())
-}
-
-// SearchMILSegments runs the MIL reference engine per segment and merges
-// the per-segment top-k lists (criterion Hq, largest wins). Results are
-// identical to SearchMIL over the concatenated collection.
-func SearchMILSegments(views []SegmentView, q []float64, opts MILOptions) (Result, error) {
-	var merged Result
-	var lists [][]topk.Result
-	searched := false
-	for vi, v := range views {
-		if v.Src.Len() == 0 {
-			continue
-		}
-		vopts := opts
-		vopts.Exclude = localExclude(opts.Exclude, v.Base, v.Src.Len())
-		res, err := SearchMIL(v.Src, q, vopts)
-		if err == ErrNoCandidates {
-			continue
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		searched = true
-		merged.Stats.SegmentsSearched++
-		mergeStats(&merged.Stats, res.Stats, vi)
-		lists = append(lists, shift(res.Results, v.Base))
-	}
-	if !searched {
-		return Result{}, ErrNoCandidates
-	}
-	merged.Results = topk.Merge(opts.K, true, lists...)
-	return merged, nil
 }
 
 // mergeStats folds one segment's work statistics into the aggregate.

@@ -1,24 +1,72 @@
-package core
+package core_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"bond/internal/bitmap"
+	"bond/internal/core"
 	"bond/internal/dataset"
+	"bond/internal/plan"
 	"bond/internal/quant"
 	"bond/internal/topk"
 	"bond/internal/vstore"
 )
 
+// These tests pin the per-segment primitives of package core, driven by
+// the one executor that walks segments (package plan), against core.Search
+// over the same collection stored flat. They live in an external test
+// package because plan imports core.
+
 // viewsOf exposes a segmented store to the search layer, synopses included.
-func viewsOf(s *vstore.SegStore) []SegmentView {
+func viewsOf(s *vstore.SegStore) []core.SegmentView {
 	segs, bases := s.Segments(), s.Bases()
-	views := make([]SegmentView, len(segs))
+	views := make([]core.SegmentView, len(segs))
 	for i := range segs {
-		views[i] = SegmentView{Src: segs[i], Base: bases[i], DimRange: segs[i].DimRange}
+		views[i] = core.SegmentView{Src: segs[i], Base: bases[i], DimRange: segs[i].DimRange}
 	}
 	return views
+}
+
+// segmentsOf is viewsOf plus the lazily built column codes of sealed
+// segments, as the collection layer hands them to the planner.
+func segmentsOf(s *vstore.SegStore) []plan.Segment {
+	out := plan.WrapViews(viewsOf(s))
+	for i, g := range s.Segments() {
+		if g.Sealed() {
+			out[i].Sealed = true
+			out[i].Codes = func() *vstore.QuantStore { return g.Codes(quant.NewUnit()) }
+		}
+	}
+	return out
+}
+
+// planned plans and executes spec over the segmented store, returning the
+// plan as well: its Opts are the lowered, default-filled engine options the
+// flat oracle runs with.
+func planned(seg *vstore.SegStore, spec plan.Spec) (plan.Result, *plan.Plan, error) {
+	p, err := plan.New(segmentsOf(seg), spec, nil)
+	if err != nil {
+		return plan.Result{}, nil, err
+	}
+	res, err := plan.Execute(p)
+	return res, p, err
+}
+
+// plannedAndFlat runs spec through the planner over seg and through
+// core.Search over flat.
+func plannedAndFlat(t *testing.T, label string, flat *vstore.Store, seg *vstore.SegStore, spec plan.Spec) (plan.Result, core.Result) {
+	t.Helper()
+	got, p, err := planned(seg, spec)
+	if err != nil {
+		t.Fatal(label, err)
+	}
+	want, err := core.Search(flat, spec.Query, p.Opts)
+	if err != nil {
+		t.Fatal(label, err)
+	}
+	return got, want
 }
 
 // identicalResults demands byte-identical neighbor sets: same ids, same
@@ -53,21 +101,13 @@ func segFixture(n, dims, segSize int, seed int64) (*vstore.Store, *vstore.SegSto
 	return flat, seg
 }
 
-func TestSearchSegmentsMatchesFlatAllCriteria(t *testing.T) {
+func TestPlannedSegmentsMatchFlatAllCriteria(t *testing.T) {
 	flat, seg := segFixture(700, 32, 150, 11)
-	views := viewsOf(seg)
 	queries := dataset.CorelLike(6, 32, 77)
-	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
+	for _, crit := range []core.Criterion{core.Hq, core.Hh, core.Eq, core.Ev} {
 		for qi, q := range queries {
-			opts := Options{K: 9, Criterion: crit}
-			want, err := Search(flat, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := SearchSegments(views, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, want := plannedAndFlat(t, crit.String(), flat, seg,
+				plan.Spec{Query: q, K: 9, Criterion: crit, Strategy: plan.ForceBOND})
 			identicalResults(t, crit.String(), got.Results, want.Results)
 			if got.Stats.SegmentsSearched+got.Stats.SegmentsSkipped == 0 {
 				t.Fatalf("%s q%d: no segment accounting", crit, qi)
@@ -76,9 +116,8 @@ func TestSearchSegmentsMatchesFlatAllCriteria(t *testing.T) {
 	}
 }
 
-func TestSearchSegmentsWeightedSubspaceExclude(t *testing.T) {
+func TestPlannedSegmentsWeightedSubspaceExclude(t *testing.T) {
 	flat, seg := segFixture(500, 24, 128, 5)
-	views := viewsOf(seg)
 	q := dataset.CorelLike(1, 24, 123)[0]
 	w := dataset.WeightsZipf(24, 1.5, 9)
 	excl := bitmap.New(flat.Len())
@@ -87,73 +126,114 @@ func TestSearchSegmentsWeightedSubspaceExclude(t *testing.T) {
 	}
 	cases := []struct {
 		label string
-		opts  Options
+		spec  plan.Spec
 	}{
-		{"weighted-Ev", Options{K: 7, Criterion: Ev, Weights: w}},
-		{"weighted-Hq", Options{K: 7, Criterion: Hq, Weights: w}},
-		{"subspace-Ev", Options{K: 7, Criterion: Ev, Dims: []int{1, 4, 9, 16}}},
-		{"subspace-Hq", Options{K: 7, Criterion: Hq, Dims: []int{0, 2, 3, 11, 20}}},
-		{"excluded-Hq", Options{K: 7, Criterion: Hq, Exclude: excl}},
-		{"excluded-Ev", Options{K: 7, Criterion: Ev, Exclude: excl}},
-		{"adaptive", Options{K: 7, Criterion: Hq, AdaptiveStep: true}},
-		{"step1", Options{K: 7, Criterion: Ev, Step: 1}},
+		{"weighted-Ev", plan.Spec{Criterion: core.Ev, Weights: w}},
+		{"weighted-Hq", plan.Spec{Criterion: core.Hq, Weights: w}},
+		{"subspace-Ev", plan.Spec{Criterion: core.Ev, Dims: []int{1, 4, 9, 16}}},
+		{"subspace-Hq", plan.Spec{Criterion: core.Hq, Dims: []int{0, 2, 3, 11, 20}}},
+		{"excluded-Hq", plan.Spec{Criterion: core.Hq, Exclude: excl}},
+		{"excluded-Ev", plan.Spec{Criterion: core.Ev, Exclude: excl}},
+		{"adaptive", plan.Spec{Criterion: core.Hq, AdaptiveStep: true}},
+		{"step1", plan.Spec{Criterion: core.Ev, Step: 1}},
 	}
 	for _, c := range cases {
-		want, err := Search(flat, q, c.opts)
-		if err != nil {
-			t.Fatal(c.label, err)
-		}
-		got, err := SearchSegments(views, q, c.opts)
-		if err != nil {
-			t.Fatal(c.label, err)
-		}
+		c.spec.Query, c.spec.K, c.spec.Strategy = q, 7, plan.ForceBOND
+		got, want := plannedAndFlat(t, c.label, flat, seg, c.spec)
 		identicalResults(t, c.label, got.Results, want.Results)
 	}
 }
 
-func TestSearchSegmentsParallelMatchesFlat(t *testing.T) {
+func TestPlannedSegmentsParallelMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(640, 16, 100, 21)
-	views := viewsOf(seg)
 	q := dataset.CorelLike(1, 16, 3)[0]
-	for _, crit := range []Criterion{Hq, Ev} {
-		opts := Options{K: 10, Criterion: crit}
-		want, err := Search(flat, q, opts)
-		if err != nil {
-			t.Fatal(err)
+	nonEmpty := 0
+	for _, g := range seg.Segments() {
+		if g.Len() > 0 {
+			nonEmpty++
 		}
-		got, err := SearchSegmentsParallel(views, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nonEmpty := 0
-		for _, g := range seg.Segments() {
-			if g.Len() > 0 {
-				nonEmpty++
-			}
-		}
+	}
+	for _, crit := range []core.Criterion{core.Hq, core.Ev} {
+		got, want := plannedAndFlat(t, crit.String(), flat, seg,
+			plan.Spec{Query: q, K: 10, Criterion: crit, Strategy: plan.ForceBOND, Parallel: 4})
 		identicalResults(t, "parallel-"+crit.String(), got.Results, want.Results)
+		// The fan-out group starts before any κ exists: nothing is skipped.
 		if got.Stats.SegmentsSearched != nonEmpty {
 			t.Fatalf("searched %d segments, want %d", got.Stats.SegmentsSearched, nonEmpty)
 		}
 	}
 }
 
+func TestSearchParallelMatchesSerial(t *testing.T) {
+	_, seg := segFixture(2000, 64, 300, 1234)
+	queries := dataset.CorelLike(4, 64, 71)
+	for _, crit := range []core.Criterion{core.Hq, core.Ev} {
+		for _, q := range queries {
+			spec := plan.Spec{Query: q, K: 10, Criterion: crit, Strategy: plan.ForceBOND}
+			ser, _, err := planned(seg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 2, 3, 7} {
+				spec.Parallel = par
+				got, _, err := planned(seg, spec)
+				if err != nil {
+					t.Fatalf("parallel=%d %v: %v", par, crit, err)
+				}
+				identicalResults(t, crit.String(), got.Results, ser.Results)
+			}
+		}
+	}
+}
+
+func TestSearchParallelMoreShardsThanVectors(t *testing.T) {
+	vs := dataset.CorelLike(5, 8, 1)
+	got, want := plannedAndFlat(t, "tiny", vstore.FromVectors(vs), vstore.SegmentedFromVectors(vs, 2),
+		plan.Spec{Query: vs[0], K: 3, Strategy: plan.ForceBOND, Parallel: 64})
+	identicalResults(t, "tiny", got.Results, want.Results)
+}
+
+func TestSearchParallelRespectsExclude(t *testing.T) {
+	vs := dataset.CorelLike(100, 16, 2)
+	excl := bitmap.New(100)
+	excl.Set(0)
+	res, _, err := planned(vstore.SegmentedFromVectors(vs, 30),
+		plan.Spec{Query: vs[0], K: 1, Exclude: excl, Strategy: plan.ForceBOND, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Results[0].ID == 0 {
+		t.Error("excluded id returned by parallel search")
+	}
+}
+
+func TestSearchParallelAllExcluded(t *testing.T) {
+	vs := dataset.CorelLike(10, 8, 3)
+	_, _, err := planned(vstore.SegmentedFromVectors(vs, 4),
+		plan.Spec{Query: vs[0], K: 1, Exclude: bitmap.NewFull(10), Strategy: plan.ForceBOND, Parallel: 4})
+	if !errors.Is(err, core.ErrNoCandidates) {
+		t.Errorf("err = %v, want ErrNoCandidates", err)
+	}
+}
+
+func TestSearchParallelBadOptions(t *testing.T) {
+	vs := dataset.CorelLike(10, 8, 3)
+	_, _, err := planned(vstore.SegmentedFromVectors(vs, 4),
+		plan.Spec{Query: vs[0], K: 0, Strategy: plan.ForceBOND, Parallel: 4})
+	if !errors.Is(err, core.ErrBadK) {
+		t.Errorf("err = %v, want ErrBadK", err)
+	}
+}
+
 func TestSearchParallelRangeShardsMatchSearch(t *testing.T) {
-	flat, _ := segFixture(530, 16, 100, 31)
+	flat, seg := segFixture(530, 16, 100, 31)
 	q := dataset.CorelLike(1, 16, 8)[0]
 	excl := bitmap.New(flat.Len())
 	excl.Set(2)
 	excl.Set(333)
-	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-		opts := Options{K: 8, Criterion: crit, Exclude: excl}
-		want, err := Search(flat, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SearchParallel(flat, q, opts, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, crit := range []core.Criterion{core.Hq, core.Hh, core.Eq, core.Ev} {
+		got, want := plannedAndFlat(t, crit.String(), flat, seg,
+			plan.Spec{Query: q, K: 8, Criterion: crit, Exclude: excl, Strategy: plan.ForceBOND, Parallel: 4})
 		identicalResults(t, "shards-"+crit.String(), got.Results, want.Results)
 	}
 }
@@ -162,13 +242,13 @@ func TestProgressiveSegmentsMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(420, 24, 90, 41)
 	views := viewsOf(seg)
 	q := dataset.CorelLike(1, 24, 12)[0]
-	for _, crit := range []Criterion{Hq, Ev} {
-		opts := Options{K: 6, Criterion: crit, Step: 5}
-		want, err := Search(flat, q, opts)
+	for _, crit := range []core.Criterion{core.Hq, core.Ev} {
+		opts := core.Options{K: 6, Criterion: crit, Step: 5}
+		want, err := core.Search(flat, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProgressiveSegments(views, q, opts)
+		p, err := core.NewProgressiveSegments(views, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,44 +271,41 @@ func TestCompressedSegmentsMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(560, 24, 128, 51)
 	q := dataset.CorelLike(1, 24, 4)[0]
 	qs := flat.Quantize(quant.NewUnit())
-	segs, bases := seg.Segments(), seg.Bases()
-	views := make([]CompressedSegmentView, len(segs))
-	for i, g := range segs {
-		views[i] = CompressedSegmentView{
-			SegmentView: SegmentView{Src: g, Base: bases[i], DimRange: g.DimRange},
-		}
-		if g.Sealed() {
-			g := g
-			views[i].Codes = func() *vstore.QuantStore { return g.Codes(quant.NewUnit()) }
-		}
-	}
-	for _, crit := range []Criterion{Hq, Eq} {
-		opts := Options{K: 10, Criterion: crit}
-		want, err := SearchCompressed(flat, qs, q, opts)
+	for _, crit := range []core.Criterion{core.Hq, core.Eq} {
+		got, p, err := planned(seg, plan.Spec{Query: q, K: 10, Criterion: crit, Strategy: plan.ForceCompressed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SearchCompressedSegments(views, q, opts)
-		if err != nil {
-			t.Fatal(err)
+		want, empty := core.SearchCompressedOneScratch(flat, qs, q, p.Opts, nil)
+		if empty {
+			t.Fatal("flat compressed search found no candidates")
 		}
 		identicalResults(t, "compressed-"+crit.String(), got.Results, want.Results)
 	}
 }
 
+// The MIL reference engine is not an access path of the planner, so the
+// segment walk is spelled out here: it must answer a segment source (with
+// its own delete marks) exactly as it answers the flat store.
 func TestMILSegmentsMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(450, 16, 120, 61)
-	views := viewsOf(seg)
 	q := dataset.CorelLike(1, 16, 14)[0]
-	want, err := SearchMIL(flat, q, MILOptions{K: 7})
+	want, err := core.SearchMIL(flat, q, core.MILOptions{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SearchMILSegments(views, q, MILOptions{K: 7})
-	if err != nil {
-		t.Fatal(err)
+	var lists [][]topk.Result
+	for _, v := range viewsOf(seg) {
+		if v.Src.Len() == 0 {
+			continue
+		}
+		res, err := core.SearchMIL(v.Src, q, core.MILOptions{K: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists = append(lists, core.RebaseInPlace(res.Results, v.Base))
 	}
-	identicalResults(t, "mil", got.Results, want.Results)
+	identicalResults(t, "mil", topk.Merge(7, true, lists...), want.Results)
 }
 
 // clusterContiguous builds data where each segment-sized block of vectors
@@ -260,23 +337,15 @@ func clusterContiguous(blocks, perBlock, dims int, seed int64) [][]float64 {
 	return out
 }
 
-func TestSearchSegmentsSkipsColdSegments(t *testing.T) {
+func TestPlannedSegmentsSkipColdSegments(t *testing.T) {
 	const blocks, perBlock, dims = 8, 100, 16
 	vs := clusterContiguous(blocks, perBlock, dims, 17)
 	flat := vstore.FromVectors(vs)
 	seg := vstore.SegmentedFromVectors(vs, perBlock)
-	views := viewsOf(seg)
 	q := vs[3] // deep inside block 0
-	for _, crit := range []Criterion{Ev, Eq, Hq} {
-		opts := Options{K: 5, Criterion: crit}
-		want, err := Search(flat, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SearchSegments(views, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, crit := range []core.Criterion{core.Ev, core.Eq, core.Hq} {
+		got, want := plannedAndFlat(t, crit.String(), flat, seg,
+			plan.Spec{Query: q, K: 5, Criterion: crit, Strategy: plan.ForceBOND})
 		identicalResults(t, "skip-"+crit.String(), got.Results, want.Results)
 		if got.Stats.SegmentsSkipped == 0 {
 			t.Errorf("%s: no segments skipped on cluster-contiguous data", crit)
@@ -292,16 +361,28 @@ func TestSearchSegmentsSkipsColdSegments(t *testing.T) {
 	}
 }
 
-func TestSearchSegmentsEmptyAndErrorCases(t *testing.T) {
+func TestPlannedSegmentsEmptyAndErrorCases(t *testing.T) {
 	seg := vstore.NewSegmented(4, 8)
-	if _, err := SearchSegments(viewsOf(seg), []float64{1, 0, 0, 0}, Options{K: 3, Criterion: Hq}); err != ErrNoCandidates {
+	spec := plan.Spec{Query: []float64{1, 0, 0, 0}, K: 3, Strategy: plan.ForceBOND}
+	if _, _, err := planned(seg, spec); err != core.ErrNoCandidates {
 		t.Fatalf("empty store: err = %v, want ErrNoCandidates", err)
 	}
+	if _, err := plan.New(nil, spec, nil); err == nil {
+		t.Fatal("no segments not rejected")
+	}
 	seg.Append([]float64{0.1, 0.2, 0.3, 0.4})
-	if _, err := SearchSegments(viewsOf(seg), []float64{1, 0, 0}, Options{K: 3, Criterion: Hq}); err == nil {
+	short := spec
+	short.Query = []float64{1, 0, 0}
+	if _, _, err := planned(seg, short); err == nil {
 		t.Fatal("dimension mismatch not rejected")
 	}
-	res, err := SearchSegments(viewsOf(seg), []float64{1, 0, 0, 0}, Options{K: 5, Criterion: Hq})
+	gapped := segmentsOf(seg)
+	gapped[0].View.Base = 5
+	if _, err := plan.New(gapped, spec, nil); err == nil {
+		t.Fatal("non-dense segment bases not rejected")
+	}
+	spec.K = 5
+	res, _, err := planned(seg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

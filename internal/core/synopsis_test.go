@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
+	"bond/internal/core"
 	"bond/internal/vstore"
 )
 
@@ -17,11 +18,11 @@ func TestSynopsisSpreadShuffledVsContiguous(t *testing.T) {
 		{0.0, 1.0}, {0.05, 0.95}, {0.9, 0.1}, {0.95, 0.05},
 	}, 2)
 
-	loose, ok := SynopsisSpread(viewsOf(shuffled))
+	loose, ok := core.SynopsisSpread(viewsOf(shuffled))
 	if !ok {
 		t.Fatal("shuffled layout unmeasurable")
 	}
-	tight, ok := SynopsisSpread(viewsOf(grouped))
+	tight, ok := core.SynopsisSpread(viewsOf(grouped))
 	if !ok {
 		t.Fatal("grouped layout unmeasurable")
 	}
@@ -37,7 +38,7 @@ func TestSynopsisSpreadShuffledVsContiguous(t *testing.T) {
 }
 
 func TestSynopsisSpreadEdgeCases(t *testing.T) {
-	if _, ok := SynopsisSpread(nil); ok {
+	if _, ok := core.SynopsisSpread(nil); ok {
 		t.Error("no views should be unmeasurable")
 	}
 	// Views without synopses are unmeasurable.
@@ -46,18 +47,18 @@ func TestSynopsisSpreadEdgeCases(t *testing.T) {
 	for i := range views {
 		views[i].DimRange = nil
 	}
-	if _, ok := SynopsisSpread(views); ok {
+	if _, ok := core.SynopsisSpread(views); ok {
 		t.Error("synopsis-free views should be unmeasurable")
 	}
 	// A single measurable view spans its own extent: spread 1.
 	one := vstore.SegmentedFromVectors([][]float64{{0, 1}, {1, 0}}, 4)
-	got, ok := SynopsisSpread(viewsOf(one)[:1])
+	got, ok := core.SynopsisSpread(viewsOf(one)[:1])
 	if !ok || math.Abs(got-1) > 1e-12 {
 		t.Errorf("single view spread = %v ok=%v, want 1", got, ok)
 	}
 	// Identical vectors: every global extent degenerate, nothing measured.
 	flat := vstore.SegmentedFromVectors([][]float64{{0.5, 0.5}, {0.5, 0.5}}, 1)
-	if _, ok := SynopsisSpread(viewsOf(flat)); ok {
+	if _, ok := core.SynopsisSpread(viewsOf(flat)); ok {
 		t.Error("fully degenerate extents should be unmeasurable")
 	}
 }

@@ -11,16 +11,11 @@ import (
 	"bond/internal/vafile"
 )
 
-// Result is a completed planned query. Results and Stats are the merged
-// exact answer and work statistics; Compressed carries the
-// filter-and-refine counters the legacy compressed entry point reports
-// (populated whenever compressed, VA-File, or exact-scan steps ran).
+// Result is a completed planned query: the merged exact answer and work
+// statistics.
 type Result struct {
 	Results []topk.Result
 	Stats   core.Stats
-	// Compressed aggregates the filter-and-refine counters; its Results
-	// field mirrors Results so it is a complete core.CompressedResult.
-	Compressed core.CompressedResult
 	// Truncated reports that the deadline stopped execution before every
 	// planned segment ran; the answer covers the segments searched.
 	Truncated bool
@@ -34,7 +29,7 @@ type stepOutcome struct {
 	empty bool
 	err   error
 
-	bondStats    core.Stats            // PathBOND, PathMIL
+	bondStats    core.Stats            // PathBOND
 	comp         core.CompressedResult // PathCompressed
 	exactScanned int64                 // PathExact
 	vaCodes      int64                 // PathVAFile
@@ -45,7 +40,7 @@ type stepOutcome struct {
 // execScratch bundles the per-query reusable state of one executor lane:
 // the engine scratch every access path runs on, the VA-File filter
 // scratch with the per-query bound table, the global κ heap, the merged
-// step logs, and the parallel fan-out staging. The model keeps a free
+// step log, and the parallel fan-out staging. The model keeps a free
 // list of these, so steady-state queries allocate nothing here.
 type execScratch struct {
 	core core.Scratch
@@ -57,9 +52,8 @@ type execScratch struct {
 	vaOut   *topk.Heap    // VA refinement ranking heap
 	vaRes   []topk.Result // VA refinement result staging
 
-	kappa     *topk.Heap
-	steps     []core.StepStat // merged Stats.Steps staging
-	compSteps []core.StepStat // merged Compressed.FilterStats.Steps staging
+	kappa *topk.Heap
+	steps []core.StepStat // merged Stats.Steps staging
 
 	outs []parOutcome // parallel fan-out staging
 }
@@ -76,8 +70,8 @@ type parOutcome struct {
 // global top-k, feeding observed costs back into the plan's model. The
 // parallel fan-out group runs first (concurrently); the sequential tail
 // then runs best-bound-first with synopsis skipping against the running
-// κ, exactly as the legacy segmented search did, so forced-strategy plans
-// return byte-identical results and statistics.
+// κ. A forced-BOND plan's results are byte-identical to core.Search over
+// the concatenated collection.
 func Execute(p *Plan) (Result, error) {
 	sc := p.model.acquireScratch()
 	defer p.model.releaseScratch(sc)
@@ -92,7 +86,6 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 	defer func() { p.segs = nil }()
 	sc.vaBuilt = false
 	sc.steps = sc.steps[:0]
-	sc.compSteps = sc.compSteps[:0]
 
 	opts := p.Opts
 	dist := opts.Criterion.Distance()
@@ -111,33 +104,19 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 		executed = true
 		folded++
 		p.feedback(st, out, elapsed)
+		res.Stats.SegmentsSearched++
 		switch st.Path {
-		case PathBOND, PathMIL:
-			res.Stats.SegmentsSearched++
+		case PathBOND:
 			mergeCounters(&res.Stats, out.bondStats)
 			sc.steps = appendSteps(sc.steps, out.bondStats.Steps, st.Segment)
 		case PathCompressed:
-			res.Stats.SegmentsSearched++
 			mergeCounters(&res.Stats, out.comp.FilterStats)
 			res.Stats.ValuesScanned += out.comp.RefineValuesScanned
 			sc.steps = appendSteps(sc.steps, out.comp.FilterStats.Steps, st.Segment)
-			res.Compressed.FilterCandidates += out.comp.FilterCandidates
-			mergeCounters(&res.Compressed.FilterStats, out.comp.FilterStats)
-			sc.compSteps = appendSteps(sc.compSteps, out.comp.FilterStats.Steps, st.Segment)
-			res.Compressed.RefineValuesScanned += out.comp.RefineValuesScanned
-			res.Compressed.FilterStats.SegmentsSearched++
 		case PathExact:
-			res.Stats.SegmentsSearched++
 			res.Stats.ValuesScanned += out.exactScanned
-			res.Compressed.ExactValuesScanned += out.exactScanned
-			res.Compressed.FilterStats.SegmentsSearched++
 		case PathVAFile:
-			res.Stats.SegmentsSearched++
 			res.Stats.ValuesScanned += out.vaCodes + out.vaRefine
-			res.Compressed.FilterCandidates += out.vaCands
-			res.Compressed.FilterStats.ValuesScanned += out.vaCodes
-			res.Compressed.RefineValuesScanned += out.vaRefine
-			res.Compressed.FilterStats.SegmentsSearched++
 		}
 		for _, r := range out.rs {
 			kappaHeap.Push(r.ID, r.Score)
@@ -184,7 +163,7 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 			switch {
 			case o.out.err != nil:
 				if ferr == nil {
-					ferr = fmt.Errorf("core: segment %d: %w", p.Steps[i].Segment, o.out.err)
+					ferr = fmt.Errorf("plan: segment %d: %w", p.Steps[i].Segment, o.out.err)
 				}
 			case !o.out.empty && ferr == nil:
 				// Fold (which consumes the lane-aliased results) before the
@@ -213,13 +192,12 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 			core.CannotBeat(p.adjustBound(st.Bound, dist), kappa, dist) {
 			st.Skipped = true
 			res.Stats.SegmentsSkipped++
-			res.Compressed.FilterStats.SegmentsSkipped++
 			continue
 		}
 		start := time.Now()
 		out := p.runStep(st, sc)
 		if out.err != nil {
-			return Result{}, out.err
+			return Result{}, fmt.Errorf("plan: segment %d: %w", st.Segment, out.err)
 		}
 		if out.empty {
 			continue
@@ -239,17 +217,10 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 	// pure function of the offered results (score-then-id tie-break), so it
 	// IS the exact merged top-k — no per-segment lists to merge. The copies
 	// below are the only per-query allocations of a steady-state Query: the
-	// returned result list and one backing array for the returned step logs
-	// (everything else the caller receives is by value).
+	// returned result list and the returned step log (everything else the
+	// caller receives is by value).
 	res.Results = kappaHeap.Results()
-	res.Compressed.Results = res.Results
-	if n1, n2 := len(sc.steps), len(sc.compSteps); n1+n2 > 0 {
-		buf := make([]core.StepStat, n1+n2)
-		copy(buf, sc.steps)
-		copy(buf[n1:], sc.compSteps)
-		res.Stats.Steps = buf[:n1:n1]
-		res.Compressed.FilterStats.Steps = buf[n1:]
-	}
+	res.Stats.Steps = append([]core.StepStat(nil), sc.steps...)
 	return res, nil
 }
 
@@ -339,23 +310,6 @@ func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 		st.Candidates = len(rs)
 		return stepOutcome{rs: core.RebaseInPlace(rs, st.Base), exactScanned: scanned}
 
-	case PathMIL:
-		milOpts := core.MILOptions{
-			K:            p.Spec.K,
-			Step:         p.Spec.Step,
-			BitmapSwitch: p.Spec.BitmapSwitch,
-			Exclude:      vopts.Exclude,
-		}
-		r, err := core.SearchMILScratch(src, p.Spec.Query, milOpts, &sc.core)
-		if err == core.ErrNoCandidates {
-			return stepOutcome{empty: true}
-		}
-		if err != nil {
-			return stepOutcome{err: err}
-		}
-		st.ActualCost = float64(r.Stats.ValuesScanned)
-		st.Candidates = r.Stats.FinalCandidates
-		return stepOutcome{rs: core.RebaseInPlace(r.Results, st.Base), bondStats: r.Stats}
 	}
 	return stepOutcome{err: fmt.Errorf("plan: unknown path %v", st.Path)}
 }

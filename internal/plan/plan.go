@@ -20,8 +20,6 @@ const (
 	PathVAFile
 	// PathExact is a full exact scan (the seqscan oracle per segment).
 	PathExact
-	// PathMIL is the MIL relational-operator reference engine.
-	PathMIL
 )
 
 // String names the path as EXPLAIN prints it.
@@ -35,8 +33,6 @@ func (p Path) String() string {
 		return "vafile"
 	case PathExact:
 		return "exact"
-	case PathMIL:
-		return "mil"
 	}
 	return fmt.Sprintf("Path(%d)", int(p))
 }
@@ -118,10 +114,9 @@ type Plan struct {
 const parallelMinSegment = 2048
 
 // New plans a query over the given segments. The spec is validated (and
-// defaults filled) exactly as the legacy entry points validated options,
-// so forced-strategy plans reproduce their behavior including errors.
-// model may be nil, which plans from the default priors and discards
-// feedback.
+// defaults filled) against the combined collection, exactly as core.Search
+// validates options against a flat one. model may be nil, which plans from
+// the default priors and discards feedback.
 func New(segs []Segment, spec Spec, model *Model) (*Plan, error) {
 	p := &Plan{}
 	if err := p.init(segs, spec, model); err != nil {
@@ -185,9 +180,6 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 			return err
 		}
 	}
-	if spec.Strategy == ForceMIL && opts.Criterion != core.Hq {
-		return fmt.Errorf("plan: the MIL path ranks by Hq, not %v", opts.Criterion)
-	}
 	if model == nil {
 		model = NewModel()
 	}
@@ -220,11 +212,6 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 		st.Bound, st.HasBound = core.SegBound(s.View, spec.Query, opts)
 		st.shape = shapeFactor(st.Bound, st.HasBound, dist, queryMass)
 		st.Path, st.PredCost = choosePath(p.Model, spec.Strategy, s, compressedOK, n, p.Dims, st.shape)
-		if st.Path == PathMIL {
-			// The MIL reference engine searches every segment, as the
-			// legacy SearchMIL did: no synopsis skipping.
-			st.HasBound = false
-		}
 		st.Parallel = spec.Parallel >= 2 && st.Path == PathBOND &&
 			(spec.Strategy == ForceBOND || n >= parallelMinSegment)
 		p.Steps = append(p.Steps, st)
@@ -235,8 +222,7 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 
 // choosePath assigns the access path and its predicted cost for one
 // segment. Forced strategies map directly (falling back to an exact scan
-// where the path needs codes a mutable segment cannot offer, exactly as
-// the legacy compressed search treated the active segment); Auto takes
+// where the path needs codes a mutable segment cannot offer); Auto takes
 // the cheapest eligible prediction.
 func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n, dims int, shape float64) (Path, float64) {
 	canCompress := compressedOK && s.Sealed && s.Codes != nil
@@ -246,8 +232,6 @@ func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n,
 		return PathBOND, m.predictBond(n, dims, shape)
 	case ForceExact:
 		return PathExact, m.predictExact(n, dims)
-	case ForceMIL:
-		return PathMIL, m.predictExact(n, dims)
 	case ForceCompressed:
 		if canCompress {
 			return PathCompressed, m.predictCompressed(n, dims)
@@ -286,8 +270,7 @@ func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n,
 // early answers seed κ for the sequential tail), then the sequential
 // steps with unbounded segments first (they must be searched regardless)
 // followed by bounded ones best-first, so κ tightens as fast as possible
-// and later segments can be skipped — the same discipline the legacy
-// segmented search used.
+// and later segments can be skipped.
 func (p *Plan) orderSteps(dist bool) {
 	less := func(sa, sb *Step) bool {
 		if sa.Parallel != sb.Parallel {

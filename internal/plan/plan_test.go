@@ -105,7 +105,6 @@ func TestForcedStrategyPaths(t *testing.T) {
 		{ForceCompressed, PathCompressed, PathExact},
 		{ForceVAFile, PathVAFile, PathExact},
 		{ForceExact, PathExact, PathExact},
-		{ForceMIL, PathMIL, PathMIL},
 	}
 	for _, tc := range cases {
 		p, err := New(segs, Spec{Query: q, K: 3, Strategy: tc.strat}, nil)
@@ -137,9 +136,6 @@ func TestCompressedStrategyRejectsUnsupportedOptions(t *testing.T) {
 	}
 	if _, err := New(segmentsOf(s), Spec{Query: q, K: 3, Strategy: ForceVAFile, Criterion: core.Hh}, nil); err == nil {
 		t.Fatal("Hh VA-File plan should be rejected")
-	}
-	if _, err := New(segmentsOf(s), Spec{Query: q, K: 3, Strategy: ForceMIL, Criterion: core.Eq}, nil); err == nil {
-		t.Fatal("Eq MIL plan should be rejected")
 	}
 }
 
@@ -182,11 +178,8 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 	s := clusterContiguous(5, 120, 10, 4)
 	segs := segmentsOf(s)
 	q := s.Row(37)
-	for _, strat := range []Strategy{Auto, ForceBOND, ForceCompressed, ForceVAFile, ForceExact, ForceMIL} {
+	for _, strat := range []Strategy{Auto, ForceBOND, ForceCompressed, ForceVAFile, ForceExact} {
 		for _, crit := range []core.Criterion{core.Hq, core.Eq} {
-			if strat == ForceMIL && crit != core.Hq {
-				continue
-			}
 			oracle, err := New(segs, Spec{Query: q, K: 7, Criterion: crit, Strategy: ForceExact}, nil)
 			if err != nil {
 				t.Fatal(err)

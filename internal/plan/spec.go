@@ -43,9 +43,6 @@ const (
 	// ForceExact runs a full exact scan on every segment — the seqscan
 	// oracle as an access path.
 	ForceExact
-	// ForceMIL runs the MIL relational-operator reference engine on every
-	// segment (criterion Hq).
-	ForceMIL
 )
 
 // String names the strategy as the CLI spells it.
@@ -61,8 +58,6 @@ func (s Strategy) String() string {
 		return "vafile"
 	case ForceExact:
 		return "exact"
-	case ForceMIL:
-		return "mil"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -80,10 +75,8 @@ func ParseStrategy(s string) (Strategy, error) {
 		return ForceVAFile, nil
 	case "exact", "seqscan":
 		return ForceExact, nil
-	case "mil":
-		return ForceMIL, nil
 	}
-	return Auto, fmt.Errorf("plan: unknown strategy %q (want auto, bond, compressed, vafile, exact, or mil)", s)
+	return Auto, fmt.Errorf("plan: unknown strategy %q (want auto, bond, compressed, vafile, or exact)", s)
 }
 
 // Spec is the single query description every search entry point reduces
@@ -117,14 +110,12 @@ type Spec struct {
 	DisableFutileSkip bool
 	// SkipRangeCheck disables the data-range validation.
 	SkipRangeCheck bool
-	// BitmapSwitch configures the MIL path (0 = default).
-	BitmapSwitch float64
 
 	// Strategy forces an access path; Auto selects per segment by cost.
 	Strategy Strategy
 	// Parallel is the parallelism hint: ≥ 2 fans large segments out to
-	// one goroutine each (every segment under ForceBOND, preserving the
-	// legacy SearchParallel contract). 0 or 1 runs sequentially.
+	// one goroutine each (every segment under ForceBOND). 0 or 1 runs
+	// sequentially.
 	Parallel int
 	// Tolerance relaxes segment skipping: a segment that cannot improve
 	// the running k-th best score by more than Tolerance is skipped even
@@ -134,27 +125,6 @@ type Spec struct {
 	// passed (zero = none). The merged answer over the segments searched
 	// so far is returned with Plan.Truncated set.
 	Deadline time.Time
-}
-
-// SpecFromOptions lifts a legacy core.Options into a Spec — the adapter
-// the deprecated Search* wrappers go through.
-func SpecFromOptions(q []float64, opts core.Options) Spec {
-	return Spec{
-		Query:             q,
-		K:                 opts.K,
-		Criterion:         opts.Criterion,
-		Order:             opts.Order,
-		Seed:              opts.Seed,
-		Step:              opts.Step,
-		AdaptiveStep:      opts.AdaptiveStep,
-		AdaptiveThreshold: opts.AdaptiveThreshold,
-		Weights:           opts.Weights,
-		Dims:              opts.Dims,
-		Exclude:           opts.Exclude,
-		NormalizedData:    opts.NormalizedData,
-		DisableFutileSkip: opts.DisableFutileSkip,
-		SkipRangeCheck:    opts.SkipRangeCheck,
-	}
 }
 
 // options lowers the spec onto the core engine options.

@@ -119,7 +119,7 @@ func TestEndToEndByteIdentical(t *testing.T) {
 		criterion string
 		strategy  string
 	}{
-		{"Hq", "auto"}, {"Hq", "bond"}, {"Hq", "vafile"}, {"Hq", "exact"}, {"Hq", "mil"},
+		{"Hq", "auto"}, {"Hq", "bond"}, {"Hq", "vafile"}, {"Hq", "exact"},
 		{"Eq", "auto"}, {"Eq", "compressed"}, {"Ev", "bond"}, {"Hh", "bond"},
 	} {
 		t.Run(tc.criterion+"/"+tc.strategy, func(t *testing.T) {
@@ -263,6 +263,36 @@ func TestExplainEndpoint(t *testing.T) {
 	for i := range exp.Results {
 		if exp.Results[i] != post.Results[i] {
 			t.Fatalf("rank %d: GET %+v != POST %+v", i, exp.Results[i], post.Results[i])
+		}
+	}
+}
+
+// TestMILStrategyRejected pins that the MIL reference engine is not
+// served: "mil" fails like any unknown strategy, with a 400 naming the
+// five valid ones, on every endpoint that takes a spec.
+func TestMILStrategyRejected(t *testing.T) {
+	vectors := dataset.CorelLike(50, 8, 11)
+	_, ts := newTestServer(t, Config{})
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 8}, nil)
+	ingestBatch(t, ts.URL, "c", vectors)
+
+	spec := querySpecWire{Query: vectors[0], K: 3, Strategy: "mil"}
+	base := ts.URL + "/collections/c"
+	for _, tc := range []struct {
+		name, method, url string
+		body              any
+	}{
+		{"query", http.MethodPost, base + "/query", spec},
+		{"batch", http.MethodPost, base + "/query/batch", batchRequest{Queries: []querySpecWire{spec}}},
+		{"GET explain", http.MethodGet, base + "/explain?id=0&k=3&strategy=mil", nil},
+		{"POST explain", http.MethodPost, base + "/explain", spec},
+	} {
+		var e errorWire
+		if code := doJSON(t, tc.method, tc.url, tc.body, &e); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
+		}
+		if !strings.Contains(e.Error, "auto, bond, compressed, vafile, or exact") {
+			t.Errorf("%s: error %q does not list the valid strategies", tc.name, e.Error)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -433,7 +434,7 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	for n := range names {
 		list = append(list, n)
 	}
-	sortStrings(list)
+	slices.Sort(list)
 	writeJSON(w, http.StatusOK, map[string][]string{"collections": list})
 }
 
@@ -989,12 +990,4 @@ func remainingMs(ctx context.Context) int {
 		ms = 1
 	}
 	return ms
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

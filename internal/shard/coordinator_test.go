@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"bond/internal/api"
@@ -185,19 +186,27 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Fatalf("create: status %d", status)
 	}
 	cases := []struct {
-		name string
-		spec api.QuerySpec
+		name    string
+		spec    api.QuerySpec
+		wantErr string
 	}{
-		{"no query", api.QuerySpec{K: 3}},
-		{"bad k", api.QuerySpec{Query: []float64{1, 2, 3, 4}}},
-		{"bad criterion", api.QuerySpec{Query: []float64{1, 2, 3, 4}, K: 3, Criterion: "nope"}},
-		{"bad policy", api.QuerySpec{Query: []float64{1, 2, 3, 4}, K: 3, Policy: "lenient"}},
-		{"query and id", api.QuerySpec{Query: []float64{1, 2, 3, 4}, ID: new(int), K: 3}},
+		{"no query", api.QuerySpec{K: 3}, ""},
+		{"bad k", api.QuerySpec{Query: []float64{1, 2, 3, 4}}, ""},
+		{"bad criterion", api.QuerySpec{Query: []float64{1, 2, 3, 4}, K: 3, Criterion: "nope"}, ""},
+		{"bad policy", api.QuerySpec{Query: []float64{1, 2, 3, 4}, K: 3, Policy: "lenient"}, ""},
+		{"query and id", api.QuerySpec{Query: []float64{1, 2, 3, 4}, ID: new(int), K: 3}, ""},
+		// The shards reject the strategy; their 400 and its list of valid
+		// strategies pass through the coordinator.
+		{"retired mil strategy", api.QuerySpec{Query: []float64{1, 2, 3, 4}, K: 3, Strategy: "mil"},
+			"auto, bond, compressed, vafile, or exact"},
 	}
 	for _, tc := range cases {
 		var e api.Error
 		if status, _ := doJSON(t, http.MethodPost, cl.front.URL+"/collections/c/query", tc.spec, &e); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, status)
+		}
+		if !strings.Contains(e.Error, tc.wantErr) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, e.Error, tc.wantErr)
 		}
 	}
 	if status, _ := doJSON(t, http.MethodPost, cl.front.URL+"/collections/c/recluster", map[string]int{}, nil); status != http.StatusNotImplemented {

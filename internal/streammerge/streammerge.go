@@ -26,6 +26,7 @@ import (
 
 	"bond/internal/core"
 	"bond/internal/multifeature"
+	"bond/internal/plan"
 	"bond/internal/topk"
 )
 
@@ -125,7 +126,12 @@ func runOnce(features []multifeature.Feature, k, kprime int, agg multifeature.Ag
 		weights[f] = feat.Weight
 		// Per-stream ranking runs segment-aware BOND, so segmented feature
 		// collections stream as cheaply as flat ones.
-		sr, err := core.SearchSegments(feat.Views(), feat.Query, core.Options{K: kprime, Criterion: core.Hq})
+		p, err := plan.New(plan.WrapViews(feat.Views()),
+			plan.Spec{Query: feat.Query, K: kprime, Criterion: core.Hq, Strategy: plan.ForceBOND}, nil)
+		if err != nil {
+			return Result{}, false, fmt.Errorf("streammerge: stream %d: %w", f, err)
+		}
+		sr, err := plan.Execute(p)
 		if err != nil {
 			return Result{}, false, fmt.Errorf("streammerge: stream %d: %w", f, err)
 		}

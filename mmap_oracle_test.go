@@ -110,9 +110,6 @@ func TestMmapOracleParity(t *testing.T) {
 			if crit == Hq || crit == Eq {
 				strategies = append(strategies, StrategyCompressed, StrategyVAFile)
 			}
-			if crit == Hq {
-				strategies = append(strategies, StrategyMIL)
-			}
 			for _, strat := range strategies {
 				spec := QuerySpec{Query: q, K: k, Criterion: crit, Strategy: strat}
 				rm, err := mapped.Query(spec)
@@ -165,7 +162,6 @@ func TestQueryAllocationBudgetMmap(t *testing.T) {
 	for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyCompressed, StrategyVAFile, StrategyExact} {
 		cases = append(cases, pathCase{strat, Hq}, pathCase{strat, Eq})
 	}
-	cases = append(cases, pathCase{StrategyMIL, Hq})
 
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%v_%v", tc.crit, tc.strategy), func(t *testing.T) {

@@ -57,7 +57,7 @@ func assertMatchesOracle(t *testing.T, label string, got []topk.Result, want []t
 // randomized data, segment layouts, deletions, and queries, every plan
 // the planner can emit — each strategy forced in turn, plus auto and the
 // parallel fan-out — returns results identical to the sequential-scan
-// oracle, as do all six legacy entry points that now delegate to it.
+// oracle, as do SearchProgressive and MultiSearch.
 func TestPlannerStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -122,9 +122,6 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 			if crit == Hq || crit == Eq {
 				strategies = append(strategies, StrategyCompressed, StrategyVAFile)
 			}
-			if crit == Hq {
-				strategies = append(strategies, StrategyMIL)
-			}
 			for _, strat := range strategies {
 				res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: strat})
 				if err != nil {
@@ -139,36 +136,18 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 			}
 			assertMatchesOracle(t, crit.String()+"/parallel", res.Results, want)
 
-			// Legacy entry points, now thin wrappers over Query.
-			opts := Options{K: k, Criterion: crit}
-			sr, err := col.Search(q, opts)
+			// Forced BOND with every segment fanned out.
+			res, err = col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: StrategyBOND, Parallel: 4})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("trial %d %v/bond-parallel: %v", trial, crit, err)
 			}
-			assertMatchesOracle(t, crit.String()+"/Search", sr.Results, want)
-			sr, err = col.SearchParallel(q, opts, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertMatchesOracle(t, crit.String()+"/SearchParallel", sr.Results, want)
-			prog, err := col.SearchProgressive(q, opts)
+			assertMatchesOracle(t, crit.String()+"/bond-parallel", res.Results, want)
+			prog, err := col.SearchProgressive(QuerySpec{Query: q, K: k, Criterion: crit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertMatchesOracle(t, crit.String()+"/SearchProgressive", prog.Finish().Results, want)
-			if crit == Hq || crit == Eq {
-				cr, err := col.SearchCompressed(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatchesOracle(t, crit.String()+"/SearchCompressed", cr.Results, want)
-			}
 			if crit == Hq {
-				mr, err := col.SearchMIL(q, MILOptions{K: k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatchesOracle(t, "Hq/SearchMIL", mr.Results, want)
 				// A single weight-1 histogram feature aggregates to the
 				// plain intersection score.
 				multi, err := MultiSearch([]Feature{col.AsFeature(q, 1)}, MultiOptions{K: k})

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/vstore"
 )
@@ -34,12 +35,12 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 	}
 	q := vs[77]
 	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-		opts := Options{K: 8, Criterion: crit}
-		want, err := single.Search(q, opts)
+		spec := QuerySpec{Query: q, K: 8, Criterion: crit, Strategy: StrategyBOND}
+		want, err := single.Query(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := segd.Search(q, opts)
+		got, err := segd.Query(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,9 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 				t.Fatalf("%v rank %d: %+v, want %+v", crit, i, got.Results[i], want.Results[i])
 			}
 		}
-		par, err := segd.SearchParallel(q, opts, 4)
+		parSpec := spec
+		parSpec.Parallel = 4
+		par, err := segd.Query(parSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +60,7 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 				t.Fatalf("%v parallel rank %d: %+v, want %+v", crit, i, par.Results[i], want.Results[i])
 			}
 		}
-		p, err := segd.SearchProgressive(q, opts)
+		p, err := segd.SearchProgressive(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,12 +72,12 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 		}
 	}
 	for _, crit := range []Criterion{Hq, Eq} {
-		opts := Options{K: 8, Criterion: crit}
-		want, err := single.SearchCompressed(q, opts)
+		spec := QuerySpec{Query: q, K: 8, Criterion: crit, Strategy: StrategyCompressed}
+		want, err := single.Query(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := segd.SearchCompressed(q, opts)
+		got, err := segd.Query(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,19 +85,6 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 			if got.Results[i] != want.Results[i] {
 				t.Fatalf("%v compressed rank %d: %+v, want %+v", crit, i, got.Results[i], want.Results[i])
 			}
-		}
-	}
-	wantMIL, err := single.SearchMIL(q, MILOptions{K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMIL, err := segd.SearchMIL(q, MILOptions{K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantMIL.Results {
-		if gotMIL.Results[i] != wantMIL.Results[i] {
-			t.Fatalf("MIL rank %d: %+v, want %+v", i, gotMIL.Results[i], wantMIL.Results[i])
 		}
 	}
 }
@@ -115,11 +105,11 @@ func TestFacadeSaveOpenSegmentedLayout(t *testing.T) {
 			got.NumSegments(), got.Live(), segd.NumSegments(), segd.Live())
 	}
 	q := vs[5]
-	a, err := segd.Search(q, Options{K: 4, Criterion: Ev})
+	a, err := segd.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := got.Search(q, Options{K: 4, Criterion: Ev})
+	b, err := got.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +135,7 @@ func TestFacadeOpenLegacyFlatFile(t *testing.T) {
 	if col.Len() != 200 || col.Live() != 199 {
 		t.Fatalf("legacy open: len=%d live=%d", col.Len(), col.Live())
 	}
-	res, err := col.Search(vs[3], Options{K: 1, Criterion: Hq})
+	res, err := col.Query(QuerySpec{Query: vs[3], K: 1, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +170,7 @@ func TestFacadeCompactRatio(t *testing.T) {
 		t.Fatalf("len after ratio compact = %d, want 330", segd.Len())
 	}
 	// Results must still be exact after partial compaction.
-	res, err := segd.Search(vs[200], Options{K: 1, Criterion: Hq})
+	res, err := segd.Query(QuerySpec{Query: vs[200], K: 1, Criterion: Hq, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +193,7 @@ func TestFacadeSegmentSkippingReported(t *testing.T) {
 		}
 	}
 	col := NewCollectionSegmented(vs, 100)
-	res, err := col.Search(vs[10], Options{K: 3, Criterion: Ev, SkipRangeCheck: true})
+	res, err := col.Query(QuerySpec{Query: vs[10], K: 3, Criterion: Ev, SkipRangeCheck: true, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +241,7 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 	excl.Set(0)
 	col.Add(vs[0]) // collection now larger than the bitmap
 
-	res, err := col.Search(vs[0], Options{K: 2, Criterion: Hq, Exclude: excl})
+	res, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +249,13 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 	if res.Results[0].ID != 150 {
 		t.Fatalf("best = %d, want the un-excluded duplicate 150", res.Results[0].ID)
 	}
-	if _, err := col.SearchCompressed(vs[0], Options{K: 2, Criterion: Hq, Exclude: excl}); err != nil {
+	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyCompressed}); err != nil {
 		t.Fatalf("compressed with stale exclusion: %v", err)
 	}
-	if _, err := col.SearchMIL(vs[0], MILOptions{K: 2, Exclude: excl}); err != nil {
+	if _, err := core.SearchMIL(col.store.Flatten(), vs[0], core.MILOptions{K: 2, Exclude: excl}); err != nil {
 		t.Fatalf("MIL with stale exclusion: %v", err)
 	}
-	if _, err := col.SearchParallel(vs[0], Options{K: 2, Criterion: Hq, Exclude: excl}, 4); err != nil {
+	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND, Parallel: 4}); err != nil {
 		t.Fatalf("parallel with stale exclusion: %v", err)
 	}
 }
