@@ -702,15 +702,17 @@ func (c *Collection) snapshotViews() []core.SegmentView {
 // BOND, 8-bit compressed filter-and-refine, VA-File filter, or exact scan)
 // from the segment's synopsis and the collection's adaptive cost model —
 // and the plan runs through the shared engine, skipping segments whose
-// synopses prove them hopeless. Observed costs feed back into the model, so
+// synopses prove them hopeless against the running k-th best score κ and
+// carrying κ into the BOND segments that do run, so each prunes against
+// the best answer found so far. Observed costs feed back into the model, so
 // plans adapt as data and workloads shift. The answer is exact unless the
 // spec sets Tolerance or Deadline.
 //
 // The hot path is allocation-free in steady state: the plan, the engine
 // scratch (scores, candidate lists, heaps, bound tables), and the planner
 // segment list are all pooled per collection, so a repeated Query performs
-// ~2 allocations — the returned result list and its step log. Weighted and
-// subspace specs may add a few small ones.
+// ~2 allocations — the returned result list and its step log — weighted
+// and subspace specs included.
 func (c *Collection) Query(spec QuerySpec) (QueryResult, error) {
 	res, p, err := c.runQuery(spec, plan.NewReusable)
 	if p != nil {

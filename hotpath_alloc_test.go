@@ -30,22 +30,43 @@ func allocTestCollection(t testing.TB, n, dims, segSize int) (*Collection, [][]f
 // TestQueryAllocationBudget pins the hot-path pooling contract: after
 // warm-up, Collection.Query performs at most allocBudget allocations per
 // call on every access path, for both a histogram and a Euclidean
-// criterion.
+// criterion, and on the BOND path for subspace and weighted queries under
+// every criterion that takes them.
 func TestQueryAllocationBudget(t *testing.T) {
 	col, vectors := allocTestCollection(t, 1200, 24, 300)
 
 	type pathCase struct {
-		strategy Strategy
-		crit     Criterion
+		name string
+		spec QuerySpec
 	}
 	var cases []pathCase
 	for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyCompressed, StrategyVAFile, StrategyExact} {
-		cases = append(cases, pathCase{strat, Hq}, pathCase{strat, Eq})
+		for _, crit := range []Criterion{Hq, Eq} {
+			cases = append(cases, pathCase{fmt.Sprintf("%v_%v", crit, strat),
+				QuerySpec{Criterion: crit, Strategy: strat}})
+		}
+	}
+	// Subspace and weighted BOND (the weights include zeros): the effective
+	// weights and the zero-weight dimension list are per-query state, built
+	// once into the pooled executor scratch, not once per segment.
+	dims := []int{1, 4, 9, 16, 20}
+	weights := make([]float64, 24)
+	for d := range weights {
+		weights[d] = float64(d % 4)
+	}
+	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
+		cases = append(cases, pathCase{fmt.Sprintf("%v_bond_dims", crit),
+			QuerySpec{Criterion: crit, Strategy: StrategyBOND, Dims: dims}})
+		if crit != Hh { // Hh takes no weights
+			cases = append(cases, pathCase{fmt.Sprintf("%v_bond_weights", crit),
+				QuerySpec{Criterion: crit, Strategy: StrategyBOND, Weights: weights}})
+		}
 	}
 
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%v_%v", tc.crit, tc.strategy), func(t *testing.T) {
-			spec := QuerySpec{Query: vectors[7], K: 10, Criterion: tc.crit, Strategy: tc.strategy}
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.Query, spec.K = vectors[7], 10
 			// Warm the pools, the lazy codes, and the buffer high-water marks.
 			for i := 0; i < 8; i++ {
 				if _, err := col.Query(spec); err != nil {
@@ -58,8 +79,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 				}
 			})
 			if allocs > allocBudget {
-				t.Errorf("Query %v/%v: %.1f allocs/op, budget %d",
-					tc.crit, tc.strategy, allocs, allocBudget)
+				t.Errorf("Query %s: %.1f allocs/op, budget %d", tc.name, allocs, allocBudget)
 			}
 		})
 	}

@@ -167,10 +167,12 @@ func aligned(a, b *Float) bool {
 // smallest tail value, computed with a bounded heap in O(n log k) as in the
 // paper. It panics on an empty BAT; k larger than Len clamps.
 func KFetch(b *Float, k int, largest bool) float64 {
+	kth := topk.KthSmallest
 	if largest {
-		return topk.KthLargest(b.Tail, k)
+		kth = topk.KthLargest
 	}
-	return topk.KthSmallest(b.Tail, k)
+	v, _ := kth(b.Tail, k, nil)
+	return v
 }
 
 // USelect implements the unary range select: it returns the heads of the

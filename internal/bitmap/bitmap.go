@@ -49,6 +49,11 @@ func (b *Bitmap) clearTail() {
 // Len returns the bitmap's size in bits.
 func (b *Bitmap) Len() int { return b.n }
 
+// Words returns the backing words, bit i of the bitmap being bit i%64 of
+// word i/64 and the unused bits of the last word zero. The view is
+// read-only.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Set sets bit i. It panics if i is out of range.
 func (b *Bitmap) Set(i int) {
 	b.check(i)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 
 	"bond/internal/kernel"
 	"bond/internal/metric"
@@ -28,15 +28,20 @@ type CompressedResult struct {
 // and Eq queries only.
 func ValidateCompressed(opts Options) error {
 	if len(opts.Weights) > 0 || len(opts.Dims) > 0 {
-		return fmt.Errorf("core: compressed search supports full-space unweighted queries only")
+		return errCompressedShape
 	}
-	switch opts.Criterion {
-	case Hq, Eq:
-		return nil
-	default:
-		return fmt.Errorf("core: compressed search supports Hq and Eq, not %v", opts.Criterion)
+	if opts.Criterion != Hq && opts.Criterion != Eq {
+		return errCompressedCriterion
 	}
+	return nil
 }
+
+// The planner asks ValidateCompressed about every query to learn whether
+// the filter paths are eligible, so its refusals are preallocated.
+var (
+	errCompressedShape     = errors.New("core: compressed search supports full-space unweighted queries only")
+	errCompressedCriterion = errors.New("core: compressed search supports criteria Hq and Eq only")
+)
 
 // FilterCompressed runs only the filter phase of a compressed search and
 // returns the surviving candidate ids (a superset of the true top-k) with
@@ -100,19 +105,7 @@ func (f *compressedFilter) init() {
 	sc.order = buildOrderInto(grow(sc.order, f.s.Dims()),
 		f.q, nil, nil, f.opts.Order, f.opts.Seed, f.opts.Criterion.Distance())
 	f.order = sc.order
-	deleted := deletedOf(f.s)
-	cands := grow(sc.cands, f.s.Len())
-	for id := 0; id < f.s.Len(); id++ {
-		if deleted.Get(id) {
-			continue
-		}
-		if excludedID(f.opts.Exclude, id) {
-			continue
-		}
-		cands = append(cands, id)
-	}
-	sc.cands = cands
-	f.cands = cands
+	f.cands = sc.liveCandidates(f.s, f.opts.Exclude)
 	f.k = f.opts.K
 	if f.k > len(f.cands) {
 		f.k = len(f.cands)
@@ -198,7 +191,8 @@ func (f *compressedFilter) pruneStep(processed int) {
 			f.appendStep(stat)
 			return
 		}
-		kappa := topk.KthLargestWith(f.sc.kthHeap(), f.sLo, f.k)
+		kappa, kbuf := topk.KthLargest(f.sLo, f.k, f.sc.kbuf)
+		f.sc.kbuf = kbuf
 		for ci := range keep {
 			keep[ci] = f.sHi[ci]+tq >= kappa
 		}
@@ -208,7 +202,9 @@ func (f *compressedFilter) pruneStep(processed int) {
 		if f.opts.NormalizedData {
 			bound = tail.EqUpperNormalized()
 		}
-		kappa := topk.KthSmallestWith(f.sc.kthHeap(), f.sHi, f.k) + bound
+		kappa, kbuf := topk.KthSmallest(f.sHi, f.k, f.sc.kbuf)
+		f.sc.kbuf = kbuf
+		kappa += bound
 		for ci := range keep {
 			keep[ci] = f.sLo[ci] <= kappa
 		}
@@ -263,12 +259,12 @@ func (f *compressedFilter) finalPrune() {
 	keep := grow(f.sc.keep, len(f.cands))[:len(f.cands)]
 	f.sc.keep = keep
 	if !f.opts.Criterion.Distance() {
-		kappa = topk.KthLargestWith(f.sc.kthHeap(), f.sLo, f.k)
+		kappa, f.sc.kbuf = topk.KthLargest(f.sLo, f.k, f.sc.kbuf)
 		for ci := range keep {
 			keep[ci] = f.sHi[ci] >= kappa
 		}
 	} else {
-		kappa = topk.KthSmallestWith(f.sc.kthHeap(), f.sHi, f.k)
+		kappa, f.sc.kbuf = topk.KthSmallest(f.sHi, f.k, f.sc.kbuf)
 		for ci := range keep {
 			keep[ci] = f.sLo[ci] <= kappa
 		}

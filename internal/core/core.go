@@ -195,7 +195,9 @@ type StepStat struct {
 	Segment int
 	// DimsProcessed is the number of columns read so far (the paper's m).
 	DimsProcessed int
-	// Candidates is the candidate-set size after pruning at this step.
+	// Candidates is the candidate-set size after pruning at this step. In
+	// a segment searched under a carried κ (see SearchOneScratch) it may be
+	// below K, or zero: the segment holds nothing that can still rank.
 	Candidates int
 	// Pruned is the number of vectors removed at this step.
 	Pruned int
@@ -211,11 +213,14 @@ type Stats struct {
 	// ValuesScanned counts column cells read.
 	ValuesScanned int64
 	// DimsUntilK is the number of dimensions processed when the candidate
-	// set first shrank to exactly K (0 if it never did). The paper reports
+	// set first shrank to at most K (0 if it never did). The paper reports
 	// this as the point after which the remaining tables "need not be
-	// accessed at all" for pruning.
+	// accessed at all" for pruning. Merged over segments it is the largest
+	// per-segment value.
 	DimsUntilK int
-	// FinalCandidates is the candidate-set size when pruning stopped.
+	// FinalCandidates is the candidate-set size when pruning stopped,
+	// summed over segments. A segment searched under a carried κ may
+	// contribute fewer than K, or none.
 	FinalCandidates int
 	// SegmentsSearched counts segments whose columns were actually read.
 	// Single-source searches report 1.
@@ -276,12 +281,18 @@ func (o *Options) validateShape(dims, slots int, lo, hi float64, q []float64) er
 		}
 	}
 	if len(o.Dims) > 0 {
-		seen := make(map[int]bool, len(o.Dims))
+		// A bitset, on the stack up to 512 dimensions: subspace queries are
+		// validated on the query hot path.
+		var small [8]uint64
+		seen := small[:]
+		if dims > 64*len(small) {
+			seen = make([]uint64, (dims+63)/64)
+		}
 		for _, d := range o.Dims {
-			if d < 0 || d >= dims || seen[d] {
+			if d < 0 || d >= dims || seen[d/64]&(1<<uint(d%64)) != 0 {
 				return fmt.Errorf("%w: dim %d", ErrBadDims, d)
 			}
-			seen[d] = true
+			seen[d/64] |= 1 << uint(d%64)
 		}
 	}
 	if o.Step == 0 {

@@ -168,7 +168,8 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 		if candIDs == nil {
 			// kfetch over the candidate scores, then bitmap uselect.
 			sc.milVals = bat.SelectFloatInto(grow(sc.milVals, bm.Count()), smin, bm)
-			sk := topk.KthLargestWith(sc.kthHeap(), sc.milVals, k)
+			sk, kbuf := topk.KthLargest(sc.milVals, k, sc.kbuf)
+			sc.kbuf = kbuf
 			maxbound := sk - tq
 			if sc.milSel == nil {
 				sc.milSel = bitmap.New(0)
@@ -186,7 +187,8 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 				candScores = sc.milVals
 			}
 		} else {
-			sk := topk.KthLargestWith(sc.kthHeap(), candScores, k)
+			sk, kbuf := topk.KthLargest(candScores, k, sc.kbuf)
+			sc.kbuf = kbuf
 			maxbound := sk - tq
 			// uselect over the candidate scores yields positions into the
 			// candidate array (void heads); gather the surviving ids and

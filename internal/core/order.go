@@ -5,10 +5,12 @@ import (
 	"slices"
 )
 
-// buildOrder returns the processing order over the effective dimensions:
-// those listed in dims (or all, if dims is empty), minus zero-weight
-// dimensions when weights are present — BOND never reads columns that
-// cannot contribute to the score (Section 8.1).
+// buildOrderInto returns, in dst's backing array (allocation-free when it
+// has the capacity, except for OrderRandom's seeded generator), the
+// processing order over the effective dimensions: those listed in dims (or
+// all, if dims is empty), minus zero-weight dimensions when weights are
+// present — BOND never reads columns that cannot contribute to the score
+// (Section 8.1).
 //
 // OrderQueryDesc sorts by decreasing query value; weighted queries sort by
 // each dimension's largest possible contribution — w·max(q, 1−q)² for
@@ -19,13 +21,6 @@ import (
 // bound and stalling pruning entirely. The max-contribution key processes
 // exactly the dimensions that can separate candidates first and reduces to
 // the same ordering when query values exceed ½.)
-func buildOrder(q, weights []float64, dims []int, order Order, seed int64, distance bool) []int {
-	return buildOrderInto(nil, q, weights, dims, order, seed, distance)
-}
-
-// buildOrderInto is buildOrder appending into a caller-provided buffer
-// (allocation-free when dst has the capacity, except for OrderRandom's
-// seeded generator).
 func buildOrderInto(dst []int, q, weights []float64, dims []int, order Order, seed int64, distance bool) []int {
 	eff := dst[:0]
 	if len(dims) > 0 {

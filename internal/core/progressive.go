@@ -52,23 +52,21 @@ func NewProgressiveSegments(views []SegmentView, q []float64, opts Options) (*Pr
 
 func newProgressive(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
 	p := &Progressive{k: opts.K, distance: opts.Criterion.Distance()}
+	qs := new(Query)
+	qs.Init(q, opts)
 	for vi, v := range views {
 		if v.Src.Len() == 0 {
 			continue
 		}
-		vopts := opts
-		vopts.Exclude = LocalExclude(opts.Exclude, v.Base, v.Src.Len())
-		e, err := newEngine(v.Src, q, vopts, nil)
-		if err == ErrNoCandidates {
+		// No carried κ: every segment's candidates stay inspectable.
+		e := newEngine(v.Src, qs, LocalExclude(opts.Exclude, v.Base, v.Src.Len()), 0, false, nil)
+		if e == nil {
 			continue
-		}
-		if err != nil {
-			return nil, err
 		}
 		p.engines = append(p.engines, e)
 		p.bases = append(p.bases, v.Base)
 		p.segIdx = append(p.segIdx, vi)
-		p.steps = append(p.steps, e.opts.Step)
+		p.steps = append(p.steps, opts.Step)
 		p.pos = append(p.pos, 0)
 	}
 	if len(p.engines) == 0 {
@@ -86,7 +84,7 @@ func (p *Progressive) Step() bool {
 	}
 	done := true
 	for i, e := range p.engines {
-		total := len(e.order)
+		total := len(e.qs.order)
 		if p.pos[i] >= total {
 			continue
 		}
@@ -115,8 +113,8 @@ func (p *Progressive) DimsProcessed() int {
 func (p *Progressive) DimsTotal() int {
 	m := 0
 	for _, e := range p.engines {
-		if len(e.order) > m {
-			m = len(e.order)
+		if len(e.qs.order) > m {
+			m = len(e.qs.order)
 		}
 	}
 	return m

@@ -1,17 +1,21 @@
 package core
 
 import (
+	"math/bits"
+
 	"bond/internal/bitmap"
 	"bond/internal/metric"
 	"bond/internal/topk"
 )
 
-// Scratch holds every reusable buffer one search needs: candidate ids,
-// partial scores and tails, pruning staging, tail-bound state, kfetch and
-// ranking heaps, and the MIL engine's operator buffers. One Scratch serves
-// one search at a time; the query executor keeps a small per-collection
-// free list and runs each segment's step through the same Scratch, so a
-// steady-state query allocates nothing in the engine layer.
+// Scratch holds every reusable buffer one per-segment search needs:
+// candidate ids, partial scores and tails, pruning staging, the kfetch
+// buffer (a bare []float64 — kfetch is a value-only bounded heap, see
+// package topk), the ranking heap, and the MIL engine's operator buffers.
+// What depends on the query alone lives in Query instead. One Scratch
+// serves one search at a time; the query executor keeps a small
+// per-collection free list and runs each segment's step through the same
+// Scratch, so a steady-state query allocates nothing in the engine layer.
 //
 // A nil *Scratch is accepted by every entry point that takes one and means
 // "allocate privately".
@@ -25,22 +29,22 @@ import (
 type Scratch struct {
 	eng engine // the BOND engine state itself, reused across segments
 
-	order   []int
 	cands   []int
 	score   []float64
 	tails   []float64
-	aux     []float64 // Smin/Smax staging inside one pruning step
-	keep    []bool
-	qtail   []float64
-	wtail   []float64
+	aux     []float64     // Smin/Smax staging inside one pruning step
+	kbuf    []float64     // kfetch heap (κ selection inside pruning steps)
 	steps   []StepStat    // pruning-step log backing (engine, filter, MIL)
 	results []topk.Result // per-segment result staging
 
-	kth *topk.Heap // kfetch heap (κ selection inside pruning steps)
 	out *topk.Heap // final ranking heap
 
-	euc metric.EucTail      // pooled Euclidean tail bounds
-	wt  metric.WeightedTail // pooled weighted tail bounds
+	// Compressed-filter and MIL staging (their order and tail bounds are
+	// rebuilt per segment; neither runs under a carried κ).
+	order []int
+	keep  []bool
+	qtail []float64
+	euc   metric.EucTail
 
 	// Compressed-filter score intervals.
 	sLo, sHi []float64
@@ -80,15 +84,6 @@ func zeroed(s []float64, n int) []float64 {
 	return s
 }
 
-// kthHeap returns the pooled kfetch heap (mode set by the caller through
-// topk.KthLargestWith / KthSmallestWith).
-func (sc *Scratch) kthHeap() *topk.Heap {
-	if sc.kth == nil {
-		sc.kth = topk.NewLargest(1)
-	}
-	return sc.kth
-}
-
 // outHeap returns the pooled ranking heap reset to keep the k best.
 func (sc *Scratch) outHeap(k int, largest bool) *topk.Heap {
 	if sc.out == nil {
@@ -96,6 +91,48 @@ func (sc *Scratch) outHeap(k int, largest bool) *topk.Heap {
 	}
 	sc.out.Reset(k, largest)
 	return sc.out
+}
+
+// liveCandidates fills the candidate buffer with the ids of src that are
+// neither delete-marked nor excluded, a bitmap word at a time: 64 ids with
+// no mark among them are an identity fill. Ids past the end of the
+// exclusion bitmap are not excluded (it may predate concurrent appends).
+func (sc *Scratch) liveCandidates(src Source, exclude *bitmap.Bitmap) []int {
+	n := src.Len()
+	cands := grow(sc.cands, n)[:n]
+	dead := deletedOf(src).Words()
+	var excl []uint64
+	if exclude != nil {
+		excl = exclude.Words()
+	}
+	out := 0
+	for base := 0; base < n; base += 64 {
+		w := base / 64
+		var marks uint64
+		if w < len(dead) {
+			marks = dead[w]
+		}
+		if w < len(excl) {
+			marks |= excl[w]
+		}
+		live := ^marks
+		if n-base < 64 {
+			live &= 1<<uint(n-base) - 1
+		}
+		if live == ^uint64(0) {
+			for i := range cands[out : out+64] {
+				cands[out+i] = base + i
+			}
+			out += 64
+			continue
+		}
+		for ; live != 0; live &= live - 1 {
+			cands[out] = base + bits.TrailingZeros64(live)
+			out++
+		}
+	}
+	sc.cands = cands[:out]
+	return sc.cands
 }
 
 // deletedViewer is the optional Source refinement that exposes the delete

@@ -57,24 +57,19 @@ func aggregateViews(views []SegmentView) (viewsMeta, error) {
 	return m, nil
 }
 
-// excludedID reports whether id is marked in the exclusion bitmap,
-// treating ids beyond the bitmap's length as not excluded. An exclusion
-// bitmap sized to an earlier Len therefore stays valid after appends —
-// the documented concurrency contract lets a writer grow the collection
-// between NewExclusion and Search — instead of crashing bitmap.Get.
-func excludedID(bm *bitmap.Bitmap, id int) bool {
-	return bm != nil && id < bm.Len() && bm.Get(id)
-}
-
 // LocalExclude projects the [base, base+n) window of a global exclusion
 // bitmap onto segment-local ids. It returns nil when nothing is excluded.
+// Ids beyond the bitmap's length are not excluded: a bitmap sized to an
+// earlier Len stays valid after appends (the documented concurrency
+// contract lets a writer grow the collection between NewExclusion and
+// Search).
 func LocalExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
 	if global == nil {
 		return nil
 	}
 	var local *bitmap.Bitmap
-	for i := 0; i < n; i++ {
-		if excludedID(global, base+i) {
+	for i := 0; i < n && base+i < global.Len(); i++ {
+		if global.Get(base + i) {
 			if local == nil {
 				local = bitmap.New(n)
 			}
@@ -95,7 +90,7 @@ func SegBound(v SegmentView, q []float64, opts Options) (bound float64, ok bool)
 		return 0, false
 	}
 	dist := opts.Criterion.Distance()
-	// Effective dimensions mirror buildOrder: Dims restricts, zero weights
+	// Effective dimensions mirror buildOrderInto: Dims restricts, zero weights
 	// drop out (their best-case contribution is 0 for both metrics).
 	// Iterating the two shapes separately keeps the full-space case — once
 	// per segment on the query hot path — allocation-free.
@@ -159,20 +154,21 @@ func CannotBeat(bound, kappa float64, distance bool) bool {
 }
 
 // SearchOneScratch runs the BOND engine over a single segment without
-// re-validating (callers validate once via ValidateSegments), on pooled
-// scratch buffers (nil allocates privately). empty is true when the
-// segment holds no eligible candidates. The result list and step log alias
-// the scratch and are valid until its next search.
-func SearchOneScratch(src Source, q []float64, opts Options, sc *Scratch) (Result, bool, error) {
-	e, err := newEngine(src, q, opts, sc)
-	if err == ErrNoCandidates {
-		return Result{}, true, nil
-	}
-	if err != nil {
-		return Result{}, false, err
+// re-validating (callers validate once via ValidateSegments and Init qs
+// with the validated options), on pooled scratch buffers (nil allocates
+// privately). exclude is the segment-local exclusion bitmap, or nil.
+// kappa, when hasKappa, is the carried κ: an exact k-th best score found
+// in other segments, under which this one may be pruned to an empty result
+// (it still counts as searched). empty is true when the segment held no
+// eligible candidate to begin with. The result list and step log alias the
+// scratch and are valid until its next search.
+func SearchOneScratch(src Source, qs *Query, exclude *bitmap.Bitmap, kappa float64, hasKappa bool, sc *Scratch) (res Result, empty bool) {
+	e := newEngine(src, qs, exclude, kappa, hasKappa, sc)
+	if e == nil {
+		return Result{}, true
 	}
 	e.run()
-	return e.finish(), false, nil
+	return e.finish(), false
 }
 
 // RebaseInPlace shifts segment-local result ids to global ids by mutating
@@ -213,18 +209,7 @@ func ExactScanScratch(src Source, q []float64, opts Options, sc *Scratch) ([]top
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	deleted := deletedOf(src)
-	cands := grow(sc.cands, src.Len())
-	for id := 0; id < src.Len(); id++ {
-		if deleted.Get(id) {
-			continue
-		}
-		if excludedID(opts.Exclude, id) {
-			continue
-		}
-		cands = append(cands, id)
-	}
-	sc.cands = cands
+	cands := sc.liveCandidates(src, opts.Exclude)
 	if len(cands) == 0 {
 		return nil, 0
 	}

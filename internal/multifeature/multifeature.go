@@ -453,7 +453,7 @@ func Search(features []Feature, opts Options) (Result, error) {
 			lower[ci] = opts.Agg.Combine(perFeature, weights)
 			upper[ci] = opts.Agg.Combine(scratch2, weights)
 		}
-		kappa := topk.KthLargest(lower, k)
+		kappa, _ := topk.KthLargest(lower, k, nil)
 		out := 0
 		for ci := range cands {
 			if upper[ci] >= kappa {

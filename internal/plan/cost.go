@@ -163,9 +163,10 @@ func (m *Model) acquireScratch() *execScratch {
 	if n := len(m.scratches); n > 0 {
 		sc := m.scratches[n-1]
 		m.scratches = m.scratches[:n-1]
-		// A pooled lane may carry a bound table built for another query;
-		// make sure no step trusts it before this execution rebuilds it.
-		sc.vaBuilt = false
+		// A pooled lane may carry a bound table and BOND state built for
+		// another query; make sure no step trusts them before this
+		// execution rebuilds them.
+		sc.vaBuilt, sc.bondBuilt = false, false
 		return sc
 	}
 	return &execScratch{}

@@ -38,12 +38,18 @@ type stepOutcome struct {
 }
 
 // execScratch bundles the per-query reusable state of one executor lane:
-// the engine scratch every access path runs on, the VA-File filter
-// scratch with the per-query bound table, the global κ heap, the merged
-// step log, and the parallel fan-out staging. The model keeps a free
-// list of these, so steady-state queries allocate nothing here.
+// the engine scratch every access path runs on, the query-scoped BOND
+// state every BOND step of the execution reads (order, weights, tail
+// bounds — built by the first one), the VA-File filter scratch with the
+// per-query bound table, the global κ heap, the merged step log, and the
+// parallel fan-out staging. The model keeps a free list of these (and
+// clears the two per-query "built" marks when it hands one out), so
+// steady-state queries allocate nothing here.
 type execScratch struct {
 	core core.Scratch
+
+	bond      core.Query
+	bondBuilt bool // bond holds this query's state
 
 	va      vafile.Scratch
 	vaTbl   *vafile.Table
@@ -84,7 +90,6 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 	// (e.g. to log it later) must not pin the segments' columns and cached
 	// code arrays past compaction.
 	defer func() { p.segs = nil }()
-	sc.vaBuilt = false
 	sc.steps = sc.steps[:0]
 
 	opts := p.Opts
@@ -188,8 +193,12 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 			p.Truncated = true
 			break
 		}
-		if kappa, full := kappaHeap.Threshold(); full && st.HasBound &&
-			core.CannotBeat(p.adjustBound(st.Bound, dist), kappa, dist) {
+		// κ, once k results exist, is exact: it dismisses a whole segment
+		// whose synopsis bound cannot beat it, and rides into the ones that
+		// run, where it prunes candidate by candidate (the carried κ).
+		kappa, full := kappaHeap.Threshold()
+		st.Kappa, st.HasKappa = p.adjustKappa(kappa, dist), full
+		if full && st.HasBound && core.CannotBeat(st.Bound, st.Kappa, dist) {
 			st.Skipped = true
 			res.Stats.SegmentsSkipped++
 			continue
@@ -253,17 +262,17 @@ func grow[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// adjustBound applies the approximation tolerance to a segment bound: a
-// segment that cannot improve κ by more than Tolerance is treated as
-// beaten. Zero tolerance keeps the strict (exact) comparison.
-func (p *Plan) adjustBound(bound float64, dist bool) float64 {
+// adjustKappa applies the approximation tolerance to κ: a segment, or a
+// candidate inside one, that cannot improve κ by more than Tolerance is
+// treated as beaten. Zero tolerance keeps the strict (exact) comparison.
+func (p *Plan) adjustKappa(kappa float64, dist bool) float64 {
 	if p.Spec.Tolerance <= 0 {
-		return bound
+		return kappa
 	}
 	if dist {
-		return bound + p.Spec.Tolerance
+		return kappa - p.Spec.Tolerance
 	}
-	return bound - p.Spec.Tolerance
+	return kappa + p.Spec.Tolerance
 }
 
 func (p *Plan) pastDeadline() bool {
@@ -271,7 +280,8 @@ func (p *Plan) pastDeadline() bool {
 }
 
 // runStep executes one step's access path over its segment on the given
-// scratch lane, filling the step's outcome fields.
+// scratch lane, filling the step's outcome fields. Only the BOND path
+// prunes by the step's carried κ.
 func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 	seg := p.segs[st.Segment]
 	src := seg.View.Src
@@ -280,9 +290,13 @@ func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 
 	switch st.Path {
 	case PathBOND:
-		r, empty, err := core.SearchOneScratch(src, p.Spec.Query, vopts, &sc.core)
-		if empty || err != nil {
-			return stepOutcome{empty: empty, err: err}
+		if !sc.bondBuilt {
+			sc.bond.Init(p.Spec.Query, p.Opts)
+			sc.bondBuilt = true
+		}
+		r, empty := core.SearchOneScratch(src, &sc.bond, vopts.Exclude, st.Kappa, st.HasKappa, &sc.core)
+		if empty {
+			return stepOutcome{empty: true}
 		}
 		st.ActualCost = float64(r.Stats.ValuesScanned)
 		st.Candidates = r.Stats.FinalCandidates
@@ -453,6 +467,11 @@ func (p *Plan) feedback(st *Step, out stepOutcome, elapsed time.Duration) {
 	}
 	switch st.Path {
 	case PathBOND:
+		// Under a carried κ the fraction also depends on the step's position
+		// in the plan (the first step has no κ and reads the most). It is
+		// fed back as observed, uncorrected: every executed segment is one
+		// EWMA step, so the κ-less first step of a plan weighs no more than
+		// any other and the coefficient tracks the fraction plans achieve.
 		shape := st.shape
 		if shape <= 0 {
 			shape = 1

@@ -13,7 +13,10 @@ import (
 // actual cost (in coefficient-equivalents, 8-bit cells charged at 1/8),
 // and a summary. Before Execute the actual columns read "-"; after, they
 // carry the measured costs, so predicted-vs-actual drift is visible at a
-// glance.
+// glance. The kappa column is the κ a step met — the k-th best score the
+// steps above it had established ("-": none yet). A step whose bound cannot
+// beat it is skipped; a BOND step carries it into its pruning, which is why
+// a late segment reads a fraction of what the first one did.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query: k=%d criterion=%s strategy=%s segments=%d (%d slots × %d dims)\n",
@@ -29,8 +32,8 @@ func (p *Plan) Explain() string {
 			break
 		}
 	}
-	fmt.Fprintf(&b, "%4s  %-10s %8s %6s %12s %12s %12s %10s\n",
-		"seg", "path", "n", "par", "bound", "predicted", "actual", "candidates")
+	fmt.Fprintf(&b, "%4s  %-10s %8s %6s %12s %12s %12s %12s %10s\n",
+		"seg", "path", "n", "par", "bound", "kappa", "predicted", "actual", "candidates")
 	for i := range p.Steps {
 		st := &p.Steps[i]
 		bound := "-"
@@ -40,6 +43,10 @@ func (p *Plan) Explain() string {
 		par := ""
 		if st.Parallel {
 			par = "yes"
+		}
+		kappa := "-"
+		if st.HasKappa {
+			kappa = fmt.Sprintf("%.4f", st.Kappa)
 		}
 		actual := "-"
 		cands := "-"
@@ -51,8 +58,8 @@ func (p *Plan) Explain() string {
 			actual = fmt.Sprintf("%.1f", st.ActualCost)
 			cands = fmt.Sprintf("%d", st.Candidates)
 		}
-		fmt.Fprintf(&b, "%4d  %-10s %8d %6s %12s %12.1f %12s %10s\n",
-			st.Segment, st.Path, st.N, par, bound, st.PredCost, actual, cands)
+		fmt.Fprintf(&b, "%4d  %-10s %8d %6s %12s %12s %12.1f %12s %10s\n",
+			st.Segment, st.Path, st.N, par, bound, kappa, st.PredCost, actual, cands)
 	}
 	searched, skipped := 0, 0
 	for i := range p.Steps {

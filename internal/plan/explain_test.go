@@ -13,12 +13,12 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden EXPLAIN files")
 
 // TestExplainGolden pins the EXPLAIN output — chosen per-segment paths,
-// predictions, actual costs, and skips — for three segment layouts:
-// cluster-contiguous (synopsis skipping dominates), uniform (no skipping;
-// the filter paths win on cost), and skewed (BOND prunes fast). The data
-// is generated from fixed seeds and the model starts at the priors, so
-// the output is fully deterministic. Regenerate with: go test -run
-// TestExplainGolden -update ./internal/plan/
+// predictions, carried κ, actual costs, and skips — for three segment
+// layouts: cluster-contiguous (synopsis skipping dominates), uniform (no
+// skipping; the filter paths win on cost), and skewed (BOND prunes fast).
+// The data is generated from fixed seeds and the model starts at the
+// priors, so the output is fully deterministic. Regenerate with:
+// go test ./internal/plan/ -run TestExplainGolden -update
 func TestExplainGolden(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -47,6 +47,14 @@ func TestExplainGolden(t *testing.T) {
 			name:  "cluster_contiguous_eq_mixed",
 			store: clusterContiguous(5, 100, 32, 14),
 			spec:  Spec{K: 5, Criterion: core.Eq},
+		},
+		{
+			// Forced BOND: the kappa column shows the first step starting
+			// without a carried κ and every later one with the k-th best
+			// so far, reading fewer cells for it.
+			name:  "uniform_eq_bond",
+			store: uniformStore(500, 100, 16, 12),
+			spec:  Spec{K: 5, Criterion: core.Eq, Strategy: ForceBOND},
 		},
 	}
 	for _, tc := range cases {

@@ -65,8 +65,16 @@ type Step struct {
 	// ActualCost is the measured cost in coefficient-equivalents.
 	ActualCost float64
 	// Candidates is the number of vectors surviving the step's filter
-	// (compressed/VA paths) or final BOND candidate set.
+	// (compressed/VA paths) or final BOND candidate set, which a carried
+	// κ can take below K, to zero.
 	Candidates int
+	// Kappa is the κ a sequential step met (tolerance applied): the k-th
+	// best score the steps before it had established. A step whose Bound
+	// cannot beat it is skipped; a BOND step that runs carries it into
+	// its pruning. HasKappa is false while fewer than K results exist,
+	// and for the parallel group, which starts before any do.
+	Kappa    float64
+	HasKappa bool
 
 	// shape is the BOND cost scale derived from the synopsis, kept so the
 	// executor can normalize it back out of observed costs.

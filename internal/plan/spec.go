@@ -117,9 +117,11 @@ type Spec struct {
 	// one goroutine each (every segment under ForceBOND). 0 or 1 runs
 	// sequentially.
 	Parallel int
-	// Tolerance relaxes segment skipping: a segment that cannot improve
-	// the running k-th best score by more than Tolerance is skipped even
-	// though it might tie or marginally beat it. 0 keeps answers exact.
+	// Tolerance relaxes the comparison with the running k-th best score
+	// κ: a segment — or, on the BOND path, a candidate inside one — that
+	// cannot improve κ by more than Tolerance is dropped even though it
+	// might tie or marginally beat it. Reported scores stay exact and the
+	// k-th is within Tolerance of the true one. 0 keeps answers exact.
 	Tolerance float64
 	// Deadline stops the executor from starting further segments once
 	// passed (zero = none). The merged answer over the segments searched

@@ -1,9 +1,11 @@
 // Package topk provides bounded-size heap utilities for k-best selection.
 //
-// These are the kernels behind the paper's kfetch operator (Section 6.1),
-// which selects the k-th largest element of a score column using a priority
-// queue implemented as a heap, with worst-case cost O(n log k), and behind
-// the k-best result heaps of the sequential-scan baselines.
+// Two kinds of heap live here. Heap retains the k best (id, score) results
+// with a deterministic score-then-id order; it ranks answers and merges
+// per-segment lists. KthLargest/KthSmallest are the paper's kfetch operator
+// (Section 6.1), which only needs the k-th *value* of a score column: a
+// value-only bounded heap with no ids and no tie-break — still the paper's
+// O(n log k) in the worst case, one compare per element in the common one.
 package topk
 
 import (
@@ -228,58 +230,81 @@ func (h *Heap) siftDown(i int) {
 	}
 }
 
-// KthLargest returns the k-th largest value in xs using a size-k min-heap,
-// the paper's kfetch kernel (O(n log k)). If k exceeds len(xs) it returns
-// the minimum of xs. It panics if xs is empty or k < 1.
-func KthLargest(xs []float64, k int) float64 {
-	return KthLargestWith(NewLargest(max(k, 1)), xs, k)
+// KthLargest returns the k-th largest value in xs — the paper's kfetch
+// (Section 6.1). The k-th value does not depend on which element carries
+// it, so unlike Heap this keeps no ids and breaks no ties: a bounded
+// min-heap of bare float64s in buf (grown as needed and returned for reuse;
+// nil allocates). An element no larger than the root — the common case —
+// costs one compare; the worst case (ascending input) is O(n log k). If k
+// exceeds len(xs) it returns the minimum of xs. It panics if xs is empty
+// or k < 1.
+func KthLargest(xs []float64, k int, buf []float64) (float64, []float64) {
+	h := kthHeap(xs, k, buf, 1)
+	top := h[0]
+	for _, x := range xs[len(h):] {
+		if x > top {
+			h[0] = x
+			siftDownMin(h, 0)
+			top = h[0]
+		}
+	}
+	return top, h
 }
 
-// KthLargestWith is KthLargest reusing a caller-provided heap (pooled
-// kfetch); the heap's previous contents and mode are discarded.
-func KthLargestWith(h *Heap, xs []float64, k int) float64 {
+// KthSmallest is KthLargest for the k-th smallest value (the maximum of xs
+// if k exceeds len(xs)). The heap holds negated values, so both directions
+// share one sift.
+func KthSmallest(xs []float64, k int, buf []float64) (float64, []float64) {
+	h := kthHeap(xs, k, buf, -1)
+	top := -h[0]
+	for _, x := range xs[len(h):] {
+		if x < top {
+			h[0] = -x
+			siftDownMin(h, 0)
+			top = -h[0]
+		}
+	}
+	return top, h
+}
+
+// kthHeap heapifies sign·xs[:k] (k clamped to len(xs)) into buf as a
+// min-heap.
+func kthHeap(xs []float64, k int, buf []float64, sign float64) []float64 {
 	if len(xs) == 0 {
-		panic("topk: KthLargest on empty slice")
+		panic("topk: k-th value of an empty slice")
 	}
 	if k < 1 {
 		panic(fmt.Sprintf("topk: k must be >= 1, got %d", k))
 	}
-	if k > len(xs) {
-		k = len(xs)
+	k = min(k, len(xs))
+	h := buf[:0]
+	for _, x := range xs[:k] {
+		h = append(h, sign*x)
 	}
-	h.Reset(k, true)
-	for i, x := range xs {
-		h.Push(i, x)
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDownMin(h, i)
 	}
-	v, _ := h.Threshold()
-	return v
+	return h
 }
 
-// KthSmallest returns the k-th smallest value in xs using a size-k max-heap.
-// If k exceeds len(xs) it returns the maximum of xs. It panics if xs is
-// empty or k < 1.
-func KthSmallest(xs []float64, k int) float64 {
-	return KthSmallestWith(NewSmallest(max(k, 1)), xs, k)
-}
-
-// KthSmallestWith is KthSmallest reusing a caller-provided heap (pooled
-// kfetch); the heap's previous contents and mode are discarded.
-func KthSmallestWith(h *Heap, xs []float64, k int) float64 {
-	if len(xs) == 0 {
-		panic("topk: KthSmallest on empty slice")
+// siftDownMin restores the min-heap property below index i.
+func siftDownMin(h []float64, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r] < h[c] {
+			c = r
+		}
+		if h[c] >= x {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	if k < 1 {
-		panic(fmt.Sprintf("topk: k must be >= 1, got %d", k))
-	}
-	if k > len(xs) {
-		k = len(xs)
-	}
-	h.Reset(k, false)
-	for i, x := range xs {
-		h.Push(i, x)
-	}
-	v, _ := h.Threshold()
-	return v
+	h[i] = x
 }
 
 // Merge combines several best-first result lists into the overall k best.

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -104,7 +105,7 @@ func TestKthLargestSmallCases(t *testing.T) {
 		want float64
 	}{{1, 0.5}, {2, 0.4}, {3, 0.3}, {5, 0.1}, {10, 0.1}}
 	for _, c := range cases {
-		if got := KthLargest(xs, c.k); got != c.want {
+		if got, _ := KthLargest(xs, c.k, nil); got != c.want {
 			t.Errorf("KthLargest(k=%d) = %v, want %v", c.k, got, c.want)
 		}
 	}
@@ -117,7 +118,7 @@ func TestKthSmallestSmallCases(t *testing.T) {
 		want float64
 	}{{1, 0.1}, {2, 0.2}, {4, 0.4}, {5, 0.5}, {99, 0.5}}
 	for _, c := range cases {
-		if got := KthSmallest(xs, c.k); got != c.want {
+		if got, _ := KthSmallest(xs, c.k, nil); got != c.want {
 			t.Errorf("KthSmallest(k=%d) = %v, want %v", c.k, got, c.want)
 		}
 	}
@@ -129,7 +130,7 @@ func TestKthLargestPanicsOnEmpty(t *testing.T) {
 			t.Error("expected panic on empty slice")
 		}
 	}()
-	KthLargest(nil, 1)
+	KthLargest(nil, 1, nil)
 }
 
 func TestNewLargestPanicsOnZeroK(t *testing.T) {
@@ -151,13 +152,61 @@ func TestKthLargestMatchesSort(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.Float64()
 		}
-		got := KthLargest(xs, k)
+		got, _ := KthLargest(xs, k, nil)
 		sorted := append([]float64(nil), xs...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 		return got == sorted[k-1]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKthAgainstSort is the kfetch table: both directions against a full
+// sort, on the inputs a value-only heap could get wrong — k at and past
+// len, duplicates across the k boundary, signed zeros, and sorted input in
+// both directions (every element, or none, replaces the root) — with the
+// buffer reused between calls as the engine reuses it.
+func TestKthAgainstSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]float64, 200)
+	for i := range random {
+		random[i] = float64(rng.Intn(40)) / 8 // many duplicates
+	}
+	asc := append([]float64(nil), random...)
+	sort.Float64s(asc)
+	desc := append([]float64(nil), asc...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	negZero := math.Copysign(0, -1)
+	inputs := map[string][]float64{
+		"single":     {3},
+		"random":     random,
+		"ascending":  asc,
+		"descending": desc,
+		"constant":   {2, 2, 2, 2, 2},
+		"zeros":      {0, negZero, 1, negZero, 0, -1},
+		"negative":   {-3, -1, -2, -5, -4},
+	}
+	var buf []float64
+	for name, xs := range inputs {
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		n := len(xs)
+		for _, k := range []int{1, 2, 3, n / 2, n - 1, n, n + 1, 3 * n} {
+			if k < 1 {
+				continue
+			}
+			kk := min(k, n)
+			var small, large float64
+			small, buf = KthSmallest(xs, k, buf)
+			if want := sorted[kk-1]; small != want {
+				t.Errorf("%s: KthSmallest(k=%d) = %v, want %v", name, k, small, want)
+			}
+			large, buf = KthLargest(xs, k, buf)
+			if want := sorted[n-kk]; large != want {
+				t.Errorf("%s: KthLargest(k=%d) = %v, want %v", name, k, large, want)
+			}
+		}
 	}
 }
 
@@ -239,17 +288,34 @@ func BenchmarkHeapPush(b *testing.B) {
 	}
 }
 
-func BenchmarkKthLargest(b *testing.B) {
+// BenchmarkKth times kfetch at the shape the engine calls it with — one
+// segment's worth of scores, k = 10 — and reports ns per element. random is
+// the common case (an element rarely beats the heap's root: one compare);
+// sorted is the worst (every element does: a sift of depth log k).
+func BenchmarkKth(b *testing.B) {
+	const n, k = 1000, 10
 	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = rng.Float64()
+	random := make([]float64, n)
+	for i := range random {
+		random[i] = rng.Float64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KthLargest(xs, 10)
+	sorted := append([]float64(nil), random...)
+	sort.Float64s(sorted)
+	for _, in := range []struct {
+		name string
+		xs   []float64
+	}{{"random", random}, {"sorted", sorted}} {
+		b.Run(in.name, func(b *testing.B) {
+			var buf []float64
+			for i := 0; i < b.N; i++ {
+				kthSink, buf = KthLargest(in.xs, k, buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/element")
+		})
 	}
 }
+
+var kthSink float64
 
 // TestHeapDeterministicTieBreak pins the order-independence property the
 // segmented merge relies on: among equal scores at the k-boundary the

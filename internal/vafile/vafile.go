@@ -113,7 +113,7 @@ func (f *File) FilterEuclidean(q []float64, k int) (ids []int, lowers []float64,
 		lb[id], ub[id] = l, u
 		st.CodesScanned += int64(f.dims)
 	}
-	kappa := topk.KthSmallest(ub, min(k, f.n))
+	kappa, _ := topk.KthSmallest(ub, min(k, f.n), nil)
 	for id := 0; id < f.n; id++ {
 		if lb[id] <= kappa {
 			ids = append(ids, id)
@@ -141,7 +141,7 @@ func (f *File) FilterHistogram(q []float64, k int) (ids []int, uppers []float64,
 		lb[id], ub[id] = l, u
 		st.CodesScanned += int64(f.dims)
 	}
-	kappa := topk.KthLargest(lb, min(k, f.n))
+	kappa, _ := topk.KthLargest(lb, min(k, f.n), nil)
 	for id := 0; id < f.n; id++ {
 		if ub[id] >= kappa {
 			ids = append(ids, id)
