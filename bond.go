@@ -632,10 +632,6 @@ func (c *Collection) planSegments() []plan.Segment {
 		out[i] = plan.Segment{
 			View:   core.SegmentView{Src: g, Base: bases[i], DimRange: g.DimRange},
 			Sealed: g.Sealed(),
-			Mapped: g.Mapped(),
-		}
-		if g.Mapped() {
-			out[i].NoteScan = g.NoteScan
 		}
 		if g.Sealed() {
 			g := g

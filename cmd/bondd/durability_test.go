@@ -61,10 +61,12 @@ func startBondd(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 		"-fsync", "always",
 		"-segment-size", "32",
 		// Aggressive checkpointing so some kills land mid-checkpoint;
-		// compaction off so ids stay stable for readback-by-id.
+		// compaction and re-clustering off so ids stay stable for
+		// readback-by-id (both drop tombstoned slots and remap ids).
 		"-maintenance-interval", "150ms",
 		"-wal-max-bytes", "1",
 		"-compact-ratio", "-1",
+		"-recluster-spread", "-1",
 		"-quiet",
 	)
 	cmd.Stdout = os.Stderr

@@ -3,6 +3,7 @@ package bond
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -301,7 +302,13 @@ func TestDurableLifecycleProperty(t *testing.T) {
 			if !sameDump(got, want) {
 				t.Fatalf("final state diverged from in-memory mirror:\n got %+v\nwant %+v", got, want)
 			}
-			// Pin a final query to the sequential-scan oracle.
+			// Pin a final query to the sequential-scan oracle, rank for rank.
+			// The documented contract promises bit-equal scores for pinned
+			// strategies only: StrategyExact folds the dimensions left to
+			// right in storage order — seqscan's own sum — so it is compared
+			// with ==, while auto may answer through a path that sums in
+			// query order and is compared by id and 1e-9. ROADMAP item 1
+			// (one canonical score) turns this back into a single == check.
 			var live [][]float64
 			var liveIDs []int
 			for id, row := range got.rows {
@@ -313,17 +320,24 @@ func TestDurableLifecycleProperty(t *testing.T) {
 			if len(live) > 0 {
 				q := randVector(rng, dims)
 				oracle, _ := seqscan.SearchHistogram(live, q, 3)
-				res, err := c.Query(QuerySpec{Query: q, K: 3, Criterion: Hq})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Results) != len(oracle) {
-					t.Fatalf("query k: %d vs oracle %d", len(res.Results), len(oracle))
-				}
-				for j := range oracle {
-					if res.Results[j].Score != oracle[j].Score || res.Results[j].ID != liveIDs[oracle[j].ID] {
-						t.Fatalf("rank %d: got (%d,%g) oracle (%d,%g)",
-							j, res.Results[j].ID, res.Results[j].Score, liveIDs[oracle[j].ID], oracle[j].Score)
+				for _, strat := range []Strategy{StrategyExact, StrategyAuto} {
+					res, err := c.Query(QuerySpec{Query: q, K: 3, Criterion: Hq, Strategy: strat})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Results) != len(oracle) {
+						t.Fatalf("%v query k: %d vs oracle %d", strat, len(res.Results), len(oracle))
+					}
+					for j := range oracle {
+						r, o := res.Results[j], oracle[j]
+						same := r.Score == o.Score
+						if strat == StrategyAuto {
+							same = math.Abs(r.Score-o.Score) <= 1e-9
+						}
+						if !same || r.ID != liveIDs[o.ID] {
+							t.Fatalf("%v rank %d: got (%d,%v) oracle (%d,%v)",
+								strat, j, r.ID, r.Score, liveIDs[o.ID], o.Score)
+						}
 					}
 				}
 			}

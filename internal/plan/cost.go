@@ -6,10 +6,25 @@ import (
 	"sync"
 )
 
-// CodeCost is the planner's cost of reading one 8-bit approximation cell,
-// in units of one exact float64 coefficient read: an eighth of the
-// bytes, matching the paper's byte ratio.
-const CodeCost = 0.125
+// The planner's one cost unit is the dense float cell: the time
+// kernel.AccSqDist/AccMinQ take to fold one exact float64 coefficient into
+// a running score. An 8-bit approximation cell is an eighth of the bytes
+// (the paper's Section 7.4 prices it so) but, in memory, not of the time:
+// the code kernels are table lookups feeding float accumulators. The two
+// weights below are kernel time ratios from traced BENCHMARK.json runs,
+// checked in so that plans are a function of the data and the query
+// history and never of the clock.
+const (
+	// VACodeCost is one cell of the VA-File row-sum filter:
+	// kernel.va_rowsum_ns_cell over kernel.acc_{sqdist,minq}_dense_ns_cell,
+	// 0.8–1.8 across the four workloads and runs.
+	VACodeCost = 1.25
+	// ComprCodeCost is one cell of the compressed filter, which keeps a
+	// lower and an upper bound per candidate:
+	// kernel.acc_code_bounds_ns_cell over
+	// kernel.acc_{sqdist,minq}_dense_ns_cell, 1.5–2.5.
+	ComprCodeCost = 2.0
+)
 
 // ewmaAlpha is the feedback smoothing factor: each executed query moves a
 // coefficient a fifth of the way toward the observed value, so the model
@@ -34,58 +49,6 @@ type Coefficients struct {
 	ComprSurvive float64 `json:"compr_survive"`
 	// VASurvive is the EWMA fraction surviving the VA-File filter.
 	VASurvive float64 `json:"va_survive"`
-
-	// Per-path EWMA wall time per coefficient-equivalent, in nanoseconds.
-	// Cell counts predict I/O volume but miss per-path CPU structure (the
-	// compressed filter pays a kfetch per pruning step, the VA-File scan
-	// is a tight table loop), so the planner ranks paths by predicted
-	// time = predicted cells × learned ns/cell. The priors are equal, so
-	// a fresh collection ranks purely by cell count until feedback
-	// arrives.
-	BondNs  float64 `json:"bond_ns_per_cell"`
-	ComprNs float64 `json:"compr_ns_per_cell"`
-	VANs    float64 `json:"va_ns_per_cell"`
-	ExactNs float64 `json:"exact_ns_per_cell"`
-
-	// The same time coefficients for segments whose columns alias a memory
-	// mapping instead of heap memory. Mapped reads cost the same CPU once
-	// the pages are resident, but the page cache is not under the
-	// collection's control, so the two backings learn separately and a
-	// mapped segment is ranked by its own history. The very first scan of a
-	// mapped segment after open (page faults dominate) is discarded rather
-	// than averaged in — it would poison the steady-state coefficient with
-	// a one-time cost.
-	BondNsMapped  float64 `json:"bond_ns_per_cell_mapped,omitempty"`
-	ComprNsMapped float64 `json:"compr_ns_per_cell_mapped,omitempty"`
-	VANsMapped    float64 `json:"va_ns_per_cell_mapped,omitempty"`
-	ExactNsMapped float64 `json:"exact_ns_per_cell_mapped,omitempty"`
-}
-
-// pathNs returns the learned time coefficient for one path on one segment
-// backing.
-func (c Coefficients) pathNs(p Path, mapped bool) float64 {
-	if mapped {
-		switch p {
-		case PathBOND:
-			return c.BondNsMapped
-		case PathCompressed:
-			return c.ComprNsMapped
-		case PathVAFile:
-			return c.VANsMapped
-		default:
-			return c.ExactNsMapped
-		}
-	}
-	switch p {
-	case PathBOND:
-		return c.BondNs
-	case PathCompressed:
-		return c.ComprNs
-	case PathVAFile:
-		return c.VANs
-	default:
-		return c.ExactNs
-	}
 }
 
 // defaultCoefficients are the priors a fresh collection plans from,
@@ -96,21 +59,8 @@ func defaultCoefficients() Coefficients {
 		ComprFilterFrac: 0.60,
 		ComprSurvive:    0.05,
 		VASurvive:       0.03,
-		BondNs:          defaultNsPerCell,
-		ComprNs:         defaultNsPerCell,
-		VANs:            defaultNsPerCell,
-		ExactNs:         defaultNsPerCell,
-		BondNsMapped:    defaultNsPerCell,
-		ComprNsMapped:   defaultNsPerCell,
-		VANsMapped:      defaultNsPerCell,
-		ExactNsMapped:   defaultNsPerCell,
 	}
 }
-
-// defaultNsPerCell is the prior per-cell time; its absolute value is
-// irrelevant (only ratios rank paths), it just has to be equal across
-// paths so a fresh model ranks by cell count.
-const defaultNsPerCell = 3.0
 
 // Model is the thread-safe holder of the coefficients. One Model belongs
 // to one collection; queries read a snapshot when planning and feed
@@ -182,14 +132,10 @@ func (m *Model) releaseScratch(sc *execScratch) {
 
 // observer is the feedback sink the executor reports into: the model
 // directly, or a FeedbackBatch that aggregates a whole QueryBatch first.
-// mapped tags which backing the time was observed on; the fraction
-// observations are backing-neutral (pruning behaves the same either way)
-// and always update the shared coefficients.
 type observer interface {
-	observeBond(frac, ns float64, mapped bool)
-	observeCompressed(filterFrac, survive, ns float64, mapped bool)
-	observeVA(survive, ns float64, mapped bool)
-	observeExact(ns float64, mapped bool)
+	observeBond(frac float64)
+	observeCompressed(filterFrac, survive float64)
+	observeVA(survive float64)
 	countQuery()
 }
 
@@ -199,56 +145,33 @@ type observer interface {
 // so a batch adapts the model like one representative query would, at a
 // fraction of the lock traffic.
 type FeedbackBatch struct {
-	mu      sync.Mutex
-	queries int64
-	// One slot per path and backing: heap observations in the first four,
-	// mapped in the second four, so a mixed batch (some segments heap, some
-	// mapped) lands each mean on the right coefficient.
-	sums [8]pathSums
+	mu              sync.Mutex
+	queries         int64
+	bond, compr, va pathSums
 }
 
 type pathSums struct {
-	a, b, ns float64 // path-specific fraction sums plus ns-per-cell sum
-	n, nsN   int64
+	a, b float64 // path-specific fraction sums
+	n    int64
 }
-
-const (
-	fbBond = iota
-	fbCompr
-	fbVA
-	fbExact
-	fbMappedOff = 4
-)
 
 // NewFeedbackBatch returns an empty accumulator.
 func NewFeedbackBatch() *FeedbackBatch { return &FeedbackBatch{} }
 
-func (f *FeedbackBatch) add(slot int, a, b, ns float64, mapped bool) {
-	if mapped {
-		slot += fbMappedOff
-	}
+func (f *FeedbackBatch) add(s *pathSums, a, b float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := &f.sums[slot]
 	s.a += a
 	s.b += b
 	s.n++
-	if ns > 0 {
-		s.ns += ns
-		s.nsN++
-	}
 }
 
-func (f *FeedbackBatch) observeBond(frac, ns float64, mapped bool) {
-	f.add(fbBond, frac, 0, ns, mapped)
-}
+func (f *FeedbackBatch) observeBond(frac float64) { f.add(&f.bond, frac, 0) }
 
-func (f *FeedbackBatch) observeVA(survive, ns float64, mapped bool) {
-	f.add(fbVA, survive, 0, ns, mapped)
-}
+func (f *FeedbackBatch) observeVA(survive float64) { f.add(&f.va, survive, 0) }
 
-func (f *FeedbackBatch) observeExact(ns float64, mapped bool) {
-	f.add(fbExact, 0, 0, ns, mapped)
+func (f *FeedbackBatch) observeCompressed(filterFrac, survive float64) {
+	f.add(&f.compr, filterFrac, survive)
 }
 
 func (f *FeedbackBatch) countQuery() {
@@ -257,48 +180,25 @@ func (f *FeedbackBatch) countQuery() {
 	f.mu.Unlock()
 }
 
-func (f *FeedbackBatch) observeCompressed(filterFrac, survive, ns float64, mapped bool) {
-	f.add(fbCompr, filterFrac, survive, ns, mapped)
-}
-
 // Flush applies the accumulated batch means to the model. A path that saw
 // no steps leaves its coefficients untouched.
 func (f *FeedbackBatch) Flush(m *Model) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	mean := func(s *pathSums) (a, b, ns float64, ok bool) {
-		if s.n == 0 {
-			return 0, 0, 0, false
-		}
-		a, b = s.a/float64(s.n), s.b/float64(s.n)
-		if s.nsN > 0 {
-			ns = s.ns / float64(s.nsN)
-		}
-		return a, b, ns, true
+	if s := f.bond; s.n > 0 {
+		m.observeBond(s.a / float64(s.n))
 	}
-	for _, mapped := range [2]bool{false, true} {
-		off := 0
-		if mapped {
-			off = fbMappedOff
-		}
-		if a, _, ns, ok := mean(&f.sums[fbBond+off]); ok {
-			m.observeBond(a, ns, mapped)
-		}
-		if a, b, ns, ok := mean(&f.sums[fbCompr+off]); ok {
-			m.observeCompressed(a, b, ns, mapped)
-		}
-		if a, _, ns, ok := mean(&f.sums[fbVA+off]); ok {
-			m.observeVA(a, ns, mapped)
-		}
-		if _, _, ns, ok := mean(&f.sums[fbExact+off]); ok && ns > 0 {
-			m.observeExact(ns, mapped)
-		}
+	if s := f.compr; s.n > 0 {
+		m.observeCompressed(s.a/float64(s.n), s.b/float64(s.n))
+	}
+	if s := f.va; s.n > 0 {
+		m.observeVA(s.a / float64(s.n))
 	}
 	m.mu.Lock()
 	m.c.Queries += f.queries
 	m.mu.Unlock()
 	f.queries = 0
-	f.sums = [8]pathSums{}
+	f.bond, f.compr, f.va = pathSums{}, pathSums{}, pathSums{}
 }
 
 // NewModel returns a model at the default priors.
@@ -345,31 +245,10 @@ func clampCoefficients(c Coefficients) Coefficients {
 	c.ComprFilterFrac = clamp01(c.ComprFilterFrac)
 	c.ComprSurvive = clamp01(c.ComprSurvive)
 	c.VASurvive = clamp01(c.VASurvive)
-	c.BondNs = loadedNs(c.BondNs)
-	c.ComprNs = loadedNs(c.ComprNs)
-	c.VANs = loadedNs(c.VANs)
-	c.ExactNs = loadedNs(c.ExactNs)
-	c.BondNsMapped = loadedNs(c.BondNsMapped)
-	c.ComprNsMapped = loadedNs(c.ComprNsMapped)
-	c.VANsMapped = loadedNs(c.VANsMapped)
-	c.ExactNsMapped = loadedNs(c.ExactNsMapped)
 	if c.Queries < 0 {
 		c.Queries = 0
 	}
 	return c
-}
-
-// loadedNs sanitizes a time coefficient read from a persisted statistics
-// block. A live model never writes zero (every observation is clamped to
-// ≥ 0.05), so zero means the field was absent — a block written before
-// the coefficient existed. That must restore the prior, not clampNs's
-// floor: 0.05 would make the planner rank the path as 60× faster than its
-// peers on no evidence at all.
-func loadedNs(x float64) float64 {
-	if x == 0 {
-		return defaultNsPerCell
-	}
-	return clampNs(x)
 }
 
 func clamp01(x float64) float64 {
@@ -382,78 +261,30 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-func clampNs(x float64) float64 {
-	if x != x || x < 0.05 { // NaN or implausibly fast
-		return 0.05
-	}
-	if x > 1e4 {
-		return 1e4
-	}
-	return x
-}
-
 func ewma(old, obs float64) float64 {
 	return clamp01(old + ewmaAlpha*(obs-old))
 }
 
-func ewmaNs(old, obs float64) float64 {
-	return clampNs(old + ewmaAlpha*(clampNs(obs)-old))
-}
-
 // observeBond feeds back one BOND segment scan: frac is coefficients read
 // over the segment's full size, already divided by the plan's shape
-// factor so the stored coefficient stays shape-neutral; ns is the
-// measured wall time per coefficient-equivalent (0 when unusable).
-func (m *Model) observeBond(frac, ns float64, mapped bool) {
+// factor so the stored coefficient stays shape-neutral.
+func (m *Model) observeBond(frac float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.c.BondFrac = ewma(m.c.BondFrac, frac)
-	if ns > 0 {
-		if mapped {
-			m.c.BondNsMapped = ewmaNs(m.c.BondNsMapped, ns)
-		} else {
-			m.c.BondNs = ewmaNs(m.c.BondNs, ns)
-		}
-	}
 }
 
-func (m *Model) observeCompressed(filterFrac, survive, ns float64, mapped bool) {
+func (m *Model) observeCompressed(filterFrac, survive float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.c.ComprFilterFrac = ewma(m.c.ComprFilterFrac, filterFrac)
 	m.c.ComprSurvive = ewma(m.c.ComprSurvive, survive)
-	if ns > 0 {
-		if mapped {
-			m.c.ComprNsMapped = ewmaNs(m.c.ComprNsMapped, ns)
-		} else {
-			m.c.ComprNs = ewmaNs(m.c.ComprNs, ns)
-		}
-	}
 }
 
-func (m *Model) observeVA(survive, ns float64, mapped bool) {
+func (m *Model) observeVA(survive float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.c.VASurvive = ewma(m.c.VASurvive, survive)
-	if ns > 0 {
-		if mapped {
-			m.c.VANsMapped = ewmaNs(m.c.VANsMapped, ns)
-		} else {
-			m.c.VANs = ewmaNs(m.c.VANs, ns)
-		}
-	}
-}
-
-func (m *Model) observeExact(ns float64, mapped bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ns > 0 {
-		if mapped {
-			m.c.ExactNsMapped = ewmaNs(m.c.ExactNsMapped, ns)
-		} else {
-			m.c.ExactNs = ewmaNs(m.c.ExactNs, ns)
-		}
-	}
 }
 
 func (m *Model) countQuery() {
@@ -487,22 +318,14 @@ func (m *Model) DecayForRewrite(frac float64) {
 	m.c.ComprFilterFrac = clamp01(blend(m.c.ComprFilterFrac, p.ComprFilterFrac))
 	m.c.ComprSurvive = clamp01(blend(m.c.ComprSurvive, p.ComprSurvive))
 	m.c.VASurvive = clamp01(blend(m.c.VASurvive, p.VASurvive))
-	m.c.BondNs = clampNs(blend(m.c.BondNs, p.BondNs))
-	m.c.ComprNs = clampNs(blend(m.c.ComprNs, p.ComprNs))
-	m.c.VANs = clampNs(blend(m.c.VANs, p.VANs))
-	m.c.ExactNs = clampNs(blend(m.c.ExactNs, p.ExactNs))
-	m.c.BondNsMapped = clampNs(blend(m.c.BondNsMapped, p.BondNsMapped))
-	m.c.ComprNsMapped = clampNs(blend(m.c.ComprNsMapped, p.ComprNsMapped))
-	m.c.VANsMapped = clampNs(blend(m.c.VANsMapped, p.VANsMapped))
-	m.c.ExactNsMapped = clampNs(blend(m.c.ExactNsMapped, p.ExactNsMapped))
 }
 
 // --- Predictions ----------------------------------------------------------
 //
 // All predictions are in coefficient-equivalents: the number of exact
 // float64 reads a path is expected to cost on one segment, with 8-bit
-// cell reads charged at CodeCost. The executor reports actual costs in
-// the same unit, which is what EXPLAIN prints side by side.
+// cell reads charged at VACodeCost or ComprCodeCost. The executor reports
+// actual costs in the same unit, which is what EXPLAIN prints side by side.
 
 // predictBond estimates a BOND scan over a segment of n vectors and dims
 // dimensions, scaled by the segment's shape factor (see shapeFactor).
@@ -512,12 +335,12 @@ func (c Coefficients) predictBond(n, dims int, shape float64) float64 {
 
 func (c Coefficients) predictCompressed(n, dims int) float64 {
 	nd := float64(n) * float64(dims)
-	return CodeCost*nd*c.ComprFilterFrac + nd*c.ComprSurvive
+	return ComprCodeCost*nd*c.ComprFilterFrac + nd*c.ComprSurvive
 }
 
 func (c Coefficients) predictVAFile(n, dims int) float64 {
 	nd := float64(n) * float64(dims)
-	return CodeCost*nd + nd*c.VASurvive
+	return VACodeCost*nd + nd*c.VASurvive
 }
 
 func (c Coefficients) predictExact(n, dims int) float64 {

@@ -64,12 +64,11 @@ type execScratch struct {
 	outs []parOutcome // parallel fan-out staging
 }
 
-// parOutcome is one parallel step's outcome with its measured wall time
-// and the scratch lane that produced it (released after folding).
+// parOutcome is one parallel step's outcome with the scratch lane that
+// produced it (released after folding).
 type parOutcome struct {
-	out     stepOutcome
-	elapsed time.Duration
-	lane    *execScratch
+	out  stepOutcome
+	lane *execScratch
 }
 
 // Execute runs the plan and merges the per-segment answers into the exact
@@ -104,11 +103,11 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 	executed := false
 	folded := 0
 
-	fold := func(st *Step, out stepOutcome, elapsed time.Duration) {
+	fold := func(st *Step, out stepOutcome) {
 		st.Executed = true
 		executed = true
 		folded++
-		p.feedback(st, out, elapsed)
+		p.feedback(st, out)
 		res.Stats.SegmentsSearched++
 		switch st.Path {
 		case PathBOND:
@@ -152,13 +151,7 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 			wg.Add(1)
 			go func(i int, lane *execScratch) {
 				defer wg.Done()
-				// Per-step wall time is measured inside the goroutine so
-				// parallel plans feed the learned ns-per-cell too; fan-out
-				// contention inflates it somewhat, which the model's EWMA
-				// and clamping absorb.
-				start := time.Now()
 				outs[i].out = p.runStep(&p.Steps[i], lane)
-				outs[i].elapsed = time.Since(start)
 			}(i, lane)
 		}
 		wg.Wait()
@@ -173,7 +166,7 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 			case !o.out.empty && ferr == nil:
 				// Fold (which consumes the lane-aliased results) before the
 				// lane can be released or reused.
-				fold(&p.Steps[i], o.out, o.elapsed)
+				fold(&p.Steps[i], o.out)
 			}
 			if o.lane != sc {
 				p.model.releaseScratch(o.lane)
@@ -203,7 +196,6 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 			res.Stats.SegmentsSkipped++
 			continue
 		}
-		start := time.Now()
 		out := p.runStep(st, sc)
 		if out.err != nil {
 			return Result{}, fmt.Errorf("plan: segment %d: %w", st.Segment, out.err)
@@ -211,7 +203,7 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 		if out.empty {
 			continue
 		}
-		fold(st, out, time.Since(start))
+		fold(st, out)
 	}
 
 	p.countQuery(executed)
@@ -307,7 +299,7 @@ func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 		if empty {
 			return stepOutcome{empty: true}
 		}
-		st.ActualCost = CodeCost*float64(sub.FilterStats.ValuesScanned) + float64(sub.RefineValuesScanned)
+		st.ActualCost = ComprCodeCost*float64(sub.FilterStats.ValuesScanned) + float64(sub.RefineValuesScanned)
 		st.Candidates = sub.FilterCandidates
 		sub.Results = core.RebaseInPlace(sub.Results, st.Base)
 		return stepOutcome{rs: sub.Results, comp: sub}
@@ -387,7 +379,7 @@ func (p *Plan) runVAFile(st *Step, seg Segment, vopts core.Options, sc *execScra
 	}
 	sc.vaRes = h.AppendResults(sc.vaRes[:0])
 
-	st.ActualCost = CodeCost*float64(fst.codes) + float64(refine)
+	st.ActualCost = VACodeCost*float64(fst.codes) + float64(refine)
 	st.Candidates = len(ids)
 	return stepOutcome{
 		rs:       core.RebaseInPlace(sc.vaRes, st.Base),
@@ -437,29 +429,15 @@ func (p *Plan) vaTable(f *vafile.File, dist bool, sc *execScratch) *vafile.Table
 	return sc.vaTbl
 }
 
-// feedback folds a step's observed cost back into the model (or the
-// query's batch accumulator), normalizing out the shape factor so the
-// stored coefficients stay segment-neutral. elapsed divides by the step's
-// cost in coefficient-equivalents to give the per-path time coefficient.
-func (p *Plan) feedback(st *Step, out stepOutcome, elapsed time.Duration) {
+// feedback folds a step's observed selectivity back into the model (or
+// the query's batch accumulator), normalizing out the shape factor so the
+// stored coefficients stay segment-neutral. An exact scan has none to
+// report.
+func (p *Plan) feedback(st *Step, out stepOutcome) {
 	n := float64(st.N)
 	nd := n * float64(p.Dims)
 	if nd == 0 {
 		return
-	}
-	ns := 0.0
-	if st.ActualCost > 0 && elapsed > 0 {
-		ns = float64(elapsed.Nanoseconds()) / st.ActualCost
-	}
-	if st.mapped {
-		// The first scan of a mapped segment since open pays the page
-		// faults for every column it touches — a one-time cost that would
-		// poison the steady-state coefficient, so its time is dropped (the
-		// fraction observations stay: pruning behaves the same cold or
-		// warm).
-		if seg := &p.segs[st.Segment]; seg.NoteScan != nil && seg.NoteScan() {
-			ns = 0
-		}
 	}
 	sink := observer(p.model)
 	if p.fb != nil {
@@ -476,16 +454,13 @@ func (p *Plan) feedback(st *Step, out stepOutcome, elapsed time.Duration) {
 		if shape <= 0 {
 			shape = 1
 		}
-		sink.observeBond(float64(out.bondStats.ValuesScanned)/(nd*shape), ns, st.mapped)
+		sink.observeBond(float64(out.bondStats.ValuesScanned) / (nd * shape))
 	case PathCompressed:
 		sink.observeCompressed(
 			float64(out.comp.FilterStats.ValuesScanned)/nd,
-			float64(out.comp.FilterCandidates)/n,
-			ns, st.mapped)
+			float64(out.comp.FilterCandidates)/n)
 	case PathVAFile:
-		sink.observeVA(float64(out.vaCands)/n, ns, st.mapped)
-	case PathExact:
-		sink.observeExact(ns, st.mapped)
+		sink.observeVA(float64(out.vaCands) / n)
 	}
 }
 

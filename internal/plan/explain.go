@@ -10,28 +10,20 @@ import (
 // Explain renders the plan as the EXPLAIN output the CLI prints: the
 // query shape, the model coefficients the predictions came from, one line
 // per planned segment with the chosen access path and predicted versus
-// actual cost (in coefficient-equivalents, 8-bit cells charged at 1/8),
-// and a summary. Before Execute the actual columns read "-"; after, they
-// carry the measured costs, so predicted-vs-actual drift is visible at a
-// glance. The kappa column is the κ a step met — the k-th best score the
-// steps above it had established ("-": none yet). A step whose bound cannot
-// beat it is skipped; a BOND step carries it into its pruning, which is why
-// a late segment reads a fraction of what the first one did.
+// actual cost (in coefficient-equivalents: dense float cells, 8-bit cells
+// weighted by VACodeCost/ComprCodeCost), and a summary. Before Execute the
+// actual columns read "-"; after, they carry the measured costs, so
+// predicted-vs-actual drift is visible at a glance. The kappa column is
+// the κ a step met — the k-th best score the steps above it had
+// established ("-": none yet). A step whose bound cannot beat it is
+// skipped; a BOND step carries it into its pruning, which is why a late
+// segment reads a fraction of what the first one did.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query: k=%d criterion=%s strategy=%s segments=%d (%d slots × %d dims)\n",
 		p.Opts.K, p.Opts.Criterion, p.Spec.Strategy, len(p.Steps), p.Slots, p.Dims)
 	fmt.Fprintf(&b, "Model: bond=%.3f compr.filter=%.3f compr.survive=%.3f va.survive=%.3f queries=%d\n",
 		p.Model.BondFrac, p.Model.ComprFilterFrac, p.Model.ComprSurvive, p.Model.VASurvive, p.Model.Queries)
-	fmt.Fprintf(&b, "Cost:  ns/cell bond=%.2f compressed=%.2f vafile=%.2f exact=%.2f\n",
-		p.Model.BondNs, p.Model.ComprNs, p.Model.VANs, p.Model.ExactNs)
-	for i := range p.Steps {
-		if p.Steps[i].mapped {
-			fmt.Fprintf(&b, "       mapped  bond=%.2f compressed=%.2f vafile=%.2f exact=%.2f\n",
-				p.Model.BondNsMapped, p.Model.ComprNsMapped, p.Model.VANsMapped, p.Model.ExactNsMapped)
-			break
-		}
-	}
 	fmt.Fprintf(&b, "%4s  %-10s %8s %6s %12s %12s %12s %12s %10s\n",
 		"seg", "path", "n", "par", "bound", "kappa", "predicted", "actual", "candidates")
 	for i := range p.Steps {

@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden EXPLAIN files"
 // TestExplainGolden pins the EXPLAIN output — chosen per-segment paths,
 // predictions, carried κ, actual costs, and skips — for three segment
 // layouts: cluster-contiguous (synopsis skipping dominates), uniform (no
-// skipping; the filter paths win on cost), and skewed (BOND prunes fast).
+// skipping; the carried κ does the pruning), and skewed (BOND prunes fast).
 // The data is generated from fixed seeds and the model starts at the
 // priors, so the output is fully deterministic. Regenerate with:
 // go test ./internal/plan/ -run TestExplainGolden -update
@@ -41,8 +41,8 @@ func TestExplainGolden(t *testing.T) {
 			spec:  Spec{K: 5, Criterion: core.Hq},
 		},
 		{
-			// Mixed plan: the query's home segment has no synopsis help
-			// (bound 0) and takes the compressed filter; far clusters
+			// Mixed predictions: the query's home segment has no synopsis
+			// help (bound 0) and predicts the full BondFrac; far clusters
 			// predict cheap BOND via the shape factor.
 			name:  "cluster_contiguous_eq_mixed",
 			store: clusterContiguous(5, 100, 32, 14),

@@ -79,9 +79,6 @@ type Step struct {
 	// shape is the BOND cost scale derived from the synopsis, kept so the
 	// executor can normalize it back out of observed costs.
 	shape float64
-	// mapped records the segment's backing at plan time, routing the
-	// step's time feedback to the matching coefficient set.
-	mapped bool
 }
 
 // Plan is a planned query: the validated spec, the ordered per-segment
@@ -216,7 +213,7 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 		if n == 0 {
 			continue
 		}
-		st := Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed, mapped: s.Mapped}
+		st := Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed}
 		st.Bound, st.HasBound = core.SegBound(s.View, spec.Query, opts)
 		st.shape = shapeFactor(st.Bound, st.HasBound, dist, queryMass)
 		st.Path, st.PredCost = choosePath(p.Model, spec.Strategy, s, compressedOK, n, p.Dims, st.shape)
@@ -231,7 +228,7 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 // choosePath assigns the access path and its predicted cost for one
 // segment. Forced strategies map directly (falling back to an exact scan
 // where the path needs codes a mutable segment cannot offer); Auto takes
-// the cheapest eligible prediction.
+// the cheapest eligible prediction, all in one unit (see VACodeCost).
 func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n, dims int, shape float64) (Path, float64) {
 	canCompress := compressedOK && s.Sealed && s.Codes != nil
 	canVA := compressedOK && s.Sealed && s.VA != nil
@@ -251,23 +248,14 @@ func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n,
 		}
 		return PathExact, m.predictExact(n, dims)
 	}
-	// Auto ranks by predicted wall time: cells × the learned per-path
-	// ns/cell, so a path that reads few cells slowly (the compressed
-	// filter's per-step kfetch) loses to one that reads more cells in a
-	// tight loop. With a fresh model all ns priors are equal and the
-	// ranking reduces to cell count. Mapped segments rank by their own
-	// learned coefficients — the page cache can make their reads behave
-	// differently from heap memory.
+	// Auto takes the cheaper of BOND and the compressed filter. The VA-File
+	// is not a candidate: it reads every code cell, so at any code cost ≥ 1
+	// it predicts at least n·dims, which BOND (BondFrac and shape are both
+	// ≤ 1) never exceeds.
 	best, cost := PathBOND, m.predictBond(n, dims, shape)
-	bestTime := cost * m.pathNs(PathBOND, s.Mapped)
 	if canCompress {
-		if c := m.predictCompressed(n, dims); c*m.pathNs(PathCompressed, s.Mapped) < bestTime {
-			best, cost, bestTime = PathCompressed, c, c*m.pathNs(PathCompressed, s.Mapped)
-		}
-	}
-	if canVA {
-		if c := m.predictVAFile(n, dims); c*m.pathNs(PathVAFile, s.Mapped) < bestTime {
-			best, cost, bestTime = PathVAFile, c, c*m.pathNs(PathVAFile, s.Mapped)
+		if c := m.predictCompressed(n, dims); c < cost {
+			best, cost = PathCompressed, c
 		}
 	}
 	return best, cost

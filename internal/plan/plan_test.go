@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,7 +144,7 @@ func TestCompressedStrategyRejectsUnsupportedOptions(t *testing.T) {
 // choice: under a distance criterion, a segment whose bounding box is far
 // from the query predicts cheap BOND (branch-and-bound kills candidates
 // immediately), while the segment containing the query has no such help
-// and the filter paths win.
+// and predicts the full BondFrac.
 func TestAutoShapeFactorDifferentiates(t *testing.T) {
 	s := clusterContiguous(4, 150, 32, 3)
 	segs := segmentsOf(s)
@@ -162,9 +163,6 @@ func TestAutoShapeFactorDifferentiates(t *testing.T) {
 	}
 	if home == nil || away == nil {
 		t.Fatal("missing steps")
-	}
-	if home.Path == PathBOND {
-		t.Errorf("home segment should prefer a filter path, got %v (pred %.1f)", home.Path, home.PredCost)
 	}
 	if away.Path != PathBOND {
 		t.Errorf("far segment should prefer BOND, got %v (pred %.1f)", away.Path, away.PredCost)
@@ -241,7 +239,7 @@ func TestFeedbackAdaptsModel(t *testing.T) {
 func TestDecayForRewriteBlendsTowardPriors(t *testing.T) {
 	m := NewModel()
 	for i := 0; i < 50; i++ {
-		m.observeBond(1.0, 9.0, false) // a layout where BOND pruning never fires
+		m.observeBond(1.0) // a layout where BOND pruning never fires
 		m.countQuery()
 	}
 	learned := m.Snapshot()
@@ -272,8 +270,9 @@ func TestDecayForRewriteBlendsTowardPriors(t *testing.T) {
 
 func TestModelPersistenceRoundTrip(t *testing.T) {
 	m := NewModel()
-	m.observeBond(0.9, 2.5, false)
-	m.observeCompressed(0.4, 0.2, 7.5, false)
+	m.observeBond(0.9)
+	m.observeCompressed(0.4, 0.2)
+	m.observeVA(0.1)
 	m.countQuery()
 	got := LoadModel(m.Marshal()).Snapshot()
 	if got != m.Snapshot() {
@@ -284,6 +283,33 @@ func TestModelPersistenceRoundTrip(t *testing.T) {
 	}
 	if LoadModel([]byte("not json")).Snapshot() != defaultCoefficients() {
 		t.Fatal("garbage block should load the priors")
+	}
+}
+
+// parentStatsBlock is a statistics block as the last release with learned
+// time coefficients wrote it into MANIFESTs and store files: the five
+// keys still in use plus the eight retired *_ns_per_cell* ones.
+const parentStatsBlock = `{"queries":42,"bond_frac":0.81,"compr_filter_frac":0.44,` +
+	`"compr_survive":0.07,"va_survive":0.02,` +
+	`"bond_ns_per_cell":1.9,"compr_ns_per_cell":7.5,"va_ns_per_cell":2.2,"exact_ns_per_cell":0.8,` +
+	`"bond_ns_per_cell_mapped":2.1,"compr_ns_per_cell_mapped":8,"va_ns_per_cell_mapped":2.4,"exact_ns_per_cell_mapped":0.9}`
+
+// TestLoadModelIgnoresRetiredKeys is the format-compatibility contract of
+// the statistics block: the selectivities and the query count of an older
+// block are restored, its time coefficients are dropped, and they are not
+// written back.
+func TestLoadModelIgnoresRetiredKeys(t *testing.T) {
+	m := LoadModel([]byte(parentStatsBlock))
+	want := Coefficients{Queries: 42, BondFrac: 0.81, ComprFilterFrac: 0.44, ComprSurvive: 0.07, VASurvive: 0.02}
+	if got := m.Snapshot(); got != want {
+		t.Fatalf("loaded %+v, want %+v", got, want)
+	}
+	out := string(m.Marshal())
+	if strings.Contains(out, "ns_per_cell") {
+		t.Fatalf("Marshal still writes a retired key: %s", out)
+	}
+	if got := LoadModel([]byte(out)).Snapshot(); got != want {
+		t.Fatalf("re-marshaled block loads %+v, want %+v", got, want)
 	}
 }
 

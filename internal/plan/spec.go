@@ -162,14 +162,6 @@ type Segment struct {
 	Codes func() *vstore.QuantStore
 	// VA returns the segment's row-major VA-File (nil if unavailable).
 	VA func() *vafile.File
-	// Mapped marks a segment whose exact columns alias a read-only memory
-	// mapping: the planner ranks it by the mapped time coefficients, and
-	// the executor tags its feedback with the backing.
-	Mapped bool
-	// NoteScan, when set on a mapped segment, records one executed scan
-	// and reports whether it was the segment's first since open — a cold
-	// scan whose time is page-fault-dominated and excluded from feedback.
-	NoteScan func() bool
 }
 
 // WrapViews lifts bare segment views into planner segments with no

@@ -85,14 +85,9 @@ func ingestBatch(t *testing.T, base, name string, vectors [][]float64) ingestRes
 // collection over HTTP, batch-ingest, and check that every served query
 // — across criteria and strategies — returns ids and scores byte-equal
 // to an in-process Collection.Query over the same data and layout
-// (JSON round-trips float64 exactly, so the wire adds no error).
-//
-// The one caveat is StrategyAuto: its per-segment path choice depends on
-// wall-clock-fed cost coefficients, so the served and local plans can
-// legitimately pick different (equally exact) paths, whose scores agree
-// to 1e-9 rather than to the bit — the same tolerance the repo's planner
-// property test grants across access paths. Forced strategies are
-// deterministic and compared bitwise.
+// (JSON round-trips float64 exactly, so the wire adds no error). That
+// includes StrategyAuto: the served and the local collection see the same
+// data and the same query history, so they choose the same paths.
 func TestEndToEndByteIdentical(t *testing.T) {
 	const (
 		n, dims, segSize = 600, 24, 128
@@ -151,12 +146,7 @@ func TestEndToEndByteIdentical(t *testing.T) {
 				}
 				for i, r := range resp.Results {
 					w := want.Results[i]
-					exact := r.ID == w.ID && r.Score == w.Score
-					if tc.strategy == "auto" {
-						diff := r.Score - w.Score
-						exact = r.ID == w.ID && diff < 1e-9 && diff > -1e-9
-					}
-					if !exact {
+					if r.ID != w.ID || r.Score != w.Score {
 						t.Fatalf("qid %d rank %d: got (%d, %v), want (%d, %v)",
 							qid, i, r.ID, r.Score, w.ID, w.Score)
 					}

@@ -11,7 +11,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"bond/internal/iofs"
 	"bond/internal/quant"
@@ -47,11 +46,6 @@ type Segment struct {
 	// on first scan, and become invalid when the store's mappings are
 	// released.
 	mapped bool
-
-	// scans counts completed column sweeps over a mapped segment: the
-	// cost model uses it to tell a cold, page-faulting first scan from
-	// steady-state reads of resident pages.
-	scans atomic.Uint64
 }
 
 // Sealed reports whether the segment is frozen (immutable columns).
@@ -60,17 +54,6 @@ func (g *Segment) Sealed() bool { return g.sealed }
 // Mapped reports whether the segment's columns alias a memory-mapped
 // segment file rather than heap memory.
 func (g *Segment) Mapped() bool { return g.mapped }
-
-// NoteScan records one completed column sweep and reports whether the
-// segment was cold — mapped and never swept before, meaning the sweep
-// paid page faults no later sweep of resident pages will. Unmapped
-// segments are never cold. Safe for concurrent use.
-func (g *Segment) NoteScan() (cold bool) {
-	if !g.mapped {
-		return false
-	}
-	return g.scans.Add(1) == 1
-}
 
 // Codes returns the segment's 8-bit compressed fragments, building them on
 // first use with the given quantizer. Only sealed segments may be encoded

@@ -2,9 +2,13 @@ package bond
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"bond/internal/plan"
 	"bond/internal/topk"
+	"bond/internal/vstore"
 )
 
 // oracleScan is the sequential-scan oracle of the planner property test:
@@ -233,5 +237,193 @@ func TestQueryExplainReportsActuals(t *testing.T) {
 	}
 	if p.Explain() == "" {
 		t.Fatal("empty explain")
+	}
+}
+
+// TestOpenDurableOlderStatsBlock opens a durable directory whose MANIFEST
+// carries the statistics block as written before the time coefficients
+// were retired (thirteen keys): the selectivities and the query count are
+// restored, and auto plans and answers from them.
+func TestOpenDurableOlderStatsBlock(t *testing.T) {
+	dir, vectors, _ := buildMmapFixture(t, 300, 8, 100, 5)
+	path := filepath.Join(dir, vstore.ManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vstore.DecodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.PlannerStats = []byte(`{"queries":1,"bond_frac":0.46,"compr_filter_frac":0.6,"compr_survive":0.05,"va_survive":0.044,` +
+		`"bond_ns_per_cell":2.9,"compr_ns_per_cell":3,"va_ns_per_cell":3,"exact_ns_per_cell":3,` +
+		`"bond_ns_per_cell_mapped":3,"compr_ns_per_cell_mapped":3,"va_ns_per_cell_mapped":3.2,"exact_ns_per_cell_mapped":3}`)
+	if err := os.WriteFile(path, vstore.EncodeManifest(m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	col, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	want := PlannerCoefficients{Queries: 1, BondFrac: 0.46, ComprFilterFrac: 0.6, ComprSurvive: 0.05, VASurvive: 0.044}
+	if got := col.PlannerStats(); got != want {
+		t.Fatalf("restored %+v, want %+v", got, want)
+	}
+	res, p, err := col.QueryExplain(QuerySpec{Query: vectors[7], K: 3, Criterion: Eq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != 3 || p.Model != want {
+		t.Fatalf("planned from %+v with %d results, want %+v and 3", p.Model, len(res.Results), want)
+	}
+}
+
+// TestPlannerDeterministic pins what taking the clock out of the planner
+// buys: a plan is a function of the collection and the queries that came
+// before, and of nothing else. Two durable collections built by the same
+// operations — one reopened heap-decoded, one memory-mapped — are driven
+// through one sequence of auto queries, fresh, after a recluster and after
+// a checkpoint and reopen; after every query their EXPLAIN texts are
+// byte-identical and their planner statistics ==. On a fresh model auto
+// answers through BOND alone.
+//
+// QueryBatch feeds the model one batch mean per path, summed in
+// worker-completion order, so the last bit of the statistics may differ
+// after it: for the batch only the chosen paths are compared.
+func TestPlannerDeterministic(t *testing.T) {
+	const (
+		n, dims, segSize = 1200, 16, 100
+		seed             = 77
+	)
+	dirs := [2]string{}
+	for i := range dirs {
+		dirs[i], _, _ = buildMmapFixture(t, n, dims, segSize, seed)
+	}
+	opts := [2]DurableOptions{{DisableMmap: true, Fsync: FsyncNever}, {Fsync: FsyncNever}}
+	var cols [2]*Collection
+	open := func() {
+		for i := range cols {
+			c, err := OpenDurable(dirs[i], opts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols[i] = c
+		}
+		if cols[0].StatsSnapshot().MappedBytes != 0 {
+			t.Fatal("DisableMmap collection reports mapped bytes")
+		}
+		if cols[1].StatsSnapshot().MappedBytes == 0 {
+			t.Log("platform cannot memory-map segment files: both collections are heap-backed")
+		}
+	}
+	closeAll := func() {
+		for _, c := range cols {
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	open()
+	defer closeAll()
+
+	rng := rand.New(rand.NewSource(seed))
+	nextSpec := func(i int) QuerySpec {
+		spec := QuerySpec{Query: randVector(rng, dims), K: 5, Criterion: Eq}
+		if i%2 == 1 {
+			spec.Criterion = Hq
+		}
+		return spec
+	}
+	// drive runs count auto queries on both collections, comparing after
+	// each one.
+	drive := func(phase string, count int, bondOnly bool) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			spec := nextSpec(i)
+			var plans [2]*QueryPlan
+			for j, c := range cols {
+				_, p, err := c.QueryExplain(spec)
+				if err != nil {
+					t.Fatalf("%s query %d: %v", phase, i, err)
+				}
+				plans[j] = p
+			}
+			if a, b := plans[0].Explain(), plans[1].Explain(); a != b {
+				t.Fatalf("%s query %d: EXPLAIN differs between heap and mapped:\n%s\n%s", phase, i, a, b)
+			}
+			if a, b := cols[0].PlannerStats(), cols[1].PlannerStats(); a != b {
+				t.Fatalf("%s query %d: planner stats differ: %+v vs %+v", phase, i, a, b)
+			}
+			if bondOnly {
+				for _, st := range plans[0].Steps {
+					if st.Executed && st.Path != plan.PathBOND {
+						t.Fatalf("%s query %d: segment %d ran %v, want bond\n%s",
+							phase, i, st.Segment, st.Path, plans[0].Explain())
+					}
+				}
+			}
+		}
+	}
+
+	drive("fresh", 64, true)
+
+	for _, c := range cols {
+		if _, err := c.ReclusterDurable(0, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drive("reclustered", 32, false)
+
+	for _, c := range cols {
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeAll()
+	open()
+	if cols[0].PlannerStats().Queries != 96 {
+		t.Fatalf("reopened model counts %d queries, want 96", cols[0].PlannerStats().Queries)
+	}
+	drive("reopened", 32, false)
+
+	specs := make([]QuerySpec, 16)
+	for i := range specs {
+		specs[i] = nextSpec(i)
+	}
+	var batch [2][]QueryResult
+	for j, c := range cols {
+		var err error
+		if batch[j], err = c.QueryBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cells read are a fingerprint of the paths a batch query ran (each
+	// path reads a different number of them); the plan that follows shows
+	// the paths the batch's feedback leads to.
+	for i := range specs {
+		a, b := batch[0][i].Stats, batch[1][i].Stats
+		if a.ValuesScanned != b.ValuesScanned || a.SegmentsSearched != b.SegmentsSearched || a.SegmentsSkipped != b.SegmentsSkipped {
+			t.Fatalf("batch query %d: work differs between heap and mapped: %+v vs %+v", i, a, b)
+		}
+	}
+	spec := nextSpec(0)
+	var plans [2]*QueryPlan
+	for j, c := range cols {
+		var err error
+		if _, plans[j], err = c.QueryExplain(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(plans[0].Steps) != len(plans[1].Steps) {
+		t.Fatalf("post-batch plans have %d and %d steps", len(plans[0].Steps), len(plans[1].Steps))
+	}
+	for i := range plans[0].Steps {
+		a, b := plans[0].Steps[i], plans[1].Steps[i]
+		if a.Segment != b.Segment || a.Path != b.Path {
+			t.Fatalf("post-batch step %d: heap runs segment %d by %v, mapped segment %d by %v",
+				i, a.Segment, a.Path, b.Segment, b.Path)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 		t.Fatalf("shuffled pre-recluster spread = %v ok=%v, want loose", preSpread, ok)
 	}
 	q := rows[10]
-	before, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq})
+	before, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,14 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 	}
 
 	// The same query must return byte-identical scores in the same rank
-	// order, with every id translated through the mapping — and the BOND
-	// path must still agree exactly with the sequential-scan strategy.
-	after, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq})
+	// order, with every id translated through the mapping. Bit-equal
+	// scores are the documented contract for pinned strategies only, so
+	// both sides of the remap check pin StrategyExact (a row's dimensions
+	// are summed in storage order, which a re-layout does not change);
+	// auto, which may answer through a path that sums in query order, must
+	// then agree with it by id and 1e-9. ROADMAP item 1 (one canonical
+	// score) turns this back into a single == check.
+	after, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +112,18 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 				i, after.Results[i].ID, after.Results[i].Score, wantID, before.Results[i].Score)
 		}
 	}
-	exact, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyExact})
+	auto, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(after.Results, exact.Results) {
-		t.Fatalf("post-recluster BOND vs exact diverged:\n %+v\n %+v", after.Results, exact.Results)
+	if len(auto.Results) != len(after.Results) {
+		t.Fatalf("auto result count: %d vs %d", len(auto.Results), len(after.Results))
+	}
+	for i, r := range auto.Results {
+		if e := after.Results[i]; r.ID != e.ID || math.Abs(r.Score-e.Score) > 1e-9 {
+			t.Fatalf("post-recluster auto vs exact diverged at rank %d: (%d,%v) vs (%d,%v)",
+				i, r.ID, r.Score, e.ID, e.Score)
+		}
 	}
 }
 
