@@ -87,7 +87,6 @@ package bond
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -741,20 +740,30 @@ func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, plan.
 }
 
 // QueryBatch plans and executes many queries against one consistent
-// snapshot of the collection, amortizing the per-query setup a loop of
-// Query calls pays N times: the read lock is taken once, the planner's
-// segment list is shared, the queries fan out over a bounded worker pool
-// (one goroutine per logical CPU, each reusing one pooled plan-and-scratch
-// lane — score buffers, heaps, and VA bound tables — across all the
-// queries it drains), and the cost model is fed one batch-aggregate
-// observation per access path instead of per-step updates. Results are
+// snapshot of the collection, sharing what a loop of Query calls pays N
+// times: the read lock is taken once, the planner's segment list is shared,
+// the cost model is fed one batch-aggregate observation per access path
+// instead of per-step updates, and — the part that shows in the time — the
+// segments are read once per group of queries rather than once per query.
+// The specs fan out over a bounded worker pool (one goroutine per logical
+// CPU); each worker takes up to sixteen at a time and co-schedules them
+// through one pooled lane of segment-sized buffers: it repeatedly picks the
+// lowest-numbered segment any of the group's queries wants next and runs
+// every query waiting on that segment back to back, so the segment's
+// columns come from L3 or memory for the first and from L2 for the rest.
+// Every query still visits its own segments in its own best-bound-first
+// order, under its own running κ and skip tests — the same executor steps
+// Query takes, merely interleaved with its group's — so results are
 // positionally aligned with specs and identical to what Query would have
-// returned for each spec.
+// returned for each spec, Stats and EXPLAIN included.
 //
 // Specs are independent: they may mix criteria, strategies, and k. A
 // failing spec aborts the batch, which returns the lowest-indexed
-// observed failure (wrapped with the spec's index); per-spec deadlines
-// and tolerances apply as in Query.
+// observed failure (wrapped with the spec's index); per-spec tolerances
+// apply as in Query, and so do per-spec deadlines, each checked before
+// every step of its own query — steps that now wait their turn among the
+// group's, so a deadline can pass with fewer of its segments searched than
+// a lone Query would have reached.
 func (c *Collection) QueryBatch(specs []QuerySpec) ([]QueryResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -764,71 +773,10 @@ func (c *Collection) QueryBatch(specs []QuerySpec) ([]QueryResult, error) {
 	if err := c.errIfUnmapped(); err != nil {
 		return nil, err
 	}
-	segs := c.planSegments()
-	results := make([]QueryResult, len(specs))
-	fb := plan.NewFeedbackBatch()
-
-	runOne := func(i int) error {
-		p, err := plan.NewReusable(segs, specs[i], c.model)
-		if err != nil {
-			return err
-		}
-		defer p.Release()
-		p.UseBatchFeedback(fb)
-		results[i], err = plan.Execute(p)
-		return err
+	results, i, err := plan.ExecuteBatch(c.planSegments(), specs, c.model)
+	if err != nil {
+		return nil, fmt.Errorf("bond: batch query %d: %w", i, err)
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	var firstErr error
-	if workers <= 1 {
-		for i := range specs {
-			if err := runOne(i); err != nil {
-				firstErr = fmt.Errorf("bond: batch query %d: %w", i, err)
-				break
-			}
-		}
-	} else {
-		var (
-			next     atomic.Int64
-			errMu    sync.Mutex
-			wg       sync.WaitGroup
-			aborted  atomic.Bool
-			errIndex = -1
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(specs) || aborted.Load() {
-						return
-					}
-					if err := runOne(i); err != nil {
-						// Keep the lowest failing index so the reported
-						// error is deterministic under worker scheduling.
-						errMu.Lock()
-						if errIndex < 0 || i < errIndex {
-							errIndex = i
-							firstErr = fmt.Errorf("bond: batch query %d: %w", i, err)
-						}
-						errMu.Unlock()
-						aborted.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	fb.Flush(c.model)
 	return results, nil
 }
 

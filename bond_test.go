@@ -8,6 +8,7 @@ import (
 	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/seqscan"
+	"bond/internal/topk"
 )
 
 func testCollection(t *testing.T) ([][]float64, *Collection) {
@@ -162,5 +163,61 @@ func TestFacadeWeightedAndSubspace(t *testing.T) {
 	}
 	if len(sub.Results) != 4 {
 		t.Errorf("subspace returned %d results", len(sub.Results))
+	}
+}
+
+// StrategyExact answers weighted and subspace queries (it ignored both
+// before the exact scan became a one-step engine run). It folds the
+// effective dimensions left to right in storage order, which is the
+// sequential scan's own sum, so the scores compare with ==.
+func TestExactStrategyWeightedAndSubspace(t *testing.T) {
+	vs := dataset.CorelLike(600, 32, 2024)
+	col := NewCollectionSegmented(vs, 100)
+	w := dataset.WeightsZipf(32, 2, 7)
+	dims := []int{9, 0, 5, 31}
+	sub := make([]float64, 32)
+	for _, d := range dims {
+		sub[d] = 1
+	}
+	whist := func(q []float64, weight func(d int) float64) []topk.Result {
+		h := topk.NewLargest(4)
+		for id, v := range vs {
+			s := 0.0
+			for d, x := range v {
+				s += weight(d) * min(x, q[d])
+			}
+			h.Push(id, s)
+		}
+		return h.Results()
+	}
+	for _, qid := range []int{9, 123, 599} {
+		q := vs[qid]
+		wEuc, _ := seqscan.SearchWeightedEuclidean(vs, q, w, 4)
+		subEuc, _ := seqscan.SearchWeightedEuclidean(vs, q, sub, 4)
+		for _, tc := range []struct {
+			name string
+			spec QuerySpec
+			want []topk.Result
+		}{
+			{"Eq weighted", QuerySpec{Criterion: Eq, Weights: w}, wEuc},
+			{"Ev weighted", QuerySpec{Criterion: Ev, Weights: w}, wEuc},
+			{"Eq subspace", QuerySpec{Criterion: Eq, Dims: dims}, subEuc},
+			{"Hq weighted", QuerySpec{Criterion: Hq, Weights: w}, whist(q, func(d int) float64 { return w[d] })},
+			{"Hh subspace", QuerySpec{Criterion: Hh, Dims: dims}, whist(q, func(d int) float64 { return sub[d] })},
+		} {
+			tc.spec.Query, tc.spec.K, tc.spec.Strategy = q, 4, StrategyExact
+			res, err := col.Query(tc.spec)
+			if err != nil {
+				t.Fatalf("%s q%d: %v", tc.name, qid, err)
+			}
+			if len(res.Results) != len(tc.want) {
+				t.Fatalf("%s q%d: %d results, want %d", tc.name, qid, len(res.Results), len(tc.want))
+			}
+			for i, want := range tc.want {
+				if got := res.Results[i]; got.ID != want.ID || got.Score != want.Score {
+					t.Errorf("%s q%d rank %d: %+v, want %+v", tc.name, qid, i, got, want)
+				}
+			}
+		}
 	}
 }

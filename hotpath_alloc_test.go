@@ -3,8 +3,11 @@ package bond
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // allocBudget is the steady-state allocation ceiling per Query: the
@@ -87,45 +90,46 @@ func TestQueryAllocationBudget(t *testing.T) {
 
 // TestQueryBatchAllocationPerQuery checks that QueryBatch stays within a
 // small per-query allocation budget too: the per-query results (list +
-// steps) plus the batch's own fixed setup amortized across its queries.
+// steps) plus the batch's own fixed setup amortized across its queries —
+// for a batch smaller than one co-scheduled group, one that fills a group
+// per worker, and one that takes several: the plans a worker holds in
+// flight and its lane all come back from the pools.
 func TestQueryBatchAllocationPerQuery(t *testing.T) {
 	col, vectors := allocTestCollection(t, 1200, 24, 300)
-	specs := make([]QuerySpec, 32)
-	for i := range specs {
-		specs[i] = QuerySpec{Query: vectors[i], K: 10}
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := col.QueryBatch(specs); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{3, 32, 64} {
+		specs := make([]QuerySpec, n)
+		for i := range specs {
+			specs[i] = QuerySpec{Query: vectors[i], K: 10}
 		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := col.QueryBatch(specs); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 4; i++ {
+			if _, err := col.QueryBatch(specs); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	perQuery := allocs / float64(len(specs))
-	// Budget: the two per-query result allocations plus one for batch
-	// bookkeeping (result slice, feedback block, goroutine stacks)
-	// amortized over the batch.
-	if perQuery > allocBudget+1 {
-		t.Errorf("QueryBatch: %.2f allocs per query (%.0f total), budget %d",
-			perQuery, allocs, allocBudget+1)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := col.QueryBatch(specs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perQuery := allocs / float64(len(specs))
+		// Budget: the two per-query result allocations plus one for batch
+		// bookkeeping (result slice, feedback block, goroutine stacks)
+		// amortized over the batch.
+		if perQuery > allocBudget+1 {
+			t.Errorf("QueryBatch of %d: %.2f allocs per query (%.0f total), budget %d",
+				n, perQuery, allocs, allocBudget+1)
+		}
 	}
 }
 
-// TestQueryBatchMatchesQuery pins QueryBatch's contract: positionally
-// aligned results identical to issuing each spec through Query.
-func TestQueryBatchMatchesQuery(t *testing.T) {
-	col, vectors := allocTestCollection(t, 900, 16, 200)
-	var specs []QuerySpec
-	for i, crit := range []Criterion{Hq, Eq, Ev, Hh} {
-		for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyExact} {
-			specs = append(specs, QuerySpec{
-				Query: vectors[13*i%len(vectors)], K: 3 + i, Criterion: crit, Strategy: strat,
-			})
-		}
-	}
+// batchMatchesQuery runs specs as one batch and one by one, and holds the
+// batch to the single answers: ids always; for a pinned strategy — whose
+// execution no model feedback can steer — the score bits and the whole
+// Stats block (cells read, segments searched and skipped, the step log)
+// too; for auto, scores to 1e-9, since the later single query may take a
+// different access path than the batch did.
+func batchMatchesQuery(t *testing.T, col *Collection, specs []QuerySpec) {
+	t.Helper()
 	batch, err := col.QueryBatch(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -138,22 +142,80 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch[i].Results) != len(single.Results) {
-			t.Fatalf("spec %d: batch %d results, single %d", i, len(batch[i].Results), len(single.Results))
+		if len(batch[i].Results) != len(single.Results) || batch[i].Truncated != single.Truncated {
+			t.Fatalf("spec %d: batch %d results (truncated %v), single %d (%v)", i,
+				len(batch[i].Results), batch[i].Truncated, len(single.Results), single.Truncated)
 		}
+		pinned := spec.Strategy != StrategyAuto
 		for r := range single.Results {
 			b, s := batch[i].Results[r], single.Results[r]
-			// IDs must match exactly; scores within an ulp-scale tolerance
-			// (an Auto spec may legitimately take a different access path
-			// than the later single query, as the model kept learning).
 			diff := b.Score - s.Score
-			if b.ID != s.ID || diff > 1e-9 || diff < -1e-9 {
+			if b.ID != s.ID || diff > 1e-9 || diff < -1e-9 || (pinned && b.Score != s.Score) {
 				t.Fatalf("spec %d rank %d: batch %+v, single %+v", i, r, b, s)
 			}
 		}
+		if pinned && !reflect.DeepEqual(batch[i].Stats, single.Stats) {
+			t.Fatalf("spec %d: batch stats %+v, single %+v", i, batch[i].Stats, single.Stats)
+		}
+	}
+}
+
+// TestQueryBatchMatchesQuery pins QueryBatch's contract: positionally
+// aligned results identical to issuing each spec through Query, however the
+// specs are grouped and interleaved.
+func TestQueryBatchMatchesQuery(t *testing.T) {
+	col, vectors := allocTestCollection(t, 900, 16, 200)
+	var specs []QuerySpec
+	for i, crit := range []Criterion{Hq, Eq, Ev, Hh} {
+		for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyExact} {
+			specs = append(specs, QuerySpec{
+				Query: vectors[13*i%len(vectors)], K: 3 + i, Criterion: crit, Strategy: strat,
+			})
+		}
+	}
+	// One group also carries a fan-out query, a query whose deadline is far
+	// off, one whose deadline has passed (no segment runs: truncated, empty),
+	// the compressed and VA-File paths, and a K above any segment's size.
+	specs = append(specs,
+		QuerySpec{Query: vectors[5], K: 4, Criterion: Eq, Strategy: StrategyBOND, Parallel: 3},
+		QuerySpec{Query: vectors[6], K: 4, Criterion: Hq, Strategy: StrategyBOND, Deadline: time.Now().Add(time.Hour)},
+		QuerySpec{Query: vectors[7], K: 4, Criterion: Eq, Strategy: StrategyBOND, Deadline: time.Now().Add(-time.Second)},
+		QuerySpec{Query: vectors[8], K: 4, Criterion: Eq, Strategy: StrategyCompressed},
+		QuerySpec{Query: vectors[9], K: 4, Criterion: Hq, Strategy: StrategyVAFile},
+		QuerySpec{Query: vectors[10], K: 250, Criterion: Ev, Strategy: StrategyBOND},
+	)
+	batchMatchesQuery(t, col, specs)
+
+	// Cluster-contiguous segments: every query sits in its own cluster, so
+	// each has its own segment order and skips almost every segment. A query
+	// co-scheduled with others must search exactly the segments it would
+	// have searched alone (the Stats comparison counts them).
+	const blocks, perBlock = 24, 50
+	clustered := clusterBlocks(blocks, perBlock, 16, 77)
+	ccol := NewCollectionSegmented(clustered, perBlock)
+	specs = specs[:0]
+	for i := 0; i < 40; i++ {
+		crit := []Criterion{Eq, Hq, Ev, Hh}[i%4]
+		specs = append(specs, QuerySpec{
+			Query: clustered[(i*131)%len(clustered)], K: 1 + i%7, Criterion: crit,
+			Strategy: []Strategy{StrategyBOND, StrategyExact, StrategyAuto}[i%3],
+		})
+	}
+	batchMatchesQuery(t, ccol, specs)
+	single, err := ccol.Query(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Stats.SegmentsSkipped < blocks/2 {
+		t.Fatalf("the clustered fixture skips only %d of %d segments", single.Stats.SegmentsSkipped, blocks)
 	}
 
-	// An invalid spec aborts the batch with its index in the error.
+	// A failing spec aborts the batch with the lowest failing index in the
+	// error, wherever in a group it sits.
+	specs[31].K, specs[9].K = 0, 0
+	if _, err := ccol.QueryBatch(specs); err == nil || !strings.Contains(err.Error(), "batch query 9:") {
+		t.Fatalf("want the error of spec 9, got %v", err)
+	}
 	if _, err := col.QueryBatch([]QuerySpec{{Query: vectors[0], K: 0}}); err == nil {
 		t.Fatal("expected error for K=0 spec")
 	}

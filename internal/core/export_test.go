@@ -3,3 +3,8 @@ package core
 // SetCarryDisabled makes every search ignore its carried κ (true) or use it
 // again (false), so tests can measure what the carry saves.
 func SetCarryDisabled(off bool) { carryDisabled = off }
+
+// SetDenseDisabled makes every search start in the list phase (true) or
+// choose its first phase by the live fraction again (false), so tests can
+// hold the dense phase to the bits of the list path.
+func SetDenseDisabled(off bool) { denseDisabled = off }

@@ -124,7 +124,7 @@ func (p *Progressive) DimsTotal() int {
 func (p *Progressive) NumCandidates() int {
 	n := 0
 	for _, e := range p.engines {
-		n += len(e.cands)
+		n += e.live
 	}
 	return n
 }
@@ -134,9 +134,7 @@ func (p *Progressive) NumCandidates() int {
 func (p *Progressive) Candidates() []int {
 	var out []int
 	for i, e := range p.engines {
-		for _, id := range e.cands {
-			out = append(out, id+p.bases[i])
-		}
+		out = e.candidates(out, p.bases[i])
 	}
 	return out
 }
@@ -171,7 +169,7 @@ func (p *Progressive) Stats() Stats {
 	var st Stats
 	for i, e := range p.engines {
 		es := e.stats
-		es.FinalCandidates = len(e.cands)
+		es.FinalCandidates = e.live
 		mergeStats(&st, es, p.segIdx[i])
 		st.SegmentsSearched++
 	}

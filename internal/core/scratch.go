@@ -32,6 +32,7 @@ type Scratch struct {
 	cands   []int
 	score   []float64
 	tails   []float64
+	cols    [][]float64   // one dense step's columns, cleared after the fold
 	aux     []float64     // Smin/Smax staging inside one pruning step
 	kbuf    []float64     // kfetch heap (κ selection inside pruning steps)
 	steps   []StepStat    // pruning-step log backing (engine, filter, MIL)
@@ -93,32 +94,72 @@ func (sc *Scratch) outHeap(k int, largest bool) *topk.Heap {
 	return sc.out
 }
 
-// liveCandidates fills the candidate buffer with the ids of src that are
-// neither delete-marked nor excluded, a bitmap word at a time: 64 ids with
-// no mark among them are an identity fill. Ids past the end of the
-// exclusion bitmap are not excluded (it may predate concurrent appends).
-func (sc *Scratch) liveCandidates(src Source, exclude *bitmap.Bitmap) []int {
-	n := src.Len()
-	cands := grow(sc.cands, n)[:n]
-	dead := deletedOf(src).Words()
-	var excl []uint64
+// liveWords returns the mark words whose union rules ids of src out:
+// delete marks and the exclusion bitmap (nil for none). Ids past the end of
+// the exclusion bitmap are not excluded (it may predate concurrent appends).
+func liveWords(src Source, exclude *bitmap.Bitmap) (dead, excl []uint64) {
+	dead = deletedOf(src).Words()
 	if exclude != nil {
 		excl = exclude.Words()
 	}
+	return dead, excl
+}
+
+// liveWord is the w-th 64-id word of a source of n slots with a set bit per
+// id that is neither delete-marked nor excluded.
+func liveWord(dead, excl []uint64, w, n int) uint64 {
+	var marks uint64
+	if w < len(dead) {
+		marks = dead[w]
+	}
+	if w < len(excl) {
+		marks |= excl[w]
+	}
+	live := ^marks
+	if rest := n - 64*w; rest < 64 {
+		live &= 1<<uint(rest) - 1
+	}
+	return live
+}
+
+// countLive returns how many ids of src are neither delete-marked nor
+// excluded.
+func countLive(src Source, exclude *bitmap.Bitmap) int {
+	n := src.Len()
+	dead, excl := liveWords(src, exclude)
+	live := 0
+	for w := 0; 64*w < n; w++ {
+		live += bits.OnesCount64(liveWord(dead, excl, w, n))
+	}
+	return live
+}
+
+// markDead stores none in the score of every delete-marked or excluded row
+// of src: the dense phase's way of leaving them out.
+func markDead(src Source, exclude *bitmap.Bitmap, score []float64, none float64) {
+	n := src.Len()
+	dead, excl := liveWords(src, exclude)
+	for w := 0; 64*w < n; w++ {
+		marks := ^liveWord(dead, excl, w, n)
+		if rest := n - 64*w; rest < 64 {
+			marks &= 1<<uint(rest) - 1
+		}
+		for ; marks != 0; marks &= marks - 1 {
+			score[64*w+bits.TrailingZeros64(marks)] = none
+		}
+	}
+}
+
+// liveCandidates fills the candidate buffer with the ids of src that are
+// neither delete-marked nor excluded, a bitmap word at a time: 64 ids with
+// no mark among them are an identity fill.
+func (sc *Scratch) liveCandidates(src Source, exclude *bitmap.Bitmap) []int {
+	n := src.Len()
+	cands := grow(sc.cands, n)[:n]
+	dead, excl := liveWords(src, exclude)
 	out := 0
 	for base := 0; base < n; base += 64 {
-		w := base / 64
-		var marks uint64
-		if w < len(dead) {
-			marks = dead[w]
-		}
-		if w < len(excl) {
-			marks |= excl[w]
-		}
-		live := ^marks
-		if n-base < 64 {
-			live &= 1<<uint(n-base) - 1
-		}
+		live := liveWord(dead, excl, base/64, n)
 		if live == ^uint64(0) {
 			for i := range cands[out : out+64] {
 				cands[out+i] = base + i

@@ -49,6 +49,10 @@ type Query struct {
 	zeroDims  []int     // zero-weight dimensions, permanent tail residents
 	needTails bool
 
+	// qOrd[p] and wOrd[p] are q and the effective weight of dimension
+	// order[p]: what the run kernels take for the columns order[from:to].
+	qOrd, wOrd []float64
+
 	// procQ[p] is T(q⁻) over order[:p] (weighted for weighted histogram
 	// intersection, so the futility test compares like with like).
 	procQ []float64
@@ -100,8 +104,13 @@ func (qs *Query) Init(q []float64, opts Options) {
 	total := len(qs.order)
 	histWeighted := !opts.Criterion.Distance() && len(qs.weights) > 0
 	qs.procQ = append(grow(qs.procQ, total+1), 0)
+	qs.qOrd, qs.wOrd = grow(qs.qOrd, total), grow(qs.wOrd, total)
 	for p, d := range qs.order {
 		qd := q[d]
+		qs.qOrd = append(qs.qOrd, qd)
+		if len(qs.weights) > 0 {
+			qs.wOrd = append(qs.wOrd, qs.weights[d])
+		}
 		if histWeighted {
 			qd *= qs.weights[d]
 		}
@@ -121,6 +130,29 @@ func (qs *Query) Init(q []float64, opts Options) {
 	for i := range qs.bounds {
 		qs.bounds[i].ready = false
 	}
+}
+
+// InitExact prepares the state for an exact scan: the same engine run as
+// one step over every effective dimension in storage order — the summation
+// order the compressed and VA-File refinements use, so a segment answers
+// identically whichever of the three ranked it — with nothing to prune by
+// but the carried κ at the final ranking. The per-vector criteria rank like
+// their query-only twins, so no tails are kept.
+func (qs *Query) InitExact(q []float64, opts Options) {
+	opts.Order, opts.Step, opts.AdaptiveStep = OrderNatural, max(len(q), 1), false
+	if opts.Criterion.Distance() {
+		opts.Criterion = Eq
+	} else {
+		opts.Criterion = Hq
+	}
+	qs.Init(q, opts)
+}
+
+// Forget drops what the state holds of its last query — the query vector
+// and the options' Exclude, Weights and Dims, which are the caller's — and
+// keeps the buffers for the next Init.
+func (qs *Query) Forget() {
+	qs.q, qs.opts, qs.weights = nil, Options{}, nil
 }
 
 // bound returns the tail bounds after p processed dimensions, preparing
@@ -188,10 +220,19 @@ func (qs *Query) tail(processed int) (q, w []float64) {
 	return q, w
 }
 
-// engine holds the per-segment state of one search: the candidate ids,
-// their partial scores S⁻, and (for per-vector criteria) their remaining
-// masses T(v⁺). The three slices stay index-aligned through every
-// compaction and are backed by the engine's Scratch.
+// engine holds the per-segment state of one search, which runs in the
+// paper's two phases (Section 6.1). While most of the segment is still a
+// candidate the state is dense: score (and tails) are indexed by row, whole
+// columns are folded by the contiguous run kernels, and a row that is
+// deleted, excluded or pruned holds the score none instead of being
+// compacted out. The first prune that leaves fewer than denseMin live rows
+// compacts once into the list phase: cands holds the surviving ids, score
+// and tails are index-aligned with it through every later compaction, and
+// columns are read by positional lookup. A row's score receives the same
+// additions in the same order in either phase, and κ is a function of the
+// multiset of live scores, so where the switch falls changes no score bit,
+// no pruning decision and no step log — only ValuesScanned, which counts
+// the cells actually read and so every row of a dense step.
 type engine struct {
 	s  Source
 	qs *Query
@@ -199,9 +240,14 @@ type engine struct {
 
 	// kappa is the carried κ: an exact k-th best score already found
 	// elsewhere in the collection. Without one (hasKappa false) it is none,
-	// the κ that rules nothing out: +Inf for distances, −Inf otherwise.
+	// the κ that rules nothing out and the score that cannot rank: +Inf for
+	// distances, −Inf otherwise.
 	kappa, none float64
 	hasKappa    bool
+
+	dense    bool
+	denseMin int // live rows below which the dense phase ends
+	live     int // candidates still in play, in either phase
 
 	cands []int
 	score []float64
@@ -211,9 +257,23 @@ type engine struct {
 	sc    *Scratch
 }
 
-// carryDisabled makes every search ignore its carried κ. Tests flip it to
-// measure what the carry saves; nothing else writes it.
-var carryDisabled bool
+// carryDisabled makes every search ignore its carried κ, and denseDisabled
+// makes every search start in the list phase. Tests flip them to measure
+// what the carry saves and to hold the two phases to the same bits; nothing
+// else writes them.
+var carryDisabled, denseDisabled bool
+
+// denseFrac is the live fraction of a segment's rows below which the dense
+// phase hands over to the candidate list. Per cell the run kernels cost
+// 0.30–0.65 of the gather kernels (BenchmarkAcc*{Run,Gather}* in package
+// kernel: SqDist and MinQ 0.13–0.16 vs 0.40–0.43 ns from L2, 0.30 vs 0.52
+// streamed; the weighted and the tails-maintaining variants 0.15–0.18 vs
+// 0.42–0.48 from L2, a ratio of 0.35–0.40), and a dense step reads every
+// row where the list reads the live ones, so the two break even at a live
+// fraction of 0.3–0.65; one half sits inside that band for every variant
+// and both cache levels. On the 16 × 1 000 × 64 uniform shape 92 % of the
+// cells a query reads are read at or above it.
+const denseFrac = 0.5
 
 // newEngine initializes the engine inside sc (nil allocates privately), so
 // a pooled Scratch makes successive per-segment searches allocation-free.
@@ -222,12 +282,13 @@ func newEngine(s Source, qs *Query, exclude *bitmap.Bitmap, kappa float64, hasKa
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	cands := sc.liveCandidates(s, exclude)
-	if len(cands) == 0 {
+	n := s.Len()
+	live := countLive(s, exclude)
+	if live == 0 {
 		return nil
 	}
 	e := &sc.eng
-	*e = engine{s: s, qs: qs, sc: sc, cands: cands, k: min(qs.opts.K, len(cands)),
+	*e = engine{s: s, qs: qs, sc: sc, live: live, k: min(qs.opts.K, live),
 		kappa: kappa, none: math.Inf(-1), hasKappa: hasKappa && !carryDisabled}
 	if qs.opts.Criterion.Distance() {
 		e.none = math.Inf(1)
@@ -235,16 +296,32 @@ func newEngine(s Source, qs *Query, exclude *bitmap.Bitmap, kappa float64, hasKa
 	if !e.hasKappa {
 		e.kappa = e.none
 	}
+	e.denseMin = int(math.Ceil(denseFrac * float64(n)))
+	e.dense = live >= e.denseMin && !denseDisabled
 
-	sc.score = zeroed(sc.score, len(cands))
+	var totals []float64
+	if qs.needTails {
+		totals = s.Totals()
+	}
+	if e.dense {
+		sc.score = zeroed(sc.score, n)
+		markDead(s, exclude, sc.score, e.none)
+		if qs.needTails {
+			sc.tails = append(grow(sc.tails, n), totals[:n]...)
+		}
+	} else {
+		e.cands = sc.liveCandidates(s, exclude)
+		sc.score = zeroed(sc.score, live)
+		if qs.needTails {
+			sc.tails = grow(sc.tails, live)[:live]
+			for i, id := range e.cands {
+				sc.tails[i] = totals[id]
+			}
+		}
+	}
 	e.score = sc.score
 	if qs.needTails {
-		totals := s.Totals()
-		sc.tails = grow(sc.tails, len(cands))[:len(cands)]
 		e.tails = sc.tails
-		for i, id := range cands {
-			e.tails[i] = totals[id]
-		}
 	}
 	e.stats.Steps = sc.steps[:0]
 	return e
@@ -258,10 +335,10 @@ func newEngine(s Source, qs *Query, exclude *bitmap.Bitmap, kappa float64, hasKa
 func (e *engine) run() {
 	total := len(e.qs.order)
 	step := e.qs.opts.Step
-	for processed := 0; processed < total && len(e.cands) > 0; {
+	for processed := 0; processed < total && e.live > 0; {
 		processed, step = e.stepOnce(processed, step)
 	}
-	e.stats.FinalCandidates = len(e.cands)
+	e.stats.FinalCandidates = e.live
 }
 
 // stepOnce executes one iteration of the loop: accumulate a batch, then
@@ -276,13 +353,13 @@ func (e *engine) stepOnce(processed, step int) (int, int) {
 	total := len(e.qs.order)
 	next := min(processed+step, total)
 	e.accumulate(processed, next)
-	if next >= total || (len(e.cands) <= e.k && !e.hasKappa) {
+	if next >= total || (e.live <= e.k && !e.hasKappa) {
 		return next, step
 	}
-	before := len(e.cands)
+	before := e.live
 	e.pruneStep(next)
 	if opts.AdaptiveStep {
-		prunedFrac := float64(before-len(e.cands)) / float64(before)
+		prunedFrac := float64(before-e.live) / float64(before)
 		if prunedFrac < opts.AdaptiveThreshold {
 			step *= 2
 		} else {
@@ -292,25 +369,62 @@ func (e *engine) stepOnce(processed, step int) (int, int) {
 	return next, step
 }
 
-// accBlock is the candidate-block width of the accumulation loop: a block
-// of partial scores, tails, and candidate ids (≈48 KB) stays resident in
-// L1/L2 while the step's m columns stream past it, instead of the whole
-// score array being re-fetched once per column.
+// accBlock is the candidate-block width of the list phase's accumulation
+// loop: a block of partial scores, tails, and candidate ids (≈48 KB) stays
+// resident in L1/L2 while the step's m columns stream past it, instead of
+// the whole score array being re-fetched once per column. The dense phase
+// needs no such loop: its kernels keep 16 scores in registers across the
+// step's columns.
 const accBlock = 2048
 
 // accumulate folds columns order[from:to] into the partial scores, and
 // maintains the remaining masses for per-vector criteria. The inner loops
-// are the package kernel gathers — unrolled, bounds-check-free, and
-// branch-free — dispatched once per (block, column) pair; every score slot
-// receives exactly one addition per column in the same order as the scalar
-// loops this replaced, so scores are bit-identical.
+// are the package kernel's — the run kernels over whole columns in the
+// dense phase, the gathers through the candidate list after it, dispatched
+// once per (block, column) pair — unrolled, bounds-check-free, and
+// branch-free; every score slot receives exactly one addition per column in
+// the same order as the scalar loops this replaced, so scores are
+// bit-identical.
 func (e *engine) accumulate(from, to int) {
 	qs := e.qs
 	dims := qs.order[from:to]
 	hist := !qs.opts.Criterion.Distance()
 	weighted := len(qs.weights) > 0
-	e.stats.ValuesScanned += int64(len(dims)) * int64(len(e.cands))
 
+	if e.dense {
+		e.stats.ValuesScanned += int64(len(dims)) * int64(len(e.score))
+		cols := e.sc.cols[:0]
+		for _, d := range dims {
+			cols = append(cols, e.s.Column(d))
+		}
+		q := qs.qOrd[from:to]
+		var w []float64
+		if weighted {
+			w = qs.wOrd[from:to]
+		}
+		switch {
+		case hist && weighted:
+			kernel.AccWMinQRun(e.score, cols, q, w)
+		case hist && qs.needTails:
+			kernel.AccMinQTailsRun(e.score, e.tails, cols, q)
+		case hist:
+			kernel.AccMinQRun(e.score, cols, q)
+		case weighted && qs.needTails:
+			kernel.AccWSqDistTailsRun(e.score, e.tails, cols, q, w)
+		case weighted:
+			kernel.AccWSqDistRun(e.score, cols, q, w)
+		case qs.needTails:
+			kernel.AccSqDistTailsRun(e.score, e.tails, cols, q)
+		default:
+			kernel.AccSqDistRun(e.score, cols, q)
+		}
+		// A pooled scratch must not pin a segment's columns past the search.
+		clear(cols)
+		e.sc.cols = cols
+		return
+	}
+
+	e.stats.ValuesScanned += int64(len(dims)) * int64(len(e.cands))
 	for start := 0; start < len(e.cands); start += accBlock {
 		end := min(start+accBlock, len(e.cands))
 		cb := e.cands[start:end]
@@ -359,11 +473,15 @@ func (e *engine) accumulate(from, to int) {
 func (e *engine) pruneStep(processed int) {
 	qs, sc := e.qs, e.sc
 	stat := StepStat{DimsProcessed: processed}
-	before := len(e.cands)
+	before := e.live
 	b := qs.bound(processed)
 	local := before > e.k
 	lk, ck := e.none, e.kappa
 
+	// Every kfetch below runs over e.score as it stands. In the dense phase
+	// that includes the dead rows, whose score none never ranks among the k
+	// best of more than k live ones; and whenever a filter loop runs, lk or
+	// ck is finite, so a dead row fails it like any pruned candidate.
 	out := 0
 	switch qs.opts.Criterion {
 	case Hq:
@@ -385,6 +503,10 @@ func (e *engine) pruneStep(processed int) {
 			lk, sc.kbuf = topk.KthLargest(e.score, e.k, sc.kbuf) // κmin over Smin = S⁻
 		}
 		tq, tqc := b.c, b.c+qs.slack
+		if e.dense {
+			out = kernel.KeepReaching(e.score, tq, lk, tqc, ck, e.none)
+			break
+		}
 		for ci, s := range e.score {
 			e.cands[out], e.score[out] = e.cands[ci], s
 			out += b2i(s+tq >= lk) & b2i(s+tqc >= ck)
@@ -398,6 +520,10 @@ func (e *engine) pruneStep(processed int) {
 			lk += b.c
 		}
 		kappa := min(lk, ck)
+		if e.dense {
+			out = kernel.KeepAtMost(e.score, kappa, e.none)
+			break
+		}
 		for ci, s := range e.score {
 			e.cands[out], e.score[out] = e.cands[ci], s
 			out += b2i(s <= kappa)
@@ -409,7 +535,7 @@ func (e *engine) pruneStep(processed int) {
 			// valid but the Eq. 8 lower bound would not, so it falls back to
 			// zero.
 			subspace := len(qs.opts.Dims) > 0
-			smin := grow(sc.aux, before)[:before]
+			smin := grow(sc.aux, len(e.score))[:len(e.score)]
 			sc.aux = smin
 			for ci, s := range e.score {
 				smin[ci] = s
@@ -421,9 +547,16 @@ func (e *engine) pruneStep(processed int) {
 		}
 		tqc := b.c + qs.slack
 		for ci, s := range e.score {
-			if t := e.tails[ci]; s+b.hist.HhUpper(t) >= lk && s+tqc >= ck {
+			t := e.tails[ci]
+			keep := s+b.hist.HhUpper(t) >= lk && s+tqc >= ck
+			switch {
+			case !e.dense && keep:
 				e.cands[out], e.score[out], e.tails[out] = e.cands[ci], s, t
 				out++
+			case keep:
+				out++
+			case e.dense:
+				e.score[ci] = e.none
 			}
 		}
 	case Ev:
@@ -434,7 +567,7 @@ func (e *engine) pruneStep(processed int) {
 			upper, lower = b.euc.EvUpper, b.euc.EvLower
 		}
 		if local {
-			smax := grow(sc.aux, before)[:before]
+			smax := grow(sc.aux, len(e.score))[:len(e.score)]
 			sc.aux = smax
 			for ci, s := range e.score {
 				smax[ci] = s + upper(e.tails[ci])
@@ -442,15 +575,28 @@ func (e *engine) pruneStep(processed int) {
 			lk, sc.kbuf = topk.KthSmallest(smax, e.k, sc.kbuf)
 		}
 		for ci, s := range e.score {
-			if t := e.tails[ci]; s+lower(t) <= lk && s <= ck {
+			t := e.tails[ci]
+			keep := s+lower(t) <= lk && s <= ck
+			switch {
+			case !e.dense && keep:
 				e.cands[out], e.score[out], e.tails[out] = e.cands[ci], s, t
 				out++
+			case keep:
+				out++
+			case e.dense:
+				e.score[ci] = e.none
 			}
 		}
 	}
-	e.cands, e.score = e.cands[:out], e.score[:out]
-	if qs.needTails {
-		e.tails = e.tails[:out]
+	e.live = out
+	switch {
+	case !e.dense:
+		e.cands, e.score = e.cands[:out], e.score[:out]
+		if qs.needTails {
+			e.tails = e.tails[:out]
+		}
+	case out < e.denseMin:
+		e.compact()
 	}
 
 	stat.Candidates = out
@@ -459,6 +605,29 @@ func (e *engine) pruneStep(processed int) {
 	if out <= e.k && e.stats.DimsUntilK == 0 {
 		e.stats.DimsUntilK = processed
 	}
+}
+
+// compact ends the dense phase: the live rows' ids become the candidate
+// list and their scores and tails move up to stay aligned with it.
+func (e *engine) compact() {
+	score, tails, none := e.score, e.tails, math.Float64bits(e.none)
+	cands := grow(e.sc.cands, len(score))[:len(score)]
+	e.sc.cands = cands
+	out := 0
+	if tails == nil {
+		for r, s := range score {
+			cands[out], score[out] = r, s
+			out += b2i(math.Float64bits(s) != none)
+		}
+	} else {
+		tails = tails[:len(score)]
+		for r, s := range score {
+			cands[out], score[out], tails[out] = r, s, tails[r]
+			out += b2i(math.Float64bits(s) != none)
+		}
+		e.tails = tails[:out]
+	}
+	e.dense, e.cands, e.score = false, cands[:out], score[:out]
 }
 
 // b2i is 1 for true, 0 for false; it compiles to a flag move, which keeps
@@ -486,7 +655,7 @@ func (e *engine) finish() Result {
 	sc := e.sc
 	dist := e.qs.opts.Criterion.Distance()
 	kappa := e.kappa
-	if len(e.cands) > e.k {
+	if e.live > e.k {
 		kth := topk.KthLargest
 		if dist {
 			kth = topk.KthSmallest
@@ -497,11 +666,35 @@ func (e *engine) finish() Result {
 		}
 	}
 	h := sc.outHeap(e.k, !dist)
-	for ci, id := range e.cands {
-		if s := e.score[ci]; !CannotBeat(s, kappa, dist) {
-			h.Push(id, s)
+	if e.dense {
+		for r, s := range e.score {
+			if s != e.none && !CannotBeat(s, kappa, dist) {
+				h.Push(r, s)
+			}
+		}
+	} else {
+		for ci, id := range e.cands {
+			if s := e.score[ci]; !CannotBeat(s, kappa, dist) {
+				h.Push(id, s)
+			}
 		}
 	}
 	sc.results = h.AppendResults(sc.results[:0])
 	return Result{Results: sc.results, Stats: e.stats}
+}
+
+// candidates appends the ids still in play, ascending, shifted by base.
+func (e *engine) candidates(dst []int, base int) []int {
+	if e.dense {
+		for r, s := range e.score {
+			if s != e.none {
+				dst = append(dst, r+base)
+			}
+		}
+		return dst
+	}
+	for _, id := range e.cands {
+		dst = append(dst, id+base)
+	}
+	return dst
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bond/internal/bitmap"
-	"bond/internal/kernel"
 	"bond/internal/topk"
 )
 
@@ -155,13 +154,14 @@ func CannotBeat(bound, kappa float64, distance bool) bool {
 
 // SearchOneScratch runs the BOND engine over a single segment without
 // re-validating (callers validate once via ValidateSegments and Init qs
-// with the validated options), on pooled scratch buffers (nil allocates
-// privately). exclude is the segment-local exclusion bitmap, or nil.
-// kappa, when hasKappa, is the carried κ: an exact k-th best score found
-// in other segments, under which this one may be pruned to an empty result
-// (it still counts as searched). empty is true when the segment held no
-// eligible candidate to begin with. The result list and step log alias the
-// scratch and are valid until its next search.
+// with the validated options — or InitExact, which makes the run an exact
+// scan), on pooled scratch buffers (nil allocates privately). exclude is
+// the segment-local exclusion bitmap, or nil. kappa, when hasKappa, is the
+// carried κ: an exact k-th best score found in other segments, under which
+// this one may be pruned to an empty result (it still counts as searched).
+// empty is true when the segment held no eligible candidate to begin with.
+// The result list and step log alias the scratch and are valid until its
+// next search.
 func SearchOneScratch(src Source, qs *Query, exclude *bitmap.Bitmap, kappa float64, hasKappa bool, sc *Scratch) (res Result, empty bool) {
 	e := newEngine(src, qs, exclude, kappa, hasKappa, sc)
 	if e == nil {
@@ -197,44 +197,6 @@ func ValidateSegments(views []SegmentView, q []float64, opts *Options) error {
 		lo, hi = m.lo, m.hi
 	}
 	return opts.validateShape(m.dims, m.n, lo, hi, q)
-}
-
-// ExactScanScratch ranks a segment's live candidates by their exact scores,
-// accumulating dimensions in natural (storage) order — the same summation
-// order the compressed refine step uses, so a segment answers identically
-// whether it is encoded or not. It returns nil when no candidate is
-// eligible, plus the number of coefficients read. The result list aliases
-// the scratch (nil allocates privately).
-func ExactScanScratch(src Source, q []float64, opts Options, sc *Scratch) ([]topk.Result, int64) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	cands := sc.liveCandidates(src, opts.Exclude)
-	if len(cands) == 0 {
-		return nil, 0
-	}
-	dist := opts.Criterion.Distance()
-	score := zeroed(sc.score, len(cands))
-	sc.score = score
-	for d := 0; d < src.Dims(); d++ {
-		col := src.Column(d)
-		qd := q[d]
-		if dist {
-			kernel.AccSqDist(score, col, cands, qd)
-		} else {
-			kernel.AccMinQ(score, col, cands, qd)
-		}
-	}
-	k := opts.K
-	if k > len(cands) {
-		k = len(cands)
-	}
-	h := sc.outHeap(k, !dist)
-	for ci, id := range cands {
-		h.Push(id, score[ci])
-	}
-	sc.results = h.AppendResults(sc.results[:0])
-	return sc.results, int64(len(cands)) * int64(src.Dims())
 }
 
 // mergeStats folds one segment's work statistics into the aggregate.

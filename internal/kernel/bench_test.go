@@ -147,3 +147,95 @@ func BenchmarkVARowSumScalar(b *testing.B) {
 	}
 	_ = sink
 }
+
+// The first-phase pair: one BOND step (8 columns of a 1 000-row segment)
+// folded by the gather kernel through an identity id list, and by the run
+// kernel. "L2" cycles through the 64 columns of one segment (512 KB),
+// "Streamed" through 64 such segments (32 MB), so every column comes from
+// the next cache level down. ns/cell is the number to compare.
+
+const (
+	runRows, runStep, runDims = 1000, 8, 64
+)
+
+func benchStep(b *testing.B, segments int, fold func(score []float64, cols [][]float64, q []float64)) {
+	rng := rand.New(rand.NewSource(4))
+	cols := make([][]float64, segments*runDims)
+	for i := range cols {
+		cols[i] = make([]float64, runRows)
+		for r := range cols[i] {
+			cols[i][r] = rng.Float64()
+		}
+	}
+	q := make([]float64, runStep)
+	for j := range q {
+		q[j] = rng.Float64()
+	}
+	score := make([]float64, runRows)
+	b.SetBytes(runRows * runStep * 8)
+	b.ResetTimer()
+	at := 0
+	for i := 0; i < b.N; i++ {
+		fold(score, cols[at:at+runStep], q)
+		if at += runStep; at == len(cols) {
+			at = 0
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runRows*runStep), "ns/cell")
+}
+
+// gatherStep adapts a gather kernel to benchStep over the identity list.
+func gatherStep(acc func(score, col []float64, cands []int, qd float64)) func([]float64, [][]float64, []float64) {
+	ids := make([]int, runRows)
+	for i := range ids {
+		ids[i] = i
+	}
+	return func(score []float64, cols [][]float64, q []float64) {
+		for j, col := range cols {
+			acc(score, col, ids, q[j])
+		}
+	}
+}
+
+func BenchmarkAccSqDistGatherL2(b *testing.B)       { benchStep(b, 1, gatherStep(AccSqDist)) }
+func BenchmarkAccSqDistRunL2(b *testing.B)          { benchStep(b, 1, AccSqDistRun) }
+func BenchmarkAccSqDistGatherStreamed(b *testing.B) { benchStep(b, 64, gatherStep(AccSqDist)) }
+func BenchmarkAccSqDistRunStreamed(b *testing.B)    { benchStep(b, 64, AccSqDistRun) }
+func BenchmarkAccMinQGatherL2(b *testing.B)         { benchStep(b, 1, gatherStep(AccMinQ)) }
+func BenchmarkAccMinQRunL2(b *testing.B)            { benchStep(b, 1, AccMinQRun) }
+func BenchmarkAccMinQGatherStreamed(b *testing.B)   { benchStep(b, 64, gatherStep(AccMinQ)) }
+func BenchmarkAccMinQRunStreamed(b *testing.B)      { benchStep(b, 64, AccMinQRun) }
+
+// The weighted and per-vector-bound variants of the same pair (L2 only):
+// weights are a second per-column constant, tails a second row-indexed
+// array the kernel also loads and stores.
+
+var (
+	benchW     = []float64{0.5, 1.5, 2, 0.25, 1, 3, 0.75, 1.25}
+	benchTails = make([]float64, runRows)
+)
+
+func BenchmarkAccWSqDistGatherL2(b *testing.B) {
+	benchStep(b, 1, gatherStep(func(score, col []float64, ids []int, qd float64) { AccWSqDist(score, col, ids, qd, 1.5) }))
+}
+func BenchmarkAccWSqDistRunL2(b *testing.B) {
+	benchStep(b, 1, func(score []float64, cols [][]float64, q []float64) { AccWSqDistRun(score, cols, q, benchW) })
+}
+func BenchmarkAccWMinQGatherL2(b *testing.B) {
+	benchStep(b, 1, gatherStep(func(score, col []float64, ids []int, qd float64) { AccWMinQ(score, col, ids, qd, 1.5) }))
+}
+func BenchmarkAccWMinQRunL2(b *testing.B) {
+	benchStep(b, 1, func(score []float64, cols [][]float64, q []float64) { AccWMinQRun(score, cols, q, benchW) })
+}
+func BenchmarkAccSqDistTailsGatherL2(b *testing.B) {
+	benchStep(b, 1, gatherStep(func(score, col []float64, ids []int, qd float64) { AccSqDistTails(score, benchTails, col, ids, qd) }))
+}
+func BenchmarkAccSqDistTailsRunL2(b *testing.B) {
+	benchStep(b, 1, func(score []float64, cols [][]float64, q []float64) { AccSqDistTailsRun(score, benchTails, cols, q) })
+}
+func BenchmarkAccMinQTailsGatherL2(b *testing.B) {
+	benchStep(b, 1, gatherStep(func(score, col []float64, ids []int, qd float64) { AccMinQTails(score, benchTails, col, ids, qd) }))
+}
+func BenchmarkAccMinQTailsRunL2(b *testing.B) {
+	benchStep(b, 1, func(score []float64, cols [][]float64, q []float64) { AccMinQTailsRun(score, benchTails, cols, q) })
+}

@@ -79,3 +79,34 @@ func minSumAVX2(h, q *float64, n int, out *[4]float64)
 
 //go:noescape
 func wSqDistAVX2(v, q, w *float64, n int, out *[4]float64)
+
+// The run kernels (see run.go): cols points at the first of ncols slice
+// headers, every one of which the wrapper has checked to cover n rows; q
+// and w hold ncols values.
+
+//go:noescape
+func accSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64)
+
+//go:noescape
+func accSqDistTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q *float64)
+
+//go:noescape
+func accWSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float64)
+
+//go:noescape
+func accWSqDistTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q, w *float64)
+
+//go:noescape
+func accMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64)
+
+//go:noescape
+func accMinQTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q *float64)
+
+//go:noescape
+func accWMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float64)
+
+//go:noescape
+func keepAtMostAVX2(score *float64, n int, limit, dead float64) int
+
+//go:noescape
+func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int

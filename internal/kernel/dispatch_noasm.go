@@ -54,3 +54,39 @@ func minSumAVX2(h, q *float64, n int, out *[4]float64) {
 func wSqDistAVX2(v, q, w *float64, n int, out *[4]float64) {
 	panic("kernel: SIMD stub called")
 }
+
+func accSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func accSqDistTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func accWSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func accWSqDistTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q, w *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func accMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func accMinQTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func accWMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func keepAtMostAVX2(score *float64, n int, limit, dead float64) int {
+	panic("kernel: SIMD stub called")
+}
+
+func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int {
+	panic("kernel: SIMD stub called")
+}

@@ -12,10 +12,12 @@
 // `purego` build tag forces the portable bodies everywhere, and every
 // exported function dispatches so callers never know which ran.
 //
-// The gather kernels accumulate into per-candidate slots, so each slot
-// receives exactly one addition per column in the same order as the
-// scalar loops they replace — scores are bit-identical whichever
-// implementation runs, which is what keeps every access path's answer
+// The gather kernels (positional lookup through a candidate list) and the
+// run kernels (whole columns into row-indexed scores, see run.go)
+// accumulate into per-candidate slots, so each slot receives exactly one
+// addition per column in the same order as the scalar loops they replace —
+// scores are bit-identical whichever implementation and whichever of the
+// two forms runs, which is what keeps every access path's answer
 // byte-equal to the sequential-scan oracle. Their AVX2 variants therefore
 // use plain vsubpd/vmulpd/vaddpd, never FMA: a fused multiply-add rounds
 // once where the scalar code rounds twice, and that last-bit difference

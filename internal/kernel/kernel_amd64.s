@@ -545,3 +545,325 @@ wsdone:
 	VMOVUPD Y8, (DI)
 	VZEROUPPER
 	RET
+
+// The run kernels: contiguous, register-blocked folds of several columns
+// into row-indexed scores, score[r] += f(cols[j][r], q[j]) for j in call
+// order. A block of 16 scores (and 16 tails) stays in registers while the
+// call's columns stream past it, so per cell the kernel moves the 8 column
+// bytes and nothing else — no id list, no gather, one score load and store
+// per block rather than per column. The per-slot arithmetic is the gather
+// kernels' (same instructions, same order), so the bits are too.
+//
+// Register plan: DI score, DX tails, R8 the column slice headers (24 bytes
+// apart, data pointer first), R9 their count, R10 q, AX w − q in bytes (so
+// the q cursor R12 addresses both), CX rows left (a multiple of 4), BX the
+// byte offset of the current block, R11/R13 the header cursor and columns
+// left. Y0 = q[j], Y7 = w[j], Y1–Y4 column values then terms, Y5 scratch,
+// Y8–Y11 scores, Y12–Y15 tails.
+
+// TERM_*(v, t): v holds column values on entry and the term to add on
+// exit; t is scratch.
+#define TERM_SQ(v, t) \
+	VSUBPD Y0, v, v; \
+	VMULPD v, v, v
+
+#define TERM_WSQ(v, t) \
+	VSUBPD Y0, v, v; \
+	VMULPD v, Y7, t; \
+	VMULPD v, t, v
+
+#define TERM_MINQ(v, t) \
+	VMINPD Y0, v, t; \
+	VMINPD v, Y0, v; \
+	VORPD  t, v, v
+
+#define TERM_WMINQ(v, t) \
+	TERM_MINQ(v, t); \
+	VMULPD v, Y7, v
+
+#define LOADW VBROADCASTSD (R12)(AX*1), Y7
+#define NOW
+
+// RUN_BODY(TERM, W): the score-only kernels.
+#define RUN_BODY(TERM, W) \
+	XORQ BX, BX; \
+blk16: \
+	CMPQ CX, $16; \
+	JLT  blk4; \
+	VMOVUPD 0(DI)(BX*1), Y8; \
+	VMOVUPD 32(DI)(BX*1), Y9; \
+	VMOVUPD 64(DI)(BX*1), Y10; \
+	VMOVUPD 96(DI)(BX*1), Y11; \
+	MOVQ R8, R11; \
+	MOVQ R10, R12; \
+	MOVQ R9, R13; \
+col16: \
+	MOVQ (R11), SI; \
+	VBROADCASTSD (R12), Y0; \
+	W; \
+	VMOVUPD 0(SI)(BX*1), Y1; \
+	VMOVUPD 32(SI)(BX*1), Y2; \
+	VMOVUPD 64(SI)(BX*1), Y3; \
+	VMOVUPD 96(SI)(BX*1), Y4; \
+	TERM(Y1, Y5); \
+	VADDPD Y1, Y8, Y8; \
+	TERM(Y2, Y5); \
+	VADDPD Y2, Y9, Y9; \
+	TERM(Y3, Y5); \
+	VADDPD Y3, Y10, Y10; \
+	TERM(Y4, Y5); \
+	VADDPD Y4, Y11, Y11; \
+	ADDQ $24, R11; \
+	ADDQ $8, R12; \
+	DECQ R13; \
+	JNZ  col16; \
+	VMOVUPD Y8, 0(DI)(BX*1); \
+	VMOVUPD Y9, 32(DI)(BX*1); \
+	VMOVUPD Y10, 64(DI)(BX*1); \
+	VMOVUPD Y11, 96(DI)(BX*1); \
+	ADDQ $128, BX; \
+	SUBQ $16, CX; \
+	JMP  blk16; \
+blk4: \
+	TESTQ CX, CX; \
+	JZ   done; \
+	VMOVUPD (DI)(BX*1), Y8; \
+	MOVQ R8, R11; \
+	MOVQ R10, R12; \
+	MOVQ R9, R13; \
+col4: \
+	MOVQ (R11), SI; \
+	VBROADCASTSD (R12), Y0; \
+	W; \
+	VMOVUPD (SI)(BX*1), Y1; \
+	TERM(Y1, Y5); \
+	VADDPD Y1, Y8, Y8; \
+	ADDQ $24, R11; \
+	ADDQ $8, R12; \
+	DECQ R13; \
+	JNZ  col4; \
+	VMOVUPD Y8, (DI)(BX*1); \
+	ADDQ $32, BX; \
+	SUBQ $4, CX; \
+	JMP  blk4; \
+done: \
+	VZEROUPPER; \
+	RET
+
+// RUN_TAILS_BODY(TERM, W): the same with tails[r] -= cols[j][r].
+#define RUN_TAILS_BODY(TERM, W) \
+	XORQ BX, BX; \
+blk16: \
+	CMPQ CX, $16; \
+	JLT  blk4; \
+	VMOVUPD 0(DI)(BX*1), Y8; \
+	VMOVUPD 32(DI)(BX*1), Y9; \
+	VMOVUPD 64(DI)(BX*1), Y10; \
+	VMOVUPD 96(DI)(BX*1), Y11; \
+	VMOVUPD 0(DX)(BX*1), Y12; \
+	VMOVUPD 32(DX)(BX*1), Y13; \
+	VMOVUPD 64(DX)(BX*1), Y14; \
+	VMOVUPD 96(DX)(BX*1), Y15; \
+	MOVQ R8, R11; \
+	MOVQ R10, R12; \
+	MOVQ R9, R13; \
+col16: \
+	MOVQ (R11), SI; \
+	VBROADCASTSD (R12), Y0; \
+	W; \
+	VMOVUPD 0(SI)(BX*1), Y1; \
+	VMOVUPD 32(SI)(BX*1), Y2; \
+	VMOVUPD 64(SI)(BX*1), Y3; \
+	VMOVUPD 96(SI)(BX*1), Y4; \
+	VSUBPD Y1, Y12, Y12; \
+	VSUBPD Y2, Y13, Y13; \
+	VSUBPD Y3, Y14, Y14; \
+	VSUBPD Y4, Y15, Y15; \
+	TERM(Y1, Y5); \
+	VADDPD Y1, Y8, Y8; \
+	TERM(Y2, Y5); \
+	VADDPD Y2, Y9, Y9; \
+	TERM(Y3, Y5); \
+	VADDPD Y3, Y10, Y10; \
+	TERM(Y4, Y5); \
+	VADDPD Y4, Y11, Y11; \
+	ADDQ $24, R11; \
+	ADDQ $8, R12; \
+	DECQ R13; \
+	JNZ  col16; \
+	VMOVUPD Y8, 0(DI)(BX*1); \
+	VMOVUPD Y9, 32(DI)(BX*1); \
+	VMOVUPD Y10, 64(DI)(BX*1); \
+	VMOVUPD Y11, 96(DI)(BX*1); \
+	VMOVUPD Y12, 0(DX)(BX*1); \
+	VMOVUPD Y13, 32(DX)(BX*1); \
+	VMOVUPD Y14, 64(DX)(BX*1); \
+	VMOVUPD Y15, 96(DX)(BX*1); \
+	ADDQ $128, BX; \
+	SUBQ $16, CX; \
+	JMP  blk16; \
+blk4: \
+	TESTQ CX, CX; \
+	JZ   done; \
+	VMOVUPD (DI)(BX*1), Y8; \
+	VMOVUPD (DX)(BX*1), Y12; \
+	MOVQ R8, R11; \
+	MOVQ R10, R12; \
+	MOVQ R9, R13; \
+col4: \
+	MOVQ (R11), SI; \
+	VBROADCASTSD (R12), Y0; \
+	W; \
+	VMOVUPD (SI)(BX*1), Y1; \
+	VSUBPD Y1, Y12, Y12; \
+	TERM(Y1, Y5); \
+	VADDPD Y1, Y8, Y8; \
+	ADDQ $24, R11; \
+	ADDQ $8, R12; \
+	DECQ R13; \
+	JNZ  col4; \
+	VMOVUPD Y8, (DI)(BX*1); \
+	VMOVUPD Y12, (DX)(BX*1); \
+	ADDQ $32, BX; \
+	SUBQ $4, CX; \
+	JMP  blk4; \
+done: \
+	VZEROUPPER; \
+	RET
+
+// func accSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64)
+TEXT ·accSqDistRunAVX2(SB), NOSPLIT, $0-40
+	MOVQ score+0(FP), DI
+	MOVQ cols+8(FP), R8
+	MOVQ ncols+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), R10
+	RUN_BODY(TERM_SQ, NOW)
+
+// func accMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64)
+TEXT ·accMinQRunAVX2(SB), NOSPLIT, $0-40
+	MOVQ score+0(FP), DI
+	MOVQ cols+8(FP), R8
+	MOVQ ncols+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), R10
+	RUN_BODY(TERM_MINQ, NOW)
+
+// func accWSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float64)
+TEXT ·accWSqDistRunAVX2(SB), NOSPLIT, $0-48
+	MOVQ score+0(FP), DI
+	MOVQ cols+8(FP), R8
+	MOVQ ncols+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), R10
+	MOVQ w+40(FP), AX
+	SUBQ R10, AX
+	RUN_BODY(TERM_WSQ, LOADW)
+
+// func accWMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float64)
+TEXT ·accWMinQRunAVX2(SB), NOSPLIT, $0-48
+	MOVQ score+0(FP), DI
+	MOVQ cols+8(FP), R8
+	MOVQ ncols+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ q+32(FP), R10
+	MOVQ w+40(FP), AX
+	SUBQ R10, AX
+	RUN_BODY(TERM_WMINQ, LOADW)
+
+// func accSqDistTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q *float64)
+TEXT ·accSqDistTailsRunAVX2(SB), NOSPLIT, $0-48
+	MOVQ score+0(FP), DI
+	MOVQ tails+8(FP), DX
+	MOVQ cols+16(FP), R8
+	MOVQ ncols+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ q+40(FP), R10
+	RUN_TAILS_BODY(TERM_SQ, NOW)
+
+// func accMinQTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q *float64)
+TEXT ·accMinQTailsRunAVX2(SB), NOSPLIT, $0-48
+	MOVQ score+0(FP), DI
+	MOVQ tails+8(FP), DX
+	MOVQ cols+16(FP), R8
+	MOVQ ncols+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ q+40(FP), R10
+	RUN_TAILS_BODY(TERM_MINQ, NOW)
+
+// func accWSqDistTailsRunAVX2(score, tails *float64, cols *[]float64, ncols, n int, q, w *float64)
+TEXT ·accWSqDistTailsRunAVX2(SB), NOSPLIT, $0-56
+	MOVQ score+0(FP), DI
+	MOVQ tails+8(FP), DX
+	MOVQ cols+16(FP), R8
+	MOVQ ncols+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ q+40(FP), R10
+	MOVQ w+48(FP), AX
+	SUBQ R10, AX
+	RUN_TAILS_BODY(TERM_WSQ, LOADW)
+
+// The keep kernels: the dense phase's prune. A row that fails the test gets
+// the score dead in place of being compacted out; the return counts the
+// rows kept. The compares are ordered and quiet, so a NaN fails like in Go.
+
+// func keepAtMostAVX2(score *float64, n int, limit, dead float64) int
+TEXT ·keepAtMostAVX2(SB), NOSPLIT, $0-40
+	MOVQ         score+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD limit+16(FP), Y0
+	VBROADCASTSD dead+24(FP), Y1
+	XORQ         AX, AX
+
+kamloop:
+	TESTQ     CX, CX
+	JZ        kamdone
+	VMOVUPD   (DI), Y2
+	VCMPPD    $0x12, Y0, Y2, Y3      // s <= limit (LE_OQ)
+	VBLENDVPD Y3, Y2, Y1, Y4         // kept ? s : dead
+	VMOVUPD   Y4, (DI)
+	VMOVMSKPD Y3, BX
+	POPCNTQ   BX, BX
+	ADDQ      BX, AX
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JMP       kamloop
+
+kamdone:
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int
+TEXT ·keepReachingAVX2(SB), NOSPLIT, $0-64
+	MOVQ         score+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD a1+16(FP), Y0
+	VBROADCASTSD lo1+24(FP), Y1
+	VBROADCASTSD a2+32(FP), Y5
+	VBROADCASTSD lo2+40(FP), Y6
+	VBROADCASTSD dead+48(FP), Y7
+	XORQ         AX, AX
+
+krloop:
+	TESTQ     CX, CX
+	JZ        krdone
+	VMOVUPD   (DI), Y2
+	VADDPD    Y0, Y2, Y3
+	VCMPPD    $0x1D, Y1, Y3, Y3      // s+a1 >= lo1 (GE_OQ)
+	VADDPD    Y5, Y2, Y4
+	VCMPPD    $0x1D, Y6, Y4, Y4      // s+a2 >= lo2
+	VANDPD    Y4, Y3, Y3
+	VBLENDVPD Y3, Y2, Y7, Y4
+	VMOVUPD   Y4, (DI)
+	VMOVMSKPD Y3, BX
+	POPCNTQ   BX, BX
+	ADDQ      BX, AX
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JMP       krloop
+
+krdone:
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET

@@ -65,22 +65,24 @@ func defaultCoefficients() Coefficients {
 // Model is the thread-safe holder of the coefficients. One Model belongs
 // to one collection; queries read a snapshot when planning and feed
 // observations back after executing. It also owns the collection's pools
-// of reusable plans and executor scratch lanes — a small free list rather
-// than a sync.Pool, so the buffers survive garbage collections and the
-// steady-state allocation count stays deterministic.
+// of reusable plans (with their query-sized cursors) and executor lanes —
+// small free lists rather than a sync.Pool, so the buffers survive garbage
+// collections and the steady-state allocation count stays deterministic.
 type Model struct {
 	mu sync.Mutex
 	c  Coefficients
 
-	poolMu    sync.Mutex
-	plans     []*Plan
-	scratches []*execScratch
+	poolMu sync.Mutex
+	plans  []*Plan
+	lanes  []*lane
 }
 
-// poolCap bounds each free list; lanes beyond it (a burst of concurrent
+// poolCap bounds the lane free list; lanes beyond it (a burst of concurrent
 // queries wider than any since) are dropped to the garbage collector. It
 // scales with the logical CPU count so QueryBatch's GOMAXPROCS-wide
-// worker pool can park every lane between batches on large hosts.
+// worker pool can park every lane between batches on large hosts. The plan
+// free list holds groupSize times as many: each batch worker has a whole
+// group of plans in flight on its one lane.
 func poolCap() int {
 	if n := runtime.GOMAXPROCS(0); n > 16 {
 		return n
@@ -102,36 +104,32 @@ func (m *Model) acquirePlan() *Plan {
 func (m *Model) releasePlan(p *Plan) {
 	m.poolMu.Lock()
 	defer m.poolMu.Unlock()
-	if len(m.plans) < poolCap() {
+	if len(m.plans) < groupSize*poolCap() {
 		m.plans = append(m.plans, p)
 	}
 }
 
-func (m *Model) acquireScratch() *execScratch {
+func (m *Model) acquireLane() *lane {
 	m.poolMu.Lock()
 	defer m.poolMu.Unlock()
-	if n := len(m.scratches); n > 0 {
-		sc := m.scratches[n-1]
-		m.scratches = m.scratches[:n-1]
-		// A pooled lane may carry a bound table and BOND state built for
-		// another query; make sure no step trusts them before this
-		// execution rebuilds them.
-		sc.vaBuilt, sc.bondBuilt = false, false
-		return sc
+	if n := len(m.lanes); n > 0 {
+		ln := m.lanes[n-1]
+		m.lanes = m.lanes[:n-1]
+		return ln
 	}
-	return &execScratch{}
+	return &lane{}
 }
 
-func (m *Model) releaseScratch(sc *execScratch) {
+func (m *Model) releaseLane(ln *lane) {
 	m.poolMu.Lock()
 	defer m.poolMu.Unlock()
-	if len(m.scratches) < poolCap() {
-		m.scratches = append(m.scratches, sc)
+	if len(m.lanes) < poolCap() {
+		m.lanes = append(m.lanes, ln)
 	}
 }
 
 // observer is the feedback sink the executor reports into: the model
-// directly, or a FeedbackBatch that aggregates a whole QueryBatch first.
+// directly, or a feedbackBatch that aggregates a whole QueryBatch first.
 type observer interface {
 	observeBond(frac float64)
 	observeCompressed(filterFrac, survive float64)
@@ -139,12 +137,12 @@ type observer interface {
 	countQuery()
 }
 
-// FeedbackBatch accumulates execution feedback across the queries of one
+// feedbackBatch accumulates execution feedback across the queries of one
 // batch and applies it to the model as a single aggregate observation per
 // path — one EWMA step moved by the batch mean instead of Q small steps,
 // so a batch adapts the model like one representative query would, at a
 // fraction of the lock traffic.
-type FeedbackBatch struct {
+type feedbackBatch struct {
 	mu              sync.Mutex
 	queries         int64
 	bond, compr, va pathSums
@@ -155,10 +153,7 @@ type pathSums struct {
 	n    int64
 }
 
-// NewFeedbackBatch returns an empty accumulator.
-func NewFeedbackBatch() *FeedbackBatch { return &FeedbackBatch{} }
-
-func (f *FeedbackBatch) add(s *pathSums, a, b float64) {
+func (f *feedbackBatch) add(s *pathSums, a, b float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s.a += a
@@ -166,23 +161,23 @@ func (f *FeedbackBatch) add(s *pathSums, a, b float64) {
 	s.n++
 }
 
-func (f *FeedbackBatch) observeBond(frac float64) { f.add(&f.bond, frac, 0) }
+func (f *feedbackBatch) observeBond(frac float64) { f.add(&f.bond, frac, 0) }
 
-func (f *FeedbackBatch) observeVA(survive float64) { f.add(&f.va, survive, 0) }
+func (f *feedbackBatch) observeVA(survive float64) { f.add(&f.va, survive, 0) }
 
-func (f *FeedbackBatch) observeCompressed(filterFrac, survive float64) {
+func (f *feedbackBatch) observeCompressed(filterFrac, survive float64) {
 	f.add(&f.compr, filterFrac, survive)
 }
 
-func (f *FeedbackBatch) countQuery() {
+func (f *feedbackBatch) countQuery() {
 	f.mu.Lock()
 	f.queries++
 	f.mu.Unlock()
 }
 
-// Flush applies the accumulated batch means to the model. A path that saw
+// flush applies the accumulated batch means to the model. A path that saw
 // no steps leaves its coefficients untouched.
-func (f *FeedbackBatch) Flush(m *Model) {
+func (f *feedbackBatch) flush(m *Model) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s := f.bond; s.n > 0 {

@@ -22,53 +22,80 @@ type Result struct {
 }
 
 // stepOutcome is what one executed step produced, before folding. Its
-// result list aliases the scratch that ran the step and is consumed by
-// fold before the scratch runs another step.
+// result list aliases the lane that ran the step and is consumed by fold
+// before the lane runs another step.
 type stepOutcome struct {
 	rs    []topk.Result // rebased to global ids
 	empty bool
 	err   error
 
-	bondStats    core.Stats            // PathBOND
-	comp         core.CompressedResult // PathCompressed
-	exactScanned int64                 // PathExact
-	vaCodes      int64                 // PathVAFile
-	vaCands      int
-	vaRefine     int64
+	stats    core.Stats            // PathBOND, PathExact
+	comp     core.CompressedResult // PathCompressed
+	vaCodes  int64                 // PathVAFile
+	vaCands  int
+	vaRefine int64
 }
 
-// execScratch bundles the per-query reusable state of one executor lane:
-// the engine scratch every access path runs on, the query-scoped BOND
-// state every BOND step of the execution reads (order, weights, tail
-// bounds — built by the first one), the VA-File filter scratch with the
-// per-query bound table, the global κ heap, the merged step log, and the
-// parallel fan-out staging. The model keeps a free list of these (and
-// clears the two per-query "built" marks when it hands one out), so
-// steady-state queries allocate nothing here.
-type execScratch struct {
+// lane is the segment-sized half of the executor's reusable state: the
+// engine scratch every access path runs on (row-indexed scores, candidate
+// lists, heaps), the VA-File filter scratch and refinement staging, and the
+// parallel fan-out staging. A lane runs one step at a time and keeps
+// nothing of it once the step is folded, so one lane serves every step of a
+// query, and every query of a QueryBatch worker's group. The model keeps a
+// free list of them.
+type lane struct {
 	core core.Scratch
 
-	bond      core.Query
-	bondBuilt bool // bond holds this query's state
-
 	va      vafile.Scratch
-	vaTbl   *vafile.Table
-	vaBuilt bool          // vaTbl holds this query's bounds
 	vaScore []float64     // VA refinement scores
 	vaOut   *topk.Heap    // VA refinement ranking heap
 	vaRes   []topk.Result // VA refinement result staging
 
+	outs []parOutcome // parallel fan-out staging
+
+	// fan is the BOND state a fan-out goroutine other than the first builds
+	// for itself: a core.Query serves one goroutine at a time.
+	fan core.Query
+}
+
+// parOutcome is one parallel step's outcome with the lane that produced it
+// (released after folding).
+type parOutcome struct {
+	out  stepOutcome
+	lane *lane
+}
+
+// cursor is the query-sized half: where one plan's execution stands and
+// what it has derived from its query — the engine state every BOND or
+// exact-scan step reads (order, weights, tail bounds; built by the first
+// one), the VA-File bound table, the κ heap, and the merged step log. It
+// lives in the Plan, so a pooled plan brings its buffers along and a worker
+// co-scheduling a group of plans holds one lane and this much per query.
+type cursor struct {
+	query      core.Query
+	queryBuilt bool // query holds this execution's state, for queryPath
+	queryPath  Path
+
+	vaTbl   *vafile.Table
+	vaBuilt bool // vaTbl holds this execution's bounds
+
 	kappa *topk.Heap
 	steps []core.StepStat // merged Stats.Steps staging
 
-	outs []parOutcome // parallel fan-out staging
+	next     int // the pending step, p.Steps[next], unless done
+	done     bool
+	err      error
+	res      Result
+	executed bool
+	folded   int
 }
 
-// parOutcome is one parallel step's outcome with the scratch lane that
-// produced it (released after folding).
-type parOutcome struct {
-	out  stepOutcome
-	lane *execScratch
+// reset readies the cursor for another execution, keeping its buffers and
+// nothing of the caller's: a pooled plan must not pin a query vector or an
+// exclusion bitmap.
+func (c *cursor) reset() {
+	c.query.Forget()
+	*c = cursor{query: c.query, vaTbl: c.vaTbl, kappa: c.kappa, steps: c.steps[:0]}
 }
 
 // Execute runs the plan and merges the per-segment answers into the exact
@@ -78,137 +105,187 @@ type parOutcome struct {
 // κ. A forced-BOND plan's results are byte-identical to core.Search over
 // the concatenated collection.
 func Execute(p *Plan) (Result, error) {
-	sc := p.model.acquireScratch()
-	defer p.model.releaseScratch(sc)
-	return p.execute(sc)
+	ln := p.model.acquireLane()
+	defer p.model.releaseLane(ln)
+	for p.begin(ln); !p.cur.done; {
+		p.step(ln)
+	}
+	return p.finish()
 }
 
-func (p *Plan) execute(sc *execScratch) (Result, error) {
-	// Once execution finishes, drop the segment handles: Explain only
-	// needs Steps and the model snapshot, and a caller holding the plan
-	// (e.g. to log it later) must not pin the segments' columns and cached
-	// code arrays past compaction.
-	defer func() { p.segs = nil }()
-	sc.steps = sc.steps[:0]
-
-	opts := p.Opts
-	dist := opts.Criterion.Distance()
-	if sc.kappa == nil {
-		sc.kappa = topk.NewLargest(opts.K)
+// pending returns the segment of the step the cursor waits to run, or false
+// once the execution has nothing left to run.
+func (p *Plan) pending() (segment int, ok bool) {
+	if p.cur.done {
+		return 0, false
 	}
-	kappaHeap := sc.kappa
-	kappaHeap.Reset(opts.K, !dist)
+	return p.Steps[p.cur.next].Segment, true
+}
 
-	var res Result
-	executed := false
-	folded := 0
-
-	fold := func(st *Step, out stepOutcome) {
-		st.Executed = true
-		executed = true
-		folded++
-		p.feedback(st, out)
-		res.Stats.SegmentsSearched++
-		switch st.Path {
-		case PathBOND:
-			mergeCounters(&res.Stats, out.bondStats)
-			sc.steps = appendSteps(sc.steps, out.bondStats.Steps, st.Segment)
-		case PathCompressed:
-			mergeCounters(&res.Stats, out.comp.FilterStats)
-			res.Stats.ValuesScanned += out.comp.RefineValuesScanned
-			sc.steps = appendSteps(sc.steps, out.comp.FilterStats.Steps, st.Segment)
-		case PathExact:
-			res.Stats.ValuesScanned += out.exactScanned
-		case PathVAFile:
-			res.Stats.ValuesScanned += out.vaCodes + out.vaRefine
-		}
-		for _, r := range out.rs {
-			kappaHeap.Push(r.ID, r.Score)
-		}
+// begin starts the execution: it runs the parallel fan-out group, if the
+// plan has one (no skipping — all its segments start before any κ exists —
+// but its answers seed κ for the rest), and moves the cursor to the first
+// sequential step the running κ does not dismiss.
+func (p *Plan) begin(ln *lane) {
+	if p.cur == nil {
+		p.cur = new(cursor)
 	}
+	c := p.cur
+	c.reset()
+	if c.kappa == nil {
+		c.kappa = topk.NewLargest(p.Opts.K)
+	}
+	c.kappa.Reset(p.Opts.K, !p.Opts.Criterion.Distance())
 
-	// Phase 1: the parallel fan-out group (no skipping — all its segments
-	// start before any κ exists — but its answers seed κ for phase 2).
 	npar := 0
 	for npar < len(p.Steps) && p.Steps[npar].Parallel {
 		npar++
 	}
+	c.next = npar
 	switch {
 	case npar > 0 && p.pastDeadline():
-		p.Truncated = true
+		p.Truncated, c.done = true, true
+		return
 	case npar > 0:
-		outs := grow(sc.outs, npar)[:npar]
-		sc.outs = outs
-		var wg sync.WaitGroup
-		for i := 0; i < npar; i++ {
-			// Each goroutine runs on its own scratch lane; the first one
-			// reuses this query's lane.
-			lane := sc
-			if i > 0 {
-				lane = p.model.acquireScratch()
-			}
-			outs[i].lane = lane
-			wg.Add(1)
-			go func(i int, lane *execScratch) {
-				defer wg.Done()
-				outs[i].out = p.runStep(&p.Steps[i], lane)
-			}(i, lane)
-		}
-		wg.Wait()
-		var ferr error
-		for i := 0; i < npar; i++ {
-			o := &outs[i]
-			switch {
-			case o.out.err != nil:
-				if ferr == nil {
-					ferr = fmt.Errorf("plan: segment %d: %w", p.Steps[i].Segment, o.out.err)
-				}
-			case !o.out.empty && ferr == nil:
-				// Fold (which consumes the lane-aliased results) before the
-				// lane can be released or reused.
-				fold(&p.Steps[i], o.out)
-			}
-			if o.lane != sc {
-				p.model.releaseScratch(o.lane)
-			}
-			o.lane = nil
-			o.out = stepOutcome{}
-		}
-		if ferr != nil {
-			return Result{}, ferr
+		if c.err = p.fanOut(npar, ln); c.err != nil {
+			c.done = true
+			return
 		}
 	}
+	p.advance()
+}
 
-	// Phase 2: the sequential tail, best-bound-first with skipping.
-	for i := npar; i < len(p.Steps); i++ {
-		st := &p.Steps[i]
-		if p.pastDeadline() {
-			p.Truncated = true
-			break
+// fanOut runs the first npar steps concurrently, each on its own lane (the
+// first on ln), and folds their outcomes in step order.
+func (p *Plan) fanOut(npar int, ln *lane) error {
+	outs := grow(ln.outs, npar)[:npar]
+	ln.outs = outs
+	first := p.engineQuery(PathBOND)
+	var wg sync.WaitGroup
+	for i := 0; i < npar; i++ {
+		l, qs := ln, first
+		if i > 0 {
+			l = p.model.acquireLane()
+			qs = &l.fan
 		}
-		// κ, once k results exist, is exact: it dismisses a whole segment
-		// whose synopsis bound cannot beat it, and rides into the ones that
-		// run, where it prunes candidate by candidate (the carried κ).
-		kappa, full := kappaHeap.Threshold()
-		st.Kappa, st.HasKappa = p.adjustKappa(kappa, dist), full
-		if full && st.HasBound && core.CannotBeat(st.Bound, st.Kappa, dist) {
-			st.Skipped = true
-			res.Stats.SegmentsSkipped++
-			continue
-		}
-		out := p.runStep(st, sc)
-		if out.err != nil {
-			return Result{}, fmt.Errorf("plan: segment %d: %w", st.Segment, out.err)
-		}
-		if out.empty {
-			continue
-		}
-		fold(st, out)
+		outs[i].lane = l
+		wg.Add(1)
+		go func(i int, l *lane, qs *core.Query) {
+			defer wg.Done()
+			if qs == &l.fan {
+				qs.Init(p.Spec.Query, p.Opts)
+			}
+			outs[i].out = p.runEngine(&p.Steps[i], l, qs)
+		}(i, l, qs)
 	}
+	wg.Wait()
+	var ferr error
+	for i := 0; i < npar; i++ {
+		o := &outs[i]
+		switch {
+		case o.out.err != nil:
+			if ferr == nil {
+				ferr = fmt.Errorf("plan: segment %d: %w", p.Steps[i].Segment, o.out.err)
+			}
+		case !o.out.empty && ferr == nil:
+			// Fold (which consumes the lane-aliased results) before the
+			// lane can be released or reused.
+			p.fold(&p.Steps[i], o.out)
+		}
+		if o.lane != ln {
+			p.model.releaseLane(o.lane)
+		}
+		*o = parOutcome{}
+	}
+	return ferr
+}
 
-	p.countQuery(executed)
+// advance moves the cursor to the next step the running κ does not dismiss.
+// κ, once k results exist, is exact: it dismisses a whole segment whose
+// synopsis bound cannot beat it, and rides into the ones that run, where it
+// prunes candidate by candidate (the carried κ). Only the plan's own steps
+// move its κ, so the pending step stays the right one however long it waits
+// for its turn.
+func (p *Plan) advance() {
+	c := p.cur
+	dist := p.Opts.Criterion.Distance()
+	kappa, full := c.kappa.Threshold()
+	kappa = p.adjustKappa(kappa, dist)
+	for ; c.next < len(p.Steps); c.next++ {
+		st := &p.Steps[c.next]
+		st.Kappa, st.HasKappa = kappa, full
+		if !full || !st.HasBound || !core.CannotBeat(st.Bound, kappa, dist) {
+			return
+		}
+		st.Skipped = true
+		c.res.Stats.SegmentsSkipped++
+	}
+	c.done = true
+}
+
+// step runs the pending step on ln, folds its outcome and advances. The
+// deadline is checked here, immediately before the step would start.
+func (p *Plan) step(ln *lane) {
+	c := p.cur
+	if p.pastDeadline() {
+		p.Truncated, c.done = true, true
+		return
+	}
+	st := &p.Steps[c.next]
+	out := p.runStep(st, ln)
+	if out.err != nil {
+		c.err, c.done = fmt.Errorf("plan: segment %d: %w", st.Segment, out.err), true
+		return
+	}
+	if !out.empty {
+		p.fold(st, out)
+	}
+	c.next++
+	p.advance()
+}
+
+// fold merges one executed step's outcome into the running answer.
+func (p *Plan) fold(st *Step, out stepOutcome) {
+	c := p.cur
+	st.Executed = true
+	c.executed = true
+	c.folded++
+	p.feedback(st, out)
+	stats := &c.res.Stats
+	stats.SegmentsSearched++
+	switch st.Path {
+	case PathBOND:
+		mergeCounters(stats, out.stats)
+		c.steps = appendSteps(c.steps, out.stats.Steps, st.Segment)
+	case PathCompressed:
+		mergeCounters(stats, out.comp.FilterStats)
+		stats.ValuesScanned += out.comp.RefineValuesScanned
+		c.steps = appendSteps(c.steps, out.comp.FilterStats.Steps, st.Segment)
+	case PathExact:
+		stats.ValuesScanned += out.stats.ValuesScanned
+	case PathVAFile:
+		stats.ValuesScanned += out.vaCodes + out.vaRefine
+	}
+	for _, r := range out.rs {
+		c.kappa.Push(r.ID, r.Score)
+	}
+}
+
+// finish closes the execution and returns the merged answer, or the error
+// that stopped it.
+func (p *Plan) finish() (Result, error) {
+	c := p.cur
+	// Drop the segment handles: Explain only needs Steps and the model
+	// snapshot, and a caller holding the plan (e.g. to log it later) must
+	// not pin the segments' columns and cached code arrays past compaction.
+	p.segs = nil
+	if c.err != nil {
+		return Result{}, c.err
+	}
+	p.countQuery(c.executed)
+	res := c.res
 	res.Truncated = p.Truncated
-	if folded == 0 {
+	if c.folded == 0 {
 		if p.Truncated {
 			return res, nil
 		}
@@ -220,8 +297,8 @@ func (p *Plan) execute(sc *execScratch) (Result, error) {
 	// below are the only per-query allocations of a steady-state Query: the
 	// returned result list and the returned step log (everything else the
 	// caller receives is by value).
-	res.Results = kappaHeap.Results()
-	res.Stats.Steps = append([]core.StepStat(nil), sc.steps...)
+	res.Results = c.kappa.Results()
+	res.Stats.Steps = append([]core.StepStat(nil), c.steps...)
 	return res, nil
 }
 
@@ -271,31 +348,34 @@ func (p *Plan) pastDeadline() bool {
 	return !p.Spec.Deadline.IsZero() && time.Now().After(p.Spec.Deadline)
 }
 
-// runStep executes one step's access path over its segment on the given
-// scratch lane, filling the step's outcome fields. Only the BOND path
-// prunes by the step's carried κ.
-func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
-	seg := p.segs[st.Segment]
-	src := seg.View.Src
-	vopts := p.Opts
-	vopts.Exclude = core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
+// engineQuery returns the execution's engine state for a BOND or exact-scan
+// step, built on the first such step. (No strategy plans both kinds into
+// one plan; one that did would rebuild here on every change of kind.)
+func (p *Plan) engineQuery(path Path) *core.Query {
+	c := p.cur
+	if !c.queryBuilt || c.queryPath != path {
+		if path == PathExact {
+			c.query.InitExact(p.Spec.Query, p.Opts)
+		} else {
+			c.query.Init(p.Spec.Query, p.Opts)
+		}
+		c.queryBuilt, c.queryPath = true, path
+	}
+	return &c.query
+}
 
+// runStep executes one step's access path over its segment on the given
+// lane, filling the step's outcome fields.
+func (p *Plan) runStep(st *Step, ln *lane) stepOutcome {
 	switch st.Path {
-	case PathBOND:
-		if !sc.bondBuilt {
-			sc.bond.Init(p.Spec.Query, p.Opts)
-			sc.bondBuilt = true
-		}
-		r, empty := core.SearchOneScratch(src, &sc.bond, vopts.Exclude, st.Kappa, st.HasKappa, &sc.core)
-		if empty {
-			return stepOutcome{empty: true}
-		}
-		st.ActualCost = float64(r.Stats.ValuesScanned)
-		st.Candidates = r.Stats.FinalCandidates
-		return stepOutcome{rs: core.RebaseInPlace(r.Results, st.Base), bondStats: r.Stats}
+	case PathBOND, PathExact:
+		return p.runEngine(st, ln, p.engineQuery(st.Path))
 
 	case PathCompressed:
-		sub, empty := core.SearchCompressedOneScratch(src, seg.Codes(), p.Spec.Query, vopts, &sc.core)
+		seg := p.segs[st.Segment]
+		vopts := p.Opts
+		vopts.Exclude = core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
+		sub, empty := core.SearchCompressedOneScratch(seg.View.Src, seg.Codes(), p.Spec.Query, vopts, &ln.core)
 		if empty {
 			return stepOutcome{empty: true}
 		}
@@ -305,19 +385,28 @@ func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 		return stepOutcome{rs: sub.Results, comp: sub}
 
 	case PathVAFile:
-		return p.runVAFile(st, seg, vopts, sc)
-
-	case PathExact:
-		rs, scanned := core.ExactScanScratch(src, p.Spec.Query, vopts, &sc.core)
-		if rs == nil {
-			return stepOutcome{empty: true}
-		}
-		st.ActualCost = float64(scanned)
-		st.Candidates = len(rs)
-		return stepOutcome{rs: core.RebaseInPlace(rs, st.Base), exactScanned: scanned}
-
+		return p.runVAFile(st, ln)
 	}
 	return stepOutcome{err: fmt.Errorf("plan: unknown path %v", st.Path)}
+}
+
+// runEngine is the BOND and exact-scan access path: the core engine over
+// the step's segment under the step's carried κ, which prunes candidate by
+// candidate on the BOND path and filters the final ranking on both. qs
+// says which of the two it is (Init or InitExact).
+func (p *Plan) runEngine(st *Step, ln *lane, qs *core.Query) stepOutcome {
+	src := p.segs[st.Segment].View.Src
+	exclude := core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
+	r, empty := core.SearchOneScratch(src, qs, exclude, st.Kappa, st.HasKappa, &ln.core)
+	if empty {
+		return stepOutcome{empty: true}
+	}
+	st.ActualCost = float64(r.Stats.ValuesScanned)
+	st.Candidates = r.Stats.FinalCandidates
+	if st.Path == PathExact {
+		st.Candidates = len(r.Results)
+	}
+	return stepOutcome{rs: core.RebaseInPlace(r.Results, st.Base), stats: r.Stats}
 }
 
 // runVAFile is the VA-File access path: filter over the segment's
@@ -325,11 +414,13 @@ func (p *Plan) runStep(st *Step, sc *execScratch) stepOutcome {
 // refinement on the columns in natural dimension order — the same
 // summation order the compressed refine and exact-scan paths use, so a
 // segment answers identically whichever path the planner picks.
-func (p *Plan) runVAFile(st *Step, seg Segment, vopts core.Options, sc *execScratch) stepOutcome {
+func (p *Plan) runVAFile(st *Step, sc *lane) stepOutcome {
+	seg := p.segs[st.Segment]
 	src := seg.View.Src
 	f := seg.VA()
 	deleted := core.DeletedView(src)
-	excl := vopts.Exclude
+	vopts := &p.Opts
+	excl := core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
 	skip := func(id int) bool {
 		if deleted.Get(id) {
 			return true
@@ -338,7 +429,7 @@ func (p *Plan) runVAFile(st *Step, seg Segment, vopts core.Options, sc *execScra
 	}
 	q := p.Spec.Query
 	dist := vopts.Criterion.Distance()
-	tbl := p.vaTable(f, dist, sc)
+	tbl := p.vaTable(f, dist)
 
 	var ids []int
 	var fst vafileStats
@@ -405,10 +496,11 @@ func zeroedFloats(s []float64, n int) []float64 {
 type vafileStats struct{ codes int64 }
 
 // vaTable returns the query's shared VA-File bound table, (re)built into
-// the scratch on the first VA step of the execution (segments share one
+// the cursor on the first VA step of the execution (segments share one
 // quantization grid, so one table serves them all; a segment on a
 // different grid gets a private table).
-func (p *Plan) vaTable(f *vafile.File, dist bool, sc *execScratch) *vafile.Table {
+func (p *Plan) vaTable(f *vafile.File, dist bool) *vafile.Table {
+	sc := p.cur
 	if !sc.vaBuilt {
 		if sc.vaTbl == nil {
 			sc.vaTbl = &vafile.Table{}
@@ -454,7 +546,7 @@ func (p *Plan) feedback(st *Step, out stepOutcome) {
 		if shape <= 0 {
 			shape = 1
 		}
-		sink.observeBond(float64(out.bondStats.ValuesScanned) / (nd * shape))
+		sink.observeBond(float64(out.stats.ValuesScanned) / (nd * shape))
 	case PathCompressed:
 		sink.observeCompressed(
 			float64(out.comp.FilterStats.ValuesScanned)/nd,

@@ -107,11 +107,16 @@ type Plan struct {
 
 	// fb, when set, receives execution feedback instead of the model —
 	// the batch executor aggregates it and applies one EWMA step per path.
-	fb *FeedbackBatch
+	fb *feedbackBatch
 
 	// pooled marks a plan owned by the model's free list (Release returns
 	// it there).
 	pooled bool
+
+	// cur is the execution state (see cursor), made by the first begin and
+	// kept across init and Release, so a pooled plan executes
+	// allocation-free.
+	cur *cursor
 }
 
 // parallelMinSegment is the smallest segment Auto fans out when the spec
@@ -147,21 +152,23 @@ func NewReusable(segs []Segment, spec Spec, model *Model) (*Plan, error) {
 	return p, nil
 }
 
-// UseBatchFeedback redirects the plan's execution feedback into a batch
-// accumulator (see FeedbackBatch); nil restores direct model feedback.
-func (p *Plan) UseBatchFeedback(fb *FeedbackBatch) { p.fb = fb }
-
-// Release returns a plan obtained from NewReusable to its model's pool,
-// dropping every reference it holds. It is a no-op for plans made by New.
+// Release returns a plan obtained from NewReusable to its model's pool. The
+// pooled plan keeps its buffers (steps, views, the cursor's engine state, κ
+// heap and step log) and no reference to the caller's spec, segments or
+// results. It is a no-op for plans made by New.
 func (p *Plan) Release() {
 	if !p.pooled {
 		return
 	}
 	m := p.model
+	if p.cur != nil {
+		p.cur.reset()
+	}
 	*p = Plan{
 		Steps:  p.Steps[:0],
 		views:  p.views[:0],
 		pooled: true,
+		cur:    p.cur,
 	}
 	m.releasePlan(p)
 }
@@ -199,6 +206,7 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 		model:  model,
 		views:  views,
 		pooled: pooled,
+		cur:    p.cur,
 	}
 	for _, v := range views {
 		p.Slots += v.Src.Len()

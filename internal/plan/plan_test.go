@@ -2,10 +2,12 @@ package plan
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"bond/internal/bitmap"
 	"bond/internal/core"
 	"bond/internal/quant"
 	"bond/internal/vafile"
@@ -394,4 +396,38 @@ func countSkipped(p *Plan) int {
 		}
 	}
 	return n
+}
+
+// A released plan goes back to the pool with its buffers and nothing of the
+// caller's: up to groupSize × poolCap() of them are parked, and none may pin
+// a query vector, a weight vector or an exclusion bitmap.
+func TestReleasedPlanForgetsCallerData(t *testing.T) {
+	s := uniformStore(300, 100, 8, 6)
+	m := NewModel()
+	ex := bitmap.New(s.Len())
+	ex.Set(3)
+	for _, spec := range []Spec{
+		{Criterion: core.Ev, Weights: []float64{1, 2, 0, 1, 1, 3, 1, 1}, Strategy: ForceBOND},
+		{Criterion: core.Eq, Dims: []int{1, 4, 6}, Strategy: ForceExact},
+		{Criterion: core.Hq, Strategy: ForceVAFile},
+	} {
+		spec.Query, spec.K, spec.Exclude = s.Row(7), 4, ex
+		p, err := NewReusable(segmentsOf(s), spec, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+		if p.Spec.Query != nil || p.Spec.Exclude != nil || p.Opts.Exclude != nil || p.Opts.Weights != nil {
+			t.Fatalf("%v: released plan keeps its spec", spec.Strategy)
+		}
+		q := reflect.ValueOf(&p.cur.query).Elem()
+		for _, f := range []string{"q", "opts", "weights"} {
+			if !q.FieldByName(f).IsZero() {
+				t.Errorf("%v: released plan's engine state keeps %s", spec.Strategy, f)
+			}
+		}
+	}
 }

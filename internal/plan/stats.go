@@ -20,7 +20,7 @@ func (m *Model) Stats() ModelStats {
 	s := ModelStats{Coefficients: m.Snapshot()}
 	m.poolMu.Lock()
 	s.PooledPlans = len(m.plans)
-	s.PooledScratch = len(m.scratches)
+	s.PooledScratch = len(m.lanes)
 	m.poolMu.Unlock()
 	return s
 }

@@ -799,9 +799,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryBatch maps the batch endpoint straight onto
 // Collection.QueryBatch: one read-lock acquisition, one shared planner
-// segment list, and a GOMAXPROCS-wide worker pool under the hood. The
-// whole batch holds a single admission slot — QueryBatch self-limits its
-// internal parallelism.
+// segment list, and a GOMAXPROCS-wide worker pool under the hood, each
+// worker co-scheduling up to sixteen of the request's queries so that they
+// read a segment once between them — which is why one request of N specs
+// costs less than N requests. The whole batch holds a single admission
+// slot — QueryBatch self-limits its internal parallelism. A spec's
+// deadline is checked before each of its own steps, and those steps
+// interleave with its group's.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	col, err := s.cat.Get(r.PathValue("name"))
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bond/internal/dataset"
@@ -291,6 +293,10 @@ func TestReclusterDurableLifecycleProperty(t *testing.T) {
 			mirror := NewSegmented(dims, segSize)
 
 			var wg sync.WaitGroup
+			// Readers wait for the first live vector: an empty collection
+			// answers ErrNoCandidates, and from then on any error fails the
+			// test (the delete case below never removes the last live one).
+			var populated atomic.Bool
 			stopQueries := func() {}
 			startQueries := func() {
 				stop := make(chan struct{})
@@ -304,6 +310,10 @@ func TestReclusterDurableLifecycleProperty(t *testing.T) {
 						case <-stop:
 							return
 						default:
+						}
+						if !populated.Load() {
+							runtime.Gosched()
+							continue
 						}
 						if _, qerr := c.Query(QuerySpec{Query: q1, K: 3, Criterion: Hq, Strategy: StrategyExact}); qerr != nil {
 							t.Errorf("concurrent query: %v", qerr)
@@ -329,6 +339,9 @@ func TestReclusterDurableLifecycleProperty(t *testing.T) {
 				if err := op(mirror); err != nil {
 					t.Fatalf("mirror op: %v", err)
 				}
+				if mirror.Live() > 0 {
+					populated.Store(true)
+				}
 			}
 			for i := 0; i < ops; i++ {
 				switch r := rng.Float64(); {
@@ -342,7 +355,7 @@ func TestReclusterDurableLifecycleProperty(t *testing.T) {
 					}
 					apply(func(col *Collection) error { _, e := col.AddBatchDurable(batch); return e })
 				case r < 0.68:
-					if n := c.Len(); n > 0 {
+					if n := c.Len(); n > 0 && c.Live() > 1 {
 						id := rng.Intn(n)
 						apply(func(col *Collection) error { _, e := col.TryDeleteDurable(id); return e })
 					}
