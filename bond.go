@@ -251,8 +251,8 @@ type Collection struct {
 	// access-path providers) per query. Cache hits are a single atomic
 	// load, keeping concurrent readers off any shared mutex; planCacheMu
 	// only serializes the rebuild (queries hold just the read lock, so two
-	// could race to build). Writers invalidate by storing nil under the
-	// write lock.
+	// could race to build). Writers that change the segment list
+	// invalidate by storing nil under the write lock.
 	planCacheMu sync.Mutex
 	planCache   atomic.Pointer[[]plan.Segment]
 
@@ -445,8 +445,7 @@ func (c *Collection) StatsSnapshot() CollectionStats {
 		if !g.Mapped() {
 			st.HeapBytes += int64(g.Len()) * int64(st.Dims) * 8
 		}
-		view := core.SegmentView{Src: g, Base: bases[i], DimRange: g.DimRange}
-		if syn, ok := core.SummarizeSynopsis(view); ok {
+		if syn, ok := core.SummarizeSynopsis(segmentView(g, bases[i], g.Store)); ok {
 			syn := syn
 			ss.Synopsis = &syn
 		}
@@ -613,9 +612,10 @@ func (c *Collection) errIfUnmapped() error {
 // engine view of each segment plus, for sealed segments, the lazily built
 // compressed access paths (column codes for the compressed filter,
 // row-major codes for the VA-File). The list is memoized until a writer
-// changes the store, so the steady-state query path allocates nothing
-// here. Callers must hold at least the read lock for the duration of the
-// search.
+// changes the segment list (see invalidatePlanCacheIfSealed), so the
+// steady-state query path allocates nothing here, with or without a writer
+// appending. Callers must hold at least the read lock for the duration of
+// the search.
 func (c *Collection) planSegments() []plan.Segment {
 	if cached := c.planCache.Load(); cached != nil {
 		return *cached
@@ -629,7 +629,7 @@ func (c *Collection) planSegments() []plan.Segment {
 	out := make([]plan.Segment, len(segs))
 	for i, g := range segs {
 		out[i] = plan.Segment{
-			View:   core.SegmentView{Src: g, Base: bases[i], DimRange: g.DimRange},
+			View:   segmentView(g, bases[i], g.Store),
 			Sealed: g.Sealed(),
 		}
 		if g.Sealed() {
@@ -653,11 +653,31 @@ func (c *Collection) planSegments() []plan.Segment {
 	return out
 }
 
-// invalidatePlanCache drops the memoized planner segments; every writer
-// calls it under the write lock (invalidating on plain deletes too is
-// slightly conservative but keeps the rule trivially safe).
+// segmentView is the engine view of src at base, carrying synopsis's
+// min/max slices — live views, so the active segment's widen as it grows.
+func segmentView(src core.Source, base int, synopsis *vstore.Store) core.SegmentView {
+	lo, hi := synopsis.DimRanges()
+	return core.SegmentView{Src: src, Base: base, Lo: lo, Hi: hi}
+}
+
+// invalidatePlanCache drops the memoized planner segments. Every writer
+// that may replace a segment — seal, compact, recluster, open — calls it
+// under the write lock.
 func (c *Collection) invalidatePlanCache() {
 	c.planCache.Store(nil)
+}
+
+// invalidatePlanCacheIfSealed is what an append calls, under the write
+// lock, with the segment count from before it: the memoized list holds
+// segment pointers, bases, sealed flags and live synopsis views, none of
+// which an append into the active segment (or a tombstone, which calls
+// nothing) changes — lengths, delete marks and the widened synopsis are
+// read through them under the read lock. Only an append that sealed the
+// active segment and opened a new one outdates the list.
+func (c *Collection) invalidatePlanCacheIfSealed(segmentsBefore int) {
+	if c.store.NumSegments() != segmentsBefore {
+		c.invalidatePlanCache()
+	}
 }
 
 // snapshotSource fixes a segment's delete marks at snapshot time, so the
@@ -683,10 +703,10 @@ func (c *Collection) snapshotViews() []core.SegmentView {
 	for i, g := range segs {
 		if g.Sealed() {
 			snap := snapshotSource{Source: g, deleted: g.DeletedBitmap()}
-			views[i] = core.SegmentView{Src: snap, Base: bases[i], DimRange: g.DimRange}
+			views[i] = segmentView(snap, bases[i], g.Store)
 		} else {
 			cp := g.Store.Clone()
-			views[i] = core.SegmentView{Src: cp, Base: bases[i], DimRange: cp.DimRange}
+			views[i] = segmentView(cp, bases[i], cp)
 		}
 	}
 	return views

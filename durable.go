@@ -447,8 +447,10 @@ func (c *Collection) AddDurable(v []float64) (int, error) {
 	if err := c.logMutation(wal.Record{Type: wal.TypeAdd, Vectors: [][]float64{v}}); err != nil {
 		return 0, err
 	}
-	c.invalidatePlanCache()
-	return c.store.Append(v), nil
+	segments := c.store.NumSegments()
+	id := c.store.Append(v)
+	c.invalidatePlanCacheIfSealed(segments)
+	return id, nil
 }
 
 // AddBatchDurable is AddBatch returning the durability error instead of
@@ -468,8 +470,10 @@ func (c *Collection) AddBatchDurable(vectors [][]float64) (int, error) {
 	if err := c.logMutation(wal.Record{Type: wal.TypeAddBatch, Vectors: vectors}); err != nil {
 		return 0, err
 	}
-	c.invalidatePlanCache()
-	return c.store.AppendBatch(vectors), nil
+	segments := c.store.NumSegments()
+	first := c.store.AppendBatch(vectors)
+	c.invalidatePlanCacheIfSealed(segments)
+	return first, nil
 }
 
 // TryDeleteDurable is TryDelete returning the durability error as well:
@@ -484,8 +488,7 @@ func (c *Collection) TryDeleteDurable(id int) (ok bool, err error) {
 	if err := c.logMutation(wal.Record{Type: wal.TypeDelete, ID: uint64(id)}); err != nil {
 		return false, err
 	}
-	c.invalidatePlanCache()
-	c.store.Delete(id)
+	c.store.Delete(id) // a tombstone leaves the memoized planner list valid
 	return true, nil
 }
 

@@ -214,7 +214,7 @@ func TestCarriedKappaEmptiesFarSegments(t *testing.T) {
 	flat := vstore.FromVectors(vs)
 	views := viewsOf(vstore.SegmentedFromVectors(vs, perBlock))
 	for i := range views {
-		views[i].DimRange = nil
+		views[i].Lo, views[i].Hi = nil, nil
 	}
 	for _, crit := range []core.Criterion{core.Hq, core.Hh, core.Eq, core.Ev} {
 		p, err := plan.New(plan.WrapViews(views), plan.Spec{Query: vs[5], K: 4, Criterion: crit, Strategy: plan.ForceBOND}, nil)

@@ -102,7 +102,7 @@ func (f *compressedFilter) init() {
 		f.sc = &Scratch{}
 	}
 	sc := f.sc
-	sc.order = buildOrderInto(grow(sc.order, f.s.Dims()),
+	sc.order = buildOrderInto(grow(sc.order, f.s.Dims()), &sc.orderKeys,
 		f.q, nil, nil, f.opts.Order, f.opts.Seed, f.opts.Criterion.Distance())
 	f.order = sc.order
 	f.cands = sc.liveCandidates(f.s, f.opts.Exclude)

@@ -107,7 +107,7 @@ func TestDensePhaseEmptiedAndSparseSegments(t *testing.T) {
 	// under the κ the query's own cluster has set.
 	views := viewsOf(seg)
 	for i := range views {
-		views[i].DimRange = nil
+		views[i].Lo, views[i].Hi = nil, nil
 	}
 	segs := plan.WrapViews(views)
 	for _, crit := range []core.Criterion{core.Hq, core.Hh, core.Eq, core.Ev} {

@@ -46,6 +46,8 @@ type Scratch struct {
 	keep  []bool
 	qtail []float64
 	euc   metric.EucTail
+	// buildOrderInto's sort staging.
+	orderKeys []dimKey
 
 	// Compressed-filter score intervals.
 	sLo, sHi []float64

@@ -46,6 +46,7 @@ type Query struct {
 	opts      Options
 	weights   []float64 // effective weights (synthesized from Dims for distance criteria)
 	order     []int     // processing order over effective dimensions
+	orderKeys []dimKey  // buildOrderInto's sort staging
 	zeroDims  []int     // zero-weight dimensions, permanent tail residents
 	needTails bool
 
@@ -92,7 +93,7 @@ func (qs *Query) Init(q []float64, opts Options) {
 		}
 		qs.weights = qs.wbuf
 	}
-	qs.order = buildOrderInto(grow(qs.order, len(q)),
+	qs.order = buildOrderInto(grow(qs.order, len(q)), &qs.orderKeys,
 		q, qs.weights, opts.Dims, opts.Order, opts.Seed, opts.Criterion.Distance())
 	qs.zeroDims = qs.zeroDims[:0]
 	for d, w := range qs.weights {

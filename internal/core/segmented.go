@@ -13,14 +13,16 @@ import (
 // by local ids 0…len−1), the global id of local id 0, and an optional
 // per-dimension min/max synopsis.
 //
-// When DimRange is non-nil, the plan executor uses it to bound the best
-// score any member of the segment could reach and skips the segment
-// wholesale whenever that bound cannot beat the running k-th best (κ). A
-// nil DimRange only disables skipping; results stay exact either way.
+// Lo[d] and Hi[d] bound every coefficient of dimension d; they are live
+// views of the segment's own synopsis, not copies (an empty dimension reads
+// +Inf, −Inf). When they are non-nil, the plan executor uses them to bound
+// the best score any member of the segment could reach and skips the
+// segment wholesale whenever that bound cannot beat the running k-th best
+// (κ). Nil slices only disable skipping; results stay exact either way.
 type SegmentView struct {
-	Src      Source
-	Base     int
-	DimRange func(d int) (lo, hi float64)
+	Src    Source
+	Base   int
+	Lo, Hi []float64
 }
 
 // viewsMeta aggregates segment views into the shape option validation
@@ -82,63 +84,82 @@ func LocalExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
 // possibly reach under the query and options, derived from the synopsis:
 // an upper bound on similarity for the histogram criteria, a lower bound
 // on distance for the Euclidean ones. ok is false when the view carries no
-// usable synopsis (empty segment or nil DimRange), in which case the
-// segment must be searched.
-func SegBound(v SegmentView, q []float64, opts Options) (bound float64, ok bool) {
-	if v.DimRange == nil || v.Src.Len() == 0 {
+// usable synopsis (empty segment, nil Lo/Hi, or an effective dimension with
+// no data observed, lo = +Inf), in which case the segment must be searched.
+//
+// It is one pass over the two synopsis slices: the shape (subspace,
+// weighted, plain) is chosen once, not per dimension, and the per-dimension
+// term (boundTerm) has no data-dependent branch. The effective dimensions
+// mirror buildOrderInto (Dims restricts, zero weights drop out) and are
+// summed in the order given; each term is rounded before it is added (the
+// float64 conversions forbid a fused multiply-add), so the bound — and with
+// it every skip decision — is the same bits everywhere.
+func SegBound(v *SegmentView, q []float64, opts *Options) (bound float64, ok bool) {
+	if v.Lo == nil || v.Src.Len() == 0 {
 		return 0, false
 	}
+	lo, hi, w := v.Lo, v.Hi, opts.Weights
 	dist := opts.Criterion.Distance()
-	// Effective dimensions mirror buildOrderInto: Dims restricts, zero weights
-	// drop out (their best-case contribution is 0 for both metrics).
-	// Iterating the two shapes separately keeps the full-space case — once
-	// per segment on the query hot path — allocation-free.
-	if len(opts.Dims) > 0 {
+	inf := math.Inf(1)
+	switch {
+	case len(opts.Dims) > 0:
 		for _, d := range opts.Dims {
-			b, live := dimBound(v, q, opts, d, dist)
-			if !live {
+			wd := 1.0
+			if len(w) > 0 {
+				wd = w[d]
+			}
+			if wd == 0 {
+				continue
+			}
+			if lo[d] == inf {
 				return 0, false
 			}
-			bound += b
+			bound += boundTerm(dist, wd, lo[d], hi[d], q[d])
 		}
-		return bound, true
-	}
-	for d := range q {
-		b, live := dimBound(v, q, opts, d, dist)
-		if !live {
-			return 0, false
+	case len(w) > 0:
+		lo, hi, w = lo[:len(q)], hi[:len(q)], w[:len(q)]
+		for d, qd := range q {
+			if w[d] == 0 {
+				continue
+			}
+			if lo[d] == inf {
+				return 0, false
+			}
+			bound += boundTerm(dist, w[d], lo[d], hi[d], qd)
 		}
-		bound += b
+	default:
+		lo, hi = lo[:len(q)], hi[:len(q)]
+		for d, qd := range q {
+			if lo[d] == inf {
+				return 0, false
+			}
+			bound += boundTerm(dist, 1, lo[d], hi[d], qd)
+		}
 	}
 	return bound, true
 }
 
-// dimBound is one dimension's best-case contribution to a segment bound;
-// live is false when the synopsis has no data for the dimension.
-func dimBound(v SegmentView, q []float64, opts Options, d int, dist bool) (b float64, live bool) {
-	w := 1.0
-	if len(opts.Weights) > 0 {
-		w = opts.Weights[d]
-		if w == 0 {
-			return 0, true
-		}
-	}
-	lo, hi := v.DimRange(d)
-	if math.IsInf(lo, 1) { // no data observed for this dimension
-		return 0, false
-	}
+// boundTerm is one dimension's best-case contribution to a segment bound:
+// the weighted squared distance from q to the closest point of [lo, hi], or
+// the weighted min(h, q) capped by the segment's largest value.
+func boundTerm(dist bool, w, lo, hi, q float64) float64 {
 	if dist {
-		// Best case: the closest point of [lo, hi] to q_d.
-		gap := 0.0
-		if q[d] < lo {
-			gap = lo - q[d]
-		} else if q[d] > hi {
-			gap = q[d] - hi
-		}
-		return w * gap * gap, true
+		gap := boxGap(lo, hi, q)
+		return float64(w * gap * gap)
 	}
-	// Best case of min(h, q): capped by the segment's largest value.
-	return w * math.Min(q[d], hi), true
+	return float64(w * min(q, hi))
+}
+
+// boxGap is the distance from q to the closest point of [lo, hi], lo ≤ hi:
+// max(lo−q, q−hi, 0), taken on the bit patterns. A float's sign bit is its
+// pattern's too and non-negative floats order as their patterns do, so —
+// at most one of the two differences being positive — the integer max is
+// the float max; it compiles to two conditional moves where the float max
+// compiles to a dozen instructions and the plain comparison to a branch the
+// predictor loses on every other cell.
+func boxGap(lo, hi, q float64) float64 {
+	below, above := math.Float64bits(lo-q), math.Float64bits(q-hi)
+	return math.Float64frombits(uint64(max(int64(below), int64(above), 0)))
 }
 
 // CannotBeat reports whether a segment whose best possible score is bound

@@ -24,7 +24,8 @@ func viewsOf(s *vstore.SegStore) []core.SegmentView {
 	segs, bases := s.Segments(), s.Bases()
 	views := make([]core.SegmentView, len(segs))
 	for i := range segs {
-		views[i] = core.SegmentView{Src: segs[i], Base: bases[i], DimRange: segs[i].DimRange}
+		lo, hi := segs[i].DimRanges()
+		views[i] = core.SegmentView{Src: segs[i], Base: bases[i], Lo: lo, Hi: hi}
 	}
 	return views
 }

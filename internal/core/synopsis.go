@@ -40,14 +40,13 @@ func SynopsisSpread(views []SegmentView) (float64, bool) {
 	}
 	usable := 0
 	for _, v := range views {
-		if v.DimRange == nil || v.Src.Len() == 0 {
+		if v.Lo == nil || v.Src.Len() == 0 {
 			continue
 		}
 		usable++
 		for d := 0; d < dims; d++ {
-			lo, hi := v.DimRange(d)
-			glo[d] = math.Min(glo[d], lo)
-			ghi[d] = math.Max(ghi[d], hi)
+			glo[d] = math.Min(glo[d], v.Lo[d])
+			ghi[d] = math.Max(ghi[d], v.Hi[d])
 		}
 	}
 	if usable == 0 {
@@ -55,7 +54,7 @@ func SynopsisSpread(views []SegmentView) (float64, bool) {
 	}
 	var weighted, weight float64
 	for _, v := range views {
-		if v.DimRange == nil || v.Src.Len() == 0 {
+		if v.Lo == nil || v.Src.Len() == 0 {
 			continue
 		}
 		var spread float64
@@ -65,8 +64,7 @@ func SynopsisSpread(views []SegmentView) (float64, bool) {
 			if span <= 0 || math.IsInf(span, 1) {
 				continue
 			}
-			lo, hi := v.DimRange(d)
-			spread += (hi - lo) / span
+			spread += (v.Hi[d] - v.Lo[d]) / span
 			measured++
 		}
 		if measured == 0 {
@@ -84,16 +82,16 @@ func SynopsisSpread(views []SegmentView) (float64, bool) {
 
 // SummarizeSynopsis reduces a segment view's per-dimension synopsis to a
 // Synopsis. ok is false when the view carries no usable synopsis (nil
-// DimRange, empty segment, or a dimension with no observed data), in
+// Lo/Hi, empty segment, or a dimension with no observed data), in
 // which case callers should report the segment as unsummarized rather
 // than serve ±Inf, which JSON cannot carry.
 func SummarizeSynopsis(v SegmentView) (Synopsis, bool) {
-	if v.DimRange == nil || v.Src.Len() == 0 {
+	if v.Lo == nil || v.Src.Len() == 0 {
 		return Synopsis{}, false
 	}
 	s := Synopsis{MinVal: math.Inf(1), MaxVal: math.Inf(-1)}
-	for d := 0; d < v.Src.Dims(); d++ {
-		lo, hi := v.DimRange(d)
+	for d, lo := range v.Lo {
+		hi := v.Hi[d]
 		if math.IsInf(lo, 1) { // no data observed for this dimension
 			return Synopsis{}, false
 		}

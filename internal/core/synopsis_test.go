@@ -45,7 +45,7 @@ func TestSynopsisSpreadEdgeCases(t *testing.T) {
 	s := vstore.SegmentedFromVectors([][]float64{{1, 2}, {3, 4}}, 1)
 	views := viewsOf(s)
 	for i := range views {
-		views[i].DimRange = nil
+		views[i].Lo, views[i].Hi = nil, nil
 	}
 	if _, ok := core.SynopsisSpread(views); ok {
 		t.Error("synopsis-free views should be unmeasurable")

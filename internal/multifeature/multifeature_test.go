@@ -277,7 +277,8 @@ func TestSegmentedFeaturesMatchFlat(t *testing.T) {
 		segs, bases := ss.Segments(), ss.Bases()
 		views := make([]core.SegmentView, len(segs))
 		for i := range segs {
-			views[i] = core.SegmentView{Src: segs[i], Base: bases[i], DimRange: segs[i].DimRange}
+			lo, hi := segs[i].DimRanges()
+			views[i] = core.SegmentView{Src: segs[i], Base: bases[i], Lo: lo, Hi: hi}
 		}
 		seg[f].Store = nil
 		seg[f].Segments = views

@@ -101,9 +101,10 @@ type Plan struct {
 	segs  []Segment
 	model *Model
 
-	// views is the validation staging buffer, kept for reuse on pooled
-	// plans.
+	// views is the validation staging buffer and keys the step-ordering
+	// one, both kept for reuse on pooled plans.
 	views []core.SegmentView
+	keys  []stepKey
 
 	// fb, when set, receives execution feedback instead of the model —
 	// the batch executor aggregates it and applies one EWMA step per path.
@@ -153,9 +154,9 @@ func NewReusable(segs []Segment, spec Spec, model *Model) (*Plan, error) {
 }
 
 // Release returns a plan obtained from NewReusable to its model's pool. The
-// pooled plan keeps its buffers (steps, views, the cursor's engine state, κ
-// heap and step log) and no reference to the caller's spec, segments or
-// results. It is a no-op for plans made by New.
+// pooled plan keeps its buffers (steps, views, keys, the cursor's engine
+// state, κ heap and step log) and no reference to the caller's spec,
+// segments or results. It is a no-op for plans made by New.
 func (p *Plan) Release() {
 	if !p.pooled {
 		return
@@ -167,13 +168,14 @@ func (p *Plan) Release() {
 	*p = Plan{
 		Steps:  p.Steps[:0],
 		views:  p.views[:0],
+		keys:   p.keys[:0],
 		pooled: true,
 		cur:    p.cur,
 	}
 	m.releasePlan(p)
 }
 
-// init (re)plans into p, reusing its step and view buffers.
+// init (re)plans into p, reusing its step, view and key buffers.
 func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 	views := p.views[:0]
 	if cap(views) < len(segs) {
@@ -205,39 +207,102 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 		segs:   segs,
 		model:  model,
 		views:  views,
+		keys:   p.keys,
 		pooled: pooled,
 		cur:    p.cur,
 	}
-	for _, v := range views {
-		p.Slots += v.Src.Len()
-	}
-
 	dist := opts.Criterion.Distance()
 	queryMass := effectiveQueryMass(spec.Query, opts)
 	compressedOK := core.ValidateCompressed(opts) == nil
+	fill := func(st *Step, i, n int, bound float64, hasBound bool) {
+		s := &segs[i]
+		*st = Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed, Bound: bound, HasBound: hasBound}
+		st.shape = shapeFactor(bound, hasBound, dist, queryMass)
+		st.Path, st.PredCost = choosePath(&p.Model, spec.Strategy, s, compressedOK, n, p.Dims, st.shape)
+		st.Parallel = spec.Parallel >= 2 && st.Path == PathBOND &&
+			(spec.Strategy == ForceBOND || n >= parallelMinSegment)
+	}
 
-	for i, s := range segs {
-		n := s.View.Src.Len()
+	// Execution order: the parallel fan-out group first (in segment order —
+	// it all runs concurrently anyway, and the early answers seed κ for the
+	// sequential tail), then the sequential steps with unbounded segments
+	// first (they must be searched regardless) followed by bounded ones
+	// best-first, so κ tightens as fast as possible and later segments can
+	// be skipped. The order is settled on 16-byte keys — class, bound with
+	// the direction folded into its sign, segment index as the tie-break,
+	// which makes it the total order a stable sort by class and bound gives
+	// — and each Step is then written once, in its final place.
+	keys := p.keys[:0]
+	for i := range segs {
+		v := &segs[i].View
+		n := v.Src.Len()
 		if n == 0 {
 			continue
 		}
-		st := Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed}
-		st.Bound, st.HasBound = core.SegBound(s.View, spec.Query, opts)
-		st.shape = shapeFactor(st.Bound, st.HasBound, dist, queryMass)
-		st.Path, st.PredCost = choosePath(p.Model, spec.Strategy, s, compressedOK, n, p.Dims, st.shape)
-		st.Parallel = spec.Parallel >= 2 && st.Path == PathBOND &&
-			(spec.Strategy == ForceBOND || n >= parallelMinSegment)
-		p.Steps = append(p.Steps, st)
+		p.Slots += n
+		bound, ok := core.SegBound(v, spec.Query, &p.Opts)
+		k := stepKey{bound: bound, seg: int32(i), class: classUnbounded, hasBound: ok}
+		if !dist {
+			k.bound = -bound
+		}
+		if ok {
+			k.class = classBounded
+		}
+		if spec.Parallel >= 2 {
+			var st Step
+			if fill(&st, i, n, bound, ok); st.Parallel {
+				k.class = classParallel
+			}
+		}
+		keys = append(keys, k)
 	}
-	p.orderSteps(dist)
+	slices.SortFunc(keys, cmpStepKey)
+	p.Steps = slices.Grow(p.Steps, len(keys))[:len(keys)]
+	for j, k := range keys {
+		bound := k.bound
+		if !dist {
+			bound = -bound
+		}
+		fill(&p.Steps[j], int(k.seg), segs[k.seg].View.Src.Len(), bound, k.hasBound)
+	}
+	p.keys = keys
 	return nil
+}
+
+// stepKey is what the planner sorts in place of a Step.
+type stepKey struct {
+	bound float64 // ascending: the synopsis bound, negated for similarities
+	seg   int32
+	class stepClass
+	// hasBound is kept beside class because a parallel step may have one.
+	hasBound bool
+}
+
+type stepClass uint8
+
+const (
+	classParallel stepClass = iota
+	classUnbounded
+	classBounded
+)
+
+func cmpStepKey(a, b stepKey) int {
+	switch {
+	case a.class != b.class:
+		return int(a.class) - int(b.class)
+	case a.class == classBounded && a.bound < b.bound:
+		return -1
+	case a.class == classBounded && a.bound > b.bound:
+		return 1
+	}
+	return int(a.seg - b.seg)
 }
 
 // choosePath assigns the access path and its predicted cost for one
 // segment. Forced strategies map directly (falling back to an exact scan
 // where the path needs codes a mutable segment cannot offer); Auto takes
 // the cheapest eligible prediction, all in one unit (see VACodeCost).
-func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n, dims int, shape float64) (Path, float64) {
+func choosePath(m *Coefficients, strat Strategy, s *Segment, compressedOK bool, n, dims int, shape float64) (Path, float64) {
 	canCompress := compressedOK && s.Sealed && s.Codes != nil
 	canVA := compressedOK && s.Sealed && s.VA != nil
 	switch strat {
@@ -267,47 +332,6 @@ func choosePath(m Coefficients, strat Strategy, s Segment, compressedOK bool, n,
 		}
 	}
 	return best, cost
-}
-
-// orderSteps arranges the execution order: the parallel fan-out group
-// first (in segment order — it all runs concurrently anyway, and the
-// early answers seed κ for the sequential tail), then the sequential
-// steps with unbounded segments first (they must be searched regardless)
-// followed by bounded ones best-first, so κ tightens as fast as possible
-// and later segments can be skipped.
-func (p *Plan) orderSteps(dist bool) {
-	less := func(sa, sb *Step) bool {
-		if sa.Parallel != sb.Parallel {
-			return sa.Parallel
-		}
-		if sa.Parallel {
-			return sa.Segment < sb.Segment
-		}
-		if sa.HasBound != sb.HasBound {
-			return !sa.HasBound
-		}
-		if !sa.HasBound {
-			return false
-		}
-		if sa.Bound != sb.Bound {
-			if dist {
-				return sa.Bound < sb.Bound
-			}
-			return sa.Bound > sb.Bound
-		}
-		return false
-	}
-	// slices.SortStableFunc rather than sort.SliceStable: the generic sort
-	// needs no reflection and no per-call allocation.
-	slices.SortStableFunc(p.Steps, func(a, b Step) int {
-		switch {
-		case less(&a, &b):
-			return -1
-		case less(&b, &a):
-			return 1
-		}
-		return 0
-	})
 }
 
 // effectiveQueryMass is T(q) over the effective (weighted, subspaced)

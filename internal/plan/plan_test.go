@@ -20,8 +20,9 @@ func segmentsOf(s *vstore.SegStore) []Segment {
 	segs, bases := s.Segments(), s.Bases()
 	out := make([]Segment, len(segs))
 	for i, g := range segs {
+		lo, hi := g.DimRanges()
 		out[i] = Segment{
-			View:   core.SegmentView{Src: g, Base: bases[i], DimRange: g.DimRange},
+			View:   core.SegmentView{Src: g, Base: bases[i], Lo: lo, Hi: hi},
 			Sealed: g.Sealed(),
 		}
 		if g.Sealed() {

@@ -96,6 +96,12 @@ func (s *Store) DimRange(d int) (lo, hi float64) {
 	return s.dimMin[d], s.dimMax[d]
 }
 
+// DimRanges returns the per-dimension synopsis as live views: lo[d] and
+// hi[d] are DimRange(d). The slices alias the store's own and are never
+// reallocated, so a holder sees every later append; callers must treat them
+// as read-only and read them under the lock that orders them after writers.
+func (s *Store) DimRanges() (lo, hi []float64) { return s.dimMin, s.dimMax }
+
 // FromVectors builds a store from a row-major collection. It panics on
 // ragged input.
 func FromVectors(vectors [][]float64) *Store {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"bond/internal/core"
 )
 
 // buildMmapFixture checkpoints a durable collection of n clustered
@@ -181,5 +183,55 @@ func TestQueryAllocationBudgetMmap(t *testing.T) {
 					tc.crit, tc.strategy, allocs, allocBudget)
 			}
 		})
+	}
+}
+
+// Every place a segment's synopsis reaches the engine — the memoized planner
+// list, and the snapshot views SearchProgressive and AsFeature search after
+// the lock is gone — carries the store's own min/max, heap-backed or
+// memory-mapped, and so bounds a query to the same bits. The snapshot's copy
+// of the active segment brings its own synopsis and stays as it was when a
+// later add widens the live one.
+func TestSynopsisViewsHeapAndMmap(t *testing.T) {
+	const dims, segSize = 12, 64
+	dir, vectors, _ := buildMmapFixture(t, 5*segSize, dims, segSize, 77)
+	mapped := openMmapBacked(t, dir)
+	defer mapped.Close()
+	heap := NewCollectionSegmented(vectors, segSize)
+	far := make([]float64, dims)
+	for d := range far {
+		far[d] = 1 - vectors[0][d]
+	}
+	opts := core.Options{Criterion: core.Eq}
+	for name, col := range map[string]*Collection{"heap": heap, "mmap": mapped} {
+		col.Add(vectors[0]) // a one-point active segment
+		col.mu.RLock()
+		segs, live, snap := col.store.Segments(), col.planSegments(), col.snapshotViews()
+		col.mu.RUnlock()
+		activeBefore, _ := core.SegBound(&snap[len(snap)-1], far, &opts)
+		col.Add(far)
+		for i, g := range segs {
+			for d := 0; d < dims; d++ {
+				lo, hi := g.DimRange(d)
+				if v := live[i].View; v.Lo[d] != lo || v.Hi[d] != hi {
+					t.Fatalf("%s segment %d dim %d: planner view [%v, %v], store [%v, %v]", name, i, d, v.Lo[d], v.Hi[d], lo, hi)
+				}
+				if g.Sealed() && (snap[i].Lo[d] != lo || snap[i].Hi[d] != hi) {
+					t.Fatalf("%s segment %d dim %d: snapshot view [%v, %v], store [%v, %v]", name, i, d, snap[i].Lo[d], snap[i].Hi[d], lo, hi)
+				}
+			}
+			a, aok := core.SegBound(&live[i].View, vectors[3], &opts)
+			b, bok := core.SegBound(&snap[i], vectors[3], &opts)
+			if g.Sealed() && (aok != bok || math.Float64bits(a) != math.Float64bits(b)) {
+				t.Fatalf("%s segment %d: planner bound %v (%v), snapshot bound %v (%v)", name, i, a, aok, b, bok)
+			}
+		}
+		last := len(snap) - 1
+		if b, ok := core.SegBound(&live[last].View, far, &opts); !ok || b != 0 {
+			t.Errorf("%s: the active segment's live view bounds the vector just added at %v (%v), want 0", name, b, ok)
+		}
+		if b, ok := core.SegBound(&snap[last], far, &opts); !ok || b != activeBefore || b == 0 {
+			t.Errorf("%s: the snapshot's active segment moved with a later add: bound %v (%v), was %v", name, b, ok, activeBefore)
+		}
 	}
 }

@@ -172,7 +172,7 @@ func (c *Collection) sealedSpreadLocked() (float64, bool) {
 	last := len(segs) - 1
 	views := make([]core.SegmentView, 0, last)
 	for i := 0; i < last; i++ {
-		views = append(views, core.SegmentView{Src: segs[i], Base: bases[i], DimRange: segs[i].DimRange})
+		views = append(views, segmentView(segs[i], bases[i], segs[i].Store))
 	}
 	return core.SynopsisSpread(views)
 }

@@ -266,8 +266,14 @@ func (c *Collection) ApplyReplChunk(ch repl.Chunk) error {
 		if err := c.dur.w.AppendRaw(data[:n], syncNow); err != nil {
 			return err
 		}
-		c.invalidatePlanCache()
+		segments := c.store.NumSegments()
 		apply()
+		switch rec.Type {
+		case wal.TypeAdd, wal.TypeAddBatch, wal.TypeDelete:
+			c.invalidatePlanCacheIfSealed(segments)
+		default:
+			c.invalidatePlanCache()
+		}
 		data = data[n:]
 	}
 	return nil

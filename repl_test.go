@@ -187,6 +187,17 @@ func TestReplTailLockstep(t *testing.T) {
 		if got := dumpCollection(follower); !sameDump(got, dumps[i+1]) {
 			t.Fatalf("follower diverged after op %d (%s)", i, op.kind)
 		}
+		// The follower answers from a planner list memoized across the
+		// records that leave its segment list alone, and must answer as the
+		// leader does after every one of them.
+		spec := QuerySpec{Query: ops[0].vec, K: 100, Criterion: Eq, Strategy: StrategyBOND} // every live row
+		want, err := leader.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := follower.Query(spec); err != nil || !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("follower answers %v (%v) after op %d (%s), leader %v", got.Results, err, i, op.kind, want.Results)
+		}
 		lp, _ := leader.ReplPosition()
 		fp, _ := follower.ReplPosition()
 		if lp != fp {

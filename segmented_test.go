@@ -6,6 +6,8 @@ import (
 
 	"bond/internal/core"
 	"bond/internal/dataset"
+	"bond/internal/plan"
+	"bond/internal/topk"
 	"bond/internal/vstore"
 )
 
@@ -258,4 +260,91 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND, Parallel: 4}); err != nil {
 		t.Fatalf("parallel with stale exclusion: %v", err)
 	}
+}
+
+// exactOracle is a straight scan of what the collection holds now, whatever
+// ids a rewrite has handed out since.
+func exactOracle(c *Collection, q []float64, k int) []topk.Result {
+	var vs [][]float64
+	deleted := map[int]bool{}
+	for id := 0; id < c.Len(); id++ {
+		vs = append(vs, c.Vector(id))
+		deleted[id] = c.store.IsDeleted(id)
+	}
+	return oracleScan(vs, deleted, q, k, true)
+}
+
+// A write that leaves the segment list alone — an append into the active
+// segment, a tombstone — keeps the memoized planner list (the same backing
+// array, so no query under a writer rebuilds it); a write that replaces a
+// segment drops it. Either way the next query sees the write: the new row,
+// the tombstone, and the active segment's widened synopsis, which the list
+// holds as a live view — a stale copy would skip the segment the far vector
+// just landed in.
+func TestPlanCacheSurvivesNonSealingWrites(t *testing.T) {
+	const blocks, perBlock, dims = 4, 40, 8
+	vs := clusterBlocks(blocks, perBlock, dims, 31)
+	col := NewCollectionSegmented(vs, perBlock)
+	far := make([]float64, dims)
+	for d := range far {
+		far[d] = 1 - vs[0][d] // the opposite corner from block 0's centre
+	}
+	cached := func() *plan.Segment {
+		col.mu.RLock()
+		defer col.mu.RUnlock()
+		return &col.planSegments()[0]
+	}
+	check := func(label string) {
+		t.Helper()
+		for _, q := range [][]float64{vs[0], far} {
+			res, err := col.Query(QuerySpec{Query: q, K: 3, Criterion: Eq, Strategy: StrategyBOND})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesOracle(t, label, res.Results, exactOracle(col, q, 3))
+		}
+	}
+	kept := func(label string, before *plan.Segment) {
+		t.Helper()
+		if cached() != before {
+			t.Errorf("%s rebuilt the memoized planner list", label)
+		}
+		check(label)
+	}
+	dropped := func(label string, before *plan.Segment) *plan.Segment {
+		t.Helper()
+		after := cached()
+		if after == before {
+			t.Errorf("%s kept a planner list it outdated", label)
+		}
+		check(label)
+		return after
+	}
+
+	check("bulk load")
+	list := cached()
+	col.Add(vs[1])
+	kept("add", list)
+	// Fills the active segment, which seals, and spills vs[0] into the next:
+	// the list is rebuilt over an active segment whose synopsis is one point
+	// in block 0's corner…
+	col.AddBatch(append(vs[:perBlock-1:perBlock-1], vs[0]))
+	list = dropped("sealing add", list)
+	farID := col.Add(far) // …until this widens it across the box
+	kept("widening add", list)
+	if res, _ := col.Query(QuerySpec{Query: far, K: 1, Criterion: Eq, Strategy: StrategyBOND}); len(res.Results) != 1 || res.Results[0].ID != farID {
+		t.Fatalf("query at the vector just added returned %v, want id %d", res.Results, farID)
+	}
+	col.Delete(farID)
+	col.Delete(1)
+	kept("delete", list)
+	col.AddBatch([][]float64{vs[5], far})
+	kept("batch add", list)
+
+	col.SealActive()
+	list = dropped("SealActive", list)
+	col.CompactRatio(0)
+	list = dropped("CompactRatio", list)
+	col.Recluster(0, 3)
+	dropped("Recluster", list)
 }
