@@ -1,6 +1,7 @@
 package bond
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -217,6 +218,33 @@ func TestExactStrategyWeightedAndSubspace(t *testing.T) {
 				if got := res.Results[i]; got.ID != want.ID || got.Score != want.Score {
 					t.Errorf("%s q%d rank %d: %+v, want %+v", tc.name, qid, i, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestQueryRejectsNonFiniteInput: a NaN or infinite query coordinate,
+// weight or tolerance is refused with core.ErrQueryRange by every
+// strategy and by QueryBatch, instead of scoring every vector NaN or
+// +Inf (the engine's "no candidate" sentinel) and answering nothing.
+func TestQueryRejectsNonFiniteInput(t *testing.T) {
+	col := NewCollectionSegmented([][]float64{{1, 0}, {0, 0}, {0.5, 0.5}}, 2)
+	nan := math.NaN()
+	for _, strategy := range []Strategy{StrategyAuto, StrategyBOND, StrategyExact} {
+		for name, spec := range map[string]QuerySpec{
+			"NaN coordinate": {Query: []float64{nan, 0.5}, Criterion: Eq},
+			"Inf coordinate": {Query: []float64{0.5, math.Inf(-1)}, Criterion: Hq},
+			"NaN weight":     {Query: []float64{0.5, 0.5}, Criterion: Ev, Weights: []float64{1, nan}},
+			"NaN tolerance":  {Query: []float64{0.5, 0.5}, Criterion: Hq, Tolerance: nan},
+			"overflow":       {Query: []float64{-1e200, 0.5}, Criterion: Eq},
+		} {
+			spec.K, spec.Strategy = 2, strategy
+			if _, err := col.Query(spec); !errors.Is(err, core.ErrQueryRange) {
+				t.Errorf("%v %s: Query err = %v, want ErrQueryRange", strategy, name, err)
+			}
+			ok := QuerySpec{Query: []float64{0.5, 0.5}, K: 2, Strategy: strategy}
+			if _, err := col.QueryBatch([]QuerySpec{ok, spec}); !errors.Is(err, core.ErrQueryRange) {
+				t.Errorf("%v %s: QueryBatch err = %v, want ErrQueryRange", strategy, name, err)
 			}
 		}
 	}

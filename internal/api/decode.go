@@ -1,0 +1,614 @@
+package api
+
+import (
+	"math"
+	"strconv"
+)
+
+// decoder is the one-pass reader of the hot bodies: QuerySpec,
+// BatchRequest and IngestRequest on the way in, QueryResponse and
+// BatchResponse on the coordinator's way back from a shard. It checks the
+// JSON grammar and converts numbers in the same pass, and takes only what
+// it can decode exactly as encoding/json would: exact-case keys the type
+// declares, each at most once; plain-ASCII strings without escapes;
+// numbers, arrays and objects of the declared types; nothing but
+// whitespace after the value. Anything else — an escape, a non-ASCII byte,
+// a key that matches only case-insensitively, null, a duplicate key, a
+// number out of range, any syntax error — makes it give up, and the caller
+// re-decodes the same bytes with encoding/json, which stays the definition
+// of what is accepted and the only source of error text.
+//
+// Floats are bit-identical to strconv.ParseFloat's, which is what
+// encoding/json calls: a mantissa below 2⁵³ scaled by 10^e with |e| ≤ 22
+// is one correctly rounded IEEE operation on two exact operands
+// (Clinger's fast path); anything else goes to strconv.ParseFloat on the
+// span the grammar pass has already delimited.
+//
+// A decoder is pooled with its scratch: every float array is read into
+// nums and copied out into a slice allocated once at its final length,
+// and a batch's specs are gathered in specs before their slice is made.
+type decoder struct {
+	data []byte
+	pos  int
+
+	nums  []float64   // floats of the array(s) being read
+	ints  []int       // ints of the array being read
+	ends  []int       // end offsets into nums, one per vector of an ingest
+	specs []QuerySpec // specs of the batch being read
+	resps []QueryResponse
+	hits  []Neighbor
+}
+
+// reset points the decoder at data, keeping its scratch.
+func (d *decoder) reset(data []byte) {
+	d.data, d.pos = data, 0
+}
+
+// release drops what the scratch still references, so a pooled decoder
+// pins neither the body nor a decoded slice.
+func (d *decoder) release() {
+	d.data = nil
+	clear(d.specs)
+	clear(d.resps)
+	d.specs, d.resps = d.specs[:0], d.resps[:0]
+}
+
+// value decodes the whole body into v, a pointer to one of the hot types,
+// assigning *v only when every byte was taken. Like encoding/json it sets
+// only the fields present. It takes only targets whose slices and
+// pointers are nil, as every caller's are: encoding/json decodes into
+// whatever those already reference, which this decoder does not mimic.
+func (d *decoder) value(v any) bool {
+	switch v := v.(type) {
+	case *QuerySpec:
+		s := *v
+		if s.Query == nil && s.ID == nil && s.Weights == nil && s.Dims == nil &&
+			d.querySpec(&s) && d.end() {
+			*v = s
+			return true
+		}
+	case *BatchRequest:
+		r := *v
+		if r.Queries == nil && d.batchRequest(&r) && d.end() {
+			*v = r
+			return true
+		}
+	case *IngestRequest:
+		r := *v
+		if r.Vector == nil && r.Vectors == nil && d.ingestRequest(&r) && d.end() {
+			*v = r
+			return true
+		}
+	case *QueryResponse:
+		r := *v
+		if r.Results == nil && r.MissedShards == nil && d.queryResponse(&r) && d.end() {
+			*v = r
+			return true
+		}
+	case *BatchResponse:
+		r := *v
+		if r.Results == nil && d.batchResponse(&r) && d.end() {
+			*v = r
+			return true
+		}
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (d *decoder) end() bool {
+	d.ws()
+	return d.pos == len(d.data)
+}
+
+func (d *decoder) ws() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// next consumes c, after whitespace, if it is the next byte.
+func (d *decoder) next(c byte) bool {
+	d.ws()
+	if d.pos < len(d.data) && d.data[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// key reads an object key and its colon. The key aliases the body.
+func (d *decoder) key() ([]byte, bool) {
+	s, ok := d.plain()
+	if !ok || !d.next(':') {
+		return nil, false
+	}
+	return s, true
+}
+
+// plain reads a string of printable ASCII without escapes — the only
+// strings whose bytes are their value — and returns it aliasing the body.
+func (d *decoder) plain() ([]byte, bool) {
+	if !d.next('"') {
+		return nil, false
+	}
+	start := d.pos
+	for i := start; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			d.pos = i + 1
+			return d.data[start:i], true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// str reads a plain string value. The names the API defines come back
+// as the constants in apiNames, so a common request allocates no string.
+func (d *decoder) str() (string, bool) {
+	b, ok := d.plain()
+	if !ok {
+		return "", false
+	}
+	if s, ok := apiNames[string(b)]; ok {
+		return s, true
+	}
+	return string(b), true
+}
+
+var apiNames = map[string]string{}
+
+func init() {
+	for _, s := range []string{"", "auto", "bond", "exact", "compressed", "vafile",
+		"hq", "hh", "eq", "ev", "Hq", "Hh", "Eq", "Ev", "desc", "asc", "strict", "partial"} {
+		apiNames[s] = s
+	}
+}
+
+// boolean reads true or false.
+func (d *decoder) boolean() (bool, bool) {
+	d.ws()
+	rest := d.data[d.pos:]
+	switch {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		d.pos += 4
+		return true, true
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		d.pos += 5
+		return false, true
+	}
+	return false, false
+}
+
+// int64 reads a JSON integer that fits an int64. A fraction or an
+// exponent is refused: encoding/json rejects both for an integer field.
+func (d *decoder) int64() (int64, bool) {
+	d.ws()
+	data, i := d.data, d.pos
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n uint64
+	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+		n = n*10 + uint64(data[i]-'0')
+		i++
+	}
+	digits := i - start
+	if digits == 0 || digits > 19 || (digits > 1 && data[start] == '0') {
+		return 0, false
+	}
+	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
+		return 0, false
+	}
+	if n > math.MaxInt64 && !(neg && n == 1<<63) {
+		return 0, false
+	}
+	d.pos = i
+	if neg {
+		return -int64(n), true
+	}
+	return int64(n), true
+}
+
+// int reads a JSON integer that fits an int.
+func (d *decoder) int() (int, bool) {
+	n, ok := d.int64()
+	if !ok || int64(int(n)) != n {
+		return 0, false
+	}
+	return int(n), true
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float reads a JSON number, checking its grammar
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) while accumulating the
+// significant digits, and converts it as strconv.ParseFloat does.
+func (d *decoder) float() (float64, bool) {
+	d.ws()
+	data, i := d.data, d.pos
+	start := i
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	nd, exp := 0, 0 // significant digits in mant; decimal exponent of its last digit
+	exact := true   // mant holds every significant digit
+	// Integer part: 0, or a non-zero digit and more digits.
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && '1' <= data[i] && data[i] <= '9':
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if nd < 19 {
+				mant = mant*10 + uint64(data[i]-'0')
+				nd++
+			} else {
+				exact = false
+			}
+		}
+	default:
+		return 0, false
+	}
+	if i < len(data) && data[i] == '.' {
+		i++
+		frac := i
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			switch {
+			case mant == 0 && data[i] == '0':
+				exp-- // a leading zero places the digits, it is not one of them
+			case nd < 19:
+				mant = mant*10 + uint64(data[i]-'0')
+				nd++
+				exp--
+			default:
+				exact = false
+			}
+		}
+		if i == frac {
+			return 0, false
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		eneg := false
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			eneg = data[i] == '-'
+			i++
+		}
+		digits := i
+		e := 0
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(data[i]-'0')
+			}
+		}
+		if i == digits {
+			return 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	d.pos = i
+	if exact && mant < 1<<53 && -22 <= exp && exp <= 22 {
+		f := float64(mant)
+		if exp < 0 {
+			f /= pow10[-exp]
+		} else {
+			f *= pow10[exp]
+		}
+		if neg {
+			f = -f
+		}
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(data[start:i]), 64)
+	return f, err == nil
+}
+
+// appendFloats reads an array of numbers onto d.nums.
+func (d *decoder) appendFloats() bool {
+	if !d.next('[') {
+		return false
+	}
+	if d.next(']') {
+		return true
+	}
+	for {
+		f, ok := d.float()
+		if !ok {
+			return false
+		}
+		d.nums = append(d.nums, f)
+		if d.next(',') {
+			continue
+		}
+		return d.next(']')
+	}
+}
+
+// floats reads an array of numbers into a slice of its exact length
+// (non-nil when empty, as encoding/json makes it).
+func (d *decoder) floats() ([]float64, bool) {
+	d.nums = d.nums[:0]
+	if !d.appendFloats() {
+		return nil, false
+	}
+	out := make([]float64, len(d.nums))
+	copy(out, d.nums)
+	return out, true
+}
+
+// vectors reads an array of float arrays: one allocation per vector plus
+// the outer slice.
+func (d *decoder) vectors() ([][]float64, bool) {
+	d.nums, d.ends = d.nums[:0], d.ends[:0]
+	ok := d.elements(func() bool {
+		ok := d.appendFloats()
+		d.ends = append(d.ends, len(d.nums))
+		return ok
+	})
+	if !ok {
+		return nil, false
+	}
+	out := make([][]float64, len(d.ends))
+	at := 0
+	for i, end := range d.ends {
+		out[i] = make([]float64, end-at)
+		copy(out[i], d.nums[at:end])
+		at = end
+	}
+	return out, true
+}
+
+// intSlice reads an array of integers into a slice of its exact length.
+func (d *decoder) intSlice() ([]int, bool) {
+	d.ints = d.ints[:0]
+	ok := d.elements(func() bool {
+		n, ok := d.int()
+		d.ints = append(d.ints, n)
+		return ok
+	})
+	if !ok {
+		return nil, false
+	}
+	out := make([]int, len(d.ints))
+	copy(out, d.ints)
+	return out, true
+}
+
+// elements reads an array, calling elem to read each element.
+func (d *decoder) elements(elem func() bool) bool {
+	if !d.next('[') {
+		return false
+	}
+	if d.next(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if !d.next(',') {
+			return d.next(']')
+		}
+	}
+}
+
+// members reads an object, calling field to read each member's value
+// into place. field returns the key's bit, or false for a key the type
+// does not declare exactly. A repeated key is refused: encoding/json
+// merges it into the value already decoded, which this decoder does not
+// reproduce.
+func (d *decoder) members(field func(key []byte) (bit uint32, ok bool)) bool {
+	if !d.next('{') {
+		return false
+	}
+	if d.next('}') {
+		return true
+	}
+	var seen uint32
+	for {
+		key, ok := d.key()
+		if !ok {
+			return false
+		}
+		bit, ok := field(key)
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		if !d.next(',') {
+			return d.next('}')
+		}
+	}
+}
+
+// querySpec reads one QuerySpec object into s.
+func (d *decoder) querySpec(s *QuerySpec) bool {
+	return d.members(func(key []byte) (uint32, bool) {
+		var ok bool
+		switch string(key) {
+		case "query":
+			s.Query, ok = d.floats()
+			return 1 << 0, ok
+		case "id":
+			var id int
+			id, ok = d.int()
+			s.ID = &id
+			return 1 << 1, ok
+		case "k":
+			s.K, ok = d.int()
+			return 1 << 2, ok
+		case "criterion":
+			s.Criterion, ok = d.str()
+			return 1 << 3, ok
+		case "order":
+			s.Order, ok = d.str()
+			return 1 << 4, ok
+		case "step":
+			s.Step, ok = d.int()
+			return 1 << 5, ok
+		case "weights":
+			s.Weights, ok = d.floats()
+			return 1 << 6, ok
+		case "dims":
+			s.Dims, ok = d.intSlice()
+			return 1 << 7, ok
+		case "strategy":
+			s.Strategy, ok = d.str()
+			return 1 << 8, ok
+		case "parallel":
+			s.Parallel, ok = d.int()
+			return 1 << 9, ok
+		case "tolerance":
+			s.Tolerance, ok = d.float()
+			return 1 << 10, ok
+		case "timeout_ms":
+			s.TimeoutMs, ok = d.int()
+			return 1 << 11, ok
+		case "policy":
+			s.Policy, ok = d.str()
+			return 1 << 12, ok
+		}
+		return 0, false
+	})
+}
+
+// batchRequest reads a BatchRequest object into r; its specs are gathered
+// in d.specs and copied into a slice of their exact count.
+func (d *decoder) batchRequest(r *BatchRequest) bool {
+	return d.members(func(key []byte) (uint32, bool) {
+		if string(key) != "queries" {
+			return 0, false
+		}
+		d.specs = d.specs[:0]
+		ok := d.elements(func() bool {
+			d.specs = append(d.specs, QuerySpec{})
+			return d.querySpec(&d.specs[len(d.specs)-1])
+		})
+		r.Queries = make([]QuerySpec, len(d.specs))
+		copy(r.Queries, d.specs)
+		return 1, ok
+	})
+}
+
+// ingestRequest reads an IngestRequest object into r.
+func (d *decoder) ingestRequest(r *IngestRequest) bool {
+	return d.members(func(key []byte) (uint32, bool) {
+		var ok bool
+		switch string(key) {
+		case "vector":
+			r.Vector, ok = d.floats()
+			return 1 << 0, ok
+		case "vectors":
+			r.Vectors, ok = d.vectors()
+			return 1 << 1, ok
+		}
+		return 0, false
+	})
+}
+
+// queryResponse reads a QueryResponse object into r.
+func (d *decoder) queryResponse(r *QueryResponse) bool {
+	return d.members(func(key []byte) (uint32, bool) {
+		var ok bool
+		switch string(key) {
+		case "results":
+			r.Results, ok = d.neighbors()
+			return 1 << 0, ok
+		case "stats":
+			return 1 << 1, d.queryStats(&r.Stats)
+		case "truncated":
+			r.Truncated, ok = d.boolean()
+			return 1 << 2, ok
+		case "partial":
+			r.Partial, ok = d.boolean()
+			return 1 << 3, ok
+		case "missed_shards":
+			r.MissedShards, ok = d.intSlice()
+			return 1 << 4, ok
+		}
+		return 0, false
+	})
+}
+
+// neighbors reads an array of Neighbor objects into a slice of its exact
+// length.
+func (d *decoder) neighbors() ([]Neighbor, bool) {
+	d.hits = d.hits[:0]
+	ok := d.elements(func() bool {
+		d.hits = append(d.hits, Neighbor{})
+		n := &d.hits[len(d.hits)-1]
+		return d.members(func(key []byte) (uint32, bool) {
+			var ok bool
+			switch string(key) {
+			case "id":
+				n.ID, ok = d.int()
+				return 1 << 0, ok
+			case "score":
+				n.Score, ok = d.float()
+				return 1 << 1, ok
+			}
+			return 0, false
+		})
+	})
+	if !ok {
+		return nil, false
+	}
+	out := make([]Neighbor, len(d.hits))
+	copy(out, d.hits)
+	return out, true
+}
+
+func (d *decoder) queryStats(s *QueryStats) bool {
+	return d.members(func(key []byte) (uint32, bool) {
+		var ok bool
+		switch string(key) {
+		case "values_scanned":
+			s.ValuesScanned, ok = d.int64()
+			return 1 << 0, ok
+		case "final_candidates":
+			s.FinalCandidates, ok = d.int()
+			return 1 << 1, ok
+		case "segments_searched":
+			s.SegmentsSearched, ok = d.int()
+			return 1 << 2, ok
+		case "segments_skipped":
+			s.SegmentsSkipped, ok = d.int()
+			return 1 << 3, ok
+		}
+		return 0, false
+	})
+}
+
+// batchResponse reads a BatchResponse object into r.
+func (d *decoder) batchResponse(r *BatchResponse) bool {
+	return d.members(func(key []byte) (uint32, bool) {
+		if string(key) != "results" {
+			return 0, false
+		}
+		d.resps = d.resps[:0]
+		ok := d.elements(func() bool {
+			d.resps = append(d.resps, QueryResponse{})
+			return d.queryResponse(&d.resps[len(d.resps)-1])
+		})
+		r.Results = make([]QueryResponse, len(d.resps))
+		copy(r.Results, d.resps)
+		return 1, ok
+	})
+}

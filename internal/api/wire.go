@@ -1,6 +1,7 @@
 // Package api holds the JSON wire types of the bondd HTTP API — the
 // request and response shapes both the single-node serving layer
-// (internal/server) and the sharded coordinator (internal/shard) speak.
+// (internal/server) and the sharded coordinator (internal/shard) speak —
+// and the one codec both read and write them with (codec.go).
 // Keeping them in one package is what makes the coordinator transparent:
 // it accepts exactly the single-node shapes, fans them out to shards
 // speaking the same shapes, and responds in kind (plus the degradation

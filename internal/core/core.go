@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"bond/internal/bitmap"
 	"bond/internal/topk"
@@ -247,6 +248,7 @@ var (
 	ErrBadDims        = errors.New("core: Dims entries must be unique and within range")
 	ErrNoCandidates   = errors.New("core: no live vectors to search")
 	ErrDataRange      = errors.New("core: stored data outside the range the pruning bounds assume")
+	ErrQueryRange     = errors.New("core: query would make a score non-finite")
 )
 
 func (o *Options) validate(s meta, q []float64) error {
@@ -295,6 +297,9 @@ func (o *Options) validateShape(dims, slots int, lo, hi float64, q []float64) er
 			seen[d/64] |= 1 << uint(d%64)
 		}
 	}
+	if err := o.checkQueryRange(q, lo, hi); err != nil {
+		return err
+	}
 	if o.Step == 0 {
 		o.Step = DefaultStep
 	}
@@ -320,6 +325,60 @@ func (o *Options) validateShape(dims, slots int, lo, hi float64, q []float64) er
 			return fmt.Errorf("%w: histogram criteria need non-negative values, store holds minimum %v",
 				ErrDataRange, lo)
 		}
+	}
+	return nil
+}
+
+// checkQueryRange rejects a query for which some score could be
+// non-finite: +Inf is the engine's "no candidate" sentinel, so a live
+// vector scoring it would silently vanish from the answer. Every query
+// coordinate and weight must be finite, and the sum over the scored
+// dimensions of a bound on each term's magnitude, taken over the stored
+// value range [lo, hi], must be finite too:
+//
+//	Eq, Ev:  w·max(q − lo, hi − q)²
+//	Hq, Hh:  w·max(|min(q, lo)|, |min(q, hi)|)
+//
+// (w = 1 for unweighted queries). Summing magnitudes keeps every partial
+// sum finite, whatever order the engine adds the terms in.
+func (o *Options) checkQueryRange(q []float64, lo, hi float64) error {
+	for d, x := range q {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: query coordinate %d is %v", ErrQueryRange, d, x)
+		}
+	}
+	for d, w := range o.Weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("%w: weight %d is %v", ErrQueryRange, d, w)
+		}
+	}
+	sum := 0.0
+	add := func(d int) {
+		w := 1.0
+		if len(o.Weights) > 0 {
+			if w = o.Weights[d]; w == 0 {
+				return
+			}
+		}
+		if o.Criterion.Distance() {
+			m := max(q[d]-lo, hi-q[d])
+			sum += w * m * m
+		} else {
+			sum += w * max(math.Abs(min(q[d], lo)), math.Abs(min(q[d], hi)))
+		}
+	}
+	if len(o.Dims) > 0 {
+		for _, d := range o.Dims {
+			add(d)
+		}
+	} else {
+		for d := range q {
+			add(d)
+		}
+	}
+	if math.IsInf(sum, 0) || math.IsNaN(sum) {
+		return fmt.Errorf("%w: the %v score of a vector in [%v, %v] can overflow for this query",
+			ErrQueryRange, o.Criterion, lo, hi)
 	}
 	return nil
 }

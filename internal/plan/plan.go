@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"bond/internal/core"
@@ -188,6 +189,9 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 	opts := spec.options()
 	if err := core.ValidateSegments(views, spec.Query, &opts); err != nil {
 		return err
+	}
+	if math.IsNaN(spec.Tolerance) || math.IsInf(spec.Tolerance, 0) {
+		return fmt.Errorf("%w: tolerance is %v", core.ErrQueryRange, spec.Tolerance)
 	}
 	if spec.Strategy == ForceCompressed || spec.Strategy == ForceVAFile {
 		if err := core.ValidateCompressed(opts); err != nil {

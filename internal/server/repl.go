@@ -512,7 +512,7 @@ func (s *Server) fenceReplica(w http.ResponseWriter) bool {
 	if !s.readOnlyReplica() {
 		return false
 	}
-	writeJSON(w, http.StatusConflict, errorWire{
+	api.WriteJSON(w, http.StatusConflict, errorWire{
 		Error: errReadOnlyReplica.Error(),
 		Code:  "read_only_replica",
 	})
@@ -580,10 +580,10 @@ func (s *Server) handleWALChunk(w http.ResponseWriter, r *http.Request) {
 	chunk, err := col.ReplChunk(seq, from, max)
 	if err != nil {
 		status, code := replErrStatus(err)
-		writeJSON(w, status, errorWire{Error: err.Error(), Code: code})
+		api.WriteJSON(w, status, errorWire{Error: err.Error(), Code: code})
 		return
 	}
-	writeJSON(w, http.StatusOK, chunk)
+	api.WriteJSON(w, http.StatusOK, chunk)
 }
 
 // handleSnapshot serves POST /collections/{name}/snapshot: checkpoint
@@ -602,10 +602,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap, err := col.ReplSnapshot()
 	if err != nil {
 		status, code := replErrStatus(err)
-		writeJSON(w, status, errorWire{Error: err.Error(), Code: code})
+		api.WriteJSON(w, status, errorWire{Error: err.Error(), Code: code})
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	api.WriteJSON(w, http.StatusOK, snap)
 }
 
 // handlePromote serves POST /promote: flip a caught-up follower into a
@@ -614,24 +614,24 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // not_replica rejects a node that was never following.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	if s.repl == nil {
-		writeJSON(w, http.StatusConflict, errorWire{
+		api.WriteJSON(w, http.StatusConflict, errorWire{
 			Error: "not a replica (started without -follow)",
 			Code:  "not_replica",
 		})
 		return
 	}
 	if err := s.repl.promote(); err != nil {
-		writeJSON(w, http.StatusConflict, errorWire{Error: err.Error(), Code: "replica_diverged"})
+		api.WriteJSON(w, http.StatusConflict, errorWire{Error: err.Error(), Code: "replica_diverged"})
 		return
 	}
 	s.logf("bondd: promoted to leader (was following %s)", s.repl.leader)
-	writeJSON(w, http.StatusOK, s.repl.status())
+	api.WriteJSON(w, http.StatusOK, s.repl.status())
 }
 
 // handleReplStatus serves GET /replstatus — the follower's self-report
 // the coordinator's prober reads before promoting.
 func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.ReplStatus())
+	api.WriteJSON(w, http.StatusOK, s.ReplStatus())
 }
 
 // --- Catalog integration ---------------------------------------------------

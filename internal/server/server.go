@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -386,17 +385,19 @@ type serverStats struct {
 
 // --- Helpers --------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status >= 500 {
 		s.logf("bondd: %v", err)
 	}
-	writeJSON(w, status, errorWire{Error: err.Error()})
+	api.WriteJSON(w, status, errorWire{Error: err.Error()})
+}
+
+// writeAnswer sends a query or batch answer, logging one that could not
+// be encoded (WriteJSON has answered it 500).
+func (s *Server) writeAnswer(w http.ResponseWriter, v any) {
+	if err := api.WriteJSON(w, http.StatusOK, v); err != nil {
+		s.logf("bondd: %v", err)
+	}
 }
 
 // catalogStatus maps catalog errors onto HTTP statuses.
@@ -410,18 +411,6 @@ func catalogStatus(err error) int {
 		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
-}
-
-// decodeBody decodes a JSON request body, rejecting unknown fields and
-// bodies over the configured size cap (http.MaxBytesReader also hints
-// the connection closed so the client stops streaming).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
 }
 
 // acquire admits one query execution, waiting for a slot while the
@@ -447,7 +436,7 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
 		err := fmt.Errorf("server overloaded: %d queries in flight", s.cfg.MaxInFlight)
 		s.logf("bondd: %v", err)
 		w.Header().Set("Retry-After", strconv.Itoa(overloadedRetryAfterMs/1000))
-		writeJSON(w, http.StatusServiceUnavailable, errorWire{
+		api.WriteJSON(w, http.StatusServiceUnavailable, errorWire{
 			Error:        err.Error(),
 			Code:         "overloaded",
 			RetryAfterMs: overloadedRetryAfterMs,
@@ -528,7 +517,7 @@ func toResponse(res bond.QueryResult) queryResponse {
 // --- Handlers -------------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe, distinct from liveness: a node is
@@ -539,13 +528,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // writes to it while /healthz still reports the process alive.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if err := s.cat.Ready(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorWire{
+		api.WriteJSON(w, http.StatusServiceUnavailable, errorWire{
 			Error: fmt.Sprintf("not ready: %v", err),
 			Code:  "not_ready",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -574,7 +563,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			st.Role = "follower"
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -583,7 +572,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"collections": names})
+	api.WriteJSON(w, http.StatusOK, map[string][]string{"collections": names})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -591,7 +580,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -605,7 +594,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, createResponse{Name: name, Dims: col.Dims(), Created: created})
+	api.WriteJSON(w, status, createResponse{Name: name, Dims: col.Dims(), Created: created})
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
@@ -625,7 +614,7 @@ func (s *Server) handleCollectionStats(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, catalogStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, col.StatsSnapshot())
+	api.WriteJSON(w, http.StatusOK, col.StatsSnapshot())
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -639,7 +628,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -672,7 +661,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("ingest not durable: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{FirstID: first, Count: len(vectors)})
+	api.WriteJSON(w, http.StatusOK, ingestResponse{FirstID: first, Count: len(vectors)})
 }
 
 // handleGetVector reads one vector back by id — the readback clients use
@@ -693,7 +682,7 @@ func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("id %d outside collection [0,%d)", id, col.Len()))
 		return
 	}
-	writeJSON(w, http.StatusOK, vectorResponse{ID: id, Vector: v})
+	api.WriteJSON(w, http.StatusOK, vectorResponse{ID: id, Vector: v})
 }
 
 func (s *Server) handleDeleteVector(w http.ResponseWriter, r *http.Request) {
@@ -740,7 +729,7 @@ func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := reclusterRequest{}
-	if err := s.decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -766,7 +755,7 @@ func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
 	}
 	out.SpreadAfter, _ = col.SealedSpread()
 	out.Segments = col.NumSegments()
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -776,7 +765,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wq querySpecWire
-	if err := s.decodeBody(w, r, &wq); err != nil {
+	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &wq); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -794,7 +783,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(res))
+	out := toResponse(res)
+	s.writeAnswer(w, &out)
 }
 
 // handleQueryBatch maps the batch endpoint straight onto
@@ -813,7 +803,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -841,7 +831,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		out.Results[i] = toResponse(res)
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeAnswer(w, &out)
 }
 
 // handleExplain serves the PR-2 EXPLAIN plan over HTTP. POST takes the
@@ -858,7 +848,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	var wq querySpecWire
 	if r.Method == http.MethodPost {
-		if err := s.decodeBody(w, r, &wq); err != nil {
+		if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &wq); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -882,7 +872,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, explainResponse{queryResponse: toResponse(res), Plan: p.Explain()})
+	api.WriteJSON(w, http.StatusOK, explainResponse{queryResponse: toResponse(res), Plan: p.Explain()})
 }
 
 // explainParams lifts GET query parameters into the wire spec.

@@ -163,13 +163,16 @@ func (c *client) call(ctx context.Context, method, path string, body []byte, out
 			}
 		}
 		raw, err := c.attempt(ctx, base, method, path, body, hedge, attempt)
-		if err == nil && out != nil {
-			if derr := json.Unmarshal(raw, out); derr != nil {
-				// A 2xx with an undecodable body is a garbage-responding
-				// shard: as transient as a 500 — the retry may land on a
-				// recovered process.
-				err = fmt.Errorf("shard %d: garbage response: %w", c.shard.ID, derr)
+		if err == nil {
+			if out != nil {
+				if derr := api.Unmarshal(raw.B, out); derr != nil {
+					// A 2xx with an undecodable body is a garbage-responding
+					// shard: as transient as a 500 — the retry may land on a
+					// recovered process.
+					err = fmt.Errorf("shard %d: garbage response: %w", c.shard.ID, derr)
+				}
 			}
+			raw.Release()
 		}
 		if err == nil {
 			if !steered {
@@ -244,7 +247,7 @@ func (c *client) backoff(ctx context.Context, attempt int, cause error) bool {
 // attempt runs one (possibly hedged) attempt under the carved slice of
 // the call's remaining deadline: remaining budget divided by attempts
 // left, so early attempts cannot starve later ones.
-func (c *client) attempt(ctx context.Context, base, method, path string, body []byte, hedge bool, attempt int) ([]byte, error) {
+func (c *client) attempt(ctx context.Context, base, method, path string, body []byte, hedge bool, attempt int) (*api.Body, error) {
 	attemptCtx := ctx
 	var cancel context.CancelFunc
 	if dl, ok := ctx.Deadline(); ok {
@@ -266,9 +269,9 @@ func (c *client) attempt(ctx context.Context, base, method, path string, body []
 // hedged races the primary request against a second one launched after
 // hedgeAfter of silence. The first success wins and cancels the loser;
 // if both fail the primary's error is reported.
-func (c *client) hedged(ctx context.Context, base, method, path string, body []byte, hedgeAfter time.Duration) ([]byte, error) {
+func (c *client) hedged(ctx context.Context, base, method, path string, body []byte, hedgeAfter time.Duration) (*api.Body, error) {
 	type outcome struct {
-		raw    []byte
+		raw    *api.Body
 		err    error
 		hedged bool
 	}
@@ -315,9 +318,10 @@ func (c *client) hedged(ctx context.Context, base, method, path string, body []b
 	}
 }
 
-// roundTrip performs one HTTP exchange: 2xx returns the raw body, non-
-// 2xx a *StatusError carrying the structured error body when present.
-func (c *client) roundTrip(ctx context.Context, base, method, path string, body []byte) ([]byte, error) {
+// roundTrip performs one HTTP exchange: 2xx returns the raw body in a
+// pooled buffer the caller releases, non-2xx a *StatusError carrying the
+// structured error body when present.
+func (c *client) roundTrip(ctx context.Context, base, method, path string, body []byte) (*api.Body, error) {
 	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -330,16 +334,18 @@ func (c *client) roundTrip(ctx context.Context, base, method, path string, body 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	raw, err := api.ReadBody(io.LimitReader(resp.Body, maxResponseBytes), resp.ContentLength)
 	if err != nil {
+		raw.Release()
 		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		se := &StatusError{Status: resp.StatusCode}
 		var e api.Error
-		if json.Unmarshal(raw, &e) == nil {
+		if json.Unmarshal(raw.B, &e) == nil {
 			se.Msg, se.Code, se.RetryAfterMs = e.Error, e.Code, e.RetryAfterMs
 		}
+		raw.Release()
 		return nil, se
 	}
 	return raw, nil
@@ -352,13 +358,14 @@ func (c *client) probe(ctx context.Context, path string, timeout time.Duration) 
 	c.probes.Add(1)
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	_, err := c.roundTrip(pctx, c.activeURL(), http.MethodGet, path, nil)
+	raw, err := c.roundTrip(pctx, c.activeURL(), http.MethodGet, path, nil)
 	if err != nil {
 		c.probeFail.Add(1)
 		c.healthy.Store(false)
 		c.brk.Failure()
 		return false
 	}
+	raw.Release()
 	c.healthy.Store(true)
 	c.brk.Success()
 	return true

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -202,17 +201,22 @@ func (co *Coordinator) routes() {
 
 // --- Helpers --------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
+// maxBodyBytes caps a client request body.
+const maxBodyBytes = 64 << 20
 
 func (co *Coordinator) writeError(w http.ResponseWriter, status int, code string, err error, missed []int) {
 	if status >= 500 {
 		co.logf("coordinator: %v", err)
 	}
-	writeJSON(w, status, api.Error{Error: err.Error(), Code: code, MissedShards: missed})
+	api.WriteJSON(w, status, api.Error{Error: err.Error(), Code: code, MissedShards: missed})
+}
+
+// writeAnswer sends a query or batch answer, logging one that could not
+// be encoded (WriteJSON has answered it 500).
+func (co *Coordinator) writeAnswer(w http.ResponseWriter, v any) {
+	if err := api.WriteJSON(w, http.StatusOK, v); err != nil {
+		co.logf("coordinator: %v", err)
+	}
 }
 
 // shardCallStatus maps a failed shard call onto the status the
@@ -227,15 +231,6 @@ func shardCallStatus(ctx context.Context, err error) (int, string) {
 		return se.Status, se.Code
 	}
 	return http.StatusBadGateway, "shard_unavailable"
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
 }
 
 // budget returns the fan-out deadline context for a request: timeout_ms
@@ -289,7 +284,7 @@ func firstErr(errs []error) error {
 // --- Basic endpoints ------------------------------------------------------
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports readiness for traffic under the configured
@@ -311,14 +306,14 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		ready = healthy > 0
 	}
 	if !ready {
-		writeJSON(w, http.StatusServiceUnavailable, api.Error{
+		api.WriteJSON(w, http.StatusServiceUnavailable, api.Error{
 			Error:        fmt.Sprintf("not ready: %d/%d shards healthy under policy %s", healthy, len(co.clients), co.cfg.DegradePolicy),
 			Code:         "not_ready",
 			MissedShards: down,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "healthy_shards": healthy})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "healthy_shards": healthy})
 }
 
 // shardStatsWire is one shard's robustness gauges on /stats.
@@ -396,7 +391,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ProbeFails:   c.probeFail.Load(),
 		})
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (co *Coordinator) handleUnsupported(w http.ResponseWriter, _ *http.Request) {
@@ -435,19 +430,19 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		list = append(list, n)
 	}
 	slices.Sort(list)
-	writeJSON(w, http.StatusOK, map[string][]string{"collections": list})
+	api.WriteJSON(w, http.StatusOK, map[string][]string{"collections": list})
 }
 
 func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := api.DecodeBody(w, r, maxBodyBytes, &req); err != nil {
 		co.writeError(w, http.StatusBadRequest, "", err, nil)
 		return
 	}
 	name := r.PathValue("name")
 	ctx, cancel := co.budget(r, 0)
 	defer cancel()
-	body, _ := json.Marshal(req)
+	body, _ := api.Marshal(&req)
 	created := make([]bool, len(co.clients))
 	errs := co.fanOut(func(i int, c *client) error {
 		var out api.CreateResponse
@@ -474,7 +469,7 @@ func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if anyCreated {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, api.CreateResponse{Name: name, Dims: req.Dims, Created: anyCreated})
+	api.WriteJSON(w, status, api.CreateResponse{Name: name, Dims: req.Dims, Created: anyCreated})
 }
 
 func (co *Coordinator) handleDrop(w http.ResponseWriter, r *http.Request) {
@@ -538,7 +533,7 @@ func (co *Coordinator) handleCollectionStats(w http.ResponseWriter, r *http.Requ
 		total.Live += p.Live
 		total.Segments += p.Segments
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"dims":     total.Dims,
 		"len":      total.Len,
 		"live":     total.Live,
@@ -570,7 +565,7 @@ func (co *Coordinator) handleGetVector(w http.ResponseWriter, r *http.Request) {
 		co.writeError(w, status, code, err, nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.VectorResponse{ID: g, Vector: out.Vector})
+	api.WriteJSON(w, http.StatusOK, api.VectorResponse{ID: g, Vector: out.Vector})
 }
 
 func (co *Coordinator) handleDeleteVector(w http.ResponseWriter, r *http.Request) {
@@ -645,7 +640,7 @@ func (e *driftError) Unwrap() error { return e.err }
 func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req api.IngestRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := api.DecodeBody(w, r, maxBodyBytes, &req); err != nil {
 		co.writeError(w, http.StatusBadRequest, "", err, nil)
 		return
 	}
@@ -703,7 +698,7 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(sub[i]) == 0 {
 			return nil
 		}
-		body, _ := json.Marshal(api.IngestRequest{Vectors: sub[i]})
+		body, _ := api.Marshal(&api.IngestRequest{Vectors: sub[i]})
 		var out api.IngestResponse
 		// Not hedged: ingest is not idempotent — a duplicate landing would
 		// shift every later id.
@@ -734,7 +729,7 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	co.nextID[name] = next + len(vectors)
-	writeJSON(w, http.StatusOK, api.IngestResponse{FirstID: next, Count: len(vectors)})
+	api.WriteJSON(w, http.StatusOK, api.IngestResponse{FirstID: next, Count: len(vectors)})
 }
 
 // --- Query fan-out --------------------------------------------------------
@@ -816,7 +811,7 @@ func (co *Coordinator) mergeShardResponses(k int, largest bool, per []*api.Query
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var wq api.QuerySpec
-	if err := decodeBody(w, r, &wq); err != nil {
+	if err := api.DecodeBody(w, r, maxBodyBytes, &wq); err != nil {
 		co.writeError(w, http.StatusBadRequest, "", err, nil)
 		return
 	}
@@ -838,7 +833,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		co.writeError(w, status, code, err, missed)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	co.writeAnswer(w, &resp)
 }
 
 // fanQuery fans one resolved spec out to every shard and merges under
@@ -846,7 +841,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) fanQuery(ctx context.Context, name string, spec api.QuerySpec, policy Policy) (api.QueryResponse, int, string, []int, error) {
 	largest := mergeLargest(spec.Criterion)
 	spec.TimeoutMs = remainingMs(ctx)
-	body, _ := json.Marshal(spec)
+	body, _ := api.Marshal(&spec)
 	per := make([]*api.QueryResponse, len(co.clients))
 	errs := co.fanOut(func(i int, c *client) error {
 		var out api.QueryResponse
@@ -879,7 +874,7 @@ func (co *Coordinator) fanQuery(ctx context.Context, name string, spec api.Query
 func (co *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req api.BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := api.DecodeBody(w, r, maxBodyBytes, &req); err != nil {
 		co.writeError(w, http.StatusBadRequest, "", err, nil)
 		return
 	}
@@ -924,7 +919,7 @@ func (co *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) 
 	}
 	co.queries.Add(int64(len(specs)))
 
-	body, _ := json.Marshal(api.BatchRequest{Queries: specs})
+	body, _ := api.Marshal(&api.BatchRequest{Queries: specs})
 	per := make([]*api.BatchResponse, len(co.clients))
 	errs := co.fanOut(func(i int, c *client) error {
 		var out api.BatchResponse
@@ -966,7 +961,7 @@ func (co *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) 
 			out.Results[q].MissedShards = missed
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	co.writeAnswer(w, &out)
 }
 
 // mergeLargest returns the merge direction for a criterion name the

@@ -240,3 +240,44 @@ func TestCoordinatorStatsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorRejectsOverflowingQuery: the shards' 400 for a query
+// some score of which would overflow passes through both fan-out
+// endpoints. It used to be a 200 with an empty body from every shard,
+// which the coordinator retried as a garbage-responding shard.
+func TestCoordinatorRejectsOverflowingQuery(t *testing.T) {
+	cl := newTestCluster(t, 2, fastTestConfig())
+	for name, vectors := range map[string][][]float64{
+		"unit": {{1, 0}, {0, 0}},
+		"huge": {{1e308, 1e308}, {0, 0}},
+	} {
+		if status, raw := doJSON(t, http.MethodPut, cl.front.URL+"/collections/"+name, api.CreateRequest{Dims: 2}, nil); status != http.StatusCreated {
+			t.Fatalf("create %s: status %d: %s", name, status, raw)
+		}
+		if status, raw := doJSON(t, http.MethodPost, cl.front.URL+"/collections/"+name+"/vectors",
+			api.IngestRequest{Vectors: vectors}, nil); status != http.StatusOK {
+			t.Fatalf("ingest %s: status %d: %s", name, status, raw)
+		}
+	}
+	for col, spec := range map[string]api.QuerySpec{
+		"unit": {Query: []float64{-1e200, 0.5}, K: 2, Criterion: "eq", Strategy: "bond"},
+		"huge": {Query: []float64{1e308, 1e308}, K: 2, Criterion: "hq", Strategy: "exact"},
+	} {
+		base := cl.front.URL + "/collections/" + col
+		for path, body := range map[string]any{
+			"/query":       spec,
+			"/query/batch": api.BatchRequest{Queries: []api.QuerySpec{spec}},
+		} {
+			var e api.Error
+			status, raw := doJSON(t, http.MethodPost, base+path, body, &e)
+			if status != http.StatusBadRequest || !strings.Contains(e.Error, "non-finite") {
+				t.Errorf("%s %s: status %d %s, want 400 naming the overflow", col, path, status, raw)
+			}
+		}
+	}
+	for i, c := range cl.co.clients {
+		if n := c.retries.Load(); n != 0 {
+			t.Errorf("shard %d: %d retries, want none for a 400", i, n)
+		}
+	}
+}

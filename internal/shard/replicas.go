@@ -43,8 +43,9 @@ func (c *client) fetchReplStatus(ctx context.Context, base string, timeout time.
 	if err != nil {
 		return nil, err
 	}
+	defer raw.Release()
 	var st api.ReplStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
+	if err := json.Unmarshal(raw.B, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -125,8 +126,12 @@ func (co *Coordinator) maybePromote(ctx context.Context, c *client, timeout time
 func (c *client) promoteReplica(ctx context.Context, base string, timeout time.Duration) error {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	_, err := c.roundTrip(pctx, base, http.MethodPost, "/promote", nil)
-	return err
+	raw, err := c.roundTrip(pctx, base, http.MethodPost, "/promote", nil)
+	if err != nil {
+		return err
+	}
+	raw.Release()
+	return nil
 }
 
 // refreshSteer repoints the shard's read steering at its first
