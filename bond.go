@@ -79,10 +79,12 @@
 //
 // cmd/bondd serves many named collections from one process over an HTTP
 // JSON API that maps directly onto this package: QuerySpec and
-// QueryBatch on the wire, EXPLAIN over HTTP, and a background
-// maintenance loop driving CompactRatio and Save. The hooks it builds on
-// — TombstoneRatio, StatsSnapshot, TryVector, TryDelete — are exported
-// here so other embedders can build the same kind of layer.
+// QueryBatch on the wire, EXPLAIN over HTTP, writes acknowledged through
+// AddBatchDurable and TryDeleteDurable, and a background maintenance loop
+// driving CompactRatioDurable, ReclusterDurable and Checkpoint. The hooks
+// it builds on — TombstoneRatio, ReclusterAdvice, StatsSnapshot,
+// TryVector — are exported here so other embedders can build the same
+// kind of layer.
 package bond
 
 import (

@@ -1,11 +1,15 @@
-// Package api holds the JSON wire types of the bondd HTTP API — the
-// request and response shapes both the single-node serving layer
-// (internal/server) and the sharded coordinator (internal/shard) speak —
-// and the one codec both read and write them with (codec.go).
-// Keeping them in one package is what makes the coordinator transparent:
-// it accepts exactly the single-node shapes, fans them out to shards
-// speaking the same shapes, and responds in kind (plus the degradation
-// fields Partial and MissedShards, which a single node never sets).
+// Package api is the bondd HTTP API, written once for both of its
+// backends: the single-node serving layer (internal/server) and the
+// sharded coordinator (internal/shard). It holds the JSON wire types both
+// speak, the one codec both read and write them with (codec.go), and the
+// one handler set both serve through (serve.go): the route table, body
+// decoding under the size cap, the request-shape checks and the error
+// writer. A backend only answers decoded, checked requests (Backend).
+// That is what makes the coordinator transparent: it accepts exactly the
+// single-node shapes, refuses a bad one with the single node's words,
+// fans good ones out to shards speaking the same shapes, and responds in
+// kind (plus the degradation fields Partial and MissedShards, which a
+// single node never sets).
 package api
 
 // Error is the structured error body every non-2xx response carries.
@@ -115,6 +119,34 @@ type BatchRequest struct {
 // BatchResponse carries one QueryResponse per batch query, in order.
 type BatchResponse struct {
 	Results []QueryResponse `json:"results"`
+}
+
+// ExplainResponse is the body of GET and POST /collections/{name}/explain:
+// the query's answer plus Plan, Plan.Explain's rendering of the
+// per-segment access path with predicted and actual cost.
+type ExplainResponse struct {
+	QueryResponse
+	Plan string `json:"plan"`
+}
+
+// ReclusterRequest parameterizes a manual recluster; the body may be
+// empty. K ≤ 0 selects one cluster per segment-size of live sealed
+// vectors; Seed fixes the k-means initialization (default 1).
+type ReclusterRequest struct {
+	K    int    `json:"k,omitempty"`
+	Seed *int64 `json:"seed,omitempty"`
+}
+
+// ReclusterResponse reports a manual recluster.
+type ReclusterResponse struct {
+	// Reclustered is false when there was nothing to rewrite (no sealed
+	// segment with live vectors), in which case nothing was logged.
+	Reclustered bool `json:"reclustered"`
+	// SpreadBefore/SpreadAfter are the sealed synopsis-spread gauge around
+	// the rewrite (0 when unmeasurable); Segments the segment count after.
+	SpreadBefore float64 `json:"spread_before"`
+	SpreadAfter  float64 `json:"spread_after"`
+	Segments     int     `json:"segments"`
 }
 
 // VectorResponse is the body of GET /collections/{name}/vectors/{id}.

@@ -22,12 +22,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
 
 	"bond"
+	"bond/internal/api"
 	"bond/internal/iofs"
 )
 
@@ -37,15 +37,13 @@ import (
 // migrated into the directory layout on first touch.
 const collectionExt = ".bond"
 
-// nameRE constrains collection names to one safe path segment: no
-// separators, no dot-prefixes, nothing the filesystem or URL router could
-// reinterpret.
-var nameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_-]{0,63}$`)
-
 // Errors the catalog returns; the HTTP layer maps them onto status codes.
+// Names follow api.ValidName: the HTTP layer refuses a bad one before it
+// gets here, and the catalog checks again because replication passes it
+// names from the leader.
 var (
-	ErrNotFound = fmt.Errorf("server: collection not found")
-	ErrBadName  = fmt.Errorf("server: invalid collection name (want [a-zA-Z0-9][a-zA-Z0-9_-]{0,63})")
+	ErrNotFound = api.ErrNotFound
+	ErrBadName  = api.ErrBadName
 	ErrBadShape = fmt.Errorf("server: invalid collection shape")
 	ErrExists   = fmt.Errorf("server: collection exists with different shape")
 )
@@ -190,7 +188,7 @@ func (c *Catalog) open(name string, dims, segSize int) (*bond.Collection, error)
 // collections — but under a per-name single-flight slot, because two
 // concurrent opens of one WAL would corrupt it.
 func (c *Catalog) Get(name string) (*bond.Collection, error) {
-	if !nameRE.MatchString(name) {
+	if !api.ValidName(name) {
 		return nil, ErrBadName
 	}
 	c.mu.RLock()
@@ -234,7 +232,7 @@ func (c *Catalog) Get(name string) (*bond.Collection, error) {
 // collection is returned with created=false — and ErrExists when it does
 // not.
 func (c *Catalog) Create(name string, dims, segSize int) (col *bond.Collection, created bool, err error) {
-	if !nameRE.MatchString(name) {
+	if !api.ValidName(name) {
 		return nil, false, ErrBadName
 	}
 	if dims < 1 {
@@ -270,7 +268,7 @@ func (c *Catalog) Create(name string, dims, segSize int) (col *bond.Collection, 
 // slot and the checkpoint mutex, so neither a cold load nor a checkpoint
 // sweep can resurrect the files afterwards.
 func (c *Catalog) Drop(name string) error {
-	if !nameRE.MatchString(name) {
+	if !api.ValidName(name) {
 		return ErrBadName
 	}
 	c.claimSlot(name, false) // loaded or not, Drop needs the slot
@@ -312,7 +310,7 @@ func (c *Catalog) Names() ([]string, error) {
 			continue
 		}
 		name := strings.TrimSuffix(e.Name(), collectionExt)
-		if nameRE.MatchString(name) {
+		if api.ValidName(name) {
 			seen[name] = true
 		}
 	}

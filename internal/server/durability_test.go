@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bond"
+	"bond/internal/api"
 	"bond/internal/dataset"
 )
 
@@ -26,7 +27,7 @@ func TestRestartWithoutCleanShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	doJSON(t, http.MethodPut, ts1.URL+"/collections/c", createRequest{Dims: 8, SegmentSize: 32}, nil)
+	doJSON(t, http.MethodPut, ts1.URL+"/collections/c", api.CreateRequest{Dims: 8, SegmentSize: 32}, nil)
 	ingestBatch(t, ts1.URL, "c", vectors)
 	if code := doJSON(t, http.MethodDelete, ts1.URL+"/collections/c/vectors/7", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: %d", code)
@@ -45,7 +46,7 @@ func TestRestartWithoutCleanShutdown(t *testing.T) {
 	if st.Durability == nil || st.Durability.Fsync != "always" {
 		t.Fatalf("collection not durable after restart: %+v", st.Durability)
 	}
-	var vr vectorResponse
+	var vr api.VectorResponse
 	doJSON(t, http.MethodGet, ts2.URL+"/collections/c/vectors/42", nil, &vr)
 	if !reflect.DeepEqual(vr.Vector, vectors[42]) {
 		t.Fatalf("vector 42 corrupted across crash restart")
@@ -81,7 +82,7 @@ func TestCatalogMigratesLegacyFile(t *testing.T) {
 		t.Fatalf("legacy file not migrated to a durable directory: %v", err)
 	}
 	ingestBatch(t, ts.URL, "old", vectors[:5])
-	var vr vectorResponse
+	var vr api.VectorResponse
 	doJSON(t, http.MethodGet, ts.URL+"/collections/old/vectors/80", nil, &vr)
 	if !reflect.DeepEqual(vr.Vector, vectors[0]) {
 		t.Fatalf("post-migration ingest lost")
@@ -94,7 +95,7 @@ func TestCatalogMigratesLegacyFile(t *testing.T) {
 func TestDropRemovesDurableDirectory(t *testing.T) {
 	dirRoot := t.TempDir()
 	_, ts := newTestServer(t, Config{Dir: dirRoot})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 3}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 3}, nil)
 	ingestBatch(t, ts.URL, "c", [][]float64{{1, 2, 3}, {4, 5, 6}})
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/collections/c", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("drop: %d", code)
@@ -102,7 +103,7 @@ func TestDropRemovesDurableDirectory(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dirRoot, "c.bond")); !os.IsNotExist(err) {
 		t.Fatalf("durable directory survives drop: %v", err)
 	}
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 3}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 3}, nil)
 	var st bond.CollectionStats
 	doJSON(t, http.MethodGet, ts.URL+"/collections/c", nil, &st)
 	if st.Len != 0 {

@@ -24,7 +24,7 @@ func newFollower(t *testing.T, leaderURL string) (*Server, *httptest.Server) {
 // neighbors, byte for byte.
 func queryIdentical(t *testing.T, leaderBase, followerBase, name string, spec api.QuerySpec) {
 	t.Helper()
-	var lr, fr queryResponse
+	var lr, fr api.QueryResponse
 	if code := doJSON(t, http.MethodPost, leaderBase+"/collections/"+name+"/query", spec, &lr); code != http.StatusOK {
 		t.Fatalf("leader query: status %d", code)
 	}
@@ -45,7 +45,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 
 	_, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims, SegmentSize: 10}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: 10}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", vectors[:25])
@@ -63,7 +63,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 		t.Fatalf("delete: status %d", code)
 	}
 	if code := doJSON(t, http.MethodPost, lts.URL+"/collections/c/recluster",
-		reclusterRequest{K: 2}, nil); code != http.StatusOK {
+		api.ReclusterRequest{K: 2}, nil); code != http.StatusOK {
 		t.Fatalf("recluster: status %d", code)
 	}
 	if err := fs.SyncReplicaOnce(); err != nil {
@@ -114,7 +114,7 @@ func TestFollowerRefusesMassWipe(t *testing.T) {
 	_, lts := newTestServer(t, Config{})
 	for _, name := range []string{"a", "b"} {
 		if code := doJSON(t, http.MethodPut, lts.URL+"/collections/"+name,
-			createRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
+			api.CreateRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
 			t.Fatalf("create %s: status %d", name, code)
 		}
 		ingestBatch(t, lts.URL, name, dataset.CorelLike(6, dims, 1))
@@ -149,7 +149,7 @@ func TestFollowerWriteFencing(t *testing.T) {
 	const dims = 4
 	_, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", dataset.CorelLike(8, dims, 1))
@@ -163,15 +163,15 @@ func TestFollowerWriteFencing(t *testing.T) {
 		method, path string
 		body         any
 	}{
-		{http.MethodPut, "/collections/other", createRequest{Dims: dims}},
-		{http.MethodPost, "/collections/c/vectors", ingestRequest{Vector: []float64{1, 2, 3, 4}}},
+		{http.MethodPut, "/collections/other", api.CreateRequest{Dims: dims}},
+		{http.MethodPost, "/collections/c/vectors", api.IngestRequest{Vector: []float64{1, 2, 3, 4}}},
 		{http.MethodDelete, "/collections/c/vectors/0", nil},
-		{http.MethodPost, "/collections/c/recluster", reclusterRequest{K: 1}},
+		{http.MethodPost, "/collections/c/recluster", api.ReclusterRequest{K: 1}},
 		{http.MethodDelete, "/collections/c", nil},
 		{http.MethodPost, "/collections/c/snapshot", nil},
 	}
 	for _, f := range fenced {
-		var e errorWire
+		var e api.Error
 		if code := doJSON(t, f.method, fts.URL+f.path, f.body, &e); code != http.StatusConflict {
 			t.Errorf("%s %s: status %d, want 409", f.method, f.path, code)
 		} else if e.Code != "read_only_replica" {
@@ -180,7 +180,7 @@ func TestFollowerWriteFencing(t *testing.T) {
 	}
 
 	// Reads are not fenced.
-	var qr queryResponse
+	var qr api.QueryResponse
 	if code := doJSON(t, http.MethodPost, fts.URL+"/collections/c/query",
 		api.QuerySpec{Query: []float64{1, 0, 0, 0}, K: 3}, &qr); code != http.StatusOK {
 		t.Fatalf("follower query: status %d", code)
@@ -197,7 +197,7 @@ func TestFollowerPromote(t *testing.T) {
 	const dims = 4
 	_, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", dataset.CorelLike(12, dims, 2))
@@ -229,7 +229,7 @@ func TestFollowerPromote(t *testing.T) {
 	}
 
 	// A plain leader refuses promotion.
-	var e errorWire
+	var e api.Error
 	if code := doJSON(t, http.MethodPost, lts.URL+"/promote", nil, &e); code != http.StatusConflict || e.Code != "not_replica" {
 		t.Fatalf("promote on non-replica: status %d code %q", code, e.Code)
 	}
@@ -244,7 +244,7 @@ func TestFollowerDivergedFenced(t *testing.T) {
 	const dims = 4
 	ls, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", dataset.CorelLike(6, dims, 4))
@@ -273,7 +273,7 @@ func TestFollowerDivergedFenced(t *testing.T) {
 		t.Fatalf("status after divergence: %+v", st)
 	}
 
-	var e errorWire
+	var e api.Error
 	if code := doJSON(t, http.MethodPost, fts.URL+"/promote", nil, &e); code != http.StatusConflict || e.Code != "replica_diverged" {
 		t.Fatalf("promote on diverged replica: status %d code %q", code, e.Code)
 	}
@@ -286,7 +286,7 @@ func TestFollowerDivergedFenced(t *testing.T) {
 	}
 	// And it keeps refusing writes too.
 	if code := doJSON(t, http.MethodPost, fts.URL+"/collections/c/vectors",
-		ingestRequest{Vector: []float64{1, 1, 1, 1}}, &e); code != http.StatusConflict || e.Code != "read_only_replica" {
+		api.IngestRequest{Vector: []float64{1, 1, 1, 1}}, &e); code != http.StatusConflict || e.Code != "read_only_replica" {
 		t.Fatalf("diverged replica accepted a write: status %d code %q", code, e.Code)
 	}
 }
@@ -298,7 +298,7 @@ func TestFollowerRefollowAfterGone(t *testing.T) {
 	const dims = 4
 	_, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", dataset.CorelLike(10, dims, 5))
@@ -369,7 +369,7 @@ func TestFollowerMaintenanceNoop(t *testing.T) {
 	const dims = 4
 	_, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: 5}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", dataset.CorelLike(20, dims, 6))
@@ -401,7 +401,7 @@ func TestFollowerCaughtUpSurvivesLeaderDeath(t *testing.T) {
 	const dims = 4
 	_, lts := newTestServer(t, Config{})
 	if code := doJSON(t, http.MethodPut, lts.URL+"/collections/c",
-		createRequest{Dims: dims}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	ingestBatch(t, lts.URL, "c", dataset.CorelLike(12, dims, 2))

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bond/internal/api"
 	"bond/internal/dataset"
 )
 
@@ -26,7 +27,7 @@ func TestConcurrentIngestQueryHammer(t *testing.T) {
 	)
 	s, ts := newTestServer(t, Config{SegmentSize: 64, CompactRatio: 0.1})
 	seed := dataset.CorelLike(200, dims, 31)
-	doJSON(t, http.MethodPut, ts.URL+"/collections/h", createRequest{Dims: dims, SegmentSize: 64}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/h", api.CreateRequest{Dims: dims, SegmentSize: 64}, nil)
 	ingestBatch(t, ts.URL, "h", seed)
 
 	var (
@@ -44,9 +45,9 @@ func TestConcurrentIngestQueryHammer(t *testing.T) {
 			defer wg.Done()
 			batch := dataset.CorelLike(20, dims, int64(100+w))
 			for i := 0; i < rounds; i++ {
-				var ing ingestResponse
+				var ing api.IngestResponse
 				if code := doJSON(t, http.MethodPost, ts.URL+"/collections/h/vectors",
-					ingestRequest{Vectors: batch}, &ing); code != http.StatusOK {
+					api.IngestRequest{Vectors: batch}, &ing); code != http.StatusOK {
 					fail("writer %d round %d: ingest status %d", w, i, code)
 					return
 				}
@@ -69,9 +70,9 @@ func TestConcurrentIngestQueryHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				switch i % 4 {
 				case 0:
-					var resp queryResponse
+					var resp api.QueryResponse
 					if code := doJSON(t, http.MethodPost, ts.URL+"/collections/h/query",
-						querySpecWire{Query: q, K: 5}, &resp); code != http.StatusOK {
+						api.QuerySpec{Query: q, K: 5}, &resp); code != http.StatusOK {
 						fail("reader %d round %d: query status %d", r, i, code)
 						return
 					}
@@ -80,9 +81,9 @@ func TestConcurrentIngestQueryHammer(t *testing.T) {
 						return
 					}
 				case 1:
-					var resp batchResponse
+					var resp api.BatchResponse
 					if code := doJSON(t, http.MethodPost, ts.URL+"/collections/h/query/batch",
-						batchRequest{Queries: []querySpecWire{
+						api.BatchRequest{Queries: []api.QuerySpec{
 							{Query: q, K: 3, Criterion: "Eq"},
 							{Query: q, K: 8, Strategy: "bond"},
 						}}, &resp); code != http.StatusOK {
@@ -90,9 +91,9 @@ func TestConcurrentIngestQueryHammer(t *testing.T) {
 						return
 					}
 				case 2:
-					var resp explainResponse
+					var resp api.ExplainResponse
 					if code := doJSON(t, http.MethodPost, ts.URL+"/collections/h/explain",
-						querySpecWire{Query: q, K: 5}, &resp); code != http.StatusOK {
+						api.QuerySpec{Query: q, K: 5}, &resp); code != http.StatusOK {
 						fail("reader %d round %d: explain status %d", r, i, code)
 						return
 					}
@@ -129,9 +130,9 @@ func TestConcurrentIngestQueryHammer(t *testing.T) {
 	}
 
 	// The dust settled: the collection still answers exactly and flushes.
-	var resp queryResponse
+	var resp api.QueryResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/h/query",
-		querySpecWire{Query: seed[0], K: 10}, &resp); code != http.StatusOK || len(resp.Results) != 10 {
+		api.QuerySpec{Query: seed[0], K: 10}, &resp); code != http.StatusOK || len(resp.Results) != 10 {
 		t.Fatalf("post-hammer query: status %d, %d results", code, len(resp.Results))
 	}
 	if _, _, _, err := s.RunMaintenance(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bond/internal/api"
 	"bond/internal/iofs"
 )
 
@@ -24,7 +25,7 @@ func (f failingCreateFS) Create(string) (iofs.File, error) { return nil, f.err }
 // data-dir probe and every loaded collection's WAL.
 func TestReadyzDistinguishesLiveness(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 2}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 2}, nil)
 	ingestBatch(t, ts.URL, "c", [][]float64{{0.1, 0.2}, {0.3, 0.4}})
 
 	// Healthy: both endpoints answer 200, and readiness really did probe
@@ -43,7 +44,7 @@ func TestReadyzDistinguishesLiveness(t *testing.T) {
 	// 503 while liveness stays 200.
 	diskFull := errors.New("no space left on device")
 	s.cat.probeFS = failingCreateFS{FS: iofs.OS{}, err: diskFull}
-	var e errorWire
+	var e api.Error
 	if status := doJSON(t, http.MethodGet, ts.URL+"/readyz", nil, &e); status != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with a broken data dir: status %d, want 503", status)
 	}
@@ -76,7 +77,7 @@ func contains(s, sub string) bool {
 // (truncated), never hung. The coordinator half lives in internal/shard.
 func TestQueryDeadlineReturnsPromptly(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 16}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 16}, nil)
 	vectors := make([][]float64, 4000)
 	for i := range vectors {
 		v := make([]float64, 16)
@@ -92,9 +93,9 @@ func TestQueryDeadlineReturnsPromptly(t *testing.T) {
 		q[d] = 0.5
 	}
 	start := time.Now()
-	var resp queryResponse
+	var resp api.QueryResponse
 	status := doJSON(t, http.MethodPost, ts.URL+"/collections/c/query",
-		querySpecWire{Query: q, K: 5, Strategy: "exact", TimeoutMs: 1}, &resp)
+		api.QuerySpec{Query: q, K: 5, Strategy: "exact", TimeoutMs: 1}, &resp)
 	elapsed := time.Since(start)
 	if status != http.StatusOK {
 		t.Fatalf("deadline query: status %d", status)

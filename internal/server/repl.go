@@ -32,7 +32,11 @@ import (
 // client mutation on an unpromoted follower. 4xx is deliberate: the
 // coordinator's envelope treats it as non-transient and does not burn
 // retries on a node that will keep refusing.
-var errReadOnlyReplica = errors.New("server: read-only replica (following a leader; POST /promote to accept writes)")
+var errReadOnlyReplica = &api.StatusError{
+	Status: http.StatusConflict,
+	Code:   "read_only_replica",
+	Msg:    "server: read-only replica (following a leader; POST /promote to accept writes)",
+}
 
 // errLeaderUnreachable tags transport-level sync failures (dial refused,
 // timeout, connection torn mid-body). caught_up is an as-of-last-
@@ -506,19 +510,6 @@ func (s *Server) readOnlyReplica() bool {
 	return s.repl != nil && !s.repl.isPromoted()
 }
 
-// fenceReplica writes the read-only rejection when the node is an
-// unpromoted follower, reporting whether the request was fenced.
-func (s *Server) fenceReplica(w http.ResponseWriter) bool {
-	if !s.readOnlyReplica() {
-		return false
-	}
-	api.WriteJSON(w, http.StatusConflict, errorWire{
-		Error: errReadOnlyReplica.Error(),
-		Code:  "read_only_replica",
-	})
-	return true
-}
-
 // SyncReplicaOnce runs one synchronous tail pass against the leader —
 // the deterministic test hook behind the background follow loop.
 func (s *Server) SyncReplicaOnce() error {
@@ -537,50 +528,51 @@ func (s *Server) ReplStatus() api.ReplStatus {
 	return s.repl.status()
 }
 
-// replErrStatus maps bond replication errors onto HTTP statuses.
-func replErrStatus(err error) (int, string) {
+// replError gives a bond replication error the status and code the API
+// answers it with.
+func replError(err error) error {
+	se := &api.StatusError{Status: http.StatusInternalServerError, Msg: err.Error()}
 	switch {
 	case errors.Is(err, bond.ErrReplGone):
-		return http.StatusGone, "wal_gone"
+		se.Status, se.Code = http.StatusGone, "wal_gone"
 	case errors.Is(err, bond.ErrReplDiverged):
-		return http.StatusConflict, "repl_diverged"
+		se.Status, se.Code = http.StatusConflict, "repl_diverged"
 	case errors.Is(err, bond.ErrClosed):
-		return http.StatusServiceUnavailable, "closed"
+		se.Status, se.Code = http.StatusServiceUnavailable, "closed"
 	}
-	return http.StatusInternalServerError, ""
+	return se
 }
 
 // handleWALChunk serves GET /collections/{name}/wal?seq=&from=&max= —
 // one slice of the collection's replication stream (acknowledged bytes
 // only; it may end mid-frame when a frame straddles max).
 func (s *Server) handleWALChunk(w http.ResponseWriter, r *http.Request) {
-	col, err := s.cat.Get(r.PathValue("name"))
+	col, err := s.collection(r.PathValue("name"))
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
+		api.WriteError(w, err)
 		return
 	}
 	q := r.URL.Query()
 	seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad seq: %w", err))
+		api.WriteError(w, api.Errorf(http.StatusBadRequest, "bad seq: %v", err))
 		return
 	}
 	from, err := strconv.ParseInt(q.Get("from"), 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
+		api.WriteError(w, api.Errorf(http.StatusBadRequest, "bad from: %v", err))
 		return
 	}
 	max := 0
 	if v := q.Get("max"); v != "" {
 		if max, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad max: %w", err))
+			api.WriteError(w, api.Errorf(http.StatusBadRequest, "bad max: %v", err))
 			return
 		}
 	}
 	chunk, err := col.ReplChunk(seq, from, max)
 	if err != nil {
-		status, code := replErrStatus(err)
-		api.WriteJSON(w, status, errorWire{Error: err.Error(), Code: code})
+		api.WriteError(w, replError(err))
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, chunk)
@@ -591,18 +583,18 @@ func (s *Server) handleWALChunk(w http.ResponseWriter, r *http.Request) {
 // bootstraps from. Fenced on an unpromoted follower — a snapshot
 // rotates the WAL, which only the leader's stream may do here.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.fenceReplica(w) {
+	if s.readOnlyReplica() {
+		api.WriteError(w, errReadOnlyReplica)
 		return
 	}
-	col, err := s.cat.Get(r.PathValue("name"))
+	col, err := s.collection(r.PathValue("name"))
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
+		api.WriteError(w, err)
 		return
 	}
 	snap, err := col.ReplSnapshot()
 	if err != nil {
-		status, code := replErrStatus(err)
-		api.WriteJSON(w, status, errorWire{Error: err.Error(), Code: code})
+		api.WriteError(w, replError(err))
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, snap)
@@ -614,14 +606,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // not_replica rejects a node that was never following.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	if s.repl == nil {
-		api.WriteJSON(w, http.StatusConflict, errorWire{
-			Error: "not a replica (started without -follow)",
-			Code:  "not_replica",
+		api.WriteError(w, &api.StatusError{
+			Status: http.StatusConflict,
+			Code:   "not_replica",
+			Msg:    "not a replica (started without -follow)",
 		})
 		return
 	}
 	if err := s.repl.promote(); err != nil {
-		api.WriteJSON(w, http.StatusConflict, errorWire{Error: err.Error(), Code: "replica_diverged"})
+		api.WriteError(w, &api.StatusError{Status: http.StatusConflict, Code: "replica_diverged", Msg: err.Error()})
 		return
 	}
 	s.logf("bondd: promoted to leader (was following %s)", s.repl.leader)
@@ -641,7 +634,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
 // checkpoint mutex for the whole install, so no lookup ever sees a
 // half-written tree and no checkpoint sweep races the wipe.
 func (c *Catalog) BootstrapReplica(name string, snap *repl.Snapshot) (*bond.Collection, error) {
-	if !nameRE.MatchString(name) {
+	if !api.ValidName(name) {
 		return nil, ErrBadName
 	}
 	c.claimSlot(name, false)

@@ -1,12 +1,11 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -77,9 +76,10 @@ type Config struct {
 	FollowClient *http.Client
 }
 
-// Server is the bondd serving layer: catalog + HTTP handlers + the
-// background maintenance loop. Create one with New, mount Handler, and
-// Close on the way out to flush unpersisted writes.
+// Server is the bondd serving layer: the catalog-backed api.Backend, the
+// replication endpoints, and the background maintenance loop. Create one
+// with New, mount Handler, and Close on the way out to flush unpersisted
+// writes.
 type Server struct {
 	cfg Config
 	cat *Catalog
@@ -119,9 +119,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReclusterSpread == 0 {
 		cfg.ReclusterSpread = 0.6
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
-	}
 	if cfg.WALMaxBytes <= 0 {
 		cfg.WALMaxBytes = 16 << 20
 	}
@@ -137,8 +134,15 @@ func New(cfg Config) (*Server, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	s.mux = http.NewServeMux()
-	s.routes()
+	s.mux = api.NewMux(s, cfg.MaxBodyBytes, func(format string, args ...any) {
+		s.logf("bondd: "+format, args...)
+	})
+	// Replication: any node serves its WAL and snapshots (leader side);
+	// promote/replstatus are meaningful on followers.
+	s.mux.HandleFunc("GET /collections/{name}/wal", s.handleWALChunk)
+	s.mux.HandleFunc("POST /collections/{name}/snapshot", s.handleSnapshot)
+	s.mux.HandleFunc("POST /promote", s.handlePromote)
+	s.mux.HandleFunc("GET /replstatus", s.handleReplStatus)
 	if cfg.FollowURL != "" {
 		s.repl = newReplicator(s, cfg)
 	}
@@ -282,81 +286,7 @@ func (s *Server) RunMaintenance() (compacted, reclustered, checkpointed int, err
 	return compacted, reclustered, checkpointed, err
 }
 
-// --- Routing --------------------------------------------------------------
-
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /collections", s.handleList)
-	s.mux.HandleFunc("PUT /collections/{name}", s.handleCreate)
-	s.mux.HandleFunc("DELETE /collections/{name}", s.handleDrop)
-	s.mux.HandleFunc("GET /collections/{name}", s.handleCollectionStats)
-	s.mux.HandleFunc("POST /collections/{name}/vectors", s.handleIngest)
-	s.mux.HandleFunc("GET /collections/{name}/vectors/{id}", s.handleGetVector)
-	s.mux.HandleFunc("DELETE /collections/{name}/vectors/{id}", s.handleDeleteVector)
-	s.mux.HandleFunc("POST /collections/{name}/recluster", s.handleRecluster)
-	s.mux.HandleFunc("POST /collections/{name}/query", s.handleQuery)
-	s.mux.HandleFunc("POST /collections/{name}/query/batch", s.handleQueryBatch)
-	s.mux.HandleFunc("GET /collections/{name}/explain", s.handleExplain)
-	s.mux.HandleFunc("POST /collections/{name}/explain", s.handleExplain)
-	// Replication: any node serves its WAL and snapshots (leader side);
-	// promote/replstatus are meaningful on followers.
-	s.mux.HandleFunc("GET /collections/{name}/wal", s.handleWALChunk)
-	s.mux.HandleFunc("POST /collections/{name}/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("POST /promote", s.handlePromote)
-	s.mux.HandleFunc("GET /replstatus", s.handleReplStatus)
-}
-
-// --- Wire types -----------------------------------------------------------
-//
-// The JSON shapes live in package api, shared with the sharded
-// coordinator (internal/shard) so both layers speak the same protocol;
-// the local names below keep this package (and its tests) reading as
-// before. A single node ignores the coordinator-only fields (QuerySpec.
-// Policy) and never sets the degradation fields (QueryResponse.Partial,
-// MissedShards).
-
-type (
-	errorWire      = api.Error
-	createRequest  = api.CreateRequest
-	createResponse = api.CreateResponse
-	ingestRequest  = api.IngestRequest
-	ingestResponse = api.IngestResponse
-	querySpecWire  = api.QuerySpec
-	neighborWire   = api.Neighbor
-	statsWire      = api.QueryStats
-	queryResponse  = api.QueryResponse
-	batchRequest   = api.BatchRequest
-	batchResponse  = api.BatchResponse
-	vectorResponse = api.VectorResponse
-)
-
-type explainResponse struct {
-	queryResponse
-	// Plan is Plan.Explain's rendering: per-segment access path with
-	// predicted and actual cost.
-	Plan string `json:"plan"`
-}
-
-// reclusterRequest parameterizes a manual recluster; the body may be
-// empty. K ≤ 0 selects one cluster per segment-size of live sealed
-// vectors; Seed fixes the k-means initialization (default 1).
-type reclusterRequest struct {
-	K    int    `json:"k,omitempty"`
-	Seed *int64 `json:"seed,omitempty"`
-}
-
-type reclusterResponse struct {
-	// Reclustered is false when there was nothing to rewrite (no sealed
-	// segment with live vectors), in which case nothing was logged.
-	Reclustered bool `json:"reclustered"`
-	// SpreadBefore/SpreadAfter are the sealed synopsis-spread gauge around
-	// the rewrite (0 when unmeasurable); Segments the segment count after.
-	SpreadBefore float64 `json:"spread_before"`
-	SpreadAfter  float64 `json:"spread_after"`
-	Segments     int     `json:"segments"`
-}
+// --- The api.Backend ------------------------------------------------------
 
 type serverStats struct {
 	UptimeSeconds   float64 `json:"uptime_seconds"`
@@ -383,161 +313,59 @@ type serverStats struct {
 	Replication *api.ReplStatus `json:"replication,omitempty"`
 }
 
-// --- Helpers --------------------------------------------------------------
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	if status >= 500 {
-		s.logf("bondd: %v", err)
-	}
-	api.WriteJSON(w, status, errorWire{Error: err.Error()})
-}
-
-// writeAnswer sends a query or batch answer, logging one that could not
-// be encoded (WriteJSON has answered it 500).
-func (s *Server) writeAnswer(w http.ResponseWriter, v any) {
-	if err := api.WriteJSON(w, http.StatusOK, v); err != nil {
-		s.logf("bondd: %v", err)
-	}
-}
-
-// catalogStatus maps catalog errors onto HTTP statuses.
-func catalogStatus(err error) int {
+// catalogError gives a catalog error the status the API answers it with.
+func catalogError(err error) error {
+	status := http.StatusInternalServerError
 	switch {
+	case err == nil:
+		return nil
 	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound
+		status = http.StatusNotFound
 	case errors.Is(err, ErrBadName), errors.Is(err, ErrBadShape):
-		return http.StatusBadRequest
+		status = http.StatusBadRequest
 	case errors.Is(err, ErrExists):
-		return http.StatusConflict
+		status = http.StatusConflict
 	}
-	return http.StatusInternalServerError
+	return api.WithStatus(status, err)
 }
 
-// acquire admits one query execution, waiting for a slot while the
-// request is still alive. It reports false — after writing 503 — when the
-// request's context ends first (client gone, or server shutting down the
-// connection), which is what bounds the query backlog.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
-	select {
-	case s.sem <- struct{}{}:
-		s.inflight.Add(1)
-		return true
-	default:
-	}
-	select {
-	case s.sem <- struct{}{}:
-		s.inflight.Add(1)
-		return true
-	case <-r.Context().Done():
-		// A structured rejection: the Retry-After header and the
-		// machine-readable body tell well-behaved clients (the
-		// coordinator's retry envelope among them) to back off instead of
-		// hammering a saturated node.
-		err := fmt.Errorf("server overloaded: %d queries in flight", s.cfg.MaxInFlight)
-		s.logf("bondd: %v", err)
-		w.Header().Set("Retry-After", strconv.Itoa(overloadedRetryAfterMs/1000))
-		api.WriteJSON(w, http.StatusServiceUnavailable, errorWire{
-			Error:        err.Error(),
-			Code:         "overloaded",
-			RetryAfterMs: overloadedRetryAfterMs,
-		})
-		return false
-	}
+// collection looks name up in the catalog, loading it on first touch.
+func (s *Server) collection(name string) (*bond.Collection, error) {
+	col, err := s.cat.Get(name)
+	return col, catalogError(err)
 }
 
-// overloadedRetryAfterMs is the back-off hint a saturated node serves
-// with its 503: long enough to drain a slow query, short enough that a
-// retrying coordinator still lands well inside a typical request
-// deadline.
-const overloadedRetryAfterMs = 1000
-
-func (s *Server) release() {
-	s.inflight.Add(-1)
-	<-s.sem
+// Admit fences every mutation on an unpromoted follower, then answers a
+// missing collection — both before the request's body is read.
+func (s *Server) Admit(op api.Op, name string) error {
+	if op != api.OpRead && op != api.OpExplain && s.readOnlyReplica() {
+		return errReadOnlyReplica
+	}
+	if op == api.OpDefine {
+		return nil
+	}
+	_, err := s.collection(name)
+	return err
 }
 
-// toSpec lowers the wire spec onto a bond.QuerySpec, resolving
-// query-by-example ids against the collection.
-func toSpec(col *bond.Collection, wq querySpecWire) (bond.QuerySpec, error) {
-	spec := bond.QuerySpec{
-		K:         wq.K,
-		Step:      wq.Step,
-		Weights:   wq.Weights,
-		Dims:      wq.Dims,
-		Parallel:  wq.Parallel,
-		Tolerance: wq.Tolerance,
-	}
-	switch {
-	case len(wq.Query) > 0 && wq.ID != nil:
-		return spec, fmt.Errorf("set either query or id, not both")
-	case len(wq.Query) > 0:
-		spec.Query = wq.Query
-	case wq.ID != nil:
-		q, ok := col.TryVector(*wq.ID)
-		if !ok {
-			return spec, fmt.Errorf("id %d outside collection [0,%d)", *wq.ID, col.Len())
-		}
-		spec.Query = q
-	default:
-		return spec, fmt.Errorf("query vector (or id) is required")
-	}
-	var err error
-	if spec.Criterion, err = bond.ParseCriterion(wq.Criterion); err != nil {
-		return spec, err
-	}
-	if spec.Order, err = bond.ParseOrder(wq.Order); err != nil {
-		return spec, err
-	}
-	if spec.Strategy, err = bond.ParseStrategy(wq.Strategy); err != nil {
-		return spec, err
-	}
-	if wq.TimeoutMs > 0 {
-		spec.Deadline = time.Now().Add(time.Duration(wq.TimeoutMs) * time.Millisecond)
-	}
-	return spec, nil
-}
-
-func toResponse(res bond.QueryResult) queryResponse {
-	out := queryResponse{
-		Results: make([]neighborWire, len(res.Results)),
-		Stats: statsWire{
-			ValuesScanned:    res.Stats.ValuesScanned,
-			FinalCandidates:  res.Stats.FinalCandidates,
-			SegmentsSearched: res.Stats.SegmentsSearched,
-			SegmentsSkipped:  res.Stats.SegmentsSkipped,
-		},
-		Truncated: res.Truncated,
-	}
-	for i, n := range res.Results {
-		out.Results[i] = neighborWire{ID: n.ID, Score: n.Score}
-	}
-	return out
-}
-
-// --- Handlers -------------------------------------------------------------
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is the readiness probe, distinct from liveness: a node is
-// ready only when it can actually acknowledge writes — the catalog
-// directory is writable and every loaded collection's WAL is appendable.
-// A node that accepts TCP but sits on a full or failing disk answers 503
-// here, so the coordinator's prober and load balancers stop routing
-// writes to it while /healthz still reports the process alive.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// Ready is the readiness probe, distinct from liveness: a node is ready
+// only when it can actually acknowledge writes — the catalog directory is
+// writable and every loaded collection's WAL is appendable. A node that
+// accepts TCP but sits on a full or failing disk answers 503 here, so the
+// coordinator's prober and load balancers stop routing writes to it while
+// /healthz still reports the process alive.
+func (s *Server) Ready() (any, error) {
 	if err := s.cat.Ready(); err != nil {
-		api.WriteJSON(w, http.StatusServiceUnavailable, errorWire{
-			Error: fmt.Sprintf("not ready: %v", err),
-			Code:  "not_ready",
-		})
-		return
+		return nil, &api.StatusError{
+			Status: http.StatusServiceUnavailable,
+			Code:   "not_ready",
+			Msg:    fmt.Sprintf("not ready: %v", err),
+		}
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	return map[string]string{"status": "ready"}, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) Stats() any {
 	st := serverStats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		InFlight:        s.inflight.Load(),
@@ -563,347 +391,243 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			st.Role = "follower"
 		}
 	}
-	api.WriteJSON(w, http.StatusOK, st)
+	return st
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	names, err := s.cat.Names()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, map[string][]string{"collections": names})
-}
+func (s *Server) List(context.Context) ([]string, error) { return s.cat.Names() }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if s.fenceReplica(w) {
-		return
-	}
-	var req createRequest
-	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	name := r.PathValue("name")
+func (s *Server) Create(_ context.Context, name string, req *api.CreateRequest) (*api.CreateResponse, error) {
 	col, created, err := s.cat.Create(name, req.Dims, req.SegmentSize)
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
+		return nil, catalogError(err)
 	}
-	status := http.StatusOK
-	if created {
-		status = http.StatusCreated
-	}
-	api.WriteJSON(w, status, createResponse{Name: name, Dims: col.Dims(), Created: created})
+	return &api.CreateResponse{Name: name, Dims: col.Dims(), Created: created}, nil
 }
 
-func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
-	if s.fenceReplica(w) {
-		return
-	}
-	if err := s.cat.Drop(r.PathValue("name")); err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
+func (s *Server) Drop(_ context.Context, name string) error { return catalogError(s.cat.Drop(name)) }
 
-func (s *Server) handleCollectionStats(w http.ResponseWriter, r *http.Request) {
-	col, err := s.cat.Get(r.PathValue("name"))
+func (s *Server) Describe(_ context.Context, name string) (any, error) {
+	col, err := s.collection(name)
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
+		return nil, err
 	}
-	api.WriteJSON(w, http.StatusOK, col.StatsSnapshot())
+	return col.StatsSnapshot(), nil
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.fenceReplica(w) {
-		return
-	}
-	name := r.PathValue("name")
-	col, err := s.cat.Get(name)
+func (s *Server) Ingest(_ context.Context, name string, vectors [][]float64) (*api.IngestResponse, error) {
+	col, err := s.collection(name)
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
+		return nil, err
 	}
-	var req ingestRequest
-	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var vectors [][]float64
-	switch {
-	case len(req.Vector) > 0 && len(req.Vectors) > 0:
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("set either vector or vectors, not both"))
-		return
-	case len(req.Vector) > 0:
-		vectors = [][]float64{req.Vector}
-	case len(req.Vectors) > 0:
-		vectors = req.Vectors
-	default:
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("vector or vectors is required"))
-		return
-	}
-	dims := col.Dims() // hoisted: Dims takes the collection's read lock
-	for i, v := range vectors {
-		if len(v) != dims {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("vector %d has %d dims, collection %q has %d", i, len(v), name, dims))
-			return
-		}
+	if err := api.CheckDims(name, col.Dims(), vectors); err != nil {
+		return nil, err
 	}
 	// The batch is WAL-logged (and, under fsync=always, fsynced) as one
-	// atomic record before AddBatchDurable returns: the 2xx below IS the
-	// durability acknowledgment.
+	// atomic record before AddBatchDurable returns: the 2xx this answer
+	// becomes IS the durability acknowledgment.
 	first, err := col.AddBatchDurable(vectors)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("ingest not durable: %w", err))
-		return
+		return nil, api.Errorf(http.StatusInternalServerError, "ingest not durable: %v", err)
 	}
-	api.WriteJSON(w, http.StatusOK, ingestResponse{FirstID: first, Count: len(vectors)})
+	return &api.IngestResponse{FirstID: first, Count: len(vectors)}, nil
 }
 
-// handleGetVector reads one vector back by id — the readback clients use
-// to audit durability (and the SIGKILL end-to-end test relies on).
-func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) {
-	col, err := s.cat.Get(r.PathValue("name"))
+func (s *Server) Vector(_ context.Context, name string, id int) (*api.VectorResponse, error) {
+	col, err := s.collection(name)
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad vector id: %w", err))
-		return
+		return nil, err
 	}
 	v, ok := col.TryVector(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("id %d outside collection [0,%d)", id, col.Len()))
-		return
+		return nil, api.Errorf(http.StatusNotFound, "id %d outside collection [0,%d)", id, col.Len())
 	}
-	api.WriteJSON(w, http.StatusOK, vectorResponse{ID: id, Vector: v})
+	return &api.VectorResponse{ID: id, Vector: v}, nil
 }
 
-func (s *Server) handleDeleteVector(w http.ResponseWriter, r *http.Request) {
-	if s.fenceReplica(w) {
-		return
-	}
-	name := r.PathValue("name")
-	col, err := s.cat.Get(name)
+func (s *Server) DeleteVector(_ context.Context, name string, id int) error {
+	col, err := s.collection(name)
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad vector id: %w", err))
-		return
+		return err
 	}
 	ok, err := col.TryDeleteDurable(id)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("delete not durable: %w", err))
-		return
+		return api.Errorf(http.StatusInternalServerError, "delete not durable: %v", err)
 	}
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("id %d outside collection [0,%d)", id, col.Len()))
-		return
+		return api.Errorf(http.StatusNotFound, "id %d outside collection [0,%d)", id, col.Len())
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-// handleRecluster triggers one re-clustering pass on demand — the manual
-// override of the maintenance heuristic (no spread threshold, no
-// minimum segment count). The rewrite is WAL-logged before it applies
-// and the collection is checkpointed before the response, so a 2xx means
-// the new layout is on stable storage and the next open replays no
-// k-means.
-func (s *Server) handleRecluster(w http.ResponseWriter, r *http.Request) {
-	if s.fenceReplica(w) {
-		return
+// example resolves a query-by-example id against col.
+func example(col *bond.Collection, id int) ([]float64, error) {
+	if q, ok := col.TryVector(id); ok {
+		return q, nil
 	}
-	name := r.PathValue("name")
-	col, err := s.cat.Get(name)
+	return nil, api.Errorf(http.StatusBadRequest, "id %d outside collection [0,%d)", id, col.Len())
+}
+
+func toResponse(res bond.QueryResult) api.QueryResponse {
+	out := api.QueryResponse{
+		Results: make([]api.Neighbor, len(res.Results)),
+		Stats: api.QueryStats{
+			ValuesScanned:    res.Stats.ValuesScanned,
+			FinalCandidates:  res.Stats.FinalCandidates,
+			SegmentsSearched: res.Stats.SegmentsSearched,
+			SegmentsSkipped:  res.Stats.SegmentsSkipped,
+		},
+		Truncated: res.Truncated,
+	}
+	for i, n := range res.Results {
+		out.Results[i] = api.Neighbor{ID: n.ID, Score: n.Score}
+	}
+	return out
+}
+
+// overloadedRetryAfterMs is the back-off hint a saturated node serves
+// with its 503: long enough to drain a slow query, short enough that a
+// retrying coordinator still lands well inside a typical request
+// deadline.
+const overloadedRetryAfterMs = 1000
+
+// acquire admits one query execution, waiting for a slot while the
+// request is still alive. When the request's context ends first (client
+// gone, or server shutting down the connection), which is what bounds the
+// query backlog, it answers a structured 503: the retry hint tells
+// well-behaved clients (the coordinator's retry envelope among them) to
+// back off instead of hammering a saturated node.
+func (s *Server) acquire(ctx context.Context) error {
+	select {
+	case s.sem <- struct{}{}:
+		s.inflight.Add(1)
+		return nil
+	default:
+	}
+	select {
+	case s.sem <- struct{}{}:
+		s.inflight.Add(1)
+		return nil
+	case <-ctx.Done():
+		return &api.StatusError{
+			Status:       http.StatusServiceUnavailable,
+			Code:         "overloaded",
+			Msg:          fmt.Sprintf("server overloaded: %d queries in flight", s.cfg.MaxInFlight),
+			RetryAfterMs: overloadedRetryAfterMs,
+		}
+	}
+}
+
+func (s *Server) release() {
+	s.inflight.Add(-1)
+	<-s.sem
+}
+
+// lower looks name up and lowers wq against it, taking an admission
+// slot the caller releases.
+func (s *Server) lower(ctx context.Context, name string, wq *api.QuerySpec) (*bond.Collection, bond.QuerySpec, error) {
+	col, err := s.collection(name)
 	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
+		return nil, bond.QuerySpec{}, err
 	}
-	req := reclusterRequest{}
-	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+	spec, err := api.ToSpec(wq, func(id int) ([]float64, error) { return example(col, id) })
+	if err == nil {
+		err = s.acquire(ctx)
+	}
+	return col, spec, err
+}
+
+func (s *Server) Query(ctx context.Context, name string, wq *api.QuerySpec) (*api.QueryResponse, error) {
+	col, spec, err := s.lower(ctx, name, wq)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release()
+	res, err := col.Query(spec)
+	if err != nil {
+		return nil, api.WithStatus(http.StatusBadRequest, err)
+	}
+	out := toResponse(res)
+	return &out, nil
+}
+
+// QueryBatch maps the batch endpoint straight onto Collection.QueryBatch:
+// one read-lock acquisition, one shared planner segment list, and a
+// GOMAXPROCS-wide worker pool under the hood, each worker co-scheduling up
+// to sixteen of the request's queries so that they read a segment once
+// between them — which is why one request of N specs costs less than N
+// requests. The whole batch holds a single admission slot — QueryBatch
+// self-limits its internal parallelism. A spec's deadline is checked
+// before each of its own steps, and those steps interleave with its
+// group's.
+func (s *Server) QueryBatch(ctx context.Context, name string, wqs []api.QuerySpec) (*api.BatchResponse, error) {
+	col, err := s.collection(name)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]bond.QuerySpec, len(wqs))
+	for i := range wqs {
+		if specs[i], err = api.ToSpec(&wqs[i], func(id int) ([]float64, error) { return example(col, id) }); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	if err := s.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer s.release()
+	results, err := col.QueryBatch(specs)
+	if err != nil {
+		return nil, api.WithStatus(http.StatusBadRequest, err)
+	}
+	out := &api.BatchResponse{Results: make([]api.QueryResponse, len(results))}
+	for i, res := range results {
+		out.Results[i] = toResponse(res)
+	}
+	return out, nil
+}
+
+// Explain runs the query and answers its results with the rendered
+// per-segment plan, predicted and actual costs side by side.
+func (s *Server) Explain(ctx context.Context, name string, wq *api.QuerySpec) (*api.ExplainResponse, error) {
+	col, spec, err := s.lower(ctx, name, wq)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release()
+	res, p, err := col.QueryExplain(spec)
+	if err != nil {
+		return nil, api.WithStatus(http.StatusBadRequest, err)
+	}
+	return &api.ExplainResponse{QueryResponse: toResponse(res), Plan: p.Explain()}, nil
+}
+
+// Recluster runs one re-clustering pass on demand — the manual override
+// of the maintenance heuristic (no spread threshold, no minimum segment
+// count). The rewrite is WAL-logged before it applies and the collection
+// is checkpointed before the answer, so a 2xx means the new layout is on
+// stable storage and the next open replays no k-means.
+func (s *Server) Recluster(_ context.Context, name string, req *api.ReclusterRequest) (*api.ReclusterResponse, error) {
+	col, err := s.collection(name)
+	if err != nil {
+		return nil, err
 	}
 	seed := int64(reclusterSeed)
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	out := reclusterResponse{}
+	out := &api.ReclusterResponse{}
 	out.SpreadBefore, _ = col.SealedSpread()
 	mapping, err := col.ReclusterDurable(req.K, seed)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("recluster not durable: %w", err))
-		return
+		return nil, api.Errorf(http.StatusInternalServerError, "recluster not durable: %v", err)
 	}
 	if mapping != nil {
 		out.Reclustered = true
 		s.reclusters.Add(1)
 		if err := col.Checkpoint(); err != nil {
-			s.writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("checkpoint after recluster %q: %w", name, err))
-			return
+			return nil, api.Errorf(http.StatusInternalServerError, "checkpoint after recluster %q: %v", name, err)
 		}
 	}
 	out.SpreadAfter, _ = col.SealedSpread()
 	out.Segments = col.NumSegments()
-	api.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	col, err := s.cat.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
-	}
-	var wq querySpecWire
-	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &wq); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := toSpec(col, wq)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
-	res, err := col.Query(spec)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := toResponse(res)
-	s.writeAnswer(w, &out)
-}
-
-// handleQueryBatch maps the batch endpoint straight onto
-// Collection.QueryBatch: one read-lock acquisition, one shared planner
-// segment list, and a GOMAXPROCS-wide worker pool under the hood, each
-// worker co-scheduling up to sixteen of the request's queries so that they
-// read a segment once between them — which is why one request of N specs
-// costs less than N requests. The whole batch holds a single admission
-// slot — QueryBatch self-limits its internal parallelism. A spec's
-// deadline is checked before each of its own steps, and those steps
-// interleave with its group's.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	col, err := s.cat.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
-	}
-	var req batchRequest
-	if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("queries is required"))
-		return
-	}
-	specs := make([]bond.QuerySpec, len(req.Queries))
-	for i, wq := range req.Queries {
-		if specs[i], err = toSpec(col, wq); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-	}
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
-	results, err := col.QueryBatch(specs)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := batchResponse{Results: make([]queryResponse, len(results))}
-	for i, res := range results {
-		out.Results[i] = toResponse(res)
-	}
-	s.writeAnswer(w, &out)
-}
-
-// handleExplain serves the PR-2 EXPLAIN plan over HTTP. POST takes the
-// same JSON spec as the query endpoint; GET takes query-by-example
-// parameters (?id=17&k=10&criterion=Hq&strategy=auto&order=desc&step=8)
-// for curl-friendly inspection. Both execute the query and return the
-// results plus the rendered per-segment plan with predicted and actual
-// costs.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	col, err := s.cat.Get(r.PathValue("name"))
-	if err != nil {
-		s.writeError(w, catalogStatus(err), err)
-		return
-	}
-	var wq querySpecWire
-	if r.Method == http.MethodPost {
-		if err := api.DecodeBody(w, r, s.cfg.MaxBodyBytes, &wq); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		if wq, err = explainParams(r); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	spec, err := toSpec(col, wq)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
-	res, p, err := col.QueryExplain(spec)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, explainResponse{queryResponse: toResponse(res), Plan: p.Explain()})
-}
-
-// explainParams lifts GET query parameters into the wire spec.
-func explainParams(r *http.Request) (querySpecWire, error) {
-	q := r.URL.Query()
-	wq := querySpecWire{
-		Criterion: q.Get("criterion"),
-		Order:     q.Get("order"),
-		Strategy:  q.Get("strategy"),
-		K:         10,
-	}
-	if v := q.Get("id"); v != "" {
-		id, err := strconv.Atoi(v)
-		if err != nil {
-			return wq, fmt.Errorf("bad id: %w", err)
-		}
-		wq.ID = &id
-	} else {
-		return wq, fmt.Errorf("id is required (query-by-example; POST a JSON spec for arbitrary vectors)")
-	}
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"k", &wq.K}, {"step", &wq.Step}, {"parallel", &wq.Parallel}} {
-		if v := q.Get(p.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return wq, fmt.Errorf("bad %s: %w", p.name, err)
-			}
-			*p.dst = n
-		}
-	}
-	return wq, nil
+	return out, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"bond"
+	"bond/internal/api"
 	"bond/internal/dataset"
 )
 
@@ -71,11 +72,11 @@ func doJSON(t *testing.T, method, url string, body, out any) int {
 }
 
 // ingestBatch pushes vectors through the batch ingest endpoint.
-func ingestBatch(t *testing.T, base, name string, vectors [][]float64) ingestResponse {
+func ingestBatch(t *testing.T, base, name string, vectors [][]float64) api.IngestResponse {
 	t.Helper()
-	var out ingestResponse
+	var out api.IngestResponse
 	if code := doJSON(t, http.MethodPost, base+"/collections/"+name+"/vectors",
-		ingestRequest{Vectors: vectors}, &out); code != http.StatusOK {
+		api.IngestRequest{Vectors: vectors}, &out); code != http.StatusOK {
 		t.Fatalf("ingest: status %d", code)
 	}
 	return out
@@ -96,9 +97,9 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	vectors := dataset.CorelLike(n, dims, 7)
 
 	_, ts := newTestServer(t, Config{})
-	var cr createResponse
+	var cr api.CreateResponse
 	if code := doJSON(t, http.MethodPut, ts.URL+"/collections/imgs",
-		createRequest{Dims: dims, SegmentSize: segSize}, &cr); code != http.StatusCreated {
+		api.CreateRequest{Dims: dims, SegmentSize: segSize}, &cr); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	got := ingestBatch(t, ts.URL, "imgs", vectors)
@@ -119,8 +120,8 @@ func TestEndToEndByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.criterion+"/"+tc.strategy, func(t *testing.T) {
 			for _, qid := range []int{0, 17, 401} {
-				var resp queryResponse
-				code := doJSON(t, http.MethodPost, ts.URL+"/collections/imgs/query", querySpecWire{
+				var resp api.QueryResponse
+				code := doJSON(t, http.MethodPost, ts.URL+"/collections/imgs/query", api.QuerySpec{
 					Query: vectors[qid], K: k, Criterion: tc.criterion, Strategy: tc.strategy,
 				}, &resp)
 				if code != http.StatusOK {
@@ -161,17 +162,17 @@ func TestEndToEndByteIdentical(t *testing.T) {
 func TestQueryByExample(t *testing.T) {
 	vectors := dataset.CorelLike(200, 16, 3)
 	_, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 16}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 16}, nil)
 	ingestBatch(t, ts.URL, "c", vectors)
 
 	id := 42
-	var byID, byVec queryResponse
+	var byID, byVec api.QueryResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/query",
-		querySpecWire{ID: &id, K: 5}, &byID); code != http.StatusOK {
+		api.QuerySpec{ID: &id, K: 5}, &byID); code != http.StatusOK {
 		t.Fatalf("by-id query: status %d", code)
 	}
 	doJSON(t, http.MethodPost, ts.URL+"/collections/c/query",
-		querySpecWire{Query: vectors[id], K: 5}, &byVec)
+		api.QuerySpec{Query: vectors[id], K: 5}, &byVec)
 	if len(byID.Results) == 0 || byID.Results[0].ID != id {
 		t.Fatalf("by-id query should rank the example first, got %+v", byID.Results)
 	}
@@ -187,24 +188,24 @@ func TestQueryByExample(t *testing.T) {
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	vectors := dataset.CorelLike(400, 16, 11)
 	_, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 16, SegmentSize: 100}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 16, SegmentSize: 100}, nil)
 	ingestBatch(t, ts.URL, "c", vectors)
 
-	specs := []querySpecWire{
+	specs := []api.QuerySpec{
 		{Query: vectors[3], K: 7, Criterion: "Hq"},
 		{Query: vectors[250], K: 3, Criterion: "Eq", Strategy: "vafile"},
 		{Query: vectors[99], K: 12, Criterion: "Hq", Strategy: "exact"},
 	}
-	var batch batchResponse
+	var batch api.BatchResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/query/batch",
-		batchRequest{Queries: specs}, &batch); code != http.StatusOK {
+		api.BatchRequest{Queries: specs}, &batch); code != http.StatusOK {
 		t.Fatalf("batch: status %d", code)
 	}
 	if len(batch.Results) != len(specs) {
 		t.Fatalf("batch returned %d results, want %d", len(batch.Results), len(specs))
 	}
 	for i, spec := range specs {
-		var single queryResponse
+		var single api.QueryResponse
 		doJSON(t, http.MethodPost, ts.URL+"/collections/c/query", spec, &single)
 		if len(single.Results) != len(batch.Results[i].Results) {
 			t.Fatalf("query %d: batch %d results, single %d", i,
@@ -224,10 +225,10 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 func TestExplainEndpoint(t *testing.T) {
 	vectors := dataset.CorelLike(500, 16, 5)
 	_, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 16, SegmentSize: 100}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 16, SegmentSize: 100}, nil)
 	ingestBatch(t, ts.URL, "c", vectors)
 
-	var exp explainResponse
+	var exp api.ExplainResponse
 	if code := doJSON(t, http.MethodGet,
 		ts.URL+"/collections/c/explain?id=17&k=5&strategy=auto", nil, &exp); code != http.StatusOK {
 		t.Fatalf("GET explain: status %d", code)
@@ -245,9 +246,9 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("plan suspiciously short (%d lines):\n%s", lines, exp.Plan)
 	}
 
-	var post explainResponse
+	var post api.ExplainResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/explain",
-		querySpecWire{Query: vectors[17], K: 5}, &post); code != http.StatusOK {
+		api.QuerySpec{Query: vectors[17], K: 5}, &post); code != http.StatusOK {
 		t.Fatalf("POST explain: status %d", code)
 	}
 	for i := range exp.Results {
@@ -263,21 +264,21 @@ func TestExplainEndpoint(t *testing.T) {
 func TestMILStrategyRejected(t *testing.T) {
 	vectors := dataset.CorelLike(50, 8, 11)
 	_, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 8}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 8}, nil)
 	ingestBatch(t, ts.URL, "c", vectors)
 
-	spec := querySpecWire{Query: vectors[0], K: 3, Strategy: "mil"}
+	spec := api.QuerySpec{Query: vectors[0], K: 3, Strategy: "mil"}
 	base := ts.URL + "/collections/c"
 	for _, tc := range []struct {
 		name, method, url string
 		body              any
 	}{
 		{"query", http.MethodPost, base + "/query", spec},
-		{"batch", http.MethodPost, base + "/query/batch", batchRequest{Queries: []querySpecWire{spec}}},
+		{"batch", http.MethodPost, base + "/query/batch", api.BatchRequest{Queries: []api.QuerySpec{spec}}},
 		{"GET explain", http.MethodGet, base + "/explain?id=0&k=3&strategy=mil", nil},
 		{"POST explain", http.MethodPost, base + "/explain", spec},
 	} {
-		var e errorWire
+		var e api.Error
 		if code := doJSON(t, tc.method, tc.url, tc.body, &e); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
@@ -293,24 +294,24 @@ func TestCatalogLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	if code := doJSON(t, http.MethodPut, ts.URL+"/collections/bad..name",
-		createRequest{Dims: 4}, nil); code != http.StatusBadRequest {
+		api.CreateRequest{Dims: 4}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad name: status %d", code)
 	}
 	if code := doJSON(t, http.MethodPut, ts.URL+"/collections/a",
-		createRequest{Dims: 0}, nil); code != http.StatusBadRequest {
+		api.CreateRequest{Dims: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("zero dims: status %d", code)
 	}
 	if code := doJSON(t, http.MethodPut, ts.URL+"/collections/a",
-		createRequest{Dims: 8}, nil); code != http.StatusCreated {
+		api.CreateRequest{Dims: 8}, nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	var cr createResponse
+	var cr api.CreateResponse
 	if code := doJSON(t, http.MethodPut, ts.URL+"/collections/a",
-		createRequest{Dims: 8}, &cr); code != http.StatusOK || cr.Created {
+		api.CreateRequest{Dims: 8}, &cr); code != http.StatusOK || cr.Created {
 		t.Fatalf("idempotent create: status %d created=%v", code, cr.Created)
 	}
 	if code := doJSON(t, http.MethodPut, ts.URL+"/collections/a",
-		createRequest{Dims: 9}, nil); code != http.StatusConflict {
+		api.CreateRequest{Dims: 9}, nil); code != http.StatusConflict {
 		t.Fatalf("dims mismatch: status %d", code)
 	}
 
@@ -335,7 +336,7 @@ func TestCatalogLifecycle(t *testing.T) {
 		t.Fatalf("drop again: status %d", code)
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/a/query",
-		querySpecWire{Query: []float64{1}, K: 1}, nil); code != http.StatusNotFound {
+		api.QuerySpec{Query: []float64{1}, K: 1}, nil); code != http.StatusNotFound {
 		t.Fatalf("query dropped: status %d", code)
 	}
 }
@@ -343,9 +344,9 @@ func TestCatalogLifecycle(t *testing.T) {
 // TestIngestValidation checks the 400 paths of the ingest endpoint.
 func TestIngestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 3}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 3}, nil)
 
-	for name, body := range map[string]ingestRequest{
+	for name, body := range map[string]api.IngestRequest{
 		"empty":       {},
 		"wrong dims":  {Vector: []float64{1, 2}},
 		"mixed batch": {Vectors: [][]float64{{1, 2, 3}, {1}}},
@@ -365,18 +366,18 @@ func TestIngestValidation(t *testing.T) {
 // before it is buffered rather than ballooning memory.
 func TestBodySizeCap(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 3}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 3}, nil)
 
 	big := make([][]float64, 64)
 	for i := range big {
 		big[i] = []float64{0.1, 0.2, 0.3}
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/vectors",
-		ingestRequest{Vectors: big}, nil); code != http.StatusBadRequest {
+		api.IngestRequest{Vectors: big}, nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d, want 400", code)
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/vectors",
-		ingestRequest{Vector: []float64{0.1, 0.2, 0.3}}, nil); code != http.StatusOK {
+		api.IngestRequest{Vector: []float64{0.1, 0.2, 0.3}}, nil); code != http.StatusOK {
 		t.Fatalf("small body after cap rejection: status %d, want 200", code)
 	}
 }
@@ -393,12 +394,12 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	doJSON(t, http.MethodPut, ts1.URL+"/collections/c", createRequest{Dims: 12, SegmentSize: 64}, nil)
+	doJSON(t, http.MethodPut, ts1.URL+"/collections/c", api.CreateRequest{Dims: 12, SegmentSize: 64}, nil)
 	ingestBatch(t, ts1.URL, "c", vectors)
 	doJSON(t, http.MethodDelete, ts1.URL+"/collections/c/vectors/5", nil, nil)
-	var before queryResponse
+	var before api.QueryResponse
 	doJSON(t, http.MethodPost, ts1.URL+"/collections/c/query",
-		querySpecWire{Query: vectors[10], K: 8}, &before)
+		api.QuerySpec{Query: vectors[10], K: 8}, &before)
 	ts1.Close()
 	if err := s1.Close(); err != nil { // flushes the dirty collection
 		t.Fatal(err)
@@ -413,9 +414,9 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if st.Planner.Queries == 0 {
 		t.Fatalf("restart lost planner coefficients: %+v", st.Planner)
 	}
-	var after queryResponse
+	var after api.QueryResponse
 	doJSON(t, http.MethodPost, ts2.URL+"/collections/c/query",
-		querySpecWire{Query: vectors[10], K: 8}, &after)
+		api.QuerySpec{Query: vectors[10], K: 8}, &after)
 	for i := range before.Results {
 		if before.Results[i] != after.Results[i] {
 			t.Fatalf("rank %d: before %+v != after %+v", i, before.Results[i], after.Results[i])
@@ -436,7 +437,7 @@ func TestMaintenanceCompacts(t *testing.T) {
 	// own test below).
 	s, ts := newTestServer(t, Config{CompactRatio: 0.2, WALMaxBytes: 1, ReclusterSpread: -1})
 	vectors := dataset.CorelLike(200, 8, 13)
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 8, SegmentSize: 50}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 8, SegmentSize: 50}, nil)
 	ingestBatch(t, ts.URL, "c", vectors)
 	for id := 0; id < 100; id++ {
 		if code := doJSON(t, http.MethodDelete,
@@ -491,7 +492,7 @@ func shuffledClustered(n, dims int, seed int64) [][]float64 {
 // the next cycle correctly leaves the tight layout alone.
 func TestMaintenanceReclusters(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 4, SegmentSize: 25}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 4, SegmentSize: 25}, nil)
 	ingestBatch(t, ts.URL, "c", shuffledClustered(120, 4, 31))
 
 	var st bond.CollectionStats
@@ -499,8 +500,8 @@ func TestMaintenanceReclusters(t *testing.T) {
 	if !st.SpreadMeasured || st.SealedSpread < 0.6 {
 		t.Fatalf("shuffled ingest spread %v (measured %v), want loose", st.SealedSpread, st.SpreadMeasured)
 	}
-	var before queryResponse
-	q := querySpecWire{Query: shuffledClustered(1, 4, 99)[0], K: 5}
+	var before api.QueryResponse
+	q := api.QuerySpec{Query: shuffledClustered(1, 4, 99)[0], K: 5}
 	doJSON(t, http.MethodPost, ts.URL+"/collections/c/query", q, &before)
 
 	_, reclustered, _, err := s.RunMaintenance()
@@ -521,7 +522,7 @@ func TestMaintenanceReclusters(t *testing.T) {
 	}
 	// Ids were remapped but the served ranking is the same data: scores
 	// must match rank for rank, byte for byte.
-	var after queryResponse
+	var after api.QueryResponse
 	doJSON(t, http.MethodPost, ts.URL+"/collections/c/query", q, &after)
 	if len(after.Results) != len(before.Results) {
 		t.Fatalf("result count changed: %d vs %d", len(after.Results), len(before.Results))
@@ -547,10 +548,10 @@ func TestMaintenanceReclusters(t *testing.T) {
 // parameterized by optional k/seed, checkpointed before the 2xx.
 func TestReclusterEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{ReclusterSpread: -1}) // maintenance off; manual only
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 4, SegmentSize: 25}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 4, SegmentSize: 25}, nil)
 	ingestBatch(t, ts.URL, "c", shuffledClustered(120, 4, 57))
 
-	var out reclusterResponse
+	var out api.ReclusterResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/recluster", nil, &out); code != http.StatusOK {
 		t.Fatalf("recluster: status %d", code)
 	}
@@ -560,7 +561,7 @@ func TestReclusterEndpoint(t *testing.T) {
 	// Manual triggers are unconditional: a second call rewrites again (and
 	// succeeds) even though the layout is already tight.
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/c/recluster",
-		reclusterRequest{K: 3, Seed: ptrInt64(42)}, &out); code != http.StatusOK || !out.Reclustered {
+		api.ReclusterRequest{K: 3, Seed: ptrInt64(42)}, &out); code != http.StatusOK || !out.Reclustered {
 		t.Fatalf("second recluster: status %d %+v", code, out)
 	}
 	var st bond.CollectionStats
@@ -569,7 +570,7 @@ func TestReclusterEndpoint(t *testing.T) {
 		t.Fatalf("endpoint bookkeeping: %+v", st)
 	}
 	// An empty collection has nothing to rewrite; the endpoint reports so.
-	doJSON(t, http.MethodPut, ts.URL+"/collections/empty", createRequest{Dims: 4}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/empty", api.CreateRequest{Dims: 4}, nil)
 	if code := doJSON(t, http.MethodPost, ts.URL+"/collections/empty/recluster", nil, &out); code != http.StatusOK || out.Reclustered {
 		t.Fatalf("empty recluster: status %d %+v", code, out)
 	}
@@ -585,7 +586,7 @@ func ptrInt64(v int64) *int64 { return &v }
 func TestStatsExposeSynopses(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	vectors := dataset.CorelLike(120, 6, 21)
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 6, SegmentSize: 50}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 6, SegmentSize: 50}, nil)
 	ingestBatch(t, ts.URL, "c", vectors)
 
 	var st bond.CollectionStats
@@ -612,7 +613,7 @@ func TestStatsExposeSynopses(t *testing.T) {
 // away with 503 instead of queueing forever.
 func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1})
-	doJSON(t, http.MethodPut, ts.URL+"/collections/c", createRequest{Dims: 2}, nil)
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 2}, nil)
 	ingestBatch(t, ts.URL, "c", [][]float64{{0.1, 0.2}, {0.3, 0.4}})
 
 	s.sem <- struct{}{} // hold the only slot
@@ -620,7 +621,7 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the waiting client has already given up
-	body, _ := json.Marshal(querySpecWire{Query: []float64{0.1, 0.2}, K: 1})
+	body, _ := json.Marshal(api.QuerySpec{Query: []float64{0.1, 0.2}, K: 1})
 	req := httptest.NewRequest(http.MethodPost, "/collections/c/query",
 		bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
@@ -634,7 +635,7 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
-	var e errorWire
+	var e api.Error
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
 		t.Fatalf("503 body %q is not structured JSON: %v", rec.Body.Bytes(), err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bond"
+	"bond/internal/api"
 )
 
 // TestQueryOverflowRejected: a query some score of which would overflow
@@ -24,24 +25,24 @@ func TestQueryOverflowRejected(t *testing.T) {
 		"unit": {{1, 0}, {0, 0}},
 		"huge": {{1e308, 1e308}, {0, 0}},
 	} {
-		doJSON(t, http.MethodPut, ts.URL+"/collections/"+name, createRequest{Dims: 2}, nil)
+		doJSON(t, http.MethodPut, ts.URL+"/collections/"+name, api.CreateRequest{Dims: 2}, nil)
 		ingestBatch(t, ts.URL, name, vectors)
 	}
 	base := ts.URL + "/collections/"
 	for _, strategy := range []string{"exact", "bond", "auto"} {
 		for _, tc := range []struct {
 			col  string
-			spec querySpecWire
+			spec api.QuerySpec
 			ok   bool
 		}{
-			{"unit", querySpecWire{Query: []float64{-1e200, 0.5}, K: 2, Criterion: "eq"}, false},
-			{"huge", querySpecWire{Query: []float64{1e308, 1e308}, K: 2, Criterion: "hq"}, false},
-			{"unit", querySpecWire{Query: []float64{-1e150, 0.5}, K: 2, Criterion: "eq"}, true},
-			{"huge", querySpecWire{Query: []float64{1, 1}, K: 2, Criterion: "hq"}, true},
+			{"unit", api.QuerySpec{Query: []float64{-1e200, 0.5}, K: 2, Criterion: "eq"}, false},
+			{"huge", api.QuerySpec{Query: []float64{1e308, 1e308}, K: 2, Criterion: "hq"}, false},
+			{"unit", api.QuerySpec{Query: []float64{-1e150, 0.5}, K: 2, Criterion: "eq"}, true},
+			{"huge", api.QuerySpec{Query: []float64{1, 1}, K: 2, Criterion: "hq"}, true},
 		} {
 			tc.spec.Strategy = strategy
-			var single queryResponse
-			var e errorWire
+			var single api.QueryResponse
+			var e api.Error
 			out := any(&e)
 			if tc.ok {
 				out = &single
@@ -51,8 +52,8 @@ func TestQueryOverflowRejected(t *testing.T) {
 				if code != http.StatusBadRequest || !strings.Contains(e.Error, "non-finite") {
 					t.Errorf("%s %s %v: status %d %q, want 400 naming the overflow", strategy, tc.col, tc.spec.Query, code, e.Error)
 				}
-				e = errorWire{}
-				code = doJSON(t, http.MethodPost, base+tc.col+"/query/batch", batchRequest{Queries: []querySpecWire{tc.spec}}, &e)
+				e = api.Error{}
+				code = doJSON(t, http.MethodPost, base+tc.col+"/query/batch", api.BatchRequest{Queries: []api.QuerySpec{tc.spec}}, &e)
 				if code != http.StatusBadRequest || !strings.Contains(e.Error, "non-finite") {
 					t.Errorf("%s %s %v batch: status %d %q, want 400 naming the overflow", strategy, tc.col, tc.spec.Query, code, e.Error)
 				}
@@ -112,9 +113,9 @@ func TestQueryHandlerAllocations(t *testing.T) {
 	for i := range data {
 		data[i] = vector()
 	}
-	specs := make([]querySpecWire, 32)
+	specs := make([]api.QuerySpec, 32)
 	for i := range specs {
-		specs[i] = querySpecWire{Query: vector(), K: 10, Criterion: "eq", Strategy: "bond"}
+		specs[i] = api.QuerySpec{Query: vector(), K: 10, Criterion: "eq", Strategy: "bond"}
 	}
 	mustJSON := func(v any) []byte {
 		b, err := json.Marshal(v)
@@ -126,8 +127,8 @@ func TestQueryHandlerAllocations(t *testing.T) {
 	for _, r := range []*http.Request{
 		// One active segment the test never fills: a seal would make the
 		// ingest count depend on the segment backing (mapped or heap).
-		httptest.NewRequest(http.MethodPut, "/collections/c", bytes.NewReader(mustJSON(createRequest{Dims: dims, SegmentSize: 1 << 14}))),
-		httptest.NewRequest(http.MethodPost, "/collections/c/vectors", bytes.NewReader(mustJSON(ingestRequest{Vectors: data}))),
+		httptest.NewRequest(http.MethodPut, "/collections/c", bytes.NewReader(mustJSON(api.CreateRequest{Dims: dims, SegmentSize: 1 << 14}))),
+		httptest.NewRequest(http.MethodPost, "/collections/c/vectors", bytes.NewReader(mustJSON(api.IngestRequest{Vectors: data}))),
 	} {
 		rec := httptest.NewRecorder()
 		if h.ServeHTTP(rec, r); rec.Code/100 != 2 {
@@ -137,28 +138,33 @@ func TestQueryHandlerAllocations(t *testing.T) {
 
 	w := &replayWriter{h: http.Header{}}
 	for _, tc := range []struct {
-		name, path string
-		body       []byte
-		want       float64
+		name, method, path string
+		body               []byte
+		want               float64
 	}{
 		// 2 in Collection.Query (bond.query_allocs); the route's path
 		// match; the request's MaxBytesReader; the decoded spec and the
 		// answer, which escape through the codec's interface parameters;
 		// the query vector; the answer's neighbor list; the Content-Type
 		// header value.
-		{"query", "/collections/c/query", mustJSON(specs[0]), 9},
+		{"query", http.MethodPost, "/collections/c/query", mustJSON(specs[0]), 9},
 		// Per spec: its query vector, its answer's neighbor list and the
 		// engine's per-query results; plus the batch's constant handful.
-		{"batch32", "/collections/c/query/batch", mustJSON(batchRequest{Queries: specs}), 138},
+		{"batch32", http.MethodPost, "/collections/c/query/batch", mustJSON(api.BatchRequest{Queries: specs}), 138},
 		// One per vector and the outer slice, then the WAL record and the
 		// collection's append path.
-		{"ingest64", "/collections/c/vectors", mustJSON(ingestRequest{Vectors: data[:64]}), 139},
+		{"ingest64", http.MethodPost, "/collections/c/vectors", mustJSON(api.IngestRequest{Vectors: data[:64]}), 139},
+		// The readback the SIGKILL test audits with: the route's two path
+		// wildcards, the vector's copy, the answer and its encoding/json
+		// bytes (a cold type: no append encoder), the Content-Type header
+		// value.
+		{"vector", http.MethodGet, "/collections/c/vectors/7", nil, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if raceEnabled {
 				t.Skip("allocation counts are not reproducible under -race")
 			}
-			r := httptest.NewRequest(http.MethodPost, tc.path, nil)
+			r := httptest.NewRequest(tc.method, tc.path, nil)
 			rd := &rewindBody{}
 			run := func() {
 				w.reset()

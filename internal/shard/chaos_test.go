@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bond"
 	"bond/internal/api"
 	"bond/internal/streammerge"
 	"bond/internal/topk"
@@ -45,7 +46,10 @@ const (
 // equal.
 func survivorTopK(t *testing.T, cl *testCluster, name string, spec api.QuerySpec, missed map[int]bool) []api.Neighbor {
 	t.Helper()
-	largest := mergeLargest(spec.Criterion)
+	crit, err := bond.ParseCriterion(spec.Criterion)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lists [][]topk.Result
 	for s, raw := range cl.raw {
 		if missed[s] {
@@ -64,7 +68,7 @@ func survivorTopK(t *testing.T, cl *testCluster, name string, spec api.QuerySpec
 		}
 		lists = append(lists, list)
 	}
-	merged := streammerge.MergeRanked(spec.K, largest, lists...)
+	merged := streammerge.MergeRanked(spec.K, !crit.Distance(), lists...)
 	out := make([]api.Neighbor, len(merged))
 	for i, r := range merged {
 		out[i] = api.Neighbor{ID: r.ID, Score: r.Score}

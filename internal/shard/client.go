@@ -55,28 +55,12 @@ func (e Envelope) withDefaults() Envelope {
 // ErrCircuitOpen fast-fails a call to a shard whose breaker is open.
 var ErrCircuitOpen = errors.New("shard: circuit open")
 
-// StatusError is a non-2xx shard response, body decoded when it carried
-// the structured error shape.
-type StatusError struct {
-	Status       int
-	Code         string
-	Msg          string
-	RetryAfterMs int
-}
-
-func (e *StatusError) Error() string {
-	if e.Msg != "" {
-		return fmt.Sprintf("shard answered %d: %s", e.Status, e.Msg)
-	}
-	return fmt.Sprintf("shard answered %d", e.Status)
-}
-
 // transientError reports whether err is worth retrying: connection
 // failures, timeouts, garbage responses, and 5xx/429 statuses are
 // transient; other 4xx statuses mean the shard is alive and rejecting
 // the request itself, so retrying cannot help.
 func transientError(err error) bool {
-	var se *StatusError
+	var se *api.StatusError
 	if errors.As(err, &se) {
 		return se.Status >= 500 || se.Status == http.StatusTooManyRequests
 	}
@@ -218,7 +202,7 @@ func (c *client) backoff(ctx context.Context, attempt int, cause error) bool {
 		d = c.env.BackoffMax
 	}
 	d += time.Duration(rand.Int63n(int64(d) + 1)) // full jitter on top
-	var se *StatusError
+	var se *api.StatusError
 	if errors.As(cause, &se) && se.RetryAfterMs > 0 {
 		if hint := time.Duration(se.RetryAfterMs) * time.Millisecond; hint > d {
 			d = hint
@@ -319,8 +303,8 @@ func (c *client) hedged(ctx context.Context, base, method, path string, body []b
 }
 
 // roundTrip performs one HTTP exchange: 2xx returns the raw body in a
-// pooled buffer the caller releases, non-2xx a *StatusError carrying the
-// structured error body when present.
+// pooled buffer the caller releases, non-2xx an *api.StatusError carrying
+// the structured error body when present, wrapped as "shard answered N".
 func (c *client) roundTrip(ctx context.Context, base, method, path string, body []byte) (*api.Body, error) {
 	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
 	if err != nil {
@@ -340,13 +324,13 @@ func (c *client) roundTrip(ctx context.Context, base, method, path string, body 
 		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Status: resp.StatusCode}
+		se := &api.StatusError{Status: resp.StatusCode, Msg: http.StatusText(resp.StatusCode)}
 		var e api.Error
 		if json.Unmarshal(raw.B, &e) == nil {
 			se.Msg, se.Code, se.RetryAfterMs = e.Error, e.Code, e.RetryAfterMs
 		}
 		raw.Release()
-		return nil, se
+		return nil, fmt.Errorf("shard answered %d: %w", resp.StatusCode, se)
 	}
 	return raw, nil
 }

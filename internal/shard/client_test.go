@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bond/internal/api"
 )
 
 // fastEnvelope keeps unit-test retries cheap.
@@ -56,7 +58,7 @@ func TestClientDoesNotRetryPermanent(t *testing.T) {
 		w.Write([]byte(`{"error": "collection not found"}`))
 	}), fastEnvelope(), nil)
 	err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false)
-	var se *StatusError
+	var se *api.StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
 		t.Fatalf("err = %v, want a 404 StatusError", err)
 	}
@@ -225,7 +227,7 @@ func TestStatusErrorCarriesStructuredBody(t *testing.T) {
 		w.Write([]byte(`{"error": "server overloaded", "code": "overloaded", "retry_after_ms": 1000}`))
 	}), Envelope{MaxAttempts: 1}, nil)
 	err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false)
-	var se *StatusError
+	var se *api.StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want StatusError", err)
 	}

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bond"
 	"bond/internal/api"
 	"bond/internal/streammerge"
 	"bond/internal/topk"
@@ -94,10 +92,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Coordinator serves the bondd HTTP API over a static topology of
-// shards: ingest, delete, and point reads hash-route by vector id to the
-// owning shard; queries fan out to every shard and exact-merge. See the
-// package comment for the placement scheme and fault-tolerance model.
+// Coordinator is the api.Backend that serves the bondd HTTP API over a
+// static topology of shards: ingest, delete, and point reads hash-route
+// by vector id to the owning shard; queries fan out to every shard and
+// exact-merge. See the package comment for the placement scheme and
+// fault-tolerance model.
 type Coordinator struct {
 	cfg     Config
 	topo    *Topology
@@ -105,12 +104,12 @@ type Coordinator struct {
 	mux     *http.ServeMux
 	start   time.Time
 
-	// colMu guards nextID, and serializes ingest fan-outs per process so
+	// colMu guards layouts, and serializes ingest fan-outs per process so
 	// concurrent ingests cannot interleave their sub-batches at a shard
 	// (which would break the round-robin id layout both routing and the
 	// single-node equivalence depend on).
-	colMu  sync.Mutex
-	nextID map[string]int // next global id per collection; absent = resync from shard lengths
+	colMu   sync.Mutex
+	layouts map[string]layout // absent = resync from the shards' stats
 
 	queries      atomic.Int64 // queries served (batch counts each query)
 	fanouts      atomic.Int64 // shard calls fanned out
@@ -119,6 +118,12 @@ type Coordinator struct {
 
 	stop       chan struct{} // closed by Close to stop the prober
 	proberDone chan struct{} // closed when the prober loop exits
+}
+
+// layout is what the coordinator caches of a collection between ingests.
+type layout struct {
+	next int // the next global id
+	dims int // the dims every ingested vector must have
 }
 
 // NewCoordinator builds a coordinator over the given topology and starts
@@ -147,7 +152,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		topo:       cfg.Topology,
 		start:      time.Now(),
-		nextID:     map[string]int{},
+		layouts:    map[string]layout{},
 		stop:       make(chan struct{}),
 		proberDone: make(chan struct{}),
 	}
@@ -155,8 +160,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		brk := NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 		co.clients = append(co.clients, newClient(s, hc, cfg.Envelope, brk))
 	}
-	co.mux = http.NewServeMux()
-	co.routes()
+	co.mux = api.NewMux(co, 0, func(format string, args ...any) {
+		co.logf("coordinator: "+format, args...)
+	})
 	if cfg.ProbeInterval > 0 {
 		go co.proberLoop(cfg.ProbeInterval)
 	} else {
@@ -181,66 +187,51 @@ func (co *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (co *Coordinator) routes() {
-	co.mux.HandleFunc("GET /healthz", co.handleHealthz)
-	co.mux.HandleFunc("GET /readyz", co.handleReadyz)
-	co.mux.HandleFunc("GET /stats", co.handleStats)
-	co.mux.HandleFunc("GET /collections", co.handleList)
-	co.mux.HandleFunc("PUT /collections/{name}", co.handleCreate)
-	co.mux.HandleFunc("DELETE /collections/{name}", co.handleDrop)
-	co.mux.HandleFunc("GET /collections/{name}", co.handleCollectionStats)
-	co.mux.HandleFunc("POST /collections/{name}/vectors", co.handleIngest)
-	co.mux.HandleFunc("GET /collections/{name}/vectors/{id}", co.handleGetVector)
-	co.mux.HandleFunc("DELETE /collections/{name}/vectors/{id}", co.handleDeleteVector)
-	co.mux.HandleFunc("POST /collections/{name}/query", co.handleQuery)
-	co.mux.HandleFunc("POST /collections/{name}/query/batch", co.handleQueryBatch)
-	co.mux.HandleFunc("POST /collections/{name}/recluster", co.handleUnsupported)
-	co.mux.HandleFunc("GET /collections/{name}/explain", co.handleUnsupported)
-	co.mux.HandleFunc("POST /collections/{name}/explain", co.handleUnsupported)
-}
-
 // --- Helpers --------------------------------------------------------------
 
-// maxBodyBytes caps a client request body.
-const maxBodyBytes = 64 << 20
-
-func (co *Coordinator) writeError(w http.ResponseWriter, status int, code string, err error, missed []int) {
-	if status >= 500 {
-		co.logf("coordinator: %v", err)
+// refusal returns the first shard answer among errs that refused the
+// request itself — a 4xx other than 429 — or nil.
+func refusal(errs []error) *api.StatusError {
+	for _, err := range errs {
+		var se *api.StatusError
+		if err != nil && !transientError(err) && errors.As(err, &se) {
+			return se
+		}
 	}
-	api.WriteJSON(w, status, api.Error{Error: err.Error(), Code: code, MissedShards: missed})
+	return nil
 }
 
-// writeAnswer sends a query or batch answer, logging one that could not
-// be encoded (WriteJSON has answered it 500).
-func (co *Coordinator) writeAnswer(w http.ResponseWriter, v any) {
-	if err := api.WriteJSON(w, http.StatusOK, v); err != nil {
-		co.logf("coordinator: %v", err)
+// shardFailure is the coordinator's answer when shard calls failed. A
+// shard that refused the request itself passes through as it answered:
+// the request was at fault, and blaming missed shards would tell the
+// client a healthy cluster is down. Anything else is a 504 when the
+// deadline ran out, a shard's own 429 once retries gave up, or a 502;
+// the message format gets the first error as its last argument, and
+// missed names the shards missed.
+func shardFailure(ctx context.Context, errs []error, missed []int, format string, args ...any) error {
+	if se := refusal(errs); se != nil {
+		return se
 	}
-}
-
-// shardCallStatus maps a failed shard call onto the status the
-// coordinator reports: deadline exhaustion is 504, everything else the
-// shard's own 4xx (pass-through) or 502.
-func shardCallStatus(ctx context.Context, err error) (int, string) {
-	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout, "deadline"
+	err := firstErr(errs)
+	fail := &api.StatusError{Status: http.StatusBadGateway, Code: "shard_unavailable", Msg: fmt.Sprintf(format, append(args, err)...), MissedShards: missed}
+	var se *api.StatusError
+	switch {
+	case ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded):
+		fail.Status, fail.Code = http.StatusGatewayTimeout, "deadline"
+	case errors.As(err, &se) && se.Status == http.StatusTooManyRequests:
+		fail.Status, fail.Code = se.Status, se.Code
 	}
-	var se *StatusError
-	if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 {
-		return se.Status, se.Code
-	}
-	return http.StatusBadGateway, "shard_unavailable"
+	return fail
 }
 
 // budget returns the fan-out deadline context for a request: timeout_ms
 // when the spec set one, the configured default otherwise.
-func (co *Coordinator) budget(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
+func (co *Coordinator) budget(ctx context.Context, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := co.cfg.DefaultTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(ctx, d)
 }
 
 // fanOut runs fn once per shard concurrently and returns the per-shard
@@ -258,6 +249,15 @@ func (co *Coordinator) fanOut(fn func(i int, c *client) error) []error {
 	}
 	wg.Wait()
 	return errs
+}
+
+// fanCall makes one call on every shard, decoding shard i's answer into
+// the returned slice's i-th entry, and returns the per-shard errors too.
+func fanCall[T any](co *Coordinator, ctx context.Context, method, path string, body []byte, hedge bool) ([]T, []error) {
+	out := make([]T, len(co.clients))
+	return out, co.fanOut(func(i int, c *client) error {
+		return c.call(ctx, method, path, body, &out[i], hedge)
+	})
 }
 
 // missedOf lists the shard ids with non-nil errors.
@@ -283,15 +283,38 @@ func firstErr(errs []error) error {
 
 // --- Basic endpoints ------------------------------------------------------
 
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// errUnsupported answers EXPLAIN and manual re-clustering, which the
+// coordinator does not serve through the fan-out.
+var errUnsupported = &api.StatusError{
+	Status: http.StatusNotImplemented,
+	Code:   "not_supported_on_coordinator",
+	Msg:    "endpoint not supported in coordinator mode (query each shard directly)",
 }
 
-// handleReadyz reports readiness for traffic under the configured
-// default policy: strict needs every shard healthy (a query would
-// otherwise fail), partial needs at least one (a query can still degrade
-// to the survivors).
-func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// Admit refuses EXPLAIN and re-clustering for every input. Everything
+// else the shards judge, through the call itself.
+func (co *Coordinator) Admit(op api.Op, _ string) error {
+	if op == api.OpExplain || op == api.OpRecluster {
+		return errUnsupported
+	}
+	return nil
+}
+
+// Explain is never reached: Admit refuses the route.
+func (co *Coordinator) Explain(context.Context, string, *api.QuerySpec) (*api.ExplainResponse, error) {
+	return nil, errUnsupported
+}
+
+// Recluster is never reached: Admit refuses the route.
+func (co *Coordinator) Recluster(context.Context, string, *api.ReclusterRequest) (*api.ReclusterResponse, error) {
+	return nil, errUnsupported
+}
+
+// Ready reports readiness for traffic under the configured default
+// policy: strict needs every shard healthy (a query would otherwise
+// fail), partial needs at least one (a query can still degrade to the
+// survivors).
+func (co *Coordinator) Ready() (any, error) {
 	healthy := 0
 	var down []int
 	for i, c := range co.clients {
@@ -306,14 +329,14 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		ready = healthy > 0
 	}
 	if !ready {
-		api.WriteJSON(w, http.StatusServiceUnavailable, api.Error{
-			Error:        fmt.Sprintf("not ready: %d/%d shards healthy under policy %s", healthy, len(co.clients), co.cfg.DegradePolicy),
+		return nil, &api.StatusError{
+			Status:       http.StatusServiceUnavailable,
 			Code:         "not_ready",
+			Msg:          fmt.Sprintf("not ready: %d/%d shards healthy under policy %s", healthy, len(co.clients), co.cfg.DegradePolicy),
 			MissedShards: down,
-		})
-		return
+		}
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "healthy_shards": healthy})
+	return map[string]any{"status": "ready", "healthy_shards": healthy}, nil
 }
 
 // shardStatsWire is one shard's robustness gauges on /stats.
@@ -353,7 +376,7 @@ type coordinatorStats struct {
 	Shards           []shardStatsWire `json:"shards"`
 }
 
-func (co *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (co *Coordinator) Stats() any {
 	st := coordinatorStats{
 		UptimeSeconds:    time.Since(co.start).Seconds(),
 		Mode:             "coordinator",
@@ -391,118 +414,70 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ProbeFails:   c.probeFail.Load(),
 		})
 	}
-	api.WriteJSON(w, http.StatusOK, st)
-}
-
-func (co *Coordinator) handleUnsupported(w http.ResponseWriter, _ *http.Request) {
-	co.writeError(w, http.StatusNotImplemented, "not_supported_on_coordinator",
-		fmt.Errorf("endpoint not supported in coordinator mode (query each shard directly)"), nil)
+	return st
 }
 
 // --- Catalog endpoints ----------------------------------------------------
 
-func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := co.budget(r, 0)
+func (co *Coordinator) List(ctx context.Context) ([]string, error) {
+	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
-	names := make(map[string]bool)
-	var mu sync.Mutex
-	errs := co.fanOut(func(i int, c *client) error {
-		var out struct {
-			Collections []string `json:"collections"`
-		}
-		if err := c.call(ctx, http.MethodGet, "/collections", nil, &out, true); err != nil {
-			return err
-		}
-		mu.Lock()
-		for _, n := range out.Collections {
-			names[n] = true
-		}
-		mu.Unlock()
-		return nil
-	})
-	if len(missedOf(errs)) == len(co.clients) {
-		status, code := shardCallStatus(ctx, firstErr(errs))
-		co.writeError(w, status, code, fmt.Errorf("no shard reachable: %w", firstErr(errs)), missedOf(errs))
-		return
+	per, errs := fanCall[struct {
+		Collections []string `json:"collections"`
+	}](co, ctx, http.MethodGet, "/collections", nil, true)
+	if missed := missedOf(errs); len(missed) == len(co.clients) {
+		return nil, shardFailure(ctx, errs, missed, "no shard reachable: %v")
 	}
-	list := make([]string, 0, len(names))
-	for n := range names {
-		list = append(list, n)
+	list := []string{}
+	for i, p := range per {
+		if errs[i] == nil {
+			list = append(list, p.Collections...)
+		}
 	}
 	slices.Sort(list)
-	api.WriteJSON(w, http.StatusOK, map[string][]string{"collections": list})
+	return slices.Compact(list), nil
 }
 
-func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req api.CreateRequest
-	if err := api.DecodeBody(w, r, maxBodyBytes, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, "", err, nil)
-		return
-	}
-	name := r.PathValue("name")
-	ctx, cancel := co.budget(r, 0)
+func (co *Coordinator) Create(ctx context.Context, name string, req *api.CreateRequest) (*api.CreateResponse, error) {
+	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
-	body, _ := api.Marshal(&req)
-	created := make([]bool, len(co.clients))
-	errs := co.fanOut(func(i int, c *client) error {
-		var out api.CreateResponse
-		if err := c.call(ctx, http.MethodPut, "/collections/"+name, body, &out, false); err != nil {
-			return err
-		}
-		created[i] = out.Created
-		return nil
-	})
+	body, _ := api.Marshal(req)
+	per, errs := fanCall[api.CreateResponse](co, ctx, http.MethodPut, "/collections/"+name, body, false)
 	if missed := missedOf(errs); len(missed) > 0 {
 		// Create must land on every shard: a collection that exists on a
 		// subset would silently lose the missing shards' slice of every
 		// future ingest. PUT is idempotent — the client simply retries.
-		status, code := shardCallStatus(ctx, firstErr(errs))
-		co.writeError(w, status, code,
-			fmt.Errorf("create %q incomplete, retry: %w", name, firstErr(errs)), missed)
-		return
+		return nil, shardFailure(ctx, errs, missed, "create %q incomplete, retry: %v", name)
 	}
-	anyCreated := false
-	for _, c := range created {
-		anyCreated = anyCreated || c
-	}
-	status := http.StatusOK
-	if anyCreated {
-		status = http.StatusCreated
-	}
-	api.WriteJSON(w, status, api.CreateResponse{Name: name, Dims: req.Dims, Created: anyCreated})
+	created := slices.ContainsFunc(per, func(r api.CreateResponse) bool { return r.Created })
+	return &api.CreateResponse{Name: name, Dims: req.Dims, Created: created}, nil
 }
 
-func (co *Coordinator) handleDrop(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ctx, cancel := co.budget(r, 0)
+// Drop answers 404 only when no shard held the collection.
+func (co *Coordinator) Drop(ctx context.Context, name string) error {
+	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
-	notFound := 0
-	var mu sync.Mutex
 	errs := co.fanOut(func(i int, c *client) error {
-		err := c.call(ctx, http.MethodDelete, "/collections/"+name, nil, nil, false)
-		var se *StatusError
-		if errors.As(err, &se) && se.Status == http.StatusNotFound {
-			mu.Lock()
-			notFound++
-			mu.Unlock()
-			return nil
-		}
-		return err
+		return c.call(ctx, http.MethodDelete, "/collections/"+name, nil, nil, false)
 	})
 	co.colMu.Lock()
-	delete(co.nextID, name)
+	delete(co.layouts, name)
 	co.colMu.Unlock()
+	var notFound *api.StatusError
+	gone := 0
+	for i, err := range errs {
+		if errors.As(err, &notFound) && notFound.Status == http.StatusNotFound {
+			errs[i] = nil
+			gone++
+		}
+	}
 	if missed := missedOf(errs); len(missed) > 0 {
-		status, code := shardCallStatus(ctx, firstErr(errs))
-		co.writeError(w, status, code,
-			fmt.Errorf("drop %q incomplete, retry: %w", name, firstErr(errs)), missed)
-		return
+		return shardFailure(ctx, errs, missed, "drop %q incomplete, retry: %v", name)
 	}
-	if notFound == len(co.clients) {
-		co.writeError(w, http.StatusNotFound, "", fmt.Errorf("collection not found"), nil)
-		return
+	if gone == len(co.clients) {
+		return notFound
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // shardCollectionStats is the slice of a shard's per-collection stats
@@ -514,18 +489,12 @@ type shardCollectionStats struct {
 	Segments int `json:"segments"`
 }
 
-func (co *Coordinator) handleCollectionStats(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ctx, cancel := co.budget(r, 0)
+func (co *Coordinator) Describe(ctx context.Context, name string) (any, error) {
+	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
-	per := make([]shardCollectionStats, len(co.clients))
-	errs := co.fanOut(func(i int, c *client) error {
-		return c.call(ctx, http.MethodGet, "/collections/"+name, nil, &per[i], true)
-	})
+	per, errs := fanCall[shardCollectionStats](co, ctx, http.MethodGet, "/collections/"+name, nil, true)
 	if missed := missedOf(errs); len(missed) > 0 {
-		status, code := shardCallStatus(ctx, firstErr(errs))
-		co.writeError(w, status, code, firstErr(errs), missed)
-		return
+		return nil, shardFailure(ctx, errs, missed, "%v")
 	}
 	total := shardCollectionStats{Dims: per[0].Dims}
 	for _, p := range per {
@@ -533,131 +502,100 @@ func (co *Coordinator) handleCollectionStats(w http.ResponseWriter, r *http.Requ
 		total.Live += p.Live
 		total.Segments += p.Segments
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"dims":     total.Dims,
 		"len":      total.Len,
 		"live":     total.Live,
 		"segments": total.Segments,
 		"shards":   per,
-	})
+	}, nil
 }
 
 // --- Routed single-vector endpoints ---------------------------------------
 
-func (co *Coordinator) handleGetVector(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	g, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		co.writeError(w, http.StatusBadRequest, "", fmt.Errorf("bad vector id: %w", err), nil)
-		return
+// atID runs one call about global id g on the shard that owns it, under
+// the shard's local id. An id outside the collection is answered as a
+// single node answers it — with status, naming g — but without the
+// collection's length, which only a fan-out could tell. Any other failure
+// is returned for the caller to report.
+func (co *Coordinator) atID(ctx context.Context, method, name string, g, status int, out any) error {
+	if g >= 0 {
+		path := fmt.Sprintf("/collections/%s/vectors/%d", name, co.topo.Local(g))
+		err := co.clients[co.topo.Owner(g)].call(ctx, method, path, nil, out, method == http.MethodGet)
+		var se *api.StatusError
+		if !errors.As(err, &se) || se.Status != http.StatusNotFound || se.Msg == api.ErrNotFound.Error() {
+			return err
+		}
 	}
-	if g < 0 {
-		co.writeError(w, http.StatusNotFound, "", fmt.Errorf("id %d outside collection", g), nil)
-		return
-	}
-	ctx, cancel := co.budget(r, 0)
-	defer cancel()
-	owner := co.topo.Owner(g)
-	var out api.VectorResponse
-	path := fmt.Sprintf("/collections/%s/vectors/%d", name, co.topo.Local(g))
-	if err := co.clients[owner].call(ctx, http.MethodGet, path, nil, &out, true); err != nil {
-		status, code := shardCallStatus(ctx, err)
-		co.writeError(w, status, code, err, nil)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, api.VectorResponse{ID: g, Vector: out.Vector})
+	return api.Errorf(status, "id %d outside collection", g)
 }
 
-func (co *Coordinator) handleDeleteVector(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	g, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		co.writeError(w, http.StatusBadRequest, "", fmt.Errorf("bad vector id: %w", err), nil)
-		return
-	}
-	if g < 0 {
-		co.writeError(w, http.StatusNotFound, "", fmt.Errorf("id %d outside collection", g), nil)
-		return
-	}
-	ctx, cancel := co.budget(r, 0)
+func (co *Coordinator) Vector(ctx context.Context, name string, g int) (*api.VectorResponse, error) {
+	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
-	owner := co.topo.Owner(g)
-	path := fmt.Sprintf("/collections/%s/vectors/%d", name, co.topo.Local(g))
-	if err := co.clients[owner].call(ctx, http.MethodDelete, path, nil, nil, false); err != nil {
-		status, code := shardCallStatus(ctx, err)
-		co.writeError(w, status, code, err, nil)
-		return
+	out := &api.VectorResponse{}
+	if err := co.atID(ctx, http.MethodGet, name, g, http.StatusNotFound, out); err != nil {
+		return nil, shardFailure(ctx, []error{err}, nil, "%v")
 	}
-	w.WriteHeader(http.StatusNoContent)
+	out.ID = g
+	return out, nil
+}
+
+func (co *Coordinator) DeleteVector(ctx context.Context, name string, g int) error {
+	ctx, cancel := co.budget(ctx, 0)
+	defer cancel()
+	if err := co.atID(ctx, http.MethodDelete, name, g, http.StatusNotFound, nil); err != nil {
+		return shardFailure(ctx, []error{err}, nil, "%v")
+	}
+	return nil
 }
 
 // --- Ingest ---------------------------------------------------------------
 
-// nextGlobal returns the next global id for name, syncing from the
-// shards' lengths when the coordinator has no cached counter (first
-// touch, restart, or a previous partial failure). The sync also verifies
-// the shards' lengths are consistent with the round-robin layout;
-// anything else means writes bypassed the coordinator or a shard lost
-// acknowledged data — reported as topology drift rather than silently
-// mis-routing every future id. Callers hold colMu.
-func (co *Coordinator) nextGlobal(ctx context.Context, name string) (int, error) {
-	if next, ok := co.nextID[name]; ok {
-		return next, nil
+// layoutOf returns name's cached layout, syncing it from the shards'
+// stats when the coordinator has none (first touch, restart, or a
+// previous partial failure). The sync also verifies the shards' lengths
+// are consistent with the round-robin layout; anything else means writes
+// bypassed the coordinator or a shard lost acknowledged data — reported
+// as topology drift rather than silently mis-routing every future id.
+// Callers hold colMu.
+func (co *Coordinator) layoutOf(ctx context.Context, name string) (layout, error) {
+	if l, ok := co.layouts[name]; ok {
+		return l, nil
 	}
-	lens := make([]int, len(co.clients))
-	errs := co.fanOut(func(i int, c *client) error {
-		var st shardCollectionStats
-		if err := c.call(ctx, http.MethodGet, "/collections/"+name, nil, &st, true); err != nil {
-			return err
-		}
-		lens[i] = st.Len
-		return nil
-	})
+	per, errs := fanCall[shardCollectionStats](co, ctx, http.MethodGet, "/collections/"+name, nil, true)
 	if err := firstErr(errs); err != nil {
-		return 0, err
+		return layout{}, shardFailure(ctx, errs, nil, "%v")
 	}
-	total := 0
-	for _, l := range lens {
-		total += l
+	l := layout{dims: per[0].Dims}
+	for _, p := range per {
+		l.next += p.Len
 	}
-	for s, l := range lens {
-		if want := co.topo.LocalLen(s, total); l != want {
-			return 0, &driftError{fmt.Errorf(
-				"shard %d holds %d vectors of %q, round-robin layout over %d total wants %d", s, l, name, total, want)}
+	for s, p := range per {
+		if want := co.topo.LocalLen(s, l.next); p.Len != want {
+			return layout{}, driftError(nil, "shard %d holds %d vectors of %q, round-robin layout over %d total wants %d", s, p.Len, name, l.next, want)
 		}
 	}
-	co.nextID[name] = total
-	return total, nil
+	co.layouts[name] = l
+	return l, nil
 }
 
-// driftError marks a topology-drift failure (shard contents inconsistent
-// with the round-robin layout).
-type driftError struct{ err error }
-
-func (e *driftError) Error() string { return "topology drift: " + e.err.Error() }
-func (e *driftError) Unwrap() error { return e.err }
-
-func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req api.IngestRequest
-	if err := api.DecodeBody(w, r, maxBodyBytes, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, "", err, nil)
-		return
+// driftError is a 409 topology_drift: shard contents inconsistent with
+// the round-robin layout.
+func driftError(missed []int, format string, args ...any) error {
+	return &api.StatusError{
+		Status:       http.StatusConflict,
+		Code:         "topology_drift",
+		Msg:          "topology drift: " + fmt.Sprintf(format, args...),
+		MissedShards: missed,
 	}
-	var vectors [][]float64
-	switch {
-	case len(req.Vector) > 0 && len(req.Vectors) > 0:
-		co.writeError(w, http.StatusBadRequest, "", fmt.Errorf("set either vector or vectors, not both"), nil)
-		return
-	case len(req.Vector) > 0:
-		vectors = [][]float64{req.Vector}
-	case len(req.Vectors) > 0:
-		vectors = req.Vectors
-	default:
-		co.writeError(w, http.StatusBadRequest, "", fmt.Errorf("vector or vectors is required"), nil)
-		return
-	}
-	ctx, cancel := co.budget(r, 0)
+}
+
+// Ingest checks every vector against the collection's dims before any
+// shard is called, so a ragged batch cannot land on some shards and not
+// others; then it splits the batch round-robin and fans it out.
+func (co *Coordinator) Ingest(ctx context.Context, name string, vectors [][]float64) (*api.IngestResponse, error) {
+	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
 
 	// Ingests serialize on colMu: global ids are assigned round-robin in
@@ -665,16 +603,12 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// same order for its local ids to stay in lockstep.
 	co.colMu.Lock()
 	defer co.colMu.Unlock()
-	next, err := co.nextGlobal(ctx, name)
+	l, err := co.layoutOf(ctx, name)
 	if err != nil {
-		var de *driftError
-		if errors.As(err, &de) {
-			co.writeError(w, http.StatusConflict, "topology_drift", err, nil)
-			return
-		}
-		status, code := shardCallStatus(ctx, err)
-		co.writeError(w, status, code, err, nil)
-		return
+		return nil, err
+	}
+	if err := api.CheckDims(name, l.dims, vectors); err != nil {
+		return nil, err
 	}
 
 	// Split the batch: global id next+i → shard (next+i) mod N, keeping
@@ -685,7 +619,7 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		firstLocal[i] = -1
 	}
 	for i, v := range vectors {
-		g := next + i
+		g := l.next + i
 		s := co.topo.Owner(g)
 		if firstLocal[s] < 0 {
 			firstLocal[s] = co.topo.Local(g)
@@ -707,88 +641,76 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if out.FirstID != firstLocal[i] {
 			drift[i] = true
-			return &driftError{fmt.Errorf("shard %d assigned local id %d, layout wants %d", i, out.FirstID, firstLocal[i])}
+			return fmt.Errorf("shard %d assigned local id %d, layout wants %d", i, out.FirstID, firstLocal[i])
 		}
 		return nil
 	})
 	if missed := missedOf(errs); len(missed) > 0 {
-		// Some shards may have committed their slice: the cached counter
-		// is no longer trustworthy, so drop it — the next ingest resyncs
-		// from shard lengths (and reports drift if the layout broke).
-		delete(co.nextID, name)
-		err := firstErr(errs)
+		// Some shards may have committed their slice: the cached layout is
+		// no longer trustworthy, so drop it — the next ingest resyncs from
+		// shard lengths (and reports drift if the layout broke).
+		delete(co.layouts, name)
 		for _, i := range missed {
 			if drift[i] {
-				co.writeError(w, http.StatusConflict, "topology_drift", errs[i], missed)
-				return
+				return nil, driftError(missed, "%v", errs[i])
 			}
 		}
-		status, code := shardCallStatus(ctx, err)
-		co.writeError(w, status, code,
-			fmt.Errorf("ingest incomplete (%d/%d shards missed): %w", len(missed), len(co.clients), err), missed)
-		return
+		return nil, shardFailure(ctx, errs, missed, "ingest incomplete (%d/%d shards missed): %v", len(missed), len(co.clients))
 	}
-	co.nextID[name] = next + len(vectors)
-	api.WriteJSON(w, http.StatusOK, api.IngestResponse{FirstID: next, Count: len(vectors)})
+	l.next += len(vectors)
+	co.layouts[name] = l
+	return &api.IngestResponse{FirstID: l.next - len(vectors), Count: len(vectors)}, nil
 }
 
 // --- Query fan-out --------------------------------------------------------
 
-// resolveSpec validates a wire spec and resolves query-by-example
-// against the owning shard, returning a spec ready to forward (explicit
-// query vector, no id, no policy).
-func (co *Coordinator) resolveSpec(ctx context.Context, name string, wq api.QuerySpec) (api.QuerySpec, int, error) {
-	if wq.K < 1 {
-		return wq, http.StatusBadRequest, fmt.Errorf("k must be >= 1")
-	}
-	if _, err := bond.ParseCriterion(wq.Criterion); err != nil {
-		return wq, http.StatusBadRequest, err
-	}
-	switch {
-	case len(wq.Query) > 0 && wq.ID != nil:
-		return wq, http.StatusBadRequest, fmt.Errorf("set either query or id, not both")
-	case wq.ID != nil:
-		g := *wq.ID
-		if g < 0 {
-			return wq, http.StatusBadRequest, fmt.Errorf("id %d outside collection", g)
-		}
+// resolve checks a wire spec as a single node would (api.ToSpec), reading
+// a query-by-example vector from the shard that owns the id, and returns
+// it ready to forward — an explicit vector, no id, no policy — with its
+// merge direction.
+func (co *Coordinator) resolve(ctx context.Context, name string, wq api.QuerySpec) (api.QuerySpec, bool, error) {
+	spec, err := api.ToSpec(&wq, func(g int) ([]float64, error) {
 		var out api.VectorResponse
-		path := fmt.Sprintf("/collections/%s/vectors/%d", name, co.topo.Local(g))
-		if err := co.clients[co.topo.Owner(g)].call(ctx, http.MethodGet, path, nil, &out, true); err != nil {
+		if err := co.atID(ctx, http.MethodGet, name, g, http.StatusBadRequest, &out); err != nil {
 			// Without the example vector nothing can be served — not even
 			// partially — so this is an error under every policy.
-			status, _ := shardCallStatus(ctx, err)
-			return wq, status, fmt.Errorf("resolve query-by-example id %d: %w", g, err)
+			return nil, shardFailure(ctx, []error{err}, nil, "resolve query-by-example id %d: %v", g)
 		}
-		wq.Query = out.Vector
-		wq.ID = nil
-	case len(wq.Query) == 0:
-		return wq, http.StatusBadRequest, fmt.Errorf("query vector (or id) is required")
+		return out.Vector, nil
+	})
+	if err != nil {
+		return wq, false, err
 	}
-	wq.Policy = ""
-	return wq, 0, nil
+	wq.Query, wq.ID, wq.Policy = spec.Query, nil, ""
+	return wq, !spec.Criterion.Distance(), nil
 }
 
 // policyOf resolves the effective degradation policy for a query.
-func (co *Coordinator) policyOf(wq api.QuerySpec) (Policy, error) {
+func (co *Coordinator) policyOf(wq *api.QuerySpec) (Policy, error) {
 	if wq.Policy == "" {
 		return co.cfg.DegradePolicy, nil
 	}
-	return ParsePolicy(wq.Policy)
+	p, err := ParsePolicy(wq.Policy)
+	if err != nil {
+		return p, api.WithStatus(http.StatusBadRequest, err)
+	}
+	return p, nil
 }
 
-// mergeShardResponses exact-merges per-shard responses (nil entries =
-// missed shards) into one global response: shard-local ids are rebased
-// into the global id space and the ranked lists merged with the
-// score-then-id tie-break, so the answer is byte-identical to a single
-// node holding all the data. Work stats sum; Truncated ORs.
-func (co *Coordinator) mergeShardResponses(k int, largest bool, per []*api.QueryResponse) api.QueryResponse {
+// mergeShardResponses exact-merges the responses of the shards not
+// missed into one global response: shard-local ids are rebased into the
+// global id space and the ranked lists merged with the score-then-id
+// tie-break, so the answer is byte-identical to a single node holding all
+// the data. Work stats sum; Truncated ORs; an answer with missed shards
+// is marked partial.
+func (co *Coordinator) mergeShardResponses(k int, largest bool, per []api.QueryResponse, missed []int) api.QueryResponse {
 	lists := make([][]topk.Result, 0, len(per))
-	var out api.QueryResponse
-	for s, resp := range per {
-		if resp == nil {
+	out := api.QueryResponse{Partial: len(missed) > 0, MissedShards: missed}
+	for s := range per {
+		if slices.Contains(missed, s) {
 			continue
 		}
+		resp := &per[s]
 		list := make([]topk.Result, len(resp.Results))
 		for i, n := range resp.Results {
 			list[i] = topk.Result{ID: co.topo.Global(s, n.ID), Score: n.Score}
@@ -808,168 +730,103 @@ func (co *Coordinator) mergeShardResponses(k int, largest bool, per []*api.Query
 	return out
 }
 
-func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var wq api.QuerySpec
-	if err := api.DecodeBody(w, r, maxBodyBytes, &wq); err != nil {
-		co.writeError(w, http.StatusBadRequest, "", err, nil)
-		return
+// degrade decides a query fan-out under policy and returns the shards it
+// missed. A shard's refusal of the request, a strict policy, or no
+// survivor at all is an error; otherwise the answer goes out partial over
+// the survivors.
+func (co *Coordinator) degrade(ctx context.Context, errs []error, policy Policy) ([]int, error) {
+	missed := missedOf(errs)
+	if len(missed) == 0 {
+		return nil, nil
 	}
+	if se := refusal(errs); se != nil {
+		return nil, se
+	}
+	if policy == Strict || len(missed) == len(co.clients) {
+		co.strictErrors.Add(1)
+		return nil, shardFailure(ctx, errs, missed, "%d/%d shards missed: %v", len(missed), len(co.clients))
+	}
+	co.partials.Add(1)
+	co.logf("coordinator: degrading to partial (%d/%d shards missed): %v", len(missed), len(co.clients), firstErr(errs))
+	return missed, nil
+}
+
+func (co *Coordinator) Query(ctx context.Context, name string, wq *api.QuerySpec) (*api.QueryResponse, error) {
 	policy, err := co.policyOf(wq)
 	if err != nil {
-		co.writeError(w, http.StatusBadRequest, "", err, nil)
-		return
+		return nil, err
 	}
-	ctx, cancel := co.budget(r, wq.TimeoutMs)
+	ctx, cancel := co.budget(ctx, wq.TimeoutMs)
 	defer cancel()
 	co.queries.Add(1)
-	spec, status, err := co.resolveSpec(ctx, name, wq)
+	spec, largest, err := co.resolve(ctx, name, *wq)
 	if err != nil {
-		co.writeError(w, status, "", err, nil)
-		return
+		return nil, err
 	}
-	resp, status, code, missed, err := co.fanQuery(ctx, name, spec, policy)
-	if err != nil {
-		co.writeError(w, status, code, err, missed)
-		return
-	}
-	co.writeAnswer(w, &resp)
-}
-
-// fanQuery fans one resolved spec out to every shard and merges under
-// the given policy.
-func (co *Coordinator) fanQuery(ctx context.Context, name string, spec api.QuerySpec, policy Policy) (api.QueryResponse, int, string, []int, error) {
-	largest := mergeLargest(spec.Criterion)
 	spec.TimeoutMs = remainingMs(ctx)
 	body, _ := api.Marshal(&spec)
-	per := make([]*api.QueryResponse, len(co.clients))
-	errs := co.fanOut(func(i int, c *client) error {
-		var out api.QueryResponse
-		if err := c.call(ctx, http.MethodPost, "/collections/"+name+"/query", body, &out, true); err != nil {
-			return err
-		}
-		per[i] = &out
-		return nil
-	})
-	missed := missedOf(errs)
-	if len(missed) > 0 {
-		err := firstErr(errs)
-		if policy == Strict || len(missed) == len(co.clients) {
-			co.strictErrors.Add(1)
-			status, code := shardCallStatus(ctx, err)
-			return api.QueryResponse{}, status, code, missed,
-				fmt.Errorf("%d/%d shards missed: %w", len(missed), len(co.clients), err)
-		}
-		co.partials.Add(1)
-		co.logf("coordinator: degrading to partial (%d/%d shards missed): %v", len(missed), len(co.clients), err)
+	per, errs := fanCall[api.QueryResponse](co, ctx, http.MethodPost, "/collections/"+name+"/query", body, true)
+	missed, err := co.degrade(ctx, errs, policy)
+	if err != nil {
+		return nil, err
 	}
-	out := co.mergeShardResponses(spec.K, largest, per)
-	if len(missed) > 0 {
-		out.Partial = true
-		out.MissedShards = missed
-	}
-	return out, http.StatusOK, "", nil, nil
+	out := co.mergeShardResponses(spec.K, largest, per, missed)
+	return &out, nil
 }
 
-func (co *Coordinator) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req api.BatchRequest
-	if err := api.DecodeBody(w, r, maxBodyBytes, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, "", err, nil)
-		return
-	}
-	if len(req.Queries) == 0 {
-		co.writeError(w, http.StatusBadRequest, "", fmt.Errorf("queries is required"), nil)
-		return
-	}
+func (co *Coordinator) QueryBatch(ctx context.Context, name string, wqs []api.QuerySpec) (*api.BatchResponse, error) {
 	// One budget for the whole batch, from the largest per-query timeout
 	// (each shard bounds individual queries with its own deadline).
 	maxTimeout := 0
-	for _, wq := range req.Queries {
-		if wq.TimeoutMs > maxTimeout {
-			maxTimeout = wq.TimeoutMs
-		}
+	for _, wq := range wqs {
+		maxTimeout = max(maxTimeout, wq.TimeoutMs)
 	}
-	ctx, cancel := co.budget(r, maxTimeout)
+	ctx, cancel := co.budget(ctx, maxTimeout)
 	defer cancel()
 
 	// The whole batch degrades under one policy: mixing strict and
 	// partial queries in one fan-out would force the strict ones to fail
 	// the batch anyway.
 	policy := co.cfg.DegradePolicy
-	specs := make([]api.QuerySpec, len(req.Queries))
-	largest := make([]bool, len(req.Queries))
-	for i, wq := range req.Queries {
-		p, err := co.policyOf(wq)
+	specs := make([]api.QuerySpec, len(wqs))
+	largest := make([]bool, len(wqs))
+	for i := range wqs {
+		p, err := co.policyOf(&wqs[i])
 		if err != nil {
-			co.writeError(w, http.StatusBadRequest, "", fmt.Errorf("query %d: %w", i, err), nil)
-			return
+			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		if wq.Policy != "" {
+		if wqs[i].Policy != "" {
 			policy = p
 		}
-		spec, status, err := co.resolveSpec(ctx, name, wq)
-		if err != nil {
-			co.writeError(w, status, "", fmt.Errorf("query %d: %w", i, err), nil)
-			return
+		if specs[i], largest[i], err = co.resolve(ctx, name, wqs[i]); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		spec.TimeoutMs = remainingMs(ctx)
-		specs[i] = spec
-		largest[i] = mergeLargest(spec.Criterion)
+		specs[i].TimeoutMs = remainingMs(ctx)
 	}
 	co.queries.Add(int64(len(specs)))
 
 	body, _ := api.Marshal(&api.BatchRequest{Queries: specs})
-	per := make([]*api.BatchResponse, len(co.clients))
-	errs := co.fanOut(func(i int, c *client) error {
-		var out api.BatchResponse
-		if err := c.call(ctx, http.MethodPost, "/collections/"+name+"/query/batch", body, &out, true); err != nil {
-			return err
+	per, errs := fanCall[api.BatchResponse](co, ctx, http.MethodPost, "/collections/"+name+"/query/batch", body, true)
+	for i := range per {
+		if errs[i] == nil && len(per[i].Results) != len(specs) {
+			errs[i] = fmt.Errorf("shard %d answered %d results for %d queries", i, len(per[i].Results), len(specs))
 		}
-		if len(out.Results) != len(specs) {
-			return fmt.Errorf("shard %d answered %d results for %d queries", i, len(out.Results), len(specs))
-		}
-		per[i] = &out
-		return nil
-	})
-	missed := missedOf(errs)
-	if len(missed) > 0 {
-		err := firstErr(errs)
-		if policy == Strict || len(missed) == len(co.clients) {
-			co.strictErrors.Add(1)
-			status, code := shardCallStatus(ctx, err)
-			co.writeError(w, status, code,
-				fmt.Errorf("%d/%d shards missed: %w", len(missed), len(co.clients), err), missed)
-			return
-		}
-		co.partials.Add(1)
-		co.logf("coordinator: degrading batch to partial (%d/%d shards missed): %v", len(missed), len(co.clients), err)
 	}
-	out := api.BatchResponse{Results: make([]api.QueryResponse, len(specs))}
-	perQuery := make([]*api.QueryResponse, len(co.clients))
+	missed, err := co.degrade(ctx, errs, policy)
+	if err != nil {
+		return nil, err
+	}
+	out := &api.BatchResponse{Results: make([]api.QueryResponse, len(specs))}
+	perQuery := make([]api.QueryResponse, len(co.clients))
 	for q := range specs {
-		for s := range co.clients {
-			if per[s] == nil {
-				perQuery[s] = nil
-			} else {
-				perQuery[s] = &per[s].Results[q]
+		for s := range per {
+			if errs[s] == nil {
+				perQuery[s] = per[s].Results[q]
 			}
 		}
-		out.Results[q] = co.mergeShardResponses(specs[q].K, largest[q], perQuery)
-		if len(missed) > 0 {
-			out.Results[q].Partial = true
-			out.Results[q].MissedShards = missed
-		}
+		out.Results[q] = co.mergeShardResponses(specs[q].K, largest[q], perQuery, missed)
 	}
-	co.writeAnswer(w, &out)
-}
-
-// mergeLargest returns the merge direction for a criterion name the
-// caller has already validated: similarity criteria rank descending,
-// distance criteria ascending.
-func mergeLargest(criterion string) bool {
-	crit, _ := bond.ParseCriterion(criterion)
-	return !crit.Distance()
+	return out, nil
 }
 
 // remainingMs converts the context's remaining budget into the

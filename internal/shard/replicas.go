@@ -87,7 +87,7 @@ func (co *Coordinator) maybePromote(ctx context.Context, c *client, timeout time
 			continue
 		}
 		if err := c.promoteReplica(ctx, rep, timeout); err != nil {
-			var se *StatusError
+			var se *api.StatusError
 			if errors.As(err, &se) && se.Status == http.StatusConflict {
 				// The follower vetoed its own promotion (diverged or fenced
 				// in the meantime): drop it.
