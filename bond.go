@@ -280,16 +280,21 @@ type Collection struct {
 var unitQuantizer = quant.NewUnit()
 
 // NewCollection decomposes a row-major collection using the default
-// segment size. It panics on empty or ragged input (programmer error);
-// use New plus Add for incremental builds.
+// segment size. It panics on empty or ragged input, or on a NaN or
+// infinite coordinate (programmer error); use New plus Add for
+// incremental builds.
 func NewCollection(vectors [][]float64) *Collection {
-	return &Collection{store: vstore.SegmentedFromVectors(vectors, DefaultSegmentSize), model: plan.NewModel()}
+	return NewCollectionSegmented(vectors, DefaultSegmentSize)
 }
 
 // NewCollectionSegmented decomposes a row-major collection with an
 // explicit segment size (segmentSize <= 0 selects the default) — useful
-// to align segment boundaries with known data locality.
+// to align segment boundaries with known data locality. It panics like
+// NewCollection.
 func NewCollectionSegmented(vectors [][]float64, segmentSize int) *Collection {
+	for i, v := range vectors {
+		checkFinite(i, v)
+	}
 	return &Collection{store: vstore.SegmentedFromVectors(vectors, segmentSize), model: plan.NewModel()}
 }
 
@@ -525,7 +530,10 @@ func (c *Collection) TryVector(id int) (v []float64, ok bool) {
 // compressed fragments are untouched; only the active segment changes.
 // On a durable collection the vector is logged (and, under FsyncAlways,
 // fsynced) before it is applied; Add panics if the log rejects the
-// record — use AddDurable to handle that error instead.
+// record — use AddDurable to handle that error instead. Add and
+// AddDurable panic, before logging anything, on a vector of the wrong
+// dimensionality or with a NaN or infinite coordinate; so do AddBatch and
+// AddBatchDurable if any vector of the batch is one.
 func (c *Collection) Add(v []float64) int {
 	id, err := c.AddDurable(v)
 	if err != nil {

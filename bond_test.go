@@ -2,12 +2,15 @@ package bond
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bond/internal/core"
 	"bond/internal/dataset"
+	"bond/internal/iofs"
 	"bond/internal/seqscan"
 	"bond/internal/topk"
 )
@@ -247,5 +250,87 @@ func TestQueryRejectsNonFiniteInput(t *testing.T) {
 				t.Errorf("%v %s: QueryBatch err = %v, want ErrQueryRange", strategy, name, err)
 			}
 		}
+	}
+}
+
+// TestIngestRejectsNonFiniteCoordinates: a NaN or infinite coordinate is
+// refused by every library entry point that takes vectors, like a dims
+// mismatch: a panic naming the vector and the coordinate, before anything
+// is stored or logged. Admitted, a NaN row ranked first for every strategy,
+// and an infinite one failed every later query with ErrQueryRange.
+func TestIngestRejectsNonFiniteCoordinates(t *testing.T) {
+	rows := func() [][]float64 {
+		vs := make([][]float64, 64)
+		for i := range vs {
+			vs[i] = []float64{float64(i) / 64, 0.5}
+		}
+		return vs
+	}
+	answers := func(t *testing.T, label string, col *Collection) {
+		t.Helper()
+		for _, strategy := range []Strategy{StrategyAuto, StrategyBOND, StrategyExact} {
+			res, err := col.Query(QuerySpec{Query: []float64{0.3, 0.5}, K: 3, Criterion: Eq, Strategy: strategy})
+			if err != nil {
+				t.Fatalf("%s: %v: %v", label, strategy, err)
+			}
+			var ids []int
+			for _, r := range res.Results {
+				ids = append(ids, r.ID)
+			}
+			if fmt.Sprint(ids) != "[19 20 18]" {
+				t.Fatalf("%s: %v answered %v, want [19 20 18]", label, strategy, res.Results)
+			}
+		}
+	}
+	refused := func(t *testing.T, label, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, want) {
+				t.Fatalf("%s: panic %q, want one naming %q", label, msg, want)
+			}
+		}()
+		f()
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			vs := rows()
+			vs[0] = []float64{bad, 0.5}
+			refused(t, "NewCollectionSegmented", "vector 0 coordinate 0", func() { NewCollectionSegmented(vs, 64) })
+			refused(t, "NewCollection", "vector 0 coordinate 0", func() { NewCollection(vs) })
+
+			fs := iofs.NewMemFS()
+			durable, err := OpenDurable("c.bond", DurableOptions{FS: fs, Dims: 2, SegmentSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := durable.AddBatchDurable(rows()); err != nil {
+				t.Fatal(err)
+			}
+			for name, col := range map[string]*Collection{"in memory": NewCollectionSegmented(rows(), 64), "durable": durable} {
+				v, batch := []float64{0.3, bad}, [][]float64{{0.3, 0.5}, {bad, 0.5}}
+				refused(t, name+" Add", "vector coordinate 1", func() { col.Add(v) })
+				refused(t, name+" AddDurable", "vector coordinate 1", func() { col.AddDurable(v) })
+				refused(t, name+" AddBatch", "vector 1 coordinate 0", func() { col.AddBatch(batch) })
+				refused(t, name+" AddBatchDurable", "vector 1 coordinate 0", func() { col.AddBatchDurable(batch) })
+				if col.Len() != 64 {
+					t.Fatalf("%s: %d vectors after the refused adds, want 64", name, col.Len())
+				}
+				answers(t, name, col)
+			}
+			if err := durable.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := OpenDurable("c.bond", DurableOptions{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			if reopened.Len() != 64 {
+				t.Fatalf("the log replayed %d vectors, want 64", reopened.Len())
+			}
+			answers(t, "reopened", reopened)
+		})
 	}
 }

@@ -29,6 +29,7 @@ package bond
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -434,6 +435,24 @@ func (c *Collection) logMutation(rec wal.Record) error {
 	return c.dur.w.Append(rec, c.dur.policy == FsyncAlways)
 }
 
+// checkFinite panics if a coordinate of v is NaN or ±Inf, naming vector i
+// of a batch (i < 0: the one vector of an Add) and the coordinate. A NaN
+// coordinate makes its vector's score NaN, which no ranking orders, and an
+// infinite one makes its segment's synopsis bound infinite, which fails
+// every later query with core.ErrQueryRange; so neither is logged or
+// stored. WAL replay and follower apply take only what passed here.
+func checkFinite(i int, v []float64) {
+	for d, x := range v {
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			continue
+		}
+		if i < 0 {
+			panic(fmt.Sprintf("bond: vector coordinate %d is %v", d, x))
+		}
+		panic(fmt.Sprintf("bond: vector %d coordinate %d is %v", i, d, x))
+	}
+}
+
 // AddDurable is Add returning the durability error instead of
 // panicking: the vector is appended and its id returned only once the
 // WAL accepted (and, under FsyncAlways, fsynced) the record. On error
@@ -444,6 +463,7 @@ func (c *Collection) AddDurable(v []float64) (int, error) {
 	if len(v) != c.store.Dims() {
 		panic(fmt.Sprintf("bond: vector has %d dims, collection has %d", len(v), c.store.Dims()))
 	}
+	checkFinite(-1, v)
 	if err := c.logMutation(wal.Record{Type: wal.TypeAdd, Vectors: [][]float64{v}}); err != nil {
 		return 0, err
 	}
@@ -463,6 +483,7 @@ func (c *Collection) AddBatchDurable(vectors [][]float64) (int, error) {
 		if len(v) != c.store.Dims() {
 			panic(fmt.Sprintf("bond: vector %d has %d dims, collection has %d", i, len(v), c.store.Dims()))
 		}
+		checkFinite(i, v)
 	}
 	if len(vectors) == 0 {
 		return c.store.Len(), nil

@@ -4,6 +4,9 @@ package core
 // again (false), so tests can measure what the carry saves.
 func SetCarryDisabled(off bool) { carryDisabled = off }
 
+// KfetchCap is the capacity of the kfetch buffer sc keeps between searches.
+func KfetchCap(sc *Scratch) int { return cap(sc.kbuf) }
+
 // SetDenseDisabled makes every search start in the list phase (true) or
 // choose its first phase by the live fraction again (false), so tests can
 // hold the dense phase to the bits of the list path.

@@ -10,8 +10,8 @@ import (
 
 // Scratch holds every reusable buffer one per-segment search needs:
 // candidate ids, partial scores and tails, pruning staging, the kfetch
-// buffer (a bare []float64 — kfetch is a value-only bounded heap, see
-// package topk), the ranking heap, and the MIL engine's operator buffers.
+// buffer (a bare []float64 of O(k) values, see package topk), the ranking
+// heap, and the MIL engine's operator buffers.
 // What depends on the query alone lives in Query instead. One Scratch
 // serves one search at a time; the query executor keeps a small
 // per-collection free list and runs each segment's step through the same
@@ -34,7 +34,7 @@ type Scratch struct {
 	tails   []float64
 	cols    [][]float64   // one dense step's columns, cleared after the fold
 	aux     []float64     // Smin/Smax staging inside one pruning step
-	kbuf    []float64     // kfetch heap (κ selection inside pruning steps)
+	kbuf    []float64     // kfetch buffer (κ selection inside pruning steps)
 	steps   []StepStat    // pruning-step log backing (engine, filter, MIL)
 	results []topk.Result // per-segment result staging
 

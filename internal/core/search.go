@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"bond/internal/bitmap"
 	"bond/internal/kernel"
@@ -64,8 +65,12 @@ type Query struct {
 	bounds       []tailBound // indexed by dimensions processed
 	wbuf         []float64   // backing of synthesized weights
 	qtail, wtail []float64   // tail-bound staging
-	euc          metric.EucTail
 	wt           metric.WeightedTail
+
+	// eqDesc is the processing positions by decreasing query value, which
+	// Eq's tail constant sums over (see eqUpper); built on first use.
+	eqDesc  []dimKey
+	eqReady bool
 }
 
 // tailBound is the tail-bound state at one position of the processing
@@ -131,6 +136,7 @@ func (qs *Query) Init(q []float64, opts Options) {
 	for i := range qs.bounds {
 		qs.bounds[i].ready = false
 	}
+	qs.eqReady = false
 }
 
 // InitExact prepares the state for an exact scan: the same engine run as
@@ -165,7 +171,9 @@ func (qs *Query) bound(p int) *tailBound {
 	}
 	b.ready = true
 	weighted := len(qs.weights) > 0
-	if !qs.opts.Criterion.Distance() && weighted {
+	distance := qs.opts.Criterion.Distance()
+	switch {
+	case !distance && weighted:
 		// Weighted tail bound: Σ w_i·min(h_i,q_i) ≤ Σ w_i·q_i over the
 		// remaining dimensions (zero-weight ones contribute nothing).
 		b.c = 0
@@ -173,10 +181,13 @@ func (qs *Query) bound(p int) *tailBound {
 			b.c += qs.weights[d] * qs.q[d]
 		}
 		return b
+	case distance && !weighted && !qs.needTails:
+		b.c = qs.eqUpper(p)
+		return b
 	}
 	qt, wt := qs.tail(p)
 	switch {
-	case !qs.opts.Criterion.Distance():
+	case !distance:
 		b.hist = metric.NewHistTail(qt)
 		b.c = b.hist.HqUpper()
 	case weighted:
@@ -189,19 +200,55 @@ func (qs *Query) bound(p int) *tailBound {
 		}
 		b.c = tbl.Reset(qt, wt).UpperConst()
 	default:
-		tbl := &qs.euc
-		if qs.needTails {
-			if b.euc == nil {
-				b.euc = new(metric.EucTail)
-			}
-			tbl = b.euc
+		if b.euc == nil {
+			b.euc = new(metric.EucTail)
 		}
-		b.c = tbl.Reset(qt).EqUpper()
+		b.c = b.euc.Reset(qt).EqUpper()
 		if qs.opts.NormalizedData {
-			b.c = tbl.EqUpperNormalized()
+			b.c = b.euc.EqUpperNormalized()
 		}
 	}
 	return b
+}
+
+// eqUpper is Eq's tail constant after p processed dimensions, bit for bit
+// what metric.EucTail's EqUpper — or EqUpperNormalized, for NormalizedData
+// — returns over the unprocessed query values: the same terms added in the
+// same order, by decreasing q (equal values give equal terms, so how ties
+// fall does not matter), without the per-step gather, sort and Ev tables of
+// an EucTail, of which Eq reads nothing else.
+func (qs *Query) eqUpper(p int) float64 {
+	if !qs.eqReady {
+		ks := grow(qs.eqDesc, len(qs.qOrd))
+		for pos, q := range qs.qOrd {
+			ks = append(ks, dimKey{key: -q, pos: int32(pos)})
+		}
+		slices.SortFunc(ks, cmpDimKey)
+		qs.eqDesc, qs.eqReady = ks, true
+	}
+	var maxSq, sq, qmin float64
+	r := 0
+	for _, k := range qs.eqDesc {
+		if int(k.pos) < p {
+			continue
+		}
+		q := qs.qOrd[k.pos]
+		maxSq += math.Max(q, 1-q) * math.Max(q, 1-q)
+		sq += q * q
+		qmin = q
+		r++
+	}
+	if !qs.opts.NormalizedData {
+		return maxSq
+	}
+	// The normalized-data cap: Σ q² plus the gain of putting all of a
+	// vector's unit mass on the smallest remaining q (EucTail.Reset).
+	if r > 0 {
+		if gain := (1-qmin)*(1-qmin) - qmin*qmin; gain > 0 {
+			sq += gain
+		}
+	}
+	return sq
 }
 
 // tail gathers the query values of the unprocessed dimensions and, for a
@@ -609,26 +656,16 @@ func (e *engine) pruneStep(processed int) {
 }
 
 // compact ends the dense phase: the live rows' ids become the candidate
-// list and their scores and tails move up to stay aligned with it.
+// list and their scores and tails move up to stay aligned with it, in one
+// compress-store pass (kernel.CompactLive).
 func (e *engine) compact() {
-	score, tails, none := e.score, e.tails, math.Float64bits(e.none)
-	cands := grow(e.sc.cands, len(score))[:len(score)]
+	cands := grow(e.sc.cands, len(e.score))[:len(e.score)]
 	e.sc.cands = cands
-	out := 0
-	if tails == nil {
-		for r, s := range score {
-			cands[out], score[out] = r, s
-			out += b2i(math.Float64bits(s) != none)
-		}
-	} else {
-		tails = tails[:len(score)]
-		for r, s := range score {
-			cands[out], score[out], tails[out] = r, s, tails[r]
-			out += b2i(math.Float64bits(s) != none)
-		}
-		e.tails = tails[:out]
+	out := kernel.CompactLive(cands, e.score, e.tails, e.none)
+	if e.tails != nil {
+		e.tails = e.tails[:out]
 	}
-	e.dense, e.cands, e.score = false, cands[:out], score[:out]
+	e.dense, e.cands, e.score = false, cands[:out], e.score[:out]
 }
 
 // b2i is 1 for true, 0 for false; it compiles to a flag move, which keeps

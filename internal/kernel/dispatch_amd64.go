@@ -110,3 +110,20 @@ func keepAtMostAVX2(score *float64, n int, limit, dead float64) int
 
 //go:noescape
 func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int
+
+// The pruning-step kernels (see prune.go and prune_amd64.s).
+
+//go:noescape
+func laneMaxAVX2(lanes *[SelectLanes]float64, xs *float64, n int, sign uint64)
+
+//go:noescape
+func sortLanesAVX2(lanes *[SelectLanes]float64)
+
+//go:noescape
+func selectAtLeastAVX2(dst *float64, room int, xs *float64, n int, floor float64, sign uint64) (written, consumed int)
+
+//go:noescape
+func compactLiveAVX2(cands *int, score *float64, n int, dead uint64) int
+
+//go:noescape
+func compactLiveTailsAVX2(cands *int, score, tails *float64, n int, dead uint64) int

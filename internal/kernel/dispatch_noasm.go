@@ -90,3 +90,23 @@ func keepAtMostAVX2(score *float64, n int, limit, dead float64) int {
 func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int {
 	panic("kernel: SIMD stub called")
 }
+
+func laneMaxAVX2(lanes *[SelectLanes]float64, xs *float64, n int, sign uint64) {
+	panic("kernel: SIMD stub called")
+}
+
+func sortLanesAVX2(lanes *[SelectLanes]float64) {
+	panic("kernel: SIMD stub called")
+}
+
+func selectAtLeastAVX2(dst *float64, room int, xs *float64, n int, floor float64, sign uint64) (written, consumed int) {
+	panic("kernel: SIMD stub called")
+}
+
+func compactLiveAVX2(cands *int, score *float64, n int, dead uint64) int {
+	panic("kernel: SIMD stub called")
+}
+
+func compactLiveTailsAVX2(cands *int, score, tails *float64, n int, dead uint64) int {
+	panic("kernel: SIMD stub called")
+}

@@ -1,6 +1,7 @@
 // Package kernel provides the allocation-free inner loops of the search
 // engine: distance and similarity accumulation over decomposed columns,
-// 8-bit code-table lookups, and VA-File row sums.
+// 8-bit code-table lookups, VA-File row sums, and a pruning step's κ
+// selection and dense → list compaction (prune.go).
 //
 // Each kernel has two implementations. The portable one is written for
 // the Go compiler's strengths: a 4× unrolled main loop with a scalar

@@ -1,11 +1,14 @@
 package topk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"bond/internal/kernel"
 )
 
 func TestHeapKeepsKLargest(t *testing.T) {
@@ -210,6 +213,100 @@ func TestKthAgainstSort(t *testing.T) {
 	}
 }
 
+// TestKthSelectMatchesSortAndHeap holds the kernel path of the k-th value
+// functions (kthSelect, called directly at every length so that short
+// inputs exercise it too) and the dispatching KthLargest/KthSmallest to a
+// full sort and to the heap, in both directions: lengths 1–67, 250 and
+// 1 000 at every offset 0–7 into a shared backing array, k from 1 to past
+// the length, on random, ascending, descending and constant input, dense
+// ties, ±Inf sentinels on 10, 50 and 90 % of the rows, and mixed ±0 —
+// compared with ==, since the heap itself may return either zero.
+func TestKthSelectMatchesSortAndHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var lengths []int
+	for n := 1; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 250, 1000)
+	backing := make([]float64, 1000+8)
+	buf, sbuf := []float64(nil), make([]float64, 0, selectCap)
+	for _, n := range lengths {
+		for _, in := range kthTestInputs(rng, n) {
+			base := rng.Intn(8)
+			xs := backing[base : base+n]
+			copy(xs, in.xs)
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			ks := []int{n, n + 1}
+			for k := 1; k <= min(n, kernel.SelectLanes)+1; k++ {
+				ks = append(ks, k)
+			}
+			for _, k := range ks {
+				kk := min(k, n)
+				wantLarge, wantSmall := sorted[n-kk], sorted[kk-1]
+				label := fmt.Sprintf("%s n=%d base=%d k=%d", in.name, n, base, k)
+				check := func(what string, got, want float64) {
+					t.Helper()
+					if got != want {
+						t.Fatalf("%s: %s = %v, want %v", label, what, got, want)
+					}
+				}
+				var v float64
+				v, buf = KthLargest(xs, k, buf)
+				check("KthLargest", v, wantLarge)
+				v, buf = KthSmallest(xs, k, buf)
+				check("KthSmallest", v, wantSmall)
+				v, buf = heapKthLargest(xs, k, buf)
+				check("heapKthLargest", v, wantLarge)
+				v, buf = heapKthSmallest(xs, k, buf)
+				check("heapKthSmallest", v, wantSmall)
+				if k <= min(n, kernel.SelectLanes) {
+					// At selectCap slots, as the engine's buffer is: the
+					// larger inputs fill it and raise the floor.
+					v, sbuf = kthSelect(xs, k, sbuf, false)
+					check("kthSelect", v, wantLarge)
+					v, sbuf = kthSelect(xs, k, sbuf, true)
+					check("kthSelect negated", v, wantSmall)
+				}
+			}
+		}
+	}
+}
+
+type kthTestInput struct {
+	name string
+	xs   []float64
+}
+
+func kthTestInputs(rng *rand.Rand, n int) []kthTestInput {
+	fill := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	negZero := math.Copysign(0, -1)
+	ins := []kthTestInput{
+		{"random", fill(func(int) float64 { return rng.NormFloat64() })},
+		{"ascending", fill(func(i int) float64 { return float64(i) })},
+		{"descending", fill(func(i int) float64 { return float64(-i) })},
+		{"constant", fill(func(int) float64 { return 0.5 })},
+		{"ties", fill(func(int) float64 { return float64(rng.Intn(3)) })},
+		{"zeros", fill(func(int) float64 { return []float64{0, negZero, 1, -1}[rng.Intn(4)] })},
+	}
+	for _, pct := range []int{10, 50, 90} {
+		for _, dead := range []float64{math.Inf(-1), math.Inf(1)} {
+			xs := fill(func(int) float64 { return rng.Float64() })
+			for _, i := range rng.Perm(n)[:n*pct/100] {
+				xs[i] = dead
+			}
+			ins = append(ins, kthTestInput{fmt.Sprintf("sentinel%v@%d%%", dead, pct), xs})
+		}
+	}
+	return ins
+}
+
 // Property: heap of k largest equals the first k of the descending sort.
 func TestHeapMatchesSort(t *testing.T) {
 	f := func(seed int64, n uint8, kraw uint8) bool {
@@ -288,31 +385,78 @@ func BenchmarkHeapPush(b *testing.B) {
 	}
 }
 
-// BenchmarkKth times kfetch at the shape the engine calls it with — one
-// segment's worth of scores, k = 10 — and reports ns per element. random is
-// the common case (an element rarely beats the heap's root: one compare);
-// sorted is the worst (every element does: a sift of depth log k).
+// BenchmarkKth times kfetch at the shapes the engine calls it with — one
+// segment's worth of scores (n = 1 000, and the 250 of a small segment),
+// k = 10 — and reports ns per element, for KthLargest as dispatched
+// ("kfetch") beside the bounded heap alone ("heap"). random is the common
+// case; sorted is the heap's worst (every element beats its root: a sift
+// of depth log k) and no worse than random for the kernel path; dead10/50/90
+// are the dense phase's scores, where that share of the rows holds the
+// sentinel −Inf; ties is an early step's, most live scores still exactly 0.
+// Each call gets the next of kthBenchSets inputs of the kind: the same
+// input every time would let the branch predictor learn the heap's sifts,
+// which fresh scores never allow.
 func BenchmarkKth(b *testing.B) {
-	const n, k = 1000, 10
-	rng := rand.New(rand.NewSource(1))
-	random := make([]float64, n)
-	for i := range random {
-		random[i] = rng.Float64()
-	}
-	sorted := append([]float64(nil), random...)
-	sort.Float64s(sorted)
-	for _, in := range []struct {
-		name string
-		xs   []float64
-	}{{"random", random}, {"sorted", sorted}} {
-		b.Run(in.name, func(b *testing.B) {
-			var buf []float64
-			for i := 0; i < b.N; i++ {
-				kthSink, buf = KthLargest(in.xs, k, buf)
+	const k = 10
+	for _, n := range []int{250, 1000} {
+		for _, in := range kthBenchInputs(n) {
+			for _, impl := range []struct {
+				name string
+				kth  func([]float64, int, []float64) (float64, []float64)
+			}{{"kfetch", KthLargest}, {"heap", heapKthLargest}} {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", in.name, n, impl.name), func(b *testing.B) {
+					var buf []float64
+					for i := 0; i < b.N; i++ {
+						kthSink, buf = impl.kth(in.sets[i%len(in.sets)], k, buf)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
+				})
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/element")
-		})
+		}
 	}
+}
+
+const kthBenchSets = 64
+
+type kthBenchInput struct {
+	name string
+	sets [][]float64
+}
+
+func kthBenchInputs(n int) []kthBenchInput {
+	rng := rand.New(rand.NewSource(1))
+	// overwrite sets pct per cent of the rows, at random, to v.
+	overwrite := func(pct int, v float64) func([]float64) {
+		return func(xs []float64) {
+			for _, j := range rng.Perm(n)[:n*pct/100] {
+				xs[j] = v
+			}
+		}
+	}
+	kinds := []struct {
+		name  string
+		shape func([]float64)
+	}{
+		{"random", func([]float64) {}},
+		{"sorted", sort.Float64s},
+		{"dead10", overwrite(10, math.Inf(-1))},
+		{"dead50", overwrite(50, math.Inf(-1))},
+		{"dead90", overwrite(90, math.Inf(-1))},
+		{"ties", overwrite(90, 0)},
+	}
+	ins := make([]kthBenchInput, len(kinds))
+	for i, kind := range kinds {
+		ins[i].name = kind.name
+		for s := 0; s < kthBenchSets; s++ {
+			xs := make([]float64, n)
+			for j := range xs {
+				xs[j] = rng.Float64()
+			}
+			kind.shape(xs)
+			ins[i].sets = append(ins[i].sets, xs)
+		}
+	}
+	return ins
 }
 
 var kthSink float64
