@@ -15,11 +15,8 @@
 // Scale flags (-n, -dims, -queries, -k, -step, -seed) override both the
 // default and -full configurations.
 //
-// -qps runs the hot-path throughput suite instead (sequential Query vs
-// QueryBatch plus the kernel micro-speedups, per data shape) and writes
-// the measurements to the file named by -hotpath-out. -cpuprofile and
-// -memprofile capture pprof profiles of whatever was selected, so a
-// hot-path regression can be diagnosed without editing code.
+// -cpuprofile and -memprofile capture pprof profiles of whatever was
+// selected, so a regression can be diagnosed without editing code.
 package main
 
 import (
@@ -32,7 +29,6 @@ import (
 	"strings"
 
 	"bond/internal/bench"
-	"bond/internal/hotpath"
 )
 
 type intList []int
@@ -66,12 +62,6 @@ func main() {
 	k := flag.Int("k", 0, "neighbors per query (0 = configuration default)")
 	step := flag.Int("step", 0, "pruning step m (0 = configuration default)")
 	seed := flag.Int64("seed", 0, "workload seed (0 = configuration default)")
-	qps := flag.Bool("qps", false, "run the hot-path QPS/throughput suite (Query vs QueryBatch, kernel micros, mmap-vs-heap durable rows)")
-	mmapMode := flag.String("mmap", "on", "durable-suite segment backing: on (measure mmap and heap legs) or off (heap only)")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "where -qps writes its JSON measurements")
-	recluster := flag.Bool("recluster", false, "run the re-clustering suite (QPS before/after one background recluster, plus the cluster-contiguous ceiling)")
-	reclusterOut := flag.String("recluster-out", "BENCH_recluster.json", "where -recluster writes its JSON measurements")
-	batch := flag.Int("batch", 8, "QueryBatch size for the -qps suite")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -99,57 +89,6 @@ func main() {
 				fatal(err)
 			}
 		}()
-	}
-
-	if *qps || *recluster {
-		hcfg := hotpath.DefaultConfig()
-		if *n > 0 {
-			hcfg.N = *n
-		}
-		if *dims > 0 {
-			hcfg.Dims = *dims
-		}
-		if *queries > 0 {
-			hcfg.Queries = *queries
-		}
-		if *k > 0 {
-			hcfg.K = *k
-		}
-		if *batch > 0 {
-			hcfg.Batch = *batch
-		}
-		switch *mmapMode {
-		case "on", "off":
-		default:
-			fatal(fmt.Errorf("-mmap must be on or off, got %q", *mmapMode))
-		}
-		hcfg.DisableMmap = *mmapMode == "off"
-		if *qps {
-			records, err := hotpath.Run(hcfg, os.Stdout)
-			if err != nil {
-				fatal(err)
-			}
-			durRecords, err := hotpath.RunMmap(hcfg, os.Stdout)
-			if err != nil {
-				fatal(err)
-			}
-			records = append(records, durRecords...)
-			if err := hotpath.WriteJSON(*hotpathOut, records); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("\nwrote %d records to %s\n", len(records), *hotpathOut)
-		}
-		if *recluster {
-			records, err := hotpath.RunRecluster(hcfg, os.Stdout)
-			if err != nil {
-				fatal(err)
-			}
-			if err := hotpath.WriteJSON(*reclusterOut, records); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("\nwrote %d records to %s\n", len(records), *reclusterOut)
-		}
-		return
 	}
 
 	cfg := bench.Default()

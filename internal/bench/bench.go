@@ -5,8 +5,9 @@
 // The runners are shared by cmd/bondbench (human-readable output, paper
 // scale with -full) and by the root package's testing.B benchmarks
 // (scaled-down defaults). Absolute milliseconds differ from the paper's
-// 2002 testbed; EXPERIMENTS.md records the shape comparison — who wins, by
-// what factor, where curves bend — which is the reproduction target.
+// 2002 testbed; the shape — who wins, by what factor, where curves bend —
+// is the reproduction target, and the Test*Shape tests in this package
+// check it for every runner.
 package bench
 
 import (

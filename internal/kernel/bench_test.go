@@ -13,8 +13,8 @@ import (
 //
 //	go test -bench . -benchmem ./internal/kernel
 //
-// internal/bench.HotPath times the same pairs programmatically and records
-// the speedups in BENCH_hotpath.json.
+// The Benchmark*Kernel / Benchmark*Scalar pairs are the kernel-vs-scalar
+// record; CI's micro-benchmark step runs them.
 
 const benchN = 4096
 

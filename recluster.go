@@ -5,9 +5,9 @@ package bond
 // segment holds exactly one cluster. The point is the synopses — BOND's
 // segment skipping only fires when per-dimension min/max bounds are
 // tight, which a shuffled ingest order never produces. Re-clustering
-// makes skipping independent of arrival order: BENCH_recluster.json
-// shows the uniform-ingest shape converging to the cluster-contiguous
-// ceiling after one pass.
+// makes skipping independent of arrival order: TestReclusterRestoresSkipping
+// holds a shuffled ingest to within 1.25× of the cluster-contiguous
+// ceiling's cells per query after one pass.
 //
 // Durability rides entirely on the PR-5 machinery, because a recluster
 // is just a Compact variant: one WAL record carrying only the k-means

@@ -129,6 +129,93 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 	}
 }
 
+// TestReclusterRestoresSkipping pins what a recluster buys: planted
+// clusters of one segment each, ingested shuffled so every segment spans
+// the whole extent, read ≥ 8× fewer cells per forced-BOND query after one
+// Recluster pass, within 1.25× of a cluster-contiguous ingest (the
+// ceiling). Cell counts are deterministic for a seed, so this is a check,
+// not a timing; -v logs the readings.
+func TestReclusterRestoresSkipping(t *testing.T) {
+	const (
+		n       = 4000
+		dims    = 16
+		segSize = 125
+		queries = 32
+		k       = 10
+	)
+	for _, seed := range []int64{41, 1, 2} {
+		rng := rand.New(rand.NewSource(seed))
+		contiguous := make([][]float64, 0, n)
+		center := make([]float64, dims)
+		for i := 0; i < n; i++ {
+			if i%segSize == 0 {
+				for d := range center {
+					center[d] = rng.Float64()
+				}
+			}
+			v := make([]float64, dims)
+			for d := range v {
+				v[d] = math.Min(1, math.Max(0, center[d]+0.03*(rng.Float64()-0.5)))
+			}
+			contiguous = append(contiguous, v)
+		}
+		shuffled := make([][]float64, n)
+		for i, j := range rng.Perm(n) {
+			shuffled[j] = contiguous[i]
+		}
+		qs := make([][]float64, queries)
+		for i := range qs {
+			qs[i] = contiguous[(i*segSize+i)%n] // one per cluster, round-robin
+		}
+
+		// measure runs every query under both criteria and returns the
+		// mean cells scanned and segments skipped per query, plus each
+		// answer's k-th score: all three layouts must give the same answers.
+		measure := func(c *Collection) (cells, skipped float64, kth []float64) {
+			var scannedSum, skippedSum int64
+			for _, crit := range []Criterion{Eq, Hq} {
+				for _, q := range qs {
+					res, err := c.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: StrategyBOND})
+					if err != nil {
+						t.Fatal(err)
+					}
+					scannedSum += res.Stats.ValuesScanned
+					skippedSum += int64(res.Stats.SegmentsSkipped)
+					kth = append(kth, res.Results[len(res.Results)-1].Score)
+				}
+			}
+			runs := float64(2 * queries)
+			return float64(scannedSum) / runs, float64(skippedSum) / runs, kth
+		}
+
+		col := NewCollectionSegmented(shuffled, segSize)
+		spreadBefore, _ := col.SealedSpread()
+		before, skipBefore, kthBefore := measure(col)
+		col.Recluster(0, 1)
+		spreadAfter, _ := col.SealedSpread()
+		after, skipAfter, kthAfter := measure(col)
+		ceiling, skipCeiling, kthCeiling := measure(NewCollectionSegmented(contiguous, segSize))
+		t.Logf("seed %d: cells/query %.0f → %.0f (ceiling %.0f), skipped %.1f → %.1f (ceiling %.1f), spread %.3f → %.3f",
+			seed, before, after, ceiling, skipBefore, skipAfter, skipCeiling, spreadBefore, spreadAfter)
+
+		for i := range kthBefore {
+			if math.Abs(kthAfter[i]-kthBefore[i]) > 1e-9 || math.Abs(kthCeiling[i]-kthBefore[i]) > 1e-9 {
+				t.Fatalf("seed %d query %d: k-th score differs across layouts: %v / %v / %v",
+					seed, i, kthBefore[i], kthAfter[i], kthCeiling[i])
+			}
+		}
+		if before < 8*after {
+			t.Errorf("seed %d: recluster cut cells/query only %.0f → %.0f, want ≥ 8×", seed, before, after)
+		}
+		if after > 1.25*ceiling {
+			t.Errorf("seed %d: %.0f cells/query after recluster, want ≤ 1.25 × ceiling %.0f", seed, after, ceiling)
+		}
+		if spreadAfter > 0.1 {
+			t.Errorf("seed %d: spread after recluster %.3f, want ≤ 0.1", seed, spreadAfter)
+		}
+	}
+}
+
 func TestReclusterNoopCases(t *testing.T) {
 	empty := NewSegmented(3, 8)
 	if m, err := empty.ReclusterDurable(0, 1); m != nil || err != nil {
