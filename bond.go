@@ -41,11 +41,11 @@
 // Every query runs through a cost-based planner (package plan): a single
 // QuerySpec is turned into a per-segment plan that assigns each segment
 // an access path — plain BOND, 8-bit compressed filter-and-refine, a
-// VA-File filter, or an exact scan — from the segment's synopsis and an
-// adaptive per-collection cost model that the executor feeds back into
-// after every query. Plan.Explain (via
-// Collection.QueryExplain) prints the chosen paths with predicted and
-// actual costs.
+// VA-File filter, or an exact scan — and orders the segments by their
+// synopsis bounds. Predictions come from the synopsis and fixed per-path
+// priors, so a plan depends on the collection and the query alone.
+// Plan.Explain (via Collection.QueryExplain) prints the chosen paths with
+// predicted and actual costs.
 //
 // # Basic use
 //
@@ -145,15 +145,12 @@ type (
 	// Strategy forces an access path or (StrategyAuto) lets the planner
 	// choose per segment by predicted cost.
 	Strategy = plan.Strategy
-	// PlannerCoefficients is the adaptive per-collection cost-model block,
-	// persisted by Save and reloaded by Open.
-	PlannerCoefficients = plan.Coefficients
 )
 
 // Access-path strategies for QuerySpec.Strategy.
 const (
-	// StrategyAuto picks the cheapest eligible access path per segment
-	// from the collection's adaptive cost model. The default.
+	// StrategyAuto picks the access path per segment by predicted cost.
+	// The default; at the planner's fixed priors it runs BOND throughout.
 	StrategyAuto = plan.Auto
 	// StrategyBOND forces plain BOND on every segment.
 	StrategyBOND = plan.ForceBOND
@@ -242,11 +239,9 @@ const DefaultSegmentSize = vstore.DefaultSegmentSize
 type Collection struct {
 	mu    sync.RWMutex
 	store *vstore.SegStore
-	// model is the adaptive cost model the query planner predicts from;
-	// every executed query feeds observed costs back into it. It has its
-	// own lock, so concurrent readers update it safely. It also owns the
-	// pooled plans and executor scratch the query hot path reuses.
-	model *plan.Model
+	// pool holds the plans and executor scratch the query hot path reuses.
+	// It has its own lock, so concurrent readers share it safely.
+	pool plan.Pool
 
 	// planCache is the memoized planner view of the current segments, so a
 	// steady-state query does not rebuild the segment list (and its lazy
@@ -295,54 +290,45 @@ func NewCollectionSegmented(vectors [][]float64, segmentSize int) *Collection {
 	for i, v := range vectors {
 		checkFinite(i, v)
 	}
-	return &Collection{store: vstore.SegmentedFromVectors(vectors, segmentSize), model: plan.NewModel()}
+	return &Collection{store: vstore.SegmentedFromVectors(vectors, segmentSize)}
 }
 
 // New returns an empty collection of the given dimensionality.
 func New(dims int) *Collection {
-	return &Collection{store: vstore.NewSegmented(dims, DefaultSegmentSize), model: plan.NewModel()}
+	return &Collection{store: vstore.NewSegmented(dims, DefaultSegmentSize)}
 }
 
 // NewSegmented returns an empty collection with an explicit segment size
 // (segmentSize <= 0 selects the default).
 func NewSegmented(dims, segmentSize int) *Collection {
-	return &Collection{store: vstore.NewSegmented(dims, segmentSize), model: plan.NewModel()}
+	return &Collection{store: vstore.NewSegmented(dims, segmentSize)}
 }
 
 // Open loads a collection previously written by Save. Both the segmented
-// layout and the flat layout of earlier versions are understood. The
-// planner's learned cost coefficients, when present in the file, are
-// restored so the reopened collection plans from its own history.
+// layout and the flat layout of earlier versions are understood; a
+// planner statistics block an older Save wrote is skipped.
 func Open(path string) (*Collection, error) {
 	s, err := vstore.LoadAnyFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Collection{store: s, model: plan.LoadModel(s.PlannerStats())}, nil
+	return &Collection{store: s}, nil
 }
 
 // Save writes the collection to path in the checksummed segmented binary
-// format, including the planner's current cost-model coefficients.
-// Compressed fragments are rebuilt on demand and not persisted.
+// format. Compressed fragments are rebuilt on demand and not persisted.
 func (c *Collection) Save(path string) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if err := c.errIfUnmapped(); err != nil {
 		return err
 	}
-	return c.store.SaveFileWith(path, c.model.Marshal())
-}
-
-// PlannerStats returns a snapshot of the planner's adaptive cost-model
-// coefficients.
-func (c *Collection) PlannerStats() PlannerCoefficients {
-	return c.model.Snapshot()
+	return c.store.SaveFile(path)
 }
 
 // PlannerModelStats is the serializable planner view a stats endpoint
-// exposes: the cost-model coefficients plus gauges over the pooled
-// execution lanes.
-type PlannerModelStats = plan.ModelStats
+// exposes: gauges over the pooled plans and execution lanes.
+type PlannerModelStats = plan.PoolStats
 
 // SegmentSynopsis is the compact serializable summary of one segment's
 // per-dimension min/max synopsis.
@@ -368,8 +354,8 @@ type SegmentStats struct {
 }
 
 // CollectionStats is a consistent point-in-time description of a
-// collection: shape, tombstone load, the planner's learned cost model,
-// and one entry per physical segment. It is what bondd's stats endpoint
+// collection: shape, tombstone load, the planner's pool gauges, and one
+// entry per physical segment. It is what bondd's stats endpoint
 // serves per collection.
 type CollectionStats struct {
 	Dims int `json:"dims"`
@@ -399,7 +385,7 @@ type CollectionStats struct {
 	// SIMD names the vector instruction set the kernels dispatch to
 	// ("avx2", or "none" for the portable loops).
 	SIMD string `json:"simd"`
-	// Planner is the adaptive cost model's serializable view.
+	// Planner is the planner pool's serializable view.
 	Planner PlannerModelStats `json:"planner"`
 	// Durability is the WAL/checkpoint gauge block of a collection opened
 	// with OpenDurable; nil for in-memory collections.
@@ -423,7 +409,7 @@ func (c *Collection) TombstoneRatio() float64 {
 
 // StatsSnapshot returns a consistent point-in-time CollectionStats taken
 // under the read lock: collection shape, tombstone ratio, the planner's
-// cost-model view, and a per-segment summary (slots, live count, sealed
+// pool gauges, and a per-segment summary (slots, live count, sealed
 // flag, synopsis bounds).
 func (c *Collection) StatsSnapshot() CollectionStats {
 	c.mu.RLock()
@@ -436,7 +422,7 @@ func (c *Collection) StatsSnapshot() CollectionStats {
 		Segments:     len(segs),
 		MappedBytes:  c.store.MappedBytes(),
 		SIMD:         kernel.SIMD(),
-		Planner:      c.model.Stats(),
+		Planner:      c.pool.Stats(),
 		SegmentStats: make([]SegmentStats, len(segs)),
 	}
 	if st.Len > 0 {
@@ -725,13 +711,12 @@ func (c *Collection) snapshotViews() []core.SegmentView {
 // Query plans and executes a query: the spec is turned into a Plan — an
 // ordered list of per-segment steps, each assigned an access path (plain
 // BOND, 8-bit compressed filter-and-refine, VA-File filter, or exact scan)
-// from the segment's synopsis and the collection's adaptive cost model —
-// and the plan runs through the shared engine, skipping segments whose
-// synopses prove them hopeless against the running k-th best score κ and
-// carrying κ into the BOND segments that do run, so each prunes against
-// the best answer found so far. Observed costs feed back into the model, so
-// plans adapt as data and workloads shift. The answer is exact unless the
-// spec sets Tolerance or Deadline.
+// from the segment's synopsis and the fixed cost priors — and the plan runs
+// through the shared engine, skipping segments whose synopses prove them
+// hopeless against the running k-th best score κ and carrying κ into the
+// BOND segments that do run, so each prunes against the best answer found
+// so far. Executing a query leaves nothing behind that a later plan reads.
+// The answer is exact unless the spec sets Tolerance or Deadline.
 //
 // The hot path is allocation-free in steady state: the plan, the engine
 // scratch (scores, candidate lists, heaps, bound tables), and the planner
@@ -755,13 +740,13 @@ func (c *Collection) QueryExplain(spec QuerySpec) (QueryResult, *QueryPlan, erro
 // runQuery plans spec with newPlan — pooled for Query, caller-owned for
 // QueryExplain — and executes it under the read lock. The plan is returned
 // whenever planning succeeded, even if execution then failed.
-func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, plan.Spec, *plan.Model) (*plan.Plan, error)) (QueryResult, *QueryPlan, error) {
+func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, plan.Spec, *plan.Pool) (*plan.Plan, error)) (QueryResult, *QueryPlan, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if err := c.errIfUnmapped(); err != nil {
 		return QueryResult{}, nil, err
 	}
-	p, err := newPlan(c.planSegments(), spec, c.model)
+	p, err := newPlan(c.planSegments(), spec, &c.pool)
 	if err != nil {
 		return QueryResult{}, nil, err
 	}
@@ -772,9 +757,8 @@ func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, plan.
 // QueryBatch plans and executes many queries against one consistent
 // snapshot of the collection, sharing what a loop of Query calls pays N
 // times: the read lock is taken once, the planner's segment list is shared,
-// the cost model is fed one batch-aggregate observation per access path
-// instead of per-step updates, and — the part that shows in the time — the
-// segments are read once per group of queries rather than once per query.
+// and — the part that shows in the time — the segments are read once per
+// group of queries rather than once per query.
 // The specs fan out over a bounded worker pool (one goroutine per logical
 // CPU); each worker takes up to sixteen at a time and co-schedules them
 // through one pooled lane of segment-sized buffers: it repeatedly picks the
@@ -803,7 +787,7 @@ func (c *Collection) QueryBatch(specs []QuerySpec) ([]QueryResult, error) {
 	if err := c.errIfUnmapped(); err != nil {
 		return nil, err
 	}
-	results, i, err := plan.ExecuteBatch(c.planSegments(), specs, c.model)
+	results, i, err := plan.ExecuteBatch(c.planSegments(), specs, &c.pool)
 	if err != nil {
 		return nil, fmt.Errorf("bond: batch query %d: %w", i, err)
 	}
@@ -831,7 +815,7 @@ func (c *Collection) SearchProgressive(spec QuerySpec) (*Progressive, error) {
 	}
 	views := c.snapshotViews()
 	spec.Strategy = StrategyBOND
-	p, err := plan.New(plan.WrapViews(views), spec, c.model)
+	p, err := plan.New(plan.WrapViews(views), spec, &c.pool)
 	if err != nil {
 		return nil, err
 	}
@@ -851,12 +835,12 @@ func (c *Collection) AsFeature(query []float64, weight float64) Feature {
 }
 
 // MultiSearch answers a multi-feature query over several collections
-// holding the same objects (Section 8.2), using synchronized BOND. It is
-// routed through the plan layer like every other entry point; synchronized
-// multi-feature search advances all features in lockstep, so there is no
-// per-segment path choice to make.
+// holding the same objects (Section 8.2), using synchronized BOND.
+// Synchronized multi-feature search advances all features in lockstep
+// across all their segments, so there is no per-segment path choice for a
+// planner to make.
 func MultiSearch(features []Feature, opts MultiOptions) (MultiResult, error) {
-	return plan.Multi(features, opts)
+	return multifeature.Search(features, opts)
 }
 
 // NewExclusion returns an empty exclusion bitmap sized to the collection,

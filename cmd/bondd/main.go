@@ -22,7 +22,7 @@
 //	GET    /collections/{name}/explain       EXPLAIN by example (?id=17&k=10&strategy=auto); POST takes a spec
 //	GET    /healthz                          liveness
 //	GET    /readyz                           readiness (data dir writable, WALs appendable)
-//	GET    /stats                            server + per-collection + cost-model statistics
+//	GET    /stats                            server + per-collection + plan-pool statistics
 //
 // # Coordinator mode
 //

@@ -11,8 +11,9 @@
 // The query vector is taken from the collection by id (the common
 // query-by-example pattern of image retrieval). Every query goes through
 // the planner: -strategy=auto (the default) picks an access path per
-// segment from the collection's cost model, and the forced strategies
-// (bond, compressed, vafile, exact) pin one path everywhere.
+// segment by predicted cost from the segment's synopsis and fixed
+// per-path priors, which makes it BOND throughout, and the forced
+// strategies (bond, compressed, vafile, exact) pin one path everywhere.
 // -explain prints the plan with per-segment predicted and actual costs.
 // Stores written in either the segmented layout or the legacy flat layout
 // are accepted. For profiling, -repeat N heats the query loop and

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"bond/internal/iofs"
-	"bond/internal/plan"
 	"bond/internal/vstore"
 	"bond/internal/wal"
 )
@@ -215,7 +214,7 @@ func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 			return nil, fmt.Errorf("bond: open durable %s: %w (set DurableOptions.Dims to create)", path, os.ErrNotExist)
 		}
 		store := vstore.NewSegmented(opts.Dims, opts.SegmentSize)
-		if err := initDurableDir(fs, path, store, nil); err != nil {
+		if err := initDurableDir(fs, path, store); err != nil {
 			return nil, err
 		}
 		return openDurableDir(fs, path, opts)
@@ -231,8 +230,8 @@ func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 
 // initDurableDir writes the initial checkpoint (WAL sequence 1) and an
 // empty wal-1 into dir.
-func initDurableDir(fs iofs.FS, dir string, store *vstore.SegStore, plannerStats []byte) error {
-	cs := store.CaptureCheckpoint(1, plannerStats)
+func initDurableDir(fs iofs.FS, dir string, store *vstore.SegStore) error {
+	cs := store.CaptureCheckpoint(1)
 	if err := vstore.WriteCheckpoint(fs, dir, cs); err != nil {
 		return err
 	}
@@ -261,7 +260,7 @@ func migrateLegacy(fs iofs.FS, path string) error {
 	if err := fs.RemoveAll(tmp); err != nil {
 		return err
 	}
-	if err := initDurableDir(fs, tmp, store, store.PlannerStats()); err != nil {
+	if err := initDurableDir(fs, tmp, store); err != nil {
 		return err
 	}
 	if err := fs.Remove(path); err != nil {
@@ -288,7 +287,7 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 			return nil, fmt.Errorf("bond: open durable %s: %w (set DurableOptions.Dims to create)", dir, os.ErrNotExist)
 		}
 		fresh := vstore.NewSegmented(opts.Dims, opts.SegmentSize)
-		if ierr := initDurableDir(fs, dir, fresh, nil); ierr != nil {
+		if ierr := initDurableDir(fs, dir, fresh); ierr != nil {
 			return nil, ierr
 		}
 		store, m, err = vstore.RecoverDirOpts(fs, dir, ropts)
@@ -348,7 +347,6 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 	}
 	c := &Collection{
 		store: store,
-		model: plan.LoadModel(store.PlannerStats()),
 		dur: &durability{
 			fs:     fs,
 			dir:    dir,
@@ -524,16 +522,7 @@ func (c *Collection) CompactRatioDurable(minRatio float64) ([]int, error) {
 		return nil, err
 	}
 	c.invalidatePlanCache()
-	lenBefore := c.store.Len()
-	mapping := c.store.Compact(minRatio)
-	// Cost-model hygiene: compaction destroys the segments it rewrites, so
-	// decay the EWMA feedback toward its priors in proportion to the slots
-	// dropped (the rewritten fraction of the collection). Live-path only,
-	// like the model itself — replay does not decay.
-	if lenBefore > 0 {
-		c.model.DecayForRewrite(float64(lenBefore-c.store.Len()) / float64(lenBefore))
-	}
-	return mapping, nil
+	return c.store.Compact(minRatio), nil
 }
 
 // SealActiveDurable is SealActive returning the durability error instead
@@ -596,7 +585,7 @@ func (c *Collection) checkpointLocked() error {
 	old := c.dur.w
 	c.recordRotationLocked(c.dur.walSeq, old.Size())
 	c.dur.w, c.dur.walSeq = nw, newSeq
-	cs := c.store.CaptureCheckpoint(newSeq, c.model.Marshal())
+	cs := c.store.CaptureCheckpoint(newSeq)
 	c.mu.Unlock()
 
 	_ = old.Close()
@@ -623,7 +612,7 @@ func (c *Collection) checkpointLocked() error {
 // phantom under records that assumed it never happened.
 func (c *Collection) recoverFromLogFailure(cause error) error {
 	newSeq := c.dur.walSeq + 1
-	cs := c.store.CaptureCheckpoint(newSeq, c.model.Marshal())
+	cs := c.store.CaptureCheckpoint(newSeq)
 	if err := vstore.WriteCheckpoint(c.dur.fs, c.dur.dir, cs); err != nil {
 		return fmt.Errorf("bond: checkpoint past failed log (%v): %w", cause, err)
 	}

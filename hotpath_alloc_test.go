@@ -113,8 +113,8 @@ func TestQueryBatchAllocationPerQuery(t *testing.T) {
 		})
 		perQuery := allocs / float64(len(specs))
 		// Budget: the two per-query result allocations plus one for batch
-		// bookkeeping (result slice, feedback block, goroutine stacks)
-		// amortized over the batch.
+		// bookkeeping (result slice, goroutine stacks) amortized over the
+		// batch.
 		if perQuery > allocBudget+1 {
 			t.Errorf("QueryBatch of %d: %.2f allocs per query (%.0f total), budget %d",
 				n, perQuery, allocs, allocBudget+1)
@@ -123,11 +123,8 @@ func TestQueryBatchAllocationPerQuery(t *testing.T) {
 }
 
 // batchMatchesQuery runs specs as one batch and one by one, and holds the
-// batch to the single answers: ids always; for a pinned strategy — whose
-// execution no model feedback can steer — the score bits and the whole
-// Stats block (cells read, segments searched and skipped, the step log)
-// too; for auto, scores to 1e-9, since the later single query may take a
-// different access path than the batch did.
+// batch to the single answers exactly: ids, score bits and the whole Stats
+// block (cells read, segments searched and skipped, the step log).
 func batchMatchesQuery(t *testing.T, col *Collection, specs []QuerySpec) {
 	t.Helper()
 	batch, err := col.QueryBatch(specs)
@@ -146,15 +143,12 @@ func batchMatchesQuery(t *testing.T, col *Collection, specs []QuerySpec) {
 			t.Fatalf("spec %d: batch %d results (truncated %v), single %d (%v)", i,
 				len(batch[i].Results), batch[i].Truncated, len(single.Results), single.Truncated)
 		}
-		pinned := spec.Strategy != StrategyAuto
 		for r := range single.Results {
-			b, s := batch[i].Results[r], single.Results[r]
-			diff := b.Score - s.Score
-			if b.ID != s.ID || diff > 1e-9 || diff < -1e-9 || (pinned && b.Score != s.Score) {
+			if b, s := batch[i].Results[r], single.Results[r]; b != s {
 				t.Fatalf("spec %d rank %d: batch %+v, single %+v", i, r, b, s)
 			}
 		}
-		if pinned && !reflect.DeepEqual(batch[i].Stats, single.Stats) {
+		if !reflect.DeepEqual(batch[i].Stats, single.Stats) {
 			t.Fatalf("spec %d: batch stats %+v, single %+v", i, batch[i].Stats, single.Stats)
 		}
 	}

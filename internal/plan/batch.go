@@ -23,15 +23,14 @@ const groupSize = 16
 // segments: the specs fan out over a bounded worker pool (one goroutine per
 // logical CPU, the caller's being one of them), each worker takes them a
 // group at a time — as large as groupSize allows while every worker still
-// gets one — and runs the group through executeGroup on one pooled lane, and
-// the cost model is fed one batch-aggregate observation per access path
-// instead of per-step updates. Results are positionally aligned with specs.
+// gets one — and runs the group through executeGroup on one pooled lane.
+// Results are positionally aligned with specs.
 // A failing spec aborts the batch; the return is then the lowest failing
 // index observed and its error.
-func ExecuteBatch(segs []Segment, specs []Spec, model *Model) ([]Result, int, error) {
+func ExecuteBatch(segs []Segment, specs []Spec, pool *Pool) ([]Result, int, error) {
 	workers := min(runtime.GOMAXPROCS(0), len(specs))
 	b := &batch{
-		segs: segs, specs: specs, model: model,
+		segs: segs, specs: specs, pool: pool,
 		results: make([]Result, len(specs)),
 		group:   min(groupSize, (len(specs)+workers-1)/workers),
 		failed:  -1,
@@ -48,9 +47,6 @@ func ExecuteBatch(segs []Segment, specs []Spec, model *Model) ([]Result, int, er
 	if b.err != nil {
 		return nil, b.failed, b.err
 	}
-	if model != nil { // without one, plans discard their feedback
-		b.fb.flush(model)
-	}
 	return b.results, -1, nil
 }
 
@@ -58,9 +54,8 @@ func ExecuteBatch(segs []Segment, specs []Spec, model *Model) ([]Result, int, er
 type batch struct {
 	segs    []Segment
 	specs   []Spec
-	model   *Model
+	pool    *Pool
 	results []Result
-	fb      feedbackBatch
 	group   int // specs a worker takes at a time
 
 	next    atomic.Int64 // first spec not yet taken
@@ -105,11 +100,10 @@ func (b *batch) runGroup(specs []Spec, results []Result, plans []*Plan) (int, er
 		}
 	}()
 	for i, spec := range specs {
-		p, err := NewReusable(b.segs, spec, b.model)
+		p, err := NewReusable(b.segs, spec, b.pool)
 		if err != nil {
 			return i, err
 		}
-		p.fb = &b.fb
 		plans = append(plans, p)
 	}
 	return executeGroup(plans, results)
@@ -127,8 +121,8 @@ func (b *batch) runGroup(specs []Spec, results []Result, plans []*Plan) (int, er
 // receives plan i's answer; the return is the lowest index that failed, or
 // −1, and its error.
 func executeGroup(plans []*Plan, results []Result) (int, error) {
-	ln := plans[0].model.acquireLane()
-	defer plans[0].model.releaseLane(ln)
+	ln := plans[0].pool.acquireLane()
+	defer plans[0].pool.releaseLane(ln)
 	for _, p := range plans {
 		p.begin(ln)
 	}

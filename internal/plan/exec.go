@@ -32,7 +32,6 @@ type stepOutcome struct {
 	stats    core.Stats            // PathBOND, PathExact
 	comp     core.CompressedResult // PathCompressed
 	vaCodes  int64                 // PathVAFile
-	vaCands  int
 	vaRefine int64
 }
 
@@ -41,7 +40,7 @@ type stepOutcome struct {
 // lists, heaps), the VA-File filter scratch and refinement staging, and the
 // parallel fan-out staging. A lane runs one step at a time and keeps
 // nothing of it once the step is folded, so one lane serves every step of a
-// query, and every query of a QueryBatch worker's group. The model keeps a
+// query, and every query of a QueryBatch worker's group. The Pool keeps a
 // free list of them.
 type lane struct {
 	core core.Scratch
@@ -82,12 +81,11 @@ type cursor struct {
 	kappa *topk.Heap
 	steps []core.StepStat // merged Stats.Steps staging
 
-	next     int // the pending step, p.Steps[next], unless done
-	done     bool
-	err      error
-	res      Result
-	executed bool
-	folded   int
+	next   int // the pending step, p.Steps[next], unless done
+	done   bool
+	err    error
+	res    Result
+	folded int
 }
 
 // reset readies the cursor for another execution, keeping its buffers and
@@ -99,14 +97,13 @@ func (c *cursor) reset() {
 }
 
 // Execute runs the plan and merges the per-segment answers into the exact
-// global top-k, feeding observed costs back into the plan's model. The
-// parallel fan-out group runs first (concurrently); the sequential tail
-// then runs best-bound-first with synopsis skipping against the running
-// κ. A forced-BOND plan's results are byte-identical to core.Search over
+// global top-k. The parallel fan-out group runs first (concurrently); the
+// sequential tail then runs best-bound-first with synopsis skipping against
+// the running κ. A forced-BOND plan's results are byte-identical to core.Search over
 // the concatenated collection.
 func Execute(p *Plan) (Result, error) {
-	ln := p.model.acquireLane()
-	defer p.model.releaseLane(ln)
+	ln := p.pool.acquireLane()
+	defer p.pool.releaseLane(ln)
 	for p.begin(ln); !p.cur.done; {
 		p.step(ln)
 	}
@@ -165,7 +162,7 @@ func (p *Plan) fanOut(npar int, ln *lane) error {
 	for i := 0; i < npar; i++ {
 		l, qs := ln, first
 		if i > 0 {
-			l = p.model.acquireLane()
+			l = p.pool.acquireLane()
 			qs = &l.fan
 		}
 		outs[i].lane = l
@@ -193,7 +190,7 @@ func (p *Plan) fanOut(npar int, ln *lane) error {
 			p.fold(&p.Steps[i], o.out)
 		}
 		if o.lane != ln {
-			p.model.releaseLane(o.lane)
+			p.pool.releaseLane(o.lane)
 		}
 		*o = parOutcome{}
 	}
@@ -248,9 +245,7 @@ func (p *Plan) step(ln *lane) {
 func (p *Plan) fold(st *Step, out stepOutcome) {
 	c := p.cur
 	st.Executed = true
-	c.executed = true
 	c.folded++
-	p.feedback(st, out)
 	stats := &c.res.Stats
 	stats.SegmentsSearched++
 	switch st.Path {
@@ -275,14 +270,13 @@ func (p *Plan) fold(st *Step, out stepOutcome) {
 // that stopped it.
 func (p *Plan) finish() (Result, error) {
 	c := p.cur
-	// Drop the segment handles: Explain only needs Steps and the model
-	// snapshot, and a caller holding the plan (e.g. to log it later) must
-	// not pin the segments' columns and cached code arrays past compaction.
+	// Drop the segment handles: Explain only needs Steps, and a caller
+	// holding the plan (e.g. to log it later) must not pin the segments'
+	// columns and cached code arrays past compaction.
 	p.segs = nil
 	if c.err != nil {
 		return Result{}, c.err
 	}
-	p.countQuery(c.executed)
 	res := c.res
 	res.Truncated = p.Truncated
 	if c.folded == 0 {
@@ -475,7 +469,6 @@ func (p *Plan) runVAFile(st *Step, sc *lane) stepOutcome {
 	return stepOutcome{
 		rs:       core.RebaseInPlace(sc.vaRes, st.Base),
 		vaCodes:  fst.codes,
-		vaCands:  len(ids),
 		vaRefine: refine,
 	}
 }
@@ -519,52 +512,4 @@ func (p *Plan) vaTable(f *vafile.File, dist bool) *vafile.Table {
 		return vafile.NewHistogramTable(f.Quantizer(), p.Spec.Query)
 	}
 	return sc.vaTbl
-}
-
-// feedback folds a step's observed selectivity back into the model (or
-// the query's batch accumulator), normalizing out the shape factor so the
-// stored coefficients stay segment-neutral. An exact scan has none to
-// report.
-func (p *Plan) feedback(st *Step, out stepOutcome) {
-	n := float64(st.N)
-	nd := n * float64(p.Dims)
-	if nd == 0 {
-		return
-	}
-	sink := observer(p.model)
-	if p.fb != nil {
-		sink = p.fb
-	}
-	switch st.Path {
-	case PathBOND:
-		// Under a carried κ the fraction also depends on the step's position
-		// in the plan (the first step has no κ and reads the most). It is
-		// fed back as observed, uncorrected: every executed segment is one
-		// EWMA step, so the κ-less first step of a plan weighs no more than
-		// any other and the coefficient tracks the fraction plans achieve.
-		shape := st.shape
-		if shape <= 0 {
-			shape = 1
-		}
-		sink.observeBond(float64(out.stats.ValuesScanned) / (nd * shape))
-	case PathCompressed:
-		sink.observeCompressed(
-			float64(out.comp.FilterStats.ValuesScanned)/nd,
-			float64(out.comp.FilterCandidates)/n)
-	case PathVAFile:
-		sink.observeVA(float64(out.vaCands) / n)
-	}
-}
-
-// countQuery attributes one executed query to the model or the batch
-// accumulator.
-func (p *Plan) countQuery(executed bool) {
-	if !executed {
-		return
-	}
-	if p.fb != nil {
-		p.fb.countQuery()
-		return
-	}
-	p.model.countQuery()
 }

@@ -3,13 +3,10 @@ package plan
 import (
 	"fmt"
 	"strings"
-
-	"bond/internal/multifeature"
 )
 
 // Explain renders the plan as the EXPLAIN output the CLI prints: the
-// query shape, the model coefficients the predictions came from, one line
-// per planned segment with the chosen access path and predicted versus
+// query shape, one line per planned segment with the chosen access path and predicted versus
 // actual cost (in coefficient-equivalents: dense float cells, 8-bit cells
 // weighted by VACodeCost/ComprCodeCost), and a summary. Before Execute the
 // actual columns read "-"; after, they carry the measured costs, so
@@ -22,8 +19,6 @@ func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query: k=%d criterion=%s strategy=%s segments=%d (%d slots × %d dims)\n",
 		p.Opts.K, p.Opts.Criterion, p.Spec.Strategy, len(p.Steps), p.Slots, p.Dims)
-	fmt.Fprintf(&b, "Model: bond=%.3f compr.filter=%.3f compr.survive=%.3f va.survive=%.3f queries=%d\n",
-		p.Model.BondFrac, p.Model.ComprFilterFrac, p.Model.ComprSurvive, p.Model.VASurvive, p.Model.Queries)
 	fmt.Fprintf(&b, "%4s  %-10s %8s %6s %12s %12s %12s %12s %10s\n",
 		"seg", "path", "n", "par", "bound", "kappa", "predicted", "actual", "candidates")
 	for i := range p.Steps {
@@ -68,12 +63,4 @@ func (p *Plan) Explain() string {
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-// Multi routes a multi-feature query through the plan layer. Synchronized
-// multi-feature BOND advances every feature in lockstep across all their
-// segments, so there is no per-segment path choice to make; the planner's
-// contribution is validation and a uniform entry point.
-func Multi(features []multifeature.Feature, opts multifeature.Options) (multifeature.Result, error) {
-	return multifeature.Search(features, opts)
 }

@@ -16,8 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden EXPLAIN files"
 // predictions, carried κ, actual costs, and skips — for three segment
 // layouts: cluster-contiguous (synopsis skipping dominates), uniform (no
 // skipping; the carried κ does the pruning), and skewed (BOND prunes fast).
-// The data is generated from fixed seeds and the model starts at the
-// priors, so the output is fully deterministic. Regenerate with:
+// The data is generated from fixed seeds and the cost priors are
+// constants, so the output is fully deterministic. Regenerate with:
 // go test ./internal/plan/ -run TestExplainGolden -update
 func TestExplainGolden(t *testing.T) {
 	cases := []struct {
@@ -42,7 +42,7 @@ func TestExplainGolden(t *testing.T) {
 		},
 		{
 			// Mixed predictions: the query's home segment has no synopsis
-			// help (bound 0) and predicts the full BondFrac; far clusters
+			// help (bound 0) and predicts the full bondFrac; far clusters
 			// predict cheap BOND via the shape factor.
 			name:  "cluster_contiguous_eq_mixed",
 			store: clusterContiguous(5, 100, 32, 14),
@@ -60,7 +60,7 @@ func TestExplainGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.spec.Query = tc.store.Row(0)
-			p, err := New(segmentsOf(tc.store), tc.spec, NewModel())
+			p, err := New(segmentsOf(tc.store), tc.spec, new(Pool))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -140,11 +140,11 @@ func BenchmarkPlanInit(b *testing.B) {
 				name += "-weighted"
 			}
 			b.Run(name, func(b *testing.B) {
-				m := NewModel()
+				pool := new(Pool)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					spec.Query = queries[i%nQueries]
-					p, err := NewReusable(segs, spec, m)
+					p, err := NewReusable(segs, spec, pool)
 					if err != nil {
 						b.Fatal(err)
 					}

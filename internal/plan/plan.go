@@ -76,15 +76,10 @@ type Step struct {
 	// and for the parallel group, which starts before any do.
 	Kappa    float64
 	HasKappa bool
-
-	// shape is the BOND cost scale derived from the synopsis, kept so the
-	// executor can normalize it back out of observed costs.
-	shape float64
 }
 
-// Plan is a planned query: the validated spec, the ordered per-segment
-// steps, and the model snapshot the predictions came from. Execute runs
-// it; Explain renders it.
+// Plan is a planned query: the validated spec and the ordered per-segment
+// steps. Execute runs it; Explain renders it.
 type Plan struct {
 	Spec Spec
 	// Opts is the validated, default-filled engine options.
@@ -94,24 +89,18 @@ type Plan struct {
 	Steps []Step
 	// Dims and Slots describe the planned collection.
 	Dims, Slots int
-	// Model is the coefficient snapshot used for the predictions.
-	Model Coefficients
 	// Truncated reports that the deadline stopped execution early.
 	Truncated bool
 
-	segs  []Segment
-	model *Model
+	segs []Segment
+	pool *Pool
 
 	// views is the validation staging buffer and keys the step-ordering
 	// one, both kept for reuse on pooled plans.
 	views []core.SegmentView
 	keys  []stepKey
 
-	// fb, when set, receives execution feedback instead of the model —
-	// the batch executor aggregates it and applies one EWMA step per path.
-	fb *feedbackBatch
-
-	// pooled marks a plan owned by the model's free list (Release returns
+	// pooled marks a plan owned by the pool's free list (Release returns
 	// it there).
 	pooled bool
 
@@ -127,34 +116,34 @@ const parallelMinSegment = 2048
 
 // New plans a query over the given segments. The spec is validated (and
 // defaults filled) against the combined collection, exactly as core.Search
-// validates options against a flat one. model may be nil, which plans from
-// the default priors and discards feedback.
-func New(segs []Segment, spec Spec, model *Model) (*Plan, error) {
+// validates options against a flat one. pool may be nil, which gives the
+// plan a pool of its own.
+func New(segs []Segment, spec Spec, pool *Pool) (*Plan, error) {
 	p := &Plan{}
-	if err := p.init(segs, spec, model); err != nil {
+	if err := p.init(segs, spec, pool); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// NewReusable is New planning into a pooled Plan owned by the model: when
+// NewReusable is New planning into a Plan taken from pool: when
 // the caller is done (after Execute, and after copying anything it wants
 // to keep), Release returns the plan to the pool. This is the hot-path
 // variant Collection.Query uses so planning itself allocates nothing in
 // steady state; callers that hand the plan out (EXPLAIN) use New instead.
-func NewReusable(segs []Segment, spec Spec, model *Model) (*Plan, error) {
-	if model == nil {
-		return New(segs, spec, model)
+func NewReusable(segs []Segment, spec Spec, pool *Pool) (*Plan, error) {
+	if pool == nil {
+		return New(segs, spec, pool)
 	}
-	p := model.acquirePlan()
-	if err := p.init(segs, spec, model); err != nil {
-		model.releasePlan(p)
+	p := pool.acquirePlan()
+	if err := p.init(segs, spec, pool); err != nil {
+		pool.releasePlan(p)
 		return nil, err
 	}
 	return p, nil
 }
 
-// Release returns a plan obtained from NewReusable to its model's pool. The
+// Release returns a plan obtained from NewReusable to its pool. The
 // pooled plan keeps its buffers (steps, views, keys, the cursor's engine
 // state, κ heap and step log) and no reference to the caller's spec,
 // segments or results. It is a no-op for plans made by New.
@@ -162,7 +151,7 @@ func (p *Plan) Release() {
 	if !p.pooled {
 		return
 	}
-	m := p.model
+	pool := p.pool
 	if p.cur != nil {
 		p.cur.reset()
 	}
@@ -173,11 +162,11 @@ func (p *Plan) Release() {
 		pooled: true,
 		cur:    p.cur,
 	}
-	m.releasePlan(p)
+	pool.releasePlan(p)
 }
 
 // init (re)plans into p, reusing its step, view and key buffers.
-func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
+func (p *Plan) init(segs []Segment, spec Spec, pool *Pool) error {
 	views := p.views[:0]
 	if cap(views) < len(segs) {
 		views = make([]core.SegmentView, 0, len(segs))
@@ -198,8 +187,8 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 			return err
 		}
 	}
-	if model == nil {
-		model = NewModel()
+	if pool == nil {
+		pool = new(Pool)
 	}
 	pooled := p.pooled
 	*p = Plan{
@@ -207,9 +196,8 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 		Opts:   opts,
 		Steps:  p.Steps[:0],
 		Dims:   views[0].Src.Dims(),
-		Model:  model.Snapshot(),
 		segs:   segs,
-		model:  model,
+		pool:   pool,
 		views:  views,
 		keys:   p.keys,
 		pooled: pooled,
@@ -217,12 +205,11 @@ func (p *Plan) init(segs []Segment, spec Spec, model *Model) error {
 	}
 	dist := opts.Criterion.Distance()
 	queryMass := effectiveQueryMass(spec.Query, opts)
-	compressedOK := core.ValidateCompressed(opts) == nil
 	fill := func(st *Step, i, n int, bound float64, hasBound bool) {
 		s := &segs[i]
 		*st = Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed, Bound: bound, HasBound: hasBound}
-		st.shape = shapeFactor(bound, hasBound, dist, queryMass)
-		st.Path, st.PredCost = choosePath(&p.Model, spec.Strategy, s, compressedOK, n, p.Dims, st.shape)
+		shape := shapeFactor(bound, hasBound, dist, queryMass)
+		st.Path, st.PredCost = choosePath(spec.Strategy, s, n, p.Dims, shape)
 		st.Parallel = spec.Parallel >= 2 && st.Path == PathBOND &&
 			(spec.Strategy == ForceBOND || n >= parallelMinSegment)
 	}
@@ -303,39 +290,29 @@ func cmpStepKey(a, b stepKey) int {
 }
 
 // choosePath assigns the access path and its predicted cost for one
-// segment. Forced strategies map directly (falling back to an exact scan
-// where the path needs codes a mutable segment cannot offer); Auto takes
-// the cheapest eligible prediction, all in one unit (see VACodeCost).
-func choosePath(m *Coefficients, strat Strategy, s *Segment, compressedOK bool, n, dims int, shape float64) (Path, float64) {
-	canCompress := compressedOK && s.Sealed && s.Codes != nil
-	canVA := compressedOK && s.Sealed && s.VA != nil
+// segment. Forced strategies map directly, falling back to an exact scan
+// where the path needs codes a mutable segment cannot offer (init has
+// already refused options the code paths cannot serve). Auto runs BOND:
+// at the fixed priors it predicts at most bondFrac·n·dims (the shape factor
+// is ≤ 1), below the compressed filter's ComprCodeCost·comprFilterFrac +
+// comprSurvive = 1.25 and the VA-File's VACodeCost + vaSurvive = 1.28
+// times n·dims, so no other path could win on prediction.
+func choosePath(strat Strategy, s *Segment, n, dims int, shape float64) (Path, float64) {
 	switch strat {
-	case ForceBOND:
-		return PathBOND, m.predictBond(n, dims, shape)
 	case ForceExact:
-		return PathExact, m.predictExact(n, dims)
+		return PathExact, predictExact(n, dims)
 	case ForceCompressed:
-		if canCompress {
-			return PathCompressed, m.predictCompressed(n, dims)
+		if s.Sealed && s.Codes != nil {
+			return PathCompressed, predictCompressed(n, dims)
 		}
-		return PathExact, m.predictExact(n, dims)
+		return PathExact, predictExact(n, dims)
 	case ForceVAFile:
-		if canVA {
-			return PathVAFile, m.predictVAFile(n, dims)
+		if s.Sealed && s.VA != nil {
+			return PathVAFile, predictVAFile(n, dims)
 		}
-		return PathExact, m.predictExact(n, dims)
+		return PathExact, predictExact(n, dims)
 	}
-	// Auto takes the cheaper of BOND and the compressed filter. The VA-File
-	// is not a candidate: it reads every code cell, so at any code cost ≥ 1
-	// it predicts at least n·dims, which BOND (BondFrac and shape are both
-	// ≤ 1) never exceeds.
-	best, cost := PathBOND, m.predictBond(n, dims, shape)
-	if canCompress {
-		if c := m.predictCompressed(n, dims); c < cost {
-			best, cost = PathCompressed, c
-		}
-	}
-	return best, cost
+	return PathBOND, predictBond(n, dims, shape)
 }
 
 // effectiveQueryMass is T(q) over the effective (weighted, subspaced)

@@ -3,7 +3,6 @@ package plan
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -147,7 +146,7 @@ func TestCompressedStrategyRejectsUnsupportedOptions(t *testing.T) {
 // choice: under a distance criterion, a segment whose bounding box is far
 // from the query predicts cheap BOND (branch-and-bound kills candidates
 // immediately), while the segment containing the query has no such help
-// and predicts the full BondFrac.
+// and predicts the full bondFrac.
 func TestAutoShapeFactorDifferentiates(t *testing.T) {
 	s := clusterContiguous(4, 150, 32, 3)
 	segs := segmentsOf(s)
@@ -189,7 +188,7 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := New(segs, Spec{Query: q, K: 7, Criterion: crit, Strategy: strat}, NewModel())
+			p, err := New(segs, Spec{Query: q, K: 7, Criterion: crit, Strategy: strat}, new(Pool))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", strat, crit, err)
 			}
@@ -211,108 +210,6 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestFeedbackAdaptsModel(t *testing.T) {
-	s := uniformStore(600, 200, 12, 5)
-	segs := segmentsOf(s)
-	m := NewModel()
-	before := m.Snapshot()
-	for i := 0; i < 5; i++ {
-		p, err := New(segs, Spec{Query: s.Row(i), K: 5, Strategy: ForceBOND}, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Execute(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := m.Snapshot()
-	if after.Queries != 5 {
-		t.Fatalf("queries = %d, want 5", after.Queries)
-	}
-	// Uniform data prunes poorly: the observed BOND fraction must have
-	// pulled the coefficient up from the 0.35 prior.
-	if after.BondFrac <= before.BondFrac {
-		t.Fatalf("BondFrac %v did not rise from prior %v on uniform data", after.BondFrac, before.BondFrac)
-	}
-}
-
-func TestDecayForRewriteBlendsTowardPriors(t *testing.T) {
-	m := NewModel()
-	for i := 0; i < 50; i++ {
-		m.observeBond(1.0) // a layout where BOND pruning never fires
-		m.countQuery()
-	}
-	learned := m.Snapshot()
-	p := defaultCoefficients()
-
-	m.DecayForRewrite(0) // no-op
-	if m.Snapshot() != learned {
-		t.Fatal("frac 0 must not move the model")
-	}
-
-	m.DecayForRewrite(0.5)
-	half := m.Snapshot()
-	wantFrac := learned.BondFrac + 0.5*(p.BondFrac-learned.BondFrac)
-	if diff := half.BondFrac - wantFrac; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("half decay BondFrac = %v, want %v", half.BondFrac, wantFrac)
-	}
-	if half.Queries != learned.Queries {
-		t.Fatalf("decay changed query count %d → %d", learned.Queries, half.Queries)
-	}
-
-	m.DecayForRewrite(1) // full rewrite: back to the priors
-	full := m.Snapshot()
-	full.Queries = 0
-	if full != p {
-		t.Fatalf("full decay = %+v, want priors %+v", full, p)
-	}
-}
-
-func TestModelPersistenceRoundTrip(t *testing.T) {
-	m := NewModel()
-	m.observeBond(0.9)
-	m.observeCompressed(0.4, 0.2)
-	m.observeVA(0.1)
-	m.countQuery()
-	got := LoadModel(m.Marshal()).Snapshot()
-	if got != m.Snapshot() {
-		t.Fatalf("round trip: got %+v, want %+v", got, m.Snapshot())
-	}
-	if LoadModel(nil).Snapshot() != defaultCoefficients() {
-		t.Fatal("empty block should load the priors")
-	}
-	if LoadModel([]byte("not json")).Snapshot() != defaultCoefficients() {
-		t.Fatal("garbage block should load the priors")
-	}
-}
-
-// parentStatsBlock is a statistics block as the last release with learned
-// time coefficients wrote it into MANIFESTs and store files: the five
-// keys still in use plus the eight retired *_ns_per_cell* ones.
-const parentStatsBlock = `{"queries":42,"bond_frac":0.81,"compr_filter_frac":0.44,` +
-	`"compr_survive":0.07,"va_survive":0.02,` +
-	`"bond_ns_per_cell":1.9,"compr_ns_per_cell":7.5,"va_ns_per_cell":2.2,"exact_ns_per_cell":0.8,` +
-	`"bond_ns_per_cell_mapped":2.1,"compr_ns_per_cell_mapped":8,"va_ns_per_cell_mapped":2.4,"exact_ns_per_cell_mapped":0.9}`
-
-// TestLoadModelIgnoresRetiredKeys is the format-compatibility contract of
-// the statistics block: the selectivities and the query count of an older
-// block are restored, its time coefficients are dropped, and they are not
-// written back.
-func TestLoadModelIgnoresRetiredKeys(t *testing.T) {
-	m := LoadModel([]byte(parentStatsBlock))
-	want := Coefficients{Queries: 42, BondFrac: 0.81, ComprFilterFrac: 0.44, ComprSurvive: 0.07, VASurvive: 0.02}
-	if got := m.Snapshot(); got != want {
-		t.Fatalf("loaded %+v, want %+v", got, want)
-	}
-	out := string(m.Marshal())
-	if strings.Contains(out, "ns_per_cell") {
-		t.Fatalf("Marshal still writes a retired key: %s", out)
-	}
-	if got := LoadModel([]byte(out)).Snapshot(); got != want {
-		t.Fatalf("re-marshaled block loads %+v, want %+v", got, want)
 	}
 }
 
@@ -404,7 +301,7 @@ func countSkipped(p *Plan) int {
 // a query vector, a weight vector or an exclusion bitmap.
 func TestReleasedPlanForgetsCallerData(t *testing.T) {
 	s := uniformStore(300, 100, 8, 6)
-	m := NewModel()
+	pool := new(Pool)
 	ex := bitmap.New(s.Len())
 	ex.Set(3)
 	for _, spec := range []Spec{
@@ -413,7 +310,7 @@ func TestReleasedPlanForgetsCallerData(t *testing.T) {
 		{Criterion: core.Hq, Strategy: ForceVAFile},
 	} {
 		spec.Query, spec.K, spec.Exclude = s.Row(7), 4, ex
-		p, err := NewReusable(segmentsOf(s), spec, m)
+		p, err := NewReusable(segmentsOf(s), spec, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,17 +1,18 @@
 // Package plan implements the cost-based query planner of the collection
 // layer: one QuerySpec in, a Plan out — an ordered list of per-segment
-// steps, each choosing an access path from the segment's synopsis and a
-// small adaptive per-collection cost model — and one executor that runs
-// the plan through the shared engine primitives of package core.
+// steps, each choosing an access path from the segment's synopsis and
+// fixed per-path cost priors — and one executor that runs the plan
+// through the shared engine primitives of package core.
 //
 // The paper's central claim is that the decomposed storage engine itself
 // is the index; the planner is the piece that makes that operational. A
 // vertically decomposed system (the paper's Section 6 targets MonetDB)
 // routes every query through a planner that picks operators from
 // statistics. Here the statistics are the per-segment min/max synopses
-// of the segmented store plus execution feedback (coefficients read and
-// candidates surviving per strategy), so the plans adapt as data and
-// workloads shift.
+// of the segmented store: they order the segments, skip the hopeless ones
+// and scale each BOND prediction, and the κ the executor carries from
+// segment to segment prunes inside the rest. A plan is a function of the
+// collection and the query alone; no execution changes the next one.
 package plan
 
 import (
@@ -29,8 +30,8 @@ import (
 type Strategy int
 
 const (
-	// Auto picks the cheapest eligible path per segment from the cost
-	// model — the default.
+	// Auto picks the path per segment by predicted cost — the default. At
+	// the fixed priors that is BOND on every segment (see choosePath).
 	Auto Strategy = iota
 	// ForceBOND runs plain BOND on every segment.
 	ForceBOND

@@ -1,26 +1,19 @@
 package plan
 
-// ModelStats is the serializable view of one collection's adaptive cost
-// model: the learned coefficients the planner predicts from (the same
-// block Save persists) plus gauges over the model's pooled execution
-// lanes. A serving layer exposes it on its stats endpoint so
-// predicted-vs-actual drift and pool pressure are observable without
-// attaching a debugger.
-type ModelStats struct {
-	Coefficients
+// PoolStats is the serializable view of one collection's plan pool: gauges
+// over its free lists. A serving layer exposes it on its stats endpoint so
+// pool pressure is observable without attaching a debugger.
+type PoolStats struct {
 	// PooledPlans and PooledScratch count the plans and executor scratch
-	// lanes currently parked on the model's free lists — lanes in flight
+	// lanes currently parked on the pool's free lists — lanes in flight
 	// are checked out, so a busy server shows these dip toward zero.
 	PooledPlans   int `json:"pooled_plans"`
 	PooledScratch int `json:"pooled_scratch"`
 }
 
-// Stats returns the serializable view of the model's current state.
-func (m *Model) Stats() ModelStats {
-	s := ModelStats{Coefficients: m.Snapshot()}
-	m.poolMu.Lock()
-	s.PooledPlans = len(m.plans)
-	s.PooledScratch = len(m.lanes)
-	m.poolMu.Unlock()
-	return s
+// Stats returns the pool's current gauges.
+func (pl *Pool) Stats() PoolStats {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return PoolStats{PooledPlans: len(pl.plans), PooledScratch: len(pl.lanes)}
 }

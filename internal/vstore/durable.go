@@ -4,8 +4,8 @@ package vstore
 // collection checkpoints into: a directory holding
 //
 //	MANIFEST            the commit point: segment list + tombstones +
-//	                    WAL sequence + planner stats, CRC-trailed,
-//	                    replaced atomically (write tmp, fsync, rename)
+//	                    WAL sequence, CRC-trailed, replaced atomically
+//	                    (write tmp, fsync, rename)
 //	seg-<id>.seg        one file per sealed segment, written exactly
 //	                    once when the segment first appears in a
 //	                    checkpoint and byte-stable forever after —
@@ -105,16 +105,19 @@ type ManifestSegment struct {
 
 // Manifest is the decoded commit record of a durable directory.
 type Manifest struct {
-	Dims         int
-	SegSize      int
-	NextSegID    uint64
-	WALSeq       uint64
-	ActiveLen    int
-	PlannerStats []byte
-	Segments     []ManifestSegment
+	Dims      int
+	SegSize   int
+	NextSegID uint64
+	WALSeq    uint64
+	ActiveLen int
+	Segments  []ManifestSegment
 }
 
-// EncodeManifest renders m in the CRC-trailed binary manifest format.
+// EncodeManifest renders m in the CRC-trailed binary manifest format. The
+// format keeps a length-prefixed statistics block after the header, where
+// the planner's retired learned cost model used to be persisted; it is
+// written empty, and DecodeManifest skips whatever an older manifest holds
+// there.
 func EncodeManifest(m *Manifest) []byte {
 	var b []byte
 	b = append(b, manMagic...)
@@ -124,8 +127,7 @@ func EncodeManifest(m *Manifest) []byte {
 	b = binary.LittleEndian.AppendUint64(b, m.NextSegID)
 	b = binary.LittleEndian.AppendUint64(b, m.WALSeq)
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.ActiveLen))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.PlannerStats)))
-	b = append(b, m.PlannerStats...)
+	b = binary.LittleEndian.AppendUint32(b, 0) // statistics block length
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Segments)))
 	for _, sg := range m.Segments {
 		b = binary.LittleEndian.AppendUint64(b, sg.ID)
@@ -219,12 +221,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if statsLen > maxStatsBlock {
 		return nil, fmt.Errorf("%w: implausible stats block of %d bytes", ErrCorrupt, statsLen)
 	}
-	stats, err := c.bytes(int(statsLen))
-	if err != nil {
+	if _, err := c.bytes(int(statsLen)); err != nil {
 		return nil, err
-	}
-	if statsLen > 0 {
-		m.PlannerStats = append([]byte(nil), stats...)
 	}
 	nsegs, err := c.u32()
 	if err != nil {
@@ -302,13 +300,12 @@ type CheckpointSeg struct {
 // segment and every tombstone list are copies, so concurrent mutations
 // after the capture cannot leak into the checkpoint.
 type CheckpointState struct {
-	Dims         int
-	SegSize      int
-	NextSegID    uint64
-	WALSeq       uint64
-	PlannerStats []byte
-	Sealed       []CheckpointSeg
-	Active       *Store
+	Dims      int
+	SegSize   int
+	NextSegID uint64
+	WALSeq    uint64
+	Sealed    []CheckpointSeg
+	Active    *Store
 }
 
 // CaptureCheckpoint snapshots the store for a checkpoint that rotated
@@ -317,16 +314,11 @@ type CheckpointState struct {
 // over the store's lifetime, which is what lets a segment file be
 // written exactly once and garbage-collected by name. Callers must hold
 // the store's external write lock.
-func (s *SegStore) CaptureCheckpoint(walSeq uint64, plannerStats []byte) *CheckpointState {
+func (s *SegStore) CaptureCheckpoint(walSeq uint64) *CheckpointState {
 	if s.nextSegID == 0 {
 		s.nextSegID = 1
 	}
-	cs := &CheckpointState{
-		Dims:         s.dims,
-		SegSize:      s.segSize,
-		WALSeq:       walSeq,
-		PlannerStats: plannerStats,
-	}
+	cs := &CheckpointState{Dims: s.dims, SegSize: s.segSize, WALSeq: walSeq}
 	for _, g := range s.segs {
 		if !g.sealed {
 			continue
@@ -361,12 +353,11 @@ func WriteCheckpoint(fs iofs.FS, dir string, cs *CheckpointState) error {
 		return err
 	}
 	m := &Manifest{
-		Dims:         cs.Dims,
-		SegSize:      cs.SegSize,
-		NextSegID:    cs.NextSegID,
-		WALSeq:       cs.WALSeq,
-		ActiveLen:    cs.Active.Len(),
-		PlannerStats: cs.PlannerStats,
+		Dims:      cs.Dims,
+		SegSize:   cs.SegSize,
+		NextSegID: cs.NextSegID,
+		WALSeq:    cs.WALSeq,
+		ActiveLen: cs.Active.Len(),
 	}
 	for _, sg := range cs.Sealed {
 		name := filepath.Join(dir, SegFileName(sg.ID))
@@ -552,6 +543,5 @@ func RecoverDirOpts(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Ma
 	}
 	s.segs = append(s.segs, &Segment{Store: ast})
 	s.bases = append(s.bases, base)
-	s.plannerStats = m.PlannerStats
 	return s, m, nil
 }

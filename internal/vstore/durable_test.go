@@ -2,7 +2,9 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -30,7 +32,7 @@ func buildSegmented(t *testing.T, rng *rand.Rand, n, dims, segSize int) *SegStor
 
 func checkpointTo(t *testing.T, fs iofs.FS, dir string, s *SegStore, walSeq uint64) *CheckpointState {
 	t.Helper()
-	cs := s.CaptureCheckpoint(walSeq, s.PlannerStats())
+	cs := s.CaptureCheckpoint(walSeq)
 	if err := WriteCheckpoint(fs, dir, cs); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	assertSameStore(t, got, s)
 	// Recovered persistent ids must survive into a second capture with no
 	// fresh assignments.
-	cs2 := got.CaptureCheckpoint(2, nil)
+	cs2 := got.CaptureCheckpoint(2)
 	if cs2.NextSegID != m.NextSegID {
 		t.Fatalf("recovery reassigned segment ids: %d vs %d", cs2.NextSegID, m.NextSegID)
 	}
@@ -209,24 +211,53 @@ func TestRecoverDirErrors(t *testing.T) {
 	}
 }
 
+// Where the statistics block's length field sits: after a manifest's
+// magic, version and five u64 fields (4 bytes wide), and after a
+// snapshot's magic and four u64 header fields (8 bytes wide).
+const (
+	manifestStatsAt = len(manMagic) + 4 + 5*8
+	snapshotStatsAt = len(segMagic) + 4*8
+)
+
+// withStatsBlock returns a copy of a CRC32-trailed manifest (width 4) or
+// snapshot (width 8) image whose statistics block is empty, with block
+// spliced in and the trailer recomputed — the image as releases that
+// persisted the planner's learned cost model wrote it.
+func withStatsBlock(img []byte, at, width int, block []byte) []byte {
+	out := append([]byte(nil), img[:at]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(block)))[:at+width]
+	out = append(out, block...)
+	out = append(out, img[at+width:len(img)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	m := &Manifest{
-		Dims:         7,
-		SegSize:      128,
-		NextSegID:    9,
-		WALSeq:       4,
-		ActiveLen:    17,
-		PlannerStats: []byte("opaque planner block"),
+		Dims:      7,
+		SegSize:   128,
+		NextSegID: 9,
+		WALSeq:    4,
+		ActiveLen: 17,
 		Segments: []ManifestSegment{
 			{ID: 1, Len: 128, Format: SegFormatV2, Deleted: []int{0, 5, 127}},
 			{ID: 8, Len: 64, Format: SegFormatV1},
 		},
 	}
-	got, err := DecodeManifest(EncodeManifest(m))
+	img := EncodeManifest(m)
+	got, err := DecodeManifest(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, m)
+	}
+	// An older manifest's non-empty statistics block is skipped: it decodes
+	// to the same manifest, which re-encodes with the block empty.
+	older, err := DecodeManifest(withStatsBlock(img, manifestStatsAt, 4, []byte("opaque planner block")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(older, m) || !bytes.Equal(EncodeManifest(older), img) {
+		t.Fatalf("manifest with a stats block decodes to %+v, want %+v", older, m)
 	}
 }

@@ -25,20 +25,20 @@ func fuzzSeedStore(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// fuzzSeedManifest renders a small valid manifest image.
+// fuzzSeedManifest renders a small valid manifest image, with a non-empty
+// statistics block so the decoder's skip of it is covered.
 func fuzzSeedManifest() []byte {
-	return EncodeManifest(&Manifest{
-		Dims:         3,
-		SegSize:      32,
-		NextSegID:    4,
-		WALSeq:       2,
-		ActiveLen:    5,
-		PlannerStats: []byte{1, 2, 3},
+	return withStatsBlock(EncodeManifest(&Manifest{
+		Dims:      3,
+		SegSize:   32,
+		NextSegID: 4,
+		WALSeq:    2,
+		ActiveLen: 5,
 		Segments: []ManifestSegment{
 			{ID: 1, Len: 32, Format: SegFormatV2, Deleted: []int{3, 31}},
 			{ID: 3, Len: 32, Format: SegFormatV1},
 		},
-	})
+	}), manifestStatsAt, 4, []byte{1, 2, 3})
 }
 
 // FuzzLoadStore feeds arbitrary images to the flat-store loader —

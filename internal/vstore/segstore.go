@@ -102,12 +102,6 @@ type SegStore struct {
 	segs    []*Segment // invariant: segs[len-1] is the active segment
 	bases   []int      // bases[i] = global id of segs[i]'s local id 0
 
-	// plannerStats is the opaque per-collection statistics block of the
-	// cost-based query planner, persisted alongside the segments so the
-	// planner's learned coefficients survive a restart. The storage layer
-	// does not interpret it.
-	plannerStats []byte
-
 	// nextSegID is the next unassigned persistent segment id (see
 	// Segment.persistID); 0 until the first checkpoint or recovery.
 	nextSegID uint64
@@ -581,30 +575,20 @@ func (s *SegStore) Repartition(groups [][]int) []int {
 
 const (
 	segMagic = "BONDSEG1"
-	// segVersion 1 is the PR 1 layout; version 2 adds the planner-stats
-	// block between the header and the segments. Both load.
+	// segVersion 1 is the first segmented layout; version 2 adds a
+	// length-prefixed statistics block between the header and the
+	// segments. Both load. The block held the planner's learned cost model,
+	// which no longer exists: Save writes it empty, and a load checks its
+	// length against maxStatsBlock and skips its bytes, so files written
+	// with a non-empty block still open.
 	segVersion    = uint32(2)
 	maxStatsBlock = 1 << 20
 )
 
-// PlannerStats returns the opaque planner statistics block loaded with or
-// assigned to the store (nil when absent).
-func (s *SegStore) PlannerStats() []byte { return s.plannerStats }
-
-// SetPlannerStats assigns the planner statistics block written by Save.
-func (s *SegStore) SetPlannerStats(b []byte) { s.plannerStats = b }
-
 // Save writes the segmented layout: a header (magic, version, dims,
-// segment size, segment count), the planner-stats block, each segment as a
-// nested flat-store stream, and a CRC32 trailer over everything written.
+// segment size, segment count), an empty statistics block, each segment as
+// a nested flat-store stream, and a CRC32 trailer over everything written.
 func (s *SegStore) Save(w io.Writer) error {
-	return s.SaveWith(w, s.plannerStats)
-}
-
-// SaveWith is Save with an explicit planner-stats block, so a caller
-// holding only a read lock can persist fresh statistics without mutating
-// the store.
-func (s *SegStore) SaveWith(w io.Writer, plannerStats []byte) error {
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
 	if _, err := mw.Write([]byte(segMagic)); err != nil {
@@ -616,10 +600,7 @@ func (s *SegStore) SaveWith(w io.Writer, plannerStats []byte) error {
 			return err
 		}
 	}
-	if err := binary.Write(mw, binary.LittleEndian, uint64(len(plannerStats))); err != nil {
-		return err
-	}
-	if _, err := mw.Write(plannerStats); err != nil {
+	if err := binary.Write(mw, binary.LittleEndian, uint64(0)); err != nil {
 		return err
 	}
 	for _, g := range s.segs {
@@ -666,11 +647,8 @@ func LoadSegmented(r io.Reader) (*SegStore, error) {
 		if statsLen > maxStatsBlock {
 			return nil, fmt.Errorf("%w: implausible stats block of %d bytes", ErrCorrupt, statsLen)
 		}
-		if statsLen > 0 {
-			s.plannerStats = make([]byte, statsLen)
-			if _, err := io.ReadFull(tr, s.plannerStats); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
+		if _, err := io.CopyN(io.Discard, tr, int64(statsLen)); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	for i := 0; i < nsegs; i++ {
@@ -700,18 +678,13 @@ func LoadSegmented(r io.Reader) (*SegStore, error) {
 
 // SaveFile writes the segmented store to path atomically.
 func (s *SegStore) SaveFile(path string) error {
-	return s.SaveFileWith(path, s.plannerStats)
-}
-
-// SaveFileWith is SaveFile with an explicit planner-stats block.
-func (s *SegStore) SaveFileWith(path string, plannerStats []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	if err := s.SaveWith(bw, plannerStats); err != nil {
+	if err := s.Save(bw); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -2,6 +2,8 @@ package vstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"path/filepath"
 	"testing"
@@ -271,52 +273,45 @@ func TestStoreDimRangeAfterReorganize(t *testing.T) {
 	}
 }
 
-func TestSegStorePlannerStatsPersistence(t *testing.T) {
+// TestSegStoreSkipsOlderStatsBlock loads a v2 snapshot whose statistics
+// block is non-empty: the rows and delete marks are intact, and a fresh
+// Save writes the block empty — the image the store would have written
+// itself.
+func TestSegStoreSkipsOlderStatsBlock(t *testing.T) {
 	_, s := segFixture(t, 120, 6, 50)
-	stats := []byte(`{"queries":7,"bond_frac":0.5}`)
-	s.SetPlannerStats(stats)
-
+	s.Delete(17)
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSegmented(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	fresh := buf.Bytes()
+	if n := binary.LittleEndian.Uint64(fresh[snapshotStatsAt:]); n != 0 {
+		t.Fatalf("Save wrote a %d-byte statistics block, want 0", n)
 	}
-	if string(got.PlannerStats()) != string(stats) {
-		t.Fatalf("planner stats after round trip: %q", got.PlannerStats())
+	older := withStatsBlock(fresh, snapshotStatsAt, 8, []byte(`{"queries":7,"bond_frac":0.5}`))
+	for _, load := range []func([]byte) (*SegStore, error){
+		func(b []byte) (*SegStore, error) { return LoadSegmented(bytes.NewReader(b)) },
+		LoadAnyBytes,
+	} {
+		got, err := load(older)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameStore(t, got, s)
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), fresh) {
+			t.Fatal("re-save of a snapshot with a statistics block differs from a fresh Save")
+		}
 	}
-
-	// SaveWith persists an explicit block without mutating the store.
-	var buf2 bytes.Buffer
-	if err := s.SaveWith(&buf2, []byte("other")); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := LoadSegmented(bytes.NewReader(buf2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got2.PlannerStats()) != "other" {
-		t.Fatalf("SaveWith stats: %q", got2.PlannerStats())
-	}
-	if string(s.PlannerStats()) != string(stats) {
-		t.Fatal("SaveWith mutated the store's own stats block")
-	}
-
-	// A store without a stats block (and a legacy flat file) loads with
-	// a nil block.
-	fresh := SegmentedFromVectors(dataset.CorelLike(30, 4, 2), 10)
-	var buf3 bytes.Buffer
-	if err := fresh.Save(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	got3, err := LoadSegmented(bytes.NewReader(buf3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got3.PlannerStats() != nil {
-		t.Fatalf("expected nil stats, got %q", got3.PlannerStats())
+	// A block longer than the file is corruption, not a silent skip.
+	torn := append([]byte(nil), fresh...)
+	binary.LittleEndian.PutUint64(torn[snapshotStatsAt:], 1<<19)
+	binary.LittleEndian.PutUint32(torn[len(torn)-4:], crc32.ChecksumIEEE(torn[:len(torn)-4]))
+	if _, err := LoadSegmented(bytes.NewReader(torn)); err == nil {
+		t.Fatal("statistics block running past the end loaded")
 	}
 }
 

@@ -125,13 +125,6 @@ func TestMmapOracleParity(t *testing.T) {
 				label := fmt.Sprintf("%v/%v", crit, strat)
 				assertMatchesOracle(t, label+"/mapped", rm.Results, want)
 				assertMatchesOracle(t, label+"/heap", rh.Results, want)
-				if strat == StrategyAuto {
-					// The two handles learn independent cost models, so
-					// auto may legitimately execute different access paths
-					// (ulp-scale score differences); oracle agreement above
-					// is the whole contract here.
-					continue
-				}
 				if len(rm.Results) != len(rh.Results) {
 					t.Fatalf("%s: mapped %d results, heap %d", label, len(rm.Results), len(rh.Results))
 				}

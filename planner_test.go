@@ -1,9 +1,12 @@
 package bond
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bond/internal/plan"
@@ -164,44 +167,7 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPlannerModelPersistence checks that learned cost coefficients
-// survive Save/Open — the reopened collection plans from its history, not
-// the priors.
-func TestPlannerModelPersistence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vectors := make([][]float64, 300)
-	for i := range vectors {
-		v := make([]float64, 8)
-		for d := range v {
-			v[d] = rng.Float64()
-		}
-		vectors[i] = v
-	}
-	col := NewCollectionSegmented(vectors, 100)
-	for i := 0; i < 8; i++ {
-		if _, err := col.Query(QuerySpec{Query: vectors[i], K: 5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	learned := col.PlannerStats()
-	if learned == (PlannerCoefficients{}) || learned.Queries == 0 {
-		t.Fatal("no feedback recorded")
-	}
-
-	path := t.TempDir() + "/model.bond"
-	if err := col.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := re.PlannerStats(); got != learned {
-		t.Fatalf("reopened coefficients %+v, want %+v", got, learned)
-	}
-}
-
-// TestMultiResultOrderIndependence pins the query-result contract the
+// TestQueryExplainReportsActuals pins the query-result contract the
 // planner relies on: forcing each strategy through QueryExplain yields a
 // plan whose executed steps report actual costs, and the explain text is
 // non-empty before and after execution.
@@ -240,69 +206,135 @@ func TestQueryExplainReportsActuals(t *testing.T) {
 	}
 }
 
+// olderStatsBlock is the planner statistics block as releases that kept
+// learned time coefficients wrote it into MANIFESTs and snapshot files:
+// thirteen keys, five selectivities and a query count among them.
+const olderStatsBlock = `{"queries":1,"bond_frac":0.46,"compr_filter_frac":0.6,"compr_survive":0.05,"va_survive":0.044,` +
+	`"bond_ns_per_cell":2.9,"compr_ns_per_cell":3,"va_ns_per_cell":3,"exact_ns_per_cell":3,` +
+	`"bond_ns_per_cell_mapped":3,"compr_ns_per_cell_mapped":3,"va_ns_per_cell_mapped":3.2,"exact_ns_per_cell_mapped":3}`
+
+// withStatsBlock returns a copy of a CRC32-trailed image whose statistics
+// block is empty — a MANIFEST (a 4-byte length field at byte 52) or a
+// snapshot file (8 bytes at byte 40) — with block spliced in and the
+// trailer recomputed.
+func withStatsBlock(img []byte, at, width int, block []byte) []byte {
+	out := append([]byte(nil), img[:at]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(block)))[:at+width]
+	out = append(out, block...)
+	out = append(out, img[at+width:len(img)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// assertSamePlans runs the same queries on a and b and holds them to
+// byte-identical EXPLAIN text and bit-identical answers.
+func assertSamePlans(t *testing.T, a, b *Collection, vectors [][]float64) {
+	t.Helper()
+	for i, crit := range []Criterion{Eq, Hq, Ev, Hh} {
+		spec := QuerySpec{Query: vectors[7+31*i], K: 3, Criterion: crit}
+		ra, pa, err := a.QueryExplain(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, pb, err := b.QueryExplain(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ea, eb := pa.Explain(), pb.Explain(); ea != eb {
+			t.Fatalf("%v: EXPLAIN differs:\n%s\n%s", crit, ea, eb)
+		}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%v: answers differ: %+v vs %+v", crit, ra, rb)
+		}
+	}
+}
+
 // TestOpenDurableOlderStatsBlock opens a durable directory whose MANIFEST
-// carries the statistics block as written before the time coefficients
-// were retired (thirteen keys): the selectivities and the query count are
-// restored, and auto plans and answers from them.
+// carries a statistics block as releases with a learned cost model wrote
+// it: the directory opens, and it plans and answers exactly as its twin
+// with an empty block does.
 func TestOpenDurableOlderStatsBlock(t *testing.T) {
-	dir, vectors, _ := buildMmapFixture(t, 300, 8, 100, 5)
-	path := filepath.Join(dir, vstore.ManifestName)
+	older, vectors, _ := buildMmapFixture(t, 300, 8, 100, 5)
+	fresh, _, _ := buildMmapFixture(t, 300, 8, 100, 5)
+	path := filepath.Join(older, vstore.ManifestName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := vstore.DecodeManifest(raw)
-	if err != nil {
+	if err := os.WriteFile(path, withStatsBlock(raw, 52, 4, []byte(olderStatsBlock)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m.PlannerStats = []byte(`{"queries":1,"bond_frac":0.46,"compr_filter_frac":0.6,"compr_survive":0.05,"va_survive":0.044,` +
-		`"bond_ns_per_cell":2.9,"compr_ns_per_cell":3,"va_ns_per_cell":3,"exact_ns_per_cell":3,` +
-		`"bond_ns_per_cell_mapped":3,"compr_ns_per_cell_mapped":3,"va_ns_per_cell_mapped":3.2,"exact_ns_per_cell_mapped":3}`)
-	if err := os.WriteFile(path, vstore.EncodeManifest(m), 0o644); err != nil {
-		t.Fatal(err)
+	var cols [2]*Collection
+	for i, dir := range []string{older, fresh} {
+		if cols[i], err = OpenDurable(dir, DurableOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		defer cols[i].Close()
 	}
-
-	col, err := OpenDurable(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	want := PlannerCoefficients{Queries: 1, BondFrac: 0.46, ComprFilterFrac: 0.6, ComprSurvive: 0.05, VASurvive: 0.044}
-	if got := col.PlannerStats(); got != want {
-		t.Fatalf("restored %+v, want %+v", got, want)
-	}
-	res, p, err := col.QueryExplain(QuerySpec{Query: vectors[7], K: 3, Criterion: Eq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != 3 || p.Model != want {
-		t.Fatalf("planned from %+v with %d results, want %+v and 3", p.Model, len(res.Results), want)
-	}
+	assertSamePlans(t, cols[0], cols[1], vectors)
 }
 
-// TestPlannerDeterministic pins what taking the clock out of the planner
-// buys: a plan is a function of the collection and the queries that came
-// before, and of nothing else. Two durable collections built by the same
-// operations — one reopened heap-decoded, one memory-mapped — are driven
-// through one sequence of auto queries, fresh, after a recluster and after
-// a checkpoint and reopen; after every query their EXPLAIN texts are
-// byte-identical and their planner statistics ==. On a fresh model auto
-// answers through BOND alone.
-//
-// QueryBatch feeds the model one batch mean per path, summed in
-// worker-completion order, so the last bit of the statistics may differ
-// after it: for the batch only the chosen paths are compared.
+// TestOpenOlderStatsBlock is the snapshot-file half of the same contract:
+// a Save image carrying a non-empty statistics block opens through Open
+// with the same rows, plans and answers as the image without it.
+func TestOpenOlderStatsBlock(t *testing.T) {
+	vectors := make([][]float64, 300)
+	rng := rand.New(rand.NewSource(6))
+	for i := range vectors {
+		vectors[i] = randVector(rng, 8)
+	}
+	col := NewCollectionSegmented(vectors, 100)
+	col.Delete(12)
+	dir := t.TempDir()
+	fresh, older := filepath.Join(dir, "fresh.bond"), filepath.Join(dir, "older.bond")
+	if err := col.Save(fresh); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(older, withStatsBlock(raw, 40, 8, []byte(olderStatsBlock)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() != col.Len() || a.Live() != col.Live() {
+		t.Fatalf("opened %d slots, %d live; saved %d, %d", a.Len(), a.Live(), col.Len(), col.Live())
+	}
+	for id := range vectors {
+		if !reflect.DeepEqual(a.Vector(id), vectors[id]) {
+			t.Fatalf("row %d differs after open", id)
+		}
+	}
+	assertSamePlans(t, a, b, vectors)
+}
+
+// TestPlannerDeterministic pins what taking the clock and the history out
+// of the planner buys: a plan is a function of the collection and the
+// query, and of nothing else. Three durable collections are built by the
+// same operations — one reopened heap-decoded, two memory-mapped — and go
+// through the same mutations: a recluster, then a checkpoint and reopen.
+// Before each phase the first two also answer forced compressed, VA-File
+// and exact queries and a QueryBatch; the third answers nothing but the
+// compared queries themselves. After every auto query the three EXPLAIN
+// texts are byte-identical, and auto ran BOND on every executed step.
 func TestPlannerDeterministic(t *testing.T) {
 	const (
 		n, dims, segSize = 1200, 16, 100
 		seed             = 77
 	)
-	dirs := [2]string{}
+	var dirs [3]string
 	for i := range dirs {
 		dirs[i], _, _ = buildMmapFixture(t, n, dims, segSize, seed)
 	}
-	opts := [2]DurableOptions{{DisableMmap: true, Fsync: FsyncNever}, {Fsync: FsyncNever}}
-	var cols [2]*Collection
+	opts := [3]DurableOptions{{DisableMmap: true, Fsync: FsyncNever}, {Fsync: FsyncNever}, {Fsync: FsyncNever}}
+	var cols [3]*Collection
 	open := func() {
 		for i := range cols {
 			c, err := OpenDurable(dirs[i], opts[i])
@@ -315,7 +347,7 @@ func TestPlannerDeterministic(t *testing.T) {
 			t.Fatal("DisableMmap collection reports mapped bytes")
 		}
 		if cols[1].StatsSnapshot().MappedBytes == 0 {
-			t.Log("platform cannot memory-map segment files: both collections are heap-backed")
+			t.Log("platform cannot memory-map segment files: every collection is heap-backed")
 		}
 	}
 	closeAll := func() {
@@ -336,45 +368,78 @@ func TestPlannerDeterministic(t *testing.T) {
 		}
 		return spec
 	}
-	// drive runs count auto queries on both collections, comparing after
-	// each one.
-	drive := func(phase string, count int, bondOnly bool) {
+	// history gives the two queried collections what the quiet one never
+	// sees: every other access path, and a batch, whose answers must agree
+	// between them exactly.
+	history := func(phase string) {
 		t.Helper()
+		specs := make([]QuerySpec, 16)
+		for i := range specs {
+			specs[i] = nextSpec(i)
+		}
+		for i, strat := range []Strategy{StrategyCompressed, StrategyVAFile, StrategyExact} {
+			specs[i].Strategy = strat
+			for _, c := range cols[:2] {
+				if _, err := c.Query(specs[i]); err != nil {
+					t.Fatalf("%s %v: %v", phase, strat, err)
+				}
+			}
+		}
+		var batch [2][]QueryResult
+		for j, c := range cols[:2] {
+			var err error
+			if batch[j], err = c.QueryBatch(specs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range specs {
+			a, b := batch[0][i], batch[1][i]
+			if len(a.Results) != len(b.Results) || !reflect.DeepEqual(a.Stats, b.Stats) {
+				t.Fatalf("%s batch query %d: heap and mapped differ: %+v vs %+v", phase, i, a, b)
+			}
+			for r := range a.Results {
+				if a.Results[r] != b.Results[r] {
+					t.Fatalf("%s batch query %d rank %d: heap %+v, mapped %+v", phase, i, r, a.Results[r], b.Results[r])
+				}
+			}
+		}
+	}
+	// drive runs count auto queries on all three collections, comparing
+	// after each one.
+	drive := func(phase string, count int) {
+		t.Helper()
+		history(phase)
 		for i := 0; i < count; i++ {
 			spec := nextSpec(i)
-			var plans [2]*QueryPlan
+			var texts [3]string
 			for j, c := range cols {
 				_, p, err := c.QueryExplain(spec)
 				if err != nil {
 					t.Fatalf("%s query %d: %v", phase, i, err)
 				}
-				plans[j] = p
-			}
-			if a, b := plans[0].Explain(), plans[1].Explain(); a != b {
-				t.Fatalf("%s query %d: EXPLAIN differs between heap and mapped:\n%s\n%s", phase, i, a, b)
-			}
-			if a, b := cols[0].PlannerStats(), cols[1].PlannerStats(); a != b {
-				t.Fatalf("%s query %d: planner stats differ: %+v vs %+v", phase, i, a, b)
-			}
-			if bondOnly {
-				for _, st := range plans[0].Steps {
+				texts[j] = p.Explain()
+				for _, st := range p.Steps {
 					if st.Executed && st.Path != plan.PathBOND {
 						t.Fatalf("%s query %d: segment %d ran %v, want bond\n%s",
-							phase, i, st.Segment, st.Path, plans[0].Explain())
+							phase, i, st.Segment, st.Path, texts[j])
 					}
 				}
+			}
+			if texts[0] != texts[1] || texts[0] != texts[2] {
+				t.Fatalf("%s query %d: EXPLAIN differs between heap, mapped and quiet:\n%s\n%s\n%s",
+					phase, i, texts[0], texts[1], texts[2])
 			}
 		}
 	}
 
-	drive("fresh", 64, true)
+	drive("fresh", 64)
 
 	for _, c := range cols {
 		if _, err := c.ReclusterDurable(0, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drive("reclustered", 32, false)
+	drive("reclustered", 32)
 
 	for _, c := range cols {
 		if err := c.Checkpoint(); err != nil {
@@ -383,47 +448,5 @@ func TestPlannerDeterministic(t *testing.T) {
 	}
 	closeAll()
 	open()
-	if cols[0].PlannerStats().Queries != 96 {
-		t.Fatalf("reopened model counts %d queries, want 96", cols[0].PlannerStats().Queries)
-	}
-	drive("reopened", 32, false)
-
-	specs := make([]QuerySpec, 16)
-	for i := range specs {
-		specs[i] = nextSpec(i)
-	}
-	var batch [2][]QueryResult
-	for j, c := range cols {
-		var err error
-		if batch[j], err = c.QueryBatch(specs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Cells read are a fingerprint of the paths a batch query ran (each
-	// path reads a different number of them); the plan that follows shows
-	// the paths the batch's feedback leads to.
-	for i := range specs {
-		a, b := batch[0][i].Stats, batch[1][i].Stats
-		if a.ValuesScanned != b.ValuesScanned || a.SegmentsSearched != b.SegmentsSearched || a.SegmentsSkipped != b.SegmentsSkipped {
-			t.Fatalf("batch query %d: work differs between heap and mapped: %+v vs %+v", i, a, b)
-		}
-	}
-	spec := nextSpec(0)
-	var plans [2]*QueryPlan
-	for j, c := range cols {
-		var err error
-		if _, plans[j], err = c.QueryExplain(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(plans[0].Steps) != len(plans[1].Steps) {
-		t.Fatalf("post-batch plans have %d and %d steps", len(plans[0].Steps), len(plans[1].Steps))
-	}
-	for i := range plans[0].Steps {
-		a, b := plans[0].Steps[i], plans[1].Steps[i]
-		if a.Segment != b.Segment || a.Path != b.Path {
-			t.Fatalf("post-batch step %d: heap runs segment %d by %v, mapped segment %d by %v",
-				i, a.Segment, a.Path, b.Segment, b.Path)
-		}
-	}
+	drive("reopened", 32)
 }

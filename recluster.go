@@ -134,14 +134,6 @@ func (c *Collection) ReclusterDurable(k int, seed int64) ([]int, error) {
 	}
 	c.invalidatePlanCache()
 	mapping := c.store.Repartition(groups)
-	// Cost-model hygiene: the rewrite destroyed the segments the EWMA
-	// feedback was learned on, so blend the model toward its priors in
-	// proportion to the fraction of live vectors that moved. Live-path
-	// only — the model is heuristic state, not part of the replay
-	// contract, and recovery reloads it from the last checkpoint anyway.
-	if live := c.store.Live(); live > 0 {
-		c.model.DecayForRewrite(float64(flat.Live()) / float64(live))
-	}
 	c.reclusters++
 	c.reclusterMark = c.sealedLenLocked()
 	return mapping, nil

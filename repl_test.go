@@ -11,7 +11,6 @@ import (
 
 	"bond/internal/crashfs"
 	"bond/internal/iofs"
-	"bond/internal/vstore"
 	"bond/internal/wal"
 )
 
@@ -144,18 +143,6 @@ func assertReplicaIdentical(t *testing.T, lfs iofs.FS, ldir string, ffs iofs.FS,
 		fdata, err := ffs.ReadFile(fdir + "/" + name)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if name == vstore.ManifestName {
-			lm, lerr := vstore.DecodeManifest(ldata)
-			fm, ferr := vstore.DecodeManifest(fdata)
-			if lerr != nil || ferr != nil {
-				t.Fatalf("manifest decode: leader %v, follower %v", lerr, ferr)
-			}
-			lm.PlannerStats, fm.PlannerStats = nil, nil
-			if !reflect.DeepEqual(lm, fm) {
-				t.Fatalf("manifests differ (modulo planner stats):\n  leader   %+v\n  follower %+v", lm, fm)
-			}
-			continue
 		}
 		if !bytes.Equal(ldata, fdata) {
 			t.Fatalf("file %s differs between leader and follower (%d vs %d bytes)", name, len(ldata), len(fdata))
