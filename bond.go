@@ -326,9 +326,9 @@ func (c *Collection) Save(path string) error {
 	return c.store.SaveFile(path)
 }
 
-// PlannerModelStats is the serializable planner view a stats endpoint
+// PlannerPoolStats is the serializable planner view a stats endpoint
 // exposes: gauges over the pooled plans and execution lanes.
-type PlannerModelStats = plan.PoolStats
+type PlannerPoolStats = plan.PoolStats
 
 // SegmentSynopsis is the compact serializable summary of one segment's
 // per-dimension min/max synopsis.
@@ -386,7 +386,7 @@ type CollectionStats struct {
 	// ("avx2", or "none" for the portable loops).
 	SIMD string `json:"simd"`
 	// Planner is the planner pool's serializable view.
-	Planner PlannerModelStats `json:"planner"`
+	Planner PlannerPoolStats `json:"planner"`
 	// Durability is the WAL/checkpoint gauge block of a collection opened
 	// with OpenDurable; nil for in-memory collections.
 	Durability *DurabilityStats `json:"durability,omitempty"`

@@ -34,19 +34,25 @@ func allocTestCollection(t testing.TB, n, dims, segSize int) (*Collection, [][]f
 // warm-up, Collection.Query performs at most allocBudget allocations per
 // call on every access path, for both a histogram and a Euclidean
 // criterion, and on the BOND path for subspace and weighted queries under
-// every criterion that takes them.
+// every criterion that takes them — and on 1 536 cluster-contiguous
+// segments, whose per-segment prefix bounds the planner keeps in a heap
+// pooled with the plan.
 func TestQueryAllocationBudget(t *testing.T) {
 	col, vectors := allocTestCollection(t, 1200, 24, 300)
+	const blocks, perBlock = 1536, 4
+	clustered := clusterBlocks(blocks, perBlock, 24, 5)
+	ccol := NewCollectionSegmented(clustered, perBlock)
 
 	type pathCase struct {
 		name string
 		spec QuerySpec
+		col  *Collection
 	}
 	var cases []pathCase
 	for _, strat := range []Strategy{StrategyAuto, StrategyBOND, StrategyCompressed, StrategyVAFile, StrategyExact} {
 		for _, crit := range []Criterion{Hq, Eq} {
 			cases = append(cases, pathCase{fmt.Sprintf("%v_%v", crit, strat),
-				QuerySpec{Criterion: crit, Strategy: strat}})
+				QuerySpec{Criterion: crit, Strategy: strat}, nil})
 		}
 	}
 	// Subspace and weighted BOND (the weights include zeros): the effective
@@ -59,25 +65,33 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
 		cases = append(cases, pathCase{fmt.Sprintf("%v_bond_dims", crit),
-			QuerySpec{Criterion: crit, Strategy: StrategyBOND, Dims: dims}})
+			QuerySpec{Criterion: crit, Strategy: StrategyBOND, Dims: dims}, nil})
 		if crit != Hh { // Hh takes no weights
 			cases = append(cases, pathCase{fmt.Sprintf("%v_bond_weights", crit),
-				QuerySpec{Criterion: crit, Strategy: StrategyBOND, Weights: weights}})
+				QuerySpec{Criterion: crit, Strategy: StrategyBOND, Weights: weights}, nil})
 		}
+	}
+
+	for _, crit := range []Criterion{Eq, Hq} {
+		cases = append(cases, pathCase{fmt.Sprintf("%v_clustered_%d", crit, blocks),
+			QuerySpec{Criterion: crit, Query: clustered[7]}, ccol})
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := tc.spec
-			spec.Query, spec.K = vectors[7], 10
+			spec, c := tc.spec, tc.col
+			if c == nil {
+				spec.Query, c = vectors[7], col
+			}
+			spec.K = 10
 			// Warm the pools, the lazy codes, and the buffer high-water marks.
 			for i := 0; i < 8; i++ {
-				if _, err := col.Query(spec); err != nil {
+				if _, err := c.Query(spec); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := col.Query(spec); err != nil {
+				if _, err := c.Query(spec); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -12,7 +12,8 @@ import (
 // searchCompressed validates the way the planner does — shape, then the
 // compressed-path restrictions — and runs the single-segment primitive.
 func searchCompressed(s Source, qs *vstore.QuantStore, q []float64, opts Options) (CompressedResult, error) {
-	if err := ValidateSegments([]SegmentView{{Src: s}}, q, &opts); err != nil {
+	view := SegmentView{Src: s}
+	if err := ValidateSegments(1, func(int) *SegmentView { return &view }, q, &opts); err != nil {
 		return CompressedResult{}, err
 	}
 	if err := ValidateCompressed(opts); err != nil {

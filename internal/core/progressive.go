@@ -40,7 +40,7 @@ func NewProgressive(s Source, q []float64, opts Options) (*Progressive, error) {
 // inspectable until the caller finishes — but results are identical to
 // a one-shot planned search.
 func NewProgressiveSegments(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
-	m, err := aggregateViews(views)
+	m, err := aggregateViews(len(views), func(i int) *SegmentView { return &views[i] })
 	if err != nil {
 		return nil, err
 	}

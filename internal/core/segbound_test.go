@@ -10,24 +10,17 @@ import (
 )
 
 // refSegBound is the synopsis bound as it was computed one dimension at a
-// time through a DimRange callback: the reference SegBound must match bit
-// for bit.
-func refSegBound(n int, dimRange func(d int) (lo, hi float64), q []float64, opts core.Options) (bound float64, ok bool) {
-	if dimRange == nil || n == 0 {
-		return 0, false
-	}
-	dimBound := func(d int) (float64, bool) {
+// time through a DimRange callback: SegBound must match it bit for bit.
+func refSegBound(dimRange func(d int) (lo, hi float64), q []float64, opts core.Options) float64 {
+	dimBound := func(d int) float64 {
 		w := 1.0
 		if len(opts.Weights) > 0 {
 			w = opts.Weights[d]
 			if w == 0 {
-				return 0, true
+				return 0
 			}
 		}
 		lo, hi := dimRange(d)
-		if math.IsInf(lo, 1) {
-			return 0, false
-		}
 		if opts.Criterion.Distance() {
 			gap := 0.0
 			if q[d] < lo {
@@ -35,9 +28,9 @@ func refSegBound(n int, dimRange func(d int) (lo, hi float64), q []float64, opts
 			} else if q[d] > hi {
 				gap = q[d] - hi
 			}
-			return w * gap * gap, true
+			return w * gap * gap
 		}
-		return w * math.Min(q[d], hi), true
+		return w * math.Min(q[d], hi)
 	}
 	dims := opts.Dims
 	if len(dims) == 0 {
@@ -45,24 +38,33 @@ func refSegBound(n int, dimRange func(d int) (lo, hi float64), q []float64, opts
 			dims = append(dims, d)
 		}
 	}
+	bound := 0.0
 	for _, d := range dims {
-		b, live := dimBound(d)
-		if !live {
-			return 0, false
-		}
-		bound += b
+		bound += dimBound(d)
 	}
-	return bound, true
+	return bound
 }
 
-// sizedSource is a Source of n slots and nothing else: SegBound asks a
-// segment only whether it is empty.
-type sizedSource struct {
-	core.Source
-	n int
+// effectiveDims lists the dimensions a bound sums, in order: Dims or every
+// dimension, less the zero weights.
+func effectiveDims(dims int, opts core.Options) []int32 {
+	var out []int32
+	keep := func(d int) {
+		if len(opts.Weights) == 0 || opts.Weights[d] != 0 {
+			out = append(out, int32(d))
+		}
+	}
+	if len(opts.Dims) > 0 {
+		for _, d := range opts.Dims {
+			keep(d)
+		}
+		return out
+	}
+	for d := 0; d < dims; d++ {
+		keep(d)
+	}
+	return out
 }
-
-func (s sizedSource) Len() int { return s.n }
 
 func TestSegBoundMatchesPerDimensionReference(t *testing.T) {
 	const dims = 37
@@ -82,23 +84,31 @@ func TestSegBoundMatchesPerDimensionReference(t *testing.T) {
 		{"subspace", nil, subspace},
 		{"weighted subspace", weights, subspace},
 	}
-	check := func(label string, n int, lo, hi, q []float64) {
+	check := func(label string, lo, hi, q []float64) {
 		t.Helper()
-		var dimRange func(d int) (float64, float64)
-		if lo != nil {
-			dimRange = func(d int) (float64, float64) { return lo[d], hi[d] }
-		}
-		view := core.SegmentView{Src: sizedSource{n: n}, Lo: lo, Hi: hi}
+		dimRange := func(d int) (float64, float64) { return lo[d], hi[d] }
+		view := core.SegmentView{Lo: lo, Hi: hi}
 		for _, crit := range []core.Criterion{core.Eq, core.Ev, core.Hq, core.Hh} {
 			for _, sh := range shapes {
 				if crit == core.Hh && sh.weights != nil {
 					continue // rejected by validation
 				}
 				opts := core.Options{Criterion: crit, Weights: sh.weights, Dims: sh.dims}
-				want, wantOK := refSegBound(n, dimRange, q, opts)
-				got, ok := core.SegBound(&view, q, &opts)
-				if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %v %s: bound %v (%v), reference %v (%v)", label, crit, sh.name, got, ok, want, wantOK)
+				want := refSegBound(dimRange, q, opts)
+				ds := effectiveDims(dims, opts)
+				got := core.SegBound(&view, q, &opts, ds, 0)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v %s: bound %v, reference %v", label, crit, sh.name, got, want)
+				}
+				// Summed in two pieces, the bound is the same bits, and a
+				// distance prefix never exceeds the whole.
+				cut := rng.Intn(len(ds) + 1)
+				part := core.SegBound(&view, q, &opts, ds[:cut], 0)
+				if crit.Distance() && part > got {
+					t.Fatalf("%s %v %s: prefix of %d dims %v exceeds the bound %v", label, crit, sh.name, cut, part, got)
+				}
+				if rest := core.SegBound(&view, q, &opts, ds[cut:], part); math.Float64bits(rest) != math.Float64bits(got) {
+					t.Fatalf("%s %v %s: split at %d sums to %v, whole %v", label, crit, sh.name, cut, rest, got)
 				}
 			}
 		}
@@ -122,15 +132,13 @@ func TestSegBoundMatchesPerDimensionReference(t *testing.T) {
 				q[d] = lo[d] + (hi[d]-lo[d])*rng.Float64() // inside
 			}
 		}
-		check("random box", 5, lo, hi, q)
+		check("random box", lo, hi, q)
 		if trial%10 == 0 {
-			check("empty segment", 0, lo, hi, q)
-			check("no synopsis", 5, nil, nil, q)
-			// A dimension nothing was observed in voids the bound — unless its
-			// weight is zero or the subspace leaves it out, as before.
+			// A dimension nothing was observed in adds +Inf to a distance
+			// bound and −Inf to a similarity one, as the reference does.
 			d := rng.Intn(dims)
 			lo[d], hi[d] = math.Inf(1), math.Inf(-1)
-			check("dimension without data", 5, lo, hi, q)
+			check("dimension without data", lo, hi, q)
 		}
 	}
 
@@ -146,7 +154,7 @@ func TestSegBoundMatchesPerDimensionReference(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i, g := range seg.Segments() {
-			check("store segment", g.Len(), views[i].Lo, views[i].Hi, q)
+			check("store segment", views[i].Lo, views[i].Hi, q)
 			for d := 0; d < dims; d++ {
 				if lo, hi := g.DimRange(d); views[i].Lo[d] != lo || views[i].Hi[d] != hi {
 					t.Fatalf("round %d segment %d dim %d: view holds [%v, %v], store [%v, %v]",

@@ -14,11 +14,13 @@ import (
 // per-dimension min/max synopsis.
 //
 // Lo[d] and Hi[d] bound every coefficient of dimension d; they are live
-// views of the segment's own synopsis, not copies (an empty dimension reads
-// +Inf, −Inf). When they are non-nil, the plan executor uses them to bound
-// the best score any member of the segment could reach and skips the
-// segment wholesale whenever that bound cannot beat the running k-th best
-// (κ). Nil slices only disable skipping; results stay exact either way.
+// views of the segment's own synopsis, not copies. A store observes every
+// dimension of each vector it appends, so a synopsis bounds all dimensions
+// or, before any value was observed, none: every dimension then reads +Inf,
+// −Inf. When they are non-nil, the plan executor uses them to bound the
+// best score any member of the segment could reach and skips the segment
+// wholesale whenever that bound cannot beat the running k-th best (κ). Nil
+// slices only disable skipping; results stay exact either way.
 type SegmentView struct {
 	Src    Source
 	Base   int
@@ -36,12 +38,14 @@ func (m viewsMeta) Dims() int                      { return m.dims }
 func (m viewsMeta) Len() int                       { return m.n }
 func (m viewsMeta) ValueRange() (float64, float64) { return m.lo, m.hi }
 
-func aggregateViews(views []SegmentView) (viewsMeta, error) {
-	if len(views) == 0 {
+// aggregateViews aggregates the n views view(0)…view(n−1).
+func aggregateViews(n int, view func(int) *SegmentView) (viewsMeta, error) {
+	if n == 0 {
 		return viewsMeta{}, fmt.Errorf("core: no segment views")
 	}
-	m := viewsMeta{dims: views[0].Src.Dims(), lo: math.Inf(1), hi: math.Inf(-1)}
-	for i, v := range views {
+	m := viewsMeta{dims: view(0).Src.Dims(), lo: math.Inf(1), hi: math.Inf(-1)}
+	for i := 0; i < n; i++ {
+		v := view(i)
 		if v.Src.Dims() != m.dims {
 			return viewsMeta{}, fmt.Errorf("core: segment %d has %d dims, segment 0 has %d",
 				i, v.Src.Dims(), m.dims)
@@ -52,8 +56,8 @@ func aggregateViews(views []SegmentView) (viewsMeta, error) {
 		}
 		m.n += v.Src.Len()
 		lo, hi := v.Src.ValueRange()
-		m.lo = math.Min(m.lo, lo)
-		m.hi = math.Max(m.hi, hi)
+		m.lo = min(m.lo, lo)
+		m.hi = max(m.hi, hi)
 	}
 	return m, nil
 }
@@ -80,63 +84,40 @@ func LocalExclude(global *bitmap.Bitmap, base, n int) *bitmap.Bitmap {
 	return local
 }
 
-// SegBound returns the best score any vector inside the segment could
-// possibly reach under the query and options, derived from the synopsis:
-// an upper bound on similarity for the histogram criteria, a lower bound
-// on distance for the Euclidean ones. ok is false when the view carries no
-// usable synopsis (empty segment, nil Lo/Hi, or an effective dimension with
-// no data observed, lo = +Inf), in which case the segment must be searched.
+// SegBound adds to acc the synopsis-bound terms of the dimensions ds, in
+// order, and returns the sum. Over all of a query's effective dimensions
+// (Dims, or every dimension, less the zero weights — the ones
+// buildOrderInto keeps) from acc = 0, that is the best score any vector
+// inside the segment could possibly reach: an upper bound on similarity for
+// the histogram criteria, a lower bound on distance for the Euclidean ones.
+// The view must carry a synopsis (non-nil Lo/Hi).
 //
-// It is one pass over the two synopsis slices: the shape (subspace,
-// weighted, plain) is chosen once, not per dimension, and the per-dimension
-// term (boundTerm) has no data-dependent branch. The effective dimensions
-// mirror buildOrderInto (Dims restricts, zero weights drop out) and are
-// summed in the order given; each term is rounded before it is added (the
-// float64 conversions forbid a fused multiply-add), so the bound — and with
-// it every skip decision — is the same bits everywhere.
-func SegBound(v *SegmentView, q []float64, opts *Options) (bound float64, ok bool) {
-	if v.Lo == nil || v.Src.Len() == 0 {
-		return 0, false
-	}
+// A bound may be summed in pieces, each call passing the previous sum as
+// acc: the terms are added in the same order either way, and each is rounded
+// before it is added (the float64 conversions forbid a fused multiply-add),
+// so the bound — and with it every skip decision — is the same bits
+// however it was split. A distance term is never negative and rounding is
+// monotone, so a distance prefix never exceeds the whole: a prefix that
+// already loses to κ proves the segment hopeless. No term has a
+// data-dependent branch.
+func SegBound(v *SegmentView, q []float64, opts *Options, ds []int32, acc float64) float64 {
 	lo, hi, w := v.Lo, v.Hi, opts.Weights
-	dist := opts.Criterion.Distance()
-	inf := math.Inf(1)
-	switch {
-	case len(opts.Dims) > 0:
-		for _, d := range opts.Dims {
-			wd := 1.0
-			if len(w) > 0 {
-				wd = w[d]
-			}
-			if wd == 0 {
-				continue
-			}
-			if lo[d] == inf {
-				return 0, false
-			}
-			bound += boundTerm(dist, wd, lo[d], hi[d], q[d])
+	switch dist := opts.Criterion.Distance(); {
+	case dist && len(w) == 0:
+		for _, d := range ds {
+			gap := boxGap(lo[d], hi[d], q[d])
+			acc += float64(gap * gap)
 		}
-	case len(w) > 0:
-		lo, hi, w = lo[:len(q)], hi[:len(q)], w[:len(q)]
-		for d, qd := range q {
-			if w[d] == 0 {
-				continue
-			}
-			if lo[d] == inf {
-				return 0, false
-			}
-			bound += boundTerm(dist, w[d], lo[d], hi[d], qd)
+	case len(w) == 0:
+		for _, d := range ds {
+			acc += min(q[d], hi[d])
 		}
 	default:
-		lo, hi = lo[:len(q)], hi[:len(q)]
-		for d, qd := range q {
-			if lo[d] == inf {
-				return 0, false
-			}
-			bound += boundTerm(dist, 1, lo[d], hi[d], qd)
+		for _, d := range ds {
+			acc += boundTerm(dist, w[d], lo[d], hi[d], q[d])
 		}
 	}
-	return bound, true
+	return acc
 }
 
 // boundTerm is one dimension's best-case contribution to a segment bound:
@@ -204,12 +185,12 @@ func RebaseInPlace(rs []topk.Result, base int) []topk.Result {
 	return rs
 }
 
-// ValidateSegments aggregates the views and validates the options against
-// the combined collection, applying option defaults in place. Planners
-// that execute segments through the per-segment primitives below must call
-// this once before running them.
-func ValidateSegments(views []SegmentView, q []float64, opts *Options) error {
-	m, err := aggregateViews(views)
+// ValidateSegments aggregates the n views view(0)…view(n−1) and validates
+// the options against the combined collection, applying option defaults in
+// place. Planners that execute segments through the per-segment primitives
+// below must call this once before running them.
+func ValidateSegments(n int, view func(int) *SegmentView, q []float64, opts *Options) error {
+	m, err := aggregateViews(n, view)
 	if err != nil {
 		return err
 	}

@@ -200,15 +200,16 @@ func (p *Plan) fanOut(npar int, ln *lane) error {
 // advance moves the cursor to the next step the running κ does not dismiss.
 // κ, once k results exist, is exact: it dismisses a whole segment whose
 // synopsis bound cannot beat it, and rides into the ones that run, where it
-// prunes candidate by candidate (the carried κ). Only the plan's own steps
-// move its κ, so the pending step stays the right one however long it waits
-// for its turn.
+// prunes candidate by candidate (the carried κ). Past the steps init wrote,
+// the next one comes from the heap of bounded segments (nextBounded). Only
+// the plan's own steps move its κ, so the pending step stays the right one
+// however long it waits for its turn.
 func (p *Plan) advance() {
 	c := p.cur
 	dist := p.Opts.Criterion.Distance()
 	kappa, full := c.kappa.Threshold()
 	kappa = p.adjustKappa(kappa, dist)
-	for ; c.next < len(p.Steps); c.next++ {
+	for ; c.next < len(p.Steps) || p.nextBounded(kappa, full); c.next++ {
 		st := &p.Steps[c.next]
 		st.Kappa, st.HasKappa = kappa, full
 		if !full || !st.HasBound || !core.CannotBeat(st.Bound, kappa, dist) {
@@ -218,6 +219,138 @@ func (p *Plan) advance() {
 		c.res.Stats.SegmentsSkipped++
 	}
 	c.done = true
+}
+
+// boundBlock is how many effective dimensions a distance segment's partial
+// bound first covers; each extension then doubles them. On
+// cluster-contiguous data the first block already puts a far segment's
+// prefix above κ, so a dismissed segment costs boundBlock cells, while a
+// bound that must be finished takes log₂(dims/boundBlock) heap passes, and
+// a dismissal never reads more than twice the dimensions it needed. On
+// BenchmarkPlanQuery's 1 536 segments, blocks of 2, 4 and 8 planned within
+// noise of each other and 16 a third slower.
+const boundBlock = 4
+
+// segEntry is a bounded segment no step has taken yet: its synopsis bound
+// summed over the first pos effective dimensions (the whole bound once pos
+// reaches len(eff)), negated for similarities — so the heap orders both
+// directions smallest key first, segment index breaking ties.
+type segEntry struct {
+	key float64
+	seg int32
+	pos int32
+}
+
+// nextBounded appends the next bounded segment's step to p.Steps and reports
+// true, or reports false once there is none left to run. It is
+// branch-and-bound over the synopses (§ 5, one level up) and reads a
+// segment's synopsis only as far as the decision needs:
+//   - A top entry whose key already cannot beat κ dismisses the whole heap:
+//     every other bound is at least its key, which is at least the top's. (A
+//     distance term is never negative, so a partial distance bound never
+//     exceeds the whole one; a similarity entry is always complete.) A
+//     pooled plan counts the dismissals; one made by New lists them as steps,
+//     which advance then marks skipped.
+//   - A complete top is the next step: no other entry's bound can come
+//     before it in the order of the complete bounds (bound, then index) —
+//     the order eager bound-and-sort planning gave.
+//   - Otherwise the top's bound covers twice the dimensions it did, and the
+//     entry sinks to its place.
+func (p *Plan) nextBounded(kappa float64, full bool) bool {
+	dist := p.Opts.Criterion.Distance()
+	for len(p.heap) > 0 {
+		top := &p.heap[0]
+		if full && core.CannotBeat(p.entryBound(*top), kappa, dist) {
+			if p.pooled {
+				p.cur.res.Stats.SegmentsSkipped += len(p.heap)
+				p.heap = p.heap[:0]
+				return false
+			}
+			p.materialize()
+			return true
+		}
+		if int(top.pos) == len(p.eff) {
+			p.Steps = append(p.Steps, p.boundedStep(p.pop()))
+			return true
+		}
+		p.extend(top, int(top.pos))
+		siftDown(p.heap, 0)
+	}
+	return false
+}
+
+// materialize appends every segment left in the heap to the steps, its
+// bound finished from the saved prefix, in the order the complete bounds
+// give — so that a plan made by New lists every segment, as EXPLAIN prints
+// them. It runs from Explain or finish, whichever comes first, and needs the
+// segments finish drops.
+func (p *Plan) materialize() {
+	for i := range p.heap {
+		p.extend(&p.heap[i], len(p.eff))
+	}
+	heapify(p.heap)
+	for len(p.heap) > 0 {
+		p.Steps = append(p.Steps, p.boundedStep(p.pop()))
+	}
+}
+
+// extend adds up to n more effective dimensions to e's partial bound.
+func (p *Plan) extend(e *segEntry, n int) {
+	to := min(int(e.pos)+n, len(p.eff))
+	e.key = core.SegBound(&p.segs[e.seg].View, p.Spec.Query, &p.Opts, p.eff[e.pos:to], e.key)
+	p.cells += to - int(e.pos)
+	e.pos = int32(to)
+}
+
+// entryBound is e's (partial) bound with the direction restored.
+func (p *Plan) entryBound(e segEntry) float64 {
+	if p.Opts.Criterion.Distance() {
+		return e.key
+	}
+	return -e.key
+}
+
+// boundedStep is the step of a heap entry whose bound is complete.
+func (p *Plan) boundedStep(e segEntry) Step {
+	return p.newStep(int(e.seg), p.entryBound(e), true)
+}
+
+// pop removes and returns the heap's top entry.
+func (p *Plan) pop() segEntry {
+	h := p.heap
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	p.heap = h[:last]
+	siftDown(p.heap, 0)
+	return top
+}
+
+func entryLess(a, b segEntry) bool {
+	return a.key < b.key || a.key == b.key && a.seg < b.seg
+}
+
+func heapify(h []segEntry) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// siftDown moves h[i] down to its place below.
+func siftDown(h []segEntry, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && entryLess(h[c+1], h[c]) {
+			c++
+		}
+		if !entryLess(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // step runs the pending step on ln, folds its outcome and advances. The
@@ -272,8 +405,12 @@ func (p *Plan) finish() (Result, error) {
 	c := p.cur
 	// Drop the segment handles: Explain only needs Steps, and a caller
 	// holding the plan (e.g. to log it later) must not pin the segments'
-	// columns and cached code arrays past compaction.
-	p.segs = nil
+	// columns and cached code arrays past compaction. A plan made by New
+	// first lists the segments its cursor never reached.
+	if !p.pooled {
+		p.materialize()
+	}
+	p.segs, p.heap = nil, p.heap[:0]
 	if c.err != nil {
 		return Result{}, c.err
 	}

@@ -14,8 +14,13 @@ import (
 // the κ a step met — the k-th best score the steps above it had
 // established ("-": none yet). A step whose bound cannot beat it is
 // skipped; a BOND step carries it into its pruning, which is why a late
-// segment reads a fraction of what the first one did.
+// segment reads a fraction of what the first one did. Every segment has a
+// line: the bounds the cursor did not need are finished here, if Execute has
+// not run yet.
 func (p *Plan) Explain() string {
+	if p.segs != nil {
+		p.materialize()
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query: k=%d criterion=%s strategy=%s segments=%d (%d slots × %d dims)\n",
 		p.Opts.K, p.Opts.Criterion, p.Spec.Strategy, len(p.Steps), p.Slots, p.Dims)

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"bond/internal/core"
 )
@@ -85,7 +84,10 @@ type Plan struct {
 	// Opts is the validated, default-filled engine options.
 	Opts core.Options
 	// Steps is the per-segment plan in execution order (parallel group
-	// first, then sequential best-bound-first so κ tightens fast).
+	// first, then sequential best-bound-first so κ tightens fast). The
+	// bounded segments join it as the cursor reaches them; a plan made by
+	// New lists every segment once Explain or Execute has run, a pooled
+	// plan only those the running κ did not dismiss.
 	Steps []Step
 	// Dims and Slots describe the planned collection.
 	Dims, Slots int
@@ -95,10 +97,15 @@ type Plan struct {
 	segs []Segment
 	pool *Pool
 
-	// views is the validation staging buffer and keys the step-ordering
-	// one, both kept for reuse on pooled plans.
-	views []core.SegmentView
-	keys  []stepKey
+	// eff is the query's effective dimensions in the order a synopsis bound
+	// sums them, heap the bounded segments no step has taken yet (see
+	// nextBounded); both are kept for reuse on pooled plans.
+	eff  []int32
+	heap []segEntry
+
+	// cells counts the synopsis cells — one dimension of one segment's
+	// Lo/Hi — the plan has read.
+	cells int
 
 	// pooled marks a plan owned by the pool's free list (Release returns
 	// it there).
@@ -144,9 +151,9 @@ func NewReusable(segs []Segment, spec Spec, pool *Pool) (*Plan, error) {
 }
 
 // Release returns a plan obtained from NewReusable to its pool. The
-// pooled plan keeps its buffers (steps, views, keys, the cursor's engine
-// state, κ heap and step log) and no reference to the caller's spec,
-// segments or results. It is a no-op for plans made by New.
+// pooled plan keeps its buffers (steps, dimensions, heap, the
+// cursor's engine state, κ heap and step log) and no reference to the
+// caller's spec, segments or results. It is a no-op for plans made by New.
 func (p *Plan) Release() {
 	if !p.pooled {
 		return
@@ -157,26 +164,28 @@ func (p *Plan) Release() {
 	}
 	*p = Plan{
 		Steps:  p.Steps[:0],
-		views:  p.views[:0],
-		keys:   p.keys[:0],
+		eff:    p.eff[:0],
+		heap:   p.heap[:0],
 		pooled: true,
 		cur:    p.cur,
 	}
 	pool.releasePlan(p)
 }
 
-// init (re)plans into p, reusing its step, view and key buffers.
+// init (re)plans into p, reusing its buffers: it validates the spec and
+// classifies the segments. Execution order is the parallel fan-out group
+// first (in segment order — it all runs concurrently anyway, and the early
+// answers seed κ for the sequential tail), then the segments without a
+// synopsis (searched regardless, in segment order), then the bounded ones
+// best-bound-first, so κ tightens as fast as possible and later segments
+// can be skipped. The first two classes become steps here. The bounded
+// ones go into the heap the cursor takes them from, each holding its bound
+// over its first boundBlock dimensions — the whole bound for similarities,
+// whose prefixes prove nothing (see nextBounded).
 func (p *Plan) init(segs []Segment, spec Spec, pool *Pool) error {
-	views := p.views[:0]
-	if cap(views) < len(segs) {
-		views = make([]core.SegmentView, 0, len(segs))
-	}
-	for _, s := range segs {
-		views = append(views, s.View)
-	}
-	p.views = views
 	opts := spec.options()
-	if err := core.ValidateSegments(views, spec.Query, &opts); err != nil {
+	view := func(i int) *core.SegmentView { return &segs[i].View }
+	if err := core.ValidateSegments(len(segs), view, spec.Query, &opts); err != nil {
 		return err
 	}
 	if math.IsNaN(spec.Tolerance) || math.IsInf(spec.Tolerance, 0) {
@@ -190,103 +199,107 @@ func (p *Plan) init(segs []Segment, spec Spec, pool *Pool) error {
 	if pool == nil {
 		pool = new(Pool)
 	}
-	pooled := p.pooled
+	dims := segs[0].View.Src.Dims()
 	*p = Plan{
 		Spec:   spec,
 		Opts:   opts,
 		Steps:  p.Steps[:0],
-		Dims:   views[0].Src.Dims(),
+		Dims:   dims,
 		segs:   segs,
 		pool:   pool,
-		views:  views,
-		keys:   p.keys,
-		pooled: pooled,
+		eff:    boundDims(p.eff[:0], dims, &opts),
+		heap:   p.heap[:0],
+		pooled: p.pooled,
 		cur:    p.cur,
 	}
-	dist := opts.Criterion.Distance()
-	queryMass := effectiveQueryMass(spec.Query, opts)
-	fill := func(st *Step, i, n int, bound float64, hasBound bool) {
-		s := &segs[i]
-		*st = Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed, Bound: bound, HasBound: hasBound}
-		shape := shapeFactor(bound, hasBound, dist, queryMass)
-		st.Path, st.PredCost = choosePath(spec.Strategy, s, n, p.Dims, shape)
-		st.Parallel = spec.Parallel >= 2 && st.Path == PathBOND &&
-			(spec.Strategy == ForceBOND || n >= parallelMinSegment)
+	if spec.Parallel >= 2 {
+		for i := range segs {
+			if n := segs[i].View.Src.Len(); n > 0 && p.parallel(n) {
+				e := segEntry{seg: int32(i)}
+				ok := p.bounded(&segs[i].View)
+				if ok {
+					p.extend(&e, len(p.eff))
+				}
+				p.Steps = append(p.Steps, p.newStep(i, e.key, ok))
+			}
+		}
 	}
-
-	// Execution order: the parallel fan-out group first (in segment order —
-	// it all runs concurrently anyway, and the early answers seed κ for the
-	// sequential tail), then the sequential steps with unbounded segments
-	// first (they must be searched regardless) followed by bounded ones
-	// best-first, so κ tightens as fast as possible and later segments can
-	// be skipped. The order is settled on 16-byte keys — class, bound with
-	// the direction folded into its sign, segment index as the tie-break,
-	// which makes it the total order a stable sort by class and bound gives
-	// — and each Step is then written once, in its final place.
-	keys := p.keys[:0]
+	dist := opts.Criterion.Distance()
 	for i := range segs {
 		v := &segs[i].View
 		n := v.Src.Len()
-		if n == 0 {
+		switch {
+		case n == 0:
 			continue
+		case p.parallel(n):
+		case !p.bounded(v):
+			p.Steps = append(p.Steps, p.newStep(i, 0, false))
+		case dist:
+			e := segEntry{seg: int32(i)}
+			p.extend(&e, boundBlock)
+			p.heap = append(p.heap, e)
+		default:
+			e := segEntry{seg: int32(i)}
+			p.extend(&e, len(p.eff))
+			e.key = -e.key
+			p.heap = append(p.heap, e)
 		}
 		p.Slots += n
-		bound, ok := core.SegBound(v, spec.Query, &p.Opts)
-		k := stepKey{bound: bound, seg: int32(i), class: classUnbounded, hasBound: ok}
-		if !dist {
-			k.bound = -bound
-		}
-		if ok {
-			k.class = classBounded
-		}
-		if spec.Parallel >= 2 {
-			var st Step
-			if fill(&st, i, n, bound, ok); st.Parallel {
-				k.class = classParallel
-			}
-		}
-		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, cmpStepKey)
-	p.Steps = slices.Grow(p.Steps, len(keys))[:len(keys)]
-	for j, k := range keys {
-		bound := k.bound
-		if !dist {
-			bound = -bound
-		}
-		fill(&p.Steps[j], int(k.seg), segs[k.seg].View.Src.Len(), bound, k.hasBound)
-	}
-	p.keys = keys
+	heapify(p.heap)
 	return nil
 }
 
-// stepKey is what the planner sorts in place of a Step.
-type stepKey struct {
-	bound float64 // ascending: the synopsis bound, negated for similarities
-	seg   int32
-	class stepClass
-	// hasBound is kept beside class because a parallel step may have one.
-	hasBound bool
+// parallel reports whether a segment of n slots joins the fan-out group:
+// under a parallelism hint, every segment when BOND is forced and those of
+// at least parallelMinSegment slots under Auto. The bound plays no part.
+func (p *Plan) parallel(n int) bool {
+	s := &p.Spec
+	return s.Parallel >= 2 && (s.Strategy == ForceBOND || s.Strategy == Auto && n >= parallelMinSegment)
 }
 
-type stepClass uint8
+// bounded reports whether a non-empty segment has a usable synopsis. A
+// synopsis bounds every dimension or none (see core.SegmentView), so the
+// first effective dimension tells: +Inf there means no value was observed.
+func (p *Plan) bounded(v *core.SegmentView) bool {
+	return v.Lo != nil && (len(p.eff) == 0 || !math.IsInf(v.Lo[p.eff[0]], 1))
+}
 
-const (
-	classParallel stepClass = iota
-	classUnbounded
-	classBounded
-)
-
-func cmpStepKey(a, b stepKey) int {
-	switch {
-	case a.class != b.class:
-		return int(a.class) - int(b.class)
-	case a.class == classBounded && a.bound < b.bound:
-		return -1
-	case a.class == classBounded && a.bound > b.bound:
-		return 1
+// boundDims appends the query's effective dimensions to dst in the order
+// a synopsis bound sums them: Dims, or every dimension, less the zero
+// weights.
+func boundDims(dst []int32, dims int, opts *core.Options) []int32 {
+	keep := func(d int) bool { return len(opts.Weights) == 0 || opts.Weights[d] != 0 }
+	if len(opts.Dims) > 0 {
+		for _, d := range opts.Dims {
+			if keep(d) {
+				dst = append(dst, int32(d))
+			}
+		}
+		return dst
 	}
-	return int(a.seg - b.seg)
+	for d := 0; d < dims; d++ {
+		if keep(d) {
+			dst = append(dst, int32(d))
+		}
+	}
+	return dst
+}
+
+// newStep is segment i's step with its synopsis bound, access path and
+// cost prediction.
+func (p *Plan) newStep(i int, bound float64, hasBound bool) Step {
+	s := &p.segs[i]
+	n := s.View.Src.Len()
+	st := Step{Segment: i, Base: s.View.Base, N: n, Sealed: s.Sealed, Bound: bound, HasBound: hasBound}
+	dist, mass := p.Opts.Criterion.Distance(), 0.0
+	if hasBound && !dist {
+		mass = p.queryMass()
+	}
+	shape := shapeFactor(bound, hasBound, dist, mass)
+	st.Path, st.PredCost = choosePath(p.Spec.Strategy, s, n, p.Dims, shape)
+	st.Parallel = p.parallel(n)
+	return st
 }
 
 // choosePath assigns the access path and its predicted cost for one
@@ -315,27 +328,17 @@ func choosePath(strat Strategy, s *Segment, n, dims int, shape float64) (Path, f
 	return PathBOND, predictBond(n, dims, shape)
 }
 
-// effectiveQueryMass is T(q) over the effective (weighted, subspaced)
-// dimensions — the yardstick the similarity shape factor compares a
-// segment's bound against.
-func effectiveQueryMass(q []float64, opts core.Options) float64 {
+// queryMass is T(q) over the effective (weighted, subspaced) dimensions —
+// the yardstick the similarity shape factor compares a segment's bound
+// against.
+func (p *Plan) queryMass() float64 {
 	mass := 0.0
-	if len(opts.Dims) > 0 {
-		for _, d := range opts.Dims {
-			w := 1.0
-			if len(opts.Weights) > 0 {
-				w = opts.Weights[d]
-			}
-			mass += w * q[d]
-		}
-		return mass
-	}
-	for d, qd := range q {
+	for _, d := range p.eff {
 		w := 1.0
-		if len(opts.Weights) > 0 {
-			w = opts.Weights[d]
+		if len(p.Opts.Weights) > 0 {
+			w = p.Opts.Weights[d]
 		}
-		mass += w * qd
+		mass += w * p.Spec.Query[d]
 	}
 	return mass
 }

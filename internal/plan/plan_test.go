@@ -114,6 +114,12 @@ func TestForcedStrategyPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.strat, err)
 		}
+		if _, err := Execute(p); err != nil {
+			t.Fatalf("%v: %v", tc.strat, err)
+		}
+		if len(p.Steps) != len(segs) {
+			t.Fatalf("%v: %d steps for %d segments", tc.strat, len(p.Steps), len(segs))
+		}
 		for _, st := range p.Steps {
 			want := tc.sealed
 			if !st.Sealed {
@@ -153,6 +159,9 @@ func TestAutoShapeFactorDifferentiates(t *testing.T) {
 	q := s.Row(0) // inside segment 0's cluster
 	p, err := New(segs, Spec{Query: q, K: 3, Criterion: core.Eq}, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(p); err != nil {
 		t.Fatal(err)
 	}
 	var home, away *Step
