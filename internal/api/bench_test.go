@@ -11,9 +11,10 @@ import (
 
 // The codec beside encoding/json on the bodies the benchmark workloads
 // send: 64-d queries of uniform floats (k=10, eq, bond), 32-spec batches,
-// 64-vector ingests, and 10-neighbor answers. Run with -benchmem: a
-// decode allocates once per vector plus a constant, an encode into a
-// reused buffer not at all.
+// 64-vector ingests, and 10-neighbor answers. Run with -benchmem: a query
+// or batch decode allocates once per query vector plus a constant, an
+// ingest decode a constant (its vectors share one array), an encode into
+// a reused buffer not at all.
 
 const benchDims = 64
 

@@ -152,6 +152,23 @@ func TestFastPathTakesHotBodies(t *testing.T) {
 			t.Fatalf("%T: %s", tc.v, diff)
 		}
 	}
+
+	// Every number json.Marshal writes for a uniform float is converted
+	// in the grammar pass: none of 4 096 reaches strconv.ParseFloat.
+	uniform := IngestRequest{Vectors: make([][]float64, 64)}
+	for i := range uniform.Vectors {
+		uniform.Vectors[i] = randVector(rng, 64)
+	}
+	body, err := json.Marshal(&uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d decoder
+	d.reset(body)
+	var got IngestRequest
+	if ok := d.value(&got); !ok || d.slow != 0 {
+		t.Fatalf("ingest of 4 096 uniform floats: taken %v, %d numbers handed to strconv.ParseFloat", ok, d.slow)
+	}
 }
 
 // TestDecodeBodyOverCap pins the size cap: the stream's error reaches the

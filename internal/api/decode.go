@@ -19,17 +19,26 @@ import (
 // of what is accepted and the only source of error text.
 //
 // Floats are bit-identical to strconv.ParseFloat's, which is what
-// encoding/json calls: a mantissa below 2⁵³ scaled by 10^e with |e| ≤ 22
-// is one correctly rounded IEEE operation on two exact operands
-// (Clinger's fast path); anything else goes to strconv.ParseFloat on the
-// span the grammar pass has already delimited.
+// encoding/json calls, and each is converted in the pass that scans it.
+// The grammar pass gathers up to 19 significant digits into a mantissa —
+// fraction digits eight at a time (eightDigits) — and a decimal exponent.
+// A mantissa below 2⁵³ scaled by 10^e with |e| ≤ 22 is one correctly
+// rounded IEEE operation on two exact operands (Clinger's fast path);
+// otherwise Eisel–Lemire (atof.go) rounds the mantissa against a 128-bit
+// power of ten, and a mantissa cut at 19 digits is taken only when it and
+// its successor round alike. What those decline — near-halfway values,
+// subnormals, overflow, |e| > 347 — goes to strconv.ParseFloat on the
+// span the grammar pass has delimited, so a number is refused exactly
+// when encoding/json refuses it.
 //
 // A decoder is pooled with its scratch: every float array is read into
-// nums and copied out into a slice allocated once at its final length,
-// and a batch's specs are gathered in specs before their slice is made.
+// nums and copied out into a slice allocated once at its final length
+// (an ingest's vectors share one), and a batch's specs are gathered in
+// specs before their slice is made.
 type decoder struct {
 	data []byte
 	pos  int
+	slow int // numbers handed to strconv.ParseFloat, for tests
 
 	nums  []float64   // floats of the array(s) being read
 	ints  []int       // ints of the array being read
@@ -41,7 +50,7 @@ type decoder struct {
 
 // reset points the decoder at data, keeping its scratch.
 func (d *decoder) reset(data []byte) {
-	d.data, d.pos = data, 0
+	d.data, d.pos, d.slow = data, 0, 0
 }
 
 // release drops what the scratch still references, so a pooled decoder
@@ -233,8 +242,10 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // float reads a JSON number, checking its grammar
-// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) while accumulating the
-// significant digits, and converts it as strconv.ParseFloat does.
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) while accumulating up
+// to 19 significant digits in man, and converts it as strconv.ParseFloat
+// does: Clinger's fast path, then Eisel–Lemire, then — for what those two
+// decline — strconv.ParseFloat itself on the delimited span.
 func (d *decoder) float() (float64, bool) {
 	d.ws()
 	data, i := d.data, d.pos
@@ -243,9 +254,9 @@ func (d *decoder) float() (float64, bool) {
 	if neg {
 		i++
 	}
-	var mant uint64
-	nd, exp := 0, 0 // significant digits in mant; decimal exponent of its last digit
-	exact := true   // mant holds every significant digit
+	var man uint64
+	nd, exp := 0, 0 // significant digits in man; decimal exponent of its last digit
+	trunc := false  // a non-zero digit did not fit in man
 	// Integer part: 0, or a non-zero digit and more digits.
 	switch {
 	case i < len(data) && data[i] == '0':
@@ -253,10 +264,11 @@ func (d *decoder) float() (float64, bool) {
 	case i < len(data) && '1' <= data[i] && data[i] <= '9':
 		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
 			if nd < 19 {
-				mant = mant*10 + uint64(data[i]-'0')
+				man = man*10 + uint64(data[i]-'0')
 				nd++
 			} else {
-				exact = false
+				exp++ // the dropped digit still scales the ones kept
+				trunc = trunc || data[i] != '0'
 			}
 		}
 	default:
@@ -265,16 +277,29 @@ func (d *decoder) float() (float64, bool) {
 	if i < len(data) && data[i] == '.' {
 		i++
 		frac := i
-		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
-			switch {
-			case mant == 0 && data[i] == '0':
+		if man == 0 {
+			for ; i < len(data) && data[i] == '0'; i++ {
 				exp-- // a leading zero places the digits, it is not one of them
-			case nd < 19:
-				mant = mant*10 + uint64(data[i]-'0')
+			}
+		}
+		// Eight digits at a time while they fit in man, then one by one.
+		for nd <= 19-8 && len(data)-i >= 8 {
+			v, ok := eightDigits(data[i:])
+			if !ok {
+				break
+			}
+			man = man*1e8 + v
+			nd += 8
+			exp -= 8
+			i += 8
+		}
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(data[i]-'0')
 				nd++
 				exp--
-			default:
-				exact = false
+			} else {
+				trunc = trunc || data[i] != '0'
 			}
 		}
 		if i == frac {
@@ -304,8 +329,9 @@ func (d *decoder) float() (float64, bool) {
 		exp += e
 	}
 	d.pos = i
-	if exact && mant < 1<<53 && -22 <= exp && exp <= 22 {
-		f := float64(mant)
+	if !trunc && man < 1<<53 && -22 <= exp && exp <= 22 {
+		// Clinger: one correctly rounded operation on two exact operands.
+		f := float64(man)
 		if exp < 0 {
 			f /= pow10[-exp]
 		} else {
@@ -316,6 +342,17 @@ func (d *decoder) float() (float64, bool) {
 		}
 		return f, true
 	}
+	if f, ok := eiselLemire(man, exp, neg); ok {
+		// A truncated mantissa lies between man and man+1: it is taken
+		// only when both round to the same float.
+		if !trunc {
+			return f, true
+		}
+		if up, ok := eiselLemire(man+1, exp, neg); ok && up == f {
+			return f, true
+		}
+	}
+	d.slow++
 	f, err := strconv.ParseFloat(string(data[start:i]), 64)
 	return f, err == nil
 }
@@ -353,8 +390,9 @@ func (d *decoder) floats() ([]float64, bool) {
 	return out, true
 }
 
-// vectors reads an array of float arrays: one allocation per vector plus
-// the outer slice.
+// vectors reads an array of float arrays in two allocations: the outer
+// slice, and one backing array the vectors are cut from, each with
+// cap == len so that appending to one cannot overwrite the next.
 func (d *decoder) vectors() ([][]float64, bool) {
 	d.nums, d.ends = d.nums[:0], d.ends[:0]
 	ok := d.elements(func() bool {
@@ -366,10 +404,10 @@ func (d *decoder) vectors() ([][]float64, bool) {
 		return nil, false
 	}
 	out := make([][]float64, len(d.ends))
+	all := append(make([]float64, 0, len(d.nums)), d.nums...)
 	at := 0
 	for i, end := range d.ends {
-		out[i] = make([]float64, end-at)
-		copy(out[i], d.nums[at:end])
+		out[i] = all[at:end:end]
 		at = end
 	}
 	return out, true

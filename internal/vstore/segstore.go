@@ -232,9 +232,11 @@ func (s *SegStore) ValueRange() (lo, hi float64) {
 // active returns the mutable tail segment.
 func (s *SegStore) active() *Segment { return s.segs[len(s.segs)-1] }
 
-// seal freezes the active segment and starts a fresh one.
+// seal freezes the active segment and starts a fresh one. A segment
+// sealed before it is full gives back its spare capacity.
 func (s *SegStore) seal() {
 	act := s.active()
+	act.trim()
 	act.sealed = true
 	s.bases = append(s.bases, s.bases[len(s.bases)-1]+act.Len())
 	s.segs = append(s.segs, &Segment{Store: New(s.dims)})
@@ -253,18 +255,17 @@ func (s *SegStore) SealActive() {
 // after a bulk load get sealed segments — synopses and codes included —
 // without waiting for one more write.
 func (s *SegStore) Append(v []float64) int {
-	last := len(s.segs) - 1
-	id := s.bases[last] + s.segs[last].Append(v)
-	if s.active().Len() >= s.segSize {
-		s.seal()
-	}
-	return id
+	return s.AppendBatch([][]float64{v})
 }
 
 // AppendBatch adds many vectors, spilling across segment boundaries as the
 // active segment fills (full segments seal immediately, as in Append). It
-// returns the global id of the first vector.
+// returns the global id of the first vector. The active segment's columns
+// grow by doubling up to the segment size, so a full segment's columns
+// have cap == len. It panics on a dimensionality mismatch before touching
+// any segment.
 func (s *SegStore) AppendBatch(vectors [][]float64) int {
+	s.active().checkDims(vectors)
 	first := s.Len()
 	for len(vectors) > 0 {
 		room := s.segSize - s.active().Len()
@@ -272,7 +273,7 @@ func (s *SegStore) AppendBatch(vectors [][]float64) int {
 		if len(chunk) > room {
 			chunk = vectors[:room]
 		}
-		s.active().AppendBatch(chunk)
+		s.active().appendRows(chunk, s.segSize)
 		vectors = vectors[len(chunk):]
 		if s.active().Len() >= s.segSize {
 			s.seal()

@@ -154,48 +154,80 @@ func (s *Store) Row(id int) []float64 {
 // Append adds a vector and returns its id. It panics on a dimensionality
 // mismatch.
 func (s *Store) Append(v []float64) int {
-	if len(v) != s.dims {
-		panic(fmt.Sprintf("vstore: vector has %d dims, store has %d", len(v), s.dims))
-	}
-	id := s.n
-	total := 0.0
-	for d, x := range v {
-		s.columns[d] = append(s.columns[d], x)
-		total += x
-		s.observe(d, x)
-	}
-	s.totals = append(s.totals, total)
-	s.n++
-	s.growDeleted()
-	return id
+	return s.AppendBatch([][]float64{v})
 }
 
 // AppendBatch adds many vectors at once — the batch-update path that
 // Section 6.2 recommends for vertically fragmented collections. It returns
-// the id of the first appended vector.
+// the id of the first appended vector. It panics on a dimensionality
+// mismatch before touching any column, so a bad batch leaves the store as
+// it was.
 func (s *Store) AppendBatch(vectors [][]float64) int {
-	first := s.n
-	for d := range s.columns {
-		col := s.columns[d]
-		grown := make([]float64, len(col), len(col)+len(vectors))
-		copy(grown, col)
-		s.columns[d] = grown
-	}
+	s.checkDims(vectors)
+	return s.appendRows(vectors, 0)
+}
+
+// checkDims panics unless every vector has the store's dimensionality.
+func (s *Store) checkDims(vectors [][]float64) {
 	for _, v := range vectors {
 		if len(v) != s.dims {
 			panic(fmt.Sprintf("vstore: vector has %d dims, store has %d", len(v), s.dims))
 		}
+	}
+}
+
+// appendRows appends vectors of checked dimensionality. Columns grow by
+// doubling, so filling a store batch by batch copies each row a constant
+// number of times. limit > 0 is the segment size: a growth that would
+// reach half of it goes straight to it instead, so a segment filled to
+// its seal threshold ends with cap == len.
+func (s *Store) appendRows(vectors [][]float64, limit int) int {
+	first := s.n
+	need := s.n + len(vectors)
+	size := max(need, 2*s.n)
+	if limit > 0 && 2*size >= limit {
+		size = max(need, limit)
+	}
+	for d, col := range s.columns {
+		s.columns[d] = reserve(col, need, size)
+	}
+	s.totals = reserve(s.totals, need, size)
+	for i, v := range vectors {
 		total := 0.0
 		for d, x := range v {
-			s.columns[d] = append(s.columns[d], x)
+			s.columns[d][first+i] = x
 			total += x
 			s.observe(d, x)
 		}
-		s.totals = append(s.totals, total)
-		s.n++
+		s.totals[first+i] = total
 	}
+	s.n = need
 	s.growDeleted()
 	return first
+}
+
+// reserve returns col extended to length need, reallocated to capacity
+// size when its capacity is short of need.
+func reserve(col []float64, need, size int) []float64 {
+	if cap(col) >= need {
+		return col[:need]
+	}
+	grown := make([]float64, need, size)
+	copy(grown, col)
+	return grown
+}
+
+// trim reallocates any column with spare capacity to its exact length, so
+// a sealed segment keeps no slack on the heap.
+func (s *Store) trim() {
+	for d, col := range s.columns {
+		if cap(col) > len(col) {
+			s.columns[d] = append(make([]float64, 0, len(col)), col...)
+		}
+	}
+	if cap(s.totals) > len(s.totals) {
+		s.totals = append(make([]float64, 0, len(s.totals)), s.totals...)
+	}
 }
 
 func (s *Store) growDeleted() {
