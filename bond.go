@@ -27,7 +27,7 @@
 // # Concurrency
 //
 // A Collection is safe for concurrent use: any number of readers
-// (Query, QueryBatch, QueryExplain, Len, Save, …) run concurrently with
+// (Query, QueryBatch, QueryExplain, Len, …) run concurrently with
 // each other, and writers (Add, AddBatch, Delete, Compact, Recluster) are
 // serialized against them by an internal RWMutex. Every search observes a
 // consistent snapshot and returns exact results.
@@ -71,9 +71,9 @@
 // written exactly once, ever), and recovery replays the log tail on top
 // of the last checkpoint, always yielding a consistent prefix of the
 // acknowledged history. Collection.Checkpoint truncates the log;
-// Collection.Close releases it. The whole-file snapshot format remains
-// available (Save/Open), files written by earlier flat-layout versions
-// still load, and OpenDurable migrates legacy snapshot files in place.
+// Collection.Close releases it. A durable directory is the only on-disk
+// form of a collection: ImportSnapshot (`bondgen -import`) converts a
+// whole-file snapshot an earlier release wrote into one, offline.
 //
 // # Serving
 //
@@ -256,7 +256,7 @@ type Collection struct {
 	// dur is the durability state of a collection opened with
 	// OpenDurable: the write-ahead log every mutation is appended to
 	// before it is acknowledged, plus checkpoint bookkeeping. nil for
-	// in-memory collections (NewCollection, Open), whose mutators then
+	// in-memory collections (NewCollection, New), whose mutators then
 	// skip logging entirely.
 	dur *durability
 
@@ -302,28 +302,6 @@ func New(dims int) *Collection {
 // (segmentSize <= 0 selects the default).
 func NewSegmented(dims, segmentSize int) *Collection {
 	return &Collection{store: vstore.NewSegmented(dims, segmentSize)}
-}
-
-// Open loads a collection previously written by Save. Both the segmented
-// layout and the flat layout of earlier versions are understood; a
-// planner statistics block an older Save wrote is skipped.
-func Open(path string) (*Collection, error) {
-	s, err := vstore.LoadAnyFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{store: s}, nil
-}
-
-// Save writes the collection to path in the checksummed segmented binary
-// format. Compressed fragments are rebuilt on demand and not persisted.
-func (c *Collection) Save(path string) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := c.errIfUnmapped(); err != nil {
-		return err
-	}
-	return c.store.SaveFile(path)
 }
 
 // PlannerPoolStats is the serializable planner view a stats endpoint

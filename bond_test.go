@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,32 +57,6 @@ func TestFacadeLifecycle(t *testing.T) {
 	for d := range v {
 		if v[d] != vs[3][d] {
 			t.Fatal("Vector mismatch after compact")
-		}
-	}
-}
-
-func TestFacadeSaveOpenRoundTrip(t *testing.T) {
-	vs, col := testCollection(t)
-	path := filepath.Join(t.TempDir(), "col.bond")
-	if err := col.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := vs[5]
-	a, err := col.Query(QuerySpec{Query: q, K: 3, Criterion: Ev, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := got.Query(QuerySpec{Query: q, K: 3, Criterion: Ev, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Results {
-		if a.Results[i] != b.Results[i] {
-			t.Errorf("result %d differs after round trip", i)
 		}
 	}
 }

@@ -78,8 +78,9 @@
 // holds one k-means cluster — tight synopses restore segment skipping
 // however shuffled the ingest order was), and checkpoints any collection
 // whose WAL has outgrown -wal-max-bytes, truncating the log —
-// checkpoints bound restart replay time, not durability. Pre-durability
-// <name>.bond snapshot files are migrated in place on first touch.
+// checkpoints bound restart replay time, not durability. A <name>.bond
+// snapshot file of an earlier release is refused until `bondgen -import`
+// converts it offline.
 // SIGINT/SIGTERM drain in-flight requests, checkpoint, and close every
 // log.
 package main

@@ -1,6 +1,8 @@
 // Command bondgen generates a synthetic feature collection and writes it
-// as a decomposed store file that cmd/bondquery (or the library's Open)
-// can load.
+// as a durable collection directory that cmd/bondquery, cmd/bondd and
+// the library's OpenDurable open. With -import it instead converts a
+// whole-file snapshot that an earlier release wrote into such a
+// directory.
 //
 // Usage:
 //
@@ -8,9 +10,11 @@
 //	bondgen -kind clustered -n 100000 -dims 128 -theta 1.0 -out skew1.bond
 //	bondgen -kind uniform -n 50000 -dims 64 -out uniform.bond
 //	bondgen -kind corel -n 10000 -dims 166 -segsize 2048 -out corel.bond
+//	bondgen -import old-snapshot.bond -out corel.bond
 //
 // -segsize aligns segment boundaries with a known data layout; -normalize
-// scales every vector to sum 1 (enables the stricter Eq bound).
+// scales every vector to sum 1 (enables the stricter Eq bound). -out must
+// not exist yet.
 package main
 
 import (
@@ -33,13 +37,24 @@ func main() {
 	normalize := flag.Bool("normalize", false, "normalize every vector to sum 1")
 	seed := flag.Int64("seed", 42, "generator seed")
 	segsize := flag.Int("segsize", 0, "segment seal threshold (0 = default)")
-	out := flag.String("out", "", "output path (required)")
+	importPath := flag.String("import", "", "convert this snapshot file instead of generating data")
+	out := flag.String("out", "", "output directory (required, must not exist)")
 	flag.Parse()
 
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "bondgen: -out is required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *importPath != "" {
+		if err := bond.ImportSnapshot(*importPath, *out); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("imported %s to %s\n", *importPath, *out)
+		return
+	}
+	if _, err := os.Lstat(*out); err == nil {
+		fatal(fmt.Errorf("%s already exists", *out))
 	}
 
 	var vectors [][]float64
@@ -62,11 +77,38 @@ func main() {
 		dataset.NormalizeAll(vectors)
 	}
 
-	col := bond.NewCollectionSegmented(vectors, *segsize)
-	if err := col.Save(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "bondgen:", err)
-		os.Exit(1)
+	segments, err := write(*out, vectors, *segsize)
+	if err != nil {
+		_ = os.RemoveAll(*out) // leave no half-written collection; err says why
+		fatal(err)
 	}
 	fmt.Printf("wrote %d × %d %s collection (%d segments) to %s\n",
-		*n, *dims, *kind, col.NumSegments(), *out)
+		*n, *dims, *kind, segments, *out)
+}
+
+// write creates the durable collection at out holding vectors, sealing
+// the partial tail segment as a bulk load does, and checkpoints it so the
+// directory carries no log to replay. It returns the segment count.
+func write(out string, vectors [][]float64, segsize int) (int, error) {
+	col, err := bond.OpenDurable(out, bond.DurableOptions{Dims: len(vectors[0]), SegmentSize: segsize})
+	if err != nil {
+		return 0, err
+	}
+	_, err = col.AddBatchDurable(vectors)
+	if err == nil {
+		err = col.SealActiveDurable()
+	}
+	if err == nil {
+		err = col.Checkpoint()
+	}
+	segments := col.NumSegments()
+	if cerr := col.Close(); err == nil {
+		err = cerr
+	}
+	return segments, err
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "bondgen:", err)
+	os.Exit(1)
 }

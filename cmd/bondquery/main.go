@@ -1,5 +1,6 @@
-// Command bondquery runs k-NN queries against a stored collection through
-// the cost-based query planner.
+// Command bondquery runs k-NN queries against a durable collection
+// directory (written by bondgen, or served by bondd) through the
+// cost-based query planner.
 //
 // Usage:
 //
@@ -15,9 +16,13 @@
 // per-path priors, which makes it BOND throughout, and the forced
 // strategies (bond, compressed, vafile, exact) pin one path everywhere.
 // -explain prints the plan with per-segment predicted and actual costs.
-// Stores written in either the segmented layout or the legacy flat layout
-// are accepted. For profiling, -repeat N heats the query loop and
-// -cpuprofile/-memprofile write pprof profiles.
+// For profiling, -repeat N heats the query loop and -cpuprofile/
+// -memprofile write pprof profiles.
+//
+// bondquery opens the directory with OpenDurable, which recovers it and
+// garbage-collects files its manifest does not name: never point it at a
+// directory a running bondd serves. A snapshot file of an earlier release
+// is refused; convert it with bondgen -import first.
 package main
 
 import (
@@ -31,7 +36,7 @@ import (
 )
 
 func main() {
-	storePath := flag.String("store", "", "path to a store written by bondgen or Collection.Save (required)")
+	storePath := flag.String("store", "", "durable collection directory, e.g. written by bondgen (required)")
 	id := flag.Int("id", 0, "query-by-example: id of the query vector inside the collection")
 	k := flag.Int("k", 10, "number of neighbors")
 	criterion := flag.String("criterion", "Hq", "pruning criterion: Hq, Hh, Eq, Ev")
@@ -74,10 +79,11 @@ func main() {
 			}
 		}()
 	}
-	col, err := bond.Open(*storePath)
+	col, err := bond.OpenDurable(*storePath, bond.DurableOptions{})
 	if err != nil {
 		fatal(err)
 	}
+	defer col.Close()
 	if *id < 0 || *id >= col.Len() {
 		fatal(fmt.Errorf("id %d outside collection [0,%d)", *id, col.Len()))
 	}

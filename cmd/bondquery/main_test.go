@@ -45,7 +45,14 @@ func runBondquery(t *testing.T, args ...string) (stdout, stderr string, exit int
 // bondbench's ablation — exits non-zero naming the five valid strategies.
 func TestStrategyFlag(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "c.bond")
-	if err := bond.NewCollection(dataset.CorelLike(60, 8, 5)).Save(store); err != nil {
+	col, err := bond.OpenDurable(store, bond.DurableOptions{Dims: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := col.AddBatchDurable(dataset.CorelLike(60, 8, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out, stderr, exit := runBondquery(t, "-store", store, "-id", "7", "-k", "1", "-strategy", "vafile")

@@ -120,10 +120,14 @@ var (
 	ErrClosed = errors.New("bond: collection is closed")
 )
 
-// migratingSuffix marks the staging directory of an in-flight legacy
-// file migration; OpenDurable completes an interrupted one on the next
-// open.
+// migratingSuffix marks the staging directory that releases which
+// migrated snapshot files in place wrote beside the collection path. A
+// crash after the snapshot file's removal left the whole collection in
+// it; OpenDurable refuses to run in front of one.
 const migratingSuffix = ".migrating"
+
+// importingSuffix marks ImportSnapshot's staging directory.
+const importingSuffix = ".importing"
 
 // durability is the durable state hanging off a Collection opened with
 // OpenDurable. The WAL writer pointer and sequence are guarded by the
@@ -181,13 +185,12 @@ type DurabilityStats struct {
 // result is always a consistent prefix of the acknowledged history —
 // exactly all of it under FsyncAlways.
 //
-// A path holding a legacy snapshot file (any format Open understands,
-// including the v1 flat and v2 segmented layouts) is migrated in place
-// into the durable layout; the migration itself is crash-safe and
-// resumes on the next OpenDurable if interrupted.
-//
 // A missing path is created when opts.Dims ≥ 1 and fails with
-// os.ErrNotExist otherwise. Callers must Close the collection to stop
+// os.ErrNotExist otherwise. A regular file at path (a whole-file
+// snapshot of an earlier release) is refused with an error naming
+// `bondgen -import`, which converts it offline; so is a missing path
+// beside an interrupted in-place migration's staging directory. Neither
+// refusal creates anything. Callers must Close the collection to stop
 // the interval-sync loop and release the log.
 func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 	fs := opts.FS
@@ -197,35 +200,24 @@ func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 100 * time.Millisecond
 	}
-	if _, err := fs.Stat(path); err != nil {
-		// Complete an interrupted legacy migration: the staging tree is
-		// fully written before the legacy file is removed, so renaming it
-		// into place finishes the job.
-		if _, merr := fs.Stat(path + migratingSuffix); merr == nil {
-			if rerr := fs.Rename(path+migratingSuffix, path); rerr != nil {
-				return nil, fmt.Errorf("bond: resume migration of %s: %w", path, rerr)
-			}
+	if info, err := fs.Stat(path); err == nil {
+		if !info.IsDir {
+			return nil, fmt.Errorf("bond: %s is a snapshot file, not a durable directory: convert it with `bondgen -import %s -out <dir>`", path, path)
 		}
-	}
-	info, err := fs.Stat(path)
-	switch {
-	case err != nil:
-		if opts.Dims < 1 {
-			return nil, fmt.Errorf("bond: open durable %s: %w (set DurableOptions.Dims to create)", path, os.ErrNotExist)
-		}
-		store := vstore.NewSegmented(opts.Dims, opts.SegmentSize)
-		if err := initDurableDir(fs, path, store); err != nil {
-			return nil, err
-		}
-		return openDurableDir(fs, path, opts)
-	case !info.IsDir:
-		if err := migrateLegacy(fs, path); err != nil {
-			return nil, err
-		}
-		return openDurableDir(fs, path, opts)
-	default:
 		return openDurableDir(fs, path, opts)
 	}
+	if _, merr := fs.Stat(path + migratingSuffix); merr == nil {
+		return nil, fmt.Errorf("bond: %s is missing but an interrupted migration left it in %s: finish the migration with `mv %s %s`",
+			path, path+migratingSuffix, path+migratingSuffix, path)
+	}
+	if opts.Dims < 1 {
+		return nil, fmt.Errorf("bond: open durable %s: %w (set DurableOptions.Dims to create)", path, os.ErrNotExist)
+	}
+	store := vstore.NewSegmented(opts.Dims, opts.SegmentSize)
+	if err := initDurableDir(fs, path, store); err != nil {
+		return nil, err
+	}
+	return openDurableDir(fs, path, opts)
 }
 
 // initDurableDir writes the initial checkpoint (WAL sequence 1) and an
@@ -242,34 +234,40 @@ func initDurableDir(fs iofs.FS, dir string, store *vstore.SegStore) error {
 	return w.Close()
 }
 
-// migrateLegacy converts a legacy snapshot file at path into the durable
-// directory layout, crash-safely: the whole tree is staged beside the
-// file, the file is removed, and the staging directory renamed into
-// place. Interruption anywhere leaves either the untouched file or a
-// resumable staging tree.
-func migrateLegacy(fs iofs.FS, path string) error {
-	img, err := fs.ReadFile(path)
+// ImportSnapshot converts a whole-file snapshot that an earlier release
+// wrote — the flat v1 layout or the segmented v1/v2 layouts — into a
+// durable directory at dst that OpenDurable opens. The directory is
+// staged beside dst and renamed into place once complete, so a failed
+// import leaves no dst behind. src is only read, and an existing dst is
+// refused.
+func ImportSnapshot(src, dst string) error {
+	if _, err := os.Lstat(dst); err == nil {
+		return fmt.Errorf("bond: import %s: %s already exists", src, dst)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	img, err := os.ReadFile(src)
 	if err != nil {
 		return err
 	}
 	store, err := vstore.LoadAnyBytes(img)
 	if err != nil {
-		return fmt.Errorf("bond: migrate %s: %w", path, err)
+		return fmt.Errorf("bond: import %s: %w", src, err)
 	}
-	tmp := path + migratingSuffix
+	fs := iofs.OS{}
+	tmp := dst + importingSuffix
 	if err := fs.RemoveAll(tmp); err != nil {
 		return err
 	}
 	if err := initDurableDir(fs, tmp, store); err != nil {
+		_ = fs.RemoveAll(tmp) // the import failed either way; err says why
 		return err
 	}
-	if err := fs.Remove(path); err != nil {
+	if err := fs.Rename(tmp, dst); err != nil {
+		_ = fs.RemoveAll(tmp)
 		return err
 	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
+	return fs.SyncDir(filepath.Dir(dst))
 }
 
 // openDurableDir recovers the committed checkpoint, replays the WAL

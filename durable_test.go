@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"bond/internal/dataset"
 	"bond/internal/iofs"
 	"bond/internal/seqscan"
-	"bond/internal/vstore"
 )
 
 // collectionDump is a full logical snapshot of a collection's state —
@@ -129,76 +127,6 @@ func TestOpenDurableRequiresDimsToCreate(t *testing.T) {
 	if _, err := OpenDurable("missing", DurableOptions{FS: fs}); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("open missing without dims: %v", err)
 	}
-}
-
-// TestLegacyMigration opens v1 flat and v2 segmented snapshot files with
-// OpenDurable and checks they are migrated in place into the durable
-// layout with identical contents — the compatibility guarantee for
-// pre-WAL store files.
-func TestLegacyMigration(t *testing.T) {
-	tmp := t.TempDir()
-	vectors := dataset.CorelLike(50, 6, 5)
-
-	// v2 segmented file, written by the current Save.
-	seg := NewCollectionSegmented(vectors, 16)
-	seg.Delete(7)
-	segPath := filepath.Join(tmp, "seg.bond")
-	if err := seg.Save(segPath); err != nil {
-		t.Fatal(err)
-	}
-	// v1 flat file, as the seed wrote it.
-	flat := NewCollection(vectors)
-	flatPath := filepath.Join(tmp, "flat.bond")
-	if err := saveLegacyFlat(flatPath, vectors); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		path string
-		want *Collection
-	}{{segPath, seg}, {flatPath, flat}} {
-		c, err := OpenDurable(tc.path, DurableOptions{})
-		if err != nil {
-			t.Fatalf("migrate %s: %v", tc.path, err)
-		}
-		info, err := os.Stat(tc.path)
-		if err != nil || !info.IsDir() {
-			t.Fatalf("migration left %s as a non-directory: %v", tc.path, err)
-		}
-		if c.Len() != tc.want.Len() || c.Live() != tc.want.Live() || c.Dims() != tc.want.Dims() {
-			t.Fatalf("migrated shape %d/%d×%d, want %d/%d×%d",
-				c.Len(), c.Live(), c.Dims(), tc.want.Len(), tc.want.Live(), tc.want.Dims())
-		}
-		for id := 0; id < c.Len(); id++ {
-			got, _ := c.TryVector(id)
-			if !reflect.DeepEqual(got, tc.want.Vector(id)) {
-				t.Fatalf("%s: vector %d differs after migration", tc.path, id)
-			}
-		}
-		// The migrated collection must accept durable writes and survive a
-		// reopen.
-		if _, err := c.AddDurable(vectors[0]); err != nil {
-			t.Fatal(err)
-		}
-		want := dumpCollection(c)
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		c2, err := OpenDurable(tc.path, DurableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := dumpCollection(c2); !sameDump(got, want) {
-			t.Fatalf("%s: reopen after migration diverged", tc.path)
-		}
-		c2.Close()
-	}
-}
-
-// saveLegacyFlat writes the seed's v1 flat format directly through the
-// flat store's writer.
-func saveLegacyFlat(path string, vectors [][]float64) error {
-	return vstore.FromVectors(vectors).SaveFile(path)
 }
 
 // TestDurableLifecycleProperty is the randomized lifecycle property

@@ -32,9 +32,9 @@ import (
 )
 
 // collectionExt is the on-disk suffix of a catalog collection: a durable
-// directory in the incremental checkpoint + WAL layout. A legacy
-// snapshot *file* with the same name (the pre-durability format) is
-// migrated into the directory layout on first touch.
+// directory in the incremental checkpoint + WAL layout. A snapshot *file*
+// of an earlier release under the same name is refused (OpenDurable's
+// error names `bondgen -import`, which converts it offline).
 const collectionExt = ".bond"
 
 // Errors the catalog returns; the HTTP layer maps them onto status codes.
@@ -78,8 +78,7 @@ type Catalog struct {
 
 // NewCatalog opens a catalog over dir, creating the directory if needed.
 // Collections already on disk are not loaded eagerly; the first Get or
-// Create that names one loads it (replaying its WAL tail, and migrating
-// legacy snapshot files in place).
+// Create that names one loads it (replaying its WAL tail).
 func NewCatalog(dir string, segSize int, fsync bond.FsyncPolicy, disableMmap bool) (*Catalog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -263,7 +262,7 @@ func (c *Catalog) Create(name string, dims, segSize int) (col *bond.Collection, 
 }
 
 // Drop removes the named collection from memory, closes its WAL, and
-// deletes its durable directory (or legacy file). It returns ErrNotFound
+// deletes its durable directory (or snapshot file). It returns ErrNotFound
 // when the name is neither loaded nor on disk. Drop holds the per-name
 // slot and the checkpoint mutex, so neither a cold load nor a checkpoint
 // sweep can resurrect the files afterwards.
@@ -288,7 +287,7 @@ func (c *Catalog) Drop(name string) error {
 	if statErr != nil && !loaded {
 		return ErrNotFound
 	}
-	_ = os.RemoveAll(path + ".migrating") // interrupted-migration staging, if any
+	_ = os.RemoveAll(path + ".migrating") // an earlier release's interrupted-migration staging, if any
 	return os.RemoveAll(path)
 }
 

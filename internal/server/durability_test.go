@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bond"
@@ -53,41 +55,59 @@ func TestRestartWithoutCleanShutdown(t *testing.T) {
 	}
 }
 
-// TestCatalogMigratesLegacyFile drops a pre-durability snapshot *file*
-// into the data directory and checks the catalog migrates it in place to
-// the WAL + checkpoint layout on first touch, with contents intact and
-// subsequent writes durable.
-func TestCatalogMigratesLegacyFile(t *testing.T) {
+// TestCatalogRefusesLegacyFile drops a whole-file snapshot of an earlier
+// release into the data directory: the catalog lists it, but neither a
+// read nor a same-dims create opens or replaces it. Both answer an error
+// naming the offline import, the file stays byte for byte as it was, and
+// DELETE removes it. A name whose only trace is an interrupted in-place
+// migration's staging directory is refused the same way, naming the
+// rename that finishes it, so a create cannot shadow its data.
+func TestCatalogRefusesLegacyFile(t *testing.T) {
 	dir := t.TempDir()
-	vectors := dataset.CorelLike(80, 6, 23)
-	legacy := bond.NewCollectionSegmented(vectors, 32)
-	legacy.Delete(3)
-	if err := legacy.Save(filepath.Join(dir, "old.bond")); err != nil {
+	img, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "seg-v2.bond"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "old.bond")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An interrupted in-place migration left only its staging directory.
+	staged := filepath.Join(dir, "gone.bond")
+	if err := os.Mkdir(staged+".migrating", 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	s, ts := newTestServer(t, Config{Dir: dir})
+	_, ts := newTestServer(t, Config{Dir: dir})
 	var names map[string][]string
 	doJSON(t, http.MethodGet, ts.URL+"/collections", nil, &names)
 	if len(names["collections"]) != 1 || names["collections"][0] != "old" {
-		t.Fatalf("legacy file not listed: %+v", names)
+		t.Fatalf("snapshot file not listed: %+v", names)
 	}
-	var st bond.CollectionStats
-	doJSON(t, http.MethodGet, ts.URL+"/collections/old", nil, &st)
-	if st.Len != 80 || st.Live != 79 {
-		t.Fatalf("legacy contents lost in migration: %+v", st)
+	for _, c := range []struct{ name, fix string }{{"old", "bondgen -import"}, {"gone", "mv " + staged + ".migrating"}} {
+		for _, req := range []struct {
+			method string
+			body   any
+		}{{http.MethodGet, nil}, {http.MethodPut, api.CreateRequest{Dims: 6}}} {
+			var e api.Error
+			code := doJSON(t, req.method, ts.URL+"/collections/"+c.name, req.body, &e)
+			if code < 300 || !strings.Contains(e.Error, c.fix) {
+				t.Fatalf("%s %s: %d %q, want an error naming %q", req.method, c.name, code, e.Error, c.fix)
+			}
+		}
 	}
-	info, err := os.Stat(filepath.Join(dir, "old.bond"))
-	if err != nil || !info.IsDir() {
-		t.Fatalf("legacy file not migrated to a durable directory: %v", err)
+	if _, err := os.Stat(staged); !os.IsNotExist(err) {
+		t.Fatalf("refused create made %s: %v", staged, err)
 	}
-	ingestBatch(t, ts.URL, "old", vectors[:5])
-	var vr api.VectorResponse
-	doJSON(t, http.MethodGet, ts.URL+"/collections/old/vectors/80", nil, &vr)
-	if !reflect.DeepEqual(vr.Vector, vectors[0]) {
-		t.Fatalf("post-migration ingest lost")
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("refused snapshot file changed (%v)", err)
 	}
-	_ = s
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/collections/old", nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: %d", code)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("snapshot file survived DELETE: %v", err)
+	}
 }
 
 // TestDropRemovesDurableDirectory checks Drop closes the WAL and removes

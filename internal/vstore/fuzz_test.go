@@ -161,31 +161,20 @@ func FuzzDecodeSegmentV2(f *testing.F) {
 	})
 }
 
-// FuzzLoadSegmented covers the legacy v1/v2 whole-store loader that
-// LoadAnyBytes dispatches to for pre-durability snapshot files.
+// FuzzLoadSegmented guards the reader ImportSnapshot converts snapshot
+// files of earlier releases with: LoadAnyBytes and the segmented and flat
+// loaders behind it. The checked-in fixtures seed it.
 func FuzzLoadSegmented(f *testing.F) {
-	rng := rand.New(rand.NewSource(9))
-	s := buildSegmentedFuzz(f, rng)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := legacyImage(f, "seg-v2.bond")
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4])
 	f.Add([]byte("BONDSEG1"))
+	for _, name := range []string{"seg-v1.bond", "seg-v2-stats.bond", "flat-v1.bond"} {
+		f.Add(legacyImage(f, name))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = LoadAnyBytes(data)
 	})
-}
-
-func buildSegmentedFuzz(tb testing.TB, rng *rand.Rand) *SegStore {
-	s := NewSegmented(3, 8)
-	for i := 0; i < 20; i++ {
-		s.Append(randVec(rng, 3))
-	}
-	s.Delete(2)
-	return s
 }
 
 // corpusEntry renders one seed in the go-fuzz corpus file format.
@@ -196,11 +185,6 @@ func corpusEntry(data []byte) []byte {
 // TestFuzzCorpusUpToDate regenerates the checked-in seed corpora when
 // VSTORE_REGEN_CORPUS=1 and otherwise verifies they are present.
 func TestFuzzCorpusUpToDate(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var segBuf bytes.Buffer
-	if err := buildSegmentedFuzz(t, rng).Save(&segBuf); err != nil {
-		t.Fatal(err)
-	}
 	twoSeeds := func(data []byte) map[string][]byte {
 		return map[string][]byte{
 			"seed-valid": data,
@@ -210,7 +194,7 @@ func TestFuzzCorpusUpToDate(t *testing.T) {
 	corpora := map[string]map[string][]byte{
 		"FuzzLoadStore":       twoSeeds(fuzzSeedStore(t)),
 		"FuzzDecodeManifest":  twoSeeds(fuzzSeedManifest()),
-		"FuzzLoadSegmented":   twoSeeds(segBuf.Bytes()),
+		"FuzzLoadSegmented":   twoSeeds(legacyImage(t, "seg-v2.bond")),
 		"FuzzDecodeSegmentV2": fuzzSegV2Seeds(t),
 	}
 	for fuzzName, seeds := range corpora {

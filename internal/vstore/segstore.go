@@ -1,14 +1,12 @@
 package vstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 
@@ -572,49 +570,26 @@ func (s *SegStore) Repartition(groups [][]int) []int {
 	return mapping
 }
 
-// --- Persistence ----------------------------------------------------------
+// --- Legacy snapshot files ------------------------------------------------
 
 const (
 	segMagic = "BONDSEG1"
-	// segVersion 1 is the first segmented layout; version 2 adds a
-	// length-prefixed statistics block between the header and the
-	// segments. Both load. The block held the planner's learned cost model,
-	// which no longer exists: Save writes it empty, and a load checks its
-	// length against maxStatsBlock and skips its bytes, so files written
-	// with a non-empty block still open.
+	// segVersion 1 is the first segmented snapshot layout; version 2 adds
+	// a length-prefixed statistics block between the header and the
+	// segments. Both load. The block held the planner's learned cost
+	// model, which no longer exists: a load checks its length against
+	// maxStatsBlock and skips its bytes.
 	segVersion    = uint32(2)
 	maxStatsBlock = 1 << 20
 )
 
-// Save writes the segmented layout: a header (magic, version, dims,
-// segment size, segment count), an empty statistics block, each segment as
-// a nested flat-store stream, and a CRC32 trailer over everything written.
-func (s *SegStore) Save(w io.Writer) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write([]byte(segMagic)); err != nil {
-		return err
-	}
-	hdr := []uint64{uint64(segVersion), uint64(s.dims), uint64(s.segSize), uint64(len(s.segs))}
-	for _, h := range hdr {
-		if err := binary.Write(mw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint64(0)); err != nil {
-		return err
-	}
-	for _, g := range s.segs {
-		if err := g.Store.Save(mw); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
-}
-
-// LoadSegmented reads a store written by Save, validating magic, version,
-// and both the per-segment and the trailing checksums. Every segment but
-// the last is marked sealed, restoring the active-tail invariant.
+// LoadSegmented reads a segmented snapshot image that earlier releases
+// wrote: a header (magic, version, dims, segment size, segment count),
+// the version-2 statistics block, each segment as a nested flat-store
+// stream, and a CRC32 trailer over everything before it. It validates
+// magic, version, and both the per-segment and the trailing checksums.
+// Every segment but the last is marked sealed, restoring the active-tail
+// invariant.
 func LoadSegmented(r io.Reader) (*SegStore, error) {
 	crc := crc32.NewIEEE()
 	tr := io.TeeReader(r, crc)
@@ -677,49 +652,11 @@ func LoadSegmented(r io.Reader) (*SegStore, error) {
 	return s, nil
 }
 
-// SaveFile writes the segmented store to path atomically.
-func (s *SegStore) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := s.Save(bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadAnyFile reads either legacy storage layout from path: the
-// segmented format written by SegStore.Save (v1 and v2), or the seed's
-// flat format written by Store.Save.
-func LoadAnyFile(path string) (*SegStore, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return LoadAnyBytes(b)
-}
-
-// LoadAnyBytes reads either legacy storage layout from an in-memory
-// image: the segmented format written by SegStore.Save, or the seed's
-// flat format written by Store.Save, which loads as a single sealed
-// segment (so synopses and compressed codes apply to it) plus a fresh
-// active segment. The durability layer uses it to migrate legacy
-// snapshot files into the incremental directory layout through its
-// injectable filesystem.
+// LoadAnyBytes reads either legacy snapshot layout from an in-memory
+// image: the segmented format LoadSegmented reads, or the seed's flat
+// format (a Store.Save stream), which loads as a single sealed segment
+// (so synopses and compressed codes apply to it) plus a fresh active
+// segment. ImportSnapshot reads snapshot files through it.
 func LoadAnyBytes(b []byte) (*SegStore, error) {
 	if len(b) < len(segMagic) {
 		return nil, fmt.Errorf("%w: %d-byte store image", ErrCorrupt, len(b))

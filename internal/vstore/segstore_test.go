@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bond/internal/dataset"
@@ -161,80 +163,84 @@ func TestSegStoreFlattenMatches(t *testing.T) {
 	}
 }
 
-func TestSegStoreSaveLoadRoundTrip(t *testing.T) {
-	vs, s := segFixture(t, 250, 8, 100)
-	s.Delete(42)
-	s.Delete(242)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSegmented(bytes.NewReader(buf.Bytes()))
+// legacyImage reads a checked-in snapshot file of an earlier release (see
+// the root package's TestImportSnapshot for what each holds).
+func legacyImage(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if got.NumSegments() != 4 || got.Len() != 250 || got.Live() != 248 {
-		t.Fatalf("loaded shape: segs=%d len=%d live=%d", got.NumSegments(), got.Len(), got.Live())
+	return b
+}
+
+// legacyStore is the store every segmented legacy fixture holds.
+func legacyStore() *SegStore {
+	s := SegmentedFromVectors(dataset.CorelLike(50, 6, 33), 16)
+	for _, id := range []int{7, 20, 49} {
+		s.Delete(id)
 	}
-	if !got.IsDeleted(42) || !got.IsDeleted(242) {
-		t.Fatal("delete marks lost")
-	}
-	for _, id := range []int{0, 123, 249} {
-		row := got.Row(id)
-		for d, x := range row {
-			if x != vs[id][d] {
-				t.Fatalf("row %d mismatch after round trip", id)
-			}
+	return s
+}
+
+// TestLoadSegmentedFixture reads the segmented v1 and v2 snapshot
+// fixtures: shape, seal flags, rows and delete marks come back, the
+// loaded store keeps appending into its active segment, and a flipped
+// byte is caught by a checksum.
+func TestLoadSegmentedFixture(t *testing.T) {
+	for _, name := range []string{"seg-v1.bond", "seg-v2.bond"} {
+		img := legacyImage(t, name)
+		got, err := LoadSegmented(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	// Loaded store keeps appending into the restored active segment.
-	got.Append(vs[0])
-	if got.Len() != 251 {
-		t.Fatalf("append after load: len=%d", got.Len())
-	}
-	// Corruption is detected.
-	raw := buf.Bytes()
-	raw[len(raw)-20] ^= 0xff
-	if _, err := LoadSegmented(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted stream loaded without error")
+		want := legacyStore()
+		assertSameStore(t, got, want)
+		if got.NumSegments() != 5 || !got.Segments()[3].Sealed() || got.Segments()[4].Sealed() {
+			t.Fatalf("%s: %d segments, want 4 sealed and an active tail", name, got.NumSegments())
+		}
+		if !reflect.DeepEqual(got.Bases(), want.Bases()) {
+			t.Fatalf("%s: bases %v, want %v", name, got.Bases(), want.Bases())
+		}
+		got.Append(got.Row(0))
+		if got.Len() != 51 || got.Segments()[4].Len() != 1 {
+			t.Fatalf("%s: append after load: len=%d", name, got.Len())
+		}
+		bad := append([]byte(nil), img...)
+		bad[len(bad)-20] ^= 0xff
+		if _, err := LoadSegmented(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s: corrupted image loaded without error", name)
+		}
 	}
 }
 
+// TestSegStoreLoadAnyFileReadsLegacyFlat reads the seed's flat v1
+// fixture through LoadAnyBytes, the import's reader: the rows load as
+// one sealed segment, so codes and synopses apply, before an empty active
+// one, and the delete marks survive. A segmented image goes through the
+// same entry point.
 func TestSegStoreLoadAnyFileReadsLegacyFlat(t *testing.T) {
-	vs := dataset.CorelLike(120, 8, 3)
-	flat := FromVectors(vs)
-	flat.Delete(11)
-	dir := t.TempDir()
-	flatPath := filepath.Join(dir, "flat.bond")
-	if err := flat.SaveFile(flatPath); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadAnyFile(flatPath)
+	s, err := LoadAnyBytes(legacyImage(t, "flat-v1.bond"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 120 || s.Live() != 119 || s.NumSegments() != 2 {
+	if s.Len() != 50 || s.Live() != 47 || s.NumSegments() != 2 {
 		t.Fatalf("legacy load: len=%d live=%d segs=%d", s.Len(), s.Live(), s.NumSegments())
 	}
-	if !s.Segments()[0].Sealed() {
-		t.Fatal("legacy data should load sealed, so codes and synopses apply")
+	if !s.Segments()[0].Sealed() || s.Segments()[1].Sealed() || s.Segments()[1].Len() != 0 {
+		t.Fatal("legacy data should load as one sealed segment and an empty active one")
 	}
-	if !s.IsDeleted(11) {
-		t.Fatal("legacy delete mark lost")
+	want := legacyStore()
+	for id := 0; id < want.Len(); id++ {
+		if s.IsDeleted(id) != want.IsDeleted(id) || !reflect.DeepEqual(s.Row(id), want.Row(id)) {
+			t.Fatalf("id %d: row or delete mark lost", id)
+		}
 	}
-	// And the segmented format round-trips through LoadAnyFile too.
-	segPath := filepath.Join(dir, "seg.bond")
-	seg := SegmentedFromVectors(vs, 50)
-	if err := seg.SaveFile(segPath); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadAnyFile(segPath)
+	seg, err := LoadAnyBytes(legacyImage(t, "seg-v1.bond"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.NumSegments() != 4 || s2.Len() != 120 {
-		t.Fatalf("segmented LoadAnyFile: segs=%d len=%d", s2.NumSegments(), s2.Len())
-	}
+	assertSameStore(t, seg, want)
 }
 
 func TestSegmentCodesBuiltOnceAndSealedOnly(t *testing.T) {
@@ -274,21 +280,16 @@ func TestStoreDimRangeAfterReorganize(t *testing.T) {
 }
 
 // TestSegStoreSkipsOlderStatsBlock loads a v2 snapshot whose statistics
-// block is non-empty: the rows and delete marks are intact, and a fresh
-// Save writes the block empty — the image the store would have written
-// itself.
+// block is non-empty: the rows and delete marks are intact, as in its
+// twin with an empty block.
 func TestSegStoreSkipsOlderStatsBlock(t *testing.T) {
-	_, s := segFixture(t, 120, 6, 50)
-	s.Delete(17)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := buf.Bytes()
+	fresh, older := legacyImage(t, "seg-v2.bond"), legacyImage(t, "seg-v2-stats.bond")
 	if n := binary.LittleEndian.Uint64(fresh[snapshotStatsAt:]); n != 0 {
-		t.Fatalf("Save wrote a %d-byte statistics block, want 0", n)
+		t.Fatalf("seg-v2.bond has a %d-byte statistics block, want 0", n)
 	}
-	older := withStatsBlock(fresh, snapshotStatsAt, 8, []byte(`{"queries":7,"bond_frac":0.5}`))
+	if n := binary.LittleEndian.Uint64(older[snapshotStatsAt:]); n == 0 {
+		t.Fatal("seg-v2-stats.bond has an empty statistics block")
+	}
 	for _, load := range []func([]byte) (*SegStore, error){
 		func(b []byte) (*SegStore, error) { return LoadSegmented(bytes.NewReader(b)) },
 		LoadAnyBytes,
@@ -297,14 +298,7 @@ func TestSegStoreSkipsOlderStatsBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameStore(t, got, s)
-		var again bytes.Buffer
-		if err := got.Save(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), fresh) {
-			t.Fatal("re-save of a snapshot with a statistics block differs from a fresh Save")
-		}
+		assertSameStore(t, got, legacyStore())
 	}
 	// A block longer than the file is corruption, not a silent skip.
 	torn := append([]byte(nil), fresh...)

@@ -11,14 +11,12 @@
 package vstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"bond/internal/bitmap"
 	"bond/internal/quant"
@@ -495,39 +493,4 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return s, nil
-}
-
-// SaveFile writes the store to path atomically (write to temp, rename).
-func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := s.Save(bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a store from path.
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(bufio.NewReader(f))
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -226,22 +225,6 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	bad2[0] = 'X'
 	if _, err := Load(bytes.NewReader(bad2)); err == nil {
 		t.Error("bad magic accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.bond")
-	s := FromVectors(sampleVectors())
-	if err := s.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if got.Len() != 3 || got.Dims() != 3 {
-		t.Errorf("loaded shape %d×%d", got.Len(), got.Dims())
 	}
 }
 

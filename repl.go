@@ -46,8 +46,8 @@ const (
 )
 
 // bootstrapSuffix stages a snapshot install next to the target
-// directory. Unlike migratingSuffix it is never auto-resumed: a
-// half-written staging tree is discarded and bootstrap re-runs.
+// directory. It is never resumed: a half-written staging tree is
+// discarded and bootstrap re-runs.
 const bootstrapSuffix = ".bootstrap"
 
 // ReplPosition returns the collection's current stream position: the

@@ -1,14 +1,12 @@
 package bond
 
 import (
-	"path/filepath"
 	"testing"
 
 	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/plan"
 	"bond/internal/topk"
-	"bond/internal/vstore"
 )
 
 // multiSegCollection returns the same data as one collection per layout:
@@ -88,66 +86,6 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 				t.Fatalf("%v compressed rank %d: %+v, want %+v", crit, i, got.Results[i], want.Results[i])
 			}
 		}
-	}
-}
-
-func TestFacadeSaveOpenSegmentedLayout(t *testing.T) {
-	vs, segd, _ := multiSegCollection(t, 350, 16)
-	segd.Delete(42)
-	path := filepath.Join(t.TempDir(), "seg.bond")
-	if err := segd.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSegments() != segd.NumSegments() || got.Live() != segd.Live() {
-		t.Fatalf("reloaded: %d segments, %d live; want %d, %d",
-			got.NumSegments(), got.Live(), segd.NumSegments(), segd.Live())
-	}
-	q := vs[5]
-	a, err := segd.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := got.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Results {
-		if a.Results[i] != b.Results[i] {
-			t.Fatalf("result %d differs after segmented round trip", i)
-		}
-	}
-}
-
-func TestFacadeOpenLegacyFlatFile(t *testing.T) {
-	vs := dataset.CorelLike(200, 12, 9)
-	flat := vstore.FromVectors(vs)
-	flat.Delete(7)
-	path := filepath.Join(t.TempDir(), "legacy.bond")
-	if err := flat.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	col, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Len() != 200 || col.Live() != 199 {
-		t.Fatalf("legacy open: len=%d live=%d", col.Len(), col.Live())
-	}
-	res, err := col.Query(QuerySpec{Query: vs[3], K: 1, Criterion: Hq, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0].ID != 3 {
-		t.Fatalf("self query returned %d", res.Results[0].ID)
-	}
-	// A legacy collection keeps working as a segmented one.
-	col.Add(vs[0])
-	if col.Len() != 201 {
-		t.Fatal("append after legacy open failed")
 	}
 }
 
