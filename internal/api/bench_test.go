@@ -14,7 +14,9 @@ import (
 // 64-vector ingests, and 10-neighbor answers. Run with -benchmem: a query
 // or batch decode allocates once per query vector plus a constant, an
 // ingest decode a constant (its vectors share one array), an encode into
-// a reused buffer not at all.
+// a reused buffer not at all. The *IngestFrames benchmarks put the float64
+// frames beside JSON on the sub-batch a 2-shard coordinator sends one
+// shard of a 64-vector ingest: 32 vectors of 32 dims.
 
 const benchDims = 64
 
@@ -135,4 +137,76 @@ func BenchmarkEncodeBatch32(b *testing.B) {
 		out.Results[i] = benchAnswer(rng)
 	}
 	benchEncode(b, &out)
+}
+
+// ingestSubBatch is a coordinator's 32 × 32 sub-batch of uniform floats.
+func ingestSubBatch() [][]float64 {
+	rng := rand.New(rand.NewSource(1))
+	vectors := make([][]float64, 32)
+	for i := range vectors {
+		vectors[i] = randVector(rng, 32)
+	}
+	return vectors
+}
+
+// BenchmarkEncodeIngestFrames times a sub-batch's body into a reused
+// buffer as frames and as the JSON Marshal writes for it.
+func BenchmarkEncodeIngestFrames(b *testing.B) {
+	vectors := ingestSubBatch()
+	var buf []byte
+	b.Run("frames", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = AppendVectors(buf[:0], vectors)
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("json", func(b *testing.B) {
+		req := IngestRequest{Vectors: vectors}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = appendJSON(buf[:0], &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+}
+
+// BenchmarkDecodeIngestFrames times a shard reading a sub-batch's body
+// from its request, as frames and as JSON.
+func BenchmarkDecodeIngestFrames(b *testing.B) {
+	vectors := ingestSubBatch()
+	frames := AppendVectors(nil, vectors)
+	rd := &rewindBody{}
+	r := httptest.NewRequest(http.MethodPost, "/", nil)
+	w := httptest.NewRecorder()
+	b.Run("frames", func(b *testing.B) {
+		b.SetBytes(int64(len(frames)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(frames)
+			r.Body = rd
+			if _, err := readVectors(w, r, 64<<20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		body, err := json.Marshal(&IngestRequest{Vectors: vectors})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			r.Body = rd
+			var out IngestRequest
+			if err := DecodeBody(w, r, 64<<20, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -9,16 +9,18 @@ import (
 	"sync"
 )
 
-// The wire codec. Every request and answer body, on the client → server
-// hop and on the coordinator → shard hop, goes through four functions:
-// DecodeBody and WriteJSON for a handler, Marshal and Unmarshal for the
-// coordinator's side of a shard call. For the hot types — QuerySpec,
-// BatchRequest, IngestRequest, QueryResponse, BatchResponse — they run the
-// one-pass decoder (decode.go) and the append encoders (encode.go); for
-// anything those do not take exactly, and for every other type, they run
-// encoding/json on the same bytes. encoding/json therefore still defines
-// which bodies are accepted, every error text, and every byte written:
-// the fast paths only ever produce what it would.
+// The wire codec. Every JSON request and answer body, on the client →
+// server hop and on the coordinator → shard hop, goes through four
+// functions: DecodeBody and WriteJSON for a handler, Marshal and Unmarshal
+// for the coordinator's side of a shard call. For the hot types —
+// QuerySpec, BatchRequest, IngestRequest on the way in, QueryResponse and
+// BatchResponse — they run the one-pass decoder (decode.go) and the append
+// encoders (encode.go); for anything those do not take exactly, and for
+// every other type, they run encoding/json on the same bytes.
+// encoding/json therefore still defines which bodies are accepted, every
+// error text, and every byte written: the fast paths only ever produce
+// what it would. The one body that is not JSON is the coordinator's ingest
+// to a shard, which carries its vectors as raw float64 frames (frames.go).
 
 // Body is a pooled byte buffer a body is read into or an answer appended
 // to. Release returns it to the pool; the bytes must not be used after.
@@ -134,8 +136,6 @@ func appendJSON(b []byte, v any) ([]byte, error) {
 		out, ok = appendQuerySpec(b, v)
 	case *BatchRequest:
 		out, ok = appendBatchRequest(b, v)
-	case *IngestRequest:
-		out, ok = appendIngestRequest(b, v)
 	}
 	if ok {
 		return out, nil
@@ -174,7 +174,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) error {
 		b, _ = appendJSON(b[:0], Error{Error: "encode response: " + err.Error()})
 	}
 	body.B = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", JSONType)
 	w.WriteHeader(status)
 	_, _ = w.Write(body.B)
 	return err

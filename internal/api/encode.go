@@ -224,30 +224,3 @@ func appendBatchRequest(b []byte, r *BatchRequest) ([]byte, bool) {
 	}
 	return append(b, "]}"...), true
 }
-
-func appendIngestRequest(b []byte, r *IngestRequest) ([]byte, bool) {
-	ok := true
-	b = append(b, '{')
-	if len(r.Vector) > 0 {
-		b = append(b, `"vector":`...)
-		if b, ok = appendFloats(b, r.Vector); !ok {
-			return b, false
-		}
-	}
-	if len(r.Vectors) > 0 {
-		if len(r.Vector) > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `"vectors":[`...)
-		for i, v := range r.Vectors {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, ok = appendFloats(b, v); !ok {
-				return b, false
-			}
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}'), true
-}

@@ -210,7 +210,12 @@ func NewMux(b Backend, maxBodyBytes int64, logf func(format string, args ...any)
 	}))
 	mux.HandleFunc("POST /collections/{name}/vectors", h.collection(OpWrite, func(w http.ResponseWriter, r *http.Request, name string) (any, error) {
 		var req IngestRequest
-		if err := h.decode(w, r, &req); err != nil {
+		if r.Header.Get("Content-Type") == FramesType {
+			var err error
+			if req.Vectors, err = readVectors(w, r, h.maxBody); err != nil {
+				return nil, WithStatus(http.StatusBadRequest, err)
+			}
+		} else if err := h.decode(w, r, &req); err != nil {
 			return nil, err
 		}
 		vectors := req.Vectors

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -381,6 +382,69 @@ func TestBodySizeCap(t *testing.T) {
 		api.IngestRequest{Vector: []float64{0.1, 0.2, 0.3}}, nil); code != http.StatusOK {
 		t.Fatalf("small body after cap rejection: status %d, want 200", code)
 	}
+}
+
+// TestFramesIngestRefusals: a float64-frames ingest the route cannot take
+// whole — a non-finite coordinate, the wrong dims, a body short of or past
+// what its header announces, a body over the cap — is a 400 that commits
+// nothing, and a good one after them takes id 0.
+func TestFramesIngestRefusals(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
+	doJSON(t, http.MethodPut, ts.URL+"/collections/c", api.CreateRequest{Dims: 3}, nil)
+	good := api.AppendVectors(nil, [][]float64{{0.1, 0.2, 0.3}})
+	big := make([][]float64, 16)
+	for i := range big {
+		big[i] = []float64{0.1, 0.2, 0.3}
+	}
+	length := func() int {
+		var st struct {
+			Len int `json:"len"`
+		}
+		if code := doJSON(t, http.MethodGet, ts.URL+"/collections/c", nil, &st); code != http.StatusOK {
+			t.Fatalf("stats: status %d", code)
+		}
+		return st.Len
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"NaN", api.AppendVectors(nil, [][]float64{{0.1, 0.2, 0.3}, {0.1, math.NaN(), 0.3}}), "vector 1 coordinate 1 is NaN"},
+		{"+Inf", api.AppendVectors(nil, [][]float64{{0.1, 0.2, math.Inf(1)}}), "vector 0 coordinate 2 is +Inf"},
+		{"-Inf", api.AppendVectors(nil, [][]float64{{math.Inf(-1), 0.2, 0.3}}), "vector 0 coordinate 0 is -Inf"},
+		{"wrong dims", api.AppendVectors(nil, [][]float64{{0.1, 0.2}}), `vector 0 has 2 dims, collection "c" has 3`},
+		{"short body", good[:len(good)-1], "31 bytes do not hold 1 vectors of 3 dims"},
+		{"trailing bytes", append(append([]byte(nil), good...), 0), "33 bytes do not hold 1 vectors of 3 dims"},
+		{"over the cap", api.AppendVectors(nil, big), "request body too large"},
+	} {
+		var e api.Error
+		if code := postFrames(t, ts.URL+"/collections/c/vectors", tc.body, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: status %d %q, want 400 naming %q", tc.name, code, e.Error, tc.want)
+		}
+		if n := length(); n != 0 {
+			t.Fatalf("%s: len %d after a refused ingest, want 0", tc.name, n)
+		}
+	}
+	var out api.IngestResponse
+	if code := postFrames(t, ts.URL+"/collections/c/vectors", good, &out); code != http.StatusOK || out.FirstID != 0 || out.Count != 1 {
+		t.Fatalf("good frames: status %d %+v", code, out)
+	}
+}
+
+// postFrames posts a float64-frames body and decodes the JSON answer into
+// out, returning the status code.
+func postFrames(t *testing.T, url string, body []byte, out any) int {
+	t.Helper()
+	resp, err := http.Post(url, api.FramesType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("POST %s: bad response: %v", url, err)
+	}
+	return resp.StatusCode
 }
 
 // TestPersistenceAcrossRestart checks that a shut-down server's data —

@@ -141,6 +141,7 @@ func TestQueryHandlerAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name, method, path string
 		body               []byte
+		ctype              string
 		want               float64
 	}{
 		// 2 in Collection.Query (bond.query_allocs); the route's path
@@ -148,25 +149,33 @@ func TestQueryHandlerAllocations(t *testing.T) {
 		// answer, which escape through the codec's interface parameters;
 		// the query vector; the answer's neighbor list; the Content-Type
 		// header value.
-		{"query", http.MethodPost, "/collections/c/query", mustJSON(specs[0]), 9},
+		{"query", http.MethodPost, "/collections/c/query", mustJSON(specs[0]), "", 9},
 		// Per spec: its query vector, its answer's neighbor list and the
 		// engine's per-query results; plus the batch's constant handful.
-		{"batch32", http.MethodPost, "/collections/c/query/batch", mustJSON(api.BatchRequest{Queries: specs}), 138},
+		{"batch32", http.MethodPost, "/collections/c/query/batch", mustJSON(api.BatchRequest{Queries: specs}), "", 138},
 		// The decoded vectors (the outer slice and one backing array), the
 		// WAL record, the collection's append path and the delete bitmap's
 		// growth; plus 65 / 20 for the columns' one doubling.
-		{"ingest64", http.MethodPost, "/collections/c/vectors", mustJSON(api.IngestRequest{Vectors: data[:64]}), 13},
+		{"ingest64", http.MethodPost, "/collections/c/vectors", mustJSON(api.IngestRequest{Vectors: data[:64]}), "", 13},
+		// The same ingest as the float64 frames a coordinator sends: the
+		// frames decoder's two allocations take the JSON decoder's place
+		// (both rows measure 10 between doublings), and the columns'
+		// doubling at 4 096 rows falls within its 20 requests.
+		{"ingest64frames", http.MethodPost, "/collections/c/vectors", api.AppendVectors(nil, data[64:128]), api.FramesType, 14},
 		// The readback the SIGKILL test audits with: the route's two path
 		// wildcards, the vector's copy, the answer and its encoding/json
 		// bytes (a cold type: no append encoder), the Content-Type header
 		// value.
-		{"vector", http.MethodGet, "/collections/c/vectors/7", nil, 6},
+		{"vector", http.MethodGet, "/collections/c/vectors/7", nil, "", 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if raceEnabled {
 				t.Skip("allocation counts are not reproducible under -race")
 			}
 			r := httptest.NewRequest(tc.method, tc.path, nil)
+			if tc.ctype != "" {
+				r.Header.Set("Content-Type", tc.ctype)
+			}
 			rd := &rewindBody{}
 			run := func() {
 				w.reset()

@@ -122,10 +122,10 @@ func newClient(s Shard, hc *http.Client, env Envelope, brk *Breaker) *client {
 func (c *client) activeURL() string { return *c.active.Load() }
 
 // call performs one logical API call against the shard inside the full
-// envelope. body is re-sent verbatim on every attempt; a 2xx response is
-// decoded into out (when non-nil). hedge marks the call idempotent and
-// therefore hedgeable.
-func (c *client) call(ctx context.Context, method, path string, body []byte, out any, hedge bool) error {
+// envelope. body, of media type ctype, is re-sent verbatim on every
+// attempt; a 2xx response is decoded into out (when non-nil). hedge marks
+// the call idempotent and therefore hedgeable.
+func (c *client) call(ctx context.Context, method, path, ctype string, body []byte, out any, hedge bool) error {
 	if !c.brk.Allow() {
 		c.fastFails.Add(1)
 		return fmt.Errorf("shard %d (%s): %w", c.shard.ID, c.activeURL(), ErrCircuitOpen)
@@ -146,7 +146,7 @@ func (c *client) call(ctx context.Context, method, path string, body []byte, out
 				c.steered.Add(1)
 			}
 		}
-		raw, err := c.attempt(ctx, base, method, path, body, hedge, attempt)
+		raw, err := c.attempt(ctx, base, method, path, ctype, body, hedge, attempt)
 		if err == nil {
 			if out != nil {
 				if derr := api.Unmarshal(raw.B, out); derr != nil {
@@ -231,7 +231,7 @@ func (c *client) backoff(ctx context.Context, attempt int, cause error) bool {
 // attempt runs one (possibly hedged) attempt under the carved slice of
 // the call's remaining deadline: remaining budget divided by attempts
 // left, so early attempts cannot starve later ones.
-func (c *client) attempt(ctx context.Context, base, method, path string, body []byte, hedge bool, attempt int) (*api.Body, error) {
+func (c *client) attempt(ctx context.Context, base, method, path, ctype string, body []byte, hedge bool, attempt int) (*api.Body, error) {
 	attemptCtx := ctx
 	var cancel context.CancelFunc
 	if dl, ok := ctx.Deadline(); ok {
@@ -245,15 +245,15 @@ func (c *client) attempt(ctx context.Context, base, method, path string, body []
 	}
 	hedgeAfter := c.env.HedgeAfter
 	if !hedge || hedgeAfter <= 0 {
-		return c.roundTrip(attemptCtx, base, method, path, body)
+		return c.roundTrip(attemptCtx, base, method, path, ctype, body)
 	}
-	return c.hedged(attemptCtx, base, method, path, body, hedgeAfter)
+	return c.hedged(attemptCtx, base, method, path, ctype, body, hedgeAfter)
 }
 
 // hedged races the primary request against a second one launched after
 // hedgeAfter of silence. The first success wins and cancels the loser;
 // if both fail the primary's error is reported.
-func (c *client) hedged(ctx context.Context, base, method, path string, body []byte, hedgeAfter time.Duration) (*api.Body, error) {
+func (c *client) hedged(ctx context.Context, base, method, path, ctype string, body []byte, hedgeAfter time.Duration) (*api.Body, error) {
 	type outcome struct {
 		raw    *api.Body
 		err    error
@@ -264,7 +264,7 @@ func (c *client) hedged(ctx context.Context, base, method, path string, body []b
 	results := make(chan outcome, 2)
 	launch := func(hedged bool) {
 		go func() {
-			raw, err := c.roundTrip(ctx, base, method, path, body)
+			raw, err := c.roundTrip(ctx, base, method, path, ctype, body)
 			results <- outcome{raw: raw, err: err, hedged: hedged}
 		}()
 	}
@@ -302,16 +302,17 @@ func (c *client) hedged(ctx context.Context, base, method, path string, body []b
 	}
 }
 
-// roundTrip performs one HTTP exchange: 2xx returns the raw body in a
-// pooled buffer the caller releases, non-2xx an *api.StatusError carrying
-// the structured error body when present, wrapped as "shard answered N".
-func (c *client) roundTrip(ctx context.Context, base, method, path string, body []byte) (*api.Body, error) {
+// roundTrip performs one HTTP exchange, sending body (if any) as ctype:
+// 2xx returns the raw body in a pooled buffer the caller releases, non-2xx
+// an *api.StatusError carrying the structured error body when present,
+// wrapped as "shard answered N".
+func (c *client) roundTrip(ctx context.Context, base, method, path, ctype string, body []byte) (*api.Body, error) {
 	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -342,7 +343,7 @@ func (c *client) probe(ctx context.Context, path string, timeout time.Duration) 
 	c.probes.Add(1)
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	raw, err := c.roundTrip(pctx, c.activeURL(), http.MethodGet, path, nil)
+	raw, err := c.roundTrip(pctx, c.activeURL(), http.MethodGet, path, "", nil)
 	if err != nil {
 		c.probeFail.Add(1)
 		c.healthy.Store(false)

@@ -39,7 +39,7 @@ func TestClientRetriesTransientThenSucceeds(t *testing.T) {
 	var out struct {
 		OK bool `json:"ok"`
 	}
-	if err := c.call(context.Background(), http.MethodGet, "/x", nil, &out, false); err != nil {
+	if err := c.call(context.Background(), http.MethodGet, "/x", "", nil, &out, false); err != nil {
 		t.Fatal(err)
 	}
 	if !out.OK {
@@ -57,7 +57,7 @@ func TestClientDoesNotRetryPermanent(t *testing.T) {
 		w.WriteHeader(http.StatusNotFound)
 		w.Write([]byte(`{"error": "collection not found"}`))
 	}), fastEnvelope(), nil)
-	err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false)
+	err := c.call(context.Background(), http.MethodGet, "/x", "", nil, nil, false)
 	var se *api.StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
 		t.Fatalf("err = %v, want a 404 StatusError", err)
@@ -82,7 +82,7 @@ func TestClientRetriesGarbageBody(t *testing.T) {
 	var out struct {
 		OK bool `json:"ok"`
 	}
-	if err := c.call(context.Background(), http.MethodGet, "/x", nil, &out, false); err != nil {
+	if err := c.call(context.Background(), http.MethodGet, "/x", "", nil, &out, false); err != nil {
 		t.Fatal(err)
 	}
 	if c.retries.Load() != 1 {
@@ -97,7 +97,7 @@ func TestClientExhaustsEnvelope(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte(`{"error": "overloaded", "code": "overloaded", "retry_after_ms": 1}`))
 	}), fastEnvelope(), nil)
-	err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false)
+	err := c.call(context.Background(), http.MethodGet, "/x", "", nil, nil, false)
 	if err == nil {
 		t.Fatal("call succeeded against a permanently failing shard")
 	}
@@ -116,11 +116,11 @@ func TestClientBreakerFastFails(t *testing.T) {
 		hits.Add(1)
 		w.WriteHeader(http.StatusInternalServerError)
 	}), Envelope{MaxAttempts: 1}, brk)
-	if err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false); err == nil {
+	if err := c.call(context.Background(), http.MethodGet, "/x", "", nil, nil, false); err == nil {
 		t.Fatal("first call succeeded")
 	}
 	before := hits.Load()
-	err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false)
+	err := c.call(context.Background(), http.MethodGet, "/x", "", nil, nil, false)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
@@ -154,7 +154,7 @@ func TestClientHedgeWinsOverStraggler(t *testing.T) {
 	var out struct {
 		OK bool `json:"ok"`
 	}
-	if err := c.call(ctx, http.MethodGet, "/x", nil, &out, true); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/x", "", nil, &out, true); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -174,7 +174,7 @@ func TestClientDeadlineBoundsRetries(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := c.call(ctx, http.MethodGet, "/x", nil, nil, false)
+	err := c.call(ctx, http.MethodGet, "/x", "", nil, nil, false)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call against a hanging shard succeeded")
@@ -226,7 +226,7 @@ func TestStatusErrorCarriesStructuredBody(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte(`{"error": "server overloaded", "code": "overloaded", "retry_after_ms": 1000}`))
 	}), Envelope{MaxAttempts: 1}, nil)
-	err := c.call(context.Background(), http.MethodGet, "/x", nil, nil, false)
+	err := c.call(context.Background(), http.MethodGet, "/x", "", nil, nil, false)
 	var se *api.StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want StatusError", err)

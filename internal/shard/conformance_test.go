@@ -1,8 +1,14 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -201,5 +207,151 @@ func TestCoordinatorRaggedIngestCommitsNothing(t *testing.T) {
 	doJSON(t, http.MethodPost, cl.front.URL+"/collections/c/vectors", api.IngestRequest{Vectors: [][]float64{{0.5, 0.5}}}, nil)
 	if n := cl.co.fanouts.Load() - before; n != 2 {
 		t.Fatalf("a cached ingest made %d shard calls, want 2", n)
+	}
+}
+
+// TestCoordinatorFramesRefusalsCommitNothing: a client's float64-frames
+// ingest the coordinator cannot take whole — a non-finite coordinate, the
+// wrong dims, a body short of or past what its header announces, a body
+// over the cap — is a plain 400, no shard commits anything, and the next
+// ingest takes the next id. The coordinator serves through its own
+// handler set with a 256-byte cap (Handler's is the 64 MiB default).
+func TestCoordinatorFramesRefusalsCommitNothing(t *testing.T) {
+	cl := newTestCluster(t, 2, fastTestConfig())
+	front := httptest.NewServer(api.NewMux(cl.co, 256, nil))
+	t.Cleanup(front.Close)
+	doJSON(t, http.MethodPut, front.URL+"/collections/c", api.CreateRequest{Dims: 3}, nil)
+	doJSON(t, http.MethodPost, front.URL+"/collections/c/vectors", api.IngestRequest{Vectors: [][]float64{{1, 0, 0}, {0, 1, 0}}}, nil)
+	length := func() int {
+		var st struct {
+			Len int `json:"len"`
+		}
+		if status, raw := doJSON(t, http.MethodGet, front.URL+"/collections/c", nil, &st); status != http.StatusOK {
+			t.Fatalf("stats: status %d: %s", status, raw)
+		}
+		return st.Len
+	}
+	good := api.AppendVectors(nil, [][]float64{{0.1, 0.2, 0.3}})
+	big := make([][]float64, 16)
+	for i := range big {
+		big[i] = []float64{0.1, 0.2, 0.3}
+	}
+	before := cl.co.fanouts.Load()
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"NaN", api.AppendVectors(nil, [][]float64{{0.1, 0.2, 0.3}, {0.1, math.NaN(), 0.3}}), "vector 1 coordinate 1 is NaN"},
+		{"+Inf", api.AppendVectors(nil, [][]float64{{0.1, 0.2, math.Inf(1)}}), "vector 0 coordinate 2 is +Inf"},
+		{"-Inf", api.AppendVectors(nil, [][]float64{{math.Inf(-1), 0.2, 0.3}}), "vector 0 coordinate 0 is -Inf"},
+		{"wrong dims", api.AppendVectors(nil, [][]float64{{0.1, 0.2}, {0.3, 0.4}}), `vector 0 has 2 dims, collection "c" has 3`},
+		{"short body", good[:len(good)-1], "31 bytes do not hold 1 vectors of 3 dims"},
+		{"trailing bytes", append(append([]byte(nil), good...), 0), "33 bytes do not hold 1 vectors of 3 dims"},
+		{"over the cap", api.AppendVectors(nil, big), "request body too large"},
+	} {
+		resp, err := http.Post(front.URL+"/collections/c/vectors", api.FramesType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) || len(e.MissedShards) != 0 {
+			t.Errorf("%s: status %d %+v (%v), want a plain 400 naming %q", tc.name, resp.StatusCode, e, err, tc.want)
+		}
+		if n := length(); n != 2 {
+			t.Fatalf("%s: len %d after a refused ingest, want 2", tc.name, n)
+		}
+	}
+	// Each length check is one fan-out; no refused ingest reached a shard.
+	if n := cl.co.fanouts.Load() - before; n != 7*2 {
+		t.Fatalf("refused ingests made %d shard calls beyond the length checks", n-7*2)
+	}
+	resp, err := http.Post(front.URL+"/collections/c/vectors", api.FramesType, bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out api.IngestResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || out.FirstID != 2 {
+		t.Fatalf("good frames after refusals: status %d %+v (%v)", resp.StatusCode, out, err)
+	}
+}
+
+// TestCoordinatorShardHopFrames: vectors of random finite bits ingested
+// through the coordinator reach their shards as float64 frames and read
+// back bit-identical, through the coordinator and straight from the
+// owning shard; queries and batches still cross as JSON. The proxies in
+// front of the shards see every call, so a silent fallback to JSON fails.
+func TestCoordinatorShardHopFrames(t *testing.T) {
+	cl := newTestCluster(t, 2, fastTestConfig())
+	const dims = 8
+	rng := rand.New(rand.NewSource(1))
+	edges := []float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), 1, 0.1, -2.5e-300}
+	vectors := make([][]float64, 13)
+	for i := range vectors {
+		vectors[i] = make([]float64, dims)
+		for d := range vectors[i] {
+			b := rng.Uint64()
+			if b&(0x7ff<<52) == 0x7ff<<52 { // NaN or ±Inf: clear the exponent's top bit
+				b &^= 1 << 62
+			}
+			vectors[i][d] = math.Float64frombits(b)
+		}
+	}
+	copy(vectors[5], edges)
+	doJSON(t, http.MethodPut, cl.front.URL+"/collections/c", api.CreateRequest{Dims: dims}, nil)
+	for _, batch := range [][][]float64{vectors[:2], vectors[2:6], vectors[6:]} {
+		if status, raw := doJSON(t, http.MethodPost, cl.front.URL+"/collections/c/vectors", api.IngestRequest{Vectors: batch}, nil); status != http.StatusOK {
+			t.Fatalf("ingest: status %d: %s", status, raw)
+		}
+	}
+	for g, want := range vectors {
+		owner, local := cl.co.topo.Owner(g), cl.co.topo.Local(g)
+		for _, url := range []string{
+			fmt.Sprintf("%s/collections/c/vectors/%d", cl.front.URL, g),
+			fmt.Sprintf("%s/collections/c/vectors/%d", cl.raw[owner].URL, local),
+		} {
+			var got api.VectorResponse
+			if status, raw := doJSON(t, http.MethodGet, url, nil, &got); status != http.StatusOK {
+				t.Fatalf("GET %s: status %d: %s", url, status, raw)
+			}
+			for d := range want {
+				if len(got.Vector) != dims || math.Float64bits(got.Vector[d]) != math.Float64bits(want[d]) {
+					t.Fatalf("GET %s: %v, ingested %v", url, got.Vector, want)
+				}
+			}
+		}
+	}
+
+	// No criterion scores vectors this far apart without overflow, so the
+	// queries go to a collection of unit-box vectors.
+	doJSON(t, http.MethodPut, cl.front.URL+"/collections/d", api.CreateRequest{Dims: dims}, nil)
+	doJSON(t, http.MethodPost, cl.front.URL+"/collections/d/vectors", api.IngestRequest{Vectors: deterministicVectors(6, dims)}, nil)
+	q := api.QuerySpec{Query: make([]float64, dims), K: 3, Criterion: "ev"}
+	if status, raw := doJSON(t, http.MethodPost, cl.front.URL+"/collections/d/query", q, nil); status != http.StatusOK {
+		t.Fatalf("query: status %d: %s", status, raw)
+	}
+	if status, raw := doJSON(t, http.MethodPost, cl.front.URL+"/collections/d/query/batch", api.BatchRequest{Queries: []api.QuerySpec{q, q}}, nil); status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, raw)
+	}
+	for i, p := range cl.proxies {
+		for _, c := range []struct {
+			path, ctype string
+			want        int
+		}{
+			{"/collections/c/vectors", api.FramesType, 3},
+			{"/collections/c/vectors", api.JSONType, 0},
+			{"/collections/d/vectors", api.FramesType, 1},
+			{"/collections/d/query", api.JSONType, 1},
+			{"/collections/d/query/batch", api.JSONType, 1},
+		} {
+			if n := p.sent(http.MethodPost, c.path, c.ctype); n != c.want {
+				t.Errorf("shard %d: %d POST %s as %s, want %d", i, n, c.path, c.ctype, c.want)
+			}
+		}
 	}
 }

@@ -256,7 +256,7 @@ func (co *Coordinator) fanOut(fn func(i int, c *client) error) []error {
 func fanCall[T any](co *Coordinator, ctx context.Context, method, path string, body []byte, hedge bool) ([]T, []error) {
 	out := make([]T, len(co.clients))
 	return out, co.fanOut(func(i int, c *client) error {
-		return c.call(ctx, method, path, body, &out[i], hedge)
+		return c.call(ctx, method, path, api.JSONType, body, &out[i], hedge)
 	})
 }
 
@@ -458,7 +458,7 @@ func (co *Coordinator) Drop(ctx context.Context, name string) error {
 	ctx, cancel := co.budget(ctx, 0)
 	defer cancel()
 	errs := co.fanOut(func(i int, c *client) error {
-		return c.call(ctx, http.MethodDelete, "/collections/"+name, nil, nil, false)
+		return c.call(ctx, http.MethodDelete, "/collections/"+name, "", nil, nil, false)
 	})
 	co.colMu.Lock()
 	delete(co.layouts, name)
@@ -521,7 +521,7 @@ func (co *Coordinator) Describe(ctx context.Context, name string) (any, error) {
 func (co *Coordinator) atID(ctx context.Context, method, name string, g, status int, out any) error {
 	if g >= 0 {
 		path := fmt.Sprintf("/collections/%s/vectors/%d", name, co.topo.Local(g))
-		err := co.clients[co.topo.Owner(g)].call(ctx, method, path, nil, out, method == http.MethodGet)
+		err := co.clients[co.topo.Owner(g)].call(ctx, method, path, "", nil, out, method == http.MethodGet)
 		var se *api.StatusError
 		if !errors.As(err, &se) || se.Status != http.StatusNotFound || se.Msg == api.ErrNotFound.Error() {
 			return err
@@ -632,11 +632,14 @@ func (co *Coordinator) Ingest(ctx context.Context, name string, vectors [][]floa
 		if len(sub[i]) == 0 {
 			return nil
 		}
-		body, _ := api.Marshal(&api.IngestRequest{Vectors: sub[i]})
+		// The sub-batch crosses as raw float64 frames, in a buffer of its
+		// own: net/http may go on reading a request body after Do returns,
+		// so a pooled one could not be released when the call returns.
+		body := api.AppendVectors(nil, sub[i])
 		var out api.IngestResponse
 		// Not hedged: ingest is not idempotent — a duplicate landing would
 		// shift every later id.
-		if err := c.call(ctx, http.MethodPost, "/collections/"+name+"/vectors", body, &out, false); err != nil {
+		if err := c.call(ctx, http.MethodPost, "/collections/"+name+"/vectors", api.FramesType, body, &out, false); err != nil {
 			return err
 		}
 		if out.FirstID != firstLocal[i] {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,11 +31,28 @@ type faultProxy struct {
 	backend http.Handler
 	mode    atomic.Value // one of the fault constants
 	hits    atomic.Int64 // requests seen while flapping
+
+	seenMu sync.Mutex
+	seen   map[string]int // requests by "METHOD path Content-Type"
+}
+
+// sent returns how many requests the proxy saw with the given method,
+// path and Content-Type.
+func (p *faultProxy) sent(method, path, ctype string) int {
+	p.seenMu.Lock()
+	defer p.seenMu.Unlock()
+	return p.seen[method+" "+path+" "+ctype]
 }
 
 func (p *faultProxy) setMode(m string) { p.mode.Store(m) }
 
 func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	p.seenMu.Lock()
+	if p.seen == nil {
+		p.seen = map[string]int{}
+	}
+	p.seen[r.Method+" "+r.URL.Path+" "+r.Header.Get("Content-Type")]++
+	p.seenMu.Unlock()
 	mode, _ := p.mode.Load().(string)
 	switch mode {
 	case faultKill:

@@ -39,7 +39,7 @@ import (
 func (c *client) fetchReplStatus(ctx context.Context, base string, timeout time.Duration) (*api.ReplStatus, error) {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	raw, err := c.roundTrip(pctx, base, http.MethodGet, "/replstatus", nil)
+	raw, err := c.roundTrip(pctx, base, http.MethodGet, "/replstatus", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func (co *Coordinator) maybePromote(ctx context.Context, c *client, timeout time
 func (c *client) promoteReplica(ctx context.Context, base string, timeout time.Duration) error {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	raw, err := c.roundTrip(pctx, base, http.MethodPost, "/promote", nil)
+	raw, err := c.roundTrip(pctx, base, http.MethodPost, "/promote", "", nil)
 	if err != nil {
 		return err
 	}
