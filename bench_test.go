@@ -457,7 +457,7 @@ func BenchmarkSegmentSkipping(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: Ev, SkipRangeCheck: true, Strategy: StrategyBOND})
+				res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: Ev, Strategy: StrategyBOND})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,7 @@
 // sealed segments plus one mutable active segment, and inside every
 // segment each dimension is a contiguous column with a per-vector total
 // side table. Appends go to the active segment, which seals at a size
-// threshold; deletes are bitmap marks inside their segment; Compact
+// threshold; deletes are bitmap marks inside their segment; compaction
 // rewrites only segments whose tombstone ratio warrants it. Every sealed
 // segment carries a per-dimension min/max synopsis and lazily built 8-bit
 // compressed fragments.
@@ -28,7 +28,8 @@
 //
 // A Collection is safe for concurrent use: any number of readers
 // (Query, QueryBatch, QueryExplain, Len, …) run concurrently with
-// each other, and writers (Add, AddBatch, Delete, Compact, Recluster) are
+// each other, and writers (AddDurable, AddBatchDurable, TryDeleteDurable,
+// CompactRatioDurable, SealActiveDurable, ReclusterDurable) are
 // serialized against them by an internal RWMutex. Every search observes a
 // consistent snapshot and returns exact results.
 // SearchProgressive and AsFeature take a snapshot under the lock (sealed
@@ -71,9 +72,11 @@
 // written exactly once, ever), and recovery replays the log tail on top
 // of the last checkpoint, always yielding a consistent prefix of the
 // acknowledged history. Collection.Checkpoint truncates the log;
-// Collection.Close releases it. A durable directory is the only on-disk
-// form of a collection: ImportSnapshot (`bondgen -import`) converts a
-// whole-file snapshot an earlier release wrote into one, offline.
+// Collection.Close releases it. An in-memory collection has the same
+// mutators: it is a durable one with no log, so their error is always
+// nil. A durable directory is the only on-disk form of a collection:
+// ImportSnapshot (`bondgen -import`) converts a whole-file snapshot an
+// earlier release wrote into one, offline.
 //
 // # Serving
 //
@@ -276,8 +279,8 @@ var unitQuantizer = quant.NewUnit()
 
 // NewCollection decomposes a row-major collection using the default
 // segment size. It panics on empty or ragged input, or on a NaN or
-// infinite coordinate (programmer error); use New plus Add for
-// incremental builds.
+// infinite coordinate (programmer error); use New plus AddBatchDurable
+// for incremental builds.
 func NewCollection(vectors [][]float64) *Collection {
 	return NewCollectionSegmented(vectors, DefaultSegmentSize)
 }
@@ -454,17 +457,6 @@ func (c *Collection) NumSegments() int {
 	return c.store.NumSegments()
 }
 
-// SealActive force-seals the active segment, freezing the current layout
-// (subsequent appends open a fresh segment). Mostly useful to align
-// segment boundaries with data locality before a read-heavy phase. On a
-// durable collection it panics if the seal cannot be logged; use
-// SealActiveDurable to handle that error.
-func (c *Collection) SealActive() {
-	if err := c.SealActiveDurable(); err != nil {
-		panic(fmt.Sprintf("bond: SealActive: %v", err))
-	}
-}
-
 // Vector returns a copy of vector id. It panics on an out-of-range id;
 // callers racing writers (or background compaction, which remaps ids)
 // should use TryVector.
@@ -488,86 +480,6 @@ func (c *Collection) TryVector(id int) (v []float64, ok bool) {
 		return nil, false
 	}
 	return c.store.Row(id), true
-}
-
-// Add appends a vector and returns its id. Sealed segments and their
-// compressed fragments are untouched; only the active segment changes.
-// On a durable collection the vector is logged (and, under FsyncAlways,
-// fsynced) before it is applied; Add panics if the log rejects the
-// record — use AddDurable to handle that error instead. Add and
-// AddDurable panic, before logging anything, on a vector of the wrong
-// dimensionality or with a NaN or infinite coordinate; so do AddBatch and
-// AddBatchDurable if any vector of the batch is one.
-func (c *Collection) Add(v []float64) int {
-	id, err := c.AddDurable(v)
-	if err != nil {
-		panic(fmt.Sprintf("bond: Add: %v", err))
-	}
-	return id
-}
-
-// AddBatch appends many vectors, returning the first new id. On a
-// durable collection the batch is logged as one atomic record before it
-// is applied; AddBatch panics if the log rejects it — use
-// AddBatchDurable to handle that error instead.
-func (c *Collection) AddBatch(vectors [][]float64) int {
-	first, err := c.AddBatchDurable(vectors)
-	if err != nil {
-		panic(fmt.Sprintf("bond: AddBatch: %v", err))
-	}
-	return first
-}
-
-// Delete marks vector id as deleted; it is skipped by every search until
-// a compaction removes it physically. It panics on an out-of-range id
-// (callers racing other writers should use TryDelete) and, on a durable
-// collection, when the tombstone cannot be logged — use TryDeleteDurable
-// to handle that error.
-func (c *Collection) Delete(id int) {
-	ok, err := c.TryDeleteDurable(id)
-	if err != nil {
-		panic(fmt.Sprintf("bond: Delete: %v", err))
-	}
-	if !ok {
-		panic(fmt.Sprintf("bond: Delete of id %d outside collection", id))
-	}
-}
-
-// TryDelete marks vector id as deleted, reporting false when id is
-// outside the collection. The bounds check and the mark happen under one
-// lock acquisition, so it is safe against a concurrent compaction
-// shrinking the id space — the check-then-Delete idiom is not. On a
-// durable collection it panics if the tombstone cannot be logged; use
-// TryDeleteDurable to handle that error.
-func (c *Collection) TryDelete(id int) bool {
-	ok, err := c.TryDeleteDurable(id)
-	if err != nil {
-		panic(fmt.Sprintf("bond: TryDelete: %v", err))
-	}
-	return ok
-}
-
-// Compact physically removes every delete-marked vector, returning the
-// old-id → new-id mapping (−1 for removed ids). Segments without
-// tombstones are left untouched, so the cost scales with the churned part
-// of the collection; see CompactRatio to also leave barely-churned
-// segments alone.
-func (c *Collection) Compact() []int {
-	return c.CompactRatio(0)
-}
-
-// CompactRatio rewrites only the segments whose tombstone ratio is at
-// least minRatio, returning the old-id → new-id mapping. Ids in segments
-// below the ratio keep their tombstones (and the mapping reflects any
-// shift caused by earlier rewritten segments). On a durable collection
-// it panics if the compaction cannot be logged; use CompactRatioDurable
-// to handle that error.
-func (c *Collection) CompactRatio(minRatio float64) []int {
-	mapping, err := c.CompactRatioDurable(minRatio)
-	if err != nil {
-		panic(fmt.Sprintf("bond: CompactRatio: %v", err))
-	}
-	return mapping
 }
 
 // errIfUnmapped returns ErrClosed when Close has released the memory

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,6 +20,52 @@ func testCollection(t *testing.T) ([][]float64, *Collection) {
 	t.Helper()
 	vs := dataset.CorelLike(600, 32, 2024)
 	return vs, NewCollection(vs)
+}
+
+// addSealed appends vectors to c and seals the active segment, so the
+// next append opens a fresh one.
+func addSealed(t *testing.T, c *Collection, vectors [][]float64) {
+	t.Helper()
+	if _, err := c.AddBatchDurable(vectors); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SealActiveDurable(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deleteIDs tombstones each id, failing the test if one is outside c.
+func deleteIDs(t *testing.T, c *Collection, ids ...int) {
+	t.Helper()
+	for _, id := range ids {
+		if ok, err := c.TryDeleteDurable(id); !ok || err != nil {
+			t.Fatalf("delete %d: ok=%v err=%v", id, ok, err)
+		}
+	}
+}
+
+// TestCollectionMethodSet pins the exported method set of *Collection, so
+// a new method — a second variant of an existing mutator, say — arrives as
+// a reviewed change to this list.
+func TestCollectionMethodSet(t *testing.T) {
+	want := []string{
+		"AddBatchDurable", "AddDurable", "ApplyReplChunk", "AsFeature",
+		"Checkpoint", "Close", "Cluster", "CompactRatioDurable", "Dims",
+		"Durable", "Len", "Live", "NewExclusion", "NumSegments", "ProbeWAL",
+		"Query", "QueryBatch", "QueryExplain", "Recluster", "ReclusterAdvice",
+		"ReclusterDurable", "Reclusters", "ReplChunk", "ReplPosition",
+		"ReplSnapshot", "SealActiveDurable", "SealedSpread",
+		"SearchProgressive", "StatsSnapshot", "TombstoneRatio",
+		"TryDeleteDurable", "TryVector", "Vector", "WALStats",
+	}
+	typ := reflect.TypeOf(&Collection{})
+	got := make([]string, typ.NumMethod()) // reflect lists them sorted
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Collection has %d exported methods, want %d:\ngot  %v\nwant %v", len(got), len(want), got, want)
+	}
 }
 
 func TestFacadeSearchMatchesScan(t *testing.T) {
@@ -41,15 +89,18 @@ func TestFacadeLifecycle(t *testing.T) {
 	if col.Dims() != 32 || col.Len() != 600 || col.Live() != 600 {
 		t.Fatalf("shape: %d×%d live %d", col.Len(), col.Dims(), col.Live())
 	}
-	id := col.Add(vs[0])
-	if id != 600 || col.Live() != 601 {
-		t.Fatalf("Add: id=%d live=%d", id, col.Live())
+	id, err := col.AddDurable(vs[0])
+	if err != nil || id != 600 || col.Live() != 601 {
+		t.Fatalf("AddDurable: id=%d live=%d err=%v", id, col.Live(), err)
 	}
-	col.Delete(id)
+	deleteIDs(t, col, id)
 	if col.Live() != 600 {
-		t.Fatalf("Delete: live=%d", col.Live())
+		t.Fatalf("TryDeleteDurable: live=%d", col.Live())
 	}
-	mapping := col.Compact()
+	mapping, err := col.CompactRatioDurable(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if col.Len() != 600 || mapping[600] != -1 {
 		t.Fatalf("Compact: len=%d mapping=%v", col.Len(), mapping[600])
 	}
@@ -69,7 +120,9 @@ func TestFacadeCompressedLazyBuildAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adding a vector invalidates the codes; a repeat search must see it.
-	col.Add(q)
+	if _, err := col.AddDurable(q); err != nil {
+		t.Fatal(err)
+	}
 	b, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Strategy: StrategyCompressed})
 	if err != nil {
 		t.Fatal(err)
@@ -283,9 +336,7 @@ func TestIngestRejectsNonFiniteCoordinates(t *testing.T) {
 			}
 			for name, col := range map[string]*Collection{"in memory": NewCollectionSegmented(rows(), 64), "durable": durable} {
 				v, batch := []float64{0.3, bad}, [][]float64{{0.3, 0.5}, {bad, 0.5}}
-				refused(t, name+" Add", "vector coordinate 1", func() { col.Add(v) })
 				refused(t, name+" AddDurable", "vector coordinate 1", func() { col.AddDurable(v) })
-				refused(t, name+" AddBatch", "vector 1 coordinate 0", func() { col.AddBatch(batch) })
 				refused(t, name+" AddBatchDurable", "vector 1 coordinate 0", func() { col.AddBatchDurable(batch) })
 				if col.Len() != 64 {
 					t.Fatalf("%s: %d vectors after the refused adds, want 64", name, col.Len())

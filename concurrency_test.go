@@ -66,8 +66,13 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	stable := stableVectors(rng)
 	col := NewSegmented(stressDims, stressSeg)
-	col.AddBatch(stable)
-	col.SealActive() // churn never shares a segment with stable vectors
+	if _, err := col.AddBatchDurable(stable); err != nil {
+		t.Fatal(err)
+	}
+	// Churn never shares a segment with stable vectors.
+	if err := col.SealActiveDurable(); err != nil {
+		t.Fatal(err)
+	}
 	q := stressQuery()
 
 	// Oracles, computed sequentially before any concurrency starts. The
@@ -178,15 +183,19 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		defer wg.Done()
 		mrng := rand.New(rand.NewSource(7))
 		for i := 0; i < mutatorIters; i++ {
-			id := col.Add(churnVector(mrng))
-			if i%3 != 0 {
-				col.Delete(id)
+			id, err := col.AddDurable(churnVector(mrng))
+			if err == nil && i%3 != 0 {
+				_, err = col.TryDeleteDurable(id)
 			}
-			if i%61 == 60 {
-				col.Compact()
+			if err == nil && i%61 == 60 {
+				_, err = col.CompactRatioDurable(0)
 			}
-			if i%97 == 96 {
-				col.CompactRatio(0.4)
+			if err == nil && i%97 == 96 {
+				_, err = col.CompactRatioDurable(0.4)
+			}
+			if err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()

@@ -123,25 +123,14 @@ func oracleDumps(t *testing.T, ops []crashOp) []collectionDump {
 	mirror := NewSegmented(crashDims, crashSegSize)
 	dumps := []collectionDump{dumpCollection(mirror)}
 	for _, op := range ops {
-		switch op.kind {
-		case "add":
-			mirror.Add(op.vec)
-		case "batch":
-			mirror.AddBatch(op.batch)
-		case "delete":
-			if op.id < mirror.Len() {
-				mirror.TryDelete(op.id)
+		// A checkpoint changes no logical state (and an in-memory
+		// collection refuses it). Recluster is deterministic: the mirror
+		// converges on the exact layout the durable collection (and its WAL
+		// replay) produces.
+		if op.kind != "checkpoint" {
+			if err := applyCrashOp(mirror, op); err != nil {
+				t.Fatalf("oracle %s: %v", op.kind, err)
 			}
-		case "compact":
-			mirror.CompactRatio(op.ratio)
-		case "seal":
-			mirror.SealActive()
-		case "recluster":
-			// Deterministic: the mirror converges on the exact layout the
-			// durable collection (and its WAL replay) produces.
-			mirror.Recluster(op.k, op.seed)
-		case "checkpoint":
-			// No logical state change.
 		}
 		dumps = append(dumps, dumpCollection(mirror))
 	}

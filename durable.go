@@ -432,10 +432,10 @@ func (c *Collection) logMutation(rec wal.Record) error {
 }
 
 // checkFinite panics if a coordinate of v is NaN or ±Inf, naming vector i
-// of a batch (i < 0: the one vector of an Add) and the coordinate. A NaN
-// coordinate makes its vector's score NaN, which no ranking orders, and an
-// infinite one makes its segment's synopsis bound infinite, which fails
-// every later query with core.ErrQueryRange; so neither is logged or
+// of a batch (i < 0: the one vector of an AddDurable) and the coordinate.
+// A NaN coordinate makes its vector's score NaN, which no ranking orders,
+// and an infinite one makes its segment's synopsis bound infinite, which
+// fails every later query with core.ErrQueryRange; so neither is logged or
 // stored. WAL replay and follower apply take only what passed here.
 func checkFinite(i int, v []float64) {
 	for d, x := range v {
@@ -449,10 +449,15 @@ func checkFinite(i int, v []float64) {
 	}
 }
 
-// AddDurable is Add returning the durability error instead of
-// panicking: the vector is appended and its id returned only once the
-// WAL accepted (and, under FsyncAlways, fsynced) the record. On error
-// the collection is unchanged and the write unacknowledged.
+// AddDurable appends a vector and returns its id. Sealed segments and
+// their compressed fragments are untouched; only the active segment
+// changes. The id is returned only once the WAL accepted (and, under
+// FsyncAlways, fsynced) the record; on error the collection is unchanged
+// and the write unacknowledged. An in-memory collection logs nothing, so
+// its error is always nil — as for every mutator below. AddDurable panics,
+// before logging anything, on a vector of the wrong dimensionality or with
+// a NaN or infinite coordinate; so does AddBatchDurable if any vector of
+// the batch is one.
 func (c *Collection) AddDurable(v []float64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -469,9 +474,9 @@ func (c *Collection) AddDurable(v []float64) (int, error) {
 	return id, nil
 }
 
-// AddBatchDurable is AddBatch returning the durability error instead of
-// panicking. The batch is logged as one atomic record: after a crash
-// either every vector of the batch is recovered or none is.
+// AddBatchDurable appends many vectors, returning the first new id. The
+// batch is logged as one atomic record: after a crash either every vector
+// of the batch is recovered or none is.
 func (c *Collection) AddBatchDurable(vectors [][]float64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -493,9 +498,11 @@ func (c *Collection) AddBatchDurable(vectors [][]float64) (int, error) {
 	return first, nil
 }
 
-// TryDeleteDurable is TryDelete returning the durability error as well:
-// ok reports whether id was inside the collection, err whether the
-// tombstone was durably logged.
+// TryDeleteDurable marks vector id as deleted; it is skipped by every
+// search until a compaction removes it physically. ok reports whether id
+// was inside the collection, err whether the tombstone was durably logged.
+// The bounds check and the mark happen under one lock acquisition, so it
+// is safe against a concurrent compaction shrinking the id space.
 func (c *Collection) TryDeleteDurable(id int) (ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -509,8 +516,13 @@ func (c *Collection) TryDeleteDurable(id int) (ok bool, err error) {
 	return true, nil
 }
 
-// CompactRatioDurable is CompactRatio returning the durability error
-// instead of panicking. Compaction is logged as a single record (its id
+// CompactRatioDurable physically removes the delete-marked vectors of
+// every segment whose tombstone ratio is at least minRatio, returning the
+// old-id → new-id mapping (−1 for removed ids). Segments without
+// tombstones are left untouched, so with minRatio 0 the cost scales with
+// the churned part of the collection. Ids in segments below the ratio keep
+// their tombstones, and the mapping reflects any shift caused by earlier
+// rewritten segments. Compaction is logged as a single record (its id
 // remapping is a deterministic function of the collection state, so
 // replay reproduces it exactly).
 func (c *Collection) CompactRatioDurable(minRatio float64) ([]int, error) {
@@ -523,8 +535,9 @@ func (c *Collection) CompactRatioDurable(minRatio float64) ([]int, error) {
 	return c.store.Compact(minRatio), nil
 }
 
-// SealActiveDurable is SealActive returning the durability error instead
-// of panicking.
+// SealActiveDurable force-seals the active segment, freezing the current
+// layout (subsequent appends open a fresh segment). Mostly useful to align
+// segment boundaries with data locality before a read-heavy phase.
 func (c *Collection) SealActiveDurable() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -70,15 +70,22 @@ func main() {
 	printTop(pres.Results, 5)
 
 	// Updates: new images arrive, an old one is removed.
-	newID := col.Add(query) // an exact duplicate of the query image
-	col.Delete(4711)
+	newID, err := col.AddDurable(query) // an exact duplicate of the query image
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := col.TryDeleteDurable(4711); err != nil {
+		log.Fatal(err)
+	}
 	res2, err := col.Query(bond.QuerySpec{Query: query, K: 1, Criterion: bond.Hq, Strategy: bond.StrategyBOND})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nafter appending a duplicate and deleting the original: best = id %d (want %d)\n",
 		res2.Results[0].ID, newID)
-	col.Compact()
+	if _, err := col.CompactRatioDurable(0); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("compacted: %d live images\n", col.Live())
 }
 

@@ -230,7 +230,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 }
 
 // TestQueryBatchConcurrentWithWriters drives QueryBatch against concurrent
-// Add, Delete, and Compact traffic; run under -race this pins the
+// appends, deletes and compactions; run under -race this pins the
 // concurrency contract of the batch path (one consistent snapshot per
 // batch, writers serialized).
 func TestQueryBatchConcurrentWithWriters(t *testing.T) {
@@ -252,17 +252,22 @@ func TestQueryBatchConcurrentWithWriters(t *testing.T) {
 				return
 			default:
 			}
+			var err error
 			switch rng.Intn(3) {
 			case 0:
 				v := make([]float64, 12)
 				for d := range v {
 					v[d] = rng.Float64()
 				}
-				col.Add(v)
+				_, err = col.AddDurable(v)
 			case 1:
-				col.Delete(rng.Intn(800))
+				_, err = col.TryDeleteDurable(rng.Intn(800))
 			case 2:
-				col.CompactRatio(0.5)
+				_, err = col.CompactRatioDurable(0.5)
+			}
+			if err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()

@@ -60,9 +60,7 @@ func TestImportSnapshot(t *testing.T) {
 			}
 
 			want := NewCollectionSegmented(legacyVectors, fx.segSize)
-			for _, id := range legacyDeleted {
-				want.Delete(id)
-			}
+			deleteIDs(t, want, legacyDeleted...)
 			col, err := OpenDurable(dst, DurableOptions{})
 			if err != nil {
 				t.Fatal(err)

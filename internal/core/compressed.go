@@ -185,7 +185,7 @@ func (f *compressedFilter) pruneStep(processed int) {
 	if !f.opts.Criterion.Distance() {
 		tail := metric.NewHistTail(f.qTail(processed))
 		tq := tail.HqUpper()
-		if !f.opts.DisableFutileSkip && f.processedQ <= tq {
+		if !futileSkipDisabled && f.processedQ <= tq {
 			stat.Skipped = true
 			stat.Candidates = before
 			f.appendStep(stat)

@@ -174,17 +174,6 @@ type Options struct {
 	// to 1, enabling the stricter constant bound for Eq used in
 	// Section 7.1. Ignored by other criteria.
 	NormalizedData bool
-	// DisableFutileSkip forces a pruning attempt after every step even when
-	// the Section 5.2 analysis shows it cannot remove anything (used by the
-	// ablation benchmarks).
-	DisableFutileSkip bool
-	// SkipRangeCheck disables the data-range validation. The Euclidean
-	// bounds (Lemma 1, Eq. 10) are derived for vectors in the unit
-	// hyper-box and the histogram bounds for non-negative data; out-of-
-	// range coefficients would silently make pruning unsafe, so Search
-	// rejects them unless this is set (e.g. when the caller re-scales
-	// queries to a wider box themselves).
-	SkipRangeCheck bool
 }
 
 // StepStat records the candidate set after one pruning iteration.
@@ -312,7 +301,7 @@ func (o *Options) validateShape(dims, slots int, lo, hi float64, q []float64) er
 	if o.AdaptiveThreshold < 0 || o.AdaptiveThreshold > 1 {
 		return fmt.Errorf("core: AdaptiveThreshold must be in [0,1], got %v", o.AdaptiveThreshold)
 	}
-	if !o.SkipRangeCheck && slots > 0 {
+	if slots > 0 {
 		if o.Criterion.Distance() {
 			// Lemma 1 / Eq. 10 place adversarial mass at coordinate 1 and
 			// floor candidates at 0: data must lie in the unit hyper-box.

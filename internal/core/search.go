@@ -305,11 +305,13 @@ type engine struct {
 	sc    *Scratch
 }
 
-// carryDisabled makes every search ignore its carried κ, and denseDisabled
-// makes every search start in the list phase. Tests flip them to measure
-// what the carry saves and to hold the two phases to the same bits; nothing
-// else writes them.
-var carryDisabled, denseDisabled bool
+// carryDisabled makes every search ignore its carried κ, denseDisabled
+// makes every search start in the list phase, and futileSkipDisabled forces
+// a pruning attempt after every step even when the Section 5.2 analysis
+// shows it cannot remove anything. Tests flip them to measure what the
+// carry saves, to hold the two phases to the same bits and to compare the
+// criteria's bounds step by step; nothing else writes them.
+var carryDisabled, denseDisabled, futileSkipDisabled bool
 
 // denseFrac is the live fraction of a segment's rows below which the dense
 // phase hands over to the candidate list. Per cell the run kernels cost
@@ -536,7 +538,7 @@ func (e *engine) pruneStep(processed int) {
 		// Section 5.2: the local κ cannot prune until T(q⁻) > T(q⁺) (κ ≤
 		// T(q⁻), and a candidate is pruned only when its zero-floor best
 		// case S⁻ + T(q⁺) < κ, which needs κ > T(q⁺)).
-		if !qs.opts.DisableFutileSkip && qs.procQ[processed] <= b.c {
+		if !futileSkipDisabled && qs.procQ[processed] <= b.c {
 			local = false
 		}
 		if !local && !e.hasKappa {

@@ -365,11 +365,13 @@ func TestSearchMatchesScanProperty(t *testing.T) {
 // Property: Hh never retains more candidates than Hq at the same step
 // (its bounds are strictly tighter — Section 4.1).
 func TestHhDominatesHq(t *testing.T) {
+	futileSkipDisabled = true
+	defer func() { futileSkipDisabled = false }()
 	vs, store := corel(t)
 	for _, qi := range []int{2, 9, 77, 500} {
 		q := vs[qi]
-		rq, _ := Search(store, q, Options{K: 10, Criterion: Hq, DisableFutileSkip: true})
-		rh, _ := Search(store, q, Options{K: 10, Criterion: Hh, DisableFutileSkip: true})
+		rq, _ := Search(store, q, Options{K: 10, Criterion: Hq})
+		rh, _ := Search(store, q, Options{K: 10, Criterion: Hh})
 		n := len(rq.Stats.Steps)
 		if len(rh.Stats.Steps) < n {
 			n = len(rh.Stats.Steps)
@@ -463,9 +465,5 @@ func TestSearchRejectsOutOfRangeData(t *testing.T) {
 	neg := vstore.FromVectors([][]float64{{-0.5, 0.1}, {0.3, 0.4}})
 	if _, err := Search(neg, q, Options{K: 1, Criterion: Hq}); !errors.Is(err, ErrDataRange) {
 		t.Errorf("Hq on negative data: err = %v, want ErrDataRange", err)
-	}
-	// Opt-out: SkipRangeCheck runs anyway (caller's responsibility).
-	if _, err := Search(wide, q, Options{K: 1, Criterion: Ev, SkipRangeCheck: true}); err != nil {
-		t.Errorf("SkipRangeCheck: err = %v", err)
 	}
 }

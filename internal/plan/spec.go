@@ -107,10 +107,6 @@ type Spec struct {
 	Exclude *bitmap.Bitmap
 	// NormalizedData enables the stricter Eq constant bound.
 	NormalizedData bool
-	// DisableFutileSkip forces a pruning attempt after every step.
-	DisableFutileSkip bool
-	// SkipRangeCheck disables the data-range validation.
-	SkipRangeCheck bool
 
 	// Strategy forces an access path; Auto selects per segment by cost.
 	Strategy Strategy
@@ -144,8 +140,6 @@ func (s Spec) options() core.Options {
 		Dims:              s.Dims,
 		Exclude:           s.Exclude,
 		NormalizedData:    s.NormalizedData,
-		DisableFutileSkip: s.DisableFutileSkip,
-		SkipRangeCheck:    s.SkipRangeCheck,
 	}
 }
 

@@ -6,8 +6,10 @@
 //
 // The package owns no search logic and no durability logic: every
 // request lowers onto the public bond API (Query, QueryBatch,
-// QueryExplain, AddBatchDurable, TryDeleteDurable, Checkpoint), so
-// answers served over HTTP are byte-identical to in-process calls, every
+// QueryExplain, Checkpoint and the error-returning mutators
+// AddBatchDurable, TryDeleteDurable, CompactRatioDurable and
+// ReclusterDurable, the same ones in-process callers use), so answers
+// served over HTTP are byte-identical to in-process calls, every
 // acknowledged write is WAL-logged before its 2xx goes out, and the
 // collection's RWMutex contract is the only synchronization the data
 // path needs. The catalog adds one more lock above it — a map-level

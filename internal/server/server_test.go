@@ -110,7 +110,9 @@ func TestEndToEndByteIdentical(t *testing.T) {
 
 	// The in-process oracle: same segment layout, same ingest sequence.
 	local := bond.NewSegmented(dims, segSize)
-	local.AddBatch(vectors)
+	if _, err := local.AddBatchDurable(vectors); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		criterion string

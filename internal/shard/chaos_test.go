@@ -10,7 +10,6 @@ import (
 
 	"bond"
 	"bond/internal/api"
-	"bond/internal/streammerge"
 	"bond/internal/topk"
 )
 
@@ -68,7 +67,7 @@ func survivorTopK(t *testing.T, cl *testCluster, name string, spec api.QuerySpec
 		}
 		lists = append(lists, list)
 	}
-	merged := streammerge.MergeRanked(spec.K, !crit.Distance(), lists...)
+	merged := topk.Merge(spec.K, !crit.Distance(), lists...)
 	out := make([]api.Neighbor, len(merged))
 	for i, r := range merged {
 		out[i] = api.Neighbor{ID: r.ID, Score: r.Score}

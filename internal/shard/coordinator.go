@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bond/internal/api"
-	"bond/internal/streammerge"
 	"bond/internal/topk"
 )
 
@@ -725,7 +724,7 @@ func (co *Coordinator) mergeShardResponses(k int, largest bool, per []api.QueryR
 		out.Stats.SegmentsSkipped += resp.Stats.SegmentsSkipped
 		out.Truncated = out.Truncated || resp.Truncated
 	}
-	merged := streammerge.MergeRanked(k, largest, lists...)
+	merged := topk.Merge(k, largest, lists...)
 	out.Results = make([]api.Neighbor, len(merged))
 	for i, r := range merged {
 		out.Results[i] = api.Neighbor{ID: r.ID, Score: r.Score}

@@ -7,10 +7,9 @@
 // arrival order, so a cluster loaded through the coordinator assigns
 // exactly the ids a single node would have — which is what lets the
 // chaos suite pin coordinator answers byte-identical to a single-node
-// oracle. Queries fan out to every shard and the per-shard top-k lists
-// are exact-merged with the same score-then-id tie-break the segment
-// merge uses (internal/streammerge, internal/topk), so a healthy
-// cluster is indistinguishable from one big node.
+// oracle. Queries fan out to every shard and topk.Merge exact-merges the
+// per-shard top-k lists with the segment merge's score-then-id tie-break,
+// so a healthy cluster is indistinguishable from one big node.
 //
 // The moment queries cross a network boundary, fault tolerance is the
 // product. Every shard call runs inside a robustness envelope: a

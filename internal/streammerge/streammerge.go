@@ -191,40 +191,6 @@ func check(features []multifeature.Feature, k int) error {
 	return nil
 }
 
-// MergeRanked exact-merges several best-first-ranked result lists over
-// DISJOINT id spaces into the global top k, with the same score-then-id
-// tie-break as topk.Heap — so the merged answer is a unique function of
-// the offered results, independent of list order. largest selects
-// similarity ranking (higher scores win, as with criteria Hq/Hh); false
-// selects distance ranking (Eq/Ev).
-//
-// This is the cluster-layer counterpart of the per-segment merge: a
-// coordinator that fans a query out to shards gets each shard's exact
-// local top-k back, and because shards partition the id space, the
-// global top-k of the union is exactly the top-k of the concatenated
-// lists. Lists must each be sorted best-first (as every query response
-// is); only the first k entries of each are consulted.
-func MergeRanked(k int, largest bool, lists ...[]topk.Result) []topk.Result {
-	if k < 1 {
-		return nil
-	}
-	var h *topk.Heap
-	if largest {
-		h = topk.NewLargest(k)
-	} else {
-		h = topk.NewSmallest(k)
-	}
-	for _, list := range lists {
-		if len(list) > k {
-			list = list[:k] // entries past k can never make the global top-k
-		}
-		for _, r := range list {
-			h.Push(r.ID, r.Score)
-		}
-	}
-	return h.Results()
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

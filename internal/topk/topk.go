@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"bond/internal/kernel"
 )
@@ -436,19 +435,20 @@ func siftDownMin(h []float64, i int) {
 	h[i] = x
 }
 
-// Merge combines several best-first result lists into the overall k best.
-// If largest is true the highest scores win, otherwise the lowest. Ties are
-// broken by ID. Duplicate IDs across lists are collapsed, keeping the best
-// score for each ID.
+// Merge exact-merges several best-first result lists over disjoint id
+// spaces into the overall k best, with the Heap's score-then-id tie-break,
+// so the answer is a unique function of the offered results whatever the
+// list order. If largest is true the highest scores win (similarity,
+// criteria Hq/Hh), otherwise the lowest (distance, Eq/Ev). It returns nil
+// when k < 1.
+//
+// The lists are the exact local top-k of disjoint parts of a collection —
+// segments, or shards behind a coordinator — so the global top k of their
+// union is the top k of the concatenated lists. Each list must be sorted
+// best-first; only its first k entries are consulted.
 func Merge(k int, largest bool, lists ...[]Result) []Result {
-	best := make(map[int]float64)
-	for _, list := range lists {
-		for _, r := range list {
-			cur, ok := best[r.ID]
-			if !ok || (largest && r.Score > cur) || (!largest && r.Score < cur) {
-				best[r.ID] = r.Score
-			}
-		}
+	if k < 1 {
+		return nil
 	}
 	var h *Heap
 	if largest {
@@ -456,14 +456,13 @@ func Merge(k int, largest bool, lists ...[]Result) []Result {
 	} else {
 		h = NewSmallest(k)
 	}
-	// Iterate in ID order for deterministic tie-breaks.
-	ids := make([]int, 0, len(best))
-	for id := range best {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		h.Push(id, best[id])
+	for _, list := range lists {
+		if len(list) > k {
+			list = list[:k] // entries past k can never make the global top k
+		}
+		for _, r := range list {
+			h.Push(r.ID, r.Score)
+		}
 	}
 	return h.Results()
 }

@@ -345,7 +345,7 @@ func TestHeapMatchesSort(t *testing.T) {
 
 func TestMergeLargest(t *testing.T) {
 	a := []Result{{1, 0.9}, {2, 0.5}}
-	b := []Result{{3, 0.8}, {1, 0.7}} // duplicate ID 1 with worse score
+	b := []Result{{3, 0.8}, {4, 0.5}} // ties id 2's score: the lower id wins
 	got := Merge(3, true, a, b)
 	want := []Result{{1, 0.9}, {3, 0.8}, {2, 0.5}}
 	if len(got) != 3 {
@@ -359,10 +359,13 @@ func TestMergeLargest(t *testing.T) {
 }
 
 func TestMergeSmallest(t *testing.T) {
-	a := []Result{{1, 0.9}, {2, 0.5}}
-	b := []Result{{2, 0.3}, {4, 0.4}}
+	a := []Result{{2, 0.3}, {1, 0.9}}
+	b := []Result{{4, 0.4}, {5, 0.5}}
 	got := Merge(2, false, a, b)
 	want := []Result{{2, 0.3}, {4, 0.4}}
+	if len(got) != 2 {
+		t.Fatalf("got %d results, want 2", len(got))
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("merge[%d] = %+v, want %+v", i, got[i], want[i])

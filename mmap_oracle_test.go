@@ -202,12 +202,16 @@ func TestSynopsisViewsHeapAndMmap(t *testing.T) {
 	}
 	bound := func(v *core.SegmentView, q []float64) float64 { return core.SegBound(v, q, &opts, all, 0) }
 	for name, col := range map[string]*Collection{"heap": heap, "mmap": mapped} {
-		col.Add(vectors[0]) // a one-point active segment
+		if _, err := col.AddDurable(vectors[0]); err != nil { // a one-point active segment
+			t.Fatal(err)
+		}
 		col.mu.RLock()
 		segs, live, snap := col.store.Segments(), col.planSegments(), col.snapshotViews()
 		col.mu.RUnlock()
 		activeBefore := bound(&snap[len(snap)-1], far)
-		col.Add(far)
+		if _, err := col.AddDurable(far); err != nil {
+			t.Fatal(err)
+		}
 		for i, g := range segs {
 			for d := 0; d < dims; d++ {
 				lo, hi := g.DimRange(d)

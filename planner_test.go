@@ -108,14 +108,16 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 			for d := range v {
 				v[d] = rng.Float64()
 			}
-			col.Add(v)
+			if _, err := col.AddDurable(v); err != nil {
+				t.Fatal(err)
+			}
 			vectors = append(vectors, v)
 		}
 
 		deleted := map[int]bool{}
 		for i := 0; i < len(vectors)/20; i++ {
 			id := rng.Intn(len(vectors))
-			col.Delete(id)
+			deleteIDs(t, col, id)
 			deleted[id] = true
 		}
 

@@ -10,7 +10,7 @@ package bond
 // ceiling's cells per query after one pass.
 //
 // Durability rides entirely on the PR-5 machinery, because a recluster
-// is just a Compact variant: one WAL record carrying only the k-means
+// is just a compaction variant: one WAL record carrying only the k-means
 // inputs (k, seed), an in-memory segment-list swap under the write lock,
 // and write-once segment files at the next checkpoint. The record can be
 // that small because the resulting layout is a deterministic function of
@@ -82,9 +82,9 @@ func applyRecluster(s *vstore.SegStore, k uint64, seed int64) error {
 	return nil
 }
 
-// Recluster re-partitions the sealed prefix into cluster-contiguous
-// segments (see ReclusterDurable) and panics if the operation cannot be
-// logged; use ReclusterDurable to handle that error.
+// Recluster is ReclusterDurable panicking on its error. It stays only
+// because the benchmark module (benchmark/layers.go) calls it; everything
+// else calls ReclusterDurable.
 func (c *Collection) Recluster(k int, seed int64) []int {
 	mapping, err := c.ReclusterDurable(k, seed)
 	if err != nil {

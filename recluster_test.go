@@ -25,8 +25,7 @@ func clusteredShuffled(t *testing.T, n, dims, segSize int, seed int64) *Collecti
 	cfg.Clusters = 4
 	cfg.NoiseFrac = 0
 	c := NewSegmented(dims, segSize)
-	c.AddBatch(dataset.Clustered(cfg))
-	c.SealActive()
+	addSealed(t, c, dataset.Clustered(cfg))
 	return c
 }
 
@@ -37,9 +36,7 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 		segSize = 25
 	)
 	c := clusteredShuffled(t, n, dims, segSize, 9)
-	for _, id := range []int{3, 17, 44, 101, 199} {
-		c.Delete(id)
-	}
+	deleteIDs(t, c, 3, 17, 44, 101, 199)
 	rows := make([][]float64, c.Len())
 	deleted := make([]bool, c.Len())
 	for id := range rows {
@@ -58,7 +55,10 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mapping := c.Recluster(0, 7)
+	mapping, err := c.ReclusterDurable(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(mapping) != len(rows) {
 		t.Fatalf("mapping len = %d, want %d", len(mapping), len(rows))
 	}
@@ -191,7 +191,9 @@ func TestReclusterRestoresSkipping(t *testing.T) {
 		col := NewCollectionSegmented(shuffled, segSize)
 		spreadBefore, _ := col.SealedSpread()
 		before, skipBefore, kthBefore := measure(col)
-		col.Recluster(0, 1)
+		if _, err := col.ReclusterDurable(0, 1); err != nil {
+			t.Fatal(err)
+		}
 		spreadAfter, _ := col.SealedSpread()
 		after, skipAfter, kthAfter := measure(col)
 		ceiling, skipCeiling, kthCeiling := measure(NewCollectionSegmented(contiguous, segSize))
@@ -222,15 +224,15 @@ func TestReclusterNoopCases(t *testing.T) {
 		t.Fatalf("empty: %v %v", m, err)
 	}
 	onlyActive := NewSegmented(3, 8)
-	onlyActive.Add([]float64{1, 2, 3})
+	if _, err := onlyActive.AddDurable([]float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
 	if m, err := onlyActive.ReclusterDurable(0, 1); m != nil || err != nil {
 		t.Fatalf("unsealed: %v %v", m, err)
 	}
 	deadSealed := NewSegmented(3, 2)
-	deadSealed.AddBatch([][]float64{{1, 0, 0}, {0, 1, 0}})
-	deadSealed.SealActive()
-	deadSealed.Delete(0)
-	deadSealed.Delete(1)
+	addSealed(t, deadSealed, [][]float64{{1, 0, 0}, {0, 1, 0}})
+	deleteIDs(t, deadSealed, 0, 1)
 	if m, err := deadSealed.ReclusterDurable(0, 1); m != nil || err != nil {
 		t.Fatalf("all-dead sealed: %v %v", m, err)
 	}
@@ -263,21 +265,21 @@ func TestReclusterAdviceHeuristic(t *testing.T) {
 	if !advise || spread < 0.6 {
 		t.Fatalf("shuffled layout: advice (%v,%v), want advised", spread, advise)
 	}
-	c.Recluster(0, 2)
+	if _, err := c.ReclusterDurable(0, 2); err != nil {
+		t.Fatal(err)
+	}
 	if spread, advise = c.ReclusterAdvice(0); advise {
 		t.Fatalf("unchanged layout re-advised at spread %v", spread)
 	}
 	// New sealed data moves the mark; with threshold 0 advice fires again.
-	c.AddBatch(dataset.Uniform(40, 3, 8))
-	c.SealActive()
+	addSealed(t, c, dataset.Uniform(40, 3, 8))
 	if _, advise = c.ReclusterAdvice(0); !advise {
 		t.Fatal("grown sealed prefix not re-advised at threshold 0")
 	}
 
 	// Fewer than two sealed segments: nothing to skip, never advised.
 	single := NewSegmented(3, 100)
-	single.AddBatch(dataset.Uniform(50, 3, 1))
-	single.SealActive()
+	addSealed(t, single, dataset.Uniform(50, 3, 1))
 	if _, advise := single.ReclusterAdvice(0); advise {
 		t.Fatal("single sealed segment advised")
 	}

@@ -30,8 +30,7 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 		t.Fatalf("layouts: %d and %d segments", segd.NumSegments(), single.NumSegments())
 	}
 	for _, c := range []*Collection{segd, single} {
-		c.Delete(13)
-		c.Delete(444)
+		deleteIDs(t, c, 13, 444)
 	}
 	q := vs[77]
 	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
@@ -93,10 +92,13 @@ func TestFacadeCompactRatio(t *testing.T) {
 	vs, segd, _ := multiSegCollection(t, 400, 8)
 	// Heavy churn in the second segment only.
 	for id := 100; id < 170; id++ {
-		segd.Delete(id)
+		deleteIDs(t, segd, id)
 	}
-	segd.Delete(0) // one tombstone in the first segment
-	mapping := segd.CompactRatio(0.5)
+	deleteIDs(t, segd, 0) // one tombstone in the first segment
+	mapping, err := segd.CompactRatioDurable(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mapping[0] != 0 {
 		t.Fatalf("cold segment id moved: mapping[0] = %d", mapping[0])
 	}
@@ -133,7 +135,7 @@ func TestFacadeSegmentSkippingReported(t *testing.T) {
 		}
 	}
 	col := NewCollectionSegmented(vs, 100)
-	res, err := col.Query(QuerySpec{Query: vs[10], K: 3, Criterion: Ev, SkipRangeCheck: true, Strategy: StrategyBOND})
+	res, err := col.Query(QuerySpec{Query: vs[10], K: 3, Criterion: Ev, Strategy: StrategyBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +162,10 @@ func TestFacadeMultiSearchSegmented(t *testing.T) {
 		t.Errorf("best = %d, want 0 (self query)", res.Results[0].ID)
 	}
 	// The snapshot taken by AsFeature must be immune to later writes.
-	c1.Add(v1[1])
-	c1.Delete(0)
+	if _, err := c1.AddDurable(v1[1]); err != nil {
+		t.Fatal(err)
+	}
+	deleteIDs(t, c1, 0)
 	res2, err := MultiSearch(features, MultiOptions{K: 3, Agg: WeightedAvg})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +183,9 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 	col := NewCollectionSegmented(vs, 50)
 	excl := col.NewExclusion()
 	excl.Set(0)
-	col.Add(vs[0]) // collection now larger than the bitmap
+	if _, err := col.AddDurable(vs[0]); err != nil { // collection now larger than the bitmap
+		t.Fatal(err)
+	}
 
 	res, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND})
 	if err != nil {
@@ -260,29 +266,48 @@ func TestPlanCacheSurvivesNonSealingWrites(t *testing.T) {
 	}
 
 	check("bulk load")
+	add := func(v []float64) int {
+		t.Helper()
+		id, err := col.AddDurable(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	addBatch := func(vectors ...[]float64) {
+		t.Helper()
+		if _, err := col.AddBatchDurable(vectors); err != nil {
+			t.Fatal(err)
+		}
+	}
 	list := cached()
-	col.Add(vs[1])
+	add(vs[1])
 	kept("add", list)
 	// Fills the active segment, which seals, and spills vs[0] into the next:
 	// the list is rebuilt over an active segment whose synopsis is one point
 	// in block 0's corner…
-	col.AddBatch(append(vs[:perBlock-1:perBlock-1], vs[0]))
+	addBatch(append(vs[:perBlock-1:perBlock-1], vs[0])...)
 	list = dropped("sealing add", list)
-	farID := col.Add(far) // …until this widens it across the box
+	farID := add(far) // …until this widens it across the box
 	kept("widening add", list)
 	if res, _ := col.Query(QuerySpec{Query: far, K: 1, Criterion: Eq, Strategy: StrategyBOND}); len(res.Results) != 1 || res.Results[0].ID != farID {
 		t.Fatalf("query at the vector just added returned %v, want id %d", res.Results, farID)
 	}
-	col.Delete(farID)
-	col.Delete(1)
+	deleteIDs(t, col, farID, 1)
 	kept("delete", list)
-	col.AddBatch([][]float64{vs[5], far})
+	addBatch(vs[5], far)
 	kept("batch add", list)
 
-	col.SealActive()
-	list = dropped("SealActive", list)
-	col.CompactRatio(0)
-	list = dropped("CompactRatio", list)
-	col.Recluster(0, 3)
-	dropped("Recluster", list)
+	if err := col.SealActiveDurable(); err != nil {
+		t.Fatal(err)
+	}
+	list = dropped("SealActiveDurable", list)
+	if _, err := col.CompactRatioDurable(0); err != nil {
+		t.Fatal(err)
+	}
+	list = dropped("CompactRatioDurable", list)
+	if _, err := col.ReclusterDurable(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	dropped("ReclusterDurable", list)
 }
