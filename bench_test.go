@@ -473,6 +473,28 @@ func BenchmarkSegmentSkipping(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryScanUniform is the scan_uniform workload's shape in
+// process: 16 000 uniform vectors of 64 dims in sealed segments of 1 000,
+// queried with Eq under forced BOND for the k = 10 nearest of vectors
+// sampled from the data. Uniform data is where BOND prunes least and the
+// dimension order matters most (Section 5.1). Reported: cells read per
+// query, beside ns/op per query.
+func BenchmarkQueryScanUniform(b *testing.B) {
+	vs := dataset.Uniform(16000, 64, 1)
+	queries, _ := dataset.SampleQueries(vs, 64, 2)
+	col := NewCollectionSegmented(vs, 1000)
+	var cells int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := col.Query(QuerySpec{Query: queries[i%len(queries)], K: 10, Criterion: Eq, Strategy: StrategyBOND})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += res.Stats.ValuesScanned
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
+}
+
 // BenchmarkCollectionSearchParallelSegments measures the per-segment
 // parallel path on the facade.
 func BenchmarkCollectionSearchParallelSegments(b *testing.B) {

@@ -250,11 +250,16 @@ type Collection struct {
 	// steady-state query does not rebuild the segment list (and its lazy
 	// access-path providers) per query. Cache hits are a single atomic
 	// load, keeping concurrent readers off any shared mutex; planCacheMu
-	// only serializes the rebuild (queries hold just the read lock, so two
-	// could race to build). Writers that change the segment list
-	// invalidate by storing nil under the write lock.
+	// only serializes the rebuild and the moments' fold (queries hold just
+	// the read lock, so two could race to build). Writers that change the
+	// segment list invalidate by storing nil under the write lock.
 	planCacheMu sync.Mutex
-	planCache   atomic.Pointer[[]plan.Segment]
+	planCache   atomic.Pointer[planView]
+	// sums are the per-dimension Σv and Σv² over the rows of the first
+	// sums.Sources sealed segments, which the views' moments are made from
+	// (see orderMoments). Readers fold into them under planCacheMu; a
+	// writer that replaces segments resets them under the write lock.
+	sums core.MomentSums
 
 	// dur is the durability state of a collection opened with
 	// OpenDurable: the write-ahead log every mutation is appended to
@@ -494,39 +499,48 @@ func (c *Collection) errIfUnmapped() error {
 	return nil
 }
 
-// planSegments exposes the current segments to the query planner: the
-// engine view of each segment plus, for sealed segments, the lazily built
-// compressed access paths (column codes for the compressed filter,
-// row-major codes for the VA-File). The list is memoized until a writer
+// planView is the planner's view of the current segments: the engine view
+// of each segment plus, for sealed segments, the lazily built compressed
+// access paths (column codes for the compressed filter, row-major codes for
+// the VA-File), and the moments of the sealed segments' rows, computed on
+// the first query that asks for them (see orderMoments).
+type planView struct {
+	segs    []plan.Segment
+	sealed  int // the sealed segments, a prefix of segs
+	moments atomic.Pointer[core.Moments]
+}
+
+// planView returns the current planner view. It is memoized until a writer
 // changes the segment list (see invalidatePlanCacheIfSealed), so the
 // steady-state query path allocates nothing here, with or without a writer
 // appending. Callers must hold at least the read lock for the duration of
 // the search.
-func (c *Collection) planSegments() []plan.Segment {
+func (c *Collection) planView() *planView {
 	if cached := c.planCache.Load(); cached != nil {
-		return *cached
+		return cached
 	}
 	c.planCacheMu.Lock()
 	defer c.planCacheMu.Unlock()
 	if cached := c.planCache.Load(); cached != nil {
-		return *cached
+		return cached
 	}
 	segs, bases := c.store.Segments(), c.store.Bases()
-	out := make([]plan.Segment, len(segs))
+	v := &planView{segs: make([]plan.Segment, len(segs))}
 	for i, g := range segs {
-		out[i] = plan.Segment{
+		v.segs[i] = plan.Segment{
 			View:   segmentView(g, bases[i], g.Store),
 			Sealed: g.Sealed(),
 		}
 		if g.Sealed() {
+			v.sealed = i + 1
 			g := g
-			out[i].Codes = func() *vstore.QuantStore { return g.Codes(unitQuantizer) }
+			v.segs[i].Codes = func() *vstore.QuantStore { return g.Codes(unitQuantizer) }
 			// The File wrapper is memoized alongside the cached segment
 			// list, so repeated VA-File steps over the same segment reuse
 			// one wrapper instead of re-wrapping the codes per query.
 			var vaOnce sync.Once
 			var va *vafile.File
-			out[i].VA = func() *vafile.File {
+			v.segs[i].VA = func() *vafile.File {
 				vaOnce.Do(func() {
 					qz, codes := g.RowCodes(unitQuantizer)
 					va = vafile.FromRowCodes(qz, g.Len(), g.Dims(), codes)
@@ -535,8 +549,44 @@ func (c *Collection) planSegments() []plan.Segment {
 			}
 		}
 	}
-	c.planCache.Store(&out)
-	return out
+	c.planCache.Store(v)
+	return v
+}
+
+// orderMoments returns the moments the planner orders the dimensions of
+// the specs by (core.Options.Moments): those of v's sealed rows when some
+// spec is a distance query in the default order, nil otherwise — so a
+// collection that only serves histogram queries never sums a column. They
+// are computed once per view: the first query after an append that sealed
+// segments folds in only the new ones, the first after open, compaction or
+// recluster sums every sealed segment. Either way each segment is summed in
+// row order and the segments are added in segment order, so the moments —
+// and with them every plan — are a function of the sealed segments alone:
+// the same bits after a restart, mmap'd or not, and on a follower. Delete
+// marks are ignored, as the active segment is: any moments give exact
+// answers, only the pruning speed depends on them.
+func (c *Collection) orderMoments(v *planView, specs ...QuerySpec) *core.Moments {
+	need := false
+	for i := range specs {
+		need = need || specs[i].Criterion.Distance() && specs[i].Order == OrderQueryDesc
+	}
+	if !need {
+		return nil
+	}
+	if m := v.moments.Load(); m != nil {
+		return m
+	}
+	c.planCacheMu.Lock()
+	defer c.planCacheMu.Unlock()
+	if m := v.moments.Load(); m != nil {
+		return m
+	}
+	for _, g := range v.segs[c.sums.Sources:v.sealed] {
+		c.sums.Add(g.View.Src)
+	}
+	m := c.sums.Moments()
+	v.moments.Store(m)
+	return m
 }
 
 // segmentView is the engine view of src at base, carrying synopsis's
@@ -546,11 +596,12 @@ func segmentView(src core.Source, base int, synopsis *vstore.Store) core.Segment
 	return core.SegmentView{Src: src, Base: base, Lo: lo, Hi: hi}
 }
 
-// invalidatePlanCache drops the memoized planner segments. Every writer
-// that may replace a segment — seal, compact, recluster, open — calls it
-// under the write lock.
+// invalidatePlanCache drops the memoized planner view and the moment sums.
+// Every writer that may replace a segment — seal, compact, recluster, open —
+// calls it under the write lock.
 func (c *Collection) invalidatePlanCache() {
 	c.planCache.Store(nil)
+	c.sums = core.MomentSums{}
 }
 
 // invalidatePlanCacheIfSealed is what an append calls, under the write
@@ -559,10 +610,11 @@ func (c *Collection) invalidatePlanCache() {
 // which an append into the active segment (or a tombstone, which calls
 // nothing) changes — lengths, delete marks and the widened synopsis are
 // read through them under the read lock. Only an append that sealed the
-// active segment and opened a new one outdates the list.
+// active segment and opened a new one outdates the list. The moment sums
+// stay: the segments they cover are still the first sealed ones.
 func (c *Collection) invalidatePlanCacheIfSealed(segmentsBefore int) {
 	if c.store.NumSegments() != segmentsBefore {
-		c.invalidatePlanCache()
+		c.planCache.Store(nil)
 	}
 }
 
@@ -630,13 +682,14 @@ func (c *Collection) QueryExplain(spec QuerySpec) (QueryResult, *QueryPlan, erro
 // runQuery plans spec with newPlan — pooled for Query, caller-owned for
 // QueryExplain — and executes it under the read lock. The plan is returned
 // whenever planning succeeded, even if execution then failed.
-func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, plan.Spec, *plan.Pool) (*plan.Plan, error)) (QueryResult, *QueryPlan, error) {
+func (c *Collection) runQuery(spec QuerySpec, newPlan func([]plan.Segment, *core.Moments, plan.Spec, *plan.Pool) (*plan.Plan, error)) (QueryResult, *QueryPlan, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if err := c.errIfUnmapped(); err != nil {
 		return QueryResult{}, nil, err
 	}
-	p, err := newPlan(c.planSegments(), spec, &c.pool)
+	v := c.planView()
+	p, err := newPlan(v.segs, c.orderMoments(v, spec), spec, &c.pool)
 	if err != nil {
 		return QueryResult{}, nil, err
 	}
@@ -677,7 +730,8 @@ func (c *Collection) QueryBatch(specs []QuerySpec) ([]QueryResult, error) {
 	if err := c.errIfUnmapped(); err != nil {
 		return nil, err
 	}
-	results, i, err := plan.ExecuteBatch(c.planSegments(), specs, &c.pool)
+	v := c.planView()
+	results, i, err := plan.ExecuteBatch(v.segs, c.orderMoments(v, specs...), specs, &c.pool)
 	if err != nil {
 		return nil, fmt.Errorf("bond: batch query %d: %w", i, err)
 	}
@@ -695,7 +749,8 @@ type Progressive = core.Progressive
 // through the planner; the incremental BOND engines then advance every
 // segment in lockstep, so the spec's Strategy, Parallel, Tolerance and
 // Deadline do not apply (there is no per-segment path choice or skipping in
-// a search whose intermediate state the caller inspects). Use Query for
+// a search whose intermediate state the caller inspects). The dimensions
+// go in Query's order, so the scores are Query's bit for bit. Use Query for
 // one-shot searches.
 func (c *Collection) SearchProgressive(spec QuerySpec) (*Progressive, error) {
 	c.mu.RLock()
@@ -705,7 +760,7 @@ func (c *Collection) SearchProgressive(spec QuerySpec) (*Progressive, error) {
 	}
 	views := c.snapshotViews()
 	spec.Strategy = StrategyBOND
-	p, err := plan.New(plan.WrapViews(views), spec, &c.pool)
+	p, err := plan.New(plan.WrapViews(views), c.orderMoments(c.planView(), spec), spec, &c.pool)
 	if err != nil {
 		return nil, err
 	}

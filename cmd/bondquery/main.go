@@ -41,7 +41,7 @@ func main() {
 	k := flag.Int("k", 10, "number of neighbors")
 	criterion := flag.String("criterion", "Hq", "pruning criterion: Hq, Hh, Eq, Ev")
 	step := flag.Int("step", 0, "pruning step m (0 = default)")
-	order := flag.String("order", "desc", "dimension order: desc, asc, random, natural")
+	order := flag.String("order", "desc", "dimension order: desc (Hq/Hh by decreasing query value; Eq/Ev by decreasing expected contribution over the collection's values), asc, random, natural")
 	strategy := flag.String("strategy", "auto", "access path: auto, bond, compressed, vafile, exact")
 	explain := flag.Bool("explain", false, "print the plan: per-segment path, predicted and actual cost")
 	showStats := flag.Bool("stats", false, "print per-step pruning statistics")

@@ -217,7 +217,7 @@ func TestCarriedKappaEmptiesFarSegments(t *testing.T) {
 		views[i].Lo, views[i].Hi = nil, nil
 	}
 	for _, crit := range []core.Criterion{core.Hq, core.Hh, core.Eq, core.Ev} {
-		p, err := plan.New(plan.WrapViews(views), plan.Spec{Query: vs[5], K: 4, Criterion: crit, Strategy: plan.ForceBOND}, nil)
+		p, err := plan.New(plan.WrapViews(views), nil, plan.Spec{Query: vs[5], K: 4, Criterion: crit, Strategy: plan.ForceBOND}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

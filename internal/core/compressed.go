@@ -102,8 +102,8 @@ func (f *compressedFilter) init() {
 		f.sc = &Scratch{}
 	}
 	sc := f.sc
-	sc.order = buildOrderInto(grow(sc.order, f.s.Dims()), &sc.orderKeys,
-		f.q, nil, nil, f.opts.Order, f.opts.Seed, f.opts.Criterion.Distance())
+	sc.order = buildOrderInto(grow(sc.order, f.s.Dims()), &sc.orderSc,
+		f.q, nil, nil, f.opts.Order, f.opts.Seed, f.opts.Criterion.Distance(), nil)
 	f.order = sc.order
 	f.cands = sc.liveCandidates(f.s, f.opts.Exclude)
 	f.k = f.opts.K

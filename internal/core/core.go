@@ -101,9 +101,13 @@ func (c Criterion) Distance() bool { return c == Eq || c == Ev }
 type Order int
 
 const (
-	// OrderQueryDesc processes dimensions by decreasing query value — the
-	// paper's default, which works well on Zipfian data. For weighted
-	// queries the sort key is w·q² (Section 8.2).
+	// OrderQueryDesc is the default: dimensions by decreasing expected
+	// contribution to the score. For Hq and Hh that is the query value (the
+	// paper's default, which works well on Zipfian data), weighted w·q. For
+	// Eq and Ev it is w·((μ − q)² + σ²) when Options.Moments carries the
+	// collection's per-dimension mean μ and variance σ², and otherwise
+	// the query value, or w·max(q, 1−q)² for a weighted query (w = 1
+	// without weights). See buildOrderInto.
 	OrderQueryDesc Order = iota
 	// OrderQueryAsc is the worst-case ordering of Figure 7.
 	OrderQueryAsc
@@ -174,6 +178,11 @@ type Options struct {
 	// to 1, enabling the stricter constant bound for Eq used in
 	// Section 7.1. Ignored by other criteria.
 	NormalizedData bool
+	// Moments are the searched collection's per-dimension value moments,
+	// which OrderQueryDesc ranks the dimensions of a distance query by;
+	// nil or empty keeps the paper's keys. Any moments give exact answers:
+	// they only change how soon candidates are pruned.
+	Moments *Moments
 }
 
 // StepStat records the candidate set after one pruning iteration.

@@ -23,7 +23,7 @@ func denseAndList(t *testing.T, label string, segs []plan.Segment, spec plan.Spe
 	defer core.SetDenseDisabled(false)
 	run := func(off bool) (plan.Result, *plan.Plan) {
 		core.SetDenseDisabled(off)
-		p, err := plan.New(segs, spec, nil)
+		p, err := plan.New(segs, nil, spec, nil)
 		if err != nil {
 			t.Fatal(label, err)
 		}

@@ -65,7 +65,7 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 	sc := &Scratch{}
 
 	n := s.Len()
-	sc.order = buildOrderInto(grow(sc.order, s.Dims()), &sc.orderKeys, q, nil, nil, OrderQueryDesc, 0, false)
+	sc.order = buildOrderInto(grow(sc.order, s.Dims()), &sc.orderSc, q, nil, nil, OrderQueryDesc, 0, false, nil)
 	order := sc.order
 
 	// The bitmap doubles as delete-mark carrier and predicate filter

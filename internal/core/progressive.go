@@ -143,7 +143,7 @@ func (p *Progressive) Candidates() []int {
 func (p *Progressive) merge() []topk.Result {
 	lists := make([][]topk.Result, len(p.engines))
 	for i, e := range p.engines {
-		lists[i] = RebaseInPlace(e.finish().Results, p.bases[i])
+		lists[i] = RebaseInPlace(e.finish(p.finished && e.qs.canonical).Results, p.bases[i])
 	}
 	return topk.Merge(p.k, !p.distance, lists...)
 }

@@ -29,25 +29,26 @@ import (
 type Scratch struct {
 	eng engine // the BOND engine state itself, reused across segments
 
-	cands   []int
-	score   []float64
-	tails   []float64
-	cols    [][]float64   // one dense step's columns, cleared after the fold
-	aux     []float64     // Smin/Smax staging inside one pruning step
-	kbuf    []float64     // kfetch buffer (κ selection inside pruning steps)
-	steps   []StepStat    // pruning-step log backing (engine, filter, MIL)
-	results []topk.Result // per-segment result staging
+	cands     []int
+	score     []float64
+	tails     []float64
+	cols      [][]float64 // one dense step's columns, cleared after the fold
+	aux       []float64   // Smin/Smax staging inside one pruning step
+	rows      []int       // the rows finish ranks, and their scores
+	rowScores []float64
+	kbuf      []float64     // kfetch buffer (κ selection inside pruning steps)
+	steps     []StepStat    // pruning-step log backing (engine, filter, MIL)
+	results   []topk.Result // per-segment result staging
 
 	out *topk.Heap // final ranking heap
 
 	// Compressed-filter and MIL staging (their order and tail bounds are
 	// rebuilt per segment; neither runs under a carried κ).
-	order []int
-	keep  []bool
-	qtail []float64
-	euc   metric.EucTail
-	// buildOrderInto's sort staging.
-	orderKeys []dimKey
+	order   []int
+	keep    []bool
+	qtail   []float64
+	euc     metric.EucTail
+	orderSc orderScratch // buildOrderInto's sort staging
 
 	// Compressed-filter score intervals.
 	sLo, sHi []float64

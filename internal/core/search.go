@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"bond/internal/bitmap"
 	"bond/internal/kernel"
@@ -30,7 +29,7 @@ func Search(s Source, q []float64, opts Options) (Result, error) {
 		return Result{}, ErrNoCandidates
 	}
 	e.run()
-	res := e.finish()
+	res := e.finish(qs.canonical)
 	res.Stats.SegmentsSearched = 1
 	return res, nil
 }
@@ -45,10 +44,10 @@ func Search(s Source, q []float64, opts Options) (Result, error) {
 type Query struct {
 	q         []float64
 	opts      Options
-	weights   []float64 // effective weights (synthesized from Dims for distance criteria)
-	order     []int     // processing order over effective dimensions
-	orderKeys []dimKey  // buildOrderInto's sort staging
-	zeroDims  []int     // zero-weight dimensions, permanent tail residents
+	weights   []float64    // effective weights (synthesized from Dims for distance criteria)
+	order     []int        // processing order over effective dimensions
+	orderSc   orderScratch // buildOrderInto's sort staging
+	zeroDims  []int        // zero-weight dimensions, permanent tail residents
 	needTails bool
 
 	// qOrd[p] and wOrd[p] are q and the effective weight of dimension
@@ -59,17 +58,22 @@ type Query struct {
 	// intersection, so the futility test compares like with like).
 	procQ []float64
 	// slack widens T(q⁺) when a histogram bound is tested against the
-	// carried κ, see pruneStep.
+	// carried κ, and a distance bound when the score it is tested against
+	// was summed in another order, see pruneStep.
 	slack float64
+	// canonical reports that the results' distances are summed afresh in
+	// storage order (see engine.pushCanonical): a distance query whose
+	// processing order is not storage order.
+	canonical bool
 
 	bounds       []tailBound // indexed by dimensions processed
 	wbuf         []float64   // backing of synthesized weights
 	qtail, wtail []float64   // tail-bound staging
 	wt           metric.WeightedTail
 
-	// eqDesc is the processing positions by decreasing query value, which
-	// Eq's tail constant sums over (see eqUpper); built on first use.
-	eqDesc  []dimKey
+	// eqTail[p] is Eq's tail constant after p processed dimensions (see
+	// eqUpper); built on first use.
+	eqTail  []float64
 	eqReady bool
 }
 
@@ -98,8 +102,8 @@ func (qs *Query) Init(q []float64, opts Options) {
 		}
 		qs.weights = qs.wbuf
 	}
-	qs.order = buildOrderInto(grow(qs.order, len(q)), &qs.orderKeys,
-		q, qs.weights, opts.Dims, opts.Order, opts.Seed, opts.Criterion.Distance())
+	qs.order = buildOrderInto(grow(qs.order, len(q)), &qs.orderSc,
+		q, qs.weights, opts.Dims, opts.Order, opts.Seed, opts.Criterion.Distance(), opts.Moments)
 	qs.zeroDims = qs.zeroDims[:0]
 	for d, w := range qs.weights {
 		if w == 0 {
@@ -123,11 +127,25 @@ func (qs *Query) Init(q []float64, opts Options) {
 		qs.procQ = append(qs.procQ, qs.procQ[p]+qd)
 	}
 	// A score is a left-to-right float sum of up to total non-negative
-	// terms, each at most its term of T(q); S⁻ + T(q⁺) sums the same terms
-	// in another association. Either can round 2⁻⁵³ per addition away from
-	// the other, so this much extra tail keeps S⁻ + T(q⁺) an upper bound on
-	// the final score bit for bit, not only mathematically.
-	qs.slack = float64(4*(total+2)) * 0x1p-53 * qs.procQ[total]
+	// terms, each at most its term of T(q) — of Σ w·max(q, 1−q)² for a
+	// distance; S⁻ + T(q⁺), or a distance summed in another order, adds
+	// the same terms in another association. Either can round 2⁻⁵³ per
+	// addition away from the other, so this much slack keeps a bound
+	// compared across the two sound bit for bit, not only mathematically.
+	mass := qs.procQ[total]
+	if opts.Criterion.Distance() {
+		mass = 0
+		for p, qd := range qs.qOrd {
+			m := max(qd, 1-qd)
+			if len(qs.wOrd) > 0 {
+				mass += qs.wOrd[p] * m * m
+			} else {
+				mass += m * m
+			}
+		}
+	}
+	qs.slack = float64(4*(total+2)) * 0x1p-53 * mass
+	qs.canonical = opts.Criterion.Distance() && opts.Order != OrderNatural
 
 	if cap(qs.bounds) < total+1 {
 		qs.bounds = make([]tailBound, total+1)
@@ -211,44 +229,42 @@ func (qs *Query) bound(p int) *tailBound {
 	return b
 }
 
-// eqUpper is Eq's tail constant after p processed dimensions, bit for bit
-// what metric.EucTail's EqUpper — or EqUpperNormalized, for NormalizedData
-// — returns over the unprocessed query values: the same terms added in the
-// same order, by decreasing q (equal values give equal terms, so how ties
-// fall does not matter), without the per-step gather, sort and Ev tables of
-// an EucTail, of which Eq reads nothing else.
+// eqUpper is Eq's tail constant after p processed dimensions: Eq. 10's
+// Σ max(q, 1−q)² over the unprocessed dimensions — or, for NormalizedData,
+// Σ q² plus the gain of putting all of a vector's unit mass on the smallest
+// unprocessed q (metric.EucTail's normalized cap) — widened by a rounding
+// slack. The first call fills every position's constant in one backward
+// pass over the processing order.
+//
+// A vector's score is a left-to-right float sum of at most len(order)
+// non-negative terms, each at most its term of Σ max(q, 1−q)², and the
+// constant is a float sum of those bounds in another association, so with
+// Query.slack added it bounds the float tail bit for bit, not only
+// mathematically.
 func (qs *Query) eqUpper(p int) float64 {
 	if !qs.eqReady {
-		ks := grow(qs.eqDesc, len(qs.qOrd))
-		for pos, q := range qs.qOrd {
-			ks = append(ks, dimKey{key: -q, pos: int32(pos)})
+		n := len(qs.qOrd)
+		tail := grow(qs.eqTail, n+1)[:n+1]
+		var maxSq, sq float64
+		qmin := math.Inf(1)
+		for i := n - 1; i >= 0; i-- {
+			q := qs.qOrd[i]
+			m := max(q, 1-q)
+			maxSq += m * m
+			sq += q * q
+			qmin = min(qmin, q)
+			tail[i] = maxSq
+			if qs.opts.NormalizedData {
+				tail[i] = sq + max((1-qmin)*(1-qmin)-qmin*qmin, 0)
+			}
 		}
-		slices.SortFunc(ks, cmpDimKey)
-		qs.eqDesc, qs.eqReady = ks, true
-	}
-	var maxSq, sq, qmin float64
-	r := 0
-	for _, k := range qs.eqDesc {
-		if int(k.pos) < p {
-			continue
+		tail[n] = 0
+		for i := range tail {
+			tail[i] += qs.slack
 		}
-		q := qs.qOrd[k.pos]
-		maxSq += math.Max(q, 1-q) * math.Max(q, 1-q)
-		sq += q * q
-		qmin = q
-		r++
+		qs.eqTail, qs.eqReady = tail, true
 	}
-	if !qs.opts.NormalizedData {
-		return maxSq
-	}
-	// The normalized-data cap: Σ q² plus the gain of putting all of a
-	// vector's unit mass on the smallest remaining q (EucTail.Reset).
-	if r > 0 {
-		if gain := (1-qmin)*(1-qmin) - qmin*qmin; gain > 0 {
-			sq += gain
-		}
-	}
-	return sq
+	return qs.eqTail[p]
 }
 
 // tail gathers the query values of the unprocessed dimensions and, for a
@@ -519,7 +535,10 @@ func (e *engine) accumulate(from, to int) {
 // exact, the carried κ is only compared with the query-only best case (S⁻
 // for distances, S⁻ + T(q⁺) + slack for intersections), which bounds the
 // final float score bit for bit; the tail masses of Hh and Ev are
-// maintained by subtraction and could round a tying candidate out.
+// maintained by subtraction and could round a tying candidate out. A
+// distance reported in storage order (qs.canonical) can differ in its last
+// bits from the sum S⁻ grows into, so there both κ are widened by the
+// slack.
 func (e *engine) pruneStep(processed int) {
 	qs, sc := e.qs, e.sc
 	stat := StepStat{DimsProcessed: processed}
@@ -570,6 +589,9 @@ func (e *engine) pruneStep(processed int) {
 			lk += b.c
 		}
 		kappa := min(lk, ck)
+		if qs.canonical {
+			kappa += qs.slack
+		}
 		if e.dense {
 			out = kernel.KeepAtMost(e.score, kappa, e.none)
 			break
@@ -623,6 +645,9 @@ func (e *engine) pruneStep(processed int) {
 				smax[ci] = s + upper(e.tails[ci])
 			}
 			lk, sc.kbuf = topk.KthSmallest(smax, e.k, sc.kbuf)
+		}
+		if qs.canonical {
+			lk, ck = lk+qs.slack, ck+qs.slack
 		}
 		for ci, s := range e.score {
 			t := e.tails[ci]
@@ -689,11 +714,14 @@ func (e *engine) appendStep(stat StepStat) {
 // finish ranks the surviving candidates by their now-exact scores. A
 // value-only kfetch (and the carried κ) first tells which of them can rank
 // at all, so the id-carrying heap sees about k candidates, ties included,
-// rather than every survivor. The result list is scratch-backed: valid
-// until the Scratch's next search.
-func (e *engine) finish() Result {
-	sc := e.sc
-	dist := e.qs.opts.Criterion.Distance()
+// rather than every survivor. With canonical (qs.canonical, once every
+// dimension is summed) it sees them with their distance summed in storage
+// order (canonicalRows), and the κ they must reach is widened by the
+// slack. The result list is scratch-backed: valid until the Scratch's next
+// search.
+func (e *engine) finish(canonical bool) Result {
+	sc, qs := e.sc, e.qs
+	dist := qs.opts.Criterion.Distance()
 	kappa := e.kappa
 	if e.live > e.k {
 		kth := topk.KthLargest
@@ -705,22 +733,72 @@ func (e *engine) finish() Result {
 			kappa = local
 		}
 	}
-	h := sc.outHeap(e.k, !dist)
+	if canonical {
+		kappa += qs.slack
+	}
+	rows, scores := sc.rows[:0], sc.rowScores[:0]
 	if e.dense {
 		for r, s := range e.score {
 			if s != e.none && !CannotBeat(s, kappa, dist) {
-				h.Push(r, s)
+				rows, scores = append(rows, r), append(scores, s)
 			}
 		}
 	} else {
 		for ci, id := range e.cands {
 			if s := e.score[ci]; !CannotBeat(s, kappa, dist) {
-				h.Push(id, s)
+				rows, scores = append(rows, id), append(scores, s)
 			}
 		}
 	}
+	if canonical && len(rows) > 0 {
+		e.canonicalRows(rows, scores)
+	}
+	sc.rows, sc.rowScores = rows, scores
+	h := sc.outHeap(e.k, !dist)
+	for i, r := range rows {
+		h.Push(r, scores[i])
+	}
 	sc.results = h.AppendResults(sc.results[:0])
 	return Result{Results: sc.results, Stats: e.stats}
+}
+
+// canonicalRows overwrites scores[i] with row rows[i]'s distance as an exact
+// scan sums it: the terms w·(v − q)² (w = 1 unweighted) of the effective
+// dimensions — Dims as listed, or every dimension, less zero weights — in
+// that order from 0, with the run kernels' expressions. BOND adds the same
+// terms in its processing order, which under Options.Moments depends on
+// the collection's values, so two layouts of the same rows (a shard and
+// the whole collection, or two segmentations) would round a distance
+// differently in its last bits; this sum is the same bits whatever order
+// found the row, and the exact path's. It runs while the segment's columns
+// are still in cache, a column at a time over the rows.
+func (e *engine) canonicalRows(rows []int, scores []float64) {
+	qs := e.qs
+	clear(scores)
+	w := qs.opts.Weights
+	add := func(d int) {
+		if len(w) > 0 && w[d] == 0 {
+			return
+		}
+		col, qd := e.s.Column(d), qs.q[d]
+		for i, r := range rows {
+			diff := col[r] - qd
+			if len(w) == 0 {
+				scores[i] += diff * diff
+			} else {
+				scores[i] += w[d] * diff * diff
+			}
+		}
+	}
+	if len(qs.opts.Dims) > 0 {
+		for _, d := range qs.opts.Dims {
+			add(d)
+		}
+		return
+	}
+	for d := range qs.q {
+		add(d)
+	}
 }
 
 // candidates appends the ids still in play, ascending, shifted by base.

@@ -170,7 +170,7 @@ func SearchOneScratch(src Source, qs *Query, exclude *bitmap.Bitmap, kappa float
 		return Result{}, true
 	}
 	e.run()
-	return e.finish(), false
+	return e.finish(qs.canonical), false
 }
 
 // RebaseInPlace shifts segment-local result ids to global ids by mutating

@@ -47,7 +47,7 @@ func segmentsOf(s *vstore.SegStore) []plan.Segment {
 // plan as well: its Opts are the lowered, default-filled engine options the
 // flat oracle runs with.
 func planned(seg *vstore.SegStore, spec plan.Spec) (plan.Result, *plan.Plan, error) {
-	p, err := plan.New(segmentsOf(seg), spec, nil)
+	p, err := plan.New(segmentsOf(seg), nil, spec, nil)
 	if err != nil {
 		return plan.Result{}, nil, err
 	}
@@ -368,7 +368,7 @@ func TestPlannedSegmentsEmptyAndErrorCases(t *testing.T) {
 	if _, _, err := planned(seg, spec); err != core.ErrNoCandidates {
 		t.Fatalf("empty store: err = %v, want ErrNoCandidates", err)
 	}
-	if _, err := plan.New(nil, spec, nil); err == nil {
+	if _, err := plan.New(nil, nil, spec, nil); err == nil {
 		t.Fatal("no segments not rejected")
 	}
 	seg.Append([]float64{0.1, 0.2, 0.3, 0.4})
@@ -379,7 +379,7 @@ func TestPlannedSegmentsEmptyAndErrorCases(t *testing.T) {
 	}
 	gapped := segmentsOf(seg)
 	gapped[0].View.Base = 5
-	if _, err := plan.New(gapped, spec, nil); err == nil {
+	if _, err := plan.New(gapped, nil, spec, nil); err == nil {
 		t.Fatal("non-dense segment bases not rejected")
 	}
 	spec.K = 5

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"bond/internal/core"
 )
 
 // groupSize is how many plans a batch worker co-schedules through one lane.
@@ -24,13 +26,14 @@ const groupSize = 16
 // logical CPU, the caller's being one of them), each worker takes them a
 // group at a time — as large as groupSize allows while every worker still
 // gets one — and runs the group through executeGroup on one pooled lane.
-// Results are positionally aligned with specs.
+// Every spec is planned with mom, as New takes it. Results are positionally
+// aligned with specs.
 // A failing spec aborts the batch; the return is then the lowest failing
 // index observed and its error.
-func ExecuteBatch(segs []Segment, specs []Spec, pool *Pool) ([]Result, int, error) {
+func ExecuteBatch(segs []Segment, mom *core.Moments, specs []Spec, pool *Pool) ([]Result, int, error) {
 	workers := min(runtime.GOMAXPROCS(0), len(specs))
 	b := &batch{
-		segs: segs, specs: specs, pool: pool,
+		segs: segs, mom: mom, specs: specs, pool: pool,
 		results: make([]Result, len(specs)),
 		group:   min(groupSize, (len(specs)+workers-1)/workers),
 		failed:  -1,
@@ -53,6 +56,7 @@ func ExecuteBatch(segs []Segment, specs []Spec, pool *Pool) ([]Result, int, erro
 // batch is the state the workers of one ExecuteBatch share.
 type batch struct {
 	segs    []Segment
+	mom     *core.Moments
 	specs   []Spec
 	pool    *Pool
 	results []Result
@@ -100,7 +104,7 @@ func (b *batch) runGroup(specs []Spec, results []Result, plans []*Plan) (int, er
 		}
 	}()
 	for i, spec := range specs {
-		p, err := NewReusable(b.segs, spec, b.pool)
+		p, err := NewReusable(b.segs, b.mom, spec, b.pool)
 		if err != nil {
 			return i, err
 		}

@@ -17,7 +17,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden EXPLAIN files"
 // layouts: cluster-contiguous (synopsis skipping dominates), uniform (no
 // skipping; the carried κ does the pruning), and skewed (BOND prunes fast).
 // The data is generated from fixed seeds and the cost priors are
-// constants, so the output is fully deterministic. Regenerate with:
+// constants, so the output is fully deterministic. The plan gets the moments
+// of the sealed segments, as a collection's query does. Regenerate with:
 // go test ./internal/plan/ -run TestExplainGolden -update
 func TestExplainGolden(t *testing.T) {
 	cases := []struct {
@@ -60,7 +61,8 @@ func TestExplainGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.spec.Query = tc.store.Row(0)
-			p, err := New(segmentsOf(tc.store), tc.spec, new(Pool))
+			segs := segmentsOf(tc.store)
+			p, err := New(segs, sealedMoments(segs), tc.spec, new(Pool))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,4 +88,15 @@ func TestExplainGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sealedMoments is the moments of the sealed segments' rows.
+func sealedMoments(segs []Segment) *core.Moments {
+	var sums core.MomentSums
+	for _, s := range segs {
+		if s.Sealed {
+			sums.Add(s.View.Src)
+		}
+	}
+	return sums.Moments()
 }

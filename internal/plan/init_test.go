@@ -193,11 +193,11 @@ func TestLazyPlanMatchesEagerProperty(t *testing.T) {
 		for _, crit := range []core.Criterion{core.Eq, core.Ev, core.Hq, core.Hh} {
 			spec := lazySpec(rng, crit, dims, slots)
 			label := fmt.Sprintf("trial %d %v/%v parallel=%d", trial, crit, spec.Strategy, spec.Parallel)
-			fresh, err := New(segs, spec, nil)
+			fresh, err := New(segs, nil, spec, nil)
 			if err != nil {
 				continue // a fixture with no rows, or data outside Eq's range
 			}
-			ref, _ := New(segs, spec, nil)
+			ref, _ := New(segs, nil, spec, nil)
 			if got, want := fresh.Explain(), eagerPlan(ref).Explain(); got != want {
 				t.Fatalf("%s: EXPLAIN before Execute\n%s\neager\n%s", label, got, want)
 			}
@@ -205,7 +205,7 @@ func TestLazyPlanMatchesEagerProperty(t *testing.T) {
 
 			got, err := Execute(fresh)
 			sameResult(label+" (explained first)", got, want, err, wantErr)
-			lazy, _ := New(segs, spec, nil)
+			lazy, _ := New(segs, nil, spec, nil)
 			got, err = Execute(lazy)
 			sameResult(label, got, want, err, wantErr)
 			if !slices.Equal(lazy.Steps, ref.Steps) {
@@ -215,7 +215,7 @@ func TestLazyPlanMatchesEagerProperty(t *testing.T) {
 				t.Fatalf("%s: EXPLAIN\n%s\neager\n%s", label, got, want)
 			}
 
-			pooled, err := NewReusable(segs, spec, pool)
+			pooled, err := NewReusable(segs, nil, spec, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestLazyPlanMatchesEagerProperty(t *testing.T) {
 		if len(specs) == 0 {
 			continue
 		}
-		results, failed, err := ExecuteBatch(segs, specs, pool)
+		results, failed, err := ExecuteBatch(segs, nil, specs, pool)
 		if err != nil {
 			t.Fatalf("trial %d: batch failed at %d: %v", trial, failed, err)
 		}
@@ -279,7 +279,7 @@ func TestSynopsisCellsRead(t *testing.T) {
 			pool := new(Pool)
 			for i := 0; i < 8; i++ {
 				q := tc.store.Row(i * tc.store.Len() / 8)
-				p, err := NewReusable(segs, Spec{Query: q, K: 10, Criterion: tc.crit, Strategy: ForceBOND}, pool)
+				p, err := NewReusable(segs, nil, Spec{Query: q, K: 10, Criterion: tc.crit, Strategy: ForceBOND}, pool)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -330,7 +330,7 @@ func BenchmarkPlanQuery(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					spec.Query = queries[i%nQueries]
-					p, err := NewReusable(segs, spec, pool)
+					p, err := NewReusable(segs, nil, spec, pool)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -123,11 +123,13 @@ const parallelMinSegment = 2048
 
 // New plans a query over the given segments. The spec is validated (and
 // defaults filled) against the combined collection, exactly as core.Search
-// validates options against a flat one. pool may be nil, which gives the
-// plan a pool of its own.
-func New(segs []Segment, spec Spec, pool *Pool) (*Plan, error) {
+// validates options against a flat one. mom, the moments of the segments'
+// values, orders a distance query's dimensions (core.Options.Moments); nil
+// keeps the paper's order. pool may be nil, which gives the plan a pool of
+// its own.
+func New(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) (*Plan, error) {
 	p := &Plan{}
-	if err := p.init(segs, spec, pool); err != nil {
+	if err := p.init(segs, mom, spec, pool); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -138,12 +140,12 @@ func New(segs []Segment, spec Spec, pool *Pool) (*Plan, error) {
 // to keep), Release returns the plan to the pool. This is the hot-path
 // variant Collection.Query uses so planning itself allocates nothing in
 // steady state; callers that hand the plan out (EXPLAIN) use New instead.
-func NewReusable(segs []Segment, spec Spec, pool *Pool) (*Plan, error) {
+func NewReusable(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) (*Plan, error) {
 	if pool == nil {
-		return New(segs, spec, pool)
+		return New(segs, mom, spec, pool)
 	}
 	p := pool.acquirePlan()
-	if err := p.init(segs, spec, pool); err != nil {
+	if err := p.init(segs, mom, spec, pool); err != nil {
 		pool.releasePlan(p)
 		return nil, err
 	}
@@ -182,8 +184,9 @@ func (p *Plan) Release() {
 // ones go into the heap the cursor takes them from, each holding its bound
 // over its first boundBlock dimensions — the whole bound for similarities,
 // whose prefixes prove nothing (see nextBounded).
-func (p *Plan) init(segs []Segment, spec Spec, pool *Pool) error {
+func (p *Plan) init(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) error {
 	opts := spec.options()
+	opts.Moments = mom
 	view := func(i int) *core.SegmentView { return &segs[i].View }
 	if err := core.ValidateSegments(len(segs), view, spec.Query, &opts); err != nil {
 		return err

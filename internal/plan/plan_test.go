@@ -110,7 +110,7 @@ func TestForcedStrategyPaths(t *testing.T) {
 		{ForceExact, PathExact, PathExact},
 	}
 	for _, tc := range cases {
-		p, err := New(segs, Spec{Query: q, K: 3, Strategy: tc.strat}, nil)
+		p, err := New(segs, nil, Spec{Query: q, K: 3, Strategy: tc.strat}, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.strat, err)
 		}
@@ -140,10 +140,10 @@ func TestCompressedStrategyRejectsUnsupportedOptions(t *testing.T) {
 	for d := range w {
 		w[d] = 1
 	}
-	if _, err := New(segmentsOf(s), Spec{Query: q, K: 3, Strategy: ForceCompressed, Weights: w}, nil); err == nil {
+	if _, err := New(segmentsOf(s), nil, Spec{Query: q, K: 3, Strategy: ForceCompressed, Weights: w}, nil); err == nil {
 		t.Fatal("weighted compressed plan should be rejected")
 	}
-	if _, err := New(segmentsOf(s), Spec{Query: q, K: 3, Strategy: ForceVAFile, Criterion: core.Hh}, nil); err == nil {
+	if _, err := New(segmentsOf(s), nil, Spec{Query: q, K: 3, Strategy: ForceVAFile, Criterion: core.Hh}, nil); err == nil {
 		t.Fatal("Hh VA-File plan should be rejected")
 	}
 }
@@ -157,7 +157,7 @@ func TestAutoShapeFactorDifferentiates(t *testing.T) {
 	s := clusterContiguous(4, 150, 32, 3)
 	segs := segmentsOf(s)
 	q := s.Row(0) // inside segment 0's cluster
-	p, err := New(segs, Spec{Query: q, K: 3, Criterion: core.Eq}, nil)
+	p, err := New(segs, nil, Spec{Query: q, K: 3, Criterion: core.Eq}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 	q := s.Row(37)
 	for _, strat := range []Strategy{Auto, ForceBOND, ForceCompressed, ForceVAFile, ForceExact} {
 		for _, crit := range []core.Criterion{core.Hq, core.Eq} {
-			oracle, err := New(segs, Spec{Query: q, K: 7, Criterion: crit, Strategy: ForceExact}, nil)
+			oracle, err := New(segs, nil, Spec{Query: q, K: 7, Criterion: crit, Strategy: ForceExact}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := New(segs, Spec{Query: q, K: 7, Criterion: crit, Strategy: strat}, new(Pool))
+			p, err := New(segs, nil, Spec{Query: q, K: 7, Criterion: crit, Strategy: strat}, new(Pool))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", strat, crit, err)
 			}
@@ -225,7 +225,7 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 func TestDeadlineTruncates(t *testing.T) {
 	s := uniformStore(400, 100, 8, 6)
 	segs := segmentsOf(s)
-	p, err := New(segs, Spec{
+	p, err := New(segs, nil, Spec{
 		Query:    s.Row(0),
 		K:        3,
 		Deadline: time.Now().Add(-time.Second),
@@ -245,7 +245,7 @@ func TestDeadlineTruncates(t *testing.T) {
 	}
 
 	// The same contract holds when every step is in the parallel group.
-	pp, err := New(segs, Spec{
+	pp, err := New(segs, nil, Spec{
 		Query:    s.Row(0),
 		K:        3,
 		Strategy: ForceBOND,
@@ -270,14 +270,14 @@ func TestToleranceSkipsMarginalSegments(t *testing.T) {
 	s := uniformStore(600, 100, 8, 7)
 	segs := segmentsOf(s)
 	q := s.Row(0)
-	exact, err := New(segs, Spec{Query: q, K: 3, Strategy: ForceBOND}, nil)
+	exact, err := New(segs, nil, Spec{Query: q, K: 3, Strategy: ForceBOND}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Execute(exact); err != nil {
 		t.Fatal(err)
 	}
-	loose, err := New(segs, Spec{Query: q, K: 3, Strategy: ForceBOND, Tolerance: 100}, nil)
+	loose, err := New(segs, nil, Spec{Query: q, K: 3, Strategy: ForceBOND, Tolerance: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestReleasedPlanForgetsCallerData(t *testing.T) {
 		{Criterion: core.Hq, Strategy: ForceVAFile},
 	} {
 		spec.Query, spec.K, spec.Exclude = s.Row(7), 4, ex
-		p, err := NewReusable(segmentsOf(s), spec, pool)
+		p, err := NewReusable(segmentsOf(s), nil, spec, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

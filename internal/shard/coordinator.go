@@ -84,7 +84,8 @@ type Config struct {
 	// load off primaries. Writes always go to the active node.
 	ReadReplicas bool
 	// HTTPClient overrides the HTTP client shard calls go through (tests
-	// inject httptest clients); nil uses a fresh default client.
+	// inject httptest clients); nil uses a client over a transport of its
+	// own that keeps shardIdleConns idle connections per shard.
 	HTTPClient *http.Client
 	// Logf receives one line per degraded or failed fan-out (nil =
 	// silent).
@@ -117,6 +118,7 @@ type Coordinator struct {
 
 	stop       chan struct{} // closed by Close to stop the prober
 	proberDone chan struct{} // closed when the prober loop exits
+	own        *http.Client  // the default client, whose idle connections Close drops
 }
 
 // layout is what the coordinator caches of a collection between ingests.
@@ -124,6 +126,13 @@ type layout struct {
 	next int // the next global id
 	dims int // the dims every ingested vector must have
 }
+
+// shardIdleConns is how many idle connections the default client keeps
+// per shard. http.DefaultTransport keeps two, so under more concurrent
+// requests than that every fan-out beyond the second dials a new
+// connection and drops it afterwards; 16 covers the concurrency the
+// end-to-end benchmark drives a coordinator at.
+const shardIdleConns = 16
 
 // NewCoordinator builds a coordinator over the given topology and starts
 // the health prober when the config asks for one. Close stops it.
@@ -143,10 +152,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.ProbePath == "" {
 		cfg.ProbePath = "/healthz"
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
 	co := &Coordinator{
 		cfg:        cfg,
 		topo:       cfg.Topology,
@@ -154,6 +159,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		layouts:    map[string]layout{},
 		stop:       make(chan struct{}),
 		proberDone: make(chan struct{}),
+	}
+	hc := cfg.HTTPClient
+	if hc == nil {
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = shardIdleConns
+		hc = &http.Client{Transport: tr}
+		co.own = hc
 	}
 	for _, s := range cfg.Topology.Shards {
 		brk := NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
@@ -173,10 +185,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Handler returns the coordinator's HTTP handler.
 func (co *Coordinator) Handler() http.Handler { return co.mux }
 
-// Close stops the health prober.
+// Close stops the health prober and drops the default client's idle
+// connections.
 func (co *Coordinator) Close() error {
 	close(co.stop)
 	<-co.proberDone
+	if co.own != nil {
+		co.own.CloseIdleConnections()
+	}
 	return nil
 }
 

@@ -126,7 +126,7 @@ func runOnce(features []multifeature.Feature, k, kprime int, agg multifeature.Ag
 		weights[f] = feat.Weight
 		// Per-stream ranking runs segment-aware BOND, so segmented feature
 		// collections stream as cheaply as flat ones.
-		p, err := plan.New(plan.WrapViews(feat.Views()),
+		p, err := plan.New(plan.WrapViews(feat.Views()), nil,
 			plan.Spec{Query: feat.Query, K: kprime, Criterion: core.Hq, Strategy: plan.ForceBOND}, nil)
 		if err != nil {
 			return Result{}, false, fmt.Errorf("streammerge: stream %d: %w", f, err)

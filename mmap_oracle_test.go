@@ -206,7 +206,7 @@ func TestSynopsisViewsHeapAndMmap(t *testing.T) {
 			t.Fatal(err)
 		}
 		col.mu.RLock()
-		segs, live, snap := col.store.Segments(), col.planSegments(), col.snapshotViews()
+		segs, live, snap := col.store.Segments(), col.planView().segs, col.snapshotViews()
 		col.mu.RUnlock()
 		activeBefore := bound(&snap[len(snap)-1], far)
 		if _, err := col.AddDurable(far); err != nil {

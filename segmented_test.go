@@ -236,7 +236,7 @@ func TestPlanCacheSurvivesNonSealingWrites(t *testing.T) {
 	cached := func() *plan.Segment {
 		col.mu.RLock()
 		defer col.mu.RUnlock()
-		return &col.planSegments()[0]
+		return &col.planView().segs[0]
 	}
 	check := func(label string) {
 		t.Helper()
