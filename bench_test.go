@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"bond/internal/baseline/mil"
 	"bond/internal/bench"
 	"bond/internal/core"
 	"bond/internal/dataset"
@@ -307,7 +308,7 @@ func BenchmarkSearchMILEngine(b *testing.B) {
 	f := microSetup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SearchMIL(f.store, f.query, core.MILOptions{K: 10}); err != nil {
+		if _, err := mil.SearchMIL(f.store, f.query, mil.MILOptions{K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,8 +75,8 @@
 // Collection.Close releases it. An in-memory collection has the same
 // mutators: it is a durable one with no log, so their error is always
 // nil. A durable directory is the only on-disk form of a collection:
-// ImportSnapshot (`bondgen -import`) converts a whole-file snapshot an
-// earlier release wrote into one, offline.
+// `bondgen -import` converts a whole-file snapshot an earlier release
+// wrote into one, offline, through OpenDurable and these mutators.
 //
 // # Serving
 //

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bond/internal/baseline/mil"
 	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/iofs"
@@ -146,12 +147,12 @@ func TestFacadeMILAndExclusion(t *testing.T) {
 	}
 	// The MIL reference engine is not a Collection strategy; it runs on the
 	// flattened store as the oracle it is.
-	mil, err := core.SearchMIL(col.store.Flatten(), q, core.MILOptions{K: 1})
+	ref, err := mil.SearchMIL(col.store.Flatten(), q, mil.MILOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mil.Results[0].ID != 0 {
-		t.Errorf("MIL best = %d, want the query itself", mil.Results[0].ID)
+	if ref.Results[0].ID != 0 {
+		t.Errorf("MIL best = %d, want the query itself", ref.Results[0].ID)
 	}
 }
 

@@ -47,7 +47,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *importPath != "" {
-		if err := bond.ImportSnapshot(*importPath, *out); err != nil {
+		if err := importSnapshot(*importPath, *out); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("imported %s to %s\n", *importPath, *out)

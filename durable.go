@@ -126,9 +126,6 @@ var (
 // it; OpenDurable refuses to run in front of one.
 const migratingSuffix = ".migrating"
 
-// importingSuffix marks ImportSnapshot's staging directory.
-const importingSuffix = ".importing"
-
 // durability is the durable state hanging off a Collection opened with
 // OpenDurable. The WAL writer pointer and sequence are guarded by the
 // collection's lock (writers append under the write lock; Checkpoint
@@ -232,42 +229,6 @@ func initDurableDir(fs iofs.FS, dir string, store *vstore.SegStore) error {
 		return err
 	}
 	return w.Close()
-}
-
-// ImportSnapshot converts a whole-file snapshot that an earlier release
-// wrote — the flat v1 layout or the segmented v1/v2 layouts — into a
-// durable directory at dst that OpenDurable opens. The directory is
-// staged beside dst and renamed into place once complete, so a failed
-// import leaves no dst behind. src is only read, and an existing dst is
-// refused.
-func ImportSnapshot(src, dst string) error {
-	if _, err := os.Lstat(dst); err == nil {
-		return fmt.Errorf("bond: import %s: %s already exists", src, dst)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	img, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	store, err := vstore.LoadAnyBytes(img)
-	if err != nil {
-		return fmt.Errorf("bond: import %s: %w", src, err)
-	}
-	fs := iofs.OS{}
-	tmp := dst + importingSuffix
-	if err := fs.RemoveAll(tmp); err != nil {
-		return err
-	}
-	if err := initDurableDir(fs, tmp, store); err != nil {
-		_ = fs.RemoveAll(tmp) // the import failed either way; err says why
-		return err
-	}
-	if err := fs.Rename(tmp, dst); err != nil {
-		_ = fs.RemoveAll(tmp)
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(dst))
 }
 
 // openDurableDir recovers the committed checkpoint, replays the WAL

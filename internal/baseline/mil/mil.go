@@ -1,11 +1,19 @@
-package core
+// Package mil is the paper's Section 6.1 reference engine: BOND with
+// criterion Hq written as a pipeline of MIL operators over the BATs of
+// package bat, as it runs inside MonetDB. It is a baseline the paper's
+// ablations measure against, not a serving path: only internal/bench,
+// cmd/bondbench and tests import it.
+package mil
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 
-	"bond/internal/bat"
+	"bond/internal/baseline/bat"
 	"bond/internal/bitmap"
+	"bond/internal/core"
 	"bond/internal/topk"
 )
 
@@ -13,7 +21,7 @@ import (
 type MILOptions struct {
 	// K is the number of neighbors. Required, ≥ 1.
 	K int
-	// Step is the pruning granularity m. Default DefaultStep.
+	// Step is the pruning granularity m. Default core.DefaultStep.
 	Step int
 	// BitmapSwitch is the candidate fraction below which the engine stops
 	// using the bitmap representation and materializes the candidate set
@@ -28,7 +36,7 @@ type MILOptions struct {
 }
 
 // ErrMILOptions reports invalid MIL engine options.
-var ErrMILOptions = errors.New("core: invalid MIL options")
+var ErrMILOptions = errors.New("mil: invalid MIL options")
 
 // SearchMIL executes BOND with criterion Hq through the MIL operator layer
 // of package bat, mirroring the paper's Section 6.1 listing:
@@ -39,44 +47,40 @@ var ErrMILOptions = errors.New("core: invalid MIL options")
 //
 // applied iteratively, with the early iterations using the bitmap-index
 // implementation of uselect and the later ones the positional-join
-// reduction. Results are identical to Search with criterion Hq.
-func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
+// reduction. Results are identical to core.Search with criterion Hq.
+func SearchMIL(s core.Source, q []float64, opts MILOptions) (core.Result, error) {
 	if opts.K < 1 {
-		return Result{}, ErrMILOptions
+		return core.Result{}, ErrMILOptions
 	}
 	if len(q) != s.Dims() {
-		return Result{}, ErrQueryMismatch
+		return core.Result{}, core.ErrQueryMismatch
 	}
 	if opts.Step == 0 {
-		opts.Step = DefaultStep
+		opts.Step = core.DefaultStep
 	}
 	if opts.Step < 1 {
-		return Result{}, ErrMILOptions
+		return core.Result{}, ErrMILOptions
 	}
 	if opts.BitmapSwitch == 0 {
 		opts.BitmapSwitch = 0.05
 	}
 	if opts.BitmapSwitch < 0 || opts.BitmapSwitch > 1 {
-		return Result{}, ErrMILOptions
+		return core.Result{}, ErrMILOptions
 	}
-	// Within one search the operator pipeline recycles its intermediates —
-	// score column, candidate bitmap, uselect result, positional-phase
-	// id/score columns — as MonetDB itself keeps BAT heaps around.
-	sc := &Scratch{}
-
 	n := s.Len()
-	sc.order = buildOrderInto(grow(sc.order, s.Dims()), &sc.orderSc, q, nil, nil, OrderQueryDesc, 0, false, nil)
-	order := sc.order
+	// Dimensions by q descending, ties in storage order: the largest
+	// contributions min(h, q) come first (Section 5.1).
+	order := make([]int, s.Dims())
+	for d := range order {
+		order[d] = d
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(q[b], q[a]) })
 
 	// The bitmap doubles as delete-mark carrier and predicate filter
 	// (Sections 6.1–6.2): start from live ∧ ¬excluded.
-	if sc.milBM == nil {
-		sc.milBM = bitmap.New(0)
-	}
-	bm := sc.milBM
-	bm.Reuse(n)
+	bm := bitmap.New(n)
 	bm.SetAll()
-	bm.AndNot(deletedOf(s))
+	bm.AndNot(core.DeletedView(s))
 	if opts.Exclude != nil {
 		// The exclusion bitmap may be smaller than the collection (sized
 		// before concurrent appends); out-of-range ids are not excluded.
@@ -87,19 +91,14 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 		})
 	}
 	if bm.Count() == 0 {
-		return Result{}, ErrNoCandidates
+		return core.Result{}, core.ErrNoCandidates
 	}
 	k := opts.K
 	if k > bm.Count() {
 		k = bm.Count()
 	}
 
-	var stats Stats
-	stats.Steps = sc.steps[:0]
-	logStep := func(stat StepStat) {
-		stats.Steps = append(stats.Steps, stat)
-		sc.steps = stats.Steps
-	}
+	var stats core.Stats
 	var processedQ float64
 	tailQ := func(processed int) float64 {
 		t := 0.0
@@ -109,9 +108,19 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 		return t
 	}
 
+	// Within one search the operator pipeline recycles its intermediates —
+	// the uselect result bitmap, the kfetch and gather columns, the
+	// positional phase's ping-pong id/score columns — as MonetDB itself
+	// keeps BAT heaps around.
+	var (
+		kbuf, vals, gather []float64
+		spareIDs           []int
+		spareScores        []float64
+	)
+	selected := bitmap.New(n)
+
 	// --- Bitmap phase: scores kept full-length, candidates as set bits. ---
-	sc.milScore = zeroed(sc.milScore, n)
-	smin := bat.NewFloatVoid(0, sc.milScore)
+	smin := bat.NewFloatVoid(0, make([]float64, n))
 	var (
 		candIDs    []int     // materialized candidates (nil while in bitmap phase)
 		candScores []float64 // scores aligned with candIDs
@@ -135,10 +144,10 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 			} else {
 				// Hi reduced to the candidate set by a positional join into
 				// the recycled gather column, then [min] and [+] in place.
-				sc.milGather = grow(sc.milGather, len(candIDs))[:len(candIDs)]
-				bat.JoinFloatInto(sc.milGather, &bat.OID{Tail: candIDs}, hi)
-				bat.MapMinConstInto(sc.milGather, sc.milGather, qd)
-				bat.AddInto(&bat.Float{Tail: candScores}, &bat.Float{Tail: sc.milGather})
+				gather = slices.Grow(gather[:0], len(candIDs))[:len(candIDs)]
+				bat.JoinFloatInto(gather, &bat.OID{Tail: candIDs}, hi)
+				bat.MapMinConstInto(gather, gather, qd)
+				bat.AddInto(&bat.Float{Tail: candScores}, &bat.Float{Tail: gather})
 				stats.ValuesScanned += int64(len(candIDs))
 			}
 			processedQ += qd
@@ -156,59 +165,49 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 			continue
 		}
 
-		stat := StepStat{DimsProcessed: processed}
+		stat := core.StepStat{DimsProcessed: processed}
 		tq := tailQ(processed)
 		if processedQ <= tq {
 			stat.Skipped = true
 			stat.Candidates = count
-			logStep(stat)
+			stats.Steps = append(stats.Steps, stat)
 			continue
 		}
 
 		if candIDs == nil {
 			// kfetch over the candidate scores, then bitmap uselect.
-			sc.milVals = bat.SelectFloatInto(grow(sc.milVals, bm.Count()), smin, bm)
-			sk, kbuf := topk.KthLargest(sc.milVals, k, sc.kbuf)
-			sc.kbuf = kbuf
-			maxbound := sk - tq
-			if sc.milSel == nil {
-				sc.milSel = bitmap.New(0)
-			}
-			sc.milSel.Reuse(n)
-			bat.USelectBitmapInto(sc.milSel, smin, maxbound, math.Inf(1))
-			bm.And(sc.milSel)
+			vals = bat.SelectFloatInto(vals[:0], smin, bm)
+			var sk float64
+			sk, kbuf = topk.KthLargest(vals, k, kbuf)
+			selected.Reuse(n)
+			bat.USelectBitmapInto(selected, smin, sk-tq, math.Inf(1))
+			bm.And(selected)
 			stat.Candidates = bm.Count()
 			stat.Pruned = count - stat.Candidates
 			// Switch to positional joins once selectivity is high enough.
 			if float64(bm.Count()) < opts.BitmapSwitch*float64(n) {
-				sc.milIDs = bm.AppendSlice(grow(sc.milIDs, bm.Count()))
-				candIDs = sc.milIDs
-				sc.milVals = bat.SelectFloatInto(grow(sc.milVals, len(candIDs)), smin, bm)
-				candScores = sc.milVals
+				candIDs = bm.AppendSlice(make([]int, 0, bm.Count()))
+				candScores = bat.SelectFloatInto(make([]float64, 0, len(candIDs)), smin, bm)
 			}
 		} else {
-			sk, kbuf := topk.KthLargest(candScores, k, sc.kbuf)
-			sc.kbuf = kbuf
-			maxbound := sk - tq
+			var sk float64
+			sk, kbuf = topk.KthLargest(candScores, k, kbuf)
 			// uselect over the candidate scores yields positions into the
 			// candidate array (void heads); gather the surviving ids and
-			// scores into the ping-pong buffers.
-			sel := bat.USelectInto(grow(sc.milIDs2, len(candIDs)),
-				&bat.Float{Tail: candScores}, maxbound, math.Inf(1))
-			sc.milIDs2 = sel
-			newScores := grow(sc.milVals2, len(sel))[:len(sel)]
-			sc.milVals2 = newScores
+			// scores into the spare columns, which then swap with the
+			// current ones.
+			sel := bat.USelectInto(spareIDs[:0], &bat.Float{Tail: candScores}, sk-tq, math.Inf(1))
+			newScores := slices.Grow(spareScores[:0], len(sel))[:len(sel)]
 			for i, pos := range sel {
 				newScores[i] = candScores[pos]
 				sel[i] = candIDs[pos]
 			}
-			sc.milIDs, sc.milIDs2 = sc.milIDs2, sc.milIDs
-			sc.milVals, sc.milVals2 = sc.milVals2, sc.milVals
+			spareIDs, spareScores = candIDs, candScores
 			candIDs, candScores = sel, newScores
 			stat.Candidates = len(candIDs)
 			stat.Pruned = count - stat.Candidates
 		}
-		logStep(stat)
+		stats.Steps = append(stats.Steps, stat)
 		cur := bm.Count()
 		if candIDs != nil {
 			cur = len(candIDs)
@@ -220,7 +219,7 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 
 	// Final ranking.
 	stats.SegmentsSearched = 1
-	h := sc.outHeap(k, true)
+	h := topk.NewLargest(k)
 	if candIDs == nil {
 		bm.ForEach(func(id int) { h.Push(id, smin.Tail[id]) })
 		stats.FinalCandidates = bm.Count()
@@ -230,6 +229,5 @@ func SearchMIL(s Source, q []float64, opts MILOptions) (Result, error) {
 		}
 		stats.FinalCandidates = len(candIDs)
 	}
-	sc.results = h.AppendResults(sc.results[:0])
-	return Result{Results: sc.results, Stats: stats}, nil
+	return core.Result{Results: h.AppendResults(nil), Stats: stats}, nil
 }

@@ -1,14 +1,57 @@
-package core
+package mil
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"bond/internal/bitmap"
+	"bond/internal/core"
 	"bond/internal/dataset"
 	"bond/internal/seqscan"
+	"bond/internal/topk"
 	"bond/internal/vstore"
 )
+
+var corelFixture struct {
+	vectors [][]float64
+	store   *vstore.Store
+}
+
+func corel(t *testing.T) ([][]float64, *vstore.Store) {
+	t.Helper()
+	if corelFixture.store == nil {
+		corelFixture.vectors = dataset.CorelLike(2000, 64, 1234)
+		corelFixture.store = vstore.FromVectors(corelFixture.vectors)
+	}
+	return corelFixture.vectors, corelFixture.store
+}
+
+// sameResults checks rank-by-rank equality of two result lists. Scores must
+// agree within tolerance at every rank. IDs must agree except at ranks whose
+// score is tied with another rank in the reference: MIL accumulates in a
+// different dimension order than the scan, so last-ulp rounding may break
+// exact ties differently — any tie-equivalent id is acceptable there.
+func sameResults(t *testing.T, label string, got, want []topk.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	const eps = 1e-9
+	tied := func(i int) bool {
+		return (i > 0 && math.Abs(want[i].Score-want[i-1].Score) <= eps) ||
+			(i+1 < len(want) && math.Abs(want[i].Score-want[i+1].Score) <= eps)
+	}
+	for i := range want {
+		if math.Abs(got[i].Score-want[i].Score) > eps {
+			t.Errorf("%s: rank %d score %v, want %v", label, i, got[i].Score, want[i].Score)
+		}
+		if got[i].ID != want[i].ID && !tied(i) {
+			t.Errorf("%s: rank %d = id %d, want id %d (scores %v vs %v)",
+				label, i, got[i].ID, want[i].ID, got[i].Score, want[i].Score)
+		}
+	}
+}
 
 func TestMILMatchesSequentialScan(t *testing.T) {
 	vs, store := corel(t)
@@ -30,7 +73,7 @@ func TestMILMatchesArrayEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := Search(store, q, Options{K: 10, Criterion: Hq})
+	arr, err := core.Search(store, q, core.Options{K: 10, Criterion: core.Hq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +119,14 @@ func TestMILErrors(t *testing.T) {
 	if _, err := SearchMIL(store, vs[0], MILOptions{K: 0}); !errors.Is(err, ErrMILOptions) {
 		t.Errorf("K=0: %v", err)
 	}
-	if _, err := SearchMIL(store, vs[0][:2], MILOptions{K: 1}); !errors.Is(err, ErrQueryMismatch) {
+	if _, err := SearchMIL(store, vs[0][:2], MILOptions{K: 1}); !errors.Is(err, core.ErrQueryMismatch) {
 		t.Errorf("short query: %v", err)
 	}
 	if _, err := SearchMIL(store, vs[0], MILOptions{K: 1, BitmapSwitch: 2}); !errors.Is(err, ErrMILOptions) {
 		t.Errorf("bad switch: %v", err)
 	}
 	excl := bitmap.NewFull(10)
-	if _, err := SearchMIL(store, vs[0], MILOptions{K: 1, Exclude: excl}); !errors.Is(err, ErrNoCandidates) {
+	if _, err := SearchMIL(store, vs[0], MILOptions{K: 1, Exclude: excl}); !errors.Is(err, core.ErrNoCandidates) {
 		t.Errorf("all excluded: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bond/internal/baseline/mil"
 	"bond/internal/core"
 	"bond/internal/seqscan"
 	"bond/internal/stats"
@@ -59,7 +60,7 @@ func AblationBitmapSwitch(cfg Config) Table {
 		var times []time.Duration
 		for _, q := range queries {
 			times = append(times, timeIt(func() {
-				if _, err := core.SearchMIL(store, q, core.MILOptions{K: cfg.K, Step: cfg.Step, BitmapSwitch: sw}); err != nil {
+				if _, err := mil.SearchMIL(store, q, mil.MILOptions{K: cfg.K, Step: cfg.Step, BitmapSwitch: sw}); err != nil {
 					panic(err)
 				}
 			}))

@@ -11,7 +11,7 @@ import (
 // Scratch holds every reusable buffer one per-segment search needs:
 // candidate ids, partial scores and tails, pruning staging, the kfetch
 // buffer (a bare []float64 of O(k) values, see package topk), the ranking
-// heap, and the MIL engine's operator buffers.
+// heap, and the compressed filter's staging.
 // What depends on the query alone lives in Query instead. One Scratch
 // serves one search at a time; the query executor keeps a small
 // per-collection free list and runs each segment's step through the same
@@ -37,13 +37,13 @@ type Scratch struct {
 	rows      []int       // the rows finish ranks, and their scores
 	rowScores []float64
 	kbuf      []float64     // kfetch buffer (κ selection inside pruning steps)
-	steps     []StepStat    // pruning-step log backing (engine, filter, MIL)
+	steps     []StepStat    // pruning-step log backing (engine, filter)
 	results   []topk.Result // per-segment result staging
 
 	out *topk.Heap // final ranking heap
 
-	// Compressed-filter and MIL staging (their order and tail bounds are
-	// rebuilt per segment; neither runs under a carried κ).
+	// Compressed-filter staging (its order and tail bounds are rebuilt
+	// per segment; it does not run under a carried κ).
 	order   []int
 	keep    []bool
 	qtail   []float64
@@ -52,18 +52,6 @@ type Scratch struct {
 
 	// Compressed-filter score intervals.
 	sLo, sHi []float64
-
-	// MIL operator buffers: the full-length score column, the candidate
-	// bitmap and the uselect result bitmap, ping-pong id/score columns for
-	// the positional phase, and the per-column gather target.
-	milScore  []float64
-	milBM     *bitmap.Bitmap
-	milSel    *bitmap.Bitmap
-	milIDs    []int
-	milIDs2   []int
-	milVals   []float64
-	milVals2  []float64
-	milGather []float64
 }
 
 // grow returns s with length 0 and capacity at least n, reusing the

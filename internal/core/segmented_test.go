@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bond/internal/baseline/mil"
 	"bond/internal/bitmap"
 	"bond/internal/core"
 	"bond/internal/dataset"
@@ -291,7 +292,7 @@ func TestCompressedSegmentsMatchesFlat(t *testing.T) {
 func TestMILSegmentsMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(450, 16, 120, 61)
 	q := dataset.CorelLike(1, 16, 14)[0]
-	want, err := core.SearchMIL(flat, q, core.MILOptions{K: 7})
+	want, err := mil.SearchMIL(flat, q, mil.MILOptions{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestMILSegmentsMatchesFlat(t *testing.T) {
 		if v.Src.Len() == 0 {
 			continue
 		}
-		res, err := core.SearchMIL(v.Src, q, core.MILOptions{K: 7})
+		res, err := mil.SearchMIL(v.Src, q, mil.MILOptions{K: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,6 @@ func NewHistTail(qTail []float64) HistTail {
 // TQ returns T(q⁺), the total remaining query mass.
 func (t HistTail) TQ() float64 { return t.tq }
 
-// QMin returns the smallest remaining query value.
-func (t HistTail) QMin() float64 { return t.qmin }
-
 // HqUpper returns the query-only upper bound on S(h⁺,q⁺) (Eq. 5): T(q⁺).
 func (t HistTail) HqUpper() float64 { return t.tq }
 

@@ -257,27 +257,6 @@ func (t *Table) Fits(f *File) bool {
 	return t != nil && t.dims == f.dims && t.levels == f.q.Levels && t.qlo == f.q.Lo && t.qhi == f.q.Hi
 }
 
-// FilterEuclideanLive is FilterEuclidean restricted to live vectors: skip
-// (which may be nil) reports ids the filter must ignore — delete marks or
-// a prior selection predicate — so the planner can run the VA-File over a
-// segment with tombstones and still return exact answers. Skipped ids
-// cost no code reads. tbl must be a NewEuclideanTable for the same query
-// and quantization grid (it panics otherwise).
-//
-// The filter is the near-optimal single-pass algorithm of Weber et al.:
-// scan only the selective lower bound — one table load and add per cell
-// — and keep a running heap of the k smallest upper bounds. The upper
-// bound of a row is computed only when its lower bound clears the
-// running κ, which after the first rows almost never happens, so the
-// scan touches one bound array instead of two. κ only tightens during
-// the scan, so every row that could qualify under the final κ is
-// recorded, and a last sweep over the recorded rows with the final κ
-// yields exactly the candidates a two-full-pass filter would: no true
-// neighbor is ever dropped.
-func (f *File) FilterEuclideanLive(tbl *Table, q []float64, k int, skip func(id int) bool) (ids []int, st Stats) {
-	return f.FilterEuclideanLiveScratch(tbl, q, k, skip, nil)
-}
-
 // Scratch holds the reusable buffers of a live filter scan: the running-κ
 // heap, the recorded candidate rows with their selective bounds, and the
 // final candidate id list. A zero Scratch is ready to use; passing the
@@ -301,9 +280,26 @@ func (sc *Scratch) reset(k int, largest bool) {
 	sc.ids = sc.ids[:0]
 }
 
-// FilterEuclideanLiveScratch is FilterEuclideanLive with caller-provided
-// scratch buffers (nil behaves like FilterEuclideanLive). The returned ids
-// alias the scratch.
+// FilterEuclideanLiveScratch is FilterEuclidean restricted to live
+// vectors: skip (which may be nil) reports ids the filter must ignore —
+// delete marks or a prior selection predicate — so the planner can run the
+// VA-File over a segment with tombstones and still return exact answers.
+// Skipped ids cost no code reads. tbl must be a NewEuclideanTable for the
+// same query and quantization grid (it panics otherwise).
+//
+// The filter is the near-optimal single-pass algorithm of Weber et al.:
+// scan only the selective lower bound — one table load and add per cell
+// — and keep a running heap of the k smallest upper bounds. The upper
+// bound of a row is computed only when its lower bound clears the
+// running κ, which after the first rows almost never happens, so the
+// scan touches one bound array instead of two. κ only tightens during
+// the scan, so every row that could qualify under the final κ is
+// recorded, and a last sweep over the recorded rows with the final κ
+// yields exactly the candidates a two-full-pass filter would: no true
+// neighbor is ever dropped.
+//
+// sc holds the scan's buffers (nil allocates privately); the returned ids
+// alias it.
 func (f *File) FilterEuclideanLiveScratch(tbl *Table, q []float64, k int, skip func(id int) bool, sc *Scratch) (ids []int, st Stats) {
 	f.checkQuery(q, k)
 	if !tbl.Fits(f) {
@@ -342,18 +338,12 @@ func (f *File) FilterEuclideanLiveScratch(tbl *Table, q []float64, k int, skip f
 	return sc.ids, st
 }
 
-// FilterHistogramLive is the histogram-intersection analogue of
-// FilterEuclideanLive, with the bound roles mirrored: the upper bound is
-// the selective one scanned for every row, and a row's lower bound joins
-// the κ heap (k largest lower bounds) only when the row's upper bound
-// still clears the running κ.
-func (f *File) FilterHistogramLive(tbl *Table, q []float64, k int, skip func(id int) bool) (ids []int, st Stats) {
-	return f.FilterHistogramLiveScratch(tbl, q, k, skip, nil)
-}
-
-// FilterHistogramLiveScratch is FilterHistogramLive with caller-provided
-// scratch buffers (nil behaves like FilterHistogramLive). The returned ids
-// alias the scratch.
+// FilterHistogramLiveScratch is the histogram-intersection analogue of
+// FilterEuclideanLiveScratch, with the bound roles mirrored: the upper
+// bound is the selective one scanned for every row, and a row's lower
+// bound joins the κ heap (k largest lower bounds) only when the row's
+// upper bound still clears the running κ. sc holds the scan's buffers (nil
+// allocates privately); the returned ids alias it.
 func (f *File) FilterHistogramLiveScratch(tbl *Table, q []float64, k int, skip func(id int) bool, sc *Scratch) (ids []int, st Stats) {
 	f.checkQuery(q, k)
 	if !tbl.Fits(f) {

@@ -52,6 +52,11 @@ const (
 	manMagic   = "BONDMAN1"
 	manVersion = uint32(2)
 	maxSegs    = 1 << 24
+	// maxStatsBlock caps the statistics block a manifest of an earlier
+	// release may carry. The block held the planner's learned cost model,
+	// which no longer exists: a decode checks its length and skips its
+	// bytes.
+	maxStatsBlock = 1 << 20
 
 	// Segment file formats a manifest entry can name. SegFormatV1 is the
 	// legacy row-stream layout (Store.Save); SegFormatV2 is the

@@ -211,23 +211,17 @@ func TestRecoverDirErrors(t *testing.T) {
 	}
 }
 
-// Where the statistics block's length field sits: after a manifest's
-// magic, version and five u64 fields (4 bytes wide), and after a
-// snapshot's magic and four u64 header fields (8 bytes wide).
-const (
-	manifestStatsAt = len(manMagic) + 4 + 5*8
-	snapshotStatsAt = len(segMagic) + 4*8
-)
-
-// withStatsBlock returns a copy of a CRC32-trailed manifest (width 4) or
-// snapshot (width 8) image whose statistics block is empty, with block
-// spliced in and the trailer recomputed — the image as releases that
-// persisted the planner's learned cost model wrote it.
-func withStatsBlock(img []byte, at, width int, block []byte) []byte {
+// withStatsBlock returns a copy of a CRC32-trailed manifest image whose
+// statistics block is empty, with block spliced in and the trailer
+// recomputed — the image as releases that persisted the planner's learned
+// cost model wrote it. The block's u32 length field follows the magic,
+// the version and five u64 fields.
+func withStatsBlock(img []byte, block []byte) []byte {
+	const at = len(manMagic) + 4 + 5*8
 	out := append([]byte(nil), img[:at]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(block)))[:at+width]
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(block)))
 	out = append(out, block...)
-	out = append(out, img[at+width:len(img)-4]...)
+	out = append(out, img[at+4:len(img)-4]...)
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
@@ -253,7 +247,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	// An older manifest's non-empty statistics block is skipped: it decodes
 	// to the same manifest, which re-encodes with the block empty.
-	older, err := DecodeManifest(withStatsBlock(img, manifestStatsAt, 4, []byte("opaque planner block")))
+	older, err := DecodeManifest(withStatsBlock(img, []byte("opaque planner block")))
 	if err != nil {
 		t.Fatal(err)
 	}

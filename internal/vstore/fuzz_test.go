@@ -38,7 +38,7 @@ func fuzzSeedManifest() []byte {
 			{ID: 1, Len: 32, Format: SegFormatV2, Deleted: []int{3, 31}},
 			{ID: 3, Len: 32, Format: SegFormatV1},
 		},
-	}), manifestStatsAt, 4, []byte{1, 2, 3})
+	}), []byte{1, 2, 3})
 }
 
 // FuzzLoadStore feeds arbitrary images to the flat-store loader —
@@ -161,22 +161,6 @@ func FuzzDecodeSegmentV2(f *testing.F) {
 	})
 }
 
-// FuzzLoadSegmented guards the reader ImportSnapshot converts snapshot
-// files of earlier releases with: LoadAnyBytes and the segmented and flat
-// loaders behind it. The checked-in fixtures seed it.
-func FuzzLoadSegmented(f *testing.F) {
-	valid := legacyImage(f, "seg-v2.bond")
-	f.Add(valid)
-	f.Add(valid[:len(valid)-4])
-	f.Add([]byte("BONDSEG1"))
-	for _, name := range []string{"seg-v1.bond", "seg-v2-stats.bond", "flat-v1.bond"} {
-		f.Add(legacyImage(f, name))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = LoadAnyBytes(data)
-	})
-}
-
 // corpusEntry renders one seed in the go-fuzz corpus file format.
 func corpusEntry(data []byte) []byte {
 	return []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
@@ -194,7 +178,6 @@ func TestFuzzCorpusUpToDate(t *testing.T) {
 	corpora := map[string]map[string][]byte{
 		"FuzzLoadStore":       twoSeeds(fuzzSeedStore(t)),
 		"FuzzDecodeManifest":  twoSeeds(fuzzSeedManifest()),
-		"FuzzLoadSegmented":   twoSeeds(legacyImage(t, "seg-v2.bond")),
 		"FuzzDecodeSegmentV2": fuzzSegV2Seeds(t),
 	}
 	for fuzzName, seeds := range corpora {

@@ -1,11 +1,7 @@
 package vstore
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -568,114 +564,4 @@ func (s *SegStore) Repartition(groups [][]int) []int {
 	newBases = append(newBases, newBase)
 	s.segs, s.bases = newSegs, newBases
 	return mapping
-}
-
-// --- Legacy snapshot files ------------------------------------------------
-
-const (
-	segMagic = "BONDSEG1"
-	// segVersion 1 is the first segmented snapshot layout; version 2 adds
-	// a length-prefixed statistics block between the header and the
-	// segments. Both load. The block held the planner's learned cost
-	// model, which no longer exists: a load checks its length against
-	// maxStatsBlock and skips its bytes.
-	segVersion    = uint32(2)
-	maxStatsBlock = 1 << 20
-)
-
-// LoadSegmented reads a segmented snapshot image that earlier releases
-// wrote: a header (magic, version, dims, segment size, segment count),
-// the version-2 statistics block, each segment as a nested flat-store
-// stream, and a CRC32 trailer over everything before it. It validates
-// magic, version, and both the per-segment and the trailing checksums.
-// Every segment but the last is marked sealed, restoring the active-tail
-// invariant.
-func LoadSegmented(r io.Reader) (*SegStore, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(tr, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if string(magic) != segMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	var version, dims64, segSize64, nsegs64 uint64
-	for _, p := range []*uint64{&version, &dims64, &segSize64, &nsegs64} {
-		if err := binary.Read(tr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	if uint32(version) < 1 || uint32(version) > segVersion {
-		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, version)
-	}
-	dims, segSize, nsegs := int(dims64), int(segSize64), int(nsegs64)
-	if dims < 1 || dims > 1<<20 || segSize < 1 || nsegs < 1 || nsegs > 1<<24 {
-		return nil, fmt.Errorf("%w: implausible header dims=%d segSize=%d nsegs=%d",
-			ErrCorrupt, dims, segSize, nsegs)
-	}
-	s := &SegStore{dims: dims, segSize: segSize}
-	if uint32(version) >= 2 {
-		var statsLen uint64
-		if err := binary.Read(tr, binary.LittleEndian, &statsLen); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if statsLen > maxStatsBlock {
-			return nil, fmt.Errorf("%w: implausible stats block of %d bytes", ErrCorrupt, statsLen)
-		}
-		if _, err := io.CopyN(io.Discard, tr, int64(statsLen)); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	for i := 0; i < nsegs; i++ {
-		st, err := Load(tr)
-		if err != nil {
-			return nil, err
-		}
-		if st.Dims() != dims {
-			return nil, fmt.Errorf("%w: segment %d dims %d != %d", ErrCorrupt, i, st.Dims(), dims)
-		}
-		s.bases = append(s.bases, 0)
-		if i > 0 {
-			s.bases[i] = s.bases[i-1] + s.segs[i-1].Len()
-		}
-		s.segs = append(s.segs, &Segment{Store: st, sealed: i < nsegs-1})
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return s, nil
-}
-
-// LoadAnyBytes reads either legacy snapshot layout from an in-memory
-// image: the segmented format LoadSegmented reads, or the seed's flat
-// format (a Store.Save stream), which loads as a single sealed segment
-// (so synopses and compressed codes apply to it) plus a fresh active
-// segment. ImportSnapshot reads snapshot files through it.
-func LoadAnyBytes(b []byte) (*SegStore, error) {
-	if len(b) < len(segMagic) {
-		return nil, fmt.Errorf("%w: %d-byte store image", ErrCorrupt, len(b))
-	}
-	br := bytes.NewReader(b)
-	if string(b[:len(segMagic)]) == segMagic {
-		return LoadSegmented(br)
-	}
-	st, err := Load(br)
-	if err != nil {
-		return nil, err
-	}
-	s := &SegStore{dims: st.Dims(), segSize: DefaultSegmentSize}
-	if st.Len() > 0 {
-		s.segs = []*Segment{{Store: st, sealed: true}, {Store: New(st.Dims())}}
-		s.bases = []int{0, st.Len()}
-	} else {
-		s.segs = []*Segment{{Store: st}}
-		s.bases = []int{0}
-	}
-	return s, nil
 }

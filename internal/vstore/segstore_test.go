@@ -1,13 +1,7 @@
 package vstore
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"bond/internal/dataset"
@@ -163,86 +157,6 @@ func TestSegStoreFlattenMatches(t *testing.T) {
 	}
 }
 
-// legacyImage reads a checked-in snapshot file of an earlier release (see
-// the root package's TestImportSnapshot for what each holds).
-func legacyImage(tb testing.TB, name string) []byte {
-	tb.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", name))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
-}
-
-// legacyStore is the store every segmented legacy fixture holds.
-func legacyStore() *SegStore {
-	s := SegmentedFromVectors(dataset.CorelLike(50, 6, 33), 16)
-	for _, id := range []int{7, 20, 49} {
-		s.Delete(id)
-	}
-	return s
-}
-
-// TestLoadSegmentedFixture reads the segmented v1 and v2 snapshot
-// fixtures: shape, seal flags, rows and delete marks come back, the
-// loaded store keeps appending into its active segment, and a flipped
-// byte is caught by a checksum.
-func TestLoadSegmentedFixture(t *testing.T) {
-	for _, name := range []string{"seg-v1.bond", "seg-v2.bond"} {
-		img := legacyImage(t, name)
-		got, err := LoadSegmented(bytes.NewReader(img))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := legacyStore()
-		assertSameStore(t, got, want)
-		if got.NumSegments() != 5 || !got.Segments()[3].Sealed() || got.Segments()[4].Sealed() {
-			t.Fatalf("%s: %d segments, want 4 sealed and an active tail", name, got.NumSegments())
-		}
-		if !reflect.DeepEqual(got.Bases(), want.Bases()) {
-			t.Fatalf("%s: bases %v, want %v", name, got.Bases(), want.Bases())
-		}
-		got.Append(got.Row(0))
-		if got.Len() != 51 || got.Segments()[4].Len() != 1 {
-			t.Fatalf("%s: append after load: len=%d", name, got.Len())
-		}
-		bad := append([]byte(nil), img...)
-		bad[len(bad)-20] ^= 0xff
-		if _, err := LoadSegmented(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("%s: corrupted image loaded without error", name)
-		}
-	}
-}
-
-// TestSegStoreLoadAnyFileReadsLegacyFlat reads the seed's flat v1
-// fixture through LoadAnyBytes, the import's reader: the rows load as
-// one sealed segment, so codes and synopses apply, before an empty active
-// one, and the delete marks survive. A segmented image goes through the
-// same entry point.
-func TestSegStoreLoadAnyFileReadsLegacyFlat(t *testing.T) {
-	s, err := LoadAnyBytes(legacyImage(t, "flat-v1.bond"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 50 || s.Live() != 47 || s.NumSegments() != 2 {
-		t.Fatalf("legacy load: len=%d live=%d segs=%d", s.Len(), s.Live(), s.NumSegments())
-	}
-	if !s.Segments()[0].Sealed() || s.Segments()[1].Sealed() || s.Segments()[1].Len() != 0 {
-		t.Fatal("legacy data should load as one sealed segment and an empty active one")
-	}
-	want := legacyStore()
-	for id := 0; id < want.Len(); id++ {
-		if s.IsDeleted(id) != want.IsDeleted(id) || !reflect.DeepEqual(s.Row(id), want.Row(id)) {
-			t.Fatalf("id %d: row or delete mark lost", id)
-		}
-	}
-	seg, err := LoadAnyBytes(legacyImage(t, "seg-v1.bond"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameStore(t, seg, want)
-}
-
 func TestSegmentCodesBuiltOnceAndSealedOnly(t *testing.T) {
 	_, s := segFixture(t, 120, 4, 50)
 	sealed := s.Segments()[0]
@@ -276,36 +190,6 @@ func TestStoreDimRangeAfterReorganize(t *testing.T) {
 	empty := New(3)
 	if lo, hi := empty.DimRange(1); !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
 		t.Fatalf("empty range [%v, %v]", lo, hi)
-	}
-}
-
-// TestSegStoreSkipsOlderStatsBlock loads a v2 snapshot whose statistics
-// block is non-empty: the rows and delete marks are intact, as in its
-// twin with an empty block.
-func TestSegStoreSkipsOlderStatsBlock(t *testing.T) {
-	fresh, older := legacyImage(t, "seg-v2.bond"), legacyImage(t, "seg-v2-stats.bond")
-	if n := binary.LittleEndian.Uint64(fresh[snapshotStatsAt:]); n != 0 {
-		t.Fatalf("seg-v2.bond has a %d-byte statistics block, want 0", n)
-	}
-	if n := binary.LittleEndian.Uint64(older[snapshotStatsAt:]); n == 0 {
-		t.Fatal("seg-v2-stats.bond has an empty statistics block")
-	}
-	for _, load := range []func([]byte) (*SegStore, error){
-		func(b []byte) (*SegStore, error) { return LoadSegmented(bytes.NewReader(b)) },
-		LoadAnyBytes,
-	} {
-		got, err := load(older)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameStore(t, got, legacyStore())
-	}
-	// A block longer than the file is corruption, not a silent skip.
-	torn := append([]byte(nil), fresh...)
-	binary.LittleEndian.PutUint64(torn[snapshotStatsAt:], 1<<19)
-	binary.LittleEndian.PutUint32(torn[len(torn)-4:], crc32.ChecksumIEEE(torn[:len(torn)-4]))
-	if _, err := LoadSegmented(bytes.NewReader(torn)); err == nil {
-		t.Fatal("statistics block running past the end loaded")
 	}
 }
 

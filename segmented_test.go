@@ -3,7 +3,7 @@ package bond
 import (
 	"testing"
 
-	"bond/internal/core"
+	"bond/internal/baseline/mil"
 	"bond/internal/dataset"
 	"bond/internal/plan"
 	"bond/internal/topk"
@@ -198,7 +198,7 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyCompressed}); err != nil {
 		t.Fatalf("compressed with stale exclusion: %v", err)
 	}
-	if _, err := core.SearchMIL(col.store.Flatten(), vs[0], core.MILOptions{K: 2, Exclude: excl}); err != nil {
+	if _, err := mil.SearchMIL(col.store.Flatten(), vs[0], mil.MILOptions{K: 2, Exclude: excl}); err != nil {
 		t.Fatalf("MIL with stale exclusion: %v", err)
 	}
 	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND, Parallel: 4}); err != nil {
