@@ -296,7 +296,9 @@ func NewCollection(vectors [][]float64) *Collection {
 // NewCollection.
 func NewCollectionSegmented(vectors [][]float64, segmentSize int) *Collection {
 	for i, v := range vectors {
-		checkFinite(i, v)
+		if err := checkFinite(i, v); err != nil {
+			panic("bond: " + err.Error())
+		}
 	}
 	return &Collection{store: vstore.SegmentedFromVectors(vectors, segmentSize)}
 }

@@ -52,9 +52,9 @@ func TestCollectionMethodSet(t *testing.T) {
 	want := []string{
 		"AddBatchDurable", "AddDurable", "ApplyReplChunk", "AsFeature",
 		"Checkpoint", "Close", "Cluster", "CompactRatioDurable", "Dims",
-		"Durable", "Len", "Live", "NewExclusion", "NumSegments", "ProbeWAL",
+		"Len", "Live", "NewExclusion", "NumSegments", "ProbeWAL",
 		"Query", "QueryBatch", "QueryExplain", "Recluster", "ReclusterAdvice",
-		"ReclusterDurable", "Reclusters", "ReplChunk", "ReplPosition",
+		"ReclusterDurable", "ReplChunk", "ReplPosition",
 		"ReplSnapshot", "SealActiveDurable", "SealedSpread",
 		"SearchProgressive", "StatsSnapshot", "TombstoneRatio",
 		"TryDeleteDurable", "TryVector", "Vector", "WALStats",

@@ -32,6 +32,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -255,6 +256,7 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 		return nil, err
 	}
 	vstore.CleanDir(fs, dir, m)
+	c := &Collection{store: store}
 
 	// Replay consecutive WAL files from the manifest's sequence: more
 	// than one exists only when a crash interrupted a checkpoint after
@@ -274,9 +276,14 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 		replaySeq = seq
 		recs, good, derr := wal.DecodeAll(data)
 		for _, rec := range recs {
-			if aerr := applyRecord(store, rec); aerr != nil {
-				return nil, fmt.Errorf("bond: replay %s: %w", vstore.WALFileName(seq), aerr)
+			// Mutations were staged before they were logged, so a record
+			// the current state refuses means the log does not belong to
+			// this checkpoint: corruption, reported rather than panicked.
+			st, serr := stage(store, rec)
+			if serr != nil {
+				return nil, fmt.Errorf("bond: replay %s: %w", vstore.WALFileName(seq), serr)
 			}
+			c.apply(st)
 		}
 		lastFound, lastGood, lastRecs, lastLen = true, good, int64(len(recs)), int64(len(data))
 		if derr != nil || good < int64(len(data)) {
@@ -304,15 +311,12 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{
-		store: store,
-		dur: &durability{
-			fs:     fs,
-			dir:    dir,
-			policy: opts.Fsync,
-			w:      w,
-			walSeq: replaySeq,
-		},
+	c.dur = &durability{
+		fs:     fs,
+		dir:    dir,
+		policy: opts.Fsync,
+		w:      w,
+		walSeq: replaySeq,
 	}
 	if opts.Fsync == FsyncInterval {
 		c.dur.stop = make(chan struct{})
@@ -320,38 +324,6 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 		go c.syncLoop(opts.SyncEvery)
 	}
 	return c, nil
-}
-
-// applyRecord replays one logged mutation onto the store. Mutations were
-// validated before they were logged, so a record the current state
-// cannot accept means the log does not belong to this checkpoint —
-// corruption, reported as an error rather than a panic.
-func applyRecord(s *vstore.SegStore, rec wal.Record) error {
-	switch rec.Type {
-	case wal.TypeAdd, wal.TypeAddBatch:
-		for _, v := range rec.Vectors {
-			if len(v) != s.Dims() {
-				return fmt.Errorf("logged vector has %d dims, store has %d", len(v), s.Dims())
-			}
-		}
-		if len(rec.Vectors) > 0 {
-			s.AppendBatch(rec.Vectors)
-		}
-	case wal.TypeDelete:
-		if rec.ID >= uint64(s.Len()) {
-			return fmt.Errorf("logged delete of id %d outside [0,%d)", rec.ID, s.Len())
-		}
-		s.Delete(int(rec.ID))
-	case wal.TypeCompact:
-		s.Compact(rec.Ratio)
-	case wal.TypeSeal:
-		s.SealActive()
-	case wal.TypeRecluster:
-		return applyRecluster(s, rec.K, rec.Seed)
-	default:
-		return fmt.Errorf("unknown record type %d", rec.Type)
-	}
-	return nil
 }
 
 // syncLoop is the FsyncInterval background flusher.
@@ -375,39 +347,116 @@ func (c *Collection) syncLoop(every time.Duration) {
 	}
 }
 
-// Durable reports whether the collection was opened with OpenDurable and
-// logs its mutations.
-func (c *Collection) Durable() bool { return c.dur != nil }
-
-// logMutation appends one record to the WAL — fsyncing first under
-// FsyncAlways — before the in-memory mutation it describes is applied.
-// Callers hold the write lock and must not mutate state when it errors.
-func (c *Collection) logMutation(rec wal.Record) error {
-	if c.dur == nil {
-		return nil
-	}
-	if c.dur.closed {
-		return ErrClosed
-	}
-	return c.dur.w.Append(rec, c.dur.policy == FsyncAlways)
+// staged is a record checked against the state it is about to change,
+// carrying what apply needs beyond the record: a recluster's partition.
+type staged struct {
+	rec    wal.Record
+	groups [][]int
 }
 
-// checkFinite panics if a coordinate of v is NaN or ±Inf, naming vector i
-// of a batch (i < 0: the one vector of an AddDurable) and the coordinate.
-// A NaN coordinate makes its vector's score NaN, which no ranking orders,
-// and an infinite one makes its segment's synopsis bound infinite, which
-// fails every later query with core.ErrQueryRange; so neither is logged or
-// stored. WAL replay and follower apply take only what passed here.
-func checkFinite(i int, v []float64) {
-	for d, x := range v {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			continue
+// stage checks rec against the current state of s without changing it:
+// an add's vectors must have the store's dims and finite coordinates, a
+// delete's id must be below Len, and a recluster needs k ≥ 1 and a live
+// sealed row — whose partition stage computes, so apply cannot fail.
+// It is the one check every state change passes: a mutator stages before
+// logging (its caller's input is then refused), and WAL replay and a
+// follower stage each logged record (a refusal there is corruption).
+func stage(s *vstore.SegStore, rec wal.Record) (staged, error) {
+	switch rec.Type {
+	case wal.TypeAdd, wal.TypeAddBatch:
+		for i, v := range rec.Vectors {
+			if rec.Type == wal.TypeAdd {
+				i = -1
+			}
+			if len(v) != s.Dims() {
+				return staged{}, fmt.Errorf("%s has %d dims, collection has %d", vectorName(i), len(v), s.Dims())
+			}
+			if err := checkFinite(i, v); err != nil {
+				return staged{}, err
+			}
 		}
-		if i < 0 {
-			panic(fmt.Sprintf("bond: vector coordinate %d is %v", d, x))
+	case wal.TypeDelete:
+		if rec.ID >= uint64(s.Len()) {
+			return staged{}, fmt.Errorf("delete of id %d outside [0,%d)", rec.ID, s.Len())
 		}
-		panic(fmt.Sprintf("bond: vector %d coordinate %d is %v", i, d, x))
+	case wal.TypeCompact, wal.TypeSeal:
+	case wal.TypeRecluster:
+		groups, err := reclusterGroups(s, rec.K, rec.Seed)
+		if err != nil {
+			return staged{}, err
+		}
+		return staged{rec: rec, groups: groups}, nil
+	default:
+		return staged{}, fmt.Errorf("unknown record type %d", rec.Type)
 	}
+	return staged{rec: rec}, nil
+}
+
+// apply performs a staged record on the collection, under the write lock,
+// and drops the memoized planner view as far as the change outdates it.
+// It returns an add's first id and a compaction's or recluster's
+// old-id → new-id mapping.
+func (c *Collection) apply(st staged) (first int, mapping []int) {
+	s := c.store
+	switch st.rec.Type {
+	case wal.TypeAdd, wal.TypeAddBatch:
+		segments := s.NumSegments()
+		first = s.AppendBatch(st.rec.Vectors)
+		c.invalidatePlanCacheIfSealed(segments)
+	case wal.TypeDelete:
+		s.Delete(int(st.rec.ID)) // a tombstone leaves the memoized planner list valid
+	case wal.TypeCompact:
+		c.invalidatePlanCache()
+		mapping = s.Compact(st.rec.Ratio)
+	case wal.TypeSeal:
+		c.invalidatePlanCache()
+		s.SealActive()
+	case wal.TypeRecluster:
+		c.invalidatePlanCache()
+		mapping = s.Repartition(st.groups)
+	}
+	return first, mapping
+}
+
+// commit is a mutator's transition after stage: the record is appended
+// to the WAL — fsynced first under FsyncAlways — and only then applied.
+// The caller holds the write lock; on error nothing changed.
+func (c *Collection) commit(st staged) (first int, mapping []int, err error) {
+	if c.dur != nil {
+		if c.dur.closed {
+			return 0, nil, ErrClosed
+		}
+		if err := c.dur.w.Append(st.rec, c.dur.policy == FsyncAlways); err != nil {
+			return 0, nil, err
+		}
+	}
+	first, mapping = c.apply(st)
+	return first, mapping, nil
+}
+
+// checkFinite reports a NaN or ±Inf coordinate of v, naming vector i of a
+// batch (i < 0: the one vector of an AddDurable) and the coordinate. A NaN
+// coordinate makes its vector's score NaN, which no ranking orders, and an
+// infinite one makes its segment's synopsis bound infinite, which fails
+// every later query with core.ErrQueryRange. stage refuses such a vector
+// whether a mutator, WAL replay or a follower offers it, and
+// NewCollection* panic on one.
+func checkFinite(i int, v []float64) error {
+	for d, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%s coordinate %d is %v", vectorName(i), d, x)
+		}
+	}
+	return nil
+}
+
+// vectorName names vector i of a batch, or the one vector of an add when
+// i < 0, in a refusal.
+func vectorName(i int) string {
+	if i < 0 {
+		return "vector"
+	}
+	return "vector " + strconv.Itoa(i)
 }
 
 // AddDurable appends a vector and returns its id. Sealed segments and
@@ -422,17 +471,12 @@ func checkFinite(i int, v []float64) {
 func (c *Collection) AddDurable(v []float64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(v) != c.store.Dims() {
-		panic(fmt.Sprintf("bond: vector has %d dims, collection has %d", len(v), c.store.Dims()))
+	st, err := stage(c.store, wal.Record{Type: wal.TypeAdd, Vectors: [][]float64{v}})
+	if err != nil {
+		panic("bond: " + err.Error())
 	}
-	checkFinite(-1, v)
-	if err := c.logMutation(wal.Record{Type: wal.TypeAdd, Vectors: [][]float64{v}}); err != nil {
-		return 0, err
-	}
-	segments := c.store.NumSegments()
-	id := c.store.Append(v)
-	c.invalidatePlanCacheIfSealed(segments)
-	return id, nil
+	id, _, err := c.commit(st)
+	return id, err
 }
 
 // AddBatchDurable appends many vectors, returning the first new id. The
@@ -441,22 +485,15 @@ func (c *Collection) AddDurable(v []float64) (int, error) {
 func (c *Collection) AddBatchDurable(vectors [][]float64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, v := range vectors {
-		if len(v) != c.store.Dims() {
-			panic(fmt.Sprintf("bond: vector %d has %d dims, collection has %d", i, len(v), c.store.Dims()))
-		}
-		checkFinite(i, v)
+	st, err := stage(c.store, wal.Record{Type: wal.TypeAddBatch, Vectors: vectors})
+	if err != nil {
+		panic("bond: " + err.Error())
 	}
 	if len(vectors) == 0 {
 		return c.store.Len(), nil
 	}
-	if err := c.logMutation(wal.Record{Type: wal.TypeAddBatch, Vectors: vectors}); err != nil {
-		return 0, err
-	}
-	segments := c.store.NumSegments()
-	first := c.store.AppendBatch(vectors)
-	c.invalidatePlanCacheIfSealed(segments)
-	return first, nil
+	first, _, err := c.commit(st)
+	return first, err
 }
 
 // TryDeleteDurable marks vector id as deleted; it is skipped by every
@@ -467,13 +504,16 @@ func (c *Collection) AddBatchDurable(vectors [][]float64) (int, error) {
 func (c *Collection) TryDeleteDurable(id int) (ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id < 0 || id >= c.store.Len() {
+	if id < 0 {
 		return false, nil
 	}
-	if err := c.logMutation(wal.Record{Type: wal.TypeDelete, ID: uint64(id)}); err != nil {
+	st, serr := stage(c.store, wal.Record{Type: wal.TypeDelete, ID: uint64(id)})
+	if serr != nil {
+		return false, nil // id ≥ Len
+	}
+	if _, _, err := c.commit(st); err != nil {
 		return false, err
 	}
-	c.store.Delete(id) // a tombstone leaves the memoized planner list valid
 	return true, nil
 }
 
@@ -489,11 +529,12 @@ func (c *Collection) TryDeleteDurable(id int) (ok bool, err error) {
 func (c *Collection) CompactRatioDurable(minRatio float64) ([]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.logMutation(wal.Record{Type: wal.TypeCompact, Ratio: minRatio}); err != nil {
+	st, err := stage(c.store, wal.Record{Type: wal.TypeCompact, Ratio: minRatio})
+	if err != nil {
 		return nil, err
 	}
-	c.invalidatePlanCache()
-	return c.store.Compact(minRatio), nil
+	_, mapping, err := c.commit(st)
+	return mapping, err
 }
 
 // SealActiveDurable force-seals the active segment, freezing the current
@@ -502,12 +543,12 @@ func (c *Collection) CompactRatioDurable(minRatio float64) ([]int, error) {
 func (c *Collection) SealActiveDurable() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.logMutation(wal.Record{Type: wal.TypeSeal}); err != nil {
+	st, err := stage(c.store, wal.Record{Type: wal.TypeSeal})
+	if err != nil {
 		return err
 	}
-	c.invalidatePlanCache()
-	c.store.SealActive()
-	return nil
+	_, _, err = c.commit(st)
+	return err
 }
 
 // Checkpoint writes an incremental checkpoint and truncates the WAL: the

@@ -62,7 +62,7 @@ func TestOpenDurableLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Durable() {
+	if _, ok := c.WALStats(); !ok {
 		t.Fatal("OpenDurable produced a non-durable collection")
 	}
 	vectors := dataset.CorelLike(30, 4, 11)

@@ -9,17 +9,18 @@ package bond
 // holds a shuffled ingest to within 1.25× of the cluster-contiguous
 // ceiling's cells per query after one pass.
 //
-// Durability rides entirely on the PR-5 machinery, because a recluster
-// is just a compaction variant: one WAL record carrying only the k-means
-// inputs (k, seed), an in-memory segment-list swap under the write lock,
-// and write-once segment files at the next checkpoint. The record can be
-// that small because the resulting layout is a deterministic function of
-// (collection state, k, seed): replay re-runs the same clustering over
-// the same state prefix and reproduces the layout bit-for-bit. That
-// determinism is a contract — the k-means parameters below are pinned
-// and must never change for existing logs to stay replayable — and it is
-// what makes recovery land on exactly the pre- or post-recluster segment
-// set, never a mix (the crash matrix in crash_test.go proves it).
+// A recluster changes state the way every mutation does: stage (in
+// durable.go) refuses it or computes the partition, one WAL record
+// carries only the k-means inputs (k, seed), apply swaps the segment list
+// under the write lock, and the next checkpoint writes each new segment
+// file once. The record can be that small because the layout is a
+// deterministic function of (collection state, k, seed): WAL replay and
+// a follower stage the same record over the same state and reproduce the
+// layout bit-for-bit. That determinism is a contract — the k-means
+// parameters below are pinned and must never change for existing logs to
+// stay replayable — and it is what makes recovery land on exactly the
+// pre- or post-recluster segment set, never a mix (the crash matrix in
+// crash_test.go proves it).
 
 import (
 	"fmt"
@@ -41,10 +42,18 @@ const (
 	reclusterTol      = 1e-4
 )
 
-// reclusterGroups computes the cluster partition of a flattened sealed
-// prefix for the pinned parameters — the deterministic core shared by
-// the live operation and WAL replay.
-func reclusterGroups(flat *vstore.Store, k uint64, seed int64) ([][]int, error) {
+// reclusterGroups computes the cluster partition of s's sealed prefix
+// for the pinned parameters — the deterministic core of a recluster,
+// which stage runs for the live operation, WAL replay and a follower
+// alike. It refuses k 0 and a sealed prefix with no live row.
+func reclusterGroups(s *vstore.SegStore, k uint64, seed int64) ([][]int, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("recluster with k=0")
+	}
+	flat := s.FlattenSealed()
+	if flat == nil || flat.Live() == 0 {
+		return nil, fmt.Errorf("recluster of a store with no sealed live vectors")
+	}
 	kk := int(k)
 	if live := flat.Live(); k > uint64(live) {
 		kk = live // KMeans clamps too; this also keeps huge k out of int
@@ -60,26 +69,6 @@ func reclusterGroups(flat *vstore.Store, k uint64, seed int64) ([][]int, error) 
 		return nil, err
 	}
 	return res.Groups(), nil
-}
-
-// applyRecluster replays one TypeRecluster record onto a store: same
-// deterministic clustering, same repartition. A record that does not fit
-// the state (no sealed live vectors, k 0) means the log does not belong
-// to this checkpoint.
-func applyRecluster(s *vstore.SegStore, k uint64, seed int64) error {
-	if k < 1 {
-		return fmt.Errorf("recluster record with k=0")
-	}
-	flat := s.FlattenSealed()
-	if flat == nil || flat.Live() == 0 {
-		return fmt.Errorf("recluster record on a store with no sealed live vectors")
-	}
-	groups, err := reclusterGroups(flat, k, seed)
-	if err != nil {
-		return err
-	}
-	s.Repartition(groups)
-	return nil
 }
 
 // Recluster is ReclusterDurable panicking on its error. It stays only
@@ -115,25 +104,24 @@ func (c *Collection) Recluster(k int, seed int64) []int {
 func (c *Collection) ReclusterDurable(k int, seed int64) ([]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	flat := c.store.FlattenSealed()
-	if flat == nil || flat.Live() == 0 {
+	segs := c.store.Segments()
+	live := c.store.Live() - segs[len(segs)-1].Live() // the sealed prefix's
+	if live == 0 {
 		return nil, nil
 	}
-	kk := k
-	if kk <= 0 {
-		kk = (flat.Live() + c.store.SegmentSize() - 1) / c.store.SegmentSize()
+	if k <= 0 {
+		k = (live + c.store.SegmentSize() - 1) / c.store.SegmentSize()
 	}
-	// Compute the partition before logging: a record is only appended for
-	// an operation that is certain to apply.
-	groups, err := reclusterGroups(flat, uint64(kk), seed)
+	// stage computes the partition before anything is logged: a record is
+	// only appended for an operation that is certain to apply.
+	st, err := stage(c.store, wal.Record{Type: wal.TypeRecluster, K: uint64(k), Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	if err := c.logMutation(wal.Record{Type: wal.TypeRecluster, K: uint64(kk), Seed: seed}); err != nil {
+	_, mapping, err := c.commit(st)
+	if err != nil {
 		return nil, err
 	}
-	c.invalidatePlanCache()
-	mapping := c.store.Repartition(groups)
 	c.reclusters++
 	c.reclusterMark = c.sealedLenLocked()
 	return mapping, nil
@@ -190,12 +178,4 @@ func (c *Collection) ReclusterAdvice(minSpread float64) (spread float64, advise 
 		return spread, false
 	}
 	return spread, spread >= minSpread
-}
-
-// Reclusters returns how many re-clustering passes completed on this
-// collection since it was opened.
-func (c *Collection) Reclusters() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.reclusters
 }

@@ -84,9 +84,6 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 	if !ok || postSpread >= preSpread {
 		t.Fatalf("spread did not tighten: %v → %v (ok=%v)", preSpread, postSpread, ok)
 	}
-	if got := c.Reclusters(); got != 1 {
-		t.Fatalf("Reclusters() = %d, want 1", got)
-	}
 	st := c.StatsSnapshot()
 	if st.Reclusters != 1 || !st.SpreadMeasured || st.SealedSpread != postSpread {
 		t.Fatalf("stats gauges = %+v, want reclusters 1 spread %v", st, postSpread)

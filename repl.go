@@ -17,12 +17,12 @@ import (
 // Replication: a leader serves its CRC-framed WAL as a byte stream
 // (ReplChunk) plus checkpoint snapshots for bootstrap (ReplSnapshot); a
 // follower mirrors the stream verbatim into its own log and applies
-// each record through the same replay path recovery uses
-// (ApplyReplChunk), so follower state is byte-identical to the leader
-// at every applied offset. A follower's resume position after any
-// interruption — including a crash — is simply what its own recovery
+// each record through the same stage and apply the leader's mutators and
+// recovery use (ApplyReplChunk), so follower state is byte-identical to
+// the leader at every applied offset. A follower's resume position after
+// any interruption — including a crash — is simply what its own recovery
 // reports (ReplPosition): the log and the in-memory state never
-// diverge, because a record is validated, then logged, then applied.
+// diverge, because a record is staged, then logged, then applied.
 
 var (
 	// ErrReplGone reports that the requested stream position was
@@ -259,64 +259,17 @@ func (c *Collection) ApplyReplChunk(ch repl.Chunk) error {
 			}
 			return fmt.Errorf("%w: %v", ErrReplDiverged, err)
 		}
-		apply, serr := stageRecord(c.store, rec)
+		st, serr := stage(c.store, rec)
 		if serr != nil {
 			return fmt.Errorf("%w: %v", ErrReplDiverged, serr)
 		}
 		if err := c.dur.w.AppendRaw(data[:n], syncNow); err != nil {
 			return err
 		}
-		segments := c.store.NumSegments()
-		apply()
-		switch rec.Type {
-		case wal.TypeAdd, wal.TypeAddBatch, wal.TypeDelete:
-			c.invalidatePlanCacheIfSealed(segments)
-		default:
-			c.invalidatePlanCache()
-		}
+		c.apply(st)
 		data = data[n:]
 	}
 	return nil
-}
-
-// stageRecord validates rec against the store and returns the closure
-// that applies it — guaranteed not to fail — so the caller can slot the
-// WAL append between validation and application. The checks mirror
-// applyRecord's.
-func stageRecord(s *vstore.SegStore, rec wal.Record) (apply func(), err error) {
-	switch rec.Type {
-	case wal.TypeAdd, wal.TypeAddBatch:
-		for _, v := range rec.Vectors {
-			if len(v) != s.Dims() {
-				return nil, fmt.Errorf("logged vector has %d dims, store has %d", len(v), s.Dims())
-			}
-		}
-		return func() { s.AppendBatch(rec.Vectors) }, nil
-	case wal.TypeDelete:
-		if rec.ID >= uint64(s.Len()) {
-			return nil, fmt.Errorf("logged delete of id %d outside [0,%d)", rec.ID, s.Len())
-		}
-		return func() { s.Delete(int(rec.ID)) }, nil
-	case wal.TypeCompact:
-		return func() { s.Compact(rec.Ratio) }, nil
-	case wal.TypeSeal:
-		return func() { s.SealActive() }, nil
-	case wal.TypeRecluster:
-		if rec.K < 1 {
-			return nil, fmt.Errorf("recluster record with k=0")
-		}
-		flat := s.FlattenSealed()
-		if flat == nil || flat.Live() == 0 {
-			return nil, fmt.Errorf("recluster record on a store with no sealed live vectors")
-		}
-		groups, gerr := reclusterGroups(flat, rec.K, rec.Seed)
-		if gerr != nil {
-			return nil, gerr
-		}
-		return func() { s.Repartition(groups) }, nil
-	default:
-		return nil, fmt.Errorf("unknown record type %d", rec.Type)
-	}
 }
 
 // BootstrapReplica materializes a follower's durable directory from a
