@@ -766,7 +766,7 @@ func (c *Collection) SearchProgressive(spec QuerySpec) (*Progressive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewProgressiveSegments(views, spec.Query, p.Opts)
+	return core.NewProgressive(views, spec.Query, p.Opts)
 }
 
 // AsFeature wraps a snapshot of the collection as one component of a

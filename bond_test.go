@@ -11,8 +11,8 @@ import (
 
 	"bond/internal/baseline/mil"
 	"bond/internal/core"
+	"bond/internal/crashfs"
 	"bond/internal/dataset"
-	"bond/internal/iofs"
 	"bond/internal/seqscan"
 	"bond/internal/topk"
 )
@@ -327,7 +327,7 @@ func TestIngestRejectsNonFiniteCoordinates(t *testing.T) {
 			refused(t, "NewCollectionSegmented", "vector 0 coordinate 0", func() { NewCollectionSegmented(vs, 64) })
 			refused(t, "NewCollection", "vector 0 coordinate 0", func() { NewCollection(vs) })
 
-			fs := iofs.NewMemFS()
+			fs := crashfs.NewMemFS()
 			durable, err := OpenDurable("c.bond", DurableOptions{FS: fs, Dims: 2, SegmentSize: 64})
 			if err != nil {
 				t.Fatal(err)

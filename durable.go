@@ -50,9 +50,9 @@ const (
 	// acknowledged: no acknowledged write can be lost, even to power
 	// failure. The slowest and only fully safe policy.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval fsyncs on a background ticker (DurableOptions.
-	// SyncEvery): a crash can lose at most the last interval's
-	// acknowledged writes, but recovery still yields a consistent prefix.
+	// FsyncInterval fsyncs on a background ticker every syncEvery: a
+	// crash can lose at most the last interval's acknowledged writes,
+	// but recovery still yields a consistent prefix.
 	FsyncInterval
 	// FsyncNever leaves flushing to the operating system: fastest,
 	// survives process crashes (the page cache persists) but not power
@@ -99,16 +99,15 @@ type DurableOptions struct {
 	SegmentSize int
 	// Fsync is the WAL flush policy. The zero value is FsyncAlways.
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncInterval ticker period (0 = 100ms).
-	SyncEvery time.Duration
 	// FS overrides the filesystem every byte of durable state moves
 	// through — the crash-injection seam. nil selects the real one.
 	FS iofs.FS
 	// DisableMmap forces sealed segment files to be read into the heap
 	// instead of memory-mapped. Mapping already degrades to a heap read
-	// when the filesystem or platform cannot map (MemFS, crashfs, exotic
-	// OSes); this is the operator override. The BOND_NO_MMAP environment
-	// variable, when non-empty, forces it globally.
+	// when the filesystem or platform cannot map (the in-memory test
+	// filesystems of package crashfs, exotic OSes); this is the operator
+	// override. The BOND_NO_MMAP environment variable, when non-empty,
+	// forces it globally.
 	DisableMmap bool
 }
 
@@ -195,9 +194,6 @@ func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 	if fs == nil {
 		fs = iofs.OS{}
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	if info, err := fs.Stat(path); err == nil {
 		if !info.IsDir {
 			return nil, fmt.Errorf("bond: %s is a snapshot file, not a durable directory: convert it with `bondgen -import %s -out <dir>`", path, path)
@@ -237,7 +233,7 @@ func initDurableDir(fs iofs.FS, dir string, store *vstore.SegStore) error {
 // appending to the recovered log.
 func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, error) {
 	ropts := vstore.RecoverOptions{DisableMmap: opts.DisableMmap || os.Getenv("BOND_NO_MMAP") != ""}
-	store, m, err := vstore.RecoverDirOpts(fs, dir, ropts)
+	store, m, err := vstore.RecoverDir(fs, dir, ropts)
 	if errors.Is(err, vstore.ErrNoManifest) {
 		// A half-created directory (crash before the first checkpoint
 		// committed): nothing was ever acknowledged, so initializing
@@ -250,7 +246,7 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 		if ierr := initDurableDir(fs, dir, fresh); ierr != nil {
 			return nil, ierr
 		}
-		store, m, err = vstore.RecoverDirOpts(fs, dir, ropts)
+		store, m, err = vstore.RecoverDir(fs, dir, ropts)
 	}
 	if err != nil {
 		return nil, err
@@ -321,15 +317,18 @@ func openDurableDir(fs iofs.FS, dir string, opts DurableOptions) (*Collection, e
 	if opts.Fsync == FsyncInterval {
 		c.dur.stop = make(chan struct{})
 		c.dur.done = make(chan struct{})
-		go c.syncLoop(opts.SyncEvery)
+		go c.syncLoop()
 	}
 	return c, nil
 }
 
+// syncEvery is the FsyncInterval ticker period.
+const syncEvery = 100 * time.Millisecond
+
 // syncLoop is the FsyncInterval background flusher.
-func (c *Collection) syncLoop(every time.Duration) {
+func (c *Collection) syncLoop() {
 	defer close(c.dur.done)
-	t := time.NewTicker(every)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

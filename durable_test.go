@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"bond/internal/crashfs"
 	"bond/internal/dataset"
 	"bond/internal/iofs"
 	"bond/internal/seqscan"
@@ -56,7 +57,7 @@ func reopenDurable(t *testing.T, fs iofs.FS, dir string, policy FsyncPolicy) *Co
 // in-memory filesystem: create, mutate, close, reopen, checkpoint,
 // mutate, reopen — asserting bit-identical state at every generation.
 func TestOpenDurableLifecycle(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	dir := "col.bond"
 	c, err := OpenDurable(dir, DurableOptions{FS: fs, Dims: 4, SegmentSize: 8})
 	if err != nil {
@@ -123,7 +124,7 @@ func TestOpenDurableLifecycle(t *testing.T) {
 }
 
 func TestOpenDurableRequiresDimsToCreate(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	if _, err := OpenDurable("missing", DurableOptions{FS: fs}); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("open missing without dims: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestDurableLifecycleProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			fs := iofs.NewMemFS()
+			fs := crashfs.NewMemFS()
 			c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: dims, SegmentSize: segSize, Fsync: FsyncNever})
 			if err != nil {
 				t.Fatal(err)

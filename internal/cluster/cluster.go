@@ -29,20 +29,25 @@ import (
 	"bond/internal/vstore"
 )
 
+// step is the number of dimensions accumulated between pruning attempts
+// during assignment; tol stops the Lloyd iterations once the relative
+// inertia improvement falls below it. Both are part of the WAL replay
+// contract: a recluster record logs only (k, seed), so replay must run
+// k-means with exactly these values to reproduce the logged layout.
+// Changing either would silently corrupt recovery of existing logs.
+const (
+	step = 8
+	tol  = 1e-4
+)
+
 // Options configures KMeans.
 type Options struct {
 	// K is the number of clusters. Required, ≥ 1.
 	K int
 	// MaxIters caps the Lloyd iterations. Default 25.
 	MaxIters int
-	// Step is the number of dimensions accumulated between pruning
-	// attempts during assignment. Default 8.
-	Step int
 	// Seed drives the k-means++ style initialization.
 	Seed int64
-	// Tol stops iterating when the relative inertia improvement falls
-	// below it. Default 1e-4.
-	Tol float64
 	// NoPrune disables the branch-and-bound assignment (for the ablation
 	// benchmark); results are identical either way.
 	NoPrune bool
@@ -83,9 +88,8 @@ func (r *Result) Groups() [][]int {
 // vector goes to its nearest centre (ties toward the lower centre index)
 // and the centres do not move — the incremental half of Lloyd's
 // algorithm, for placing new vectors into an existing clustering without
-// re-running it. Options.K, MaxIters, and Tol are ignored; the clustering
-// width is len(centers). Pruning follows Options as in KMeans and is
-// exact.
+// re-running it. Options.K and MaxIters are ignored; the clustering width
+// is len(centers). Pruning follows Options as in KMeans and is exact.
 func Assign(s *vstore.Store, centers [][]float64, opts Options) (Result, error) {
 	if len(centers) == 0 {
 		return Result{}, fmt.Errorf("%w: no centers", ErrBadOptions)
@@ -94,12 +98,6 @@ func Assign(s *vstore.Store, centers [][]float64, opts Options) (Result, error) 
 		if len(ctr) != s.Dims() {
 			return Result{}, fmt.Errorf("%w: centre dims %d != store dims %d", ErrBadOptions, len(ctr), s.Dims())
 		}
-	}
-	if opts.Step == 0 {
-		opts.Step = 8
-	}
-	if opts.Step < 1 {
-		return Result{}, fmt.Errorf("%w: Step must be >= 1", ErrBadOptions)
 	}
 	live := s.LiveIDs()
 	if len(live) == 0 {
@@ -113,7 +111,7 @@ func Assign(s *vstore.Store, centers [][]float64, opts Options) (Result, error) 
 		res.Inertia, res.ValuesScanned = assignNaive(s, live, centers, res.Assignments)
 	} else {
 		lo, hi := columnExtents(s, live)
-		res.Inertia, res.ValuesScanned = assignPruned(s, live, centers, res.Assignments, opts.Step, lo, hi)
+		res.Inertia, res.ValuesScanned = assignPruned(s, live, centers, res.Assignments, lo, hi)
 	}
 	return res, nil
 }
@@ -128,15 +126,6 @@ func KMeans(s *vstore.Store, opts Options) (Result, error) {
 	}
 	if opts.MaxIters < 1 {
 		return Result{}, fmt.Errorf("%w: MaxIters must be >= 1", ErrBadOptions)
-	}
-	if opts.Step == 0 {
-		opts.Step = 8
-	}
-	if opts.Step < 1 {
-		return Result{}, fmt.Errorf("%w: Step must be >= 1", ErrBadOptions)
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-4
 	}
 	live := s.LiveIDs()
 	if len(live) == 0 {
@@ -168,7 +157,7 @@ func KMeans(s *vstore.Store, opts Options) (Result, error) {
 		if opts.NoPrune {
 			inertia, scanned = assignNaive(s, live, centers, res.Assignments)
 		} else {
-			inertia, scanned = assignPruned(s, live, centers, res.Assignments, opts.Step, lo, hi)
+			inertia, scanned = assignPruned(s, live, centers, res.Assignments, lo, hi)
 		}
 		res.ValuesScanned += scanned
 		res.Iters = iter + 1
@@ -176,7 +165,7 @@ func KMeans(s *vstore.Store, opts Options) (Result, error) {
 
 		updateCenters(s, live, centers, res.Assignments)
 
-		if !math.IsInf(prevInertia, 1) && prevInertia-inertia <= opts.Tol*math.Max(prevInertia, 1e-300) {
+		if !math.IsInf(prevInertia, 1) && prevInertia-inertia <= tol*math.Max(prevInertia, 1e-300) {
 			break
 		}
 		prevInertia = inertia
@@ -283,7 +272,7 @@ func assignNaive(s *vstore.Store, live []int, centers [][]float64, out []int) (i
 // distance (the Lemma 1 upper bound). Candidate centres per point are
 // tracked in word-packed bitmasks. Pruning is exact because the Ev bounds
 // are valid for any feasible tail, so assignments equal assignNaive's.
-func assignPruned(s *vstore.Store, live []int, centers [][]float64, out []int, step int, lo, hi []float64) (inertia float64, scanned int64) {
+func assignPruned(s *vstore.Store, live []int, centers [][]float64, out []int, lo, hi []float64) (inertia float64, scanned int64) {
 	k := len(centers)
 	dims := s.Dims()
 	dist := make([]float64, len(live)*k)

@@ -137,9 +137,6 @@ func TestKMeansErrors(t *testing.T) {
 	if _, err := KMeans(s, Options{K: 2, MaxIters: -1}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("MaxIters<0: %v", err)
 	}
-	if _, err := KMeans(s, Options{K: 2, Step: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("Step<0: %v", err)
-	}
 	for id := 0; id < 10; id++ {
 		s.Delete(id)
 	}

@@ -14,8 +14,7 @@ import (
 )
 
 // carryFixture is a randomly segmented collection built to stress the
-// carried κ: normalized vectors (so every criterion and NormalizedData
-// apply), a tenth of them exact copies of other vectors — copies land in
+// carried κ: normalized vectors (so every criterion applies), a tenth of them exact copies of other vectors — copies land in
 // other segments, so equal scores straddle segment boundaries — segments of
 // random sizes, random delete marks, and a random exclusion bitmap.
 type carryFixture struct {
@@ -63,7 +62,7 @@ func newCarryFixture(rng *rand.Rand) carryFixture {
 }
 
 // carrySpecs returns the query shapes of one trial: every criterion, plain,
-// weighted (with zero weights), subspace, and NormalizedData, each at
+// weighted (with zero weights) and subspace, each at
 // several K — small ones, so that the copies of a query vector tie at rank
 // k, and one larger than any segment. Half the queries are stored vectors.
 func (f carryFixture) carrySpecs(rng *rand.Rand) []plan.Spec {
@@ -93,19 +92,14 @@ func (f carryFixture) carrySpecs(rng *rand.Rand) []plan.Spec {
 				s.Weights = w
 				specs = append(specs, s)
 			}
-			if crit == core.Eq {
-				s = base
-				s.NormalizedData = true
-				specs = append(specs, s)
-			}
 		}
 	}
 	return specs
 }
 
 func specLabel(seed int, s plan.Spec) string {
-	return fmt.Sprintf("seed=%d %v k=%d step=%d weights=%v dims=%v norm=%v tol=%v",
-		seed, s.Criterion, s.K, s.Step, len(s.Weights) > 0, s.Dims, s.NormalizedData, s.Tolerance)
+	return fmt.Sprintf("seed=%d %v k=%d step=%d weights=%v dims=%v tol=%v",
+		seed, s.Criterion, s.K, s.Step, len(s.Weights) > 0, s.Dims, s.Tolerance)
 }
 
 // sameBits is identicalResults down to the sign of zero.

@@ -136,6 +136,10 @@ func (o Order) String() string {
 // (Section 7.1).
 const DefaultStep = 8
 
+// adaptiveThreshold is the pruned fraction below which AdaptiveStep
+// doubles the step.
+const adaptiveThreshold = 0.05
+
 // Options configures a BOND search.
 type Options struct {
 	// K is the number of neighbors to return. Required, ≥ 1.
@@ -151,14 +155,11 @@ type Options struct {
 	Step int
 	// AdaptiveStep enables the dynamic-m variant Section 5.2 poses as an
 	// open question: whenever a pruning attempt removes less than
-	// AdaptiveThreshold of the candidates, the step doubles (bounded by
+	// adaptiveThreshold of the candidates, the step doubles (bounded by
 	// the remaining dimensions), amortizing the per-step kfetch and
 	// compaction overhead once pruning has run dry. A step that prunes
 	// well again resets to the configured Step.
 	AdaptiveStep bool
-	// AdaptiveThreshold is the pruned fraction below which AdaptiveStep
-	// doubles the step. Default 0.05.
-	AdaptiveThreshold float64
 	// Weights enables weighted search. For Euclidean criteria this is the
 	// weighted distance of Definition 3; for criterion Hq it is the
 	// weighted histogram intersection Σ w_i·min(h_i, q_i) used by
@@ -303,12 +304,6 @@ func (o *Options) validateShape(dims, slots int, lo, hi float64, q []float64) er
 	}
 	if o.Step < 1 {
 		return fmt.Errorf("core: Step must be >= 1, got %d", o.Step)
-	}
-	if o.AdaptiveThreshold == 0 {
-		o.AdaptiveThreshold = 0.05
-	}
-	if o.AdaptiveThreshold < 0 || o.AdaptiveThreshold > 1 {
-		return fmt.Errorf("core: AdaptiveThreshold must be in [0,1], got %v", o.AdaptiveThreshold)
 	}
 	if slots > 0 {
 		if o.Criterion.Distance() {

@@ -59,7 +59,7 @@ func denseAndList(t *testing.T, label string, segs []plan.Segment, spec plan.Spe
 
 // TestDensePhaseMatchesListProperty is the bit-identity contract of the
 // dense first phase, on the carried-κ corpus: every criterion, plain,
-// weighted, subspace and NormalizedData, with deletes, an exclusion bitmap,
+// weighted and subspace, with deletes, an exclusion bitmap,
 // K above the segment size, cross-segment duplicates that tie at rank k,
 // and segments of every size — with the carry (which empties segments
 // mid-phase) and without it, and through the exact scan.
@@ -155,7 +155,7 @@ func TestDensePhaseProgressive(t *testing.T) {
 			}
 			start := func(off bool) *core.Progressive {
 				core.SetDenseDisabled(off)
-				pr, err := core.NewProgressiveSegments(viewsOf(f.seg), spec.Query, p.Opts)
+				pr, err := core.NewProgressive(viewsOf(f.seg), spec.Query, p.Opts)
 				if err != nil {
 					t.Fatal(label, err)
 				}

@@ -26,20 +26,11 @@ type Progressive struct {
 	finished bool
 }
 
-// NewProgressive prepares an incremental search over a single flat source
-// with the same options as Search.
-func NewProgressive(s Source, q []float64, opts Options) (*Progressive, error) {
-	if err := opts.validate(s, q); err != nil {
-		return nil, err
-	}
-	return newProgressive([]SegmentView{{Src: s}}, q, opts)
-}
-
-// NewProgressiveSegments prepares an incremental search over a segmented
+// NewProgressive prepares an incremental search over a segmented
 // collection. Segment skipping does not apply — every segment stays
 // inspectable until the caller finishes — but results are identical to
 // a one-shot planned search.
-func NewProgressiveSegments(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
+func NewProgressive(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
 	m, err := aggregateViews(len(views), func(i int) *SegmentView { return &views[i] })
 	if err != nil {
 		return nil, err
@@ -47,10 +38,6 @@ func NewProgressiveSegments(views []SegmentView, q []float64, opts Options) (*Pr
 	if err := opts.validate(m, q); err != nil {
 		return nil, err
 	}
-	return newProgressive(views, q, opts)
-}
-
-func newProgressive(views []SegmentView, q []float64, opts Options) (*Progressive, error) {
 	p := &Progressive{k: opts.K, distance: opts.Criterion.Distance()}
 	qs := new(Query)
 	qs.Init(q, opts)

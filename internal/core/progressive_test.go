@@ -9,7 +9,7 @@ func TestProgressiveMatchesSearch(t *testing.T) {
 	vs, store := corel(t)
 	q := vs[13]
 	for _, crit := range []Criterion{Hq, Hh, Ev} {
-		p, err := NewProgressive(store, q, Options{K: 10, Criterion: crit})
+		p, err := NewProgressive([]SegmentView{{Src: store}}, q, Options{K: 10, Criterion: crit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestProgressiveMatchesSearch(t *testing.T) {
 
 func TestProgressiveStepwiseInspection(t *testing.T) {
 	vs, store := corel(t)
-	p, err := NewProgressive(store, vs[2], Options{K: 5, Criterion: Hq, Step: 8})
+	p, err := NewProgressive([]SegmentView{{Src: store}}, vs[2], Options{K: 5, Criterion: Hq, Step: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestProgressiveStepwiseInspection(t *testing.T) {
 
 func TestProgressiveEarlyPreview(t *testing.T) {
 	vs, store := corel(t)
-	p, err := NewProgressive(store, vs[4], Options{K: 5, Criterion: Hq})
+	p, err := NewProgressive([]SegmentView{{Src: store}}, vs[4], Options{K: 5, Criterion: Hq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestProgressiveEarlyPreview(t *testing.T) {
 
 func TestProgressiveInvalidOptions(t *testing.T) {
 	vs, store := corel(t)
-	if _, err := NewProgressive(store, vs[0], Options{K: 0, Criterion: Hq}); !errors.Is(err, ErrBadK) {
+	if _, err := NewProgressive([]SegmentView{{Src: store}}, vs[0], Options{K: 0, Criterion: Hq}); !errors.Is(err, ErrBadK) {
 		t.Errorf("err = %v", err)
 	}
 }

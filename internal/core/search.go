@@ -426,7 +426,7 @@ func (e *engine) stepOnce(processed, step int) (int, int) {
 	e.pruneStep(next)
 	if opts.AdaptiveStep {
 		prunedFrac := float64(before-e.live) / float64(before)
-		if prunedFrac < opts.AdaptiveThreshold {
+		if prunedFrac < adaptiveThreshold {
 			step *= 2
 		} else {
 			step = opts.Step

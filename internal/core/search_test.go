@@ -309,9 +309,6 @@ func TestSearchErrorCases(t *testing.T) {
 	if _, err := Search(store, q, Options{K: 1, Criterion: Hh, Weights: make([]float64, 8)}); !errors.Is(err, ErrWeightMetric) {
 		t.Errorf("weights+Hh: err = %v", err)
 	}
-	if _, err := Search(store, q, Options{K: 1, Criterion: Hq, AdaptiveThreshold: 2}); err == nil {
-		t.Error("AdaptiveThreshold=2 accepted")
-	}
 	if _, err := Search(store, q, Options{K: 1, Criterion: Ev, Weights: make([]float64, 3)}); !errors.Is(err, ErrWeightMismatch) {
 		t.Errorf("short weights: err = %v", err)
 	}

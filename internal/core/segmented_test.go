@@ -136,7 +136,6 @@ func TestPlannedSegmentsWeightedSubspaceExclude(t *testing.T) {
 		{"subspace-Hq", plan.Spec{Criterion: core.Hq, Dims: []int{0, 2, 3, 11, 20}}},
 		{"excluded-Hq", plan.Spec{Criterion: core.Hq, Exclude: excl}},
 		{"excluded-Ev", plan.Spec{Criterion: core.Ev, Exclude: excl}},
-		{"adaptive", plan.Spec{Criterion: core.Hq, AdaptiveStep: true}},
 		{"step1", plan.Spec{Criterion: core.Ev, Step: 1}},
 	}
 	for _, c := range cases {
@@ -250,7 +249,7 @@ func TestProgressiveSegmentsMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := core.NewProgressiveSegments(views, q, opts)
+		p, err := core.NewProgressive(views, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

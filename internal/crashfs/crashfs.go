@@ -1,7 +1,8 @@
-// Package crashfs is a deterministic crash-injection filesystem for
-// recovery testing: an in-memory iofs.FS whose durability-relevant
-// operations consume a fixed budget of "steps", crashing the simulated
-// process at an exactly chosen point.
+// Package crashfs holds the test filesystems: MemFS, an in-memory
+// iofs.FS, and FS, a deterministic crash-injection filesystem over it for
+// recovery testing, whose durability-relevant operations consume a fixed
+// budget of "steps", crashing the simulated process at an exactly chosen
+// point. Only tests import it; the server never links it.
 //
 // Every byte written costs one step, and every metadata operation
 // (create, rename, remove, truncate, fsync) costs one step, so a budget
@@ -48,7 +49,7 @@ const (
 // total step count of a workload).
 type FS struct {
 	mu      sync.Mutex
-	mem     *iofs.MemFS
+	mem     *MemFS
 	budget  int64 // remaining steps; <0 = unlimited
 	used    int64
 	crashed bool
@@ -58,13 +59,13 @@ type FS struct {
 // trips after budget steps (bytes written + metadata operations). A
 // negative budget never trips.
 func New(budget int64) *FS {
-	return NewFrom(iofs.NewMemFS(), budget)
+	return NewFrom(NewMemFS(), budget)
 }
 
 // NewFrom returns a crash-injecting FS over an existing in-memory disk
 // image — for sweeping crash points through recovery itself, starting
 // from the survivor of an earlier crash.
-func NewFrom(mem *iofs.MemFS, budget int64) *FS {
+func NewFrom(mem *MemFS, budget int64) *FS {
 	return &FS{mem: mem, budget: budget}
 }
 
@@ -85,7 +86,7 @@ func (f *FS) Crashed() bool {
 
 // Survivor returns the disk state a reboot would observe, as a plain
 // in-memory FS with no fault injection.
-func (f *FS) Survivor(mode Mode) *iofs.MemFS {
+func (f *FS) Survivor(mode Mode) *MemFS {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.mem.Clone(mode == PowerLoss)
@@ -93,7 +94,7 @@ func (f *FS) Survivor(mode Mode) *iofs.MemFS {
 
 // Mem exposes the backing store for instrumentation (create counts,
 // byte-stability checks) — read-only use.
-func (f *FS) Mem() *iofs.MemFS { return f.mem }
+func (f *FS) Mem() *MemFS { return f.mem }
 
 // step consumes n steps, returning how many were granted before the
 // crash tripped (n when it did not).

@@ -1,4 +1,4 @@
-package iofs
+package crashfs
 
 import (
 	"fmt"
@@ -7,10 +7,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"bond/internal/iofs"
 )
 
-// MemFS is an in-memory FS for tests: fast, hermetic, and instrumented.
-// Beyond file content it tracks, per file, how many bytes have been
+// MemFS is an in-memory iofs.FS for tests: fast, hermetic, and
+// instrumented. It is the disk under FS, and tests use it on its own where
+// no crash is injected. Beyond file content it tracks, per file, how many bytes have been
 // "fsynced" (everything up to the last Sync on a handle) and how many
 // times the file has been created — the counters the durability tests
 // use to prove sealed-segment files are written exactly once and that
@@ -48,7 +51,7 @@ func notExist(op, name string) error {
 	return fmt.Errorf("%s %s: %w", op, name, os.ErrNotExist)
 }
 
-// MkdirAll implements FS.
+// MkdirAll implements iofs.FS.
 func (m *MemFS) MkdirAll(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -62,8 +65,8 @@ func (m *MemFS) mkdirAllLocked(dir string) {
 	}
 }
 
-// Create implements FS.
-func (m *MemFS) Create(name string) (File, error) {
+// Create implements iofs.FS.
+func (m *MemFS) Create(name string) (iofs.File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = clean(name)
@@ -73,8 +76,8 @@ func (m *MemFS) Create(name string) (File, error) {
 	return &memHandle{fs: m, name: name}, nil
 }
 
-// Append implements FS.
-func (m *MemFS) Append(name string) (File, error) {
+// Append implements iofs.FS.
+func (m *MemFS) Append(name string) (iofs.File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = clean(name)
@@ -86,7 +89,7 @@ func (m *MemFS) Append(name string) (File, error) {
 	return &memHandle{fs: m, name: name}, nil
 }
 
-// ReadFile implements FS.
+// ReadFile implements iofs.FS.
 func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -97,7 +100,7 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	return append([]byte(nil), f.data...), nil
 }
 
-// ReadFileRange implements RangeFS.
+// ReadFileRange implements iofs.RangeFS.
 func (m *MemFS) ReadFileRange(name string, off, n int64) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -115,7 +118,7 @@ func (m *MemFS) ReadFileRange(name string, off, n int64) ([]byte, error) {
 	return append([]byte(nil), f.data[off:end]...), nil
 }
 
-// Rename implements FS. Renaming a directory moves everything below it.
+// Rename implements iofs.FS. Renaming a directory moves everything below it.
 func (m *MemFS) Rename(oldpath, newpath string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -151,7 +154,7 @@ func (m *MemFS) Rename(oldpath, newpath string) error {
 	return nil
 }
 
-// Remove implements FS.
+// Remove implements iofs.FS.
 func (m *MemFS) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -167,7 +170,7 @@ func (m *MemFS) Remove(name string) error {
 	return notExist("remove", name)
 }
 
-// RemoveAll implements FS.
+// RemoveAll implements iofs.FS.
 func (m *MemFS) RemoveAll(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -188,7 +191,7 @@ func (m *MemFS) RemoveAll(name string) error {
 	return nil
 }
 
-// Truncate implements FS.
+// Truncate implements iofs.FS.
 func (m *MemFS) Truncate(name string, size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -206,7 +209,7 @@ func (m *MemFS) Truncate(name string, size int64) error {
 	return nil
 }
 
-// ReadDir implements FS.
+// ReadDir implements iofs.FS.
 func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -249,28 +252,28 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Stat implements FS.
-func (m *MemFS) Stat(name string) (FileInfo, error) {
+// Stat implements iofs.FS.
+func (m *MemFS) Stat(name string) (iofs.FileInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = clean(name)
 	if f := m.files[name]; f != nil {
-		return FileInfo{Size: int64(len(f.data))}, nil
+		return iofs.FileInfo{Size: int64(len(f.data))}, nil
 	}
 	if m.dirs[name] {
-		return FileInfo{IsDir: true}, nil
+		return iofs.FileInfo{IsDir: true}, nil
 	}
 	// A directory implied by files under it.
 	prefix := name + "/"
 	for n := range m.files {
 		if strings.HasPrefix(n, prefix) {
-			return FileInfo{IsDir: true}, nil
+			return iofs.FileInfo{IsDir: true}, nil
 		}
 	}
-	return FileInfo{}, notExist("stat", name)
+	return iofs.FileInfo{}, notExist("stat", name)
 }
 
-// SyncDir implements FS. MemFS models metadata operations as durable
+// SyncDir implements iofs.FS. MemFS models metadata operations as durable
 // the moment they execute (the crash-injection layer charges them
 // against its budget instead), so this is a no-op.
 func (m *MemFS) SyncDir(string) error { return nil }

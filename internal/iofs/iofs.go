@@ -1,10 +1,10 @@
 // Package iofs is the storage layer's injectable I/O seam: the small
 // filesystem surface the durability code (write-ahead log, incremental
 // checkpoints) performs all its I/O through. Production code uses OS,
-// which maps one-to-one onto the os package; tests substitute in-memory
-// and fault-injecting implementations (package crashfs) to drive the
-// recovery protocol across every possible crash point without touching a
-// real disk.
+// which maps one-to-one onto the os package; tests substitute the
+// in-memory and fault-injecting implementations of package crashfs to
+// drive the recovery protocol across every possible crash point without
+// touching a real disk.
 //
 // The interface is deliberately minimal — sequential writes, whole-file
 // reads, atomic rename — because those are the only primitives the
@@ -76,8 +76,8 @@ type FileInfo struct {
 
 // RangeFS is the optional windowed-read extension of FS: filesystems
 // that can serve a byte range without materializing the whole file
-// implement it (OS via pread, MemFS by slicing under its lock), and
-// ReadFileRange type-asserts for it. The replication stream reads
+// implement it (OS via pread, crashfs.MemFS by slicing under its lock),
+// and ReadFileRange type-asserts for it. The replication stream reads
 // bounded windows of potentially large WAL files on every follower
 // poll; without this seam each poll would be O(file size) in I/O and
 // allocation.
@@ -118,10 +118,10 @@ func ReadFileRange(fs FS, name string, off, n int64) ([]byte, error) {
 // MapFS is the optional mapping extension of FS: filesystems that can
 // memory-map a file implement it (the real OS filesystem, on platforms
 // package mmap supports), and the segment loader type-asserts for it.
-// Filesystems that cannot — MemFS, the crash-injecting wrappers, or OS
-// on an unsupported platform — simply don't, and the loader falls back
-// to ReadFile-into-heap, so every recovery path is exercised identically
-// on both backings.
+// Filesystems that cannot — package crashfs's in-memory and
+// crash-injecting ones, or OS on an unsupported platform — simply don't,
+// and the loader falls back to ReadFile-into-heap, so every recovery path
+// is exercised identically on both backings.
 type MapFS interface {
 	// MapFile maps name read-only and returns the mapping, which aliases
 	// the file's pages until UnmapFile releases it. An empty file maps to

@@ -92,21 +92,14 @@ type Spec struct {
 	Criterion core.Criterion
 	// Order selects the dimension processing order for BOND paths.
 	Order core.Order
-	// Seed drives core.OrderRandom.
-	Seed int64
 	// Step is the pruning granularity m (0 = default).
 	Step int
-	// AdaptiveStep and AdaptiveThreshold configure the dynamic-m variant.
-	AdaptiveStep      bool
-	AdaptiveThreshold float64
 	// Weights enables weighted search; zero weights exclude dimensions.
 	Weights []float64
 	// Dims restricts the search to a dimensional subspace.
 	Dims []int
 	// Exclude removes vectors from consideration before the search starts.
 	Exclude *bitmap.Bitmap
-	// NormalizedData enables the stricter Eq constant bound.
-	NormalizedData bool
 
 	// Strategy forces an access path; Auto selects per segment by cost.
 	Strategy Strategy
@@ -129,17 +122,13 @@ type Spec struct {
 // options lowers the spec onto the core engine options.
 func (s Spec) options() core.Options {
 	return core.Options{
-		K:                 s.K,
-		Criterion:         s.Criterion,
-		Order:             s.Order,
-		Seed:              s.Seed,
-		Step:              s.Step,
-		AdaptiveStep:      s.AdaptiveStep,
-		AdaptiveThreshold: s.AdaptiveThreshold,
-		Weights:           s.Weights,
-		Dims:              s.Dims,
-		Exclude:           s.Exclude,
-		NormalizedData:    s.NormalizedData,
+		K:         s.K,
+		Criterion: s.Criterion,
+		Order:     s.Order,
+		Step:      s.Step,
+		Weights:   s.Weights,
+		Dims:      s.Dims,
+		Exclude:   s.Exclude,
 	}
 }
 

@@ -4,15 +4,14 @@
 //
 // The protocol is deliberately dumb — a follower mirrors the leader's
 // log bytes verbatim into its own wal-<seq>.log files and applies each
-// record through the same replay path recovery uses, so follower state
-// is byte-identical to the leader at every applied offset. A stream
+// record through the same stage and apply recovery uses, so follower
+// state is byte-identical to the leader at every applied offset. A stream
 // position is therefore just (WAL file sequence, byte offset), and
 // catch-up after any interruption resumes from whatever position the
 // follower's own recovery reports.
 //
-// Everything here fails closed: a frame that does not validate is never
-// returned as applicable, a snapshot that does not validate is rejected
-// whole before a byte of it is written.
+// A snapshot that does not validate is rejected whole before a byte of it
+// is written.
 package repl
 
 import (
@@ -49,8 +48,8 @@ type Chunk struct {
 	// CRC-framed record bytes starting there. The leader serves only
 	// acknowledged bytes, but a chunk may end mid-frame when a frame
 	// straddles the size cap: the consumer keeps the torn tail pending
-	// (DecodeFrames treats it as incomplete, not corrupt) and the next
-	// chunk, requested from the last complete frame, re-serves it.
+	// (wal.ParseFrame reports it torn, not corrupt) and the next chunk,
+	// requested from the last complete frame, re-serves it.
 	Seq  uint64 `json:"seq"`
 	From int64  `json:"from"`
 	Data []byte `json:"data,omitempty"`
@@ -66,30 +65,6 @@ type Chunk struct {
 // End returns the stream position just past this chunk's data.
 func (c Chunk) End() Position {
 	return Position{Seq: c.Seq, Off: c.From + int64(len(c.Data))}
-}
-
-// DecodeFrames parses a chunk's raw data into records. consumed is the
-// byte count of complete, valid frames from the front of data; recs are
-// their decoded records, frame-aligned with data[:consumed].
-//
-// A torn tail — data ending mid-frame — is not an error: err is nil and
-// the next chunk completes the frame. Corruption (a frame that fails
-// CRC or structural validation) returns the records before it together
-// with a non-nil error wrapping wal.ErrCorrupt: the decoder fails
-// closed, and a corrupt record is never returned as applicable.
-func DecodeFrames(data []byte) (recs []wal.Record, consumed int64, err error) {
-	for consumed < int64(len(data)) {
-		rec, n, perr := wal.ParseFrame(data[consumed:])
-		if perr != nil {
-			if wal.IsTorn(perr) {
-				return recs, consumed, nil
-			}
-			return recs, consumed, perr
-		}
-		recs = append(recs, rec)
-		consumed += n
-	}
-	return recs, consumed, nil
 }
 
 // Snapshot is a leader checkpoint packaged for follower bootstrap: the

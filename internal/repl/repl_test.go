@@ -1,101 +1,11 @@
 package repl
 
 import (
-	"errors"
-	"reflect"
 	"testing"
 
 	"bond/internal/vstore"
 	"bond/internal/wal"
 )
-
-// frames builds a valid stream of encoded records.
-func frames(recs ...wal.Record) []byte {
-	var out []byte
-	for _, rec := range recs {
-		out = append(out, wal.EncodeFrame(nil, rec)...)
-	}
-	return out
-}
-
-func testRecords() []wal.Record {
-	return []wal.Record{
-		{Type: wal.TypeAdd, Vectors: [][]float64{{1, 2, 3}}},
-		{Type: wal.TypeAddBatch, Vectors: [][]float64{{4, 5, 6}, {7, 8, 9}}},
-		{Type: wal.TypeDelete, ID: 1},
-		{Type: wal.TypeCompact, Ratio: 0.25},
-		{Type: wal.TypeSeal},
-		{Type: wal.TypeRecluster, K: 2, Seed: -7},
-	}
-}
-
-func TestDecodeFramesRoundTrip(t *testing.T) {
-	want := testRecords()
-	data := frames(want...)
-	recs, consumed, err := DecodeFrames(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if consumed != int64(len(data)) {
-		t.Fatalf("consumed %d of %d", consumed, len(data))
-	}
-	if !reflect.DeepEqual(recs, want) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", recs, want)
-	}
-}
-
-// TestDecodeFramesTorn: every truncation of a valid stream decodes the
-// complete frames and reports the torn tail as un-consumed, never as an
-// error — the next chunk completes it.
-func TestDecodeFramesTorn(t *testing.T) {
-	want := testRecords()
-	data := frames(want...)
-	for cut := 0; cut <= len(data); cut++ {
-		recs, consumed, err := DecodeFrames(data[:cut])
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if consumed > int64(cut) {
-			t.Fatalf("cut %d: consumed %d past the cut", cut, consumed)
-		}
-		if len(recs) > 0 && !reflect.DeepEqual(recs, want[:len(recs)]) {
-			t.Fatalf("cut %d: prefix records diverged", cut)
-		}
-		// Whatever was consumed must re-decode identically and cleanly.
-		again, c2, err := DecodeFrames(data[:consumed])
-		if err != nil || c2 != consumed || !reflect.DeepEqual(again, recs) {
-			t.Fatalf("cut %d: consumed prefix is not clean (%v)", cut, err)
-		}
-	}
-}
-
-// TestDecodeFramesCorrupt: every single-bit-flipped byte either still
-// torn-waits (flips inside a length field can make a frame look
-// incomplete) or fails closed with wal.ErrCorrupt — and never yields a
-// record beyond the corruption point.
-func TestDecodeFramesCorrupt(t *testing.T) {
-	want := testRecords()
-	data := frames(want...)
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x01
-		recs, consumed, err := DecodeFrames(mut)
-		if consumed > int64(len(mut)) {
-			t.Fatalf("flip %d: consumed %d of %d", i, consumed, len(mut))
-		}
-		if err != nil && !errors.Is(err, wal.ErrCorrupt) {
-			t.Fatalf("flip %d: non-corrupt error %v", i, err)
-		}
-		if err == nil && consumed == int64(len(mut)) && len(recs) != len(want) {
-			t.Fatalf("flip %d: full consume with %d records", i, len(recs))
-		}
-		// The consumed prefix must always re-decode cleanly.
-		_, c2, err2 := DecodeFrames(mut[:consumed])
-		if err2 != nil || c2 != consumed {
-			t.Fatalf("flip %d: consumed prefix not clean: %v", i, err2)
-		}
-	}
-}
 
 func TestPositionBefore(t *testing.T) {
 	cases := []struct {

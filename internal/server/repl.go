@@ -21,10 +21,10 @@ import (
 // checkpoint snapshots for bootstrap (POST /collections/{name}/
 // snapshot). A follower is a bondd started with Config.FollowURL: it
 // tails every leader collection through bond.ApplyReplChunk — the same
-// validate → log → apply path recovery uses — so its on-disk state is
-// byte-identical to the leader at every applied offset, rejects client
-// mutations with 409 read_only_replica, and reports its lag on
-// GET /replstatus. POST /promote turns a caught-up follower into a
+// stage → log → apply path the mutators and recovery use — so its
+// on-disk state is byte-identical to the leader at every applied offset,
+// rejects client mutations with 409 read_only_replica, and reports its
+// lag on GET /replstatus. POST /promote turns a caught-up follower into a
 // leader (idempotent; 409 replica_diverged fences a follower whose
 // state cannot be a prefix of the leader's history).
 

@@ -27,11 +27,10 @@ type Envelope struct {
 	// that will be retried never spends its whole budget on try one.
 	MaxAttempts int
 	// BackoffBase is the first retry's backoff (default 20ms); attempt i
-	// waits BackoffBase·2^i plus up to 100% jitter, capped at BackoffMax
-	// (default 500ms). A shard answering 503 with a Retry-After hint
-	// stretches the wait to honor it, within the deadline.
+	// waits BackoffBase·2^i, capped at backoffMax, plus up to 100%
+	// jitter. A shard answering 503 with a Retry-After hint stretches the
+	// wait to honor it, within the deadline.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// HedgeAfter launches a second identical request when the first has
 	// been in flight this long (0 disables hedging). The first response
 	// wins and the loser is cancelled; only idempotent calls (queries,
@@ -39,15 +38,15 @@ type Envelope struct {
 	HedgeAfter time.Duration
 }
 
+// backoffMax caps a retry's backoff before jitter.
+const backoffMax = 500 * time.Millisecond
+
 func (e Envelope) withDefaults() Envelope {
 	if e.MaxAttempts < 1 {
 		e.MaxAttempts = 3
 	}
 	if e.BackoffBase <= 0 {
 		e.BackoffBase = 20 * time.Millisecond
-	}
-	if e.BackoffMax <= 0 {
-		e.BackoffMax = 500 * time.Millisecond
 	}
 	return e
 }
@@ -197,10 +196,7 @@ func (c *client) call(ctx context.Context, method, path, ctype string, body []by
 // stretched to any Retry-After hint the failure carried. It returns
 // false when the context ends first.
 func (c *client) backoff(ctx context.Context, attempt int, cause error) bool {
-	d := c.env.BackoffBase << attempt
-	if d > c.env.BackoffMax {
-		d = c.env.BackoffMax
-	}
+	d := min(c.env.BackoffBase<<attempt, backoffMax)
 	d += time.Duration(rand.Int63n(int64(d) + 1)) // full jitter on top
 	var se *api.StatusError
 	if errors.As(cause, &se) && se.RetryAfterMs > 0 {
@@ -336,14 +332,14 @@ func (c *client) roundTrip(ctx context.Context, base, method, path, ctype string
 	return raw, nil
 }
 
-// probe performs one health-probe round trip (outside the envelope: no
-// retries, no hedging — the prober's cadence is the retry) and feeds the
-// outcome to the breaker and the health gauge.
-func (c *client) probe(ctx context.Context, path string, timeout time.Duration) bool {
+// probe performs one health-probe round trip to /healthz (outside the
+// envelope: no retries, no hedging — the prober's cadence is the retry)
+// and feeds the outcome to the breaker and the health gauge.
+func (c *client) probe(ctx context.Context, timeout time.Duration) bool {
 	c.probes.Add(1)
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	raw, err := c.roundTrip(pctx, c.activeURL(), http.MethodGet, path, "", nil)
+	raw, err := c.roundTrip(pctx, c.activeURL(), http.MethodGet, "/healthz", "", nil)
 	if err != nil {
 		c.probeFail.Add(1)
 		c.healthy.Store(false)

@@ -14,7 +14,7 @@ import (
 
 // fastEnvelope keeps unit-test retries cheap.
 func fastEnvelope() Envelope {
-	return Envelope{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond}
+	return Envelope{MaxAttempts: 3, BackoffBase: time.Millisecond}
 }
 
 func testClient(t *testing.T, h http.Handler, env Envelope, brk *Breaker) *client {
@@ -170,7 +170,7 @@ func TestClientDeadlineBoundsRetries(t *testing.T) {
 	// not MaxAttempts × its own patience.
 	c := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
-	}), Envelope{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}, nil)
+	}), Envelope{MaxAttempts: 3, BackoffBase: time.Millisecond}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -195,7 +195,7 @@ func TestClientProbeFeedsHealthAndBreaker(t *testing.T) {
 		w.Write([]byte(`{"status": "ok"}`))
 	}), Envelope{MaxAttempts: 1}, brk)
 
-	if ok := c.probe(context.Background(), "/healthz", time.Second); ok {
+	if ok := c.probe(context.Background(), time.Second); ok {
 		t.Fatal("probe of a failing shard reported healthy")
 	}
 	if c.healthy.Load() {
@@ -206,7 +206,7 @@ func TestClientProbeFeedsHealthAndBreaker(t *testing.T) {
 	}
 
 	healthy.Store(true)
-	if ok := c.probe(context.Background(), "/healthz", time.Second); !ok {
+	if ok := c.probe(context.Background(), time.Second); !ok {
 		t.Fatal("probe of a recovered shard reported unhealthy")
 	}
 	if !c.healthy.Load() {

@@ -62,10 +62,9 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// ProbeInterval is the background health prober's period (0 disables
-	// the loop; ProbeNow can still be driven manually). ProbePath is the
-	// endpoint probed (default /healthz).
+	// the loop; ProbeNow can still be driven manually). The prober asks
+	// each shard's /healthz.
 	ProbeInterval time.Duration
-	ProbePath     string
 	// DefaultTimeout is the fan-out budget of a request that sets no
 	// timeout_ms (0 = 5s). Every shard call — attempts, backoffs, hedges
 	// — is carved out of this budget, which is what bounds the cost of a
@@ -148,9 +147,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Second
-	}
-	if cfg.ProbePath == "" {
-		cfg.ProbePath = "/healthz"
 	}
 	co := &Coordinator{
 		cfg:        cfg,

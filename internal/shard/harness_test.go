@@ -92,7 +92,6 @@ func fastTestConfig() Config {
 		Envelope: Envelope{
 			MaxAttempts: 2,
 			BackoffBase: time.Millisecond,
-			BackoffMax:  5 * time.Millisecond,
 		},
 		BreakerThreshold: 1000, // out of the way unless a test lowers it
 		BreakerCooldown:  50 * time.Millisecond,

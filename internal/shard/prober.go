@@ -47,7 +47,7 @@ func (co *Coordinator) ProbeNow() int {
 		wg.Add(1)
 		go func(i int, c *client) {
 			defer wg.Done()
-			ok := c.probe(context.Background(), co.cfg.ProbePath, timeout)
+			ok := c.probe(context.Background(), timeout)
 			if !ok && co.cfg.PromoteReplicas && c.brk.State() == "open" {
 				ok = co.maybePromote(context.Background(), c, timeout)
 			}

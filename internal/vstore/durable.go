@@ -427,7 +427,7 @@ func CleanDir(fs iofs.FS, dir string, m *Manifest) {
 	}
 }
 
-// RecoverOptions tunes RecoverDirOpts.
+// RecoverOptions tunes RecoverDir.
 type RecoverOptions struct {
 	// DisableMmap forces v2 sealed segments to be read into the heap even
 	// when the filesystem can memory-map them. Mapping already degrades to
@@ -449,12 +449,7 @@ type RecoverOptions struct {
 // segment files are read into the heap and scheduled for re-persistence —
 // their persistent id is cleared, so the next checkpoint writes them as
 // fresh write-once v2 files and garbage-collects the old ones.
-func RecoverDir(fs iofs.FS, dir string) (*SegStore, *Manifest, error) {
-	return RecoverDirOpts(fs, dir, RecoverOptions{})
-}
-
-// RecoverDirOpts is RecoverDir with explicit options.
-func RecoverDirOpts(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Manifest, error) {
+func RecoverDir(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Manifest, error) {
 	data, err := fs.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {

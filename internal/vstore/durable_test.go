@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bond/internal/crashfs"
 	"bond/internal/iofs"
 )
 
@@ -60,13 +61,13 @@ func assertSameStore(t *testing.T, got, want *SegStore) {
 
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	s := buildSegmented(t, rng, 130, 5, 32) // 4 sealed + active 2
 	s.Delete(3)
 	s.Delete(70)
 	checkpointTo(t, fs, "col", s, 1)
 
-	got, m, err := RecoverDir(fs, "col")
+	got, m, err := RecoverDir(fs, "col", RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 // sealed segment files are created exactly once and stay byte-stable.
 func TestCheckpointIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	s := buildSegmented(t, rng, 100, 4, 32) // 3 sealed + active 4
 	cs1 := checkpointTo(t, fs, "col", s, 1)
 
@@ -133,7 +134,7 @@ func TestCheckpointIncremental(t *testing.T) {
 		t.Fatal("previous active checkpoint not garbage-collected")
 	}
 
-	got, _, err := RecoverDir(fs, "col")
+	got, _, err := RecoverDir(fs, "col", RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCheckpointIncremental(t *testing.T) {
 // them, and that rewritten segments get fresh write-once files.
 func TestCheckpointGCAfterCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	s := buildSegmented(t, rng, 96, 3, 32) // 3 sealed, empty active
 	cs1 := checkpointTo(t, fs, "col", s, 1)
 	firstSegFile := filepath.Join("col", SegFileName(cs1.Sealed[0].ID))
@@ -161,7 +162,7 @@ func TestCheckpointGCAfterCompaction(t *testing.T) {
 	if _, err := fs.Stat(firstSegFile); err == nil {
 		t.Fatalf("dropped segment file %s not garbage-collected", firstSegFile)
 	}
-	got, _, err := RecoverDir(fs, "col")
+	got, _, err := RecoverDir(fs, "col", RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +170,8 @@ func TestCheckpointGCAfterCompaction(t *testing.T) {
 }
 
 func TestRecoverDirErrors(t *testing.T) {
-	fs := iofs.NewMemFS()
-	if _, _, err := RecoverDir(fs, "missing"); !errors.Is(err, ErrNoManifest) {
+	fs := crashfs.NewMemFS()
+	if _, _, err := RecoverDir(fs, "missing", RecoverOptions{}); !errors.Is(err, ErrNoManifest) {
 		t.Fatalf("missing dir: %v", err)
 	}
 
@@ -187,7 +188,7 @@ func TestRecoverDirErrors(t *testing.T) {
 		f, _ := fs.Create(filepath.Join("col", ManifestName))
 		f.Write(mut)
 		f.Close()
-		if _, _, err := RecoverDir(fs, "col"); err == nil {
+		if _, _, err := RecoverDir(fs, "col", RecoverOptions{}); err == nil {
 			t.Fatalf("flip at %d: corrupt manifest recovered", i)
 		}
 	}
@@ -200,13 +201,13 @@ func TestRecoverDirErrors(t *testing.T) {
 	segName := filepath.Join("col", SegFileName(1))
 	seg, _ := fs.ReadFile(segName)
 	fs.Remove(segName)
-	if _, _, err := RecoverDir(fs, "col"); err == nil {
+	if _, _, err := RecoverDir(fs, "col", RecoverOptions{}); err == nil {
 		t.Fatal("missing segment file recovered")
 	}
 	f, _ = fs.Create(segName)
 	f.Write(seg[:len(seg)-5])
 	f.Close()
-	if _, _, err := RecoverDir(fs, "col"); err == nil {
+	if _, _, err := RecoverDir(fs, "col", RecoverOptions{}); err == nil {
 		t.Fatal("truncated segment file recovered")
 	}
 }

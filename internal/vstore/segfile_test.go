@@ -10,7 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bond/internal/iofs"
+	"bond/internal/crashfs"
 )
 
 func buildV2Store(t testing.TB, rng *rand.Rand, rows, dims int) *Store {
@@ -155,7 +155,7 @@ func TestSegmentV2CorruptFailsClosed(t *testing.T) {
 // the eagerly verified header, the heap path via either CRC.
 func TestRecoverDirCorruptSegV2FailsClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	s := buildSegmented(t, rng, 64, 3, 32)
 	cs := checkpointTo(t, fs, "col", s, 1)
 	segName := filepath.Join("col", SegFileName(cs.Sealed[0].ID))
@@ -191,7 +191,7 @@ func TestRecoverDirCorruptSegV2FailsClosed(t *testing.T) {
 	} {
 		write(mut)
 		for _, disable := range []bool{false, true} {
-			if _, _, err := RecoverDirOpts(fs, "col", RecoverOptions{DisableMmap: disable}); err == nil {
+			if _, _, err := RecoverDir(fs, "col", RecoverOptions{DisableMmap: disable}); err == nil {
 				t.Fatalf("%s (disableMmap=%v): corrupt segment recovered", name, disable)
 			}
 		}
@@ -202,11 +202,11 @@ func TestRecoverDirCorruptSegV2FailsClosed(t *testing.T) {
 	dataFlip := append([]byte(nil), orig...)
 	dataFlip[len(orig)-3] ^= 0x01
 	write(dataFlip)
-	if _, _, err := RecoverDirOpts(fs, "col", RecoverOptions{DisableMmap: true}); err == nil {
+	if _, _, err := RecoverDir(fs, "col", RecoverOptions{DisableMmap: true}); err == nil {
 		t.Fatal("data flip: corrupt segment recovered on the heap path")
 	}
 	write(orig)
-	if _, _, err := RecoverDir(fs, "col"); err != nil {
+	if _, _, err := RecoverDir(fs, "col", RecoverOptions{}); err != nil {
 		t.Fatalf("restored directory fails: %v", err)
 	}
 }

@@ -400,33 +400,7 @@ func compactSealed(g *Segment) (*Segment, []int) {
 // own store is returned as a read-only view; otherwise the columns are
 // copied, which costs O(n·dims).
 func (s *SegStore) Flatten() *Store {
-	if len(s.segs) == 1 {
-		return s.segs[0].Store
-	}
-	f := New(s.dims)
-	n := s.Len()
-	for d := 0; d < s.dims; d++ {
-		col := make([]float64, 0, n)
-		for _, g := range s.segs {
-			col = append(col, g.Column(d)...)
-		}
-		f.columns[d] = col
-		for _, x := range col {
-			f.observe(d, x)
-		}
-	}
-	totals := make([]float64, 0, n)
-	for _, g := range s.segs {
-		totals = append(totals, g.Totals()...)
-	}
-	f.totals = totals
-	f.n = n
-	f.growDeleted()
-	for i, g := range s.segs {
-		base := s.bases[i]
-		g.deleted.ForEach(func(local int) { f.deleted.Set(base + local) })
-	}
-	return f
+	return s.flatten(s.segs)
 }
 
 // FlattenSealed returns the sealed prefix — every segment but the active
@@ -441,15 +415,20 @@ func (s *SegStore) FlattenSealed() *Store {
 	if last == 0 {
 		return nil
 	}
-	if last == 1 {
-		return s.segs[0].Store
+	return s.flatten(s.segs[:last])
+}
+
+// flatten concatenates segs, a non-empty prefix of s.segs, into one flat
+// Store; a single segment is returned as its own store.
+func (s *SegStore) flatten(segs []*Segment) *Store {
+	if len(segs) == 1 {
+		return segs[0].Store
 	}
-	sealed := s.segs[:last]
 	f := New(s.dims)
-	n := s.bases[last]
+	n := s.bases[len(segs)-1] + segs[len(segs)-1].Len()
 	for d := 0; d < s.dims; d++ {
 		col := make([]float64, 0, n)
-		for _, g := range sealed {
+		for _, g := range segs {
 			col = append(col, g.Column(d)...)
 		}
 		f.columns[d] = col
@@ -458,13 +437,13 @@ func (s *SegStore) FlattenSealed() *Store {
 		}
 	}
 	totals := make([]float64, 0, n)
-	for _, g := range sealed {
+	for _, g := range segs {
 		totals = append(totals, g.Totals()...)
 	}
 	f.totals = totals
 	f.n = n
 	f.growDeleted()
-	for i, g := range sealed {
+	for i, g := range segs {
 		base := s.bases[i]
 		g.deleted.ForEach(func(local int) { f.deleted.Set(base + local) })
 	}

@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"testing"
 
-	"bond/internal/iofs"
+	"bond/internal/crashfs"
 )
 
 // corpusEntry renders one seed in the go-fuzz corpus file format.
@@ -17,7 +17,7 @@ func corpusEntry(data []byte) []byte {
 // seedImages builds the canonical seed images: a valid multi-record log,
 // a torn one, a bit-flipped one, and degenerate headers.
 func seedImages(t testing.TB) map[string][]byte {
-	mem := iofs.NewMemFS()
+	mem := crashfs.NewMemFS()
 	w, err := Create(mem, "seed.log")
 	if err != nil {
 		t.Fatal(err)

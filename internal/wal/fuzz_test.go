@@ -3,7 +3,7 @@ package wal
 import (
 	"testing"
 
-	"bond/internal/iofs"
+	"bond/internal/crashfs"
 )
 
 // FuzzWALDecode hammers DecodeAll with arbitrary byte images. The
@@ -16,7 +16,7 @@ import (
 // The seed corpus in testdata/fuzz/FuzzWALDecode holds valid logs of
 // every record type plus torn and bit-flipped variants.
 func FuzzWALDecode(f *testing.F) {
-	mem := iofs.NewMemFS()
+	mem := crashfs.NewMemFS()
 	w, err := Create(mem, "seed.log")
 	if err != nil {
 		f.Fatal(err)

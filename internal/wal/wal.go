@@ -347,29 +347,13 @@ func Create(fs iofs.FS, name string) (*Writer, error) {
 	return &Writer{f: f, size: int64(headerLen)}, nil
 }
 
-// OpenAppend opens an existing WAL for appending, creating it when
-// absent. Any torn tail left by a crash is truncated away first, so new
-// records land on a valid record boundary and stay reachable by the next
-// replay. It returns the writer and the records already in the log.
-func OpenAppend(fs iofs.FS, name string) (*Writer, []Record, error) {
-	data, err := fs.ReadFile(name)
-	if err != nil {
-		w, cerr := Create(fs, name)
-		return w, nil, cerr
-	}
-	recs, good, _ := DecodeAll(data)
-	w, err := OpenAppendAt(fs, name, good, int64(len(recs)), int64(len(data)))
-	if err != nil || good == 0 {
-		recs = nil
-	}
-	return w, recs, err
-}
-
-// OpenAppendAt is OpenAppend for a caller that already read and decoded
-// the log (the recovery replay does — re-reading a multi-megabyte WAL
-// just to find its truncation point would double every cold open's
+// OpenAppendAt opens an existing WAL for appending after the caller read
+// and decoded it (the recovery replay does — re-reading a multi-megabyte
+// WAL just to find its truncation point would double every cold open's
 // I/O): good and records are DecodeAll's results and fileLen the image
-// length. good == 0 (unreadable header) starts the log over.
+// length. Any torn tail left by a crash is truncated away first, so new
+// records land on a valid record boundary and stay reachable by the next
+// replay. good == 0 (unreadable header) starts the log over.
 func OpenAppendAt(fs iofs.FS, name string, good, records, fileLen int64) (*Writer, error) {
 	if good == 0 {
 		return Create(fs, name)

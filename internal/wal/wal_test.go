@@ -2,10 +2,12 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"bond/internal/crashfs"
 	"bond/internal/iofs"
 )
 
@@ -39,7 +41,7 @@ func writeSample(t *testing.T, fs iofs.FS, name string) []Record {
 }
 
 func TestRoundTrip(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	want := writeSample(t, fs, "wal.log")
 	data, err := fs.ReadFile("wal.log")
 	if err != nil {
@@ -66,7 +68,7 @@ func TestRoundTrip(t *testing.T) {
 // decoding never errors structurally, never returns a partial record,
 // and always reports a good offset on a record boundary.
 func TestTornTail(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	writeSample(t, fs, "wal.log")
 	data, _ := fs.ReadFile("wal.log")
 	full, _, _ := DecodeAll(data)
@@ -107,7 +109,7 @@ func TestTornTail(t *testing.T) {
 // TestBitFlips flips every byte of the image and checks decoding returns
 // a prefix (never a panic, never a corrupted record passed through).
 func TestBitFlips(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	writeSample(t, fs, "wal.log")
 	data, _ := fs.ReadFile("wal.log")
 	full, _, _ := DecodeAll(data)
@@ -127,8 +129,32 @@ func TestBitFlips(t *testing.T) {
 	}
 }
 
+// reopen opens name for appending as a collection's recovery does: Create
+// when the log is absent, else DecodeAll and OpenAppendAt on its result.
+// It returns the writer and the records the log held.
+func reopen(t *testing.T, fs iofs.FS, name string) (*Writer, []Record) {
+	t.Helper()
+	data, err := fs.ReadFile(name)
+	if errors.Is(err, os.ErrNotExist) {
+		w, err := Create(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, good, _ := DecodeAll(data)
+	w, err := OpenAppendAt(fs, name, good, int64(len(recs)), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, recs
+}
+
 func TestOpenAppendTruncatesTornTail(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	want := writeSample(t, fs, "wal.log")
 	data, _ := fs.ReadFile("wal.log")
 	// Simulate a crash mid-append: garbage half-record at the tail.
@@ -139,10 +165,7 @@ func TestOpenAppendTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w, recs, err := OpenAppend(fs, "wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, recs := reopen(t, fs, "wal.log")
 	if len(recs) != len(want) {
 		t.Fatalf("recovered %d records, want %d", len(recs), len(want))
 	}
@@ -162,19 +185,19 @@ func TestOpenAppendTruncatesTornTail(t *testing.T) {
 }
 
 func TestOpenAppendMissingAndGarbageHeader(t *testing.T) {
-	fs := iofs.NewMemFS()
-	w, recs, err := OpenAppend(fs, "absent.log")
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("open missing: %v, %d recs", err, len(recs))
+	fs := crashfs.NewMemFS()
+	w, recs := reopen(t, fs, "absent.log")
+	if len(recs) != 0 {
+		t.Fatalf("open missing: %d recs", len(recs))
 	}
 	w.Close()
 
 	f, _ := fs.Create("garbage.log")
 	f.Write([]byte("BO")) // torn header
 	f.Close()
-	w2, recs2, err := OpenAppend(fs, "garbage.log")
-	if err != nil || len(recs2) != 0 {
-		t.Fatalf("open torn-header: %v", err)
+	w2, recs2 := reopen(t, fs, "garbage.log")
+	if len(recs2) != 0 {
+		t.Fatalf("open torn-header: %d recs", len(recs2))
 	}
 	if err := w2.Append(Record{Type: TypeSeal}, false); err != nil {
 		t.Fatal(err)
@@ -187,7 +210,7 @@ func TestOpenAppendMissingAndGarbageHeader(t *testing.T) {
 }
 
 func TestWriterStickyError(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	w, err := Create(fs, filepath.Join("d", "wal.log"))
 	if err != nil {
 		t.Fatal(err)

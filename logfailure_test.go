@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bond/internal/crashfs"
 	"bond/internal/iofs"
 )
 
 // flakyFS wraps a MemFS and, while tripped, fails every write and sync
 // on WAL files — a transient ENOSPC-style fault confined to the log.
 type flakyFS struct {
-	*iofs.MemFS
+	*crashfs.MemFS
 	failWAL atomic.Bool
 }
 
@@ -60,7 +61,7 @@ func (h *flakyFile) Sync() error {
 // state past the broken log and the collection accepts writes again, no
 // restart needed. Durability of the survivors is verified by a reopen.
 func TestCheckpointSelfHealsAfterLogFailure(t *testing.T) {
-	fs := &flakyFS{MemFS: iofs.NewMemFS()}
+	fs := &flakyFS{MemFS: crashfs.NewMemFS()}
 	c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: 2, SegmentSize: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -31,16 +31,13 @@ import (
 	"bond/internal/wal"
 )
 
-// Pinned k-means parameters of the recluster operation. They are part of
-// the WAL replay contract: a TypeRecluster record logs only (k, seed),
-// so replay must run k-means with exactly the same iteration cap, batch
-// step, and tolerance to reproduce the logged layout. Changing any of
-// them would silently corrupt recovery of existing logs.
-const (
-	reclusterMaxIters = 25
-	reclusterStep     = 8
-	reclusterTol      = 1e-4
-)
+// reclusterMaxIters is the recluster operation's pinned k-means iteration
+// cap. It is part of the WAL replay contract, with package cluster's batch
+// step and tolerance: a TypeRecluster record logs only (k, seed), so
+// replay must run k-means with exactly the same parameters to reproduce
+// the logged layout. Changing it would silently corrupt recovery of
+// existing logs.
+const reclusterMaxIters = 25
 
 // reclusterGroups computes the cluster partition of s's sealed prefix
 // for the pinned parameters — the deterministic core of a recluster,
@@ -61,9 +58,7 @@ func reclusterGroups(s *vstore.SegStore, k uint64, seed int64) ([][]int, error) 
 	res, err := cluster.KMeans(flat, cluster.Options{
 		K:        kk,
 		MaxIters: reclusterMaxIters,
-		Step:     reclusterStep,
 		Seed:     seed,
-		Tol:      reclusterTol,
 	})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bond/internal/crashfs"
 	"bond/internal/dataset"
-	"bond/internal/iofs"
 	"bond/internal/seqscan"
 )
 
@@ -235,7 +235,7 @@ func TestReclusterNoopCases(t *testing.T) {
 	}
 
 	// A durable no-op must append nothing to the WAL.
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: 3, SegmentSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestReclusterAdviceHeuristic(t *testing.T) {
 // deterministic clustering to reproduce the layout bit-for-bit — both
 // straight from the WAL and across a checkpoint.
 func TestReclusterDurableReplay(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: 4, SegmentSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestReclusterDurableLifecycleProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			fs := iofs.NewMemFS()
+			fs := crashfs.NewMemFS()
 			c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: dims, SegmentSize: segSize, Fsync: FsyncNever})
 			if err != nil {
 				t.Fatal(err)

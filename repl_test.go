@@ -156,7 +156,7 @@ func assertReplicaIdentical(t *testing.T, lfs iofs.FS, ldir string, ffs iofs.FS,
 // follower tailing after every op: the follower must track every state
 // and end byte-identical.
 func TestReplTailLockstep(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	follower := mustOpenDurable(t, fs, "replica.bond", FsyncNever)
 	defer leader.Close()
@@ -198,7 +198,7 @@ func TestReplTailLockstep(t *testing.T) {
 // already checkpointed its early history away — via snapshot bootstrap,
 // then tails the rest.
 func TestReplSnapshotBootstrap(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	defer leader.Close()
 
@@ -242,7 +242,7 @@ func TestReplSnapshotBootstrap(t *testing.T) {
 // checkpoint finds its position garbage-collected (ErrReplGone) and
 // recovers by re-bootstrapping.
 func TestReplStaleFollowerGone(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	follower := mustOpenDurable(t, fs, "replica.bond", FsyncNever)
 	defer leader.Close()
@@ -271,7 +271,7 @@ func TestReplStaleFollowerGone(t *testing.T) {
 // a drained follower at a rotation boundary is told to rotate, not to
 // re-bootstrap.
 func TestReplChunkFencing(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	defer leader.Close()
 	if _, err := leader.AddDurable([]float64{1, 2, 3}); err != nil {
@@ -310,7 +310,7 @@ func TestReplChunkFencing(t *testing.T) {
 // TestReplApplyIdempotentAndGap: overlapping chunks re-apply cleanly
 // (at-least-once delivery), gapped chunks fence.
 func TestReplApplyIdempotentAndGap(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	follower := mustOpenDurable(t, fs, "replica.bond", FsyncNever)
 	defer leader.Close()
@@ -354,7 +354,7 @@ func TestReplApplyIdempotentAndGap(t *testing.T) {
 // TestReplApplyCorruptFrame: corrupted stream bytes fence the replica
 // (fail closed) instead of applying garbage.
 func TestReplApplyCorruptFrame(t *testing.T) {
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	follower := mustOpenDurable(t, fs, "replica.bond", FsyncNever)
 	defer leader.Close()
@@ -390,8 +390,8 @@ func runReplFollowerCrashSweep(t *testing.T, policy FsyncPolicy, mode crashfs.Mo
 	ops := crashHistory()
 	dumps := oracleDumps(t, ops)
 
-	run := func(ffs *crashfs.FS) (leaderFS *iofs.MemFS, leaderOps int, crashed bool) {
-		lfs := iofs.NewMemFS()
+	run := func(ffs *crashfs.FS) (leaderFS *crashfs.MemFS, leaderOps int, crashed bool) {
+		lfs := crashfs.NewMemFS()
 		leader := mustOpenDurable(t, lfs, "leader.bond", FsyncNever)
 		defer leader.Close()
 		follower, err := OpenDurable("col", DurableOptions{
@@ -461,7 +461,7 @@ func TestCrashMatrixReplFollowerResume(t *testing.T) {
 	dumps := oracleDumps(t, ops)
 
 	// Measure the sweep range once.
-	dryL := iofs.NewMemFS()
+	dryL := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, dryL, "leader.bond", FsyncNever)
 	dry := crashfs.New(-1)
 	follower, err := OpenDurable("col", DurableOptions{
@@ -486,7 +486,7 @@ func TestCrashMatrixReplFollowerResume(t *testing.T) {
 	// every 7th point to keep the sweep affordable (the full-density
 	// prefix contract is covered by the sweeps above).
 	for budget := int64(0); budget < total; budget += 7 {
-		lfs := iofs.NewMemFS()
+		lfs := crashfs.NewMemFS()
 		leader := mustOpenDurable(t, lfs, "leader.bond", FsyncNever)
 		ffs := crashfs.New(budget)
 		fol, err := OpenDurable("col", DurableOptions{
@@ -546,7 +546,7 @@ func TestCrashMatrixReplFollowerResume(t *testing.T) {
 // old state, nothing, or the complete new state — never a torn install
 // — and re-running the bootstrap must converge.
 func TestCrashMatrixReplBootstrap(t *testing.T) {
-	lfs := iofs.NewMemFS()
+	lfs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, lfs, "leader.bond", FsyncNever)
 	defer leader.Close()
 	ops := crashHistory()
@@ -562,7 +562,7 @@ func TestCrashMatrixReplBootstrap(t *testing.T) {
 	leaderDump := dumpCollection(leader)
 
 	// The stale follower: an unrelated short history of its own.
-	staleFS := iofs.NewMemFS()
+	staleFS := crashfs.NewMemFS()
 	stale := mustOpenDurable(t, staleFS, "col", FsyncNever)
 	for i := 0; i < 4; i++ {
 		if _, err := stale.AddDurable([]float64{float64(i), 0, 1}); err != nil {
@@ -631,7 +631,7 @@ func TestCrashMatrixReplPromote(t *testing.T) {
 	dumps := oracleDumps(t, append(append([]crashOp{}, ops...), promoOps...))
 
 	// Build the caught-up follower state once on a MemFS.
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 	follower := mustOpenDurable(t, fs, "col", FsyncAlways)
 	for _, op := range ops {
@@ -762,7 +762,7 @@ func TestReplPropertyConcurrent(t *testing.T) {
 			dumps := oracleDumps(t, ops)
 			final := dumps[len(dumps)-1]
 
-			fs := iofs.NewMemFS()
+			fs := crashfs.NewMemFS()
 			leader := mustOpenDurable(t, fs, "leader.bond", FsyncNever)
 			defer leader.Close()
 			follower := mustOpenDurable(t, fs, "replica.bond", FsyncNever)

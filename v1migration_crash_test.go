@@ -15,9 +15,9 @@ import (
 // manifest's per-segment formats to match — reproducing, byte for byte,
 // the directory layout the pre-mmap version of this package wrote. The
 // returned dump is the collection's logical state.
-func buildV1LayoutDir(t *testing.T) (*iofs.MemFS, collectionDump) {
+func buildV1LayoutDir(t *testing.T) (*crashfs.MemFS, collectionDump) {
 	t.Helper()
-	fs := iofs.NewMemFS()
+	fs := crashfs.NewMemFS()
 	col, err := OpenDurable("col", DurableOptions{
 		FS: fs, Dims: crashDims, SegmentSize: crashSegSize, Fsync: FsyncAlways,
 	})
