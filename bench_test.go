@@ -496,6 +496,33 @@ func BenchmarkQueryScanUniform(b *testing.B) {
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
 }
 
+// BenchmarkQuerySkipClustered is the skip_clustered workload's shape in
+// process: 24 000 vectors of 64 dims in cluster-contiguous blocks of 250,
+// each block a box of width 0.03 around its own uniform centre, in sealed
+// segments of 250, queried with Eq under forced BOND for the k = 10
+// nearest of 512 vectors sampled from the data. Synopsis skipping leaves
+// about one segment per query, and that segment's box is too tight for any
+// pruning attempt to remove a row, so the executor reads it in one pass
+// (core.OnePass). Reported: cells read and pruning attempts per query,
+// beside ns/op per query.
+func BenchmarkQuerySkipClustered(b *testing.B) {
+	vs := layoutRows(rand.New(rand.NewSource(1)), "clustered", 24000, 64, 250)
+	queries, _ := dataset.SampleQueries(vs, 512, 2)
+	col := NewCollectionSegmented(vs, 250)
+	var cells, attempts int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := col.Query(QuerySpec{Query: queries[i%len(queries)], K: 10, Criterion: Eq, Strategy: StrategyBOND})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += res.Stats.ValuesScanned
+		attempts += int64(len(res.Stats.Steps))
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
+	b.ReportMetric(float64(attempts)/float64(b.N), "prune-attempts/query")
+}
+
 // BenchmarkCollectionSearchParallelSegments measures the per-segment
 // parallel path on the facade.
 func BenchmarkCollectionSearchParallelSegments(b *testing.B) {

@@ -84,38 +84,6 @@ func (r *Result) Groups() [][]int {
 	return groups
 }
 
-// Assign runs one assignment pass against fixed centres: every live
-// vector goes to its nearest centre (ties toward the lower centre index)
-// and the centres do not move — the incremental half of Lloyd's
-// algorithm, for placing new vectors into an existing clustering without
-// re-running it. Options.K and MaxIters are ignored; the clustering width
-// is len(centers). Pruning follows Options as in KMeans and is exact.
-func Assign(s *vstore.Store, centers [][]float64, opts Options) (Result, error) {
-	if len(centers) == 0 {
-		return Result{}, fmt.Errorf("%w: no centers", ErrBadOptions)
-	}
-	for _, ctr := range centers {
-		if len(ctr) != s.Dims() {
-			return Result{}, fmt.Errorf("%w: centre dims %d != store dims %d", ErrBadOptions, len(ctr), s.Dims())
-		}
-	}
-	live := s.LiveIDs()
-	if len(live) == 0 {
-		return Result{}, fmt.Errorf("%w: no live vectors", ErrBadOptions)
-	}
-	res := Result{Assignments: make([]int, s.Len()), Centers: centers, Iters: 1}
-	for i := range res.Assignments {
-		res.Assignments[i] = -1
-	}
-	if opts.NoPrune {
-		res.Inertia, res.ValuesScanned = assignNaive(s, live, centers, res.Assignments)
-	} else {
-		lo, hi := columnExtents(s, live)
-		res.Inertia, res.ValuesScanned = assignPruned(s, live, centers, res.Assignments, lo, hi)
-	}
-	return res, nil
-}
-
 // KMeans clusters the live vectors of a decomposed store.
 func KMeans(s *vstore.Store, opts Options) (Result, error) {
 	if opts.K < 1 {

@@ -244,55 +244,6 @@ func TestKMeansNaNSafeCentroidUpdates(t *testing.T) {
 	}
 }
 
-func TestAssignMatchesBruteForceAndNaive(t *testing.T) {
-	s := clusteredStore(400, 16, 6, 8)
-	km, err := KMeans(s, Options{K: 6, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Assign(s, km.Centers, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := Assign(s, km.Centers, Options{NoPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < s.Len(); id++ {
-		if res.Assignments[id] != naive.Assignments[id] {
-			t.Fatalf("pruned Assign of %d differs from naive", id)
-		}
-		best, bestD := -1, math.Inf(1)
-		for c, ctr := range km.Centers {
-			if d := rowDist(s, id, ctr); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		if res.Assignments[id] != best {
-			t.Fatalf("Assign(%d) = %d, brute force says %d", id, res.Assignments[id], best)
-		}
-	}
-	if res.ValuesScanned >= naive.ValuesScanned {
-		t.Errorf("pruned Assign scanned %d ≥ naive %d", res.ValuesScanned, naive.ValuesScanned)
-	}
-}
-
-func TestAssignErrors(t *testing.T) {
-	s := clusteredStore(10, 4, 2, 1)
-	if _, err := Assign(s, nil, Options{}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("no centers: %v", err)
-	}
-	if _, err := Assign(s, [][]float64{{1, 2}}, Options{}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("dims mismatch: %v", err)
-	}
-	for id := 0; id < 10; id++ {
-		s.Delete(id)
-	}
-	if _, err := Assign(s, [][]float64{{1, 2, 3, 4}}, Options{}); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("empty: %v", err)
-	}
-}
-
 func TestResultGroupsPartitionLiveIDs(t *testing.T) {
 	s := clusteredStore(200, 8, 4, 9)
 	s.Delete(7)

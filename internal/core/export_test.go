@@ -11,3 +11,18 @@ func KfetchCap(sc *Scratch) int { return cap(sc.kbuf) }
 // choose its first phase by the live fraction again (false), so tests can
 // hold the dense phase to the bits of the list path.
 func SetDenseDisabled(off bool) { denseDisabled = off }
+
+// FarBound is farBound: U, the smallest single-dimension tail term and
+// the rounding slack OnePass compares, up to where it stopped.
+var FarBound = farBound
+
+// TailConsts returns the tail constant a pruning attempt after p processed
+// dimensions adds to its local κ, for every p strictly inside qs's
+// processing order.
+func TailConsts(qs *Query) []float64 {
+	var out []float64
+	for p := 1; p < len(qs.order); p++ {
+		out = append(out, qs.bound(p).c)
+	}
+	return out
+}

@@ -120,6 +120,64 @@ func SegBound(v *SegmentView, q []float64, opts *Options, ds []int32, acc float6
 	return acc
 }
 
+// OnePass reports that no pruning attempt of an Eq BOND run over the segment
+// could remove a row (Section 5.2's futility test, taken from the synopsis
+// where Hq's is taken from the query): the run may then read the segment in
+// one pass in storage order, as an exact scan does, and answer the same
+// bits. ds are the query's effective dimensions (as for SegBound); kappa,
+// when hasKappa, is the κ the run would carry. The view must carry a
+// synopsis.
+//
+// With far = max(q − Lo, Hi − q), U = Σ w·far² bounds every row's partial
+// distance in any order: each row term (w·|v − q|)·|v − q| is at most
+// (w·far)·far bit for bit, since rounding is monotone, and the slack covers
+// summing in another order. A pruning attempt keeps every row whose partial
+// distance is at most min(local κ, carried κ), and the local κ is at least
+// the tail constant of the unprocessed dimensions (eqUpper, or
+// metric.WeightedTail's UpperConst), which is at least the smallest
+// single-dimension term w·max(q, 1−q)² — less the rounding of
+// UpperConst's two-sum form, which the second slack covers. So U + slack
+// at most that term less the slack, and at most the carried κ, keeps every
+// row at every step. NormalizedData's tail constant has no such floor, so
+// it is left out.
+func OnePass(v *SegmentView, q []float64, opts *Options, ds []int32, kappa float64, hasKappa bool) bool {
+	if opts.Criterion != Eq || opts.NormalizedData || len(ds) == 0 {
+		return false
+	}
+	if !hasKappa {
+		kappa = math.Inf(1)
+	}
+	u, floor, slack := farBound(v, q, opts.Weights, ds, kappa)
+	return u+slack <= min(floor-slack, kappa) // false on an Inf or NaN anywhere
+}
+
+// farBound returns, over the dimensions ds, U = Σ w·far² (w = 1 without
+// weights), the smallest single-dimension term w·max(q, 1−q)², and
+// Query.slack's rounding slack for their terms, each term rounded as the
+// run kernels round a row's. U only grows and the smallest term only
+// falls, so it stops at the first dimension that takes U past the smallest
+// term so far or past stop, where OnePass is already false: on a segment as
+// wide as the data that is the second.
+func farBound(v *SegmentView, q, w []float64, ds []int32, stop float64) (u, floor, slack float64) {
+	var mass float64
+	floor = math.Inf(1)
+	for _, d := range ds {
+		wd, qd := 1.0, q[d]
+		if len(w) > 0 {
+			wd = w[d]
+		}
+		far, m := max(qd-v.Lo[d], v.Hi[d]-qd), max(qd, 1-qd)
+		term := float64(wd * m * m)
+		u += float64(wd * far * far)
+		mass += term
+		floor = min(floor, term)
+		if u > floor || u > stop {
+			break
+		}
+	}
+	return u, floor, float64(4*(len(ds)+2)) * 0x1p-53 * mass
+}
+
 // boundTerm is one dimension's best-case contribution to a segment bound:
 // the weighted squared distance from q to the closest point of [lo, hi], or
 // the weighted min(h, q) capped by the segment's largest value.

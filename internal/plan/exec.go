@@ -71,9 +71,11 @@ type parOutcome struct {
 // lives in the Plan, so a pooled plan brings its buffers along and a worker
 // co-scheduling a group of plans holds one lane and this much per query.
 type cursor struct {
-	query      core.Query
-	queryBuilt bool // query holds this execution's state, for queryPath
-	queryPath  Path
+	// bond and exact are the engine state of BOND steps and of exact-scan
+	// steps (PathExact, and the BOND steps run in one pass), each built by
+	// the first step of the execution that needs it.
+	bond, exact           core.Query
+	bondBuilt, exactBuilt bool
 
 	vaTbl   *vafile.Table
 	vaBuilt bool // vaTbl holds this execution's bounds
@@ -92,8 +94,9 @@ type cursor struct {
 // nothing of the caller's: a pooled plan must not pin a query vector or an
 // exclusion bitmap.
 func (c *cursor) reset() {
-	c.query.Forget()
-	*c = cursor{query: c.query, vaTbl: c.vaTbl, kappa: c.kappa, steps: c.steps[:0]}
+	c.bond.Forget()
+	c.exact.Forget()
+	*c = cursor{bond: c.bond, exact: c.exact, vaTbl: c.vaTbl, kappa: c.kappa, steps: c.steps[:0]}
 }
 
 // Execute runs the plan and merges the per-segment answers into the exact
@@ -157,23 +160,19 @@ func (p *Plan) begin(ln *lane) {
 func (p *Plan) fanOut(npar int, ln *lane) error {
 	outs := grow(ln.outs, npar)[:npar]
 	ln.outs = outs
-	first := p.engineQuery(PathBOND)
 	var wg sync.WaitGroup
 	for i := 0; i < npar; i++ {
-		l, qs := ln, first
+		l, fan := ln, (*core.Query)(nil)
 		if i > 0 {
 			l = p.pool.acquireLane()
-			qs = &l.fan
+			fan = &l.fan
 		}
 		outs[i].lane = l
 		wg.Add(1)
-		go func(i int, l *lane, qs *core.Query) {
+		go func(i int, l *lane, fan *core.Query) {
 			defer wg.Done()
-			if qs == &l.fan {
-				qs.Init(p.Spec.Query, p.Opts)
-			}
-			outs[i].out = p.runEngine(&p.Steps[i], l, qs)
-		}(i, l, qs)
+			outs[i].out = p.runEngine(&p.Steps[i], l, fan)
+		}(i, l, fan)
 	}
 	wg.Wait()
 	var ferr error
@@ -480,19 +479,27 @@ func (p *Plan) pastDeadline() bool {
 }
 
 // engineQuery returns the execution's engine state for a BOND or exact-scan
-// step, built on the first such step. (No strategy plans both kinds into
-// one plan; one that did would rebuild here on every change of kind.)
+// step, built on the first such step.
 func (p *Plan) engineQuery(path Path) *core.Query {
 	c := p.cur
-	if !c.queryBuilt || c.queryPath != path {
-		if path == PathExact {
-			c.query.InitExact(p.Spec.Query, p.Opts)
-		} else {
-			c.query.Init(p.Spec.Query, p.Opts)
-		}
-		c.queryBuilt, c.queryPath = true, path
+	qs, built := &c.bond, &c.bondBuilt
+	if path == PathExact {
+		qs, built = &c.exact, &c.exactBuilt
 	}
-	return &c.query
+	if !*built {
+		p.initEngine(qs, path)
+		*built = true
+	}
+	return qs
+}
+
+// initEngine prepares qs for the query's BOND or exact-scan steps.
+func (p *Plan) initEngine(qs *core.Query, path Path) {
+	if path == PathExact {
+		qs.InitExact(p.Spec.Query, p.Opts)
+		return
+	}
+	qs.Init(p.Spec.Query, p.Opts)
 }
 
 // runStep executes one step's access path over its segment on the given
@@ -500,7 +507,7 @@ func (p *Plan) engineQuery(path Path) *core.Query {
 func (p *Plan) runStep(st *Step, ln *lane) stepOutcome {
 	switch st.Path {
 	case PathBOND, PathExact:
-		return p.runEngine(st, ln, p.engineQuery(st.Path))
+		return p.runEngine(st, ln, nil)
 
 	case PathCompressed:
 		seg := p.segs[st.Segment]
@@ -523,12 +530,27 @@ func (p *Plan) runStep(st *Step, ln *lane) stepOutcome {
 
 // runEngine is the BOND and exact-scan access path: the core engine over
 // the step's segment under the step's carried κ, which prunes candidate by
-// candidate on the BOND path and filters the final ranking on both. qs
-// says which of the two it is (Init or InitExact).
-func (p *Plan) runEngine(st *Step, ln *lane, qs *core.Query) stepOutcome {
-	src := p.segs[st.Segment].View.Src
+// candidate on the BOND path and filters the final ranking on both. A BOND
+// step whose synopsis proves that no pruning attempt could remove a row
+// (core.OnePass) runs as an exact scan instead, which answers the same
+// bits without ordering the dimensions, and is marked OnePass: this is the
+// one place that decides it, for sequential steps, a batch's groups and the
+// parallel group alike. fan is a fan-out goroutine's own engine state, or
+// nil for the cursor's.
+func (p *Plan) runEngine(st *Step, ln *lane, fan *core.Query) stepOutcome {
+	seg := &p.segs[st.Segment].View
+	path := st.Path
+	if path == PathBOND && st.HasBound && core.OnePass(seg, p.Spec.Query, &p.Opts, p.eff, st.Kappa, st.HasKappa) {
+		st.OnePass, path = true, PathExact
+	}
+	qs := fan
+	if fan == nil {
+		qs = p.engineQuery(path)
+	} else {
+		p.initEngine(fan, path)
+	}
 	exclude := core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
-	r, empty := core.SearchOneScratch(src, qs, exclude, st.Kappa, st.HasKappa, &ln.core)
+	r, empty := core.SearchOneScratch(seg.Src, qs, exclude, st.Kappa, st.HasKappa, &ln.core)
 	if empty {
 		return stepOutcome{empty: true}
 	}

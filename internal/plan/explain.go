@@ -14,9 +14,11 @@ import (
 // the κ a step met — the k-th best score the steps above it had
 // established ("-": none yet). A step whose bound cannot beat it is
 // skipped; a BOND step carries it into its pruning, which is why a late
-// segment reads a fraction of what the first one did. Every segment has a
-// line: the bounds the cursor did not need are finished here, if Execute has
-// not run yet.
+// segment reads a fraction of what the first one did. A path of
+// "bond/1pass" is a BOND segment read in one storage-order pass, because
+// its synopsis proved that no pruning attempt could remove a row. Every
+// segment has a line: the bounds the cursor did not need are finished
+// here, if Execute has not run yet.
 func (p *Plan) Explain() string {
 	if p.segs != nil {
 		p.materialize()
@@ -40,6 +42,10 @@ func (p *Plan) Explain() string {
 		if st.HasKappa {
 			kappa = fmt.Sprintf("%.4f", st.Kappa)
 		}
+		path := st.Path.String()
+		if st.OnePass {
+			path += "/1pass"
+		}
 		actual := "-"
 		cands := "-"
 		switch {
@@ -51,7 +57,7 @@ func (p *Plan) Explain() string {
 			cands = fmt.Sprintf("%d", st.Candidates)
 		}
 		fmt.Fprintf(&b, "%4d  %-10s %8d %6s %12s %12s %12.1f %12s %10s\n",
-			st.Segment, st.Path, st.N, par, bound, kappa, st.PredCost, actual, cands)
+			st.Segment, path, st.N, par, bound, kappa, st.PredCost, actual, cands)
 	}
 	searched, skipped := 0, 0
 	for i := range p.Steps {

@@ -62,6 +62,10 @@ type Step struct {
 	// dismissed the segment at run time (κ already unbeatable).
 	Executed bool
 	Skipped  bool
+	// OnePass reports that a BOND step ran as one storage-order pass: the
+	// synopsis proved that no pruning attempt could remove a row (see
+	// runEngine).
+	OnePass bool
 	// ActualCost is the measured cost in coefficient-equivalents.
 	ActualCost float64
 	// Candidates is the number of vectors surviving the step's filter

@@ -330,10 +330,12 @@ func TestReleasedPlanForgetsCallerData(t *testing.T) {
 		if p.Spec.Query != nil || p.Spec.Exclude != nil || p.Opts.Exclude != nil || p.Opts.Weights != nil {
 			t.Fatalf("%v: released plan keeps its spec", spec.Strategy)
 		}
-		q := reflect.ValueOf(&p.cur.query).Elem()
-		for _, f := range []string{"q", "opts", "weights"} {
-			if !q.FieldByName(f).IsZero() {
-				t.Errorf("%v: released plan's engine state keeps %s", spec.Strategy, f)
+		for _, qs := range []*core.Query{&p.cur.bond, &p.cur.exact} {
+			q := reflect.ValueOf(qs).Elem()
+			for _, f := range []string{"q", "opts", "weights"} {
+				if !q.FieldByName(f).IsZero() {
+					t.Errorf("%v: released plan's engine state keeps %s", spec.Strategy, f)
+				}
 			}
 		}
 	}

@@ -31,6 +31,9 @@ type faultProxy struct {
 	backend http.Handler
 	mode    atomic.Value // one of the fault constants
 	hits    atomic.Int64 // requests seen while flapping
+	// outlived counts hung requests that ran out the hang's timer instead
+	// of ending when the caller hung up.
+	outlived atomic.Int64
 
 	seenMu sync.Mutex
 	seen   map[string]int // requests by "METHOD path Content-Type"
@@ -58,10 +61,14 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case faultKill:
 		panic(http.ErrAbortHandler) // slams the connection shut
 	case faultSlow:
+		// Read the body first: net/http notices that the caller hung up,
+		// and cancels the request's context, only once the body is read.
+		io.Copy(io.Discard, r.Body)
 		select {
 		case <-r.Context().Done():
 			return
 		case <-time.After(5 * time.Second):
+			p.outlived.Add(1)
 		}
 	case faultFlap:
 		if p.hits.Add(1)%2 == 1 {
@@ -116,6 +123,13 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 		raw := httptest.NewServer(s.Handler())
 		t.Cleanup(raw.Close)
 		proxy := &faultProxy{backend: s.Handler()}
+		// Runs after front.Close, which waits for every handler: the
+		// coordinator must cancel each request it abandons on a hung shard.
+		t.Cleanup(func() {
+			if n := proxy.outlived.Load(); n > 0 {
+				t.Errorf("shard %d: %d hung requests ran out their timer instead of being cancelled", i, n)
+			}
+		})
 		front := httptest.NewServer(proxy)
 		t.Cleanup(front.Close)
 		cl.raw = append(cl.raw, raw)
