@@ -32,10 +32,10 @@
 // CompactRatioDurable, SealActiveDurable, ReclusterDurable) are
 // serialized against them by an internal RWMutex. Every search observes a
 // consistent snapshot and returns exact results.
-// SearchProgressive and AsFeature take a snapshot under the lock (sealed
-// segments are shared structurally; the small active segment is copied),
-// so the returned Progressive and Feature values may be driven after the
-// call without further locking, while writers proceed.
+// AsFeature takes a snapshot under the lock (sealed segments are shared
+// structurally; the small active segment is copied), so the returned
+// Feature may be searched after the call without further locking, while
+// writers proceed.
 //
 // # Queries and the planner
 //
@@ -115,7 +115,7 @@ type (
 	Criterion = core.Criterion
 	// Order selects the dimension processing order.
 	Order = core.Order
-	// Result is a completed progressive search with work statistics.
+	// Result is a completed search with work statistics.
 	Result = core.Result
 	// Neighbor is one scored match.
 	Neighbor = topk.Result
@@ -284,8 +284,8 @@ var unitQuantizer = quant.NewUnit()
 
 // NewCollection decomposes a row-major collection using the default
 // segment size. It panics on empty or ragged input, or on a NaN or
-// infinite coordinate (programmer error); use New plus AddBatchDurable
-// for incremental builds.
+// infinite coordinate (programmer error); use NewSegmented plus
+// AddBatchDurable for incremental builds.
 func NewCollection(vectors [][]float64) *Collection {
 	return NewCollectionSegmented(vectors, DefaultSegmentSize)
 }
@@ -301,11 +301,6 @@ func NewCollectionSegmented(vectors [][]float64, segmentSize int) *Collection {
 		}
 	}
 	return &Collection{store: vstore.SegmentedFromVectors(vectors, segmentSize)}
-}
-
-// New returns an empty collection of the given dimensionality.
-func New(dims int) *Collection {
-	return &Collection{store: vstore.NewSegmented(dims, DefaultSegmentSize)}
 }
 
 // NewSegmented returns an empty collection with an explicit segment size
@@ -738,35 +733,6 @@ func (c *Collection) QueryBatch(specs []QuerySpec) ([]QueryResult, error) {
 		return nil, fmt.Errorf("bond: batch query %d: %w", i, err)
 	}
 	return results, nil
-}
-
-// Progressive is an incremental search whose steps the caller drives,
-// with the shrinking candidate set inspectable in between.
-type Progressive = core.Progressive
-
-// SearchProgressive prepares an incremental search over a snapshot of the
-// collection; call Step until it returns false (or stop early) and Finish
-// for the exact results. The snapshot means concurrent writers do not
-// disturb (and are not seen by) the running search. The spec is validated
-// through the planner; the incremental BOND engines then advance every
-// segment in lockstep, so the spec's Strategy, Parallel, Tolerance and
-// Deadline do not apply (there is no per-segment path choice or skipping in
-// a search whose intermediate state the caller inspects). The dimensions
-// go in Query's order, so the scores are Query's bit for bit. Use Query for
-// one-shot searches.
-func (c *Collection) SearchProgressive(spec QuerySpec) (*Progressive, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := c.errIfUnmapped(); err != nil {
-		return nil, err
-	}
-	views := c.snapshotViews()
-	spec.Strategy = StrategyBOND
-	p, err := plan.New(plan.WrapViews(views), c.orderMoments(c.planView(), spec), spec, &c.pool)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewProgressive(views, spec.Query, p.Opts)
 }
 
 // AsFeature wraps a snapshot of the collection as one component of a

@@ -3,6 +3,10 @@ package bond
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
 	"math"
 	"reflect"
 	"slices"
@@ -56,7 +60,7 @@ func TestCollectionMethodSet(t *testing.T) {
 		"Query", "QueryBatch", "QueryExplain", "Recluster", "ReclusterAdvice",
 		"ReclusterDurable", "ReplChunk", "ReplPosition",
 		"ReplSnapshot", "SealActiveDurable", "SealedSpread",
-		"SearchProgressive", "StatsSnapshot", "TombstoneRatio",
+		"StatsSnapshot", "TombstoneRatio",
 		"TryDeleteDurable", "TryVector", "Vector", "WALStats",
 	}
 	typ := reflect.TypeOf(&Collection{})
@@ -67,6 +71,67 @@ func TestCollectionMethodSet(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("*Collection has %d exported methods, want %d:\ngot  %v\nwant %v", len(got), len(want), got, want)
 	}
+}
+
+// TestPublicSurface pins the package's exported top-level names — types,
+// functions, constants and variables, read from the source — so a new
+// export arrives as a reviewed change to this list, as a new method does
+// to TestCollectionMethodSet's.
+func TestPublicSurface(t *testing.T) {
+	want := []string{
+		"Aggregate", "BootstrapReplica", "ClusterOptions", "ClusterResult",
+		"Collection", "CollectionStats", "Criterion", "DefaultSegmentSize",
+		"DurabilityStats", "DurableOptions", "Eq", "ErrClosed",
+		"ErrNotDurable", "ErrReplDiverged", "ErrReplGone", "Ev", "Feature",
+		"FsyncAlways", "FsyncInterval", "FsyncNever", "FsyncPolicy", "Hh",
+		"Hq", "MaxAgg", "MinAgg", "MultiOptions", "MultiResult",
+		"MultiSearch", "Neighbor", "NewCollection", "NewCollectionSegmented",
+		"NewSegmented", "OpenDurable", "Order", "OrderNatural",
+		"OrderQueryAsc", "OrderQueryDesc", "OrderRandom", "ParseCriterion",
+		"ParseFsync", "ParseOrder", "ParseStrategy", "PlannerPoolStats",
+		"QueryPlan", "QueryResult", "QuerySpec", "QueryUsefulness", "Result",
+		"SegmentStats", "SegmentSynopsis", "Stats", "Strategy",
+		"StrategyAuto", "StrategyBOND", "StrategyCompressed",
+		"StrategyExact", "StrategyVAFile", "WeightedAvg",
+	}
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	fset := token.NewFileSet()
+	for _, name := range pkg.GoFiles {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						got = append(got, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							got = append(got, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	got = slices.DeleteFunc(got, func(n string) bool { return !ast.IsExported(n) })
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("package bond exports %d names, want %d:\ngot  %q\nwant %q", len(got), len(want), got, want)
+	}
+	t.Logf("package bond exports %d names; *Collection has %d exported methods",
+		len(got), reflect.TypeOf(&Collection{}).NumMethod())
 }
 
 func TestFacadeSearchMatchesScan(t *testing.T) {

@@ -132,7 +132,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		}()
 	}
 
-	// Searchers: plain, parallel, compressed, progressive.
+	// Searchers: plain, parallel, compressed, multi-feature over a snapshot.
 	run(func(i int) {
 		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 		if err != nil {
@@ -166,13 +166,15 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		check(t, "SearchCompressed/Hq", res.Results, compressedHq.Results)
 	})
 	run(func(i int) {
-		p, err := col.SearchProgressive(QuerySpec{Query: q, K: stressK, Criterion: Ev, Step: 3})
+		// The snapshot is taken under the lock and searched after it is
+		// released, while the mutator runs.
+		feat := col.AsFeature(q, 1)
+		res, err := MultiSearch([]Feature{feat}, MultiOptions{K: stressK, Step: 3})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		res := p.Finish()
-		check(t, "SearchProgressive/Ev", res.Results, searchEv.Results)
+		check(t, "MultiSearch/Hq", res.Results, searchHq.Results)
 	})
 
 	// Mutator: appends churn, deletes some of it, compacts periodically.

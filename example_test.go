@@ -71,17 +71,3 @@ func ExampleQueryUsefulness() {
 	// Output:
 	// skewed > uniform: true
 }
-
-// Progressive search exposes the shrinking candidate set between steps.
-func ExampleCollection_SearchProgressive() {
-	col := bond.NewCollection(fourHistograms())
-	p, err := col.SearchProgressive(bond.QuerySpec{
-		Query: []float64{0.7, 0.15, 0.1, 0.05}, K: 1, Criterion: bond.Hq, Step: 2})
-	if err != nil {
-		panic(err)
-	}
-	res := p.Finish()
-	fmt.Printf("best: id=%d of %d candidates\n", res.Results[0].ID, col.Len())
-	// Output:
-	// best: id=1 of 4 candidates
-}

@@ -139,51 +139,6 @@ func TestDensePhaseEmptiedAndSparseSegments(t *testing.T) {
 	}
 }
 
-// TestDensePhaseProgressive: an incremental search shows the same candidate
-// count, the same candidate ids and the same preview after every step in
-// either phase.
-func TestDensePhaseProgressive(t *testing.T) {
-	defer core.SetDenseDisabled(false)
-	for seed := 1; seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(int64(300 + seed)))
-		f := newCarryFixture(rng)
-		for _, spec := range f.carrySpecs(rng) {
-			label := specLabel(seed, spec)
-			_, p, err := planned(f.seg, spec)
-			if err != nil {
-				t.Fatal(label, err)
-			}
-			start := func(off bool) *core.Progressive {
-				core.SetDenseDisabled(off)
-				pr, err := core.NewProgressive(viewsOf(f.seg), spec.Query, p.Opts)
-				if err != nil {
-					t.Fatal(label, err)
-				}
-				return pr
-			}
-			dense, list := start(false), start(true)
-			for step := 0; ; step++ {
-				core.SetDenseDisabled(false)
-				dn, dc, db := dense.NumCandidates(), dense.Candidates(), dense.CurrentBest()
-				more := dense.Step()
-				core.SetDenseDisabled(true)
-				ln, lc, lb := list.NumCandidates(), list.Candidates(), list.CurrentBest()
-				if dn != ln || !reflect.DeepEqual(dc, lc) {
-					t.Fatalf("%s step %d: dense holds %d candidates %v, list %d %v", label, step, dn, dc, ln, lc)
-				}
-				sameBits(t, label, db, lb)
-				if list.Step() != more {
-					t.Fatalf("%s step %d: one search finished before the other", label, step)
-				}
-				if !more {
-					break
-				}
-			}
-			sameBits(t, label, dense.Finish().Results, list.Finish().Results)
-		}
-	}
-}
-
 // An exact scan is the engine run as one step, so it answers weighted and
 // subspace queries like BOND does (in storage order: scores agree to
 // rounding, not to the bit).

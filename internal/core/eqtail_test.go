@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bond/internal/metric"
@@ -102,6 +103,75 @@ func TestEqUpperBoundsFloatTail(t *testing.T) {
 					}
 					if got > exact+2*slack || got < exact {
 						t.Fatalf("%s: constant %v, EucTail %v, slack %v", label, got, exact, slack)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A weighted distance query's tail constant (metric.WeightedTail's
+// UpperConst, Σ w·q² plus the positive gains) rounds apart from the float
+// sum a score takes of the same terms, so it too must carry the slack. At
+// every step position, in every processing order, with weights from 1e-200
+// to 1e200 beside zeros and subspaces, it must bound every float
+// left-to-right sum of the remaining terms w·max(q, 1−q)² — each rounded as
+// the run kernels round a row's, (w·diff)·diff at the far vertex — in the
+// processing order and in random ones. The first two cases are ones the
+// constant without the slack rounds one ulp under.
+func TestWeightedUpperBoundsFloatTail(t *testing.T) {
+	type tc struct{ q, w []float64 }
+	cases := []tc{
+		{[]float64{0.23226844625010476}, []float64{1e-8}},
+		{[]float64{0.47751537726231785}, []float64{1e-200}},
+		{[]float64{0.5, 0.23226844625010476, 0.47751537726231785}, []float64{0, 1e-8, 1e-200}},
+	}
+	rng := rand.New(rand.NewSource(42))
+	special := []float64{0, math.Copysign(0, -1), 1, 0.5}
+	extreme := []float64{0, 1e-200, 1e-8, 1, 3, 1e8, 1e200}
+	for len(cases) < 600 {
+		dims := 1 + rng.Intn(24)
+		c := tc{make([]float64, dims), make([]float64, dims)}
+		for d := range c.q {
+			c.q[d] = rng.Float64()
+			if rng.Intn(3) == 0 {
+				c.q[d] = special[rng.Intn(len(special))]
+			}
+			c.w[d] = extreme[rng.Intn(len(extreme))]
+			if len(cases)%3 == 0 {
+				c.w[d] = rng.Float64()
+			}
+		}
+		cases = append(cases, c)
+	}
+	for i, c := range cases {
+		for _, crit := range []Criterion{Eq, Ev} {
+			for o := Order(0); o < 4; o++ {
+				opts := Options{K: 1, Criterion: crit, Order: o, Seed: int64(i), Weights: c.w}
+				if i%4 == 3 { // a subspace: 0/1 weights synthesized from Dims
+					opts.Weights, opts.Dims = nil, rng.Perm(len(c.q))[:1+rng.Intn(len(c.q))]
+				}
+				var qs Query
+				qs.Init(c.q, opts)
+				for p := 0; p < len(qs.order); p++ {
+					got := qs.bound(p).c
+					rest := slices.Clone(qs.order[p:])
+					for r := 0; r < 8; r++ {
+						if r > 0 {
+							rng.Shuffle(len(rest), func(a, b int) { rest[a], rest[b] = rest[b], rest[a] })
+						}
+						s := 0.0
+						for _, d := range rest {
+							diff := 1 - c.q[d]
+							if c.q[d] >= 0.5 {
+								diff = -c.q[d]
+							}
+							s += qs.weights[d] * diff * diff
+						}
+						if got < s {
+							t.Fatalf("case %d %v order %v p=%d: constant %v (%x) below the float tail %v (%x) (q %v, w %v, dims %v)",
+								i, crit, o, p, got, math.Float64bits(got), s, math.Float64bits(s), c.q, qs.weights, opts.Dims)
+						}
 					}
 				}
 			}

@@ -29,7 +29,7 @@ func Search(s Source, q []float64, opts Options) (Result, error) {
 		return Result{}, ErrNoCandidates
 	}
 	e.run()
-	res := e.finish(qs.canonical)
+	res := e.finish()
 	res.Stats.SegmentsSearched = 1
 	return res, nil
 }
@@ -216,7 +216,9 @@ func (qs *Query) bound(p int) *tailBound {
 			}
 			tbl = b.wt
 		}
-		b.c = tbl.Reset(qt, wt).UpperConst()
+		// Σ w·q² plus the gains rounds apart from a score's float sum of
+		// its w·max(q, 1−q)² terms, so it gets eqUpper's slack.
+		b.c = tbl.Reset(qt, wt).UpperConst() + qs.slack
 	default:
 		if b.euc == nil {
 			b.euc = new(metric.EucTail)
@@ -394,45 +396,37 @@ func newEngine(s Source, qs *Query, exclude *bitmap.Bitmap, kappa float64, hasKa
 }
 
 // run is the Algorithm 2 loop: accumulate a batch of m columns, derive
-// bounds, prune, repeat. Once the candidate set is down to k, the loop
-// keeps accumulating (each remaining column is read for only k vectors,
-// via positional lookup) so the returned scores are exact. Under a carried
-// κ the set can shrink below k, to nothing: the loop then stops reading.
-func (e *engine) run() {
-	total := len(e.qs.order)
-	step := e.qs.opts.Step
-	for processed := 0; processed < total && e.live > 0; {
-		processed, step = e.stepOnce(processed, step)
-	}
-	e.stats.FinalCandidates = e.live
-}
-
-// stepOnce executes one iteration of the loop: accumulate a batch, then
-// prune (unless the columns are exhausted, or the candidate set is already
-// at k and no carried κ could shrink it further). It returns the new
-// position and the next stride, which AdaptiveStep may have widened
+// bounds, prune (unless the columns are exhausted, or the candidate set is
+// already at k and no carried κ could shrink it further), repeat. Once the
+// candidate set is down to k, the loop keeps accumulating (each remaining
+// column is read for only k vectors, via positional lookup) so the returned
+// scores are exact. Under a carried κ the set can shrink below k, to
+// nothing: the loop then stops reading. AdaptiveStep may widen the stride
 // (Section 5.2's dynamic-m variant: once a pruning attempt removes almost
 // nothing, the per-step overhead no longer pays, so the stride doubles; a
 // productive step resets it).
-func (e *engine) stepOnce(processed, step int) (int, int) {
+func (e *engine) run() {
 	opts := &e.qs.opts
 	total := len(e.qs.order)
-	next := min(processed+step, total)
-	e.accumulate(processed, next)
-	if next >= total || (e.live <= e.k && !e.hasKappa) {
-		return next, step
-	}
-	before := e.live
-	e.pruneStep(next)
-	if opts.AdaptiveStep {
-		prunedFrac := float64(before-e.live) / float64(before)
-		if prunedFrac < adaptiveThreshold {
-			step *= 2
-		} else {
-			step = opts.Step
+	step := opts.Step
+	for processed := 0; processed < total && e.live > 0; {
+		next := min(processed+step, total)
+		e.accumulate(processed, next)
+		processed = next
+		if next >= total || (e.live <= e.k && !e.hasKappa) {
+			continue
+		}
+		before := e.live
+		e.pruneStep(next)
+		if opts.AdaptiveStep {
+			if float64(before-e.live)/float64(before) < adaptiveThreshold {
+				step *= 2
+			} else {
+				step = opts.Step
+			}
 		}
 	}
-	return next, step
+	e.stats.FinalCandidates = e.live
 }
 
 // accBlock is the candidate-block width of the list phase's accumulation
@@ -714,12 +708,11 @@ func (e *engine) appendStep(stat StepStat) {
 // finish ranks the surviving candidates by their now-exact scores. A
 // value-only kfetch (and the carried κ) first tells which of them can rank
 // at all, so the id-carrying heap sees about k candidates, ties included,
-// rather than every survivor. With canonical (qs.canonical, once every
-// dimension is summed) it sees them with their distance summed in storage
-// order (canonicalRows), and the κ they must reach is widened by the
-// slack. The result list is scratch-backed: valid until the Scratch's next
-// search.
-func (e *engine) finish(canonical bool) Result {
+// rather than every survivor. Under qs.canonical it sees them with their
+// distance summed in storage order (canonicalRows), and the κ they must
+// reach is widened by the slack. The result list is scratch-backed: valid
+// until the Scratch's next search.
+func (e *engine) finish() Result {
 	sc, qs := e.sc, e.qs
 	dist := qs.opts.Criterion.Distance()
 	kappa := e.kappa
@@ -733,7 +726,7 @@ func (e *engine) finish(canonical bool) Result {
 			kappa = local
 		}
 	}
-	if canonical {
+	if qs.canonical {
 		kappa += qs.slack
 	}
 	rows, scores := sc.rows[:0], sc.rowScores[:0]
@@ -750,7 +743,7 @@ func (e *engine) finish(canonical bool) Result {
 			}
 		}
 	}
-	if canonical && len(rows) > 0 {
+	if qs.canonical && len(rows) > 0 {
 		e.canonicalRows(rows, scores)
 	}
 	sc.rows, sc.rowScores = rows, scores
@@ -799,20 +792,4 @@ func (e *engine) canonicalRows(rows []int, scores []float64) {
 	for d := range qs.q {
 		add(d)
 	}
-}
-
-// candidates appends the ids still in play, ascending, shifted by base.
-func (e *engine) candidates(dst []int, base int) []int {
-	if e.dense {
-		for r, s := range e.score {
-			if s != e.none {
-				dst = append(dst, r+base)
-			}
-		}
-		return dst
-	}
-	for _, id := range e.cands {
-		dst = append(dst, id+base)
-	}
-	return dst
 }

@@ -228,7 +228,7 @@ func SearchOneScratch(src Source, qs *Query, exclude *bitmap.Bitmap, kappa float
 		return Result{}, true
 	}
 	e.run()
-	return e.finish(qs.canonical), false
+	return e.finish(), false
 }
 
 // RebaseInPlace shifts segment-local result ids to global ids by mutating
@@ -257,20 +257,4 @@ func ValidateSegments(n int, view func(int) *SegmentView, q []float64, opts *Opt
 		lo, hi = m.lo, m.hi
 	}
 	return opts.validateShape(m.dims, m.n, lo, hi, q)
-}
-
-// mergeStats folds one segment's work statistics into the aggregate.
-// Steps are concatenated in processing order, tagged with the segment
-// index they ran in; DimsUntilK keeps the worst (largest) per-segment
-// value.
-func mergeStats(dst *Stats, src Stats, segment int) {
-	dst.ValuesScanned += src.ValuesScanned
-	dst.FinalCandidates += src.FinalCandidates
-	for _, st := range src.Steps {
-		st.Segment = segment
-		dst.Steps = append(dst.Steps, st)
-	}
-	if src.DimsUntilK > dst.DimsUntilK {
-		dst.DimsUntilK = src.DimsUntilK
-	}
 }

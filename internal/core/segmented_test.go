@@ -239,35 +239,6 @@ func TestSearchParallelRangeShardsMatchSearch(t *testing.T) {
 	}
 }
 
-func TestProgressiveSegmentsMatchesFlat(t *testing.T) {
-	flat, seg := segFixture(420, 24, 90, 41)
-	views := viewsOf(seg)
-	q := dataset.CorelLike(1, 24, 12)[0]
-	for _, crit := range []core.Criterion{core.Hq, core.Ev} {
-		opts := core.Options{K: 6, Criterion: crit, Step: 5}
-		want, err := core.Search(flat, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := core.NewProgressive(views, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps := 0
-		for p.Step() {
-			steps++
-			if p.NumCandidates() < opts.K {
-				t.Fatalf("candidate set fell below k mid-search")
-			}
-		}
-		res := p.Finish()
-		identicalResults(t, "progressive-"+crit.String(), res.Results, want.Results)
-		if steps == 0 {
-			t.Fatal("progressive finished without stepping")
-		}
-	}
-}
-
 func TestCompressedSegmentsMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(560, 24, 128, 51)
 	q := dataset.CorelLike(1, 24, 4)[0]

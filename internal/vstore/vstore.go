@@ -329,7 +329,7 @@ type QuantStore struct {
 
 // Clone returns a deep copy that shares no mutable state with the
 // receiver — the snapshot primitive behind the collection's lock-free
-// progressive searches and multi-feature snapshots.
+// multi-feature snapshots.
 func (s *Store) Clone() *Store {
 	c := New(s.dims)
 	c.n = s.n

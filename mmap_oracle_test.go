@@ -180,9 +180,9 @@ func TestQueryAllocationBudgetMmap(t *testing.T) {
 }
 
 // Every place a segment's synopsis reaches the engine — the memoized planner
-// list, and the snapshot views SearchProgressive and AsFeature search after
-// the lock is gone — carries the store's own min/max, heap-backed or
-// memory-mapped, and so bounds a query to the same bits. The snapshot's copy
+// list, and the snapshot views AsFeature searches after the lock is gone —
+// carries the store's own min/max, heap-backed or memory-mapped, and so
+// bounds a query to the same bits. The snapshot's copy
 // of the active segment brings its own synopsis and stays as it was when a
 // later add widens the live one.
 func TestSynopsisViewsHeapAndMmap(t *testing.T) {

@@ -64,7 +64,7 @@ func assertMatchesOracle(t *testing.T, label string, got []topk.Result, want []t
 // randomized data, segment layouts, deletions, and queries, every plan
 // the planner can emit — each strategy forced in turn, plus auto and the
 // parallel fan-out — returns results identical to the sequential-scan
-// oracle, as do SearchProgressive and MultiSearch.
+// oracle, as does MultiSearch.
 func TestPlannerStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -151,11 +151,6 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 				t.Fatalf("trial %d %v/bond-parallel: %v", trial, crit, err)
 			}
 			assertMatchesOracle(t, crit.String()+"/bond-parallel", res.Results, want)
-			prog, err := col.SearchProgressive(QuerySpec{Query: q, K: k, Criterion: crit})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertMatchesOracle(t, crit.String()+"/SearchProgressive", prog.Finish().Results, want)
 			if crit == Hq {
 				// A single weight-1 histogram feature aggregates to the
 				// plain intersection score.

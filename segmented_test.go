@@ -59,16 +59,6 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 				t.Fatalf("%v parallel rank %d: %+v, want %+v", crit, i, par.Results[i], want.Results[i])
 			}
 		}
-		p, err := segd.SearchProgressive(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog := p.Finish()
-		for i := range want.Results {
-			if prog.Results[i] != want.Results[i] {
-				t.Fatalf("%v progressive rank %d: %+v, want %+v", crit, i, prog.Results[i], want.Results[i])
-			}
-		}
 	}
 	for _, crit := range []Criterion{Hq, Eq} {
 		spec := QuerySpec{Query: q, K: 8, Criterion: crit, Strategy: StrategyCompressed}
