@@ -522,17 +522,3 @@ func BenchmarkQuerySkipClustered(b *testing.B) {
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
 	b.ReportMetric(float64(attempts)/float64(b.N), "prune-attempts/query")
 }
-
-// BenchmarkCollectionSearchParallelSegments measures the per-segment
-// parallel path on the facade.
-func BenchmarkCollectionSearchParallelSegments(b *testing.B) {
-	vs := dataset.CorelLike(20000, 64, 7)
-	col := NewCollectionSegmented(vs, 2500)
-	q := vs[17]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := col.Query(QuerySpec{Query: q, K: 10, Criterion: Hq, Strategy: StrategyBOND, Parallel: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -137,7 +137,7 @@ type (
 
 	// QuerySpec is the single query description every search reduces to:
 	// query vector, k, metric, weights/subspace, tolerance, deadline, and
-	// strategy/parallelism hints. See Collection.Query.
+	// a strategy hint. See Collection.Query.
 	QuerySpec = plan.Spec
 	// QueryResult is a completed planned query: the exact top-k and merged
 	// work statistics.
@@ -153,9 +153,11 @@ type (
 // Access-path strategies for QuerySpec.Strategy.
 const (
 	// StrategyAuto picks the access path per segment by predicted cost.
-	// The default; at the planner's fixed priors it runs BOND throughout.
+	// The default; at the planner's fixed priors it runs BOND throughout,
+	// so it plans exactly as StrategyBOND does.
 	StrategyAuto = plan.Auto
-	// StrategyBOND forces plain BOND on every segment.
+	// StrategyBOND forces plain BOND on every segment, which is also
+	// StrategyAuto's plan while the cost model prefers no other path.
 	StrategyBOND = plan.ForceBOND
 	// StrategyCompressed forces 8-bit filter-and-refine on sealed
 	// segments (exact scan on the active one).

@@ -8,8 +8,10 @@ import (
 	"go/parser"
 	"go/token"
 	"math"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,6 +134,57 @@ func TestPublicSurface(t *testing.T) {
 	}
 	t.Logf("package bond exports %d names; *Collection has %d exported methods",
 		len(got), reflect.TypeOf(&Collection{}).NumMethod())
+}
+
+// TestQuerySpecFields pins the query settings: the fields of QuerySpec and
+// the JSON keys of its wire form, api.QuerySpec (read from the source, as
+// package api imports this one), so a new setting arrives as a reviewed
+// change to one of these lists.
+func TestQuerySpecFields(t *testing.T) {
+	wantFields := []string{
+		"Query", "K", "Criterion", "Order", "Step", "Weights", "Dims",
+		"Exclude", "Strategy", "Tolerance", "Deadline",
+	}
+	wantKeys := []string{
+		"query", "id", "k", "criterion", "order", "step", "weights", "dims",
+		"strategy", "tolerance", "timeout_ms", "policy",
+	}
+	typ := reflect.TypeOf(QuerySpec{})
+	var fields []string
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.IsExported() {
+			fields = append(fields, f.Name)
+		}
+	}
+	if !slices.Equal(fields, wantFields) {
+		t.Errorf("QuerySpec has %d exported fields, want %d:\ngot  %q\nwant %q", len(fields), len(wantFields), fields, wantFields)
+	}
+
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "api", "wire.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "QuerySpec" {
+			return true
+		}
+		for _, field := range ts.Type.(*ast.StructType).Fields.List {
+			if field.Tag == nil {
+				t.Errorf("api.QuerySpec.%s has no json tag", field.Names[0].Name)
+				continue
+			}
+			tag, _ := strconv.Unquote(field.Tag.Value)
+			key, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+			keys = append(keys, key)
+		}
+		return false
+	})
+	if !slices.Equal(keys, wantKeys) {
+		t.Errorf("api.QuerySpec has %d JSON keys, want %d:\ngot  %q\nwant %q", len(keys), len(wantKeys), keys, wantKeys)
+	}
+	t.Logf("QuerySpec has %d fields; api.QuerySpec %d JSON keys", len(fields), len(keys))
 }
 
 func TestFacadeSearchMatchesScan(t *testing.T) {

@@ -132,7 +132,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 		}()
 	}
 
-	// Searchers: plain, parallel, compressed, multi-feature over a snapshot.
+	// Searchers: plain, compressed, multi-feature over a snapshot.
 	run(func(i int) {
 		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
 		if err != nil {
@@ -148,14 +148,6 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 			return
 		}
 		check(t, "Search/Ev", res.Results, searchEv.Results)
-	})
-	run(func(i int) {
-		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND, Parallel: 4})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		check(t, "SearchParallel/Hq", res.Results, searchHq.Results)
 	})
 	run(func(i int) {
 		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})

@@ -181,11 +181,10 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 			})
 		}
 	}
-	// One group also carries a fan-out query, a query whose deadline is far
-	// off, one whose deadline has passed (no segment runs: truncated, empty),
-	// the compressed and VA-File paths, and a K above any segment's size.
+	// One group also carries a query whose deadline is far off, one whose
+	// deadline has passed (no segment runs: truncated, empty), the
+	// compressed and VA-File paths, and a K above any segment's size.
 	specs = append(specs,
-		QuerySpec{Query: vectors[5], K: 4, Criterion: Eq, Strategy: StrategyBOND, Parallel: 3},
 		QuerySpec{Query: vectors[6], K: 4, Criterion: Hq, Strategy: StrategyBOND, Deadline: time.Now().Add(time.Hour)},
 		QuerySpec{Query: vectors[7], K: 4, Criterion: Eq, Strategy: StrategyBOND, Deadline: time.Now().Add(-time.Second)},
 		QuerySpec{Query: vectors[8], K: 4, Criterion: Eq, Strategy: StrategyCompressed},

@@ -81,7 +81,7 @@ var requestBodies = []string{
 	`{"vectors":[[0.1,0.2,0.3],[0.4,0.5,0.6],[]]}`,
 	`{"vector":[1,2,3]}`,
 	`{"vector":[1,2,3],"vectors":[[1,2,3]]}`,
-	`{"id":42,"k":5,"order":"asc","step":4,"weights":[1,0,0.5],"dims":[0,2],"parallel":2,"tolerance":0.01,"timeout_ms":250,"policy":"partial"}`,
+	`{"id":42,"k":5,"order":"asc","step":4,"weights":[1,0,0.5],"dims":[0,2],"strategy":"exact","tolerance":0.01,"timeout_ms":250,"policy":"partial"}`,
 	` { "query" : [ 1 , 2 ] , "k" : 1 } ` + "\n",
 	`{}`, `[]`, `null`, ``, ` `, `{`, `}`, `{"k":1}{"k":2}`, `{"k":1} trailing`,
 	`{"k":1,}`, `{"k":1 "step":2}`, `{"k"}`, `{"k":}`, `{,"k":1}`, `{"query":[1,]}`, `{"query":[,1]}`,
@@ -262,7 +262,6 @@ func randSpec(rng *rand.Rand) QuerySpec {
 		Step:      rng.Intn(3),
 		Dims:      randInts(rng),
 		Strategy:  randStrings[rng.Intn(len(randStrings))],
-		Parallel:  rng.Intn(3),
 		TimeoutMs: rng.Intn(3) * 100,
 		Policy:    randStrings[rng.Intn(len(randStrings))],
 	}

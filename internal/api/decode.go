@@ -510,18 +510,15 @@ func (d *decoder) querySpec(s *QuerySpec) bool {
 		case "strategy":
 			s.Strategy, ok = d.str()
 			return 1 << 8, ok
-		case "parallel":
-			s.Parallel, ok = d.int()
-			return 1 << 9, ok
 		case "tolerance":
 			s.Tolerance, ok = d.float()
-			return 1 << 10, ok
+			return 1 << 9, ok
 		case "timeout_ms":
 			s.TimeoutMs, ok = d.int()
-			return 1 << 11, ok
+			return 1 << 10, ok
 		case "policy":
 			s.Policy, ok = d.str()
-			return 1 << 12, ok
+			return 1 << 11, ok
 		}
 		return 0, false
 	})

@@ -175,7 +175,6 @@ func appendQuerySpec(b []byte, s *QuerySpec) ([]byte, bool) {
 	if b, ok = appendStringField(b, `,"strategy":`, s.Strategy); !ok {
 		return b, false
 	}
-	b = appendIntField(b, `,"parallel":`, s.Parallel)
 	if s.Tolerance != 0 {
 		b = append(b, `,"tolerance":`...)
 		if b, ok = appendFloat(b, s.Tolerance); !ok {

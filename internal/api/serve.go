@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"bond"
@@ -128,7 +130,6 @@ func ToSpec(wq *QuerySpec, vector func(id int) ([]float64, error)) (bond.QuerySp
 		Step:      wq.Step,
 		Weights:   wq.Weights,
 		Dims:      wq.Dims,
-		Parallel:  wq.Parallel,
 		Tolerance: wq.Tolerance,
 	}
 	switch {
@@ -264,7 +265,9 @@ func NewMux(b Backend, maxBodyBytes int64, logf func(format string, args ...any)
 	}))
 	// EXPLAIN: POST takes the query endpoint's JSON spec, GET
 	// query-by-example parameters (?id=17&k=10&criterion=Hq&strategy=auto&
-	// order=desc&step=8&parallel=2) for curl-friendly inspection.
+	// order=desc&step=8) for curl-friendly inspection. A GET naming a
+	// parameter explainParams does not read is refused before the backend
+	// admits the route, so a node and a coordinator answer it alike.
 	explain := h.collection(OpExplain, func(w http.ResponseWriter, r *http.Request, name string) (any, error) {
 		var spec QuerySpec
 		var err error
@@ -278,7 +281,13 @@ func NewMux(b Backend, maxBodyBytes int64, logf func(format string, args ...any)
 		}
 		return b.Explain(r.Context(), name, &spec)
 	})
-	mux.HandleFunc("GET /collections/{name}/explain", explain)
+	mux.HandleFunc("GET /collections/{name}/explain", func(w http.ResponseWriter, r *http.Request) {
+		if err := unknownParam(r); err != nil {
+			h.answer(w, 0, nil, err)
+			return
+		}
+		explain(w, r)
+	})
 	mux.HandleFunc("POST /collections/{name}/explain", explain)
 	// An empty body asks for the defaults.
 	mux.HandleFunc("POST /collections/{name}/recluster", h.collection(OpRecluster, func(w http.ResponseWriter, r *http.Request, name string) (any, error) {
@@ -370,6 +379,26 @@ func pathID(r *http.Request) (int, error) {
 	return id, nil
 }
 
+// unknownParam is a 400 naming the first GET parameter explainParams does
+// not read, as an unknown key of a POST body is: a misspelt setting must
+// not answer as if it were absent.
+func unknownParam(r *http.Request) error {
+	for raw := range strings.SplitSeq(r.URL.RawQuery, "&") {
+		key, _, _ := strings.Cut(raw, "=")
+		if k, err := url.QueryUnescape(key); err == nil {
+			key = k
+		}
+		switch key {
+		case "id", "k", "step", "criterion", "order", "strategy":
+		default:
+			if raw != "" {
+				return Errorf(http.StatusBadRequest, "unknown parameter %q", key)
+			}
+		}
+	}
+	return nil
+}
+
 // explainParams lifts GET query parameters into the wire spec.
 func explainParams(r *http.Request) (QuerySpec, error) {
 	q := r.URL.Query()
@@ -391,7 +420,7 @@ func explainParams(r *http.Request) (QuerySpec, error) {
 	for _, p := range []struct {
 		name string
 		dst  *int
-	}{{"k", &wq.K}, {"step", &wq.Step}, {"parallel", &wq.Parallel}} {
+	}{{"k", &wq.K}, {"step", &wq.Step}} {
 		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {

@@ -25,7 +25,6 @@ func TestEveryQuerySpecFieldIsReachable(t *testing.T) {
 		"Weights":   {ID: &id, K: 1, Weights: []float64{1, 2}},
 		"Dims":      {ID: &id, K: 1, Dims: []int{1}},
 		"Strategy":  {ID: &id, K: 1, Strategy: "bond"},
-		"Parallel":  {ID: &id, K: 1, Parallel: 2},
 		"Tolerance": {ID: &id, K: 1, Tolerance: 0.1},
 		"Deadline":  {ID: &id, K: 1, TimeoutMs: 50},
 	}

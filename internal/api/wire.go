@@ -70,7 +70,6 @@ type QuerySpec struct {
 	Weights   []float64 `json:"weights,omitempty"`
 	Dims      []int     `json:"dims,omitempty"`
 	Strategy  string    `json:"strategy,omitempty"`
-	Parallel  int       `json:"parallel,omitempty"`
 	Tolerance float64   `json:"tolerance,omitempty"`
 	// TimeoutMs maps onto QuerySpec.Deadline relative to request arrival.
 	// On the coordinator it is the whole fan-out's budget; the remaining

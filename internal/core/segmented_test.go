@@ -145,88 +145,46 @@ func TestPlannedSegmentsWeightedSubspaceExclude(t *testing.T) {
 	}
 }
 
-func TestPlannedSegmentsParallelMatchesFlat(t *testing.T) {
-	flat, seg := segFixture(640, 16, 100, 21)
-	q := dataset.CorelLike(1, 16, 3)[0]
-	nonEmpty := 0
-	for _, g := range seg.Segments() {
-		if g.Len() > 0 {
-			nonEmpty++
-		}
-	}
-	for _, crit := range []core.Criterion{core.Hq, core.Ev} {
-		got, want := plannedAndFlat(t, crit.String(), flat, seg,
-			plan.Spec{Query: q, K: 10, Criterion: crit, Strategy: plan.ForceBOND, Parallel: 4})
-		identicalResults(t, "parallel-"+crit.String(), got.Results, want.Results)
-		// The fan-out group starts before any κ exists: nothing is skipped.
-		if got.Stats.SegmentsSearched != nonEmpty {
-			t.Fatalf("searched %d segments, want %d", got.Stats.SegmentsSearched, nonEmpty)
-		}
-	}
-}
-
-func TestSearchParallelMatchesSerial(t *testing.T) {
-	_, seg := segFixture(2000, 64, 300, 1234)
-	queries := dataset.CorelLike(4, 64, 71)
-	for _, crit := range []core.Criterion{core.Hq, core.Ev} {
-		for _, q := range queries {
-			spec := plan.Spec{Query: q, K: 10, Criterion: crit, Strategy: plan.ForceBOND}
-			ser, _, err := planned(seg, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, par := range []int{1, 2, 3, 7} {
-				spec.Parallel = par
-				got, _, err := planned(seg, spec)
-				if err != nil {
-					t.Fatalf("parallel=%d %v: %v", par, crit, err)
-				}
-				identicalResults(t, crit.String(), got.Results, ser.Results)
-			}
-		}
-	}
-}
-
-func TestSearchParallelMoreShardsThanVectors(t *testing.T) {
+func TestPlannedSegmentsSmallerThanK(t *testing.T) {
 	vs := dataset.CorelLike(5, 8, 1)
 	got, want := plannedAndFlat(t, "tiny", vstore.FromVectors(vs), vstore.SegmentedFromVectors(vs, 2),
-		plan.Spec{Query: vs[0], K: 3, Strategy: plan.ForceBOND, Parallel: 64})
+		plan.Spec{Query: vs[0], K: 3, Strategy: plan.ForceBOND})
 	identicalResults(t, "tiny", got.Results, want.Results)
 }
 
-func TestSearchParallelRespectsExclude(t *testing.T) {
+func TestPlannedSegmentsRespectExclude(t *testing.T) {
 	vs := dataset.CorelLike(100, 16, 2)
 	excl := bitmap.New(100)
 	excl.Set(0)
 	res, _, err := planned(vstore.SegmentedFromVectors(vs, 30),
-		plan.Spec{Query: vs[0], K: 1, Exclude: excl, Strategy: plan.ForceBOND, Parallel: 4})
+		plan.Spec{Query: vs[0], K: 1, Exclude: excl, Strategy: plan.ForceBOND})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Results[0].ID == 0 {
-		t.Error("excluded id returned by parallel search")
+		t.Error("excluded id returned")
 	}
 }
 
-func TestSearchParallelAllExcluded(t *testing.T) {
+func TestPlannedSegmentsAllExcluded(t *testing.T) {
 	vs := dataset.CorelLike(10, 8, 3)
 	_, _, err := planned(vstore.SegmentedFromVectors(vs, 4),
-		plan.Spec{Query: vs[0], K: 1, Exclude: bitmap.NewFull(10), Strategy: plan.ForceBOND, Parallel: 4})
+		plan.Spec{Query: vs[0], K: 1, Exclude: bitmap.NewFull(10), Strategy: plan.ForceBOND})
 	if !errors.Is(err, core.ErrNoCandidates) {
 		t.Errorf("err = %v, want ErrNoCandidates", err)
 	}
 }
 
-func TestSearchParallelBadOptions(t *testing.T) {
+func TestPlannedSegmentsBadOptions(t *testing.T) {
 	vs := dataset.CorelLike(10, 8, 3)
 	_, _, err := planned(vstore.SegmentedFromVectors(vs, 4),
-		plan.Spec{Query: vs[0], K: 0, Strategy: plan.ForceBOND, Parallel: 4})
+		plan.Spec{Query: vs[0], K: 0, Strategy: plan.ForceBOND})
 	if !errors.Is(err, core.ErrBadK) {
 		t.Errorf("err = %v, want ErrBadK", err)
 	}
 }
 
-func TestSearchParallelRangeShardsMatchSearch(t *testing.T) {
+func TestPlannedSegmentsExcludeMatchesFlat(t *testing.T) {
 	flat, seg := segFixture(530, 16, 100, 31)
 	q := dataset.CorelLike(1, 16, 8)[0]
 	excl := bitmap.New(flat.Len())
@@ -234,8 +192,8 @@ func TestSearchParallelRangeShardsMatchSearch(t *testing.T) {
 	excl.Set(333)
 	for _, crit := range []core.Criterion{core.Hq, core.Hh, core.Eq, core.Ev} {
 		got, want := plannedAndFlat(t, crit.String(), flat, seg,
-			plan.Spec{Query: q, K: 8, Criterion: crit, Exclude: excl, Strategy: plan.ForceBOND, Parallel: 4})
-		identicalResults(t, "shards-"+crit.String(), got.Results, want.Results)
+			plan.Spec{Query: q, K: 8, Criterion: crit, Exclude: excl, Strategy: plan.ForceBOND})
+		identicalResults(t, "exclude-"+crit.String(), got.Results, want.Results)
 	}
 }
 

@@ -128,7 +128,7 @@ func executeGroup(plans []*Plan, results []Result) (int, error) {
 	ln := plans[0].pool.acquireLane()
 	defer plans[0].pool.releaseLane(ln)
 	for _, p := range plans {
-		p.begin(ln)
+		p.begin()
 	}
 	for {
 		next := -1

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bond/internal/core"
@@ -37,11 +36,10 @@ type stepOutcome struct {
 
 // lane is the segment-sized half of the executor's reusable state: the
 // engine scratch every access path runs on (row-indexed scores, candidate
-// lists, heaps), the VA-File filter scratch and refinement staging, and the
-// parallel fan-out staging. A lane runs one step at a time and keeps
-// nothing of it once the step is folded, so one lane serves every step of a
-// query, and every query of a QueryBatch worker's group. The Pool keeps a
-// free list of them.
+// lists, heaps) and the VA-File filter scratch and refinement staging. A
+// lane runs one step at a time and keeps nothing of it once the step is
+// folded, so one lane serves every step of a query, and every query of a
+// QueryBatch worker's group. The Pool keeps a free list of them.
 type lane struct {
 	core core.Scratch
 
@@ -49,19 +47,6 @@ type lane struct {
 	vaScore []float64     // VA refinement scores
 	vaOut   *topk.Heap    // VA refinement ranking heap
 	vaRes   []topk.Result // VA refinement result staging
-
-	outs []parOutcome // parallel fan-out staging
-
-	// fan is the BOND state a fan-out goroutine other than the first builds
-	// for itself: a core.Query serves one goroutine at a time.
-	fan core.Query
-}
-
-// parOutcome is one parallel step's outcome with the lane that produced it
-// (released after folding).
-type parOutcome struct {
-	out  stepOutcome
-	lane *lane
 }
 
 // cursor is the query-sized half: where one plan's execution stands and
@@ -100,14 +85,14 @@ func (c *cursor) reset() {
 }
 
 // Execute runs the plan and merges the per-segment answers into the exact
-// global top-k. The parallel fan-out group runs first (concurrently); the
-// sequential tail then runs best-bound-first with synopsis skipping against
-// the running κ. A forced-BOND plan's results are byte-identical to core.Search over
-// the concatenated collection.
+// global top-k. The steps run one after another on one lane, in plan
+// order, with synopsis skipping against the running κ. A forced-BOND
+// plan's results are byte-identical to core.Search over the concatenated
+// collection.
 func Execute(p *Plan) (Result, error) {
 	ln := p.pool.acquireLane()
 	defer p.pool.releaseLane(ln)
-	for p.begin(ln); !p.cur.done; {
+	for p.begin(); !p.cur.done; {
 		p.step(ln)
 	}
 	return p.finish()
@@ -122,11 +107,9 @@ func (p *Plan) pending() (segment int, ok bool) {
 	return p.Steps[p.cur.next].Segment, true
 }
 
-// begin starts the execution: it runs the parallel fan-out group, if the
-// plan has one (no skipping — all its segments start before any κ exists —
-// but its answers seed κ for the rest), and moves the cursor to the first
-// sequential step the running κ does not dismiss.
-func (p *Plan) begin(ln *lane) {
+// begin starts the execution: it moves the cursor to the first step the
+// running κ does not dismiss.
+func (p *Plan) begin() {
 	if p.cur == nil {
 		p.cur = new(cursor)
 	}
@@ -136,64 +119,7 @@ func (p *Plan) begin(ln *lane) {
 		c.kappa = topk.NewLargest(p.Opts.K)
 	}
 	c.kappa.Reset(p.Opts.K, !p.Opts.Criterion.Distance())
-
-	npar := 0
-	for npar < len(p.Steps) && p.Steps[npar].Parallel {
-		npar++
-	}
-	c.next = npar
-	switch {
-	case npar > 0 && p.pastDeadline():
-		p.Truncated, c.done = true, true
-		return
-	case npar > 0:
-		if c.err = p.fanOut(npar, ln); c.err != nil {
-			c.done = true
-			return
-		}
-	}
 	p.advance()
-}
-
-// fanOut runs the first npar steps concurrently, each on its own lane (the
-// first on ln), and folds their outcomes in step order.
-func (p *Plan) fanOut(npar int, ln *lane) error {
-	outs := grow(ln.outs, npar)[:npar]
-	ln.outs = outs
-	var wg sync.WaitGroup
-	for i := 0; i < npar; i++ {
-		l, fan := ln, (*core.Query)(nil)
-		if i > 0 {
-			l = p.pool.acquireLane()
-			fan = &l.fan
-		}
-		outs[i].lane = l
-		wg.Add(1)
-		go func(i int, l *lane, fan *core.Query) {
-			defer wg.Done()
-			outs[i].out = p.runEngine(&p.Steps[i], l, fan)
-		}(i, l, fan)
-	}
-	wg.Wait()
-	var ferr error
-	for i := 0; i < npar; i++ {
-		o := &outs[i]
-		switch {
-		case o.out.err != nil:
-			if ferr == nil {
-				ferr = fmt.Errorf("plan: segment %d: %w", p.Steps[i].Segment, o.out.err)
-			}
-		case !o.out.empty && ferr == nil:
-			// Fold (which consumes the lane-aliased results) before the
-			// lane can be released or reused.
-			p.fold(&p.Steps[i], o.out)
-		}
-		if o.lane != ln {
-			p.pool.releaseLane(o.lane)
-		}
-		*o = parOutcome{}
-	}
-	return ferr
 }
 
 // advance moves the cursor to the next step the running κ does not dismiss.
@@ -452,15 +378,6 @@ func appendSteps(dst []core.StepStat, src []core.StepStat, segment int) []core.S
 	return dst
 }
 
-// grow returns s with length 0 and capacity at least n, reusing the
-// backing array when possible.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
-}
-
 // adjustKappa applies the approximation tolerance to κ: a segment, or a
 // candidate inside one, that cannot improve κ by more than Tolerance is
 // treated as beaten. Zero tolerance keeps the strict (exact) comparison.
@@ -487,19 +404,14 @@ func (p *Plan) engineQuery(path Path) *core.Query {
 		qs, built = &c.exact, &c.exactBuilt
 	}
 	if !*built {
-		p.initEngine(qs, path)
+		if path == PathExact {
+			qs.InitExact(p.Spec.Query, p.Opts)
+		} else {
+			qs.Init(p.Spec.Query, p.Opts)
+		}
 		*built = true
 	}
 	return qs
-}
-
-// initEngine prepares qs for the query's BOND or exact-scan steps.
-func (p *Plan) initEngine(qs *core.Query, path Path) {
-	if path == PathExact {
-		qs.InitExact(p.Spec.Query, p.Opts)
-		return
-	}
-	qs.Init(p.Spec.Query, p.Opts)
 }
 
 // runStep executes one step's access path over its segment on the given
@@ -507,7 +419,7 @@ func (p *Plan) initEngine(qs *core.Query, path Path) {
 func (p *Plan) runStep(st *Step, ln *lane) stepOutcome {
 	switch st.Path {
 	case PathBOND, PathExact:
-		return p.runEngine(st, ln, nil)
+		return p.runEngine(st, ln)
 
 	case PathCompressed:
 		seg := p.segs[st.Segment]
@@ -534,21 +446,14 @@ func (p *Plan) runStep(st *Step, ln *lane) stepOutcome {
 // step whose synopsis proves that no pruning attempt could remove a row
 // (core.OnePass) runs as an exact scan instead, which answers the same
 // bits without ordering the dimensions, and is marked OnePass: this is the
-// one place that decides it, for sequential steps, a batch's groups and the
-// parallel group alike. fan is a fan-out goroutine's own engine state, or
-// nil for the cursor's.
-func (p *Plan) runEngine(st *Step, ln *lane, fan *core.Query) stepOutcome {
+// one place that decides it, for a query's steps and a batch's groups alike.
+func (p *Plan) runEngine(st *Step, ln *lane) stepOutcome {
 	seg := &p.segs[st.Segment].View
 	path := st.Path
 	if path == PathBOND && st.HasBound && core.OnePass(seg, p.Spec.Query, &p.Opts, p.eff, st.Kappa, st.HasKappa) {
 		st.OnePass, path = true, PathExact
 	}
-	qs := fan
-	if fan == nil {
-		qs = p.engineQuery(path)
-	} else {
-		p.initEngine(fan, path)
-	}
+	qs := p.engineQuery(path)
 	exclude := core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
 	r, empty := core.SearchOneScratch(seg.Src, qs, exclude, st.Kappa, st.HasKappa, &ln.core)
 	if empty {

@@ -26,17 +26,13 @@ func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query: k=%d criterion=%s strategy=%s segments=%d (%d slots × %d dims)\n",
 		p.Opts.K, p.Opts.Criterion, p.Spec.Strategy, len(p.Steps), p.Slots, p.Dims)
-	fmt.Fprintf(&b, "%4s  %-10s %8s %6s %12s %12s %12s %12s %10s\n",
-		"seg", "path", "n", "par", "bound", "kappa", "predicted", "actual", "candidates")
+	fmt.Fprintf(&b, "%4s  %-10s %8s %12s %12s %12s %12s %10s\n",
+		"seg", "path", "n", "bound", "kappa", "predicted", "actual", "candidates")
 	for i := range p.Steps {
 		st := &p.Steps[i]
 		bound := "-"
 		if st.HasBound {
 			bound = fmt.Sprintf("%.4f", st.Bound)
-		}
-		par := ""
-		if st.Parallel {
-			par = "yes"
 		}
 		kappa := "-"
 		if st.HasKappa {
@@ -56,8 +52,8 @@ func (p *Plan) Explain() string {
 			actual = fmt.Sprintf("%.1f", st.ActualCost)
 			cands = fmt.Sprintf("%d", st.Candidates)
 		}
-		fmt.Fprintf(&b, "%4d  %-10s %8d %6s %12s %12s %12.1f %12s %10s\n",
-			st.Segment, path, st.N, par, bound, kappa, st.PredCost, actual, cands)
+		fmt.Fprintf(&b, "%4d  %-10s %8d %12s %12s %12.1f %12s %10s\n",
+			st.Segment, path, st.N, bound, kappa, st.PredCost, actual, cands)
 	}
 	searched, skipped := 0, 0
 	for i := range p.Steps {

@@ -16,40 +16,38 @@ import (
 
 // eagerPlan is p re-planned the way this package planned before the cursor
 // took the bounded segments lazily: every segment's bound complete up
-// front, then one stable sort — the parallel group, then the segments
-// without a synopsis, then the bounded ones best bound first, each class
-// in segment order. The steps cover every segment, so Execute walks them
-// with the same skip test and never consults the (empty) heap.
+// front, then one stable sort — the segments without a synopsis, then the
+// bounded ones best bound first, each class in segment order. The steps
+// cover every segment, so Execute walks them with the same skip test and
+// never consults the (empty) heap.
 func eagerPlan(p *Plan) *Plan {
 	type key struct {
-		class int // 0 parallel, 1 no synopsis, 2 bounded
 		bound float64
 		seg   int
-		ok    bool
+		ok    bool // bounded
 	}
 	var keys []key
 	for i := range p.segs {
 		v := &p.segs[i].View
-		n := v.Src.Len()
-		if n == 0 {
+		if v.Src.Len() == 0 {
 			continue
 		}
-		k := key{class: 1, seg: i}
+		k := key{seg: i}
 		if v.Lo != nil && (len(p.eff) == 0 || !math.IsInf(v.Lo[p.eff[0]], 1)) {
-			k.class, k.ok = 2, true
+			k.ok = true
 			k.bound = core.SegBound(v, p.Spec.Query, &p.Opts, p.eff, 0)
-		}
-		if p.parallel(n) {
-			k.class = 0
 		}
 		keys = append(keys, k)
 	}
 	dist := p.Opts.Criterion.Distance()
 	slices.SortStableFunc(keys, func(a, b key) int {
 		switch {
-		case a.class != b.class:
-			return a.class - b.class
-		case a.class != 2 || a.bound == b.bound:
+		case a.ok != b.ok: // the segments without a synopsis first
+			if a.ok {
+				return 1
+			}
+			return -1
+		case !a.ok || a.bound == b.bound:
 			return 0
 		case (a.bound < b.bound) == dist:
 			return -1
@@ -65,7 +63,7 @@ func eagerPlan(p *Plan) *Plan {
 
 // lazyFixture builds a random segment list for the order-equivalence
 // property: few distinct coarse boxes, so many bounds tie exactly; segment
-// sizes from empty to the Auto fan-out threshold; and synopses of
+// sizes from empty to 2 048 rows; and synopses of
 // every kind — the box the rows were drawn in (looser than the data, shared
 // by several segments), the store's own min/max, none, one that observed
 // nothing (+Inf, −Inf everywhere), and a box with one such dimension.
@@ -83,7 +81,7 @@ func lazyFixture(rng *rand.Rand, dims int) []Segment {
 	for i := range segs {
 		n := []int{0, 1, 3, 17, 40}[rng.Intn(5)]
 		if rng.Intn(40) == 0 {
-			n = parallelMinSegment
+			n = 2048
 		}
 		box := boxes[rng.Intn(len(boxes))]
 		st := vstore.New(dims)
@@ -123,7 +121,7 @@ func lazyFixture(rng *rand.Rand, dims int) []Segment {
 
 // lazySpec draws one query spec over the fixture: the criterion, and at
 // random weights with zeros, a Dims subspace, a tolerance, an exclusion
-// bitmap, a fan-out hint, a forced strategy and an expired deadline.
+// bitmap, a forced strategy and an expired deadline.
 func lazySpec(rng *rand.Rand, crit core.Criterion, dims, slots int) Spec {
 	spec := Spec{Criterion: crit, K: 1 + rng.Intn(6), Query: make([]float64, dims)}
 	for d := range spec.Query {
@@ -150,9 +148,6 @@ func lazySpec(rng *rand.Rand, crit core.Criterion, dims, slots int) Spec {
 		}
 	}
 	spec.Strategy = []Strategy{Auto, ForceBOND, ForceExact}[rng.Intn(3)]
-	if rng.Intn(3) == 0 {
-		spec.Parallel = 2 + 2*rng.Intn(2)
-	}
 	if rng.Intn(10) == 0 {
 		spec.Deadline = time.Now().Add(-time.Second)
 	}
@@ -192,7 +187,7 @@ func TestLazyPlanMatchesEagerProperty(t *testing.T) {
 		var wants []Result
 		for _, crit := range []core.Criterion{core.Eq, core.Ev, core.Hq, core.Hh} {
 			spec := lazySpec(rng, crit, dims, slots)
-			label := fmt.Sprintf("trial %d %v/%v parallel=%d", trial, crit, spec.Strategy, spec.Parallel)
+			label := fmt.Sprintf("trial %d %v/%v", trial, crit, spec.Strategy)
 			fresh, err := New(segs, nil, spec, nil)
 			if err != nil {
 				continue // a fixture with no rows, or data outside Eq's range
@@ -335,7 +330,7 @@ func BenchmarkPlanQuery(b *testing.B) {
 						b.Fatal(err)
 					}
 					ln := pool.acquireLane()
-					for p.begin(ln); !p.cur.done; {
+					for p.begin(); !p.cur.done; {
 						p.step(ln)
 					}
 					pool.releaseLane(ln)

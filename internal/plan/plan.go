@@ -48,9 +48,6 @@ type Step struct {
 	Sealed bool
 	// Path is the chosen access path.
 	Path Path
-	// Parallel marks the step as part of the fan-out group the executor
-	// runs concurrently before the sequential tail.
-	Parallel bool
 	// Bound is the synopsis bound — the best score any member could
 	// reach; HasBound is false when the segment has no usable synopsis.
 	Bound    float64
@@ -72,11 +69,10 @@ type Step struct {
 	// (compressed/VA paths) or final BOND candidate set, which a carried
 	// κ can take below K, to zero.
 	Candidates int
-	// Kappa is the κ a sequential step met (tolerance applied): the k-th
-	// best score the steps before it had established. A step whose Bound
-	// cannot beat it is skipped; a BOND step that runs carries it into
-	// its pruning. HasKappa is false while fewer than K results exist,
-	// and for the parallel group, which starts before any do.
+	// Kappa is the κ the step met (tolerance applied): the k-th best
+	// score the steps before it had established. A step whose Bound cannot
+	// beat it is skipped; a BOND step that runs carries it into its
+	// pruning. HasKappa is false while fewer than K results exist.
 	Kappa    float64
 	HasKappa bool
 }
@@ -87,8 +83,8 @@ type Plan struct {
 	Spec Spec
 	// Opts is the validated, default-filled engine options.
 	Opts core.Options
-	// Steps is the per-segment plan in execution order (parallel group
-	// first, then sequential best-bound-first so κ tightens fast). The
+	// Steps is the per-segment plan in execution order (the segments
+	// without a synopsis, then best-bound-first so κ tightens fast). The
 	// bounded segments join it as the cursor reaches them; a plan made by
 	// New lists every segment once Explain or Execute has run, a pooled
 	// plan only those the running κ did not dismiss.
@@ -120,10 +116,6 @@ type Plan struct {
 	// allocation-free.
 	cur *cursor
 }
-
-// parallelMinSegment is the smallest segment Auto fans out when the spec
-// carries a parallelism hint — below this, goroutine overhead dominates.
-const parallelMinSegment = 2048
 
 // New plans a query over the given segments. The spec is validated (and
 // defaults filled) against the combined collection, exactly as core.Search
@@ -179,12 +171,10 @@ func (p *Plan) Release() {
 }
 
 // init (re)plans into p, reusing its buffers: it validates the spec and
-// classifies the segments. Execution order is the parallel fan-out group
-// first (in segment order — it all runs concurrently anyway, and the early
-// answers seed κ for the sequential tail), then the segments without a
-// synopsis (searched regardless, in segment order), then the bounded ones
-// best-bound-first, so κ tightens as fast as possible and later segments
-// can be skipped. The first two classes become steps here. The bounded
+// classifies the segments. Execution order is the segments without a
+// synopsis first (searched regardless, in segment order), then the bounded
+// ones best-bound-first, so κ tightens as fast as possible and later
+// segments can be skipped. The former become steps here; the bounded
 // ones go into the heap the cursor takes them from, each holding its bound
 // over its first boundBlock dimensions — the whole bound for similarities,
 // whose prefixes prove nothing (see nextBounded).
@@ -219,18 +209,6 @@ func (p *Plan) init(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) er
 		pooled: p.pooled,
 		cur:    p.cur,
 	}
-	if spec.Parallel >= 2 {
-		for i := range segs {
-			if n := segs[i].View.Src.Len(); n > 0 && p.parallel(n) {
-				e := segEntry{seg: int32(i)}
-				ok := p.bounded(&segs[i].View)
-				if ok {
-					p.extend(&e, len(p.eff))
-				}
-				p.Steps = append(p.Steps, p.newStep(i, e.key, ok))
-			}
-		}
-	}
 	dist := opts.Criterion.Distance()
 	for i := range segs {
 		v := &segs[i].View
@@ -238,7 +216,6 @@ func (p *Plan) init(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) er
 		switch {
 		case n == 0:
 			continue
-		case p.parallel(n):
 		case !p.bounded(v):
 			p.Steps = append(p.Steps, p.newStep(i, 0, false))
 		case dist:
@@ -255,14 +232,6 @@ func (p *Plan) init(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) er
 	}
 	heapify(p.heap)
 	return nil
-}
-
-// parallel reports whether a segment of n slots joins the fan-out group:
-// under a parallelism hint, every segment when BOND is forced and those of
-// at least parallelMinSegment slots under Auto. The bound plays no part.
-func (p *Plan) parallel(n int) bool {
-	s := &p.Spec
-	return s.Parallel >= 2 && (s.Strategy == ForceBOND || s.Strategy == Auto && n >= parallelMinSegment)
 }
 
 // bounded reports whether a non-empty segment has a usable synopsis. A
@@ -305,7 +274,6 @@ func (p *Plan) newStep(i int, bound float64, hasBound bool) Step {
 	}
 	shape := shapeFactor(bound, hasBound, dist, mass)
 	st.Path, st.PredCost = choosePath(p.Spec.Strategy, s, n, p.Dims, shape)
-	st.Parallel = p.parallel(n)
 	return st
 }
 

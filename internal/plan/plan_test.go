@@ -243,25 +243,6 @@ func TestDeadlineTruncates(t *testing.T) {
 	if len(res.Results) != 0 {
 		t.Fatalf("no segment ran, yet %d results", len(res.Results))
 	}
-
-	// The same contract holds when every step is in the parallel group.
-	pp, err := New(segs, nil, Spec{
-		Query:    s.Row(0),
-		K:        3,
-		Strategy: ForceBOND,
-		Parallel: 4,
-		Deadline: time.Now().Add(-time.Second),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := Execute(pp)
-	if err != nil {
-		t.Fatalf("all-parallel expired deadline should truncate, not error: %v", err)
-	}
-	if !pres.Truncated || len(pres.Results) != 0 {
-		t.Fatalf("all-parallel truncation: truncated=%v results=%d", pres.Truncated, len(pres.Results))
-	}
 }
 
 func TestToleranceSkipsMarginalSegments(t *testing.T) {

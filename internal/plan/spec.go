@@ -31,7 +31,8 @@ type Strategy int
 
 const (
 	// Auto picks the path per segment by predicted cost — the default. At
-	// the fixed priors that is BOND on every segment (see choosePath).
+	// the fixed priors that is BOND on every segment (see choosePath), the
+	// same plan ForceBOND makes.
 	Auto Strategy = iota
 	// ForceBOND runs plain BOND on every segment.
 	ForceBOND
@@ -103,10 +104,6 @@ type Spec struct {
 
 	// Strategy forces an access path; Auto selects per segment by cost.
 	Strategy Strategy
-	// Parallel is the parallelism hint: ≥ 2 fans large segments out to
-	// one goroutine each (every segment under ForceBOND). 0 or 1 runs
-	// sequentially.
-	Parallel int
 	// Tolerance relaxes the comparison with the running k-th best score
 	// κ: a segment — or, on the BOND path, a candidate inside one — that
 	// cannot improve κ by more than Tolerance is dropped even though it

@@ -31,10 +31,12 @@ const (
 // (and then pins the coordinator's body too).
 //
 // Left out, because the coordinator answers them differently by design:
-// explain and recluster (501 on the coordinator), collection stats (the
-// coordinator's are an aggregate), and a missing collection combined with
-// a malformed body or id (a single node reports the collection first; the
-// coordinator cannot know it is missing without a fan-out).
+// explain and recluster (501 on the coordinator) — but for a GET explain
+// naming a parameter the route does not read, which both refuse before
+// admission —, collection stats (the coordinator's are an aggregate), and
+// a missing collection combined with a malformed body or id (a single node
+// reports the collection first; the coordinator cannot know it is missing
+// without a fan-out).
 func TestCoordinatorWireConformance(t *testing.T) {
 	cl := newTestCluster(t, 2, fastTestConfig())
 	oracle := newOracleServer(t)
@@ -107,6 +109,7 @@ func TestCoordinatorWireConformance(t *testing.T) {
 		{"POST /collections/c/query", `{"query":[1,0,3],"k":2}`, 400, `{"error":"core: query length must equal store dimensionality: query 3, store 2"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[-1e200,0.5],"k":2,"criterion":"eq"}`, 400, `{"error":"core: query would make a score non-finite: the Eq score of a vector in [0, 1] can overflow for this query"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[1,0],"k":2,"bogus":1}`, 400, `{"error":"bad request body: json: unknown field \"bogus\""}`, "", ""},
+		{"POST /collections/c/query", `{"query":[1,0],"k":2,"parallel":4}`, 400, `{"error":"bad request body: json: unknown field \"parallel\""}`, "", ""},
 		{"POST /collections/missing/query", q10, 404, notFound, "", ""},
 		{"POST /collections/bad..name/query", q10, 400, badName, "", ""},
 
@@ -118,7 +121,12 @@ func TestCoordinatorWireConformance(t *testing.T) {
 		{"POST /collections/c/query/batch", `{"queries":[` + q10 + `,{"k":1}]}`, 400, `{"error":"query 1: query vector (or id) is required"}`, "", ""},
 		{"POST /collections/c/query/batch", `{"queries":[{"id":99,"k":1}]}`, 400, `{"error":"query 0: id 99 outside collection [0,3)"}`, noLength, `{"error":"query 0: id 99 outside collection"}`},
 		{"POST /collections/c/query/batch", `{"queries":[{"query":[1,0,1],"k":1}]}`, 400, `{"error":"bond: batch query 0: core: query length must equal store dimensionality: query 3, store 2"}`, "", ""},
+		{"POST /collections/c/query/batch", `{"queries":[{"query":[1,0],"k":2,"parallel":4}]}`, 400, `{"error":"bad request body: json: unknown field \"parallel\""}`, "", ""},
 		{"POST /collections/missing/query/batch", `{"queries":[` + q10 + `]}`, 404, notFound, "", ""},
+
+		{"GET /collections/c/explain?id=0&parallel=4", "", 400, `{"error":"unknown parameter \"parallel\""}`, "", ""},
+		{"GET /collections/c/explain?id=0&stratgy=exact&k=2", "", 400, `{"error":"unknown parameter \"stratgy\""}`, "", ""},
+		{"GET /collections/missing/explain?k=2&parallel=4", "", 400, `{"error":"unknown parameter \"parallel\""}`, "", ""},
 
 		// A ragged batch is refused whole, wherever the bad vector sits,
 		// and leaves nothing behind: the next ingest takes id 3.

@@ -13,7 +13,7 @@ import (
 // scan: on cluster-contiguous, uniform and mixed (tight and wide segments
 // in one collection) layouts, with deletes, exclusions, unweighted,
 // weighted and subspace Eq queries and k both small and above the live
-// count, forced BOND — sequential, fanned out and in a batch — and auto
+// count, forced BOND — alone and in a batch — and auto
 // answer with the ids and score bits of StrategyExact. A BOND segment whose
 // synopsis proves every pruning attempt futile is read in one storage-order
 // pass; the clustered and mixed layouts must take that route at least once.
@@ -64,23 +64,20 @@ func TestOnePassPropertyMatchesExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, run := range []struct {
-					strat    Strategy
-					parallel int
-				}{{StrategyBOND, 0}, {StrategyBOND, 4}, {StrategyAuto, 0}} {
-					spec.Strategy, spec.Parallel = run.strat, run.parallel
+				for _, strat := range []Strategy{StrategyBOND, StrategyAuto} {
+					spec.Strategy = strat
 					got, p, err := col.QueryExplain(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameBits(t, layout+"/"+run.strat.String(), got.Results, want.Results)
+					sameBits(t, layout+"/"+strat.String(), got.Results, want.Results)
 					for _, st := range p.Steps {
 						if st.OnePass {
 							onePass++
 						}
 					}
 				}
-				spec.Strategy, spec.Parallel = StrategyBOND, 0
+				spec.Strategy = StrategyBOND
 				bondSpecs = append(bondSpecs, spec)
 			}
 			batch, err := col.QueryBatch(bondSpecs)

@@ -62,9 +62,8 @@ func assertMatchesOracle(t *testing.T, label string, got []topk.Result, want []t
 
 // TestPlannerStrategiesMatchOracle is the planner property test: on
 // randomized data, segment layouts, deletions, and queries, every plan
-// the planner can emit — each strategy forced in turn, plus auto and the
-// parallel fan-out — returns results identical to the sequential-scan
-// oracle, as does MultiSearch.
+// the planner can emit — each strategy forced in turn, plus auto — returns
+// results identical to the sequential-scan oracle, as does MultiSearch.
 func TestPlannerStrategiesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -138,19 +137,6 @@ func TestPlannerStrategiesMatchOracle(t *testing.T) {
 				}
 				assertMatchesOracle(t, crit.String()+"/"+strat.String(), res.Results, want)
 			}
-			// Parallel fan-out plans must merge to the same answer.
-			res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Parallel: 4})
-			if err != nil {
-				t.Fatalf("trial %d %v/parallel: %v", trial, crit, err)
-			}
-			assertMatchesOracle(t, crit.String()+"/parallel", res.Results, want)
-
-			// Forced BOND with every segment fanned out.
-			res, err = col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: StrategyBOND, Parallel: 4})
-			if err != nil {
-				t.Fatalf("trial %d %v/bond-parallel: %v", trial, crit, err)
-			}
-			assertMatchesOracle(t, crit.String()+"/bond-parallel", res.Results, want)
 			if crit == Hq {
 				// A single weight-1 histogram feature aggregates to the
 				// plain intersection score.

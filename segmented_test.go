@@ -48,17 +48,6 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 				t.Fatalf("%v rank %d: %+v, want %+v", crit, i, got.Results[i], want.Results[i])
 			}
 		}
-		parSpec := spec
-		parSpec.Parallel = 4
-		par, err := segd.Query(parSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Results {
-			if par.Results[i] != want.Results[i] {
-				t.Fatalf("%v parallel rank %d: %+v, want %+v", crit, i, par.Results[i], want.Results[i])
-			}
-		}
 	}
 	for _, crit := range []Criterion{Hq, Eq} {
 		spec := QuerySpec{Query: q, K: 8, Criterion: crit, Strategy: StrategyCompressed}
@@ -190,9 +179,6 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 	}
 	if _, err := mil.SearchMIL(col.store.Flatten(), vs[0], mil.MILOptions{K: 2, Exclude: excl}); err != nil {
 		t.Fatalf("MIL with stale exclusion: %v", err)
-	}
-	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND, Parallel: 4}); err != nil {
-		t.Fatalf("parallel with stale exclusion: %v", err)
 	}
 }
 
