@@ -496,6 +496,32 @@ func BenchmarkQueryScanUniform(b *testing.B) {
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
 }
 
+// BenchmarkQueryCorelHq is the mixed_rw and sharded_fanout workloads'
+// query shape in process, without their writer or shards: 16 000
+// Corel-like histograms of 32 dims in sealed segments of 1 000, queried
+// with Hq under forced BOND for the k = 10 best of vectors sampled from the
+// data. Skewed histograms are where the carried κ prunes hardest: after the
+// first segment it removes nearly every row at the first pruning attempt.
+// Reported: cells read and pruning attempts per query, beside ns/op per
+// query.
+func BenchmarkQueryCorelHq(b *testing.B) {
+	vs := dataset.CorelLike(16000, 32, 1)
+	queries, _ := dataset.SampleQueries(vs, 64, 2)
+	col := NewCollectionSegmented(vs, 1000)
+	var cells, attempts int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := col.Query(QuerySpec{Query: queries[i%len(queries)], K: 10, Criterion: Hq, Strategy: StrategyBOND})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += res.Stats.ValuesScanned
+		attempts += int64(len(res.Stats.Steps))
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
+	b.ReportMetric(float64(attempts)/float64(b.N), "prune-attempts/query")
+}
+
 // BenchmarkQuerySkipClustered is the skip_clustered workload's shape in
 // process: 24 000 vectors of 64 dims in cluster-contiguous blocks of 250,
 // each block a box of width 0.03 around its own uniform centre, in sealed

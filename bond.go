@@ -580,8 +580,8 @@ func (c *Collection) orderMoments(v *planView, specs ...QuerySpec) *core.Moments
 	if m := v.moments.Load(); m != nil {
 		return m
 	}
-	for _, g := range v.segs[c.sums.Sources:v.sealed] {
-		c.sums.Add(g.View.Src)
+	for i := c.sums.Sources; i < v.sealed; i++ {
+		c.sums.Add(v.segs[i].View.Src)
 	}
 	m := c.sums.Moments()
 	v.moments.Store(m)

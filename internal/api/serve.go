@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -266,8 +267,9 @@ func NewMux(b Backend, maxBodyBytes int64, logf func(format string, args ...any)
 	// EXPLAIN: POST takes the query endpoint's JSON spec, GET
 	// query-by-example parameters (?id=17&k=10&criterion=Hq&strategy=auto&
 	// order=desc&step=8) for curl-friendly inspection. A GET naming a
-	// parameter explainParams does not read is refused before the backend
-	// admits the route, so a node and a coordinator answer it alike.
+	// parameter explainParams does not read, repeating one or giving one
+	// that does not unescape is refused before the backend admits the
+	// route, so a node and a coordinator answer it alike.
 	explain := h.collection(OpExplain, func(w http.ResponseWriter, r *http.Request, name string) (any, error) {
 		var spec QuerySpec
 		var err error
@@ -282,7 +284,7 @@ func NewMux(b Backend, maxBodyBytes int64, logf func(format string, args ...any)
 		return b.Explain(r.Context(), name, &spec)
 	})
 	mux.HandleFunc("GET /collections/{name}/explain", func(w http.ResponseWriter, r *http.Request) {
-		if err := unknownParam(r); err != nil {
+		if err := badParam(r); err != nil {
 			h.answer(w, 0, nil, err)
 			return
 		}
@@ -379,25 +381,40 @@ func pathID(r *http.Request) (int, error) {
 	return id, nil
 }
 
-// unknownParam is a 400 naming the first GET parameter explainParams does
-// not read, as an unknown key of a POST body is: a misspelt setting must
-// not answer as if it were absent.
-func unknownParam(r *http.Request) error {
+// badParam is a 400 naming the first GET parameter, in query-string order,
+// that explainParams would misread, as a POST body refuses what it cannot
+// read: one the route does not take (a misspelt setting must not answer as
+// if it were absent), one whose key or value does not unescape (url.Values
+// drops the pair), and a repeat of one already given (url.Values keeps
+// only the first).
+func badParam(r *http.Request) error {
+	var seen [len(explainKeys)]bool
 	for raw := range strings.SplitSeq(r.URL.RawQuery, "&") {
-		key, _, _ := strings.Cut(raw, "=")
-		if k, err := url.QueryUnescape(key); err == nil {
-			key = k
+		if raw == "" {
+			continue
 		}
-		switch key {
-		case "id", "k", "step", "criterion", "order", "strategy":
-		default:
-			if raw != "" {
-				return Errorf(http.StatusBadRequest, "unknown parameter %q", key)
-			}
+		rawKey, rawValue, _ := strings.Cut(raw, "=")
+		key, err := url.QueryUnescape(rawKey)
+		if err != nil {
+			return Errorf(http.StatusBadRequest, "bad parameter %q: %v", rawKey, err)
 		}
+		i := slices.Index(explainKeys[:], key)
+		if i < 0 {
+			return Errorf(http.StatusBadRequest, "unknown parameter %q", key)
+		}
+		if _, err := url.QueryUnescape(rawValue); err != nil {
+			return Errorf(http.StatusBadRequest, "bad parameter %q: %v", key, err)
+		}
+		if seen[i] {
+			return Errorf(http.StatusBadRequest, "repeated parameter %q", key)
+		}
+		seen[i] = true
 	}
 	return nil
 }
+
+// explainKeys are the GET parameters explainParams reads.
+var explainKeys = [...]string{"id", "k", "step", "criterion", "order", "strategy"}
 
 // explainParams lifts GET query parameters into the wire spec.
 func explainParams(r *http.Request) (QuerySpec, error) {

@@ -13,7 +13,7 @@ import (
 // compressed-path restrictions — and runs the single-segment primitive.
 func searchCompressed(s Source, qs *vstore.QuantStore, q []float64, opts Options) (CompressedResult, error) {
 	view := SegmentView{Src: s}
-	if err := ValidateSegments(1, func(int) *SegmentView { return &view }, q, &opts); err != nil {
+	if err := ValidateSegments(Shape{}, 1, func(int) *SegmentView { return &view }, q, &opts); err != nil {
 		return CompressedResult{}, err
 	}
 	if err := ValidateCompressed(opts); err != nil {

@@ -31,7 +31,7 @@ func TestKfetchScratchBounded(t *testing.T) {
 		for qi := 0; qi < 8; qi++ {
 			q := tc.vs[qi*97]
 			opts := core.Options{K: k, Criterion: tc.crit}
-			if err := core.ValidateSegments(len(views), func(i int) *core.SegmentView { return &views[i] }, q, &opts); err != nil {
+			if err := core.ValidateSegments(core.Shape{}, len(views), func(i int) *core.SegmentView { return &views[i] }, q, &opts); err != nil {
 				t.Fatal(err)
 			}
 			var qs core.Query

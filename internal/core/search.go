@@ -340,7 +340,11 @@ var carryDisabled, denseDisabled, futileSkipDisabled bool
 // row where the list reads the live ones, so the two break even at a live
 // fraction of 0.3–0.65; one half sits inside that band for every variant
 // and both cache levels. On the 16 × 1 000 × 64 uniform shape 92 % of the
-// cells a query reads are read at or above it.
+// cells a query reads are read at or above it. Inside a query the gathers
+// cost more than in their micro-benchmark: 1–2 ns per cell, measured on
+// the Corel-like Hq shape (16 000 × 32, segments of 1 000), where the time
+// follows the cache lines touched more than the cells read. Values from
+// 0.1 to 0.5 measured alike there.
 const denseFrac = 0.5
 
 // newEngine initializes the engine inside sc (nil allocates privately), so
@@ -533,68 +537,61 @@ func (e *engine) accumulate(from, to int) {
 // distance reported in storage order (qs.canonical) can differ in its last
 // bits from the sum S⁻ grows into, so there both κ are widened by the
 // slack.
+//
+// Hq and Eq rank and filter by the partial score alone, so they apply the
+// carried κ first, switch to the list if that leaves fewer than denseMin
+// rows, and run the kfetch over the survivors only. This keeps exactly the
+// rows the two κ together keep: a row the carried κ removes scores below
+// every survivor (the test is monotone in S⁻), so above k survivors the k
+// best partial scores are all among them, and at k or fewer the local κ
+// removes none of them. Hh and Ev rank per-row bounds (HhLower, EvUpper)
+// that are not monotone in S⁻, so their kfetch still sees every candidate
+// and one pass applies both κ.
 func (e *engine) pruneStep(processed int) {
 	qs, sc := e.qs, e.sc
 	stat := StepStat{DimsProcessed: processed}
 	before := e.live
 	b := qs.bound(processed)
-	local := before > e.k
 	lk, ck := e.none, e.kappa
 
-	// Every kfetch below runs over e.score as it stands. In the dense phase
-	// that includes the dead rows, whose score none never ranks among the k
-	// best of more than k live ones; and whenever a filter loop runs, lk or
-	// ck is finite, so a dead row fails it like any pruned candidate.
-	out := 0
 	switch qs.opts.Criterion {
 	case Hq:
 		// Section 5.2: the local κ cannot prune until T(q⁻) > T(q⁺) (κ ≤
 		// T(q⁻), and a candidate is pruned only when its zero-floor best
 		// case S⁻ + T(q⁺) < κ, which needs κ > T(q⁺)).
-		if !futileSkipDisabled && qs.procQ[processed] <= b.c {
-			local = false
-		}
+		local := futileSkipDisabled || qs.procQ[processed] > b.c
 		if !local && !e.hasKappa {
 			stat.Skipped = true
 			stat.Candidates = before
 			e.appendStep(stat)
 			return
 		}
+		if e.hasKappa {
+			e.keep(b.c+qs.slack, ck)
+		}
 		// Likewise against the carried κ: until T(q⁻) passes it, whatever
 		// the local κ would prune the carried one prunes too.
-		if local && qs.procQ[processed]+qs.slack > ck {
+		if local && e.live > e.k && qs.procQ[processed]+qs.slack > ck {
 			lk, sc.kbuf = topk.KthLargest(e.score, e.k, sc.kbuf) // κmin over Smin = S⁻
-		}
-		tq, tqc := b.c, b.c+qs.slack
-		if e.dense {
-			out = kernel.KeepReaching(e.score, tq, lk, tqc, ck, e.none)
-			break
-		}
-		for ci, s := range e.score {
-			e.cands[out], e.score[out] = e.cands[ci], s
-			out += b2i(s+tq >= lk) & b2i(s+tqc >= ck)
+			e.keep(b.c, lk)
 		}
 	case Eq:
+		var slack float64
+		if qs.canonical {
+			slack = qs.slack
+		}
+		if e.hasKappa {
+			e.keep(0, ck+slack)
+		}
 		// Smin = S⁻; Smax = S⁻ + bound: κmax = (k-th smallest S⁻) + bound,
 		// which is at least bound — not worth a kfetch while the carried κ
 		// is below that.
-		if local && b.c < ck {
+		if e.live > e.k && b.c < ck {
 			lk, sc.kbuf = topk.KthSmallest(e.score, e.k, sc.kbuf)
-			lk += b.c
-		}
-		kappa := min(lk, ck)
-		if qs.canonical {
-			kappa += qs.slack
-		}
-		if e.dense {
-			out = kernel.KeepAtMost(e.score, kappa, e.none)
-			break
-		}
-		for ci, s := range e.score {
-			e.cands[out], e.score[out] = e.cands[ci], s
-			out += b2i(s <= kappa)
+			e.keep(0, lk+b.c+slack)
 		}
 	case Hh:
+		local := before > e.k
 		if local {
 			// In subspace mode the tracked tail mass covers all dimensions,
 			// an overestimate of the subspace tail: the upper bound stays
@@ -611,7 +608,13 @@ func (e *engine) pruneStep(processed int) {
 			}
 			lk, sc.kbuf = topk.KthLargest(smin, e.k, sc.kbuf)
 		}
+		// Every kfetch here runs over e.score as it stands. In the dense
+		// phase that includes the dead rows, whose score none never ranks
+		// among the k best of more than k live ones; and since a filter loop
+		// runs only with lk or ck finite, a dead row fails it like any
+		// pruned candidate.
 		tqc := b.c + qs.slack
+		out := 0
 		for ci, s := range e.score {
 			t := e.tails[ci]
 			keep := s+b.hist.HhUpper(t) >= lk && s+tqc >= ck
@@ -625,6 +628,7 @@ func (e *engine) pruneStep(processed int) {
 				e.score[ci] = e.none
 			}
 		}
+		e.settle(out)
 	case Ev:
 		var upper, lower func(float64) float64
 		if len(qs.weights) > 0 {
@@ -632,7 +636,7 @@ func (e *engine) pruneStep(processed int) {
 		} else {
 			upper, lower = b.euc.EvUpper, b.euc.EvLower
 		}
-		if local {
+		if before > e.k {
 			smax := grow(sc.aux, len(e.score))[:len(e.score)]
 			sc.aux = smax
 			for ci, s := range e.score {
@@ -643,6 +647,7 @@ func (e *engine) pruneStep(processed int) {
 		if qs.canonical {
 			lk, ck = lk+qs.slack, ck+qs.slack
 		}
+		out := 0
 		for ci, s := range e.score {
 			t := e.tails[ci]
 			keep := s+lower(t) <= lk && s <= ck
@@ -656,23 +661,119 @@ func (e *engine) pruneStep(processed int) {
 				e.score[ci] = e.none
 			}
 		}
+		e.settle(out)
 	}
+
+	stat.Candidates = e.live
+	stat.Pruned = before - e.live
+	e.appendStep(stat)
+	if e.live <= e.k && e.stats.DimsUntilK == 0 {
+		e.stats.DimsUntilK = processed
+	}
+}
+
+// keep applies one query-only filter to the candidates: an Hq candidate
+// stays when its partial score s has s + allow ≥ floor, an Eq one when
+// s ≤ floor (allow is unused). The list phase moves the survivors up in
+// order; the dense phase is keepDense.
+func (e *engine) keep(allow, floor float64) {
+	if e.dense {
+		e.keepDense(allow, floor)
+		return
+	}
+	out := 0
+	if e.qs.opts.Criterion == Hq {
+		for ci, s := range e.score {
+			e.cands[out], e.score[out] = e.cands[ci], s
+			out += b2i(s+allow >= floor)
+		}
+	} else {
+		for ci, s := range e.score {
+			e.cands[out], e.score[out] = e.cands[ci], s
+			out += b2i(s <= floor)
+		}
+	}
+	e.settle(out)
+}
+
+// compactProbe is how many rows keepDense filters in place before it
+// picks its pass for the rest.
+const compactProbe = 64
+
+// keepDense is keep in the dense phase, where the filter and the switch
+// to the candidate list can share one pass over the rows (the one-pass
+// kernels, kernel.CompactReaching and CompactAtMost). Only a prune that
+// leaves fewer than denseMin rows ends the dense phase, which is not known
+// until every row is tested, so the first compactProbe rows are filtered
+// in place (a pruned row holds none) and decide: if fewer than denseFrac of
+// them stay, they are compacted and the one-pass kernel takes the rest;
+// otherwise the rest is filtered in place too, as a prune that keeps most
+// rows is cheapest done, and the switch, if it comes after all, is its own
+// pass (compact). A one-pass prune that keeps denseMin rows after all puts
+// them back in their rows (expand) and the dense phase goes on.
+func (e *engine) keepDense(allow, floor float64) {
+	hist := e.qs.opts.Criterion == Hq
+	keepInPlace := func(score []float64) int {
+		if hist {
+			return kernel.KeepReaching(score, allow, floor, e.none)
+		}
+		return kernel.KeepAtMost(score, floor, e.none)
+	}
+	n := len(e.score)
+	probe := min(n, compactProbe)
+	out := keepInPlace(e.score[:probe])
+	if float64(out) >= denseFrac*float64(probe) {
+		e.settle(out + keepInPlace(e.score[probe:]))
+		return
+	}
+	cands := grow(e.sc.cands, n)[:n]
+	e.sc.cands = cands
+	out = kernel.CompactLive(cands, e.score[:probe], nil, e.none)
+	if hist {
+		out = kernel.CompactReaching(cands, e.score, probe, out, allow, floor)
+	} else {
+		out = kernel.CompactAtMost(cands, e.score, probe, out, floor)
+	}
+	if out < e.denseMin {
+		e.dense, e.live, e.cands, e.score = false, out, cands[:out], e.score[:out]
+		return
+	}
+	e.expand(out, n)
+	e.live = out
+}
+
+// expand undoes a compaction of the rows [0, n) into the first out slots
+// of the scores and sc.cands: each survivor's score goes back to its row,
+// and every other row of [0, n) holds none. Walking the slots backwards
+// writes only rows at or after the slot being read.
+func (e *engine) expand(out, n int) {
+	next := n
+	for i := out - 1; i >= 0; i-- {
+		r, s := e.sc.cands[i], e.score[i]
+		for j := r + 1; j < next; j++ {
+			e.score[j] = e.none
+		}
+		e.score[r] = s
+		next = r
+	}
+	for j := 0; j < next; j++ {
+		e.score[j] = e.none
+	}
+}
+
+// settle records that out candidates survived a filter: the list phase
+// drops its tail, and the dense phase hands over to the list once fewer
+// than denseMin rows are live.
+func (e *engine) settle(out int) {
 	e.live = out
 	switch {
 	case !e.dense:
 		e.cands, e.score = e.cands[:out], e.score[:out]
-		if qs.needTails {
+		if e.tails != nil {
 			e.tails = e.tails[:out]
 		}
 	case out < e.denseMin:
 		e.compact()
-	}
-
-	stat.Candidates = out
-	stat.Pruned = before - out
-	e.appendStep(stat)
-	if out <= e.k && e.stats.DimsUntilK == 0 {
-		e.stats.DimsUntilK = processed
 	}
 }
 

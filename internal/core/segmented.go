@@ -27,39 +27,42 @@ type SegmentView struct {
 	Lo, Hi []float64
 }
 
-// viewsMeta aggregates segment views into the shape option validation
-// needs.
-type viewsMeta struct {
-	dims, n int
-	lo, hi  float64
+// Shape is what ValidateSegments checks a query against, aggregated over
+// a dense, ordered run of segment views from the first: how many views it
+// covers, their dimensionality, their total slots and their value range.
+// The zero Shape covers no view. The shape of views that no writer changes
+// (sealed segments) can be kept and extended by the rest per query.
+type Shape struct {
+	views, dims, slots int
+	lo, hi             float64
 }
 
-func (m viewsMeta) Dims() int                      { return m.dims }
-func (m viewsMeta) Len() int                       { return m.n }
-func (m viewsMeta) ValueRange() (float64, float64) { return m.lo, m.hi }
-
-// aggregateViews aggregates the n views view(0)…view(n−1).
-func aggregateViews(n int, view func(int) *SegmentView) (viewsMeta, error) {
-	if n == 0 {
-		return viewsMeta{}, fmt.Errorf("core: no segment views")
+// Fold returns s extended by the views view(s.views)…view(n−1), checking
+// that each has the first view's dimensionality and starts where the
+// views before it end.
+func (s Shape) Fold(n int, view func(int) *SegmentView) (Shape, error) {
+	if s.views == 0 {
+		if n == 0 {
+			return s, fmt.Errorf("core: no segment views")
+		}
+		s.dims, s.lo, s.hi = view(0).Src.Dims(), math.Inf(1), math.Inf(-1)
 	}
-	m := viewsMeta{dims: view(0).Src.Dims(), lo: math.Inf(1), hi: math.Inf(-1)}
-	for i := 0; i < n; i++ {
-		v := view(i)
-		if v.Src.Dims() != m.dims {
-			return viewsMeta{}, fmt.Errorf("core: segment %d has %d dims, segment 0 has %d",
-				i, v.Src.Dims(), m.dims)
+	for ; s.views < n; s.views++ {
+		v := view(s.views)
+		if v.Src.Dims() != s.dims {
+			return Shape{}, fmt.Errorf("core: segment %d has %d dims, segment 0 has %d",
+				s.views, v.Src.Dims(), s.dims)
 		}
-		if v.Base != m.n {
-			return viewsMeta{}, fmt.Errorf("core: segment %d base %d, want %d (views must be dense and ordered)",
-				i, v.Base, m.n)
+		if v.Base != s.slots {
+			return Shape{}, fmt.Errorf("core: segment %d base %d, want %d (views must be dense and ordered)",
+				s.views, v.Base, s.slots)
 		}
-		m.n += v.Src.Len()
+		s.slots += v.Src.Len()
 		lo, hi := v.Src.ValueRange()
-		m.lo = min(m.lo, lo)
-		m.hi = max(m.hi, hi)
+		s.lo = min(s.lo, lo)
+		s.hi = max(s.hi, hi)
 	}
-	return m, nil
+	return s, nil
 }
 
 // LocalExclude projects the [base, base+n) window of a global exclusion
@@ -243,18 +246,19 @@ func RebaseInPlace(rs []topk.Result, base int) []topk.Result {
 	return rs
 }
 
-// ValidateSegments aggregates the n views view(0)…view(n−1) and validates
-// the options against the combined collection, applying option defaults in
-// place. Planners that execute segments through the per-segment primitives
-// below must call this once before running them.
-func ValidateSegments(n int, view func(int) *SegmentView, q []float64, opts *Options) error {
-	m, err := aggregateViews(n, view)
+// ValidateSegments extends prefix by the views view(prefix.views)…
+// view(n−1) and validates the options against the combined collection,
+// applying option defaults in place. Planners that execute segments
+// through the per-segment primitives below must call this once before
+// running them; the zero prefix aggregates every view.
+func ValidateSegments(prefix Shape, n int, view func(int) *SegmentView, q []float64, opts *Options) error {
+	m, err := prefix.Fold(n, view)
 	if err != nil {
 		return err
 	}
 	lo, hi := 0.0, 0.0
-	if m.n > 0 {
+	if m.slots > 0 {
 		lo, hi = m.lo, m.hi
 	}
-	return opts.validateShape(m.dims, m.n, lo, hi, q)
+	return opts.validateShape(m.dims, m.slots, lo, hi, q)
 }

@@ -109,7 +109,7 @@ func accWMinQRunAVX2(score *float64, cols *[]float64, ncols, n int, q, w *float6
 func keepAtMostAVX2(score *float64, n int, limit, dead float64) int
 
 //go:noescape
-func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int
+func keepReachingAVX2(score *float64, n int, allow, floor, dead float64) int
 
 // The pruning-step kernels (see prune.go and prune_amd64.s).
 
@@ -127,3 +127,9 @@ func compactLiveAVX2(cands *int, score *float64, n int, dead uint64) int
 
 //go:noescape
 func compactLiveTailsAVX2(cands *int, score, tails *float64, n int, dead uint64) int
+
+//go:noescape
+func compactReachingAVX2(cands *int, score *float64, from, n, out int, allow, floor float64) int
+
+//go:noescape
+func compactAtMostAVX2(cands *int, score *float64, from, n, out int, limit float64) int

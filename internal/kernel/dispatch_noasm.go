@@ -87,7 +87,7 @@ func keepAtMostAVX2(score *float64, n int, limit, dead float64) int {
 	panic("kernel: SIMD stub called")
 }
 
-func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int {
+func keepReachingAVX2(score *float64, n int, allow, floor, dead float64) int {
 	panic("kernel: SIMD stub called")
 }
 
@@ -108,5 +108,13 @@ func compactLiveAVX2(cands *int, score *float64, n int, dead uint64) int {
 }
 
 func compactLiveTailsAVX2(cands *int, score, tails *float64, n int, dead uint64) int {
+	panic("kernel: SIMD stub called")
+}
+
+func compactReachingAVX2(cands *int, score *float64, from, n, out int, allow, floor float64) int {
+	panic("kernel: SIMD stub called")
+}
+
+func compactAtMostAVX2(cands *int, score *float64, from, n, out int, limit float64) int {
 	panic("kernel: SIMD stub called")
 }

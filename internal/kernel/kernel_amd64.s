@@ -834,15 +834,13 @@ kamdone:
 	VZEROUPPER
 	RET
 
-// func keepReachingAVX2(score *float64, n int, a1, lo1, a2, lo2, dead float64) int
-TEXT ·keepReachingAVX2(SB), NOSPLIT, $0-64
+// func keepReachingAVX2(score *float64, n int, allow, floor, dead float64) int
+TEXT ·keepReachingAVX2(SB), NOSPLIT, $0-48
 	MOVQ         score+0(FP), DI
 	MOVQ         n+8(FP), CX
-	VBROADCASTSD a1+16(FP), Y0
-	VBROADCASTSD lo1+24(FP), Y1
-	VBROADCASTSD a2+32(FP), Y5
-	VBROADCASTSD lo2+40(FP), Y6
-	VBROADCASTSD dead+48(FP), Y7
+	VBROADCASTSD allow+16(FP), Y0
+	VBROADCASTSD floor+24(FP), Y1
+	VBROADCASTSD dead+32(FP), Y7
 	XORQ         AX, AX
 
 krloop:
@@ -850,10 +848,7 @@ krloop:
 	JZ        krdone
 	VMOVUPD   (DI), Y2
 	VADDPD    Y0, Y2, Y3
-	VCMPPD    $0x1D, Y1, Y3, Y3      // s+a1 >= lo1 (GE_OQ)
-	VADDPD    Y5, Y2, Y4
-	VCMPPD    $0x1D, Y6, Y4, Y4      // s+a2 >= lo2
-	VANDPD    Y4, Y3, Y3
+	VCMPPD    $0x1D, Y1, Y3, Y3      // s+allow >= floor (GE_OQ)
 	VBLENDVPD Y3, Y2, Y7, Y4
 	VMOVUPD   Y4, (DI)
 	VMOVMSKPD Y3, BX
@@ -864,6 +859,6 @@ krloop:
 	JMP       krloop
 
 krdone:
-	MOVQ AX, ret+56(FP)
+	MOVQ AX, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -9,13 +9,15 @@ import (
 // The pruning-step kernels: what a BOND step does besides folding columns.
 // LaneMax, SortLanes and SelectAtLeast make up the kfetch that finds κ
 // (package topk drives them); CompactLive is the one-time switch from the
-// dense phase to the candidate list (paper Section 6.1).
+// dense phase to the candidate list (paper Section 6.1), and
+// CompactReaching and CompactAtMost fold a prune into that switch.
 //
 // Scores are never NaN: the engine admits only finite coordinates and
 // queries whose scores cannot overflow. Given a NaN anyway, these kernels
 // neither panic nor touch memory outside their arguments; LaneMax's lanes
 // and SortLanes' order are then unspecified, SelectAtLeast never selects
-// the NaN, and CompactLive keeps it as a live row.
+// the NaN, CompactLive keeps it as a live row, and CompactReaching and
+// CompactAtMost drop it.
 
 // SelectLanes is the number of lane extrema LaneMax keeps.
 const SelectLanes = 32
@@ -142,4 +144,52 @@ func CompactLive(cands []int, score, tails []float64, dead float64) int {
 		out += b2i(math.Float64bits(s) != deadBits)
 	}
 	return out
+}
+
+// CompactReaching is KeepReaching and CompactLive in one pass, for a dense
+// phase whose prune leaves few rows: every row r ≥ from whose score s has
+// s+allow ≥ floor moves to the front in row order, from slot out on —
+// cands[out] = r, score[out] = s — and the new out is returned. It needs
+// out ≤ from ≤ len(score) ≤ len(cands). Past the returned out, score and
+// cands hold unspecified values; the rows before from are not read. A
+// dead score (−Inf) must fail the test.
+func CompactReaching(cands []int, score []float64, from, out int, allow, floor float64) int {
+	n := compactRange(cands, score, from, out)
+	if n > from {
+		out = compactReachingAVX2(&cands[0], &score[0], from, n, out, allow, floor)
+	}
+	for r := n; r < len(score); r++ {
+		s := score[r]
+		cands[out], score[out] = r, s
+		out += b2i(s+allow >= floor)
+	}
+	return out
+}
+
+// CompactAtMost is CompactReaching for the distance prune: the rows kept
+// are those whose score is at most limit. A dead score (+Inf) must fail.
+func CompactAtMost(cands []int, score []float64, from, out int, limit float64) int {
+	n := compactRange(cands, score, from, out)
+	if n > from {
+		out = compactAtMostAVX2(&cands[0], &score[0], from, n, out, limit)
+	}
+	for r := n; r < len(score); r++ {
+		s := score[r]
+		cands[out], score[out] = r, s
+		out += b2i(s <= limit)
+	}
+	return out
+}
+
+// compactRange checks the arguments of the one-pass compactions and
+// returns the end of the rows the AVX2 body takes: from plus a multiple of
+// 4, or from itself when it takes none.
+func compactRange(cands []int, score []float64, from, out int) int {
+	if out < 0 || out > from || from > len(score) || len(cands) < len(score) {
+		panic("kernel: compaction arguments out of range")
+	}
+	if !hasAVX2 || len(score)-from < simdMin {
+		return from
+	}
+	return from + (len(score)-from)&^3
 }

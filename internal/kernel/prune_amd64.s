@@ -404,3 +404,99 @@ TEXT ·compactLiveTailsAVX2(SB), NOSPLIT, $0-48
 	MOVQ         AX, ret+40(FP)
 	VZEROUPPER
 	RET
+
+// The one-pass prunes: KEEP_COMPACT_BODY(TEST) compacts rows [DX, CX) of
+// the scores in place, from slot AX on, keeping the rows whose lanes TEST
+// sets, and leaves the new out in AX. COMPACT_KEPT is COMPACT4 on a mask
+// of the kept lanes; like there, its stores land at out ≤ r, inside the
+// block already loaded, and an 8-row block with no kept row stores
+// nothing — the common case when a carried κ removes nearly every row.
+// Registers: SI score, DI cands, DX r, CX n, AX out, R9 compress<>,
+// R12 the end of the 8-row blocks, BX scratch, Y0 allow or limit, Y14
+// floor, Y6 the block's row ids, Y7 four, Y11 eight.
+#define COMPACT_KEPT(s, keep) \
+	VMOVMSKPD keep, BX; \
+	VPMOVZXBD (R9)(BX*8), Y3; \
+	VPERMD    s, Y3, Y4; \
+	VMOVDQU   Y4, (SI)(AX*8); \
+	VPERMD    Y6, Y3, Y5; \
+	VMOVDQU   Y5, (DI)(AX*8); \
+	VPADDQ    Y7, Y6, Y6; \
+	POPCNTQ   BX, BX; \
+	ADDQ      BX, AX
+
+// s+allow >= floor (GE_OQ), and s <= limit (LE_OQ): a NaN fails both.
+#define REACHING(s, m) \
+	VADDPD Y0, s, m; \
+	VCMPPD $0x1D, Y14, m, m
+
+#define AT_MOST(s, m) \
+	VCMPPD $0x12, Y0, s, m
+
+#define KEEP_COMPACT_BODY(TEST) \
+	VMOVQ        DX, X6; \
+	VPBROADCASTQ X6, Y6; \
+	VPADDQ       rowiota<>(SB), Y6, Y6; \
+	MOVQ         $4, BX; \
+	VMOVQ        BX, X7; \
+	VPBROADCASTQ X7, Y7; \
+	VPADDQ       Y7, Y7, Y11; \
+	LEAQ         compress<>(SB), R9; \
+	MOVQ         CX, R12; \
+	SUBQ         DX, R12; \
+	ANDQ         $~7, R12; \
+	ADDQ         DX, R12; \
+kloop8: \
+	CMPQ      DX, R12; \
+	JGE       kloop4; \
+	VMOVUPD   (SI)(DX*8), Y1; \
+	VMOVUPD   32(SI)(DX*8), Y8; \
+	TEST(Y1, Y2); \
+	TEST(Y8, Y9); \
+	VORPD     Y9, Y2, Y10; \
+	VMOVMSKPD Y10, BX; \
+	TESTQ     BX, BX; \
+	JNZ       ksome8; \
+	VPADDQ    Y11, Y6, Y6; \
+	ADDQ      $8, DX; \
+	JMP       kloop8; \
+ksome8: \
+	COMPACT_KEPT(Y1, Y2); \
+	COMPACT_KEPT(Y8, Y9); \
+	ADDQ      $8, DX; \
+	JMP       kloop8; \
+kloop4: \
+	CMPQ      DX, CX; \
+	JGE       kdone; \
+	VMOVUPD   (SI)(DX*8), Y1; \
+	TEST(Y1, Y2); \
+	COMPACT_KEPT(Y1, Y2); \
+	ADDQ      $4, DX; \
+kdone:
+
+// func compactReachingAVX2(cands *int, score *float64, from, n, out int, allow, floor float64) int
+TEXT ·compactReachingAVX2(SB), NOSPLIT, $0-64
+	MOVQ         cands+0(FP), DI
+	MOVQ         score+8(FP), SI
+	MOVQ         from+16(FP), DX
+	MOVQ         n+24(FP), CX
+	MOVQ         out+32(FP), AX
+	VBROADCASTSD allow+40(FP), Y0
+	VBROADCASTSD floor+48(FP), Y14
+	KEEP_COMPACT_BODY(REACHING)
+	MOVQ         AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func compactAtMostAVX2(cands *int, score *float64, from, n, out int, limit float64) int
+TEXT ·compactAtMostAVX2(SB), NOSPLIT, $0-56
+	MOVQ         cands+0(FP), DI
+	MOVQ         score+8(FP), SI
+	MOVQ         from+16(FP), DX
+	MOVQ         n+24(FP), CX
+	MOVQ         out+32(FP), AX
+	VBROADCASTSD limit+40(FP), Y0
+	KEEP_COMPACT_BODY(AT_MOST)
+	MOVQ         AX, ret+48(FP)
+	VZEROUPPER
+	RET

@@ -223,3 +223,76 @@ func TestSelectAtLeastMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactKeptMatchesScalar holds CompactReaching and CompactAtMost to
+// the scalar keep-and-compact loop, bit for bit: every length up to 67 and
+// two segment sizes, every alignment, a first row from anywhere in the
+// slice with the output cursor anywhere at or before it, 0–100 % of the
+// rows dead, thresholds that tie existing scores, and ±0, ±Inf and NaN.
+func TestCompactKeptMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	backing := make([]float64, 1000+8)
+	for _, n := range pruneLens {
+		for base := 0; base <= 7; base++ {
+			for _, livePct := range []int{0, 1, 10, 50, 90, 100} {
+				for _, reaching := range []bool{false, true} {
+					dead := math.Inf(1)
+					if reaching {
+						dead = math.Inf(-1)
+					}
+					score0 := pruneScores(rng, n, livePct, dead)
+					from := rng.Intn(n + 1)
+					if rng.Intn(2) == 0 {
+						from = 0
+					}
+					out0 := rng.Intn(from + 1)
+					allow := rng.Float64()
+					floor, limit := rng.NormFloat64(), rng.NormFloat64()
+					if n > 0 && rng.Intn(2) == 0 {
+						if s := score0[rng.Intn(n)]; s == s && !math.IsInf(s, 0) {
+							floor, limit = s+allow, s // exact ties
+						}
+					}
+					keep := func(s float64) bool { return s <= limit }
+					if reaching {
+						keep = func(s float64) bool { return s+allow >= floor }
+					}
+
+					wantC, wantS := make([]int, n), append([]float64(nil), score0...)
+					want := out0
+					for r := from; r < n; r++ {
+						s := wantS[r]
+						if keep(s) {
+							wantC[want], wantS[want] = r, s
+							want++
+						}
+					}
+
+					score := backing[base : base+n]
+					copy(score, score0)
+					cands := make([]int, n)
+					var got int
+					if reaching {
+						got = CompactReaching(cands, score, from, out0, allow, floor)
+					} else {
+						got = CompactAtMost(cands, score, from, out0, limit)
+					}
+					label := fmt.Sprintf("n=%d base=%d live=%d%% reaching=%v from=%d out=%d", n, base, livePct, reaching, from, out0)
+					if got != want {
+						t.Fatalf("%s: out %d, want %d", label, got, want)
+					}
+					for i := out0; i < want; i++ {
+						if cands[i] != wantC[i] || !sameFloat(score[i], wantS[i]) {
+							t.Fatalf("%s: slot %d = (%d, %v), want (%d, %v)", label, i, cands[i], score[i], wantC[i], wantS[i])
+						}
+					}
+					for i := 0; i < out0; i++ {
+						if !sameFloat(score[i], score0[i]) {
+							t.Fatalf("%s: slot %d before the cursor changed", label, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}

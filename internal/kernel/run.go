@@ -205,18 +205,17 @@ func KeepAtMost(score []float64, limit, dead float64) int {
 }
 
 // KeepReaching is the dense phase's prune for the query-only histogram
-// criterion, which tests a score against two thresholds (the local and the
-// carried κ) with two different tail allowances: a score s is kept when
-// s+a1 ≥ lo1 and s+a2 ≥ lo2, and replaced by dead otherwise. A score that
-// already is dead must fail.
-func KeepReaching(score []float64, a1, lo1, a2, lo2, dead float64) int {
+// criterion: a score s is kept when s+allow ≥ floor (the tail allowance
+// T(q⁺), and the local or the carried κ), and replaced by dead otherwise.
+// A score that already is dead must fail.
+func KeepReaching(score []float64, allow, floor, dead float64) int {
 	kept, n := 0, 0
 	if hasAVX2 && len(score) >= simdMin {
 		n = len(score) &^ 3
-		kept = keepReachingAVX2(&score[0], n, a1, lo1, a2, lo2, dead)
+		kept = keepReachingAVX2(&score[0], n, allow, floor, dead)
 	}
 	for r := n; r < len(score); r++ {
-		if s := score[r]; s+a1 >= lo1 && s+a2 >= lo2 {
+		if s := score[r]; s+allow >= floor {
 			kept++
 		} else {
 			score[r] = dead

@@ -267,16 +267,13 @@ func TestKeepKernels(t *testing.T) {
 				t.Fatalf("KeepAtMost n=%d limit=%v: kept %d, want %d", n, limit, kept, want)
 			}
 
-			a1, a2 := rng.Float64(), rng.Float64()
-			lo1, lo2, dead := pick()+a1, pick()+a2, math.Inf(-1)
-			if rng.Intn(4) == 0 {
-				lo1 = dead // no local κ
-			}
+			allow := rng.Float64()
+			floor, dead := pick()+allow, math.Inf(-1)
 			got = append(got[:0], score...)
-			kept = KeepReaching(got, a1, lo1, a2, lo2, dead)
+			kept = KeepReaching(got, allow, floor, dead)
 			want = 0
 			for i, s := range score {
-				keep := s+a1 >= lo1 && s+a2 >= lo2
+				keep := s+allow >= floor
 				if keep {
 					want++
 				}

@@ -422,7 +422,7 @@ func (p *Plan) runStep(st *Step, ln *lane) stepOutcome {
 		return p.runEngine(st, ln)
 
 	case PathCompressed:
-		seg := p.segs[st.Segment]
+		seg := &p.segs[st.Segment]
 		vopts := p.Opts
 		vopts.Exclude = core.LocalExclude(p.Opts.Exclude, st.Base, st.N)
 		sub, empty := core.SearchCompressedOneScratch(seg.View.Src, seg.Codes(), p.Spec.Query, vopts, &ln.core)
@@ -473,7 +473,7 @@ func (p *Plan) runEngine(st *Step, ln *lane) stepOutcome {
 // summation order the compressed refine and exact-scan paths use, so a
 // segment answers identically whichever path the planner picks.
 func (p *Plan) runVAFile(st *Step, sc *lane) stepOutcome {
-	seg := p.segs[st.Segment]
+	seg := &p.segs[st.Segment]
 	src := seg.View.Src
 	f := seg.VA()
 	deleted := core.DeletedView(src)

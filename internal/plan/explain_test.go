@@ -93,9 +93,9 @@ func TestExplainGolden(t *testing.T) {
 // sealedMoments is the moments of the sealed segments' rows.
 func sealedMoments(segs []Segment) *core.Moments {
 	var sums core.MomentSums
-	for _, s := range segs {
-		if s.Sealed {
-			sums.Add(s.View.Src)
+	for i := range segs {
+		if segs[i].Sealed {
+			sums.Add(segs[i].View.Src)
 		}
 	}
 	return sums.Moments()

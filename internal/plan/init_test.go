@@ -180,8 +180,8 @@ func TestLazyPlanMatchesEagerProperty(t *testing.T) {
 		dims := 2 + rng.Intn(10)
 		segs := lazyFixture(rng, dims)
 		slots := 0
-		for _, s := range segs {
-			slots += s.View.Src.Len()
+		for i := range segs {
+			slots += segs[i].View.Src.Len()
 		}
 		var specs []Spec
 		var wants []Result
@@ -266,8 +266,8 @@ func TestSynopsisCellsRead(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			segs := segmentsOf(tc.store)
 			all := 0
-			for _, s := range segs {
-				if s.View.Src.Len() > 0 {
+			for i := range segs {
+				if segs[i].View.Src.Len() > 0 {
 					all += dims
 				}
 			}

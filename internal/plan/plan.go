@@ -182,7 +182,7 @@ func (p *Plan) init(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) er
 	opts := spec.options()
 	opts.Moments = mom
 	view := func(i int) *core.SegmentView { return &segs[i].View }
-	if err := core.ValidateSegments(len(segs), view, spec.Query, &opts); err != nil {
+	if err := core.ValidateSegments(sealedShape(segs, view), len(segs), view, spec.Query, &opts); err != nil {
 		return err
 	}
 	if math.IsNaN(spec.Tolerance) || math.IsInf(spec.Tolerance, 0) {
@@ -232,6 +232,36 @@ func (p *Plan) init(segs []Segment, mom *core.Moments, spec Spec, pool *Pool) er
 	}
 	heapify(p.heap)
 	return nil
+}
+
+// sealedShape returns the shape of the leading run of sealed segments of
+// segs, which no writer changes: the first plan over a list aggregates it
+// and keeps it on segs[0], and every later one validates by folding in only
+// the segments after it. It returns the zero Shape (aggregate everything)
+// for an empty list, and when the run does not aggregate, leaving the error
+// to ValidateSegments.
+func sealedShape(segs []Segment, view func(int) *core.SegmentView) core.Shape {
+	if len(segs) == 0 {
+		return core.Shape{}
+	}
+	if s := segs[0].sealedRun.Load(); s != nil {
+		return *s
+	}
+	n := 0
+	for n < len(segs) && segs[n].Sealed {
+		n++
+	}
+	if n == 0 {
+		return core.Shape{}
+	}
+	s, err := core.Shape{}.Fold(n, view)
+	if err != nil {
+		return core.Shape{}
+	}
+	kept := new(core.Shape)
+	*kept = s
+	segs[0].sealedRun.Store(kept)
+	return s
 }
 
 // bounded reports whether a non-empty segment has a usable synopsis. A

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -319,5 +320,42 @@ func TestReleasedPlanForgetsCallerData(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSealedShapeKeptPerList holds the validation shortcut to full
+// aggregation: the first plan over a segment list keeps the shape of its
+// leading sealed run on the list, later plans reuse it, and the active
+// segment is still folded in per plan — a value appended there out of the
+// Euclidean range is refused at once.
+func TestSealedShapeKeptPerList(t *testing.T) {
+	store := uniformStore(400, 100, 8, 5)
+	store.Append(store.Row(7)) // opens an active segment after four sealed ones
+	segs := segmentsOf(store)
+	spec := Spec{Query: store.Row(0), K: 3, Criterion: core.Eq}
+	if _, err := New(segs, nil, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	kept := segs[0].sealedRun.Load()
+	if kept == nil {
+		t.Fatal("the first plan kept no sealed shape")
+	}
+	want, err := core.Shape{}.Fold(4, func(i int) *core.SegmentView { return &segs[i].View })
+	if err != nil || *kept != want {
+		t.Fatalf("kept shape %+v, want the four sealed segments' %+v (%v)", *kept, want, err)
+	}
+
+	far := make([]float64, 8)
+	far[0] = 2
+	store.Append(far)
+	if _, err := New(segs, nil, spec, nil); !errors.Is(err, core.ErrDataRange) {
+		t.Fatalf("Eq after an out-of-range append: err %v, want ErrDataRange", err)
+	}
+	spec.Criterion = core.Hq
+	if _, err := New(segs, nil, spec, nil); err != nil {
+		t.Fatalf("Hq after the append: %v", err)
+	}
+	if segs[0].sealedRun.Load() != kept {
+		t.Fatal("a later plan aggregated the sealed run again")
 	}
 }

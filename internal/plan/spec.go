@@ -18,6 +18,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"bond/internal/bitmap"
@@ -143,6 +144,11 @@ type Segment struct {
 	Codes func() *vstore.QuantStore
 	// VA returns the segment's row-major VA-File (nil if unavailable).
 	VA func() *vafile.File
+
+	// sealedRun is kept on a list's first segment: the shape of the list's
+	// leading run of sealed segments, filled by the first plan over the
+	// list (see sealedShape).
+	sealedRun atomic.Pointer[core.Shape]
 }
 
 // WrapViews lifts bare segment views into planner segments with no

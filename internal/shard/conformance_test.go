@@ -127,6 +127,8 @@ func TestCoordinatorWireConformance(t *testing.T) {
 		{"GET /collections/c/explain?id=0&parallel=4", "", 400, `{"error":"unknown parameter \"parallel\""}`, "", ""},
 		{"GET /collections/c/explain?id=0&stratgy=exact&k=2", "", 400, `{"error":"unknown parameter \"stratgy\""}`, "", ""},
 		{"GET /collections/missing/explain?k=2&parallel=4", "", 400, `{"error":"unknown parameter \"parallel\""}`, "", ""},
+		{"GET /collections/c/explain?id=0&k=%zz", "", 400, `{"error":"bad parameter \"k\": invalid URL escape \"%zz\""}`, "", ""},
+		{"GET /collections/c/explain?id=0&k=1&k=2", "", 400, `{"error":"repeated parameter \"k\""}`, "", ""},
 
 		// A ragged batch is refused whole, wherever the bad vector sits,
 		// and leaves nothing behind: the next ingest takes id 3.
