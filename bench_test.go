@@ -404,35 +404,6 @@ func BenchmarkSearchCompressedFilter(b *testing.B) {
 
 // --- Segmented-store benchmarks -----------------------------------------
 
-// clusterBlocks generates cluster-contiguous data: block b of perBlock
-// vectors sits around its own random centre (the ingest-by-locality
-// pattern segment synopses exploit).
-func clusterBlocks(blocks, perBlock, dims int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]float64, 0, blocks*perBlock)
-	for bl := 0; bl < blocks; bl++ {
-		ctr := make([]float64, dims)
-		for d := range ctr {
-			ctr[d] = rng.Float64()
-		}
-		for i := 0; i < perBlock; i++ {
-			v := make([]float64, dims)
-			for d := range v {
-				x := ctr[d] + rng.NormFloat64()*0.02
-				if x < 0 {
-					x = 0
-				}
-				if x > 1 {
-					x = 1
-				}
-				v[d] = x
-			}
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // BenchmarkSegmentSkipping compares BOND over a segmented collection whose
 // boundaries align with data locality (segment synopses skip cold
 // segments) against the same data in one flat segment (every search scans
@@ -440,7 +411,7 @@ func clusterBlocks(blocks, perBlock, dims int, seed int64) [][]float64 {
 // and segments skipped.
 func BenchmarkSegmentSkipping(b *testing.B) {
 	const blocks, perBlock, dims, k = 20, 500, 64, 10
-	vs := clusterBlocks(blocks, perBlock, dims, 99)
+	vs := layoutRows(rand.New(rand.NewSource(99)), "clustered", blocks*perBlock, dims, perBlock)
 	queries := make([][]float64, 8)
 	for i := range queries {
 		queries[i] = vs[(i*blocks/len(queries))*perBlock+3]

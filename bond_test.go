@@ -19,8 +19,6 @@ import (
 	"bond/internal/core"
 	"bond/internal/crashfs"
 	"bond/internal/dataset"
-	"bond/internal/seqscan"
-	"bond/internal/topk"
 )
 
 func testCollection(t *testing.T) ([][]float64, *Collection) {
@@ -189,18 +187,7 @@ func TestQuerySpecFields(t *testing.T) {
 
 func TestFacadeSearchMatchesScan(t *testing.T) {
 	vs, col := testCollection(t)
-	q := vs[10]
-	res, err := col.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := seqscan.SearchHistogram(vs, q, 5)
-	for i := range want {
-		if res.Results[i].ID != want[i].ID &&
-			math.Abs(res.Results[i].Score-want[i].Score) > 1e-9 {
-			t.Errorf("rank %d: id %d, want %d", i, res.Results[i].ID, want[i].ID)
-		}
-	}
+	assertAnswers(t, "facade", col, vs, nil, QuerySpec{Query: vs[10], K: 5, Criterion: Hq})
 }
 
 func TestFacadeLifecycle(t *testing.T) {
@@ -234,21 +221,20 @@ func TestFacadeLifecycle(t *testing.T) {
 func TestFacadeCompressedLazyBuildAndInvalidation(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[7]
-	a, err := col.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyCompressed})
-	if err != nil {
+	spec := QuerySpec{Query: q, K: 2, Criterion: Hq, Strategy: StrategyCompressed}
+	if _, err := col.Query(spec); err != nil { // builds the codes
 		t.Fatal(err)
 	}
-	// Adding a vector invalidates the codes; a repeat search must see it.
+	// Adding a vector invalidates the codes; a repeat search must see it:
+	// the duplicate (id 600) ties the query's own row at the top.
 	if _, err := col.AddDurable(q); err != nil {
 		t.Fatal(err)
 	}
-	b, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Strategy: StrategyCompressed})
+	b, err := col.Query(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Results[0].ID != 600 && b.Results[0].Score < a.Results[0].Score {
-		t.Error("appended exact duplicate not found by compressed search")
-	}
+	assertSameAnswer(t, "compressed after add", b.Results, scanAnswer(append(vs, q), nil, spec))
 }
 
 func TestFacadeMILAndExclusion(t *testing.T) {
@@ -256,13 +242,7 @@ func TestFacadeMILAndExclusion(t *testing.T) {
 	q := vs[0]
 	excl := col.NewExclusion()
 	excl.Set(0)
-	res, err := col.Query(QuerySpec{Query: q, K: 1, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0].ID == 0 {
-		t.Error("excluded id returned")
-	}
+	assertAnswers(t, "excluded", col, vs, nil, QuerySpec{Query: q, K: 1, Criterion: Hq, Exclude: excl})
 	// The MIL reference engine is not a Collection strategy; it runs on the
 	// flattened store as the oracle it is.
 	ref, err := mil.SearchMIL(col.store.Flatten(), q, mil.MILOptions{K: 1})
@@ -295,78 +275,32 @@ func TestFacadeWeightedAndSubspace(t *testing.T) {
 	vs, col := testCollection(t)
 	q := vs[9]
 	w := dataset.WeightsZipf(32, 2, 7)
-	res, err := col.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Weights: w, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := seqscan.SearchWeightedEuclidean(vs, q, w, 4)
-	for i := range want {
-		if res.Results[i].ID != want[i].ID &&
-			math.Abs(res.Results[i].Score-want[i].Score) > 1e-9 {
-			t.Errorf("weighted rank %d: id %d, want %d", i, res.Results[i].ID, want[i].ID)
-		}
-	}
-	sub, err := col.Query(QuerySpec{Query: q, K: 4, Criterion: Ev, Dims: []int{0, 5, 9}, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Results) != 4 {
-		t.Errorf("subspace returned %d results", len(sub.Results))
-	}
+	assertAnswers(t, "weighted", col, vs, nil, QuerySpec{Query: q, K: 4, Criterion: Ev, Weights: w})
+	assertAnswers(t, "subspace", col, vs, nil, QuerySpec{Query: q, K: 4, Criterion: Ev, Dims: []int{0, 5, 9}})
 }
 
 // StrategyExact answers weighted and subspace queries (it ignored both
-// before the exact scan became a one-step engine run). It folds the
-// effective dimensions left to right in storage order, which is the
-// sequential scan's own sum, so the scores compare with ==.
+// before the exact scan became a one-step engine run), for every
+// criterion that takes them.
 func TestExactStrategyWeightedAndSubspace(t *testing.T) {
 	vs := dataset.CorelLike(600, 32, 2024)
 	col := NewCollectionSegmented(vs, 100)
 	w := dataset.WeightsZipf(32, 2, 7)
 	dims := []int{9, 0, 5, 31}
-	sub := make([]float64, 32)
-	for _, d := range dims {
-		sub[d] = 1
-	}
-	whist := func(q []float64, weight func(d int) float64) []topk.Result {
-		h := topk.NewLargest(4)
-		for id, v := range vs {
-			s := 0.0
-			for d, x := range v {
-				s += weight(d) * min(x, q[d])
-			}
-			h.Push(id, s)
-		}
-		return h.Results()
-	}
 	for _, qid := range []int{9, 123, 599} {
-		q := vs[qid]
-		wEuc, _ := seqscan.SearchWeightedEuclidean(vs, q, w, 4)
-		subEuc, _ := seqscan.SearchWeightedEuclidean(vs, q, sub, 4)
-		for _, tc := range []struct {
-			name string
-			spec QuerySpec
-			want []topk.Result
-		}{
-			{"Eq weighted", QuerySpec{Criterion: Eq, Weights: w}, wEuc},
-			{"Ev weighted", QuerySpec{Criterion: Ev, Weights: w}, wEuc},
-			{"Eq subspace", QuerySpec{Criterion: Eq, Dims: dims}, subEuc},
-			{"Hq weighted", QuerySpec{Criterion: Hq, Weights: w}, whist(q, func(d int) float64 { return w[d] })},
-			{"Hh subspace", QuerySpec{Criterion: Hh, Dims: dims}, whist(q, func(d int) float64 { return sub[d] })},
+		for _, spec := range []QuerySpec{
+			{Criterion: Eq, Weights: w},
+			{Criterion: Ev, Weights: w},
+			{Criterion: Eq, Dims: dims},
+			{Criterion: Hq, Weights: w},
+			{Criterion: Hh, Dims: dims},
 		} {
-			tc.spec.Query, tc.spec.K, tc.spec.Strategy = q, 4, StrategyExact
-			res, err := col.Query(tc.spec)
+			spec.Query, spec.K, spec.Strategy = vs[qid], 4, StrategyExact
+			res, err := col.Query(spec)
 			if err != nil {
-				t.Fatalf("%s q%d: %v", tc.name, qid, err)
+				t.Fatal(err)
 			}
-			if len(res.Results) != len(tc.want) {
-				t.Fatalf("%s q%d: %d results, want %d", tc.name, qid, len(res.Results), len(tc.want))
-			}
-			for i, want := range tc.want {
-				if got := res.Results[i]; got.ID != want.ID || got.Score != want.Score {
-					t.Errorf("%s q%d rank %d: %+v, want %+v", tc.name, qid, i, got, want)
-				}
-			}
+			assertSameAnswer(t, fmt.Sprintf("%v q%d", spec.Criterion, qid), res.Results, scanAnswer(vs, nil, spec))
 		}
 	}
 }

@@ -495,23 +495,17 @@ func TestImportCutsLongFlatFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := tc.oracle(live, vs[qid], 5)
+			if len(res.Results) != len(want) {
+				t.Fatalf("%v query %d: %d results, want %d", tc.crit, qid, len(res.Results), len(want))
+			}
 			for i, w := range want {
-				got := res.Results[i]
-				if math.Abs(got.Score-w.Score) > 1e-9 || (got.ID != ids[w.ID] && !tiedAt(want, i)) {
+				if got := res.Results[i]; got.ID != ids[w.ID] || got.Score != w.Score {
 					t.Fatalf("%v query %d rank %d: id %d score %v, want id %d score %v",
 						tc.crit, qid, i, got.ID, got.Score, ids[w.ID], w.Score)
 				}
 			}
 		}
 	}
-}
-
-// tiedAt reports whether rank i's score ties a neighbouring rank's, where
-// either id is a correct answer.
-func tiedAt(rs []topk.Result, i int) bool {
-	const eps = 1e-9
-	return (i > 0 && math.Abs(rs[i].Score-rs[i-1].Score) <= eps) ||
-		(i+1 < len(rs) && math.Abs(rs[i].Score-rs[i+1].Score) <= eps)
 }
 
 // FuzzLoadSegmented guards the reader -import converts snapshot files of

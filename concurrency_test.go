@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"bond/internal/seqscan"
 )
 
 // The concurrency stress test runs searchers of every flavor against one
@@ -75,46 +73,26 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 	}
 	q := stressQuery()
 
-	// Oracles, computed sequentially before any concurrency starts. The
-	// compressed path accumulates refine scores in a different dimension
-	// order, so it gets its own oracle.
-	oracleHq, _ := seqscan.SearchHistogram(stable, q, stressK)
-	oracleEv, _ := seqscan.SearchEuclidean(stable, q, stressK)
-	searchHq, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
+	// The answers every searcher must give, whatever the writer does: the
+	// scan's over the stable rows, and MultiSearch's own (its scores fall
+	// outside the contract), taken before any concurrency starts.
+	specHq := QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND}
+	specEv := QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND}
+	wantHq, wantEv := scanAnswer(stable, nil, specHq), scanAnswer(stable, nil, specEv)
+	multi, err := MultiSearch([]Feature{col.AsFeature(q, 1)}, MultiOptions{K: stressK, Step: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	searchEv, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
+	if !assertMultiSearchAnswer(t, "MultiSearch/Hq before the writer", multi.Results, wantHq) {
+		t.FailNow()
 	}
-	compressedHq, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine oracles must agree with the sequential scan (tolerating
-	// summation-order ulps in the scores, not in the ids).
-	for i := range oracleHq {
-		if searchHq.Results[i].ID != oracleHq[i].ID {
-			t.Fatalf("Hq oracle rank %d: engine id %d, scan id %d", i, searchHq.Results[i].ID, oracleHq[i].ID)
-		}
-		if searchEv.Results[i].ID != oracleEv[i].ID {
-			t.Fatalf("Ev oracle rank %d: engine id %d, scan id %d", i, searchEv.Results[i].ID, oracleEv[i].ID)
-		}
-	}
-
-	check := func(t *testing.T, label string, got []Neighbor, want []Neighbor) {
-		if len(got) != len(want) {
-			t.Errorf("%s: %d results, want %d", label, len(got), len(want))
+	query := func(label string, spec QuerySpec, want []Neighbor) {
+		res, err := col.Query(spec)
+		if err != nil {
+			t.Error(err)
 			return
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s rank %d: {%d %v}, want {%d %v}", label, i,
-					got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-				return
-			}
-		}
+		assertSameAnswer(t, label, res.Results, want)
 	}
 
 	const (
@@ -133,30 +111,11 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 	}
 
 	// Searchers: plain, compressed, multi-feature over a snapshot.
-	run(func(i int) {
-		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		check(t, "Search/Hq", res.Results, searchHq.Results)
-	})
-	run(func(i int) {
-		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Ev, Strategy: StrategyBOND})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		check(t, "Search/Ev", res.Results, searchEv.Results)
-	})
-	run(func(i int) {
-		res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyCompressed})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		check(t, "SearchCompressed/Hq", res.Results, compressedHq.Results)
-	})
+	compressedHq := specHq
+	compressedHq.Strategy = StrategyCompressed
+	run(func(i int) { query("Search/Hq", specHq, wantHq) })
+	run(func(i int) { query("Search/Ev", specEv, wantEv) })
+	run(func(i int) { query("SearchCompressed/Hq", compressedHq, wantHq) })
 	run(func(i int) {
 		// The snapshot is taken under the lock and searched after it is
 		// released, while the mutator runs.
@@ -166,7 +125,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		check(t, "MultiSearch/Hq", res.Results, searchHq.Results)
+		assertSameAnswer(t, "MultiSearch/Hq", res.Results, multi.Results)
 	})
 
 	// Mutator: appends churn, deletes some of it, compacts periodically.
@@ -198,11 +157,7 @@ func TestConcurrentSearchExactAgainstOracle(t *testing.T) {
 
 	// After the dust settles the stable answer is unchanged, and the
 	// stable prefix was never remapped.
-	res, err := col.Query(QuerySpec{Query: q, K: stressK, Criterion: Hq, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, "post-stress Search/Hq", res.Results, searchHq.Results)
+	query("post-stress Search/Hq", specHq, wantHq)
 	for i, v := range stable[:5] {
 		got := col.Vector(i)
 		for d := range v {

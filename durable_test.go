@@ -3,17 +3,16 @@ package bond
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"reflect"
 	"sync"
 	"testing"
 
+	"bond/internal/core"
 	"bond/internal/crashfs"
 	"bond/internal/dataset"
 	"bond/internal/iofs"
-	"bond/internal/seqscan"
 )
 
 // collectionDump is a full logical snapshot of a collection's state —
@@ -132,147 +131,156 @@ func TestOpenDurableRequiresDimsToCreate(t *testing.T) {
 
 // TestDurableLifecycleProperty is the randomized lifecycle property
 // test: a random interleaving of Add/AddBatch/Delete/Compact/Seal/
-// Checkpoint/Close+Reopen runs against a plain in-memory mirror
-// collection receiving the same mutations, and after every reopen the
-// recovered state must equal the mirror bit-for-bit while concurrent
-// queries (exact results pinned to the seqscan oracle) race the next
-// mutations. Run under -race in CI.
+// Checkpoint/Close+Reopen (see lifecycleProperty). Run under -race in CI.
 func TestDurableLifecycleProperty(t *testing.T) {
-	const (
-		dims    = 5
-		segSize = 16
-		ops     = 400
-	)
 	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			fs := crashfs.NewMemFS()
-			c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: dims, SegmentSize: segSize, Fsync: FsyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mirror := NewSegmented(dims, segSize)
-
-			var wg sync.WaitGroup
-			stopQueries := func() {}
-			startQueries := func() {
-				stop := make(chan struct{})
-				q := randVector(rng, dims) // drawn before the goroutine: rng is not shared
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						res, qerr := c.Query(QuerySpec{Query: q, K: 3, Criterion: Hq, Strategy: StrategyExact})
-						if qerr != nil {
-							t.Errorf("concurrent query: %v", qerr)
-							return
-						}
-						_ = res
-					}
-				}()
-				stopQueries = func() { close(stop); wg.Wait() }
-			}
-
-			apply := func(op func(col *Collection) error) {
-				if err := op(c); err != nil {
-					t.Fatalf("durable op: %v", err)
-				}
-				if err := op(mirror); err != nil {
-					t.Fatalf("mirror op: %v", err)
-				}
-			}
-			for i := 0; i < ops; i++ {
-				switch r := rng.Float64(); {
-				case r < 0.45:
-					v := randVector(rng, dims)
-					apply(func(col *Collection) error { _, e := col.AddDurable(v); return e })
-				case r < 0.60:
-					batch := make([][]float64, 1+rng.Intn(6))
-					for j := range batch {
-						batch[j] = randVector(rng, dims)
-					}
-					apply(func(col *Collection) error { _, e := col.AddBatchDurable(batch); return e })
-				case r < 0.75:
-					if n := c.Len(); n > 0 {
-						id := rng.Intn(n)
-						apply(func(col *Collection) error { _, e := col.TryDeleteDurable(id); return e })
-					}
-				case r < 0.85:
-					ratio := rng.Float64() * 0.5
-					apply(func(col *Collection) error { _, e := col.CompactRatioDurable(ratio); return e })
-				case r < 0.90:
-					apply(func(col *Collection) error { return col.SealActiveDurable() })
-				case r < 0.95:
-					if err := c.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					stopQueries()
-					want := dumpCollection(c)
-					if err := c.Close(); err != nil {
-						t.Fatal(err)
-					}
-					c = reopenDurable(t, fs, "col", FsyncNever)
-					if got := dumpCollection(c); !sameDump(got, want) {
-						t.Fatalf("op %d: reopen diverged from pre-close state", i)
-					}
-					startQueries()
-				}
-			}
-			stopQueries()
-
-			got, want := dumpCollection(c), dumpCollection(mirror)
-			if !sameDump(got, want) {
-				t.Fatalf("final state diverged from in-memory mirror:\n got %+v\nwant %+v", got, want)
-			}
-			// Pin a final query to the sequential-scan oracle, rank for rank.
-			// The documented contract promises bit-equal scores for pinned
-			// strategies only: StrategyExact folds the dimensions left to
-			// right in storage order — seqscan's own sum — so it is compared
-			// with ==, while auto may answer through a path that sums in
-			// query order and is compared by id and 1e-9. ROADMAP item 1
-			// (one canonical score) turns this back into a single == check.
-			var live [][]float64
-			var liveIDs []int
-			for id, row := range got.rows {
-				if !got.deleted[id] {
-					live = append(live, row)
-					liveIDs = append(liveIDs, id)
-				}
-			}
-			if len(live) > 0 {
-				q := randVector(rng, dims)
-				oracle, _ := seqscan.SearchHistogram(live, q, 3)
-				for _, strat := range []Strategy{StrategyExact, StrategyAuto} {
-					res, err := c.Query(QuerySpec{Query: q, K: 3, Criterion: Hq, Strategy: strat})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Results) != len(oracle) {
-						t.Fatalf("%v query k: %d vs oracle %d", strat, len(res.Results), len(oracle))
-					}
-					for j := range oracle {
-						r, o := res.Results[j], oracle[j]
-						same := r.Score == o.Score
-						if strat == StrategyAuto {
-							same = math.Abs(r.Score-o.Score) <= 1e-9
-						}
-						if !same || r.ID != liveIDs[o.ID] {
-							t.Fatalf("%v rank %d: got (%d,%v) oracle (%d,%v)",
-								strat, j, r.ID, r.Score, liveIDs[o.ID], o.Score)
-						}
-					}
-				}
-			}
-			c.Close()
+			lifecycleProperty(t, seed, 400, lifecycleMix{add: 45, batch: 15, del: 15, compact: 10, seal: 5, checkpoint: 5, reopen: 5})
 		})
 	}
+}
+
+// lifecycleMix weighs the operations lifecycleProperty draws.
+type lifecycleMix struct {
+	add, batch, del, compact, seal, recluster, checkpoint, reopen int
+}
+
+// lifecycleProperty runs ops random operations, drawn by mix, against a
+// durable collection on the in-memory filesystem and an in-memory mirror
+// receiving the same mutations (recluster is deterministic, so the mirror
+// reproduces its layout exactly), while concurrent Query and QueryBatch
+// calls race every mutation. After every recluster the two agree, after
+// every reopen the recovered state equals the one closed, and at the end
+// the collection equals the mirror bit for bit and answers a query on
+// every strategy as the scan of its rows does, or with ErrNoCandidates
+// when every row is deleted.
+func lifecycleProperty(t *testing.T, seed int64, ops int, mix lifecycleMix) {
+	const dims, segSize = 5, 16
+	rng := rand.New(rand.NewSource(seed))
+	fs := crashfs.NewMemFS()
+	c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: dims, SegmentSize: segSize, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := NewSegmented(dims, segSize)
+
+	var wg sync.WaitGroup
+	// A reader accepts ErrNoCandidates: the collection starts empty, and a
+	// delete may empty it again. The final checks below hold the answer
+	// whether or not a row is left.
+	answered := func(err error) bool { return err == nil || errors.Is(err, core.ErrNoCandidates) }
+	stopQueries := func() {}
+	startQueries := func() {
+		stop := make(chan struct{})
+		q1 := randVector(rng, dims) // drawn before the goroutine: rng is not shared
+		q2 := randVector(rng, dims)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Query(QuerySpec{Query: q1, K: 3, Criterion: Hq, Strategy: StrategyExact}); !answered(err) {
+					t.Errorf("concurrent query: %v", err)
+					return
+				}
+				if _, err := c.QueryBatch([]QuerySpec{
+					{Query: q1, K: 2, Criterion: Hq},
+					{Query: q2, K: 3, Criterion: Hq},
+				}); !answered(err) {
+					t.Errorf("concurrent query batch: %v", err)
+					return
+				}
+			}
+		}()
+		var once sync.Once
+		stopQueries = func() { once.Do(func() { close(stop); wg.Wait() }) }
+	}
+	startQueries()
+	// On a failure too, the readers stop before the collection closes.
+	defer func() { stopQueries(); c.Close() }()
+
+	apply := func(op func(col *Collection) error) {
+		if err := op(c); err != nil {
+			t.Fatalf("durable op: %v", err)
+		}
+		if err := op(mirror); err != nil {
+			t.Fatalf("mirror op: %v", err)
+		}
+	}
+	for i := 0; i < ops; i++ {
+		// pick(w) takes the next w of r's range; the switch stops at the
+		// first operation whose share r falls in.
+		r := rng.Intn(mix.add + mix.batch + mix.del + mix.compact + mix.seal + mix.recluster + mix.checkpoint + mix.reopen)
+		pick := func(w int) bool {
+			r -= w
+			return r < 0
+		}
+		switch {
+		case pick(mix.add):
+			v := randVector(rng, dims)
+			apply(func(col *Collection) error { _, e := col.AddDurable(v); return e })
+		case pick(mix.batch):
+			batch := make([][]float64, 1+rng.Intn(6))
+			for j := range batch {
+				batch[j] = randVector(rng, dims)
+			}
+			apply(func(col *Collection) error { _, e := col.AddBatchDurable(batch); return e })
+		case pick(mix.del):
+			if n := c.Len(); n > 0 {
+				id := rng.Intn(n)
+				apply(func(col *Collection) error { _, e := col.TryDeleteDurable(id); return e })
+			}
+		case pick(mix.compact):
+			ratio := rng.Float64() * 0.5
+			apply(func(col *Collection) error { _, e := col.CompactRatioDurable(ratio); return e })
+		case pick(mix.seal):
+			apply(func(col *Collection) error { return col.SealActiveDurable() })
+		case pick(mix.recluster):
+			// k auto or explicit, random seed: both sides must converge on
+			// the identical layout.
+			k := 0
+			if rng.Float64() < 0.3 {
+				k = 1 + rng.Intn(4)
+			}
+			s := rng.Int63()
+			apply(func(col *Collection) error { _, e := col.ReclusterDurable(k, s); return e })
+			if got, want := dumpCollection(c), dumpCollection(mirror); !sameDump(got, want) {
+				t.Fatalf("op %d: recluster diverged from mirror", i)
+			}
+		case pick(mix.checkpoint):
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			stopQueries()
+			want := dumpCollection(c)
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c = reopenDurable(t, fs, "col", FsyncNever)
+			if got := dumpCollection(c); !sameDump(got, want) {
+				t.Fatalf("op %d: reopen diverged from pre-close state", i)
+			}
+			startQueries()
+		}
+	}
+	stopQueries()
+
+	got, want := dumpCollection(c), dumpCollection(mirror)
+	if !sameDump(got, want) {
+		t.Fatalf("final state diverged from in-memory mirror:\n got %+v\nwant %+v", got, want)
+	}
+	if c.Live() == 0 {
+		if _, err := c.Query(QuerySpec{Query: randVector(rng, dims), K: 3, Criterion: Hq}); !errors.Is(err, core.ErrNoCandidates) {
+			t.Fatalf("emptied collection: query error %v, want ErrNoCandidates", err)
+		}
+		return
+	}
+	assertAnswers(t, "final", c, got.rows, got.deleted, QuerySpec{Query: randVector(rng, dims), K: 3, Criterion: Hq})
 }
 
 func randVector(rng *rand.Rand, dims int) []float64 {

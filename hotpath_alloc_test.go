@@ -18,15 +18,7 @@ const allocBudget = 2
 
 func allocTestCollection(t testing.TB, n, dims, segSize int) (*Collection, [][]float64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	vectors := make([][]float64, n)
-	for i := range vectors {
-		v := make([]float64, dims)
-		for d := range v {
-			v[d] = rng.Float64()
-		}
-		vectors[i] = v
-	}
+	vectors := layoutRows(rand.New(rand.NewSource(42)), "uniform", n, dims, segSize)
 	return NewCollectionSegmented(vectors, segSize), vectors
 }
 
@@ -40,7 +32,7 @@ func allocTestCollection(t testing.TB, n, dims, segSize int) (*Collection, [][]f
 func TestQueryAllocationBudget(t *testing.T) {
 	col, vectors := allocTestCollection(t, 1200, 24, 300)
 	const blocks, perBlock = 1536, 4
-	clustered := clusterBlocks(blocks, perBlock, 24, 5)
+	clustered := layoutRows(rand.New(rand.NewSource(5)), "clustered", blocks*perBlock, 24, perBlock)
 	ccol := NewCollectionSegmented(clustered, perBlock)
 
 	type pathCase struct {
@@ -153,17 +145,12 @@ func batchMatchesQuery(t *testing.T, col *Collection, specs []QuerySpec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch[i].Results) != len(single.Results) || batch[i].Truncated != single.Truncated {
-			t.Fatalf("spec %d: batch %d results (truncated %v), single %d (%v)", i,
-				len(batch[i].Results), batch[i].Truncated, len(single.Results), single.Truncated)
+		if !assertSameAnswer(t, fmt.Sprintf("batch spec %d", i), batch[i].Results, single.Results) {
+			t.FailNow()
 		}
-		for r := range single.Results {
-			if b, s := batch[i].Results[r], single.Results[r]; b != s {
-				t.Fatalf("spec %d rank %d: batch %+v, single %+v", i, r, b, s)
-			}
-		}
-		if !reflect.DeepEqual(batch[i].Stats, single.Stats) {
-			t.Fatalf("spec %d: batch stats %+v, single %+v", i, batch[i].Stats, single.Stats)
+		if batch[i].Truncated != single.Truncated || !reflect.DeepEqual(batch[i].Stats, single.Stats) {
+			t.Fatalf("spec %d: batch stats %+v (truncated %v), single %+v (%v)", i,
+				batch[i].Stats, batch[i].Truncated, single.Stats, single.Truncated)
 		}
 	}
 }
@@ -198,7 +185,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	// co-scheduled with others must search exactly the segments it would
 	// have searched alone (the Stats comparison counts them).
 	const blocks, perBlock = 24, 50
-	clustered := clusterBlocks(blocks, perBlock, 16, 77)
+	clustered := layoutRows(rand.New(rand.NewSource(77)), "clustered", blocks*perBlock, 16, perBlock)
 	ccol := NewCollectionSegmented(clustered, perBlock)
 	specs = specs[:0]
 	for i := 0; i < 40; i++ {

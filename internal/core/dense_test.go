@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -140,8 +139,8 @@ func TestDensePhaseEmptiedAndSparseSegments(t *testing.T) {
 }
 
 // An exact scan is the engine run as one step, so it answers weighted and
-// subspace queries like BOND does (in storage order: scores agree to
-// rounding, not to the bit).
+// subspace queries like BOND does, to the bit: both report the
+// storage-order sum.
 func TestExactScanHonoursWeightsAndDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	f := newCarryFixture(rng)
@@ -159,13 +158,6 @@ func TestExactScanHonoursWeightsAndDims(t *testing.T) {
 		if err != nil {
 			t.Fatal(label, err)
 		}
-		if len(got.Results) != len(want.Results) {
-			t.Fatalf("%s: exact %d results, bond %d", label, len(got.Results), len(want.Results))
-		}
-		for i, w := range want.Results {
-			if g := got.Results[i]; g.ID != w.ID || math.Abs(g.Score-w.Score) > 1e-12 {
-				t.Fatalf("%s: rank %d exact %+v, bond %+v", label, i, g, w)
-			}
-		}
+		sameBits(t, label+" exact vs bond", got.Results, want.Results)
 	}
 }

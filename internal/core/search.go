@@ -58,12 +58,12 @@ type Query struct {
 	// intersection, so the futility test compares like with like).
 	procQ []float64
 	// slack widens T(q⁺) when a histogram bound is tested against the
-	// carried κ, and a distance bound when the score it is tested against
-	// was summed in another order, see pruneStep.
+	// carried κ, and any bound when the score it is tested against was
+	// summed in another order, see pruneStep.
 	slack float64
-	// canonical reports that the results' distances are summed afresh in
-	// storage order (see engine.pushCanonical): a distance query whose
-	// processing order is not storage order.
+	// canonical reports that the results' scores are summed afresh in
+	// storage order (see engine.canonicalRows): a query whose processing
+	// order is not storage order.
 	canonical bool
 
 	bounds       []tailBound // indexed by dimensions processed
@@ -128,8 +128,8 @@ func (qs *Query) Init(q []float64, opts Options) {
 	}
 	// A score is a left-to-right float sum of up to total non-negative
 	// terms, each at most its term of T(q) — of Σ w·max(q, 1−q)² for a
-	// distance; S⁻ + T(q⁺), or a distance summed in another order, adds
-	// the same terms in another association. Either can round 2⁻⁵³ per
+	// distance; S⁻ + T(q⁺), or a score summed in another order, adds the
+	// same terms in another association. Either can round 2⁻⁵³ per
 	// addition away from the other, so this much slack keeps a bound
 	// compared across the two sound bit for bit, not only mathematically.
 	mass := qs.procQ[total]
@@ -145,7 +145,7 @@ func (qs *Query) Init(q []float64, opts Options) {
 		}
 	}
 	qs.slack = float64(4*(total+2)) * 0x1p-53 * mass
-	qs.canonical = opts.Criterion.Distance() && opts.Order != OrderNatural
+	qs.canonical = opts.Order != OrderNatural
 
 	if cap(qs.bounds) < total+1 {
 		qs.bounds = make([]tailBound, total+1)
@@ -534,7 +534,7 @@ func (e *engine) accumulate(from, to int) {
 // for distances, S⁻ + T(q⁺) + slack for intersections), which bounds the
 // final float score bit for bit; the tail masses of Hh and Ev are
 // maintained by subtraction and could round a tying candidate out. A
-// distance reported in storage order (qs.canonical) can differ in its last
+// score reported in storage order (qs.canonical) can differ in its last
 // bits from the sum S⁻ grows into, so there both κ are widened by the
 // slack.
 //
@@ -553,6 +553,10 @@ func (e *engine) pruneStep(processed int) {
 	before := e.live
 	b := qs.bound(processed)
 	lk, ck := e.none, e.kappa
+	var slack float64
+	if qs.canonical {
+		slack = qs.slack
+	}
 
 	switch qs.opts.Criterion {
 	case Hq:
@@ -573,13 +577,9 @@ func (e *engine) pruneStep(processed int) {
 		// the local κ would prune the carried one prunes too.
 		if local && e.live > e.k && qs.procQ[processed]+qs.slack > ck {
 			lk, sc.kbuf = topk.KthLargest(e.score, e.k, sc.kbuf) // κmin over Smin = S⁻
-			e.keep(b.c, lk)
+			e.keep(b.c+slack, lk)
 		}
 	case Eq:
-		var slack float64
-		if qs.canonical {
-			slack = qs.slack
-		}
 		if e.hasKappa {
 			e.keep(0, ck+slack)
 		}
@@ -614,6 +614,7 @@ func (e *engine) pruneStep(processed int) {
 		// runs only with lk or ck finite, a dead row fails it like any
 		// pruned candidate.
 		tqc := b.c + qs.slack
+		lk -= slack
 		out := 0
 		for ci, s := range e.score {
 			t := e.tails[ci]
@@ -644,9 +645,7 @@ func (e *engine) pruneStep(processed int) {
 			}
 			lk, sc.kbuf = topk.KthSmallest(smax, e.k, sc.kbuf)
 		}
-		if qs.canonical {
-			lk, ck = lk+qs.slack, ck+qs.slack
-		}
+		lk, ck = lk+slack, ck+slack
 		out := 0
 		for ci, s := range e.score {
 			t := e.tails[ci]
@@ -810,9 +809,9 @@ func (e *engine) appendStep(stat StepStat) {
 // value-only kfetch (and the carried κ) first tells which of them can rank
 // at all, so the id-carrying heap sees about k candidates, ties included,
 // rather than every survivor. Under qs.canonical it sees them with their
-// distance summed in storage order (canonicalRows), and the κ they must
-// reach is widened by the slack. The result list is scratch-backed: valid
-// until the Scratch's next search.
+// score summed in storage order (canonicalRows), and the κ they must reach
+// is widened by the slack. The result list is scratch-backed: valid until
+// the Scratch's next search.
 func (e *engine) finish() Result {
 	sc, qs := e.sc, e.qs
 	dist := qs.opts.Criterion.Distance()
@@ -827,8 +826,11 @@ func (e *engine) finish() Result {
 			kappa = local
 		}
 	}
-	if qs.canonical {
+	switch {
+	case qs.canonical && dist:
 		kappa += qs.slack
+	case qs.canonical:
+		kappa -= qs.slack
 	}
 	rows, scores := sc.rows[:0], sc.rowScores[:0]
 	if e.dense {
@@ -856,30 +858,44 @@ func (e *engine) finish() Result {
 	return Result{Results: sc.results, Stats: e.stats}
 }
 
-// canonicalRows overwrites scores[i] with row rows[i]'s distance as an exact
-// scan sums it: the terms w·(v − q)² (w = 1 unweighted) of the effective
-// dimensions — Dims as listed, or every dimension, less zero weights — in
-// that order from 0, with the run kernels' expressions. BOND adds the same
-// terms in its processing order, which under Options.Moments depends on
-// the collection's values, so two layouts of the same rows (a shard and
-// the whole collection, or two segmentations) would round a distance
-// differently in its last bits; this sum is the same bits whatever order
-// found the row, and the exact path's. It runs while the segment's columns
-// are still in cache, a column at a time over the rows.
+// canonicalRows overwrites scores[i] with row rows[i]'s score as an exact
+// scan sums it: the terms (v − q)² or min(v, q), times w when weighted, of
+// the effective dimensions — Dims as listed, or every dimension, less zero
+// weights — in that order from 0, with the run kernels' expressions. BOND
+// adds the same terms in its processing order, which depends on the query
+// and, under Options.Moments, on the collection's values, so two layouts of
+// the same rows (a shard and the whole collection, or two segmentations)
+// would round a score differently in its last bits; this sum is the same
+// bits whatever order found the row, and the exact path's. It runs while
+// the segment's columns are still in cache, a column at a time over the
+// rows.
 func (e *engine) canonicalRows(rows []int, scores []float64) {
 	qs := e.qs
 	clear(scores)
 	w := qs.opts.Weights
+	hist := !qs.opts.Criterion.Distance()
 	add := func(d int) {
 		if len(w) > 0 && w[d] == 0 {
 			return
 		}
 		col, qd := e.s.Column(d), qs.q[d]
-		for i, r := range rows {
-			diff := col[r] - qd
-			if len(w) == 0 {
+		switch {
+		case hist && len(w) == 0:
+			for i, r := range rows {
+				scores[i] += min(col[r], qd)
+			}
+		case hist:
+			for i, r := range rows {
+				scores[i] += w[d] * min(col[r], qd)
+			}
+		case len(w) == 0:
+			for i, r := range rows {
+				diff := col[r] - qd
 				scores[i] += diff * diff
-			} else {
+			}
+		default:
+			for i, r := range rows {
+				diff := col[r] - qd
 				scores[i] += w[d] * diff * diff
 			}
 		}

@@ -28,28 +28,17 @@ func corel(t *testing.T) ([][]float64, *vstore.Store) {
 	return corelFixture.vectors, corelFixture.store
 }
 
-// sameResults checks rank-by-rank equality of two result lists. Scores must
-// agree within tolerance at every rank. IDs must agree except at ranks whose
-// score is tied with another rank in the reference: BOND accumulates in a
-// different dimension order than the scan, so last-ulp rounding may break
-// exact ties differently — any tie-equivalent id is acceptable there.
+// sameResults fails unless got lists want's ids and scores rank by rank:
+// every path reports the storage-order sum the scans report, so scores
+// compare with == and ties break alike.
 func sameResults(t *testing.T, label string, got, want []topk.Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
-	const eps = 1e-9
-	tied := func(i int) bool {
-		return (i > 0 && math.Abs(want[i].Score-want[i-1].Score) <= eps) ||
-			(i+1 < len(want) && math.Abs(want[i].Score-want[i+1].Score) <= eps)
-	}
 	for i := range want {
-		if math.Abs(got[i].Score-want[i].Score) > eps {
-			t.Errorf("%s: rank %d score %v, want %v", label, i, got[i].Score, want[i].Score)
-		}
-		if got[i].ID != want[i].ID && !tied(i) {
-			t.Errorf("%s: rank %d = id %d, want id %d (scores %v vs %v)",
-				label, i, got[i].ID, want[i].ID, got[i].Score, want[i].Score)
+		if got[i] != want[i] {
+			t.Errorf("%s: rank %d = %+v, want %+v", label, i, got[i], want[i])
 		}
 	}
 }

@@ -41,7 +41,7 @@ func detectAVX2() bool {
 // wrapper; n is the number of slots to process and is a multiple of 4
 // (the wrapper runs the remainder in scalar Go). The Acc* gather kernels
 // preserve the scalar loops' one-addition-per-slot-per-column order and
-// are bit-identical to them; the dense kernels return four lane partials
+// are bit-identical to them; the dense kernel returns four lane partials
 // for the wrapper to reduce like its scalar accumulators.
 
 //go:noescape
@@ -73,12 +73,6 @@ func vaRowSumAVX2(tbl *float64, row *uint8, n int, out *[4]float64)
 
 //go:noescape
 func sqDistAVX2(v, q *float64, n int, out *[4]float64)
-
-//go:noescape
-func minSumAVX2(h, q *float64, n int, out *[4]float64)
-
-//go:noescape
-func wSqDistAVX2(v, q, w *float64, n int, out *[4]float64)
 
 // The run kernels (see run.go): cols points at the first of ncols slice
 // headers, every one of which the wrapper has checked to cover n rows; q

@@ -47,14 +47,6 @@ func sqDistAVX2(v, q *float64, n int, out *[4]float64) {
 	panic("kernel: SIMD stub called")
 }
 
-func minSumAVX2(h, q *float64, n int, out *[4]float64) {
-	panic("kernel: SIMD stub called")
-}
-
-func wSqDistAVX2(v, q, w *float64, n int, out *[4]float64) {
-	panic("kernel: SIMD stub called")
-}
-
 func accSqDistRunAVX2(score *float64, cols *[]float64, ncols, n int, q *float64) {
 	panic("kernel: SIMD stub called")
 }

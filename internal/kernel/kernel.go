@@ -22,12 +22,13 @@
 // byte-equal to the sequential-scan oracle. Their AVX2 variants therefore
 // use plain vsubpd/vmulpd/vaddpd, never FMA: a fused multiply-add rounds
 // once where the scalar code rounds twice, and that last-bit difference
-// would break the oracle equality. The dense kernels (whole-vector
-// distances) instead use independent accumulators for instruction-level
-// parallelism — four scalar ones in the portable code, four 4-wide vector
-// ones in the AVX2 code — so their sums may differ from a left-to-right
-// fold (and between implementations) in the last few ulps, which is
-// inside the tolerance every consumer already grants.
+// would break the oracle equality. The one dense kernel, SqDist (a
+// whole-vector distance, which no search path calls: the end-to-end
+// benchmark times it as a row-major reference), instead uses
+// independent accumulators for instruction-level parallelism — four scalar
+// ones in the portable code, four 4-wide vector ones in the AVX2 code — so
+// its sum may differ from a left-to-right fold (and between
+// implementations) in the last few ulps.
 //
 // None of the kernels allocate.
 package kernel
@@ -340,8 +341,8 @@ func VARowSum(tbl []float64, row []uint8) float64 {
 }
 
 // SqDist returns the dense squared Euclidean distance Σ (v_i − q_i)² with
-// independent accumulators; see the package comment for the few-ulp
-// tolerance this implies. len(q) must be at least len(v).
+// independent accumulators; see the package comment for the few ulps this
+// may differ from a left-to-right sum. len(q) must be at least len(v).
 func SqDist(v, q []float64) float64 {
 	q = q[:len(v)]
 	var s0, s1, s2, s3 float64
@@ -367,85 +368,6 @@ func SqDist(v, q []float64) float64 {
 	for ; i < len(v); i++ {
 		d := v[i] - q[i]
 		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// MinSum returns the dense histogram intersection Σ min(h_i, q_i), branch-
-// free, with independent accumulators (few-ulp tolerance). len(q) must be
-// at least len(h).
-func MinSum(h, q []float64) float64 {
-	q = q[:len(h)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	if hasAVX2 && len(h) >= simdMin {
-		n := len(h) &^ 3
-		var part [4]float64
-		minSumAVX2(&h[0], &q[0], n, &part)
-		s0, s1, s2, s3 = part[0], part[1], part[2], part[3]
-		i = n
-	} else {
-		for ; i+4 <= len(h); i += 4 {
-			s0 += min(h[i], q[i])
-			s1 += min(h[i+1], q[i+1])
-			s2 += min(h[i+2], q[i+2])
-			s3 += min(h[i+3], q[i+3])
-		}
-	}
-	for ; i < len(h); i++ {
-		s0 += min(h[i], q[i])
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// WSqDist returns the dense weighted squared Euclidean distance
-// Σ w_i (v_i − q_i)² with independent accumulators (few-ulp tolerance).
-// len(q) and len(w) must be at least len(v).
-func WSqDist(v, q, w []float64) float64 {
-	q = q[:len(v)]
-	w = w[:len(v)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	if hasAVX2 && len(v) >= simdMin {
-		n := len(v) &^ 3
-		var part [4]float64
-		wSqDistAVX2(&v[0], &q[0], &w[0], n, &part)
-		s0, s1, s2, s3 = part[0], part[1], part[2], part[3]
-		i = n
-	} else {
-		for ; i+4 <= len(v); i += 4 {
-			d0 := v[i] - q[i]
-			d1 := v[i+1] - q[i+1]
-			d2 := v[i+2] - q[i+2]
-			d3 := v[i+3] - q[i+3]
-			s0 += w[i] * d0 * d0
-			s1 += w[i+1] * d1 * d1
-			s2 += w[i+2] * d2 * d2
-			s3 += w[i+3] * d3 * d3
-		}
-	}
-	for ; i < len(v); i++ {
-		d := v[i] - q[i]
-		s0 += w[i] * d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// Sum returns Σ x_i with four independent accumulators. It stays pure Go
-// on every platform: one vector accumulator would replicate the scalar
-// chains bit-for-bit but gains nothing (one add per four elements either
-// way, bound by the same add latency), and more would change the result.
-func Sum(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i]
-		s1 += x[i+1]
-		s2 += x[i+2]
-		s3 += x[i+3]
-	}
-	for ; i < len(x); i++ {
-		s0 += x[i]
 	}
 	return (s0 + s1) + (s2 + s3)
 }

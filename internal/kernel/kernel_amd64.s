@@ -6,7 +6,7 @@
 //
 //   - n is a multiple of 4 (the Go wrapper runs the remainder); every
 //     loop retires 4 candidates/dimensions per iteration, except the
-//     dense kernels' 16-wide main loop.
+//     dense kernel's 16-wide main loop.
 //   - The gather kernels must stay bit-identical to the scalar loops:
 //     one addition per slot per column, vsubpd/vmulpd/vaddpd only —
 //     never FMA, which rounds once where the scalar code rounds twice.
@@ -401,144 +401,6 @@ sd4:
 	JMP     sd4
 
 sddone:
-	VADDPD  Y9, Y8, Y8
-	VADDPD  Y11, Y10, Y10
-	VADDPD  Y10, Y8, Y8
-	VMOVUPD Y8, (DI)
-	VZEROUPPER
-	RET
-
-// func minSumAVX2(h, q *float64, n int, out *[4]float64)
-TEXT ·minSumAVX2(SB), NOSPLIT, $0-32
-	MOVQ   h+0(FP), SI
-	MOVQ   q+8(FP), DX
-	MOVQ   n+16(FP), CX
-	MOVQ   out+24(FP), DI
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-
-ms16:
-	CMPQ    CX, $16
-	JLT     ms4
-	VMOVUPD 0(SI), Y1
-	VMOVUPD 0(DX), Y2
-	VMINPD  Y2, Y1, Y3
-	VMINPD  Y1, Y2, Y4
-	VORPD   Y4, Y3, Y3
-	VADDPD  Y3, Y8, Y8
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 32(DX), Y2
-	VMINPD  Y2, Y1, Y3
-	VMINPD  Y1, Y2, Y4
-	VORPD   Y4, Y3, Y3
-	VADDPD  Y3, Y9, Y9
-	VMOVUPD 64(SI), Y1
-	VMOVUPD 64(DX), Y2
-	VMINPD  Y2, Y1, Y3
-	VMINPD  Y1, Y2, Y4
-	VORPD   Y4, Y3, Y3
-	VADDPD  Y3, Y10, Y10
-	VMOVUPD 96(SI), Y1
-	VMOVUPD 96(DX), Y2
-	VMINPD  Y2, Y1, Y3
-	VMINPD  Y1, Y2, Y4
-	VORPD   Y4, Y3, Y3
-	VADDPD  Y3, Y11, Y11
-	ADDQ    $128, SI
-	ADDQ    $128, DX
-	SUBQ    $16, CX
-	JMP     ms16
-
-ms4:
-	TESTQ   CX, CX
-	JZ      msdone
-	VMOVUPD (SI), Y1
-	VMOVUPD (DX), Y2
-	VMINPD  Y2, Y1, Y3
-	VMINPD  Y1, Y2, Y4
-	VORPD   Y4, Y3, Y3
-	VADDPD  Y3, Y8, Y8
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	SUBQ    $4, CX
-	JMP     ms4
-
-msdone:
-	VADDPD  Y9, Y8, Y8
-	VADDPD  Y11, Y10, Y10
-	VADDPD  Y10, Y8, Y8
-	VMOVUPD Y8, (DI)
-	VZEROUPPER
-	RET
-
-// func wSqDistAVX2(v, q, w *float64, n int, out *[4]float64)
-TEXT ·wSqDistAVX2(SB), NOSPLIT, $0-40
-	MOVQ   v+0(FP), SI
-	MOVQ   q+8(FP), DX
-	MOVQ   w+16(FP), BX
-	MOVQ   n+24(FP), CX
-	MOVQ   out+32(FP), DI
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-
-ws16:
-	CMPQ    CX, $16
-	JLT     ws4
-	VMOVUPD 0(SI), Y1
-	VMOVUPD 0(DX), Y2
-	VSUBPD  Y2, Y1, Y3
-	VMOVUPD 0(BX), Y4
-	VMULPD  Y3, Y4, Y4               // w*d
-	VMULPD  Y3, Y4, Y4               // (w*d)*d
-	VADDPD  Y4, Y8, Y8
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 32(DX), Y2
-	VSUBPD  Y2, Y1, Y3
-	VMOVUPD 32(BX), Y4
-	VMULPD  Y3, Y4, Y4
-	VMULPD  Y3, Y4, Y4
-	VADDPD  Y4, Y9, Y9
-	VMOVUPD 64(SI), Y1
-	VMOVUPD 64(DX), Y2
-	VSUBPD  Y2, Y1, Y3
-	VMOVUPD 64(BX), Y4
-	VMULPD  Y3, Y4, Y4
-	VMULPD  Y3, Y4, Y4
-	VADDPD  Y4, Y10, Y10
-	VMOVUPD 96(SI), Y1
-	VMOVUPD 96(DX), Y2
-	VSUBPD  Y2, Y1, Y3
-	VMOVUPD 96(BX), Y4
-	VMULPD  Y3, Y4, Y4
-	VMULPD  Y3, Y4, Y4
-	VADDPD  Y4, Y11, Y11
-	ADDQ    $128, SI
-	ADDQ    $128, DX
-	ADDQ    $128, BX
-	SUBQ    $16, CX
-	JMP     ws16
-
-ws4:
-	TESTQ   CX, CX
-	JZ      wsdone
-	VMOVUPD (SI), Y1
-	VMOVUPD (DX), Y2
-	VSUBPD  Y2, Y1, Y3
-	VMOVUPD (BX), Y4
-	VMULPD  Y3, Y4, Y4
-	VMULPD  Y3, Y4, Y4
-	VADDPD  Y4, Y8, Y8
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, BX
-	SUBQ    $4, CX
-	JMP     ws4
-
-wsdone:
 	VADDPD  Y9, Y8, Y8
 	VADDPD  Y11, Y10, Y10
 	VADDPD  Y10, Y8, Y8

@@ -180,24 +180,16 @@ func TestDenseKernelsWithinTolerance(t *testing.T) {
 	for _, n := range equivLens {
 		v := make([]float64, n)
 		q := make([]float64, n)
-		w := make([]float64, n)
 		for i := range v {
 			v[i] = rng.NormFloat64()
 			q[i] = rng.NormFloat64()
-			w[i] = rng.Float64()
 		}
-		check := func(name string, f func() float64) {
-			var a, g float64
-			withAVX2(t, true, func() { a = f() })
-			withAVX2(t, false, func() { g = f() })
-			scale := math.Max(math.Abs(g), 1)
-			if math.Abs(a-g) > relTol*scale {
-				t.Fatalf("%s n=%d: avx2=%v go=%v", name, n, a, g)
-			}
+		var a, g float64
+		withAVX2(t, true, func() { a = SqDist(v, q) })
+		withAVX2(t, false, func() { g = SqDist(v, q) })
+		if math.Abs(a-g) > relTol*math.Max(math.Abs(g), 1) {
+			t.Fatalf("SqDist n=%d: avx2=%v go=%v", n, a, g)
 		}
-		check("SqDist", func() float64 { return SqDist(v, q) })
-		check("MinSum", func() float64 { return MinSum(v, q) })
-		check("WSqDist", func() float64 { return WSqDist(v, q, w) })
 	}
 }
 
@@ -208,24 +200,23 @@ func TestMinZeroSignMatchesBuiltin(t *testing.T) {
 	requireAVX2(t)
 	negZero := math.Copysign(0, -1)
 	h := []float64{0, negZero, 0, negZero, 1, -1, 0, negZero, 0, negZero, 2, -2}
-	q := []float64{negZero, 0, 0, negZero, negZero, 0, 0, 0, negZero, negZero, 0, negZero}
-	var a, g float64
-	withAVX2(t, true, func() { a = MinSum(h, q) })
-	withAVX2(t, false, func() { g = MinSum(h, q) })
-	if math.Float64bits(a) != math.Float64bits(g) {
-		t.Fatalf("MinSum zero-sign: avx2=%x go=%x", math.Float64bits(a), math.Float64bits(g))
-	}
-
 	cands := make([]int, len(h))
 	for i := range cands {
 		cands[i] = i
 	}
-	sA := make([]float64, len(h))
-	sG := make([]float64, len(h))
-	withAVX2(t, true, func() { AccMinQ(sA, h, cands, negZero) })
-	withAVX2(t, false, func() { AccMinQ(sG, h, cands, negZero) })
-	if i, ok := bitsEqual(sA, sG); !ok {
-		t.Fatalf("AccMinQ -0 query: slot %d avx2=%x go=%x", i,
-			math.Float64bits(sA[i]), math.Float64bits(sG[i]))
+	for _, qd := range []float64{negZero, 0} {
+		for name, acc := range map[string]func(s []float64){
+			"AccMinQ":    func(s []float64) { AccMinQ(s, h, cands, qd) },
+			"AccMinQRun": func(s []float64) { AccMinQRun(s, [][]float64{h}, []float64{qd}) },
+		} {
+			sA := make([]float64, len(h))
+			sG := make([]float64, len(h))
+			withAVX2(t, true, func() { acc(sA) })
+			withAVX2(t, false, func() { acc(sG) })
+			if i, ok := bitsEqual(sA, sG); !ok {
+				t.Fatalf("%s query %v: slot %d avx2=%x go=%x", name, qd, i,
+					math.Float64bits(sA[i]), math.Float64bits(sG[i]))
+			}
+		}
 	}
 }

@@ -173,7 +173,7 @@ func TestEvBoundsBracketTruth(t *testing.T) {
 		mass := rng.Float64() * float64(r)
 		v := randomFeasibleTail(rng, r, mass)
 		tv := tailSum(v)
-		truth := SqEuclidean(v, qTail)
+		truth := sqEuclidean(v, qTail)
 		const eps = 1e-9
 		if truth > tail.EvUpper(tv)+eps {
 			return false
@@ -214,7 +214,7 @@ func TestEvUpperIsAchieved(t *testing.T) {
 			v[i] = x
 			remaining -= x
 		}
-		truth := SqEuclidean(v, qs)
+		truth := sqEuclidean(v, qs)
 		return almostEqual(truth, tail.EvUpper(tv), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -239,7 +239,7 @@ func TestEvLowerIsExactMinimum(t *testing.T) {
 		// Sample many feasible tails with the same mass; none may go below.
 		for trial := 0; trial < 30; trial++ {
 			v := randomFeasibleTail(rng, r, tv)
-			if SqEuclidean(v, qTail) < lb-1e-9 {
+			if sqEuclidean(v, qTail) < lb-1e-9 {
 				return false
 			}
 		}

@@ -45,7 +45,7 @@ func TestPaperTable2(t *testing.T) {
 	}
 	for name, h := range paperH {
 		want := paperTable2[name]
-		sMinus := HistIntersect(h[:m], paperQ[:m])
+		sMinus := histIntersect(h[:m], paperQ[:m])
 		if !almostEqual(sMinus, want[0], 1e-12) {
 			t.Errorf("%s: S- = %v, want %v", name, sMinus, want[0])
 		}
@@ -53,7 +53,7 @@ func TestPaperTable2(t *testing.T) {
 		// normalized histograms this equals 1 − T(h⁻); the paper's printed
 		// example vectors are slightly off-normalized — h6 sums to 0.95 —
 		// and its table uses the actual remaining mass, as we do.)
-		th := Sum(h[m:])
+		th := tailSum(h[m:])
 		smin := sMinus + tail.HhLower(th)
 		smax := sMinus + tail.HhUpper(th)
 		if !almostEqual(smin, want[1], 1e-12) {
@@ -62,7 +62,7 @@ func TestPaperTable2(t *testing.T) {
 		if !almostEqual(smax, want[2], 1e-12) {
 			t.Errorf("%s: Smax = %v, want %v", name, smax, want[2])
 		}
-		full := HistIntersect(h, paperQ)
+		full := histIntersect(h, paperQ)
 		if !almostEqual(full, want[3], 1e-12) {
 			t.Errorf("%s: S = %v, want %v", name, full, want[3])
 		}
@@ -80,7 +80,7 @@ func TestPaperExamplePruning(t *testing.T) {
 	kappa := 0.7
 	hqPruned := map[string]bool{}
 	for name, h := range paperH {
-		sMinus := HistIntersect(h[:m], paperQ[:m])
+		sMinus := histIntersect(h[:m], paperQ[:m])
 		if sMinus+tail.HqUpper() < kappa {
 			hqPruned[name] = true
 		}
@@ -100,8 +100,8 @@ func TestPaperExamplePruning(t *testing.T) {
 	kappaH := 0.75
 	hhPruned := map[string]bool{}
 	for name, h := range paperH {
-		sMinus := HistIntersect(h[:m], paperQ[:m])
-		th := Sum(h[m:])
+		sMinus := histIntersect(h[:m], paperQ[:m])
+		th := tailSum(h[m:])
 		if sMinus+tail.HhUpper(th) < kappaH {
 			hhPruned[name] = true
 		}
@@ -163,7 +163,7 @@ func TestHistBoundsBracketTruth(t *testing.T) {
 		th := rng.Float64()
 		hTail := randomHistTail(rng, r, th)
 		tail := NewHistTail(qTail)
-		truth := HistIntersect(hTail, qTail)
+		truth := histIntersect(hTail, qTail)
 		const eps = 1e-9
 		if truth < tail.HqLower()-eps || truth > tail.HqUpper()+eps {
 			return false

@@ -1,5 +1,7 @@
-// Package metric implements the similarity metrics of the BOND paper and
-// the branch-and-bound pruning bounds derived for them.
+// Package metric derives the branch-and-bound pruning bounds of the BOND
+// paper's similarity metrics. It sums no score: a score is the engine's
+// storage-order sum (package core) or a sequential scan's (package
+// seqscan).
 //
 // Two metrics are covered, following Section 3.2 of the paper:
 //
@@ -25,36 +27,7 @@ package metric
 import (
 	"fmt"
 	"math"
-
-	"bond/internal/kernel"
 )
-
-// HistIntersect returns the histogram intersection Σ min(h_i, q_i)
-// (Definition 1). It panics if the vectors differ in length.
-func HistIntersect(h, q []float64) float64 {
-	if len(h) != len(q) {
-		panic(fmt.Sprintf("metric: length mismatch %d vs %d", len(h), len(q)))
-	}
-	return kernel.MinSum(h, q)
-}
-
-// SqEuclidean returns the squared Euclidean distance Σ (v_i − q_i)²
-// (Definition 2). It panics if the vectors differ in length.
-func SqEuclidean(v, q []float64) float64 {
-	if len(v) != len(q) {
-		panic(fmt.Sprintf("metric: length mismatch %d vs %d", len(v), len(q)))
-	}
-	return kernel.SqDist(v, q)
-}
-
-// WeightedSqEuclidean returns Σ w_i (v_i − q_i)² (Definition 3). It panics
-// if the slice lengths disagree.
-func WeightedSqEuclidean(v, q, w []float64) float64 {
-	if len(v) != len(q) || len(v) != len(w) {
-		panic(fmt.Sprintf("metric: length mismatch v=%d q=%d w=%d", len(v), len(q), len(w)))
-	}
-	return kernel.WSqDist(v, q, w)
-}
 
 // EuclideanSim converts a squared Euclidean distance into the similarity of
 // Equation 3: Sim = 1 − sqrt(δ/N). N is the dimensionality.
@@ -63,15 +36,4 @@ func EuclideanSim(sqDist float64, n int) float64 {
 		panic(fmt.Sprintf("metric: non-positive dimensionality %d", n))
 	}
 	return 1 - math.Sqrt(sqDist/float64(n))
-}
-
-// Sum returns T(x) = Σ x_i.
-func Sum(x []float64) float64 {
-	return kernel.Sum(x)
-}
-
-// IsNormalized reports whether T(x) is within eps of 1, the precondition on
-// histogram collections (∀h ∈ H: T(h) = 1).
-func IsNormalized(x []float64, eps float64) bool {
-	return math.Abs(Sum(x)-1) <= eps
 }

@@ -70,7 +70,7 @@ func TestWeightedUpperAllMassAtHeavyDim(t *testing.T) {
 	qTail := []float64{0.4, 0.1}
 	w := []float64{1, 100}
 	wt := NewWeightedTail(qTail, w)
-	truth := WeightedSqEuclidean([]float64{0, 1}, qTail, w)
+	truth := weightedSqEuclidean([]float64{0, 1}, qTail, w)
 	if !almostEqual(truth, 81.16, 1e-9) {
 		t.Fatalf("sanity: truth = %v", truth)
 	}
@@ -104,7 +104,7 @@ func enumVertexMax(q, w []float64, t float64) float64 {
 	ones := int(math.Floor(t))
 	u := t - float64(ones)
 	if ones >= r {
-		return WeightedSqEuclidean(onesVec(r), q, w)
+		return weightedSqEuclidean(onesVec(r), q, w)
 	}
 	best := math.Inf(-1)
 	// Choose the set of 1-coordinates (size `ones`) and the fractional
@@ -124,7 +124,7 @@ func enumVertexMax(q, w []float64, t float64) float64 {
 				}
 			}
 			v[j] = u
-			if d := WeightedSqEuclidean(v, q, w); d > best {
+			if d := weightedSqEuclidean(v, q, w); d > best {
 				best = d
 			}
 		}
@@ -135,7 +135,7 @@ func enumVertexMax(q, w []float64, t float64) float64 {
 					v[i] = 1
 				}
 			}
-			if d := WeightedSqEuclidean(v, q, w); d > best {
+			if d := weightedSqEuclidean(v, q, w); d > best {
 				best = d
 			}
 		}
@@ -187,7 +187,7 @@ func TestWeightedBoundsValid(t *testing.T) {
 		}
 		for trial := 0; trial < 20; trial++ {
 			v := randomFeasibleTail(rng, r, tv)
-			d := WeightedSqEuclidean(v, q, w)
+			d := weightedSqEuclidean(v, q, w)
 			if d < wt.Lower(tailSum(v))-1e-9 {
 				return false
 			}

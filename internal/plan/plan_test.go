@@ -209,14 +209,9 @@ func TestExecuteMatchesExactScan(t *testing.T) {
 			if len(got.Results) != len(want.Results) {
 				t.Fatalf("%v/%v: %d results, want %d", strat, crit, len(got.Results), len(want.Results))
 			}
-			for i := range want.Results {
-				if got.Results[i].ID != want.Results[i].ID {
-					t.Fatalf("%v/%v rank %d: id %d, want %d", strat, crit, i,
-						got.Results[i].ID, want.Results[i].ID)
-				}
-				if diff := got.Results[i].Score - want.Results[i].Score; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("%v/%v rank %d: score %v, want %v", strat, crit, i,
-						got.Results[i].Score, want.Results[i].Score)
+			for i, w := range want.Results {
+				if g := got.Results[i]; g != w {
+					t.Fatalf("%v/%v rank %d: %+v, want %+v", strat, crit, i, g, w)
 				}
 			}
 		}

@@ -13,25 +13,11 @@ import (
 // buildMmapFixture checkpoints a durable collection of n clustered
 // vectors (plus tombstones) into a fresh directory on the real
 // filesystem — mappings need real files — and returns the directory,
-// the ingested vectors, and the deleted-id set.
-func buildMmapFixture(t testing.TB, n, dims, segSize int, seed int64) (string, [][]float64, map[int]bool) {
+// the ingested vectors, and the deleted marks by id.
+func buildMmapFixture(t testing.TB, n, dims, segSize int, seed int64) (string, [][]float64, []bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	vectors := make([][]float64, 0, n)
-	center := make([]float64, dims)
-	for i := 0; i < n; i++ {
-		if i%segSize == 0 {
-			for d := range center {
-				center[d] = rng.Float64()
-			}
-		}
-		v := make([]float64, dims)
-		for d := range v {
-			x := center[d] + 0.08*(rng.Float64()-0.5)
-			v[d] = math.Min(math.Max(x, 0), 1)
-		}
-		vectors = append(vectors, v)
-	}
+	vectors := layoutRows(rng, "clustered", n, dims, segSize)
 
 	dir := filepath.Join(t.TempDir(), "col.bond")
 	col, err := OpenDurable(dir, DurableOptions{Dims: dims, SegmentSize: segSize, Fsync: FsyncNever})
@@ -41,7 +27,7 @@ func buildMmapFixture(t testing.TB, n, dims, segSize int, seed int64) (string, [
 	if _, err := col.AddBatchDurable(vectors); err != nil {
 		t.Fatal(err)
 	}
-	deleted := map[int]bool{}
+	deleted := make([]bool, n)
 	for i := 0; i < n/25; i++ {
 		id := rng.Intn(n)
 		ok, err := col.TryDeleteDurable(id)
@@ -82,14 +68,14 @@ func openMmapBacked(t testing.TB, dir string) *Collection {
 
 // TestMmapOracleParity pins the backing-transparency contract of the
 // mmap tentpole: the same durable directory opened memory-mapped and
-// heap-decoded returns bit-identical results — same ids, same float64
-// score bits — on every access path, and both agree with the
-// sequential-scan oracle. With AVX2 present this covers the SIMD
-// kernels over mapped columns; the purego CI leg runs the identical
-// test over the scalar kernels, and short segments exercise the mixed
-// vector-head/scalar-tail dispatch either way.
+// heap-decoded answers every query the oracle draws, on every access
+// path, as the scan does — so the two backings agree bit for bit. With
+// AVX2 present this covers the SIMD kernels over mapped columns; the
+// purego CI leg runs the identical test over the scalar kernels, and
+// short segments exercise the mixed vector-head/scalar-tail dispatch
+// either way.
 func TestMmapOracleParity(t *testing.T) {
-	dir, vectors, deleted := buildMmapFixture(t, 400, 13, 90, 51)
+	dir, rows, deleted := buildMmapFixture(t, 400, 13, 90, 51)
 
 	mapped := openMmapBacked(t, dir)
 	defer mapped.Close()
@@ -103,38 +89,12 @@ func TestMmapOracleParity(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(52))
-	for trial := 0; trial < 8; trial++ {
-		q := vectors[rng.Intn(len(vectors))]
-		k := 1 + rng.Intn(12)
-		for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-			want := oracleScan(vectors, deleted, q, k, crit.Distance())
-			strategies := []Strategy{StrategyAuto, StrategyBOND, StrategyExact}
-			if crit == Hq || crit == Eq {
-				strategies = append(strategies, StrategyCompressed, StrategyVAFile)
-			}
-			for _, strat := range strategies {
-				spec := QuerySpec{Query: q, K: k, Criterion: crit, Strategy: strat}
-				rm, err := mapped.Query(spec)
-				if err != nil {
-					t.Fatalf("%v/%v mapped: %v", crit, strat, err)
-				}
-				rh, err := heap.Query(spec)
-				if err != nil {
-					t.Fatalf("%v/%v heap: %v", crit, strat, err)
-				}
-				label := fmt.Sprintf("%v/%v", crit, strat)
-				assertMatchesOracle(t, label+"/mapped", rm.Results, want)
-				assertMatchesOracle(t, label+"/heap", rh.Results, want)
-				if len(rm.Results) != len(rh.Results) {
-					t.Fatalf("%s: mapped %d results, heap %d", label, len(rm.Results), len(rh.Results))
-				}
-				for i := range rm.Results {
-					m, h := rm.Results[i], rh.Results[i]
-					if m.ID != h.ID || math.Float64bits(m.Score) != math.Float64bits(h.Score) {
-						t.Fatalf("%s rank %d: mapped (%d, %x) vs heap (%d, %x) — backings diverge",
-							label, i, m.ID, math.Float64bits(m.Score), h.ID, math.Float64bits(h.Score))
-					}
-				}
+	excl := randomExclusion(rng, heap, len(rows))
+	for trial := 0; trial < 2; trial++ {
+		for _, spec := range oracleSpecs(rng, rows, rows[rng.Intn(len(rows))], excl) {
+			if !assertAnswers(t, "mapped", mapped, rows, deleted, spec) ||
+				!assertAnswers(t, "heap", heap, rows, deleted, spec) {
+				t.FailNow()
 			}
 		}
 	}

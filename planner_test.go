@@ -2,6 +2,7 @@ package bond
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -10,160 +11,15 @@ import (
 	"testing"
 
 	"bond/internal/plan"
-	"bond/internal/topk"
 	"bond/internal/vstore"
 )
-
-// oracleScan is the sequential-scan oracle of the planner property test:
-// exact scores over the live vectors, ranked with the same
-// score-then-id tie-break every engine path uses.
-func oracleScan(vectors [][]float64, deleted map[int]bool, q []float64, k int, dist bool) []topk.Result {
-	var h *topk.Heap
-	if dist {
-		h = topk.NewSmallest(k)
-	} else {
-		h = topk.NewLargest(k)
-	}
-	for id, v := range vectors {
-		if deleted[id] {
-			continue
-		}
-		s := 0.0
-		for d, x := range v {
-			if dist {
-				diff := x - q[d]
-				s += diff * diff
-			} else if x < q[d] {
-				s += x
-			} else {
-				s += q[d]
-			}
-		}
-		h.Push(id, s)
-	}
-	return h.Results()
-}
-
-func assertMatchesOracle(t *testing.T, label string, got []topk.Result, want []topk.Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, oracle has %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("%s rank %d: id %d, oracle id %d", label, i, got[i].ID, want[i].ID)
-		}
-		diff := got[i].Score - want[i].Score
-		if diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("%s rank %d: score %v, oracle %v", label, i, got[i].Score, want[i].Score)
-		}
-	}
-}
-
-// TestPlannerStrategiesMatchOracle is the planner property test: on
-// randomized data, segment layouts, deletions, and queries, every plan
-// the planner can emit — each strategy forced in turn, plus auto — returns
-// results identical to the sequential-scan oracle, as does MultiSearch.
-func TestPlannerStrategiesMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 6; trial++ {
-		n := 80 + rng.Intn(250)
-		dims := 6 + rng.Intn(18)
-		segSize := 24 + rng.Intn(60)
-		clustered := trial%2 == 0
-
-		vectors := make([][]float64, 0, n)
-		center := make([]float64, dims)
-		for i := 0; i < n; i++ {
-			if clustered && i%segSize == 0 {
-				for d := range center {
-					center[d] = rng.Float64()
-				}
-			}
-			v := make([]float64, dims)
-			for d := range v {
-				if clustered {
-					x := center[d] + 0.05*(rng.Float64()-0.5)
-					if x < 0 {
-						x = 0
-					}
-					if x > 1 {
-						x = 1
-					}
-					v[d] = x
-				} else {
-					v[d] = rng.Float64()
-				}
-			}
-			vectors = append(vectors, v)
-		}
-		col := NewCollectionSegmented(vectors, segSize)
-
-		// A few appends land in the mutable active segment, so plans mix
-		// sealed paths with the exact-scan fallback.
-		extra := 1 + rng.Intn(10)
-		for i := 0; i < extra; i++ {
-			v := make([]float64, dims)
-			for d := range v {
-				v[d] = rng.Float64()
-			}
-			if _, err := col.AddDurable(v); err != nil {
-				t.Fatal(err)
-			}
-			vectors = append(vectors, v)
-		}
-
-		deleted := map[int]bool{}
-		for i := 0; i < len(vectors)/20; i++ {
-			id := rng.Intn(len(vectors))
-			deleteIDs(t, col, id)
-			deleted[id] = true
-		}
-
-		k := 1 + rng.Intn(12)
-		q := vectors[rng.Intn(len(vectors))]
-
-		for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-			want := oracleScan(vectors, deleted, q, k, crit.Distance())
-
-			strategies := []Strategy{StrategyAuto, StrategyBOND, StrategyExact}
-			if crit == Hq || crit == Eq {
-				strategies = append(strategies, StrategyCompressed, StrategyVAFile)
-			}
-			for _, strat := range strategies {
-				res, err := col.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: strat})
-				if err != nil {
-					t.Fatalf("trial %d %v/%v: %v", trial, crit, strat, err)
-				}
-				assertMatchesOracle(t, crit.String()+"/"+strat.String(), res.Results, want)
-			}
-			if crit == Hq {
-				// A single weight-1 histogram feature aggregates to the
-				// plain intersection score.
-				multi, err := MultiSearch([]Feature{col.AsFeature(q, 1)}, MultiOptions{K: k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMatchesOracle(t, "Hq/MultiSearch", multi.Results, want)
-			}
-		}
-	}
-}
 
 // TestQueryExplainReportsActuals pins the query-result contract the
 // planner relies on: forcing each strategy through QueryExplain yields a
 // plan whose executed steps report actual costs, and the explain text is
 // non-empty before and after execution.
 func TestQueryExplainReportsActuals(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vectors := make([][]float64, 400)
-	for i := range vectors {
-		v := make([]float64, 10)
-		for d := range v {
-			v[d] = rng.Float64()
-		}
-		vectors[i] = v
-	}
+	vectors := layoutRows(rand.New(rand.NewSource(4)), "uniform", 400, 10, 100)
 	col := NewCollectionSegmented(vectors, 100)
 	res, p, err := col.QueryExplain(QuerySpec{Query: vectors[0], K: 3})
 	if err != nil {
@@ -224,7 +80,7 @@ func assertSamePlans(t *testing.T, a, b *Collection, vectors [][]float64) {
 		if ea, eb := pa.Explain(), pb.Explain(); ea != eb {
 			t.Fatalf("%v: EXPLAIN differs:\n%s\n%s", crit, ea, eb)
 		}
-		if !reflect.DeepEqual(ra, rb) {
+		if !assertSameAnswer(t, crit.String(), rb.Results, ra.Results) || !reflect.DeepEqual(ra.Stats, rb.Stats) {
 			t.Fatalf("%v: answers differ: %+v vs %+v", crit, ra, rb)
 		}
 	}
@@ -334,13 +190,9 @@ func TestPlannerDeterministic(t *testing.T) {
 		}
 		for i := range specs {
 			a, b := batch[0][i], batch[1][i]
-			if len(a.Results) != len(b.Results) || !reflect.DeepEqual(a.Stats, b.Stats) {
+			if !assertSameAnswer(t, fmt.Sprintf("%s batch query %d mapped", phase, i), b.Results, a.Results) ||
+				!reflect.DeepEqual(a.Stats, b.Stats) {
 				t.Fatalf("%s batch query %d: heap and mapped differ: %+v vs %+v", phase, i, a, b)
-			}
-			for r := range a.Results {
-				if a.Results[r] != b.Results[r] {
-					t.Fatalf("%s batch query %d rank %d: heap %+v, mapped %+v", phase, i, r, a.Results[r], b.Results[r])
-				}
 			}
 		}
 	}

@@ -2,17 +2,12 @@ package bond
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bond/internal/crashfs"
 	"bond/internal/dataset"
-	"bond/internal/seqscan"
 )
 
 // clusteredShuffled builds an in-memory collection from planted-cluster
@@ -89,41 +84,14 @@ func TestReclusterTightensLayoutAndRemapsIDs(t *testing.T) {
 		t.Fatalf("stats gauges = %+v, want reclusters 1 spread %v", st, postSpread)
 	}
 
-	// The same query must return byte-identical scores in the same rank
-	// order, with every id translated through the mapping. Bit-equal
-	// scores are the documented contract for pinned strategies only, so
-	// both sides of the remap check pin StrategyExact (a row's dimensions
-	// are summed in storage order, which a re-layout does not change);
-	// auto, which may answer through a path that sums in query order, must
-	// then agree with it by id and 1e-9. ROADMAP item 1 (one canonical
-	// score) turns this back into a single == check.
-	after, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq, Strategy: StrategyExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Results) != len(before.Results) {
-		t.Fatalf("result count changed: %d vs %d", len(after.Results), len(before.Results))
-	}
+	// The same query answers with the same scores in the same rank order,
+	// every id translated through the mapping, on every strategy.
 	for i := range before.Results {
-		wantID := mapping[before.Results[i].ID]
-		if after.Results[i].ID != wantID || after.Results[i].Score != before.Results[i].Score {
-			t.Fatalf("rank %d: got (%d,%g), want (%d,%g)",
-				i, after.Results[i].ID, after.Results[i].Score, wantID, before.Results[i].Score)
-		}
+		before.Results[i].ID = mapping[before.Results[i].ID]
 	}
-	auto, err := c.Query(QuerySpec{Query: q, K: 5, Criterion: Hq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(auto.Results) != len(after.Results) {
-		t.Fatalf("auto result count: %d vs %d", len(auto.Results), len(after.Results))
-	}
-	for i, r := range auto.Results {
-		if e := after.Results[i]; r.ID != e.ID || math.Abs(r.Score-e.Score) > 1e-9 {
-			t.Fatalf("post-recluster auto vs exact diverged at rank %d: (%d,%v) vs (%d,%v)",
-				i, r.ID, r.Score, e.ID, e.Score)
-		}
-	}
+	spec, after := QuerySpec{Query: q, K: 5, Criterion: Hq}, dumpCollection(c)
+	assertAnswers(t, "post-recluster", c, after.rows, after.deleted, spec)
+	assertSameAnswer(t, "remapped", scanAnswer(after.rows, after.deleted, spec), before.Results)
 }
 
 // TestReclusterRestoresSkipping pins what a recluster buys: planted
@@ -142,20 +110,7 @@ func TestReclusterRestoresSkipping(t *testing.T) {
 	)
 	for _, seed := range []int64{41, 1, 2} {
 		rng := rand.New(rand.NewSource(seed))
-		contiguous := make([][]float64, 0, n)
-		center := make([]float64, dims)
-		for i := 0; i < n; i++ {
-			if i%segSize == 0 {
-				for d := range center {
-					center[d] = rng.Float64()
-				}
-			}
-			v := make([]float64, dims)
-			for d := range v {
-				v[d] = math.Min(1, math.Max(0, center[d]+0.03*(rng.Float64()-0.5)))
-			}
-			contiguous = append(contiguous, v)
-		}
+		contiguous := layoutRows(rng, "clustered", n, dims, segSize)
 		shuffled := make([][]float64, n)
 		for i, j := range rng.Perm(n) {
 			shuffled[j] = contiguous[i]
@@ -165,44 +120,41 @@ func TestReclusterRestoresSkipping(t *testing.T) {
 			qs[i] = contiguous[(i*segSize+i)%n] // one per cluster, round-robin
 		}
 
-		// measure runs every query under both criteria and returns the
-		// mean cells scanned and segments skipped per query, plus each
-		// answer's k-th score: all three layouts must give the same answers.
-		measure := func(c *Collection) (cells, skipped float64, kth []float64) {
+		// measure runs every query under both criteria, holds each answer
+		// to the scan of the layout's rows, and returns the mean cells
+		// scanned and segments skipped per query.
+		measure := func(c *Collection) (cells, skipped float64) {
+			rows := dumpCollection(c).rows
 			var scannedSum, skippedSum int64
 			for _, crit := range []Criterion{Eq, Hq} {
 				for _, q := range qs {
-					res, err := c.Query(QuerySpec{Query: q, K: k, Criterion: crit, Strategy: StrategyBOND})
+					spec := QuerySpec{Query: q, K: k, Criterion: crit, Strategy: StrategyBOND}
+					res, err := c.Query(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
+					if !assertSameAnswer(t, fmt.Sprintf("seed %d %v", seed, crit), res.Results, scanAnswer(rows, nil, spec)) {
+						t.FailNow()
+					}
 					scannedSum += res.Stats.ValuesScanned
 					skippedSum += int64(res.Stats.SegmentsSkipped)
-					kth = append(kth, res.Results[len(res.Results)-1].Score)
 				}
 			}
 			runs := float64(2 * queries)
-			return float64(scannedSum) / runs, float64(skippedSum) / runs, kth
+			return float64(scannedSum) / runs, float64(skippedSum) / runs
 		}
 
 		col := NewCollectionSegmented(shuffled, segSize)
 		spreadBefore, _ := col.SealedSpread()
-		before, skipBefore, kthBefore := measure(col)
+		before, skipBefore := measure(col)
 		if _, err := col.ReclusterDurable(0, 1); err != nil {
 			t.Fatal(err)
 		}
 		spreadAfter, _ := col.SealedSpread()
-		after, skipAfter, kthAfter := measure(col)
-		ceiling, skipCeiling, kthCeiling := measure(NewCollectionSegmented(contiguous, segSize))
+		after, skipAfter := measure(col)
+		ceiling, skipCeiling := measure(NewCollectionSegmented(contiguous, segSize))
 		t.Logf("seed %d: cells/query %.0f → %.0f (ceiling %.0f), skipped %.1f → %.1f (ceiling %.1f), spread %.3f → %.3f",
 			seed, before, after, ceiling, skipBefore, skipAfter, skipCeiling, spreadBefore, spreadAfter)
-
-		for i := range kthBefore {
-			if math.Abs(kthAfter[i]-kthBefore[i]) > 1e-9 || math.Abs(kthCeiling[i]-kthBefore[i]) > 1e-9 {
-				t.Fatalf("seed %d query %d: k-th score differs across layouts: %v / %v / %v",
-					seed, i, kthBefore[i], kthAfter[i], kthCeiling[i])
-			}
-		}
 		if before < 8*after {
 			t.Errorf("seed %d: recluster cut cells/query only %.0f → %.0f, want ≥ 8×", seed, before, after)
 		}
@@ -354,178 +306,12 @@ func TestReclusterDurableReplay(t *testing.T) {
 }
 
 // TestReclusterDurableLifecycleProperty is the randomized recluster
-// lifecycle property: a random interleaving of Add/AddBatch/Delete/
-// Compact/Seal/Recluster/Checkpoint/Close+Reopen runs against an
-// in-memory mirror receiving the same mutations (recluster is
-// deterministic, so the mirror reproduces the exact layout), while
-// concurrent Query and QueryBatch calls — exact results pinned to the
-// seqscan oracle at the end — race every mutation. Run under -race in
-// CI.
+// lifecycle property: lifecycleProperty with Recluster among the
+// operations. Run under -race in CI.
 func TestReclusterDurableLifecycleProperty(t *testing.T) {
-	const (
-		dims    = 5
-		segSize = 16
-		ops     = 300
-	)
 	for _, seed := range []int64{11, 12, 13} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			fs := crashfs.NewMemFS()
-			c, err := OpenDurable("col", DurableOptions{FS: fs, Dims: dims, SegmentSize: segSize, Fsync: FsyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mirror := NewSegmented(dims, segSize)
-
-			var wg sync.WaitGroup
-			// Readers wait for the first live vector: an empty collection
-			// answers ErrNoCandidates, and from then on any error fails the
-			// test (the delete case below never removes the last live one).
-			var populated atomic.Bool
-			stopQueries := func() {}
-			startQueries := func() {
-				stop := make(chan struct{})
-				q1 := randVector(rng, dims) // drawn before the goroutine: rng is not shared
-				q2 := randVector(rng, dims)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if !populated.Load() {
-							runtime.Gosched()
-							continue
-						}
-						if _, qerr := c.Query(QuerySpec{Query: q1, K: 3, Criterion: Hq, Strategy: StrategyExact}); qerr != nil {
-							t.Errorf("concurrent query: %v", qerr)
-							return
-						}
-						if _, qerr := c.QueryBatch([]QuerySpec{
-							{Query: q1, K: 2, Criterion: Hq},
-							{Query: q2, K: 3, Criterion: Hq},
-						}); qerr != nil {
-							t.Errorf("concurrent query batch: %v", qerr)
-							return
-						}
-					}
-				}()
-				stopQueries = func() { close(stop); wg.Wait() }
-			}
-			startQueries()
-
-			apply := func(op func(col *Collection) error) {
-				if err := op(c); err != nil {
-					t.Fatalf("durable op: %v", err)
-				}
-				if err := op(mirror); err != nil {
-					t.Fatalf("mirror op: %v", err)
-				}
-				if mirror.Live() > 0 {
-					populated.Store(true)
-				}
-			}
-			for i := 0; i < ops; i++ {
-				switch r := rng.Float64(); {
-				case r < 0.40:
-					v := randVector(rng, dims)
-					apply(func(col *Collection) error { _, e := col.AddDurable(v); return e })
-				case r < 0.55:
-					batch := make([][]float64, 1+rng.Intn(6))
-					for j := range batch {
-						batch[j] = randVector(rng, dims)
-					}
-					apply(func(col *Collection) error { _, e := col.AddBatchDurable(batch); return e })
-				case r < 0.68:
-					if n := c.Len(); n > 0 && c.Live() > 1 {
-						id := rng.Intn(n)
-						apply(func(col *Collection) error { _, e := col.TryDeleteDurable(id); return e })
-					}
-				case r < 0.76:
-					ratio := rng.Float64() * 0.5
-					apply(func(col *Collection) error { _, e := col.CompactRatioDurable(ratio); return e })
-				case r < 0.82:
-					apply(func(col *Collection) error { return col.SealActiveDurable() })
-				case r < 0.90:
-					// The tentpole op: k auto or explicit, random seed — both
-					// sides must converge on the identical layout.
-					k := 0
-					if rng.Float64() < 0.3 {
-						k = 1 + rng.Intn(4)
-					}
-					s := rng.Int63()
-					apply(func(col *Collection) error { _, e := col.ReclusterDurable(k, s); return e })
-					if got, want := dumpCollection(c), dumpCollection(mirror); !sameDump(got, want) {
-						t.Fatalf("op %d: recluster diverged from mirror", i)
-					}
-				case r < 0.95:
-					if err := c.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					stopQueries()
-					want := dumpCollection(c)
-					if err := c.Close(); err != nil {
-						t.Fatal(err)
-					}
-					c = reopenDurable(t, fs, "col", FsyncNever)
-					if got := dumpCollection(c); !sameDump(got, want) {
-						t.Fatalf("op %d: reopen diverged from pre-close state", i)
-					}
-					startQueries()
-				}
-			}
-			stopQueries()
-
-			got, want := dumpCollection(c), dumpCollection(mirror)
-			if !sameDump(got, want) {
-				t.Fatalf("final state diverged from in-memory mirror:\n got %+v\nwant %+v", got, want)
-			}
-			// Pin a final query on the reclustered layout to the
-			// sequential-scan oracle, rank for rank. The documented contract
-			// promises bit-equal scores for pinned strategies only:
-			// StrategyExact folds the dimensions left to right in storage
-			// order — seqscan's own sum — so it is compared with ==, while
-			// auto may answer through a path that sums in query order and
-			// is compared by id and 1e-9. ROADMAP item 1 (one canonical
-			// score) turns this back into a single == check.
-			var live [][]float64
-			var liveIDs []int
-			for id, row := range got.rows {
-				if !got.deleted[id] {
-					live = append(live, row)
-					liveIDs = append(liveIDs, id)
-				}
-			}
-			if len(live) > 0 {
-				q := randVector(rng, dims)
-				oracle, _ := seqscan.SearchHistogram(live, q, 3)
-				for _, strat := range []Strategy{StrategyExact, StrategyAuto} {
-					res, err := c.Query(QuerySpec{Query: q, K: 3, Criterion: Hq, Strategy: strat})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Results) != len(oracle) {
-						t.Fatalf("%v query k: %d vs oracle %d", strat, len(res.Results), len(oracle))
-					}
-					for j := range oracle {
-						r, o := res.Results[j], oracle[j]
-						same := r.Score == o.Score
-						if strat == StrategyAuto {
-							same = math.Abs(r.Score-o.Score) <= 1e-9
-						}
-						if !same || r.ID != liveIDs[o.ID] {
-							t.Fatalf("%v rank %d: got (%d,%v) oracle (%d,%v)",
-								strat, j, r.ID, r.Score, liveIDs[o.ID], o.Score)
-						}
-					}
-				}
-			}
-			c.Close()
+			lifecycleProperty(t, seed, 300, lifecycleMix{add: 40, batch: 15, del: 13, compact: 8, seal: 6, recluster: 8, checkpoint: 5, reopen: 5})
 		})
 	}
 }

@@ -3,6 +3,7 @@ package bond
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -182,8 +183,9 @@ func TestReplTailLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := follower.Query(spec); err != nil || !reflect.DeepEqual(got.Results, want.Results) {
-			t.Fatalf("follower answers %v (%v) after op %d (%s), leader %v", got.Results, err, i, op.kind, want.Results)
+		got, err := follower.Query(spec)
+		if err != nil || !assertSameAnswer(t, fmt.Sprintf("follower after op %d (%s)", i, op.kind), got.Results, want.Results) {
+			t.Fatalf("follower query after op %d: %v", i, err)
 		}
 		lp, _ := leader.ReplPosition()
 		fp, _ := follower.ReplPosition()

@@ -1,12 +1,12 @@
 package bond
 
 import (
+	"math/rand"
 	"testing"
 
 	"bond/internal/baseline/mil"
 	"bond/internal/dataset"
 	"bond/internal/plan"
-	"bond/internal/topk"
 )
 
 // multiSegCollection returns the same data as one collection per layout:
@@ -20,8 +20,8 @@ func multiSegCollection(t *testing.T, n, dims int) ([][]float64, *Collection, *C
 }
 
 // TestSegmentedFacadeMatchesSingleSegment drives every public search path
-// on a multi-segment collection and demands byte-identical neighbor sets
-// to a single-segment (flat-equivalent) collection.
+// on a multi-segment collection and on a single-segment (flat-equivalent)
+// collection of the same data: both answer as the scan does.
 func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 	vs, segd, single := multiSegCollection(t, 650, 24)
 	// "single" holds all data in one sealed segment (plus the empty
@@ -29,41 +29,15 @@ func TestSegmentedFacadeMatchesSingleSegment(t *testing.T) {
 	if segd.NumSegments() < 6 || single.NumSegments() != 2 {
 		t.Fatalf("layouts: %d and %d segments", segd.NumSegments(), single.NumSegments())
 	}
+	deleted := make([]bool, len(vs))
 	for _, c := range []*Collection{segd, single} {
 		deleteIDs(t, c, 13, 444)
 	}
-	q := vs[77]
+	deleted[13], deleted[444] = true, true
 	for _, crit := range []Criterion{Hq, Hh, Eq, Ev} {
-		spec := QuerySpec{Query: q, K: 8, Criterion: crit, Strategy: StrategyBOND}
-		want, err := single.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := segd.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Results {
-			if got.Results[i] != want.Results[i] {
-				t.Fatalf("%v rank %d: %+v, want %+v", crit, i, got.Results[i], want.Results[i])
-			}
-		}
-	}
-	for _, crit := range []Criterion{Hq, Eq} {
-		spec := QuerySpec{Query: q, K: 8, Criterion: crit, Strategy: StrategyCompressed}
-		want, err := single.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := segd.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Results {
-			if got.Results[i] != want.Results[i] {
-				t.Fatalf("%v compressed rank %d: %+v, want %+v", crit, i, got.Results[i], want.Results[i])
-			}
-		}
+		spec := QuerySpec{Query: vs[77], K: 8, Criterion: crit}
+		assertAnswers(t, "segmented", segd, vs, deleted, spec)
+		assertAnswers(t, "single", single, vs, deleted, spec)
 	}
 }
 
@@ -91,13 +65,8 @@ func TestFacadeCompactRatio(t *testing.T) {
 		t.Fatalf("len after ratio compact = %d, want 330", segd.Len())
 	}
 	// Results must still be exact after partial compaction.
-	res, err := segd.Query(QuerySpec{Query: vs[200], K: 1, Criterion: Hq, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := segd.Vector(res.Results[0].ID); len(got) != 8 {
-		t.Fatal("vector fetch after compact failed")
-	}
+	now := dumpCollection(segd)
+	assertAnswers(t, "compacted", segd, now.rows, now.deleted, QuerySpec{Query: vs[200], K: 3, Criterion: Hq})
 }
 
 func TestFacadeSegmentSkippingReported(t *testing.T) {
@@ -166,32 +135,11 @@ func TestExclusionSurvivesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyBOND})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// id 0 is excluded; the appended duplicate (id 150) is not.
-	if res.Results[0].ID != 150 {
-		t.Fatalf("best = %d, want the un-excluded duplicate 150", res.Results[0].ID)
-	}
-	if _, err := col.Query(QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl, Strategy: StrategyCompressed}); err != nil {
-		t.Fatalf("compressed with stale exclusion: %v", err)
-	}
+	assertAnswers(t, "stale exclusion", col, append(vs, vs[0]), nil, QuerySpec{Query: vs[0], K: 2, Criterion: Hq, Exclude: excl})
 	if _, err := mil.SearchMIL(col.store.Flatten(), vs[0], mil.MILOptions{K: 2, Exclude: excl}); err != nil {
 		t.Fatalf("MIL with stale exclusion: %v", err)
 	}
-}
-
-// exactOracle is a straight scan of what the collection holds now, whatever
-// ids a rewrite has handed out since.
-func exactOracle(c *Collection, q []float64, k int) []topk.Result {
-	var vs [][]float64
-	deleted := map[int]bool{}
-	for id := 0; id < c.Len(); id++ {
-		vs = append(vs, c.Vector(id))
-		deleted[id] = c.store.IsDeleted(id)
-	}
-	return oracleScan(vs, deleted, q, k, true)
 }
 
 // A write that leaves the segment list alone — an append into the active
@@ -203,7 +151,7 @@ func exactOracle(c *Collection, q []float64, k int) []topk.Result {
 // just landed in.
 func TestPlanCacheSurvivesNonSealingWrites(t *testing.T) {
 	const blocks, perBlock, dims = 4, 40, 8
-	vs := clusterBlocks(blocks, perBlock, dims, 31)
+	vs := layoutRows(rand.New(rand.NewSource(31)), "clustered", blocks*perBlock, dims, perBlock)
 	col := NewCollectionSegmented(vs, perBlock)
 	far := make([]float64, dims)
 	for d := range far {
@@ -217,11 +165,13 @@ func TestPlanCacheSurvivesNonSealingWrites(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		for _, q := range [][]float64{vs[0], far} {
-			res, err := col.Query(QuerySpec{Query: q, K: 3, Criterion: Eq, Strategy: StrategyBOND})
+			spec := QuerySpec{Query: q, K: 3, Criterion: Eq, Strategy: StrategyBOND}
+			res, err := col.Query(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMatchesOracle(t, label, res.Results, exactOracle(col, q, 3))
+			now := dumpCollection(col)
+			assertSameAnswer(t, label, res.Results, scanAnswer(now.rows, now.deleted, spec))
 		}
 	}
 	kept := func(label string, before *plan.Segment) {
@@ -266,9 +216,6 @@ func TestPlanCacheSurvivesNonSealingWrites(t *testing.T) {
 	list = dropped("sealing add", list)
 	farID := add(far) // …until this widens it across the box
 	kept("widening add", list)
-	if res, _ := col.Query(QuerySpec{Query: far, K: 1, Criterion: Eq, Strategy: StrategyBOND}); len(res.Results) != 1 || res.Results[0].ID != farID {
-		t.Fatalf("query at the vector just added returned %v, want id %d", res.Results, farID)
-	}
 	deleteIDs(t, col, farID, 1)
 	kept("delete", list)
 	addBatch(vs[5], far)
