@@ -290,9 +290,9 @@ func TestFacadeOpenLegacyFlatFile(t *testing.T) {
 }
 
 // TestOpenOlderStatsBlock is the snapshot-file half of the root package's
-// TestOpenDurableOlderStatsBlock: an image carrying a non-empty
-// statistics block imports with the same rows, plans and answers as its
-// twin without one.
+// TestOpenDurableOlderStatsBlock: where a durable directory carrying a
+// non-empty statistics block is refused, an image carrying one imports
+// with the same rows, plans and answers as its twin without one.
 func TestOpenOlderStatsBlock(t *testing.T) {
 	older, _ := importFixture(t, "seg-v2-stats.bond")
 	fresh, _ := importFixture(t, "seg-v2.bond")

@@ -65,7 +65,8 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// ParseStrategy parses a CLI strategy name.
+// ParseStrategy parses a strategy name: one of the five String returns,
+// in any case, or "" for Auto.
 func ParseStrategy(s string) (Strategy, error) {
 	switch strings.ToLower(s) {
 	case "auto", "":
@@ -74,9 +75,9 @@ func ParseStrategy(s string) (Strategy, error) {
 		return ForceBOND, nil
 	case "compressed":
 		return ForceCompressed, nil
-	case "vafile", "va":
+	case "vafile":
 		return ForceVAFile, nil
-	case "exact", "seqscan":
+	case "exact":
 		return ForceExact, nil
 	}
 	return Auto, fmt.Errorf("plan: unknown strategy %q (want auto, bond, compressed, vafile, or exact)", s)

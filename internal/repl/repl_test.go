@@ -36,7 +36,7 @@ func TestChunkEnd(t *testing.T) {
 func validSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	m := &vstore.Manifest{Dims: 3, SegSize: 5, NextSegID: 2, WALSeq: 4, ActiveLen: 1,
-		Segments: []vstore.ManifestSegment{{ID: 1, Len: 5, Format: 2}}}
+		Segments: []vstore.ManifestSegment{{ID: 1, Len: 5}}}
 	return &Snapshot{
 		Position: Position{Seq: 4, Off: wal.HeaderLen},
 		Files: map[string][]byte{

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,16 +55,40 @@ func TestRestartWithoutCleanShutdown(t *testing.T) {
 	}
 }
 
-// TestCatalogRefusesLegacyFile drops a whole-file snapshot of an earlier
-// release into the data directory: the catalog lists it, but neither a
-// read nor a same-dims create opens or replaces it. Both answer an error
-// naming the offline import, the file stays byte for byte as it was, and
-// DELETE removes it. A name whose only trace is an interrupted in-place
-// migration's staging directory is refused the same way, naming the
-// rename that finishes it, so a create cannot shadow its data.
+// readTree maps every path under root to its bytes (nil for a directory).
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	tree := map[string][]byte{}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			tree[p] = nil
+			return err
+		}
+		tree[p], err = os.ReadFile(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestCatalogRefusesLegacyFile drops into the data directory what an
+// earlier release could have left under a collection's name: a whole-file
+// snapshot, and durable directories in the three older layouts (checked
+// in under testdata/legacy: a version-1 MANIFEST, format-1 segment files,
+// a statistics block). The catalog lists them, but neither a read nor a
+// same-dims create opens, replaces or re-initializes one: each answers an
+// error naming the remedy (the offline import, or a Checkpoint under an
+// earlier release), not a 404, and every file stays byte for byte as it
+// was. A name whose only trace is an interrupted in-place migration's
+// staging directory is refused the same way, naming the rename that
+// finishes it, so a create cannot shadow its data. DELETE removes the
+// snapshot file.
 func TestCatalogRefusesLegacyFile(t *testing.T) {
 	dir := t.TempDir()
-	img, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "seg-v2.bond"))
+	legacy := filepath.Join("..", "..", "testdata", "legacy")
+	img, err := os.ReadFile(filepath.Join(legacy, "seg-v2.bond"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,30 +101,35 @@ func TestCatalogRefusesLegacyFile(t *testing.T) {
 	if err := os.Mkdir(staged+".migrating", 0o755); err != nil {
 		t.Fatal(err)
 	}
+	cases := []struct{ name, fix string }{{"old", "bondgen -import"}, {"gone", "mv " + staged + ".migrating"}}
+	for _, layout := range []string{"manifest-v1", "segment-format1", "stats-block"} {
+		if err := os.CopyFS(filepath.Join(dir, layout+".bond"), os.DirFS(filepath.Join(legacy, "dir-"+layout))); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct{ name, fix string }{layout, "call Collection.Checkpoint"})
+	}
+	before := readTree(t, dir)
 
 	_, ts := newTestServer(t, Config{Dir: dir})
 	var names map[string][]string
 	doJSON(t, http.MethodGet, ts.URL+"/collections", nil, &names)
-	if len(names["collections"]) != 1 || names["collections"][0] != "old" {
-		t.Fatalf("snapshot file not listed: %+v", names)
+	if want := []string{"manifest-v1", "old", "segment-format1", "stats-block"}; !reflect.DeepEqual(names["collections"], want) {
+		t.Fatalf("listed %+v, want %v", names, want)
 	}
-	for _, c := range []struct{ name, fix string }{{"old", "bondgen -import"}, {"gone", "mv " + staged + ".migrating"}} {
+	for _, c := range cases {
 		for _, req := range []struct {
 			method string
 			body   any
 		}{{http.MethodGet, nil}, {http.MethodPut, api.CreateRequest{Dims: 6}}} {
 			var e api.Error
 			code := doJSON(t, req.method, ts.URL+"/collections/"+c.name, req.body, &e)
-			if code < 300 || !strings.Contains(e.Error, c.fix) {
+			if code < 300 || code == http.StatusNotFound || !strings.Contains(e.Error, c.fix) {
 				t.Fatalf("%s %s: %d %q, want an error naming %q", req.method, c.name, code, e.Error, c.fix)
 			}
 		}
 	}
-	if _, err := os.Stat(staged); !os.IsNotExist(err) {
-		t.Fatalf("refused create made %s: %v", staged, err)
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
-		t.Fatalf("refused snapshot file changed (%v)", err)
+	if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused requests changed the data directory:\n%v\nwant\n%v", after, before)
 	}
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/collections/old", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: %d", code)

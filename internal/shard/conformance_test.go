@@ -104,6 +104,7 @@ func TestCoordinatorWireConformance(t *testing.T) {
 		{"POST /collections/c/query", `{"k":2}`, 400, `{"error":"query vector (or id) is required"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[1,0],"k":0}`, 400, `{"error":"core: K must be \u003e= 1"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[1,0],"k":2,"strategy":"zz"}`, 400, `{"error":"plan: unknown strategy \"zz\" (want auto, bond, compressed, vafile, or exact)"}`, "", ""},
+		{"POST /collections/c/query", `{"query":[1,0],"k":2,"strategy":"seqscan"}`, 400, `{"error":"plan: unknown strategy \"seqscan\" (want auto, bond, compressed, vafile, or exact)"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[1,0],"k":2,"order":"zz"}`, 400, `{"error":"bond: unknown order \"zz\" (want desc, asc, random, or natural)"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[1,0],"k":2,"criterion":"zz"}`, 400, `{"error":"bond: unknown criterion \"zz\" (want Hq, Hh, Eq, or Ev)"}`, "", ""},
 		{"POST /collections/c/query", `{"query":[1,0,3],"k":2}`, 400, `{"error":"core: query length must equal store dimensionality: query 3, store 2"}`, "", ""},

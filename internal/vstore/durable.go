@@ -52,26 +52,22 @@ const (
 	manMagic   = "BONDMAN1"
 	manVersion = uint32(2)
 	maxSegs    = 1 << 24
-	// maxStatsBlock caps the statistics block a manifest of an earlier
-	// release may carry. The block held the planner's learned cost model,
-	// which no longer exists: a decode checks its length and skips its
-	// bytes.
-	maxStatsBlock = 1 << 20
-
-	// Segment file formats a manifest entry can name. SegFormatV1 is the
-	// legacy row-stream layout (Store.Save); SegFormatV2 is the
-	// column-major mmap-native layout (Store.WriteSegmentV2). Recovery
-	// still reads v1 files, but checkpoints only ever write v2 — a
-	// recovered v1 segment is re-persisted under a fresh id at the next
-	// checkpoint and the old file garbage-collected, which migrates a
-	// pre-mmap directory without ever rewriting a file in place.
-	SegFormatV1 = byte(1)
-	SegFormatV2 = byte(2)
+	// segFormat is the format byte every manifest entry carries: sealed
+	// segment files are column-major (Store.WriteSegmentV2).
+	segFormat = byte(2)
 )
 
 // ErrNoManifest reports a directory without a MANIFEST — an empty or
 // half-created durable directory, as opposed to a corrupt one.
 var ErrNoManifest = errors.New("vstore: no manifest")
+
+// errOlderLayout refuses a well-formed manifest in a layout this release
+// does not read: a version-1 manifest, a format-1 (row-stream) segment
+// file, or a non-empty planner statistics block. Releases that read those
+// rewrite them in the current layout at a checkpoint.
+var errOlderLayout = errors.New("this release reads manifest version 2 with format-2 segment files " +
+	"and an empty statistics block: open the directory once with an earlier release and call " +
+	"Collection.Checkpoint, which rewrites it in that layout")
 
 // SegFileName returns the write-once file name of sealed segment id.
 func SegFileName(id uint64) string { return fmt.Sprintf("seg-%016x.seg", id) }
@@ -104,7 +100,6 @@ func ParseWALSeq(name string) (uint64, bool) {
 type ManifestSegment struct {
 	ID      uint64
 	Len     int
-	Format  byte // SegFormatV1 or SegFormatV2
 	Deleted []int
 }
 
@@ -120,9 +115,9 @@ type Manifest struct {
 
 // EncodeManifest renders m in the CRC-trailed binary manifest format. The
 // format keeps a length-prefixed statistics block after the header, where
-// the planner's retired learned cost model used to be persisted; it is
-// written empty, and DecodeManifest skips whatever an older manifest holds
-// there.
+// the planner's retired learned cost model used to be persisted, and a
+// format byte per segment; the block is written empty and the byte as 2,
+// the only values DecodeManifest accepts.
 func EncodeManifest(m *Manifest) []byte {
 	var b []byte
 	b = append(b, manMagic...)
@@ -137,7 +132,7 @@ func EncodeManifest(m *Manifest) []byte {
 	for _, sg := range m.Segments {
 		b = binary.LittleEndian.AppendUint64(b, sg.ID)
 		b = binary.LittleEndian.AppendUint64(b, uint64(sg.Len))
-		b = append(b, sg.Format)
+		b = append(b, segFormat)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(sg.Deleted)))
 		for _, id := range sg.Deleted {
 			b = binary.LittleEndian.AppendUint64(b, uint64(id))
@@ -181,7 +176,10 @@ func (c *manCursor) u64() (uint64, error) {
 }
 
 // DecodeManifest parses and validates a manifest image. It never panics
-// on malformed input.
+// on malformed input. It accepts exactly what EncodeManifest writes: a
+// well-formed image with another version, a non-empty statistics block or
+// a segment format other than 2 is an older layout, refused with an error
+// that names the remedy and is not ErrCorrupt.
 func DecodeManifest(data []byte) (*Manifest, error) {
 	if len(data) < len(manMagic)+4+4 {
 		return nil, fmt.Errorf("%w: %d-byte manifest", ErrCorrupt, len(data))
@@ -202,10 +200,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Version 1 manifests (pre-mmap directories) decode too: they lack the
-	// per-segment format byte, so every segment is implicitly v1.
-	if ver != 1 && ver != manVersion {
-		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrCorrupt, ver)
+	if ver != manVersion {
+		return nil, fmt.Errorf("vstore: manifest version %d: %w", ver, errOlderLayout)
 	}
 	m := &Manifest{}
 	var dims, segSize, activeLen uint64
@@ -223,11 +219,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if statsLen > maxStatsBlock {
-		return nil, fmt.Errorf("%w: implausible stats block of %d bytes", ErrCorrupt, statsLen)
-	}
-	if _, err := c.bytes(int(statsLen)); err != nil {
-		return nil, err
+	if statsLen != 0 {
+		return nil, fmt.Errorf("vstore: %d-byte statistics block: %w", statsLen, errOlderLayout)
 	}
 	nsegs, err := c.u32()
 	if err != nil {
@@ -249,17 +242,12 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("%w: implausible segment length %d", ErrCorrupt, slen)
 		}
 		sg.Len = int(slen)
-		if ver >= 2 {
-			fb, err := c.bytes(1)
-			if err != nil {
-				return nil, err
-			}
-			sg.Format = fb[0]
-			if sg.Format != SegFormatV1 && sg.Format != SegFormatV2 {
-				return nil, fmt.Errorf("%w: unknown segment format %d", ErrCorrupt, sg.Format)
-			}
-		} else {
-			sg.Format = SegFormatV1
+		fb, err := c.bytes(1)
+		if err != nil {
+			return nil, err
+		}
+		if fb[0] != segFormat {
+			return nil, fmt.Errorf("vstore: segment %d in format %d: %w", sg.ID, fb[0], errOlderLayout)
 		}
 		ndel, err := c.u32()
 		if err != nil {
@@ -376,7 +364,7 @@ func WriteCheckpoint(fs iofs.FS, dir string, cs *CheckpointState) error {
 			}
 		}
 		m.Segments = append(m.Segments, ManifestSegment{
-			ID: sg.ID, Len: sg.Store.Len(), Format: SegFormatV2, Deleted: sg.Deleted,
+			ID: sg.ID, Len: sg.Store.Len(), Deleted: sg.Deleted,
 		})
 	}
 	active := filepath.Join(dir, ActiveFileName(cs.WALSeq))
@@ -441,14 +429,14 @@ type RecoverOptions struct {
 // manifest, every sealed segment file it names (with the manifest's
 // tombstones applied), and the active-segment checkpoint. The caller
 // replays wal-<WALSeq>.log (and any later WALs a crashed checkpoint left
-// behind) on top. A directory without a manifest returns ErrNoManifest.
+// behind) on top. A directory without a manifest returns ErrNoManifest;
+// one in an older layout (see DecodeManifest) is refused with an error
+// naming Collection.Checkpoint under an earlier release as the remedy.
 //
-// Sealed v2 segments are memory-mapped when the filesystem supports it:
+// Sealed segments are memory-mapped when the filesystem supports it:
 // their columns alias the file's pages and fault in on first scan, so
-// recovery's cost is O(manifest + synopses), not O(data). Legacy v1
-// segment files are read into the heap and scheduled for re-persistence —
-// their persistent id is cleared, so the next checkpoint writes them as
-// fresh write-once v2 files and garbage-collects the old ones.
+// recovery's cost is O(manifest + synopses), not O(data). Otherwise they
+// are decoded into the heap.
 func RecoverDir(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Manifest, error) {
 	data, err := fs.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -474,7 +462,7 @@ func RecoverDir(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Manife
 			st     *Store
 			mapped bool
 		)
-		if sg.Format == SegFormatV2 && canMap {
+		if canMap {
 			if mb, merr := mapper.MapFile(path); merr == nil {
 				st, err = MapSegmentV2(mb)
 				if err != nil {
@@ -495,12 +483,7 @@ func RecoverDir(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Manife
 				s.ReleaseMappings()
 				return nil, nil, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, name, rerr)
 			}
-			if sg.Format == SegFormatV2 {
-				st, err = DecodeSegmentV2(b)
-			} else {
-				st, err = Load(bytes.NewReader(b))
-			}
-			if err != nil {
+			if st, err = DecodeSegmentV2(b); err != nil {
 				s.ReleaseMappings()
 				return nil, nil, fmt.Errorf("segment %s: %w", name, err)
 			}
@@ -513,15 +496,7 @@ func RecoverDir(fs iofs.FS, dir string, opts RecoverOptions) (*SegStore, *Manife
 		for _, id := range sg.Deleted {
 			st.deleted.Set(id) // ids validated by DecodeManifest
 		}
-		// A legacy v1 file keeps serving this recovery from the heap, but
-		// its persistent id is not carried forward: the next checkpoint
-		// sees an unpersisted segment, assigns a fresh id, and writes it in
-		// v2 — migration by the ordinary write-once path.
-		persistID := sg.ID
-		if sg.Format != SegFormatV2 {
-			persistID = 0
-		}
-		s.segs = append(s.segs, &Segment{Store: st, sealed: true, persistID: persistID, mapped: mapped})
+		s.segs = append(s.segs, &Segment{Store: st, sealed: true, persistID: sg.ID, mapped: mapped})
 		s.bases = append(s.bases, base)
 		base += st.Len()
 	}

@@ -2,12 +2,13 @@ package vstore
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bond/internal/crashfs"
@@ -212,20 +213,31 @@ func TestRecoverDirErrors(t *testing.T) {
 	}
 }
 
-// withStatsBlock returns a copy of a CRC32-trailed manifest image whose
-// statistics block is empty, with block spliced in and the trailer
-// recomputed — the image as releases that persisted the planner's learned
-// cost model wrote it. The block's u32 length field follows the magic,
-// the version and five u64 fields.
-func withStatsBlock(img []byte, block []byte) []byte {
-	const at = len(manMagic) + 4 + 5*8
-	out := append([]byte(nil), img[:at]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(block)))
-	out = append(out, block...)
-	out = append(out, img[at+4:len(img)-4]...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+// olderLayouts reads the MANIFEST of each durable directory in an older
+// layout checked in under testdata/legacy, keyed by what its refusal
+// names.
+func olderLayouts(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	images := map[string][]byte{}
+	for found, dir := range map[string]string{
+		"manifest version 1":        "dir-manifest-v1",
+		"segment 1 in format 1":     "dir-segment-format1",
+		"294-byte statistics block": "dir-stats-block",
+	} {
+		img, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", dir, ManifestName))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		images[found] = img
+	}
+	return images
 }
 
+// TestManifestRoundTrip pins EncodeManifest's bytes, which releases that
+// still read the older layouts wrote too (so every directory they
+// checkpointed opens), and holds the decoder to exactly that layout: each
+// older one is refused with an error naming what it found and the
+// remedy, and not as corruption.
 func TestManifestRoundTrip(t *testing.T) {
 	m := &Manifest{
 		Dims:      7,
@@ -234,11 +246,18 @@ func TestManifestRoundTrip(t *testing.T) {
 		WALSeq:    4,
 		ActiveLen: 17,
 		Segments: []ManifestSegment{
-			{ID: 1, Len: 128, Format: SegFormatV2, Deleted: []int{0, 5, 127}},
-			{ID: 8, Len: 64, Format: SegFormatV1},
+			{ID: 1, Len: 128, Deleted: []int{0, 5, 127}},
+			{ID: 8, Len: 64},
 		},
 	}
+	const pinned = "424f4e444d414e3102000000070000000000000080000000000000000900000000000000" +
+		"040000000000000011000000000000000000000002000000010000000000000080000000" +
+		"000000000203000000000000000000000005000000000000007f00000000000000080000" +
+		"00000000004000000000000000020000000080bb7220"
 	img := EncodeManifest(m)
+	if got := hex.EncodeToString(img); got != pinned {
+		t.Fatalf("manifest image moved:\n got %s\nwant %s", got, pinned)
+	}
 	got, err := DecodeManifest(img)
 	if err != nil {
 		t.Fatal(err)
@@ -246,13 +265,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, m)
 	}
-	// An older manifest's non-empty statistics block is skipped: it decodes
-	// to the same manifest, which re-encodes with the block empty.
-	older, err := DecodeManifest(withStatsBlock(img, []byte("opaque planner block")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(older, m) || !bytes.Equal(EncodeManifest(older), img) {
-		t.Fatalf("manifest with a stats block decodes to %+v, want %+v", older, m)
+	for found, older := range olderLayouts(t) {
+		_, err := DecodeManifest(older)
+		if !errors.Is(err, errOlderLayout) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), found) {
+			t.Fatalf("%s: DecodeManifest = %v, want the older-layout refusal naming it", found, err)
+		}
 	}
 }

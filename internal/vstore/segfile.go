@@ -1,12 +1,12 @@
 package vstore
 
 // This file implements the v2 sealed-segment encoding: the mmap-native,
-// column-major on-disk layout sealed segment files (seg-<id>.seg) are
-// written in since the memory-mapped storage PR. The design goal is that
+// column-major on-disk layout of every sealed segment file (seg-<id>.seg),
+// format 2 in the manifest. The design goal is that
 // the search kernels read the file's bytes directly — a mapped segment's
 // Column(d) is a []float64 aliasing the mapping — so opening a collection
 // costs O(manifest) and the operating system pages columns in on first
-// touch, instead of the v1 layout's parse-everything-into-heap load.
+// touch, instead of a parse-everything-into-heap load.
 //
 //	offset                      content
 //	0                           magic "BONDSG2\x00"
@@ -90,13 +90,6 @@ func segV2Layout(rows, dims int) (colOff []int, fileSize int) {
 	// The file ends where the totals column's data does — the last
 	// column needs no tail padding.
 	return colOff, colOff[dims] + colBytes
-}
-
-// IsSegmentV2 reports whether the image starts with the v2 magic — how
-// the loader dispatches between the v1 flat-store stream and the
-// column-major layout.
-func IsSegmentV2(data []byte) bool {
-	return len(data) >= len(segV2Magic) && string(data[:len(segV2Magic)]) == segV2Magic
 }
 
 // WriteSegmentV2 writes the store's columns in the v2 column-major
@@ -214,7 +207,7 @@ func MapSegmentV2(data []byte) (*Store, error) {
 }
 
 func decodeSegmentV2(data []byte, verifyData bool) (*Store, error) {
-	if !IsSegmentV2(data) {
+	if len(data) < len(segV2Magic) || string(data[:len(segV2Magic)]) != segV2Magic {
 		return nil, fmt.Errorf("%w: bad v2 segment magic", ErrCorrupt)
 	}
 	if len(data) < segV2HeaderSize(1) {

@@ -163,8 +163,8 @@ func TestRecoverDirCorruptSegV2FailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsSegmentV2(orig) {
-		t.Fatal("checkpoint did not write a v2 segment")
+	if _, err := DecodeSegmentV2(orig); err != nil {
+		t.Fatalf("checkpoint did not write a v2 segment: %v", err)
 	}
 
 	write := func(b []byte) {

@@ -322,29 +322,22 @@ func (s *SegStore) Compact(minRatio float64) []int {
 		base := s.bases[i]
 		dead := g.Len() - g.Live()
 		rewrite := dead > 0 && float64(dead) >= minRatio*float64(g.Len())
+		n := g.Len()
+		var local []int // old local id → new, nil when the segment is kept
 		switch {
 		case rewrite && g.sealed:
-			ng, local := compactSealed(g)
-			for old, nw := range local {
-				if nw < 0 {
-					mapping[base+old] = -1
-				} else {
-					mapping[base+old] = newBase + nw
-				}
-			}
-			g = ng
+			g, local = compactSealed(g)
 		case rewrite:
-			local := g.Reorganize()
-			for old, nw := range local {
-				if nw < 0 {
-					mapping[base+old] = -1
-				} else {
-					mapping[base+old] = newBase + nw
-				}
-			}
-		default:
-			for j := 0; j < g.Len(); j++ {
-				mapping[base+j] = newBase + j
+			local = g.Reorganize() // in place: the active store keeps its append capacity
+		}
+		for old := 0; old < n; old++ {
+			switch {
+			case local == nil:
+				mapping[base+old] = newBase + old
+			case local[old] < 0:
+				mapping[base+old] = -1
+			default:
+				mapping[base+old] = newBase + local[old]
 			}
 		}
 		if g.sealed && g.Len() == 0 {
@@ -367,24 +360,6 @@ func (s *SegStore) Compact(minRatio float64) []int {
 // valid) and returns it with the local old-id → new-id mapping.
 func compactSealed(g *Segment) (*Segment, []int) {
 	live := g.LiveIDs()
-	ns := New(g.Dims())
-	for d := 0; d < g.Dims(); d++ {
-		src := g.Column(d)
-		col := make([]float64, len(live))
-		for j, id := range live {
-			col[j] = src[id]
-			ns.observe(d, src[id])
-		}
-		ns.columns[d] = col
-	}
-	totals := make([]float64, len(live))
-	src := g.Totals()
-	for j, id := range live {
-		totals[j] = src[id]
-	}
-	ns.totals = totals
-	ns.n = len(live)
-	ns.growDeleted()
 	mapping := make([]int, g.Len())
 	for i := range mapping {
 		mapping[i] = -1
@@ -392,7 +367,45 @@ func compactSealed(g *Segment) (*Segment, []int) {
 	for j, id := range live {
 		mapping[id] = j
 	}
-	return &Segment{Store: ns, sealed: true}, mapping
+	return gatherSealed(g.Dims(), []rowRun{{g.Store, live}}), mapping
+}
+
+// rowRun is a run of rows read from one store: their local ids, in the
+// order they land in the gathered segment.
+type rowRun struct {
+	src *Store
+	ids []int
+}
+
+// gatherSealed builds a tombstone-free sealed segment from runs of rows,
+// in order. Each source column is read once per run.
+func gatherSealed(dims int, runs []rowRun) *Segment {
+	n := 0
+	for _, r := range runs {
+		n += len(r.ids)
+	}
+	ns := New(dims)
+	for d := 0; d < dims; d++ {
+		col, off := make([]float64, n), 0
+		for _, r := range runs {
+			src, dst := r.src.Column(d), col[off:off+len(r.ids)]
+			for k, id := range r.ids {
+				dst[k] = src[id]
+				ns.observe(d, src[id])
+			}
+			off += len(r.ids)
+		}
+		ns.columns[d] = col
+	}
+	ns.totals = make([]float64, 0, n)
+	for _, r := range runs {
+		for _, id := range r.ids {
+			ns.totals = append(ns.totals, r.src.Totals()[id])
+		}
+	}
+	ns.n = n
+	ns.growDeleted()
+	return &Segment{Store: ns, sealed: true}
 }
 
 // Flatten returns the collection as a single flat Store with identical
@@ -470,71 +483,42 @@ func (s *SegStore) Repartition(groups [][]int) []int {
 	sealedLen := s.bases[last]
 	active := s.segs[last]
 
-	total := 0
-	for _, grp := range groups {
-		total += len(grp)
-	}
 	seen := make([]bool, sealedLen)
-	segIdx := make([]int, total)
-	localID := make([]int, total)
-	i := 0
-	for _, grp := range groups {
-		for _, id := range grp {
-			if id < 0 || id >= sealedLen {
-				panic(fmt.Sprintf("vstore: Repartition id %d outside sealed prefix [0,%d)", id, sealedLen))
-			}
-			if seen[id] {
-				panic(fmt.Sprintf("vstore: Repartition id %d in two groups", id))
-			}
-			seen[id] = true
-			g, local := s.locate(id)
-			if s.segs[g].IsDeleted(local) {
-				panic(fmt.Sprintf("vstore: Repartition of deleted id %d", id))
-			}
-			segIdx[i], localID[i] = g, local
-			i++
-		}
-	}
-
 	mapping := make([]int, s.Len())
 	for id := 0; id < sealedLen; id++ {
 		mapping[id] = -1
 	}
-
 	var (
 		newSegs  []*Segment
 		newBases []int
 		newBase  int
 	)
-	pos := 0 // offset of the current group in segIdx/localID
 	for _, grp := range groups {
 		for off := 0; off < len(grp); off += s.segSize {
 			chunk := grp[off:min(off+s.segSize, len(grp))]
-			ns := New(s.dims)
-			for d := 0; d < s.dims; d++ {
-				col := make([]float64, len(chunk))
-				for j := range chunk {
-					x := s.segs[segIdx[pos+off+j]].Column(d)[localID[pos+off+j]]
-					col[j] = x
-					ns.observe(d, x)
-				}
-				ns.columns[d] = col
-			}
-			totals := make([]float64, len(chunk))
-			for j := range chunk {
-				totals[j] = s.segs[segIdx[pos+off+j]].Totals()[localID[pos+off+j]]
-			}
-			ns.totals = totals
-			ns.n = len(chunk)
-			ns.growDeleted()
+			var runs []rowRun
 			for j, id := range chunk {
+				if id < 0 || id >= sealedLen {
+					panic(fmt.Sprintf("vstore: Repartition id %d outside sealed prefix [0,%d)", id, sealedLen))
+				}
+				if seen[id] {
+					panic(fmt.Sprintf("vstore: Repartition id %d in two groups", id))
+				}
+				seen[id] = true
+				g, local := s.locate(id)
+				if s.segs[g].IsDeleted(local) {
+					panic(fmt.Sprintf("vstore: Repartition of deleted id %d", id))
+				}
+				if len(runs) == 0 || runs[len(runs)-1].src != s.segs[g].Store {
+					runs = append(runs, rowRun{src: s.segs[g].Store})
+				}
+				runs[len(runs)-1].ids = append(runs[len(runs)-1].ids, local)
 				mapping[id] = newBase + j
 			}
-			newSegs = append(newSegs, &Segment{Store: ns, sealed: true})
+			newSegs = append(newSegs, gatherSealed(s.dims, runs))
 			newBases = append(newBases, newBase)
 			newBase += len(chunk)
 		}
-		pos += len(grp)
 	}
 	for j := 0; j < active.Len(); j++ {
 		mapping[sealedLen+j] = newBase + j

@@ -1,17 +1,12 @@
 package bond
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"bond/internal/plan"
-	"bond/internal/vstore"
 )
 
 // TestQueryExplainReportsActuals pins the query-result contract the
@@ -43,72 +38,6 @@ func TestQueryExplainReportsActuals(t *testing.T) {
 	if p.Explain() == "" {
 		t.Fatal("empty explain")
 	}
-}
-
-// olderStatsBlock is the planner statistics block as releases that kept
-// learned time coefficients wrote it into MANIFESTs and snapshot files:
-// thirteen keys, five selectivities and a query count among them.
-const olderStatsBlock = `{"queries":1,"bond_frac":0.46,"compr_filter_frac":0.6,"compr_survive":0.05,"va_survive":0.044,` +
-	`"bond_ns_per_cell":2.9,"compr_ns_per_cell":3,"va_ns_per_cell":3,"exact_ns_per_cell":3,` +
-	`"bond_ns_per_cell_mapped":3,"compr_ns_per_cell_mapped":3,"va_ns_per_cell_mapped":3.2,"exact_ns_per_cell_mapped":3}`
-
-// withStatsBlock returns a copy of a CRC32-trailed MANIFEST image whose
-// statistics block (a 4-byte length field at byte 52) is empty, with
-// block spliced in and the trailer recomputed.
-func withStatsBlock(img []byte, at, width int, block []byte) []byte {
-	out := append([]byte(nil), img[:at]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(block)))[:at+width]
-	out = append(out, block...)
-	out = append(out, img[at+width:len(img)-4]...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-}
-
-// assertSamePlans runs the same queries on a and b and holds them to
-// byte-identical EXPLAIN text and bit-identical answers.
-func assertSamePlans(t *testing.T, a, b *Collection, vectors [][]float64) {
-	t.Helper()
-	for i, crit := range []Criterion{Eq, Hq, Ev, Hh} {
-		spec := QuerySpec{Query: vectors[(7+31*i)%len(vectors)], K: 3, Criterion: crit}
-		ra, pa, err := a.QueryExplain(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, pb, err := b.QueryExplain(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ea, eb := pa.Explain(), pb.Explain(); ea != eb {
-			t.Fatalf("%v: EXPLAIN differs:\n%s\n%s", crit, ea, eb)
-		}
-		if !assertSameAnswer(t, crit.String(), rb.Results, ra.Results) || !reflect.DeepEqual(ra.Stats, rb.Stats) {
-			t.Fatalf("%v: answers differ: %+v vs %+v", crit, ra, rb)
-		}
-	}
-}
-
-// TestOpenDurableOlderStatsBlock opens a durable directory whose MANIFEST
-// carries a statistics block as releases with a learned cost model wrote
-// it: the directory opens, and it plans and answers exactly as its twin
-// with an empty block does.
-func TestOpenDurableOlderStatsBlock(t *testing.T) {
-	older, vectors, _ := buildMmapFixture(t, 300, 8, 100, 5)
-	fresh, _, _ := buildMmapFixture(t, 300, 8, 100, 5)
-	path := filepath.Join(older, vstore.ManifestName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, withStatsBlock(raw, 52, 4, []byte(olderStatsBlock)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var cols [2]*Collection
-	for i, dir := range []string{older, fresh} {
-		if cols[i], err = OpenDurable(dir, DurableOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		defer cols[i].Close()
-	}
-	assertSamePlans(t, cols[0], cols[1], vectors)
 }
 
 // TestPlannerDeterministic pins what taking the clock and the history out
