@@ -74,9 +74,9 @@
 // acknowledged history. Collection.Checkpoint truncates the log;
 // Collection.Close releases it. An in-memory collection has the same
 // mutators: it is a durable one with no log, so their error is always
-// nil. A durable directory is the only on-disk form of a collection:
-// `bondgen -import` converts a whole-file snapshot an earlier release
-// wrote into one, offline, through OpenDurable and these mutators.
+// nil. A durable directory is the only on-disk form of a collection;
+// OpenDurable refuses a whole-file snapshot of an earlier release, which
+// that release's `bondgen -import` converts offline.
 //
 // # Serving
 //

@@ -79,8 +79,10 @@
 // however shuffled the ingest order was), and checkpoints any collection
 // whose WAL has outgrown -wal-max-bytes, truncating the log —
 // checkpoints bound restart replay time, not durability. A <name>.bond
-// snapshot file of an earlier release is refused until `bondgen -import`
-// converts it offline.
+// snapshot file of an earlier release, or a directory in an older
+// layout, answers 409 older_layout until an operator converts it with
+// the earlier release that reads it (its `bondgen -import`, or a
+// Checkpoint).
 // SIGINT/SIGTERM drain in-flight requests, checkpoint, and close every
 // log.
 package main

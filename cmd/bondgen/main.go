@@ -1,8 +1,6 @@
 // Command bondgen generates a synthetic feature collection and writes it
 // as a durable collection directory that cmd/bondquery, cmd/bondd and
-// the library's OpenDurable open. With -import it instead converts a
-// whole-file snapshot that an earlier release wrote into such a
-// directory.
+// the library's OpenDurable open.
 //
 // Usage:
 //
@@ -10,7 +8,6 @@
 //	bondgen -kind clustered -n 100000 -dims 128 -theta 1.0 -out skew1.bond
 //	bondgen -kind uniform -n 50000 -dims 64 -out uniform.bond
 //	bondgen -kind corel -n 10000 -dims 166 -segsize 2048 -out corel.bond
-//	bondgen -import old-snapshot.bond -out corel.bond
 //
 // -segsize aligns segment boundaries with a known data layout; -normalize
 // scales every vector to sum 1 (enables the stricter Eq bound). -out must
@@ -37,7 +34,6 @@ func main() {
 	normalize := flag.Bool("normalize", false, "normalize every vector to sum 1")
 	seed := flag.Int64("seed", 42, "generator seed")
 	segsize := flag.Int("segsize", 0, "segment seal threshold (0 = default)")
-	importPath := flag.String("import", "", "convert this snapshot file instead of generating data")
 	out := flag.String("out", "", "output directory (required, must not exist)")
 	flag.Parse()
 
@@ -45,13 +41,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bondgen: -out is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *importPath != "" {
-		if err := importSnapshot(*importPath, *out); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("imported %s to %s\n", *importPath, *out)
-		return
 	}
 	if _, err := os.Lstat(*out); err == nil {
 		fatal(fmt.Errorf("%s already exists", *out))

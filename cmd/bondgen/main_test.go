@@ -44,9 +44,9 @@ func bondgen(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 }
 
 // TestOutputAnswersBondquery drives the two commands together: what
-// bondgen writes — generated or imported from a snapshot fixture —
-// answers a bondquery self-query, an existing -out is refused, and
-// bondquery refuses a snapshot file with an error naming the import.
+// bondgen writes answers a bondquery self-query, an existing -out is
+// refused, and bondquery refuses a snapshot file of an earlier release
+// with an error naming the import that release offered.
 func TestOutputAnswersBondquery(t *testing.T) {
 	dir := t.TempDir()
 	bondquery := filepath.Join(dir, "bondquery")
@@ -54,37 +54,22 @@ func TestOutputAnswersBondquery(t *testing.T) {
 	if _, stderr, exit := run(t, exec.Command("go", "build", "-o", bondquery, "bond/cmd/bondquery")); exit != 0 {
 		t.Fatalf("build bondquery: %s", stderr)
 	}
-	selfQuery := func(store, id, segments string) {
-		t.Helper()
-		out, stderr, exit := run(t, exec.Command(bondquery, "-store", store, "-id", id, "-k", "1"))
-		if exit != 0 || !strings.Contains(out, "in "+segments+" segments") || !strings.Contains(out, "1. id="+id+" ") {
-			t.Fatalf("self-query %s on %s: exit %d\nstdout: %s\nstderr: %s", id, store, exit, out, stderr)
-		}
-	}
 
 	gen := filepath.Join(dir, "gen.bond")
 	if out, stderr, exit := bondgen(t, "-kind", "corel", "-n", "300", "-dims", "8", "-segsize", "100", "-out", gen); exit != 0 {
 		t.Fatalf("bondgen: exit %d\nstdout: %s\nstderr: %s", exit, out, stderr)
 	}
-	selfQuery(gen, "17", "4")
+	out, stderr, exit := run(t, exec.Command(bondquery, "-store", gen, "-id", "17", "-k", "1"))
+	if exit != 0 || !strings.Contains(out, "in 4 segments") || !strings.Contains(out, "1. id=17 ") {
+		t.Fatalf("self-query 17 on %s: exit %d\nstdout: %s\nstderr: %s", gen, exit, out, stderr)
+	}
 
+	if _, stderr, exit := bondgen(t, "-kind", "uniform", "-n", "10", "-dims", "4", "-out", gen); exit == 0 || !strings.Contains(stderr, "exists") {
+		t.Fatalf("bondgen over an existing -out: exit %d, stderr %q", exit, stderr)
+	}
 	snapshot := filepath.Join("..", "..", "testdata", "legacy", "seg-v2.bond")
-	imported := filepath.Join(dir, "imported.bond")
-	if out, stderr, exit := bondgen(t, "-import", snapshot, "-out", imported); exit != 0 {
-		t.Fatalf("bondgen -import: exit %d\nstdout: %s\nstderr: %s", exit, out, stderr)
-	}
-	selfQuery(imported, "3", "5")
-
-	for _, args := range [][]string{
-		{"-kind", "uniform", "-n", "10", "-dims", "4", "-out", gen},
-		{"-import", snapshot, "-out", imported},
-	} {
-		if _, stderr, exit := bondgen(t, args...); exit == 0 || !strings.Contains(stderr, "exists") {
-			t.Fatalf("bondgen %v over an existing -out: exit %d, stderr %q", args, exit, stderr)
-		}
-	}
-	_, stderr, exit := run(t, exec.Command(bondquery, "-store", snapshot))
-	if exit == 0 || !strings.Contains(stderr, "bondgen -import") {
+	_, stderr, exit = run(t, exec.Command(bondquery, "-store", snapshot))
+	if exit == 0 || !strings.Contains(stderr, "bondgen -import") || !strings.Contains(stderr, "earlier release") {
 		t.Fatalf("bondquery on a snapshot file: exit %d, stderr %q", exit, stderr)
 	}
 }

@@ -22,7 +22,7 @@
 // bondquery opens the directory with OpenDurable, which recovers it and
 // garbage-collects files its manifest does not name: never point it at a
 // directory a running bondd serves. A snapshot file of an earlier release
-// is refused; convert it with bondgen -import first.
+// is refused; convert it first with that release's bondgen -import.
 package main
 
 import (

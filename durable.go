@@ -185,10 +185,12 @@ type DurabilityStats struct {
 // A missing path is created when opts.Dims ≥ 1 and fails with
 // os.ErrNotExist otherwise. A regular file at path (a whole-file
 // snapshot of an earlier release) is refused with an error naming
-// `bondgen -import`, which converts it offline; so is a missing path
-// beside an interrupted in-place migration's staging directory. Neither
-// refusal creates anything. Callers must Close the collection to stop
-// the interval-sync loop and release the log.
+// `bondgen -import` of an earlier release, which converts it offline;
+// a missing path beside an interrupted in-place migration's staging
+// directory is refused with the rename that finishes it, and a directory
+// in an older layout with its remedy. Every refusal wraps
+// vstore.ErrOlderLayout and changes nothing on disk. Callers must Close
+// the collection to stop the interval-sync loop and release the log.
 func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -196,13 +198,14 @@ func OpenDurable(path string, opts DurableOptions) (*Collection, error) {
 	}
 	if info, err := fs.Stat(path); err == nil {
 		if !info.IsDir {
-			return nil, fmt.Errorf("bond: %s is a snapshot file, not a durable directory: convert it with `bondgen -import %s -out <dir>`", path, path)
+			return nil, fmt.Errorf("bond: %s is a snapshot file, not a durable directory (%w): this release does not read it; "+
+				"convert it with `bondgen -import %s -out <dir>` built from an earlier release", path, vstore.ErrOlderLayout, path)
 		}
 		return openDurableDir(fs, path, opts)
 	}
 	if _, merr := fs.Stat(path + migratingSuffix); merr == nil {
-		return nil, fmt.Errorf("bond: %s is missing but an interrupted migration left it in %s: finish the migration with `mv %s %s`",
-			path, path+migratingSuffix, path+migratingSuffix, path)
+		return nil, fmt.Errorf("bond: %s is missing but an interrupted migration left it in %s (%w): finish the migration with `mv %s %s`",
+			path, path+migratingSuffix, vstore.ErrOlderLayout, path+migratingSuffix, path)
 	}
 	if opts.Dims < 1 {
 		return nil, fmt.Errorf("bond: open durable %s: %w (set DurableOptions.Dims to create)", path, os.ErrNotExist)

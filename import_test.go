@@ -51,9 +51,10 @@ func readTree(t *testing.T, root string) map[string][]byte {
 // an earlier release could have left at a collection path: a snapshot
 // file, (after a crash in its in-place migration) nothing but a complete
 // staging directory beside it, and a durable directory in an older
-// layout. Each error names the fix, does not read as "not found", and
-// nothing is created, changed or removed, even when Dims would permit a
-// fresh start.
+// layout. Each error wraps vstore.ErrOlderLayout, names the fix (for a
+// snapshot file, the import of an earlier release: this one has none),
+// does not read as "not found", and nothing is created, changed or
+// removed, even when Dims would permit a fresh start.
 func TestOpenDurableRefusesLegacy(t *testing.T) {
 	img, err := os.ReadFile(filepath.Join("testdata", "legacy", "seg-v2.bond"))
 	if err != nil {
@@ -68,7 +69,7 @@ func TestOpenDurableRefusesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct{ path, fix, found string }{
-		{snap, "bondgen -import " + snap, ""},
+		{snap, "`bondgen -import " + snap + " -out <dir>` built from an earlier release", ""},
 		{staged, "mv " + staged + migratingSuffix + " " + staged, ""},
 	}
 	for _, od := range olderDirs {
@@ -82,8 +83,8 @@ func TestOpenDurableRefusesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		for _, dims := range []int{0, 6} {
 			_, err := OpenDurable(tc.path, DurableOptions{Dims: dims})
-			if err == nil || !strings.Contains(err.Error(), tc.fix) || !strings.Contains(err.Error(), tc.found) ||
-				errors.Is(err, os.ErrNotExist) {
+			if !errors.Is(err, vstore.ErrOlderLayout) || !strings.Contains(err.Error(), tc.fix) ||
+				!strings.Contains(err.Error(), tc.found) || errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("OpenDurable(%s, dims %d) = %v, want an error naming %q and %q", tc.path, dims, err, tc.found, tc.fix)
 			}
 		}

@@ -867,8 +867,8 @@ func (e *engine) finish() Result {
 // the same rows (a shard and the whole collection, or two segmentations)
 // would round a score differently in its last bits; this sum is the same
 // bits whatever order found the row, and the exact path's. It runs while
-// the segment's columns are still in cache, a column at a time over the
-// rows.
+// the segment's columns are still in cache, a column at a time, through
+// the gather kernels with rows as the candidate list.
 func (e *engine) canonicalRows(rows []int, scores []float64) {
 	qs := e.qs
 	clear(scores)
@@ -881,23 +881,13 @@ func (e *engine) canonicalRows(rows []int, scores []float64) {
 		col, qd := e.s.Column(d), qs.q[d]
 		switch {
 		case hist && len(w) == 0:
-			for i, r := range rows {
-				scores[i] += min(col[r], qd)
-			}
+			kernel.AccMinQ(scores, col, rows, qd)
 		case hist:
-			for i, r := range rows {
-				scores[i] += w[d] * min(col[r], qd)
-			}
+			kernel.AccWMinQ(scores, col, rows, qd, w[d])
 		case len(w) == 0:
-			for i, r := range rows {
-				diff := col[r] - qd
-				scores[i] += diff * diff
-			}
+			kernel.AccSqDist(scores, col, rows, qd)
 		default:
-			for i, r := range rows {
-				diff := col[r] - qd
-				scores[i] += w[d] * diff * diff
-			}
+			kernel.AccWSqDist(scores, col, rows, qd, w[d])
 		}
 	}
 	if len(qs.opts.Dims) > 0 {

@@ -45,19 +45,10 @@ func detectAVX2() bool {
 // for the wrapper to reduce like its scalar accumulators.
 
 //go:noescape
-func accSqDistAVX2(score, col *float64, cands *int, n int, qd float64)
-
-//go:noescape
-func accSqDistTailsAVX2(score, tails, col *float64, cands *int, n int, qd float64)
-
-//go:noescape
 func accWSqDistAVX2(score, col *float64, cands *int, n int, qd, w float64)
 
 //go:noescape
 func accWSqDistTailsAVX2(score, tails, col *float64, cands *int, n int, qd, w float64)
-
-//go:noescape
-func accMinQAVX2(score, col *float64, cands *int, n int, qd float64)
 
 //go:noescape
 func accMinQTailsAVX2(score, tails, col *float64, cands *int, n int, qd float64)

@@ -7,23 +7,11 @@ package kernel
 // drops — they exist only so the wrappers compile on every platform.
 const hasAVX2 = false
 
-func accSqDistAVX2(score, col *float64, cands *int, n int, qd float64) {
-	panic("kernel: SIMD stub called")
-}
-
-func accSqDistTailsAVX2(score, tails, col *float64, cands *int, n int, qd float64) {
-	panic("kernel: SIMD stub called")
-}
-
 func accWSqDistAVX2(score, col *float64, cands *int, n int, qd, w float64) {
 	panic("kernel: SIMD stub called")
 }
 
 func accWSqDistTailsAVX2(score, tails, col *float64, cands *int, n int, qd, w float64) {
-	panic("kernel: SIMD stub called")
-}
-
-func accMinQAVX2(score, col *float64, cands *int, n int, qd float64) {
 	panic("kernel: SIMD stub called")
 }
 

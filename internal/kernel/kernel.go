@@ -50,75 +50,17 @@ func SIMD() string {
 
 // AccSqDist folds one column into partial squared-Euclidean scores:
 // score[i] += (col[cands[i]] − qd)² for every candidate. len(score) must be
-// at least len(cands).
+// at least len(cands). It runs AccWSqDist's body at w = 1, which gives the
+// same bits: 1·d = d exactly, so (1·d)·d = d·d.
 func AccSqDist(score []float64, col []float64, cands []int, qd float64) {
-	score = score[:len(cands)]
-	if hasAVX2 && len(cands) >= simdMin {
-		n := len(cands) &^ 3
-		accSqDistAVX2(&score[0], &col[0], &cands[0], n, qd)
-		for i := n; i < len(cands); i++ {
-			d := col[cands[i]] - qd
-			score[i] += d * d
-		}
-		return
-	}
-	i := 0
-	for ; i+4 <= len(cands); i += 4 {
-		c0, c1, c2, c3 := cands[i], cands[i+1], cands[i+2], cands[i+3]
-		d0 := col[c0] - qd
-		d1 := col[c1] - qd
-		d2 := col[c2] - qd
-		d3 := col[c3] - qd
-		score[i] += d0 * d0
-		score[i+1] += d1 * d1
-		score[i+2] += d2 * d2
-		score[i+3] += d3 * d3
-	}
-	for ; i < len(cands); i++ {
-		d := col[cands[i]] - qd
-		score[i] += d * d
-	}
+	AccWSqDist(score, col, cands, qd, 1)
 }
 
 // AccSqDistTails is AccSqDist plus remaining-mass maintenance:
 // tails[i] -= col[cands[i]]. len(score) and len(tails) must be at least
-// len(cands).
+// len(cands). It runs AccWSqDistTails's body at w = 1.
 func AccSqDistTails(score, tails []float64, col []float64, cands []int, qd float64) {
-	score = score[:len(cands)]
-	tails = tails[:len(cands)]
-	if hasAVX2 && len(cands) >= simdMin {
-		n := len(cands) &^ 3
-		accSqDistTailsAVX2(&score[0], &tails[0], &col[0], &cands[0], n, qd)
-		for i := n; i < len(cands); i++ {
-			v := col[cands[i]]
-			d := v - qd
-			score[i] += d * d
-			tails[i] -= v
-		}
-		return
-	}
-	i := 0
-	for ; i+4 <= len(cands); i += 4 {
-		v0, v1, v2, v3 := col[cands[i]], col[cands[i+1]], col[cands[i+2]], col[cands[i+3]]
-		d0 := v0 - qd
-		d1 := v1 - qd
-		d2 := v2 - qd
-		d3 := v3 - qd
-		score[i] += d0 * d0
-		score[i+1] += d1 * d1
-		score[i+2] += d2 * d2
-		score[i+3] += d3 * d3
-		tails[i] -= v0
-		tails[i+1] -= v1
-		tails[i+2] -= v2
-		tails[i+3] -= v3
-	}
-	for ; i < len(cands); i++ {
-		v := col[cands[i]]
-		d := v - qd
-		score[i] += d * d
-		tails[i] -= v
-	}
+	AccWSqDistTails(score, tails, col, cands, qd, 1)
 }
 
 // AccWSqDist is the weighted variant: score[i] += w·(col[cands[i]] − qd)².
@@ -191,30 +133,11 @@ func AccWSqDistTails(score, tails []float64, col []float64, cands []int, qd, w f
 }
 
 // AccMinQ folds one column into partial histogram-intersection scores:
-// score[i] += min(col[cands[i]], qd). The min builtin is intrinsified, so
-// on random data this replaces a mispredicting branch; the AVX2 variant
-// reproduces the builtin's −0 < +0 ordering with a two-vminpd/vorpd
-// sequence (a single vminpd is not symmetric in its zero handling).
+// score[i] += min(col[cands[i]], qd). It runs AccWMinQ's body at w = 1,
+// which gives the same bits: 1·min(v, qd) = min(v, qd), −0 and NaN
+// included.
 func AccMinQ(score []float64, col []float64, cands []int, qd float64) {
-	score = score[:len(cands)]
-	if hasAVX2 && len(cands) >= simdMin {
-		n := len(cands) &^ 3
-		accMinQAVX2(&score[0], &col[0], &cands[0], n, qd)
-		for i := n; i < len(cands); i++ {
-			score[i] += min(col[cands[i]], qd)
-		}
-		return
-	}
-	i := 0
-	for ; i+4 <= len(cands); i += 4 {
-		score[i] += min(col[cands[i]], qd)
-		score[i+1] += min(col[cands[i+1]], qd)
-		score[i+2] += min(col[cands[i+2]], qd)
-		score[i+3] += min(col[cands[i+3]], qd)
-	}
-	for ; i < len(cands); i++ {
-		score[i] += min(col[cands[i]], qd)
-	}
+	AccWMinQ(score, col, cands, qd, 1)
 }
 
 // AccMinQTails is AccMinQ plus remaining-mass maintenance.
@@ -251,6 +174,10 @@ func AccMinQTails(score, tails []float64, col []float64, cands []int, qd float64
 }
 
 // AccWMinQ is the weighted histogram variant: score[i] += w·min(v, qd).
+// The min builtin is intrinsified, so on random data this replaces a
+// mispredicting branch; the AVX2 variant reproduces the builtin's −0 < +0
+// ordering with a two-vminpd/vorpd sequence (a single vminpd is not
+// symmetric in its zero handling).
 func AccWMinQ(score []float64, col []float64, cands []int, qd, w float64) {
 	score = score[:len(cands)]
 	if hasAVX2 && len(cands) >= simdMin {

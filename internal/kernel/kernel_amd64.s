@@ -21,67 +21,6 @@
 //   - VZEROUPPER before every RET: the callers return into SSE-era
 //     scalar code, and a dirty upper state would stall it.
 
-// func accSqDistAVX2(score, col *float64, cands *int, n int, qd float64)
-TEXT ·accSqDistAVX2(SB), NOSPLIT, $0-40
-	MOVQ         score+0(FP), DI
-	MOVQ         col+8(FP), SI
-	MOVQ         cands+16(FP), DX
-	MOVQ         n+24(FP), CX
-	VBROADCASTSD qd+32(FP), Y0
-
-sqloop:
-	TESTQ      CX, CX
-	JZ         sqdone
-	VMOVDQU    (DX), Y1              // 4 candidate ids
-	VPCMPEQD   Y2, Y2, Y2            // gather mask: all lanes active
-	VGATHERQPD Y2, (SI)(Y1*8), Y3    // v = col[cands[i..i+3]]
-	VSUBPD     Y0, Y3, Y4            // d = v - qd
-	VMULPD     Y4, Y4, Y4            // d*d
-	VMOVUPD    (DI), Y5
-	VADDPD     Y4, Y5, Y5            // score += d*d
-	VMOVUPD    Y5, (DI)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        sqloop
-
-sqdone:
-	VZEROUPPER
-	RET
-
-// func accSqDistTailsAVX2(score, tails, col *float64, cands *int, n int, qd float64)
-TEXT ·accSqDistTailsAVX2(SB), NOSPLIT, $0-48
-	MOVQ         score+0(FP), DI
-	MOVQ         tails+8(FP), R8
-	MOVQ         col+16(FP), SI
-	MOVQ         cands+24(FP), DX
-	MOVQ         n+32(FP), CX
-	VBROADCASTSD qd+40(FP), Y0
-
-sqtloop:
-	TESTQ      CX, CX
-	JZ         sqtdone
-	VMOVDQU    (DX), Y1
-	VPCMPEQD   Y2, Y2, Y2
-	VGATHERQPD Y2, (SI)(Y1*8), Y3
-	VSUBPD     Y0, Y3, Y4
-	VMULPD     Y4, Y4, Y4
-	VMOVUPD    (DI), Y5
-	VADDPD     Y4, Y5, Y5
-	VMOVUPD    Y5, (DI)
-	VMOVUPD    (R8), Y6
-	VSUBPD     Y3, Y6, Y6            // tails -= v
-	VMOVUPD    Y6, (R8)
-	ADDQ       $32, DI
-	ADDQ       $32, R8
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        sqtloop
-
-sqtdone:
-	VZEROUPPER
-	RET
-
 // func accWSqDistAVX2(score, col *float64, cands *int, n int, qd, w float64)
 TEXT ·accWSqDistAVX2(SB), NOSPLIT, $0-48
 	MOVQ         score+0(FP), DI
@@ -144,35 +83,6 @@ wsqtloop:
 	JMP        wsqtloop
 
 wsqtdone:
-	VZEROUPPER
-	RET
-
-// func accMinQAVX2(score, col *float64, cands *int, n int, qd float64)
-TEXT ·accMinQAVX2(SB), NOSPLIT, $0-40
-	MOVQ         score+0(FP), DI
-	MOVQ         col+8(FP), SI
-	MOVQ         cands+16(FP), DX
-	MOVQ         n+24(FP), CX
-	VBROADCASTSD qd+32(FP), Y0
-
-mqloop:
-	TESTQ      CX, CX
-	JZ         mqdone
-	VMOVDQU    (DX), Y1
-	VPCMPEQD   Y2, Y2, Y2
-	VGATHERQPD Y2, (SI)(Y1*8), Y3    // v
-	VMINPD     Y0, Y3, Y4            // min(v,q), ties/NaN -> q
-	VMINPD     Y3, Y0, Y5            // min(q,v), ties/NaN -> v
-	VORPD      Y5, Y4, Y4            // Go min semantics
-	VMOVUPD    (DI), Y6
-	VADDPD     Y4, Y6, Y6
-	VMOVUPD    Y6, (DI)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        mqloop
-
-mqdone:
 	VZEROUPPER
 	RET
 

@@ -36,7 +36,8 @@ import (
 // collectionExt is the on-disk suffix of a catalog collection: a durable
 // directory in the incremental checkpoint + WAL layout. A snapshot *file*
 // of an earlier release under the same name is refused (OpenDurable's
-// error names `bondgen -import`, which converts it offline).
+// error names `bondgen -import` of an earlier release, which converts it
+// offline), and the API answers it 409 older_layout.
 const collectionExt = ".bond"
 
 // Errors the catalog returns; the HTTP layer maps them onto status codes.

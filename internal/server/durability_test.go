@@ -78,13 +78,14 @@ func readTree(t *testing.T, root string) map[string][]byte {
 // snapshot, and durable directories in the three older layouts (checked
 // in under testdata/legacy: a version-1 MANIFEST, format-1 segment files,
 // a statistics block). The catalog lists them, but neither a read nor a
-// same-dims create opens, replaces or re-initializes one: each answers an
-// error naming the remedy (the offline import, or a Checkpoint under an
-// earlier release), not a 404, and every file stays byte for byte as it
-// was. A name whose only trace is an interrupted in-place migration's
-// staging directory is refused the same way, naming the rename that
-// finishes it, so a create cannot shadow its data. DELETE removes the
-// snapshot file.
+// same-dims create opens, replaces or re-initializes one: each answers
+// 409 older_layout (the files' condition, which no retry mends) with an
+// error naming the remedy (an earlier release's offline import, or a
+// Checkpoint under an earlier release), and every file stays byte for
+// byte as it was. A name whose only trace is an interrupted in-place
+// migration's staging directory is refused the same way, naming the
+// rename that finishes it, so a create cannot shadow its data. DELETE
+// removes the snapshot file.
 func TestCatalogRefusesLegacyFile(t *testing.T) {
 	dir := t.TempDir()
 	legacy := filepath.Join("..", "..", "testdata", "legacy")
@@ -101,7 +102,10 @@ func TestCatalogRefusesLegacyFile(t *testing.T) {
 	if err := os.Mkdir(staged+".migrating", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct{ name, fix string }{{"old", "bondgen -import"}, {"gone", "mv " + staged + ".migrating"}}
+	cases := []struct{ name, fix string }{
+		{"old", "bondgen -import " + path + " -out <dir>` built from an earlier release"},
+		{"gone", "mv " + staged + ".migrating"},
+	}
 	for _, layout := range []string{"manifest-v1", "segment-format1", "stats-block"} {
 		if err := os.CopyFS(filepath.Join(dir, layout+".bond"), os.DirFS(filepath.Join(legacy, "dir-"+layout))); err != nil {
 			t.Fatal(err)
@@ -123,8 +127,8 @@ func TestCatalogRefusesLegacyFile(t *testing.T) {
 		}{{http.MethodGet, nil}, {http.MethodPut, api.CreateRequest{Dims: 6}}} {
 			var e api.Error
 			code := doJSON(t, req.method, ts.URL+"/collections/"+c.name, req.body, &e)
-			if code < 300 || code == http.StatusNotFound || !strings.Contains(e.Error, c.fix) {
-				t.Fatalf("%s %s: %d %q, want an error naming %q", req.method, c.name, code, e.Error, c.fix)
+			if code != http.StatusConflict || e.Code != "older_layout" || !strings.Contains(e.Error, c.fix) {
+				t.Fatalf("%s %s: %d %s %q, want 409 older_layout naming %q", req.method, c.name, code, e.Code, e.Error, c.fix)
 			}
 		}
 	}

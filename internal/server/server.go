@@ -11,6 +11,7 @@ import (
 
 	"bond"
 	"bond/internal/api"
+	"bond/internal/vstore"
 )
 
 // Config configures a Server. The zero value serves from "./data" with
@@ -325,6 +326,10 @@ func catalogError(err error) error {
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrExists):
 		status = http.StatusConflict
+	case errors.Is(err, vstore.ErrOlderLayout):
+		// The files' condition, not a fault: it lasts until an operator
+		// acts, so no retry can help.
+		return &api.StatusError{Status: http.StatusConflict, Code: "older_layout", Msg: err.Error()}
 	}
 	return api.WithStatus(status, err)
 }

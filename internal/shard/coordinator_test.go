@@ -3,8 +3,11 @@ package shard
 import (
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bond/internal/api"
 )
@@ -237,6 +240,65 @@ func TestCoordinatorStatsEndpoint(t *testing.T) {
 	for i, s := range st.Shards {
 		if s.ID != i || !s.Healthy || s.Breaker != "closed" || s.Requests == 0 {
 			t.Fatalf("shard %d gauges = %+v", i, s)
+		}
+	}
+}
+
+// TestCoordinatorOlderLayoutIsNotRetried puts what an earlier release
+// left under one collection name into every shard's data directory — a
+// snapshot file on shard 0, a directory with a statistics block on
+// shard 1 — and drives that name through a coordinator with the default
+// attempts and breaker threshold (three and 5) and hedging on. Each
+// request answers the shards' 409 older_layout; since the refusal is the
+// files' condition and not a fault, no shard call is retried, hedged or
+// counted against a breaker, and a healthy collection on the same shards
+// keeps answering.
+func TestCoordinatorOlderLayoutIsNotRetried(t *testing.T) {
+	cl := newTestCluster(t, 2, Config{Envelope: Envelope{BackoffBase: time.Millisecond, HedgeAfter: time.Second}})
+	legacy := filepath.Join("..", "..", "testdata", "legacy")
+	img, err := os.ReadFile(filepath.Join(legacy, "seg-v2.bond"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cl.dirs[0], "old.bond"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.CopyFS(filepath.Join(cl.dirs[1], "old.bond"), os.DirFS(filepath.Join(legacy, "dir-stats-block"))); err != nil {
+		t.Fatal(err)
+	}
+
+	for range 4 {
+		for _, req := range []struct {
+			method, path string
+			body         any
+		}{
+			{http.MethodGet, "/collections/old", nil},
+			{http.MethodPut, "/collections/old", api.CreateRequest{Dims: 6}},
+			{http.MethodPost, "/collections/old/query", api.QuerySpec{Query: make([]float64, 6), K: 3}},
+		} {
+			var e api.Error
+			if status, raw := doJSON(t, req.method, cl.front.URL+req.path, req.body, &e); status != http.StatusConflict || e.Code != "older_layout" {
+				t.Fatalf("%s %s: status %d: %s, want 409 older_layout", req.method, req.path, status, raw)
+			}
+		}
+	}
+
+	if status, raw := doJSON(t, http.MethodPut, cl.front.URL+"/collections/c", api.CreateRequest{Dims: 4}, nil); status != http.StatusCreated {
+		t.Fatalf("create c: status %d: %s", status, raw)
+	}
+	doJSON(t, http.MethodPost, cl.front.URL+"/collections/c/vectors", api.IngestRequest{Vectors: deterministicVectors(6, 4)}, nil)
+	var resp api.QueryResponse
+	if status, raw := doJSON(t, http.MethodPost, cl.front.URL+"/collections/c/query", api.QuerySpec{Query: []float64{1, 0, 0, 0}, K: 3}, &resp); status != http.StatusOK || len(resp.Results) != 3 {
+		t.Fatalf("query c: status %d: %s", status, raw)
+	}
+
+	var st coordinatorStats
+	if status, raw := doJSON(t, http.MethodGet, cl.front.URL+"/stats", nil, &st); status != http.StatusOK {
+		t.Fatalf("/stats: status %d: %s", status, raw)
+	}
+	for i, s := range st.Shards {
+		if s.Retries != 0 || s.Hedges != 0 || s.Failures != 0 || s.FastFails != 0 || s.Breaker != "closed" || s.BreakerOpens != 0 {
+			t.Fatalf("shard %d gauges = %+v, want no retry, hedge, failure or breaker opening", i, s)
 		}
 	}
 }

@@ -90,6 +90,7 @@ type testCluster struct {
 	front   *httptest.Server   // the coordinator's HTTP face
 	proxies []*faultProxy      // per-shard fault injection
 	raw     []*httptest.Server // direct shard endpoints bypassing the proxies
+	dirs    []string           // each shard's data directory
 }
 
 // fastTestConfig is a chaos-friendly envelope: real retry/hedge
@@ -115,11 +116,13 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	cl := &testCluster{t: t}
 	topo := &Topology{}
 	for i := 0; i < n; i++ {
-		s, err := server.New(server.Config{Dir: t.TempDir(), Logf: func(string, ...any) {}})
+		dir := t.TempDir()
+		s, err := server.New(server.Config{Dir: dir, Logf: func(string, ...any) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
+		cl.dirs = append(cl.dirs, dir)
 		raw := httptest.NewServer(s.Handler())
 		t.Cleanup(raw.Close)
 		proxy := &faultProxy{backend: s.Handler()}

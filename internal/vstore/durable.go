@@ -61,13 +61,23 @@ const (
 // half-created durable directory, as opposed to a corrupt one.
 var ErrNoManifest = errors.New("vstore: no manifest")
 
-// errOlderLayout refuses a well-formed manifest in a layout this release
-// does not read: a version-1 manifest, a format-1 (row-stream) segment
-// file, or a non-empty planner statistics block. Releases that read those
-// rewrite them in the current layout at a checkpoint.
-var errOlderLayout = errors.New("this release reads manifest version 2 with format-2 segment files " +
-	"and an empty statistics block: open the directory once with an earlier release and call " +
-	"Collection.Checkpoint, which rewrites it in that layout")
+// ErrOlderLayout marks what an earlier release left at a collection path
+// and this one does not read: a whole-file snapshot, an interrupted
+// migration's staging directory, or a durable directory with a version-1
+// manifest, a format-1 (row-stream) segment file or a non-empty planner
+// statistics block. Each refusal wraps it with what it found and the
+// remedy, and changes nothing on disk; the condition lasts until an
+// operator acts on it.
+var ErrOlderLayout = errors.New("layout of an earlier release")
+
+// olderManifest refuses a well-formed manifest in a layout this release
+// does not read, naming what it found; releases that read that layout
+// rewrite it at a checkpoint.
+func olderManifest(found string) error {
+	return fmt.Errorf("vstore: %s: %w: this release reads manifest version 2 with format-2 segment files "+
+		"and an empty statistics block: open the directory once with an earlier release and call "+
+		"Collection.Checkpoint, which rewrites it in that layout", found, ErrOlderLayout)
+}
 
 // SegFileName returns the write-once file name of sealed segment id.
 func SegFileName(id uint64) string { return fmt.Sprintf("seg-%016x.seg", id) }
@@ -201,7 +211,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, err
 	}
 	if ver != manVersion {
-		return nil, fmt.Errorf("vstore: manifest version %d: %w", ver, errOlderLayout)
+		return nil, olderManifest(fmt.Sprintf("manifest version %d", ver))
 	}
 	m := &Manifest{}
 	var dims, segSize, activeLen uint64
@@ -220,7 +230,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, err
 	}
 	if statsLen != 0 {
-		return nil, fmt.Errorf("vstore: %d-byte statistics block: %w", statsLen, errOlderLayout)
+		return nil, olderManifest(fmt.Sprintf("%d-byte statistics block", statsLen))
 	}
 	nsegs, err := c.u32()
 	if err != nil {
@@ -247,7 +257,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 			return nil, err
 		}
 		if fb[0] != segFormat {
-			return nil, fmt.Errorf("vstore: segment %d in format %d: %w", sg.ID, fb[0], errOlderLayout)
+			return nil, olderManifest(fmt.Sprintf("segment %d in format %d", sg.ID, fb[0]))
 		}
 		ndel, err := c.u32()
 		if err != nil {

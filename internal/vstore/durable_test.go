@@ -267,7 +267,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	for found, older := range olderLayouts(t) {
 		_, err := DecodeManifest(older)
-		if !errors.Is(err, errOlderLayout) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), found) {
+		if !errors.Is(err, ErrOlderLayout) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), found) {
 			t.Fatalf("%s: DecodeManifest = %v, want the older-layout refusal naming it", found, err)
 		}
 	}
