@@ -11,23 +11,42 @@ import (
 // scans become a decimal mantissa and exponent, and eiselLemire turns
 // those into the float64 strconv.ParseFloat would return, or declines.
 
-// eightDigits reports whether the first eight bytes of b are all ASCII
-// digits, and if so their value as a decimal number, first byte most
-// significant. Loaded little-endian into v, a byte outside '0'..'9' sets
-// its top bit in either v+0x46… (above '9') or v−0x30… (below '0'); the
-// lowest such byte gets no carry or borrow from the bytes below it, so
-// the test is exact.
-func eightDigits(b []byte) (uint64, bool) {
-	v := binary.LittleEndian.Uint64(b)
-	if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
-		return 0, false
-	}
-	v -= 0x3030303030303030
+// digitMask marks, with its top bit, each byte of v (eight bytes loaded
+// little-endian) that is not an ASCII digit, or at least the first such
+// byte: a byte outside '0'..'9' sets its top bit in either v+0x46…
+// (above '9') or v−0x30… (below '0'), and the lowest one gets no carry or
+// borrow from the digits below it, so that one is marked exactly.
+func digitMask(v uint64) uint64 {
+	return ((v + 0x4646464646464646) | (v - zeros)) & 0x8080808080808080
+}
+
+// zeros is eight ASCII '0's, loaded little-endian.
+const zeros = 0x3030303030303030
+
+// digits8 returns eight digit values, one a byte with the first byte most
+// significant (ASCII digits minus zeros, loaded little-endian), as a
+// decimal number.
+func digits8(v uint64) uint64 {
 	v = v*10 + v>>8 // each 16-bit lane's low byte: two digits
 	// Pair the two-digit lanes into four-digit, then eight-digit values.
 	v = ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
-	return uint64(uint32(v)), true
+	return uint64(uint32(v))
 }
+
+// eightDigits reports whether the first eight bytes of b are all ASCII
+// digits, and if so their value as a decimal number.
+func eightDigits(b []byte) (uint64, bool) {
+	v := binary.LittleEndian.Uint64(b)
+	if digitMask(v) != 0 {
+		return 0, false
+	}
+	return digits8(v - zeros), true
+}
+
+// keepBytes[n] keeps the low n bytes of a word: the first n of eight
+// bytes loaded little-endian.
+var keepBytes = [9]uint64{0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF, 0xFFFFFFFFFF,
+	0xFFFFFFFFFFFF, 0xFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF}
 
 // The range of powers of ten eiselLemire handles.
 const (

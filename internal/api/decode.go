@@ -1,7 +1,9 @@
 package api
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -20,25 +22,36 @@ import (
 //
 // Floats are bit-identical to strconv.ParseFloat's, which is what
 // encoding/json calls, and each is converted in the pass that scans it.
-// The grammar pass gathers up to 19 significant digits into a mantissa —
-// fraction digits eight at a time (eightDigits) — and a decimal exponent.
-// A mantissa below 2⁵³ scaled by 10^e with |e| ≤ 22 is one correctly
-// rounded IEEE operation on two exact operands (Clinger's fast path);
-// otherwise Eisel–Lemire (atof.go) rounds the mantissa against a 128-bit
-// power of ten, and a mantissa cut at 19 digits is taken only when it and
-// its successor round alike. What those decline — near-halfway values,
-// subnormals, overflow, |e| > 347 — goes to strconv.ParseFloat on the
-// span the grammar pass has delimited, so a number is refused exactly
-// when encoding/json refuses it.
+// Most numbers have the short form json.Marshal writes for a float64
+// below 10 — 0.6046602879796196: a sign, one integer digit, up to 17
+// fraction digits, no exponent (shortFloat). A float array's elements are
+// read by shortRun, one loop over a local cursor that takes short numbers
+// and the bare commas between them, checking and converting each
+// fraction's first 16 digits in one step, with no per-number whitespace
+// test or d.pos round trip (on amd64 it is SSE2 assembly with a Go
+// twin). A short mantissa is below 10¹⁹, and its exponent small: below
+// 2⁵³ it and 10^−e are exact, and one correctly rounded division is the
+// answer (Clinger's fast path); above, Eisel–Lemire (atof.go) rounds it
+// against a 128-bit power of ten. Any other number, and a short one
+// Eisel–Lemire declines, takes the general path (anyFloat): the grammar pass
+// gathers up to 19 significant digits into a mantissa, eight fraction
+// digits at a time (eightDigits), and a decimal exponent; Clinger and
+// Eisel–Lemire convert it as above, and a mantissa cut at 19 digits is
+// taken only when it and its successor round alike. What those decline —
+// near-halfway values, subnormals, overflow, |e| > 347 — goes to
+// strconv.ParseFloat on the span the grammar pass has delimited, so a
+// number is refused exactly when encoding/json refuses it.
 //
 // A decoder is pooled with its scratch: every float array is read into
 // nums and copied out into a slice allocated once at its final length
 // (an ingest's vectors share one), and a batch's specs are gathered in
 // specs before their slice is made.
 type decoder struct {
-	data []byte
-	pos  int
-	slow int // numbers handed to strconv.ParseFloat, for tests
+	data    []byte
+	pos     int
+	slow    int               // numbers handed to strconv.ParseFloat, for tests
+	general int               // numbers shortFloat left to anyFloat, for tests
+	tail    [shortWindow]byte // the last bytes of the body, padded
 
 	nums  []float64   // floats of the array(s) being read
 	ints  []int       // ints of the array being read
@@ -50,7 +63,7 @@ type decoder struct {
 
 // reset points the decoder at data, keeping its scratch.
 func (d *decoder) reset(data []byte) {
-	d.data, d.pos, d.slow = data, 0, 0
+	d.data, d.pos, d.slow, d.general = data, 0, 0, 0
 }
 
 // release drops what the scratch still references, so a pooled decoder
@@ -241,13 +254,142 @@ func (d *decoder) int() (int, bool) {
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// float reads a JSON number, checking its grammar
+// float reads a JSON number: the short form in one step (shortFloat),
+// anything else on the general path (anyFloat).
+func (d *decoder) float() (float64, bool) {
+	d.ws()
+	if f, n, ok := shortFloat(d.window()); ok {
+		d.pos += n
+		return f, true
+	}
+	d.general++
+	return d.anyFloat()
+}
+
+// window returns the shortWindow bytes from d.pos on, padded with zero
+// bytes past the end of the body, which end a number like any other byte
+// that cannot continue one.
+func (d *decoder) window() *[shortWindow]byte {
+	if len(d.data)-d.pos >= shortWindow {
+		return (*[shortWindow]byte)(d.data[d.pos:])
+	}
+	d.tail = [shortWindow]byte{}
+	copy(d.tail[:], d.data[d.pos:])
+	return &d.tail
+}
+
+// runChunk bounds the numbers one shortRun call converts, ≈ 20 µs.
+const runChunk = 4096
+
+// shortWindow is how many bytes shortFloat may look at: the longest short
+// number and the byte after it fit.
+const shortWindow = 32
+
+// shortFloat reads the number at the start of w when it has the short
+// form, which covers what json.Marshal writes for a float64 from 1e-6 to
+// 10 — an optional minus, one integer digit, then optionally a point, up
+// to seven zeros when the integer digit is 0, and at most 17 more digits;
+// no exponent; then a byte that cannot continue a number — and returns
+// its value and length. The fraction's first 16 bytes are tested and
+// converted as two words without a loop: the digits of a run shorter
+// than 16 are kept and the bytes after it count as zeros, which scales
+// the mantissa and its exponent alike. Clinger's fast path converts a
+// mantissa below 2⁵³ (one correctly rounded division), eiselLemire one
+// above; each returns only the correctly rounded value, as
+// strconv.ParseFloat does, so what shortFloat returns is what anyFloat
+// would. ok false leaves the number, unread, to anyFloat.
+func shortFloat(w *[shortWindow]byte) (f float64, n int, ok bool) {
+	i := 0
+	neg := w[0] == '-'
+	if neg {
+		i = 1
+	}
+	man := uint64(w[i] - '0')
+	if man > 9 {
+		return 0, 0, false
+	}
+	i++
+	exp := 0 // decimal exponent of man's last digit
+	if w[i] == '.' {
+		i++
+		z := 0
+		if man == 0 {
+			// Leading zeros place the digits, they are not among them.
+			if z = bits.TrailingZeros64(binary.LittleEndian.Uint64(w[i:])^zeros) >> 3; z == 8 {
+				return 0, 0, false
+			}
+			i += z
+		}
+		lo, hi := binary.LittleEndian.Uint64(w[i:]), binary.LittleEndian.Uint64(w[i+8:])
+		ml, mh := digitMask(lo), digitMask(hi)
+		lo, hi = lo-zeros, hi-zeros
+		k := 16 // digits in the run
+		if ml|mh != 0 {
+			n0 := bits.TrailingZeros64(ml) >> 3
+			n1 := bits.TrailingZeros64(mh) >> 3 & -(n0 >> 3)
+			if k = n0 + n1; k+z == 0 {
+				return 0, 0, false
+			}
+			lo, hi = lo&keepBytes[n0], hi&keepBytes[n1]
+		}
+		man = man*1e16 + digits8(lo)*1e8 + digits8(hi)
+		exp = -z - 16
+		i += k
+		if c := uint64(w[i] - '0'); k == 16 && c <= 9 {
+			if w[i+1]-'0' <= 9 {
+				return 0, 0, false
+			}
+			man = man*10 + c
+			exp--
+			i++
+		}
+	}
+	if c := w[i]; c-'0' <= 9 || c == '.' || c == 'e' || c == 'E' {
+		return 0, 0, false
+	}
+	if man < 1<<53 && exp >= -22 {
+		// Clinger: one correctly rounded operation on two exact operands.
+		f = float64(man) / pow10[-exp]
+		if neg {
+			f = -f
+		}
+		return f, i, true
+	}
+	if f, ok = eiselLemire(man, exp, neg); !ok {
+		return 0, 0, false
+	}
+	return f, i, true
+}
+
+// shortRunGo is shortRun in Go, and the definition of what the assembly
+// version returns: it converts into out the short numbers from data[i:]
+// on, one after each comma, while out has room and a whole window lies
+// ahead in data. It returns how many it converted and the offset after
+// the last one (i when none).
+func shortRunGo(data []byte, i int, out []float64) (n, end int) {
+	end = i
+	for n < len(out) && len(data)-i >= shortWindow {
+		f, k, ok := shortFloat((*[shortWindow]byte)(data[i:]))
+		if !ok {
+			break
+		}
+		out[n] = f
+		n++
+		end = i + k
+		if data[end] != ',' {
+			break
+		}
+		i = end + 1
+	}
+	return n, end
+}
+
+// anyFloat reads a JSON number at d.pos, checking its grammar
 // (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) while accumulating up
 // to 19 significant digits in man, and converts it as strconv.ParseFloat
 // does: Clinger's fast path, then Eisel–Lemire, then — for what those two
 // decline — strconv.ParseFloat itself on the delimited span.
-func (d *decoder) float() (float64, bool) {
-	d.ws()
+func (d *decoder) anyFloat() (float64, bool) {
 	data, i := d.data, d.pos
 	start := i
 	neg := i < len(data) && data[i] == '-'
@@ -357,7 +499,10 @@ func (d *decoder) float() (float64, bool) {
 	return f, err == nil
 }
 
-// appendFloats reads an array of numbers onto d.nums.
+// appendFloats reads an array of numbers onto d.nums. shortRun takes the
+// elements in one loop for as long as they are short numbers separated
+// by bare commas; an element it leaves goes through float, and whitespace
+// around a comma through next, before the run resumes.
 func (d *decoder) appendFloats() bool {
 	if !d.next('[') {
 		return false
@@ -365,16 +510,34 @@ func (d *decoder) appendFloats() bool {
 	if d.next(']') {
 		return true
 	}
+	data, i, nums := d.data, d.pos, d.nums
 	for {
-		f, ok := d.float()
-		if !ok {
-			return false
+		if len(nums) == cap(nums) {
+			nums = append(nums, 0)[:len(nums)]
 		}
-		d.nums = append(d.nums, f)
-		if d.next(',') {
+		// At most runChunk numbers a call: the assembly cannot be
+		// preempted, and a huge array must not hold up a GC stop.
+		room := nums[len(nums):min(cap(nums), len(nums)+runChunk)]
+		if n, end := shortRun(data, i, room); n > 0 {
+			nums, i = nums[:len(nums)+n], end
+		} else {
+			d.pos = i
+			f, ok := d.float()
+			if !ok {
+				d.nums = nums
+				return false
+			}
+			nums, i = append(nums, f), d.pos
+		}
+		if i < len(data) && data[i] == ',' {
+			i++
 			continue
 		}
-		return d.next(']')
+		d.pos, d.nums = i, nums
+		if !d.next(',') {
+			return d.next(']')
+		}
+		i = d.pos
 	}
 }
 

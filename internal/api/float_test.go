@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -20,8 +21,11 @@ var floatNumber = regexp.MustCompile(`^-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[
 
 // checkFloat holds the decoder's float to strconv.ParseFloat on body (a
 // number and what follows it): the same accept or reject, the same bits,
-// and exactly the number's bytes consumed. It reports the difference, or
-// "" when there is none.
+// and exactly the number's bytes consumed. The number is then read as an
+// array element, alone and twice, and held to the same: the array reader
+// (shortRun and what it leaves to float) takes it exactly when strconv
+// does, with its bits, and consumes the whole array. It reports the
+// difference, or "" when there is none.
 func checkFloat(body []byte) string {
 	var d decoder
 	d.reset(body)
@@ -36,6 +40,7 @@ func checkFloat(body []byte) string {
 	m := floatNumber.FindSubmatchIndex(body[at:])
 	wantOK := m != nil
 	var want float64
+	var number []byte // the number, when the grammar took it whole
 	if wantOK {
 		end := at + m[1]
 		frac, exp := m[2] >= 0, m[4] >= 0
@@ -45,6 +50,7 @@ func checkFloat(body []byte) string {
 			var err error
 			want, err = strconv.ParseFloat(string(body[at:end]), 64)
 			wantOK = err == nil
+			number = body[at:end]
 		}
 		if ok && wantOK && d.pos != end {
 			return fmt.Sprintf("%q: consumed %d bytes, want %d", body, d.pos, end)
@@ -55,6 +61,68 @@ func checkFloat(body []byte) string {
 		return fmt.Sprintf("%q: accepted %v, strconv %v", body, ok, wantOK)
 	case ok && math.Float64bits(got) != math.Float64bits(want):
 		return fmt.Sprintf("%q: %v (%#x), strconv %v (%#x)", body, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if number == nil {
+		return ""
+	}
+	for i, arr := range [][]byte{arrayOf(number), arrayOf(number, number)} {
+		var d decoder
+		d.reset(arr)
+		ok := d.appendFloats() && d.end()
+		switch {
+		case ok != wantOK:
+			return fmt.Sprintf("%q: accepted %v, strconv %v", arr, ok, wantOK)
+		case ok && len(d.nums) != i+1:
+			return fmt.Sprintf("%q: %d numbers, want %d", arr, len(d.nums), i+1)
+		}
+		for _, f := range d.nums {
+			if ok && math.Float64bits(f) != math.Float64bits(want) {
+				return fmt.Sprintf("%q: %v (%#x), strconv %v (%#x)", arr, f, math.Float64bits(f), want, math.Float64bits(want))
+			}
+		}
+	}
+	return ""
+}
+
+// arrayOf returns the JSON array whose elements are xs.
+func arrayOf(xs ...[]byte) []byte {
+	b := []byte{'['}
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, x...)
+	}
+	return append(b, ']')
+}
+
+// checkFloatArray holds the decoder's array reader — shortRun and what
+// it leaves to float — to encoding/json on arr: an array it takes,
+// encoding/json takes too, with the same bits, and it consumes every
+// byte; an array it refuses, encoding/json refuses too, unless it holds a
+// null (which encoding/json reads as a zero and this decoder leaves to
+// it).
+func checkFloatArray(arr []byte) string {
+	var d decoder
+	d.reset(arr)
+	ok := d.appendFloats() && d.end()
+	var want []float64
+	wantOK := json.Unmarshal(arr, &want) == nil
+	switch {
+	case ok && !wantOK:
+		return fmt.Sprintf("%q: taken, encoding/json refuses it", arr)
+	case !ok && wantOK && !bytes.Contains(arr, []byte("null")):
+		return fmt.Sprintf("%q: refused, encoding/json takes it", arr)
+	case ok && len(d.nums) != len(want):
+		return fmt.Sprintf("%q: %d numbers, encoding/json %d", arr, len(d.nums), len(want))
+	}
+	if ok {
+		for i, f := range d.nums {
+			if math.Float64bits(f) != math.Float64bits(want[i]) {
+				return fmt.Sprintf("%q: element %d is %v (%#x), encoding/json %v (%#x)",
+					arr, i, f, math.Float64bits(f), want[i], math.Float64bits(want[i]))
+			}
+		}
 	}
 	return ""
 }
@@ -193,7 +261,9 @@ func TestDecodeFloatMatchesStrconv(t *testing.T) {
 }
 
 // FuzzDecodeFloat holds the decoder's float to strconv.ParseFloat on
-// arbitrary bytes: accept or reject, bits, and bytes consumed.
+// arbitrary bytes: accept or reject, bits, and bytes consumed; and the
+// array reader to encoding/json on the bytes as an array element, alone
+// and twice.
 func FuzzDecodeFloat(f *testing.F) {
 	for _, s := range []string{"0.6046602879796196", "-1.2e-7", "1e400", "123456789012345678901234.5",
 		"2.4703282292062327e-324", "9007199254740993", "0.1.", "1.e5", "1e", "01", "-", " 7]"} {
@@ -202,6 +272,11 @@ func FuzzDecodeFloat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if diff := checkFloat(body); diff != "" {
 			t.Fatal(diff)
+		}
+		for _, arr := range [][]byte{arrayOf(body), arrayOf(body, body)} {
+			if diff := checkFloatArray(arr); diff != "" {
+				t.Fatal(diff)
+			}
 		}
 	})
 }
@@ -256,4 +331,116 @@ func mustMarshal(tb testing.TB, v any) []byte {
 		tb.Fatal(err)
 	}
 	return body
+}
+
+// TestShortRunMatchesGo holds shortRun (the assembly version, where there
+// is one) to shortRunGo, its definition: from every element of arrays of
+// the float corpus, and from every offset of random bodies over the
+// bytes numbers are made of, both convert the same count, stop at the same
+// offset, and write the same bits, for every room in out.
+func TestShortRunMatchesGo(t *testing.T) {
+	sample := 2
+	if raceEnabled {
+		sample = 32
+	}
+	var numbers []string
+	floatCorpus(sample, func(s string) { numbers = append(numbers, s) })
+	compare := func(body []byte, i, room int) (n, end int) {
+		got, want := make([]float64, room), make([]float64, room)
+		n, end = shortRun(body, i, got)
+		wantN, wantEnd := shortRunGo(body, i, want)
+		if n != wantN || end != wantEnd {
+			t.Fatalf("%q from %d, room %d: %d numbers to offset %d, shortRunGo %d to %d", body, i, room, n, end, wantN, wantEnd)
+		}
+		for j := range n {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%q from %d: number %d is %#x, shortRunGo %#x", body, i, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+		return n, end
+	}
+	taken := 0
+	for len(numbers) > 0 {
+		chunk := numbers[:min(64, len(numbers))]
+		numbers = numbers[len(chunk):]
+		body := []byte("[" + strings.Join(chunk, ",") + "]")
+		for i, room := 1, 1; i < len(body); room = room%9 + 1 {
+			n, end := compare(body, i, room*8)
+			taken += n
+			if n > 0 {
+				i = end
+			}
+			next := bytes.IndexByte(body[i:], ',')
+			if next < 0 {
+				break
+			}
+			i += next + 1
+		}
+	}
+	if taken == 0 {
+		t.Fatal("shortRun took no number of the corpus")
+	}
+	rng := rand.New(rand.NewSource(52))
+	const alphabet = "0000123456789..--eE,,, ]"
+	body := make([]byte, 80)
+	for range 20000 / sample {
+		for i := range body {
+			body[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		for i := range 48 {
+			compare(body, i, 4)
+		}
+	}
+}
+
+// TestShortFormTakesMarshalledVectors pins that the numbers json.Marshal
+// writes for the vectors the workloads send — uniform, box-clustered
+// around random centres, Gaussian-clustered and Corel-like — are all read
+// in the short form: none reaches strconv.ParseFloat, and none but one
+// written with an exponent reaches the general path. The differential
+// tests would pass just as well if every number took the general path.
+func TestShortFormTakesMarshalledVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	box := make([][]float64, 256)
+	for i := range box {
+		if i%16 == 0 {
+			box[i] = randVector(rng, 64)
+			continue
+		}
+		box[i] = make([]float64, 64)
+		for j, c := range box[i-i%16] {
+			box[i][j] = min(max(c+0.03*(rng.Float64()-0.5), 0), 1)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		vectors [][]float64
+	}{
+		{"uniform", dataset.Uniform(256, 64, 1)},
+		{"box-clustered", box},
+		{"clustered", dataset.Clustered(dataset.DefaultClustered(256, 64, 1, 1))},
+		{"corel", dataset.CorelLike(256, 32, 1)},
+		{"one long vector", [][]float64{randVector(rng, 3*runChunk+5)}}, // several shortRun calls
+	} {
+		body := mustMarshal(t, &IngestRequest{Vectors: tc.vectors})
+		var d decoder
+		d.reset(body)
+		var got IngestRequest
+		if !d.value(&got) {
+			t.Fatalf("%s: refused", tc.name)
+		}
+		exponents := bytes.Count(body[bytes.IndexByte(body, '['):], []byte("e"))
+		if d.slow != 0 || d.general != exponents {
+			t.Fatalf("%s: %d numbers handed to strconv.ParseFloat, %d to the general path (%d written with an exponent)",
+				tc.name, d.slow, d.general, exponents)
+		}
+		for i, v := range got.Vectors {
+			for j, f := range v {
+				if math.Float64bits(f) != math.Float64bits(tc.vectors[i][j]) {
+					t.Fatalf("%s: vector %d element %d: %v, marshalled %v", tc.name, i, j, f, tc.vectors[i][j])
+				}
+			}
+		}
+		t.Logf("%s: %d numbers, %d with an exponent", tc.name, len(tc.vectors)*len(tc.vectors[0]), exponents)
+	}
 }

@@ -14,10 +14,13 @@
 //     re-materialized (VPCMPEQD of a register with itself) before every
 //     gather; mask, index, and destination must be distinct registers.
 //   - min() is the Go builtin's ordering (−0 < +0, NaN poisons), which a
-//     single VMINPD does not give: VMINPD returns its second source on
-//     ties and NaNs. min_go(a,b) = VMINPD(a,b) | VMINPD(b,a) — on a tie
-//     of ±0 the OR keeps the sign bit, on distinct values both minima
-//     agree, and a NaN input ORs into a NaN.
+//     single VMINPD does not give for every pair: VMINPD returns its
+//     second source on ties and NaNs. The gather kernels take
+//     min_go(a,b) = VMINPD(a,b) | VMINPD(b,a) — on a tie of ±0 the OR
+//     keeps the sign bit, on distinct values both minima agree, and a NaN
+//     input ORs into a NaN. The run kernels take one VMINPD with the
+//     column value second, which is min_go whenever q is neither NaN nor
+//     −0; their wrappers send any other q to the portable body.
 //   - VZEROUPPER before every RET: the callers return into SSE-era
 //     scalar code, and a dirty upper state would stall it.
 
@@ -344,10 +347,10 @@ sddone:
 	VMULPD v, Y7, t; \
 	VMULPD v, t, v
 
+// One VMINPD with q (Y0) first returns v on a tie and on a NaN: the
+// builtin's min unless q is NaN or −0, which minQPrefix keeps from here.
 #define TERM_MINQ(v, t) \
-	VMINPD Y0, v, t; \
-	VMINPD v, Y0, v; \
-	VORPD  t, v, v
+	VMINPD v, Y0, v
 
 #define TERM_WMINQ(v, t) \
 	TERM_MINQ(v, t); \

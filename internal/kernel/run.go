@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // The run kernels fold several columns at once into row-indexed scores over
 // a run of contiguous rows: score[r] += f(cols[j][r], q[j]) for j in call
 // order — BOND's first phase (paper Section 6.1), while nearly every row of
@@ -38,6 +40,22 @@ func runPrefix(cols [][]float64, rows int) int {
 		return 0
 	}
 	return rows &^ 3
+}
+
+// minQPrefix is runPrefix for the min kernels. Their AVX2 bodies take the
+// minimum with one VMINPD, q first, which returns the column value on a
+// tie and on a NaN: the builtin's min (−0 < +0, NaN poisons) for every
+// column value, unless q itself is NaN or −0. A call with such a q runs
+// in the portable body. Query validation refuses a NaN q, so only a −0
+// can send a query there.
+func minQPrefix(cols [][]float64, rows int, q []float64) int {
+	n := runPrefix(cols, rows)
+	for _, x := range q[:len(cols)] {
+		if x != x || math.Float64bits(x) == 1<<63 {
+			return 0
+		}
+	}
+	return n
 }
 
 // AccSqDistRun: score[r] += (cols[j][r] − q[j])².
@@ -129,7 +147,7 @@ func AccWSqDistTailsRun(score, tails []float64, cols [][]float64, q, w []float64
 // (−0 < +0, NaN poisons) as in AccMinQ.
 func AccMinQRun(score []float64, cols [][]float64, q []float64) {
 	covers(q, len(cols))
-	n := runPrefix(cols, len(score))
+	n := minQPrefix(cols, len(score), q)
 	if n > 0 {
 		accMinQRunAVX2(&score[0], &cols[0], len(cols), n, &q[0])
 	}
@@ -148,7 +166,7 @@ func AccMinQRun(score []float64, cols [][]float64, q []float64) {
 func AccMinQTailsRun(score, tails []float64, cols [][]float64, q []float64) {
 	covers(q, len(cols))
 	covers(tails, len(score))
-	n := runPrefix(cols, len(score))
+	n := minQPrefix(cols, len(score), q)
 	if n > 0 {
 		accMinQTailsRunAVX2(&score[0], &tails[0], &cols[0], len(cols), n, &q[0])
 	}
@@ -169,7 +187,7 @@ func AccMinQTailsRun(score, tails []float64, cols [][]float64, q []float64) {
 func AccWMinQRun(score []float64, cols [][]float64, q, w []float64) {
 	covers(q, len(cols))
 	covers(w, len(cols))
-	n := runPrefix(cols, len(score))
+	n := minQPrefix(cols, len(score), q)
 	if n > 0 {
 		accWMinQRunAVX2(&score[0], &cols[0], len(cols), n, &q[0], &w[0])
 	}

@@ -40,6 +40,12 @@ import (
 // offline), and the API answers it 409 older_layout.
 const collectionExt = ".bond"
 
+// migratingExt follows collectionExt on the staging directory of an
+// earlier release's in-place migration. A name whose only trace is one is
+// listed, answers 409 older_layout (OpenDurable names the rename that
+// finishes the migration), and is deleted by DELETE.
+const migratingExt = ".migrating"
+
 // Errors the catalog returns; the HTTP layer maps them onto status codes.
 // Names follow api.ValidName: the HTTP layer refuses a bad one before it
 // gets here, and the catalog checks again because replication passes it
@@ -265,10 +271,11 @@ func (c *Catalog) Create(name string, dims, segSize int) (col *bond.Collection, 
 }
 
 // Drop removes the named collection from memory, closes its WAL, and
-// deletes its durable directory (or snapshot file). It returns ErrNotFound
-// when the name is neither loaded nor on disk. Drop holds the per-name
-// slot and the checkpoint mutex, so neither a cold load nor a checkpoint
-// sweep can resurrect the files afterwards.
+// deletes its durable directory (or snapshot file) and an interrupted
+// migration's staging directory beside it. It returns ErrNotFound when
+// the name is neither loaded nor on disk under either. Drop holds the
+// per-name slot and the checkpoint mutex, so neither a cold load nor a
+// checkpoint sweep can resurrect the files afterwards.
 func (c *Catalog) Drop(name string) error {
 	if !api.ValidName(name) {
 		return ErrBadName
@@ -287,15 +294,18 @@ func (c *Catalog) Drop(name string) error {
 	}
 	path := c.path(name)
 	_, statErr := os.Stat(path)
-	if statErr != nil && !loaded {
+	_, stagedErr := os.Stat(path + migratingExt)
+	if statErr != nil && stagedErr != nil && !loaded {
 		return ErrNotFound
 	}
-	_ = os.RemoveAll(path + ".migrating") // an earlier release's interrupted-migration staging, if any
+	if err := os.RemoveAll(path + migratingExt); err != nil {
+		return err
+	}
 	return os.RemoveAll(path)
 }
 
-// Names lists every collection the catalog knows — loaded or still on
-// disk — in sorted order.
+// Names lists every collection the catalog knows — loaded, on disk, or
+// left in an interrupted migration's staging directory — in sorted order.
 func (c *Catalog) Names() ([]string, error) {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -308,11 +318,8 @@ func (c *Catalog) Names() ([]string, error) {
 	}
 	c.mu.RUnlock()
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), collectionExt) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), collectionExt)
-		if api.ValidName(name) {
+		name, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), migratingExt), collectionExt)
+		if ok && api.ValidName(name) {
 			seen[name] = true
 		}
 	}

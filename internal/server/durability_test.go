@@ -117,7 +117,7 @@ func TestCatalogRefusesLegacyFile(t *testing.T) {
 	_, ts := newTestServer(t, Config{Dir: dir})
 	var names map[string][]string
 	doJSON(t, http.MethodGet, ts.URL+"/collections", nil, &names)
-	if want := []string{"manifest-v1", "old", "segment-format1", "stats-block"}; !reflect.DeepEqual(names["collections"], want) {
+	if want := []string{"gone", "manifest-v1", "old", "segment-format1", "stats-block"}; !reflect.DeepEqual(names["collections"], want) {
 		t.Fatalf("listed %+v, want %v", names, want)
 	}
 	for _, c := range cases {
@@ -140,6 +140,41 @@ func TestCatalogRefusesLegacyFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("snapshot file survived DELETE: %v", err)
+	}
+}
+
+// TestDropRemovesMigrationStaging pins the life of a name whose only trace
+// is an interrupted in-place migration's staging directory: GET answers
+// 409 older_layout, /collections lists the name, DELETE answers 204 and
+// removes the directory, and GET then answers 404.
+func TestDropRemovesMigrationStaging(t *testing.T) {
+	dir := t.TempDir()
+	staged := filepath.Join(dir, "gone.bond.migrating")
+	if err := os.MkdirAll(filepath.Join(staged, "segments"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Dir: dir})
+	var e api.Error
+	if code := doJSON(t, http.MethodGet, ts.URL+"/collections/gone", nil, &e); code != http.StatusConflict || e.Code != "older_layout" {
+		t.Fatalf("GET: %d %s, want 409 older_layout", code, e.Code)
+	}
+	var names map[string][]string
+	doJSON(t, http.MethodGet, ts.URL+"/collections", nil, &names)
+	if want := []string{"gone"}; !reflect.DeepEqual(names["collections"], want) {
+		t.Fatalf("listed %+v, want %v", names, want)
+	}
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/collections/gone", nil, nil); code != http.StatusNoContent {
+		t.Fatalf("DELETE: %d, want 204", code)
+	}
+	if _, err := os.Stat(staged); !os.IsNotExist(err) {
+		t.Fatalf("staging directory survived DELETE: %v", err)
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/collections/gone", nil, &e); code != http.StatusNotFound {
+		t.Fatalf("GET after DELETE: %d, want 404", code)
+	}
+	doJSON(t, http.MethodGet, ts.URL+"/collections", nil, &names)
+	if len(names["collections"]) != 0 {
+		t.Fatalf("listed %+v after DELETE, want none", names)
 	}
 }
 
